@@ -13,7 +13,7 @@ from .config import (
 from .quantum import DensityMatrix, KrausChannel, PureState
 from .ion_photon import SourceParams
 from .swap import CoincidencePattern, Detection, SwapErrorParams
-from .protocol import HeraldRecord, RateReport, simulate_campaign
+from .protocol import RateReport, simulate_campaign
 from .rate_model import DecayParams, ScheduleParams
 from .modes import ChainSpec, ModeTable
 from .detection import ConfusionMatrix, ReadoutModel
@@ -25,7 +25,7 @@ __all__ = [
     "DensityMatrix", "KrausChannel", "PureState",
     "SourceParams",
     "CoincidencePattern", "Detection", "SwapErrorParams",
-    "HeraldRecord", "RateReport", "simulate_campaign",
+    "RateReport", "simulate_campaign",
     "DecayParams", "ScheduleParams",
     "ChainSpec", "ModeTable",
     "ConfusionMatrix", "ReadoutModel",

@@ -268,6 +268,8 @@ def cmd_rate(args) -> int:
     seed = _resolve_seed(args)
     out = Path(args.out)
     header = _header(cfg, seed)
+    if args.trials < 1:
+        raise CliError("bad_trials", "rate needs at least 1 trial", 2)
     if args.grid:
         caps = np.unique(np.maximum(1, _parse_grid(args.grid).astype(int)))
     else:
@@ -300,11 +302,8 @@ def cmd_rate(args) -> int:
         mc[name] = report.summary()
         mc[name]["effective_attempt_rate_hz"] = protocol.effective_attempt_rate(mc_cfg)
         if args.records:
-            records = [protocol.run_request(mc_cfg, protocol.request_rng(seed, k),
-                                            request_index=k)
-                       for k in range(min(args.trials, 100_000))]
             _write(out, f"herald_records_{name}.csv",
-                   protocol.records_to_csv(records, header))
+                   protocol.records_to_csv(report, header, limit=100_000))
     _write(out, "rate_mc.json", _json_payload(cfg, seed, mc))
     return 0
 

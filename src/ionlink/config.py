@@ -147,6 +147,9 @@ class HardwareConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("attempt_duration", "cooling_duration"):  # scheduled in ns
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         nonneg = ["delta_hz", "analysis_delay", "decay_b", "detection_window",
                   "reduced_window", "bright_rate", "dark_rate"]
         for name in nonneg:
@@ -156,11 +159,16 @@ class HardwareConfig:
             raise ValueError("decay_a + decay_c must not exceed 1")
         if self.decay_c <= 0.0:
             raise ValueError("decay_c must be positive (guarantees eventual success)")
-        for name in ("loop_cap_no_coolant", "loop_cap_with_coolant"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.hardware_counter_cap is not None and self.hardware_counter_cap < 1:
-            raise ValueError("hardware_counter_cap must be at least 1 when set")
+        if type(self.coolant_present) is not bool:
+            raise ValueError(f"coolant_present must be true or false, "
+                             f"got {self.coolant_present!r}")
+        for name in ("loop_cap_no_coolant", "loop_cap_with_coolant",
+                     "hardware_counter_cap"):
+            v = getattr(self, name)
+            if v is None and name == "hardware_counter_cap":
+                continue  # no hardware counter
+            if type(v) is not int or v < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         if self.bell_coherence_envelope not in ("gaussian", "exponential"):
             raise ValueError("bell_coherence_envelope must be gaussian|exponential")
         if self.swap_phase_convention not in ("b_minus_a", "a_minus_b"):

@@ -1,4 +1,4 @@
-"""Discrete-event simulation of entanglement-generation campaigns.
+"""Monte Carlo of entanglement-generation campaigns.
 
 Two operating modes:
 
@@ -13,19 +13,24 @@ Two operating modes:
   is reported as a failed request.
 
 Time is tracked in integer nanoseconds so the schedule arithmetic is exact.
-Requests draw from independent substreams derived from ``(master seed,
-request index)``, so campaigns are reproducible and order-independent.
 
-Attempt outcomes are sampled by inverse transform over the exact discrete
-first-success distribution (a cumulative product of per-attempt failure
-probabilities), which is distribution-identical to drawing every Bernoulli
-attempt individually but runs in O(log cap) per request.
+Every request consumes exactly three uniforms: loop count (or, with the
+coolant, success), in-loop position and herald sign.  Requests are grouped
+in blocks of ``_BLOCK``; block ``b`` draws its uniforms from the independent
+substream ``SeedSequence(master_seed, spawn_key=(b,))``.  A request's outcome
+therefore depends only on ``(master_seed, request index)``: the first ``n``
+rows of a longer campaign equal an ``n``-request campaign (prefix stability).
+
+The loop count of the no-coolant schedule is geometric and is sampled by
+inverse transform with ``log1p``; the in-loop position is sampled by inverse
+transform over the exact discrete first-success distribution (a cumulative
+product of per-attempt failure probabilities).  Both are distribution-
+identical to drawing every Bernoulli attempt individually.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,19 +40,11 @@ import numpy as np
 from .config import HardwareConfig
 
 _TABLE_TAIL = 1e-18  # survival below this is treated as impossible
-
-
-def attempt_success_prob(n: int, cfg: HardwareConfig) -> float:
-    """Success probability of attempt ``n`` since the last cooling.
-
-    Constant ``A + C`` with the coolant present (no recoil decay under
-    continuous cooling); ``A exp(-B n) + C`` otherwise.
-    """
-    if n < 0:
-        raise ValueError("attempt index must be nonnegative")
-    if cfg.coolant_present:
-        return cfg.decay_a + cfg.decay_c
-    return cfg.decay_a * math.exp(-cfg.decay_b * n) + cfg.decay_c
+# Requests per substream.  It fixes the random-stream layout, so changing it
+# changes every campaign's outcome.
+_BLOCK = 4096
+# Longest single request, so that a block's wall-time sum fits in int64.
+_MAX_REQUEST_NS = 2**50
 
 
 def effective_attempt_rate(cfg: HardwareConfig) -> float:
@@ -71,7 +68,9 @@ def _success_cdf_table(decay_a: float, decay_b: float, decay_c: float,
                        coolant: bool, cap: int) -> np.ndarray:
     """Discrete first-success CDF within one loop: F[k] = P(success <= k+1).
 
-    Truncated where the survival drops below the tail threshold; the
+    Attempt ``n`` since the last cooling succeeds with ``A + C`` under the
+    coolant (no recoil decay) and ``A exp(-B n) + C`` otherwise.  The table
+    is truncated where the survival drops below the tail threshold; the
     truncation error is below 1e-18 per request.
     """
     n = np.arange(cap, dtype=float)
@@ -88,69 +87,12 @@ def _success_cdf_table(decay_a: float, decay_b: float, decay_c: float,
 
 
 @dataclass(frozen=True)
-class HeraldRecord:
-    """Outcome of one entanglement request."""
-
-    request_index: int
-    attempts_used: int
-    wall_time_ns: int
-    success: bool
-    sign: int | None
-    loop_index: int
-
-
-def request_rng(master_seed: int, request_index: int) -> np.random.Generator:
-    """Deterministic substream for one request, independent of all others."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(request_index,))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
-def _sample_within_loop(table: np.ndarray, u: float) -> int:
-    """Attempt index (1-based) of the first success, given success in the loop."""
-    q = table[-1]
-    return int(np.searchsorted(table, u * q, side="right")) + 1
-
-
-def run_request(cfg: HardwareConfig, rng: np.random.Generator,
-                request_index: int = 0) -> HeraldRecord:
-    """Simulate one entanglement request under the configured schedule."""
-    cap = _loop_cap(cfg)
-    attempt_ns = round(cfg.attempt_duration * 1e9)
-    cooling_ns = round(cfg.cooling_duration * 1e9)
-    table = _success_cdf_table(cfg.decay_a, cfg.decay_b, cfg.decay_c,
-                               cfg.coolant_present, cap)
-    q = float(table[-1])
-
-    if cfg.coolant_present:
-        u = rng.random()
-        if u < q:
-            k = _sample_within_loop(table, u / q)
-            sign = +1 if rng.random() < 0.5 else -1
-            return HeraldRecord(request_index=request_index, attempts_used=k,
-                                wall_time_ns=cooling_ns + k * attempt_ns,
-                                success=True, sign=sign, loop_index=0)
-        return HeraldRecord(request_index=request_index, attempts_used=cap,
-                            wall_time_ns=cooling_ns + cap * attempt_ns,
-                            success=False, sign=None, loop_index=0)
-
-    # no coolant: geometric number of loops, cooling after each failed loop
-    u_loops = rng.random()
-    if q >= 1.0:
-        loops = 1
-    else:
-        loops = max(1, int(math.ceil(math.log1p(-u_loops) / math.log1p(-q))))
-    k = _sample_within_loop(table, rng.random())
-    attempts = (loops - 1) * cap + k
-    wall_ns = attempts * attempt_ns + (loops - 1) * cooling_ns
-    sign = +1 if rng.random() < 0.5 else -1
-    return HeraldRecord(request_index=request_index, attempts_used=attempts,
-                        wall_time_ns=wall_ns, success=True, sign=sign,
-                        loop_index=loops - 1)
-
-
-@dataclass(frozen=True)
 class RateReport:
-    """Aggregates of a campaign of entanglement requests.
+    """Per-request columns and aggregates of a campaign.
+
+    Row ``k`` of the read-only columns is request ``k``: attempts used, wall
+    time in ns, success, herald sign (0 for a failed request) and the number
+    of recooling breaks before its final loop.
 
     Two rate accountings are kept: ``rate_hz`` divides successes by the full
     wall time (attempts plus every cooling interval), which reproduces the
@@ -167,6 +109,8 @@ class RateReport:
     attempts_used: np.ndarray
     signs: np.ndarray
     success_mask: np.ndarray
+    wall_ns: np.ndarray
+    loop_index: np.ndarray
 
     @property
     def success_fraction(self) -> float:
@@ -186,21 +130,33 @@ class RateReport:
         attempts = np.sort(self.attempts_used[self.success_mask])
         return np.searchsorted(attempts, caps, side="right") / self.requests
 
-    def attempts_histogram(self, bins: int = 50) -> tuple[np.ndarray, np.ndarray]:
-        counts, edges = np.histogram(self.attempts_used, bins=bins)
-        return counts, edges
-
     def summary(self) -> dict:
+        """Aggregates with standard errors (``None`` below two requests).
+
+        Requests are i.i.d., so the error of the ratio estimator ``rate_hz``
+        follows from the delta method on the per-request success and wall
+        time columns.
+        """
+        n = self.requests
+        rate_err = attempts_err = None
+        if n > 1:
+            wall_s = self.wall_ns * 1e-9
+            resid = self.success_mask - self.rate_hz * wall_s
+            rate_err = float(math.sqrt(np.dot(resid, resid) / (n * (n - 1)))
+                             / (self.total_wall_ns * 1e-9 / n))
+            attempts_err = float(np.std(self.attempts_used, ddof=1) / math.sqrt(n))
         return {
-            "requests": self.requests,
+            "requests": n,
             "successes": self.successes,
             "success_fraction": self.success_fraction,
             "total_wall_s": self.total_wall_ns * 1e-9,
             "attempt_wall_s": self.attempt_wall_ns * 1e-9,
             "cooling_wall_s": self.cooling_wall_ns * 1e-9,
             "rate_hz": self.rate_hz,
+            "rate_hz_stderr": rate_err,
             "rate_attempts_only_hz": self.rate_attempts_only_hz,
             "mean_attempts": float(np.mean(self.attempts_used)),
+            "mean_attempts_stderr": attempts_err,
         }
 
 
@@ -208,46 +164,80 @@ def simulate_campaign(cfg: HardwareConfig, requests: int,
                       master_seed: int) -> RateReport:
     """Run ``requests`` independent entanglement requests.
 
-    Results are identical for a given ``(cfg, master_seed)`` regardless of
-    evaluation order, because every request uses its own derived substream.
+    Request ``k``'s outcome depends only on ``(cfg, master_seed, k)``.
     """
     if requests < 1:
         raise ValueError("requests must be at least 1")
+    cap = _loop_cap(cfg)
     attempt_ns = round(cfg.attempt_duration * 1e9)
-    attempts_used = np.empty(requests, dtype=np.int64)
-    signs = np.zeros(requests, dtype=np.int8)
-    success = np.empty(requests, dtype=bool)
-    total_wall = 0
+    cooling_ns = round(cfg.cooling_duration * 1e9)
+    coolant = cfg.coolant_present
+    table = _success_cdf_table(cfg.decay_a, cfg.decay_b, cfg.decay_c,
+                               coolant, cap)
+    q = float(table[-1])  # success probability of one loop
+    # the largest loop count a uniform below 1 - 2**-53 can produce
+    max_loops = (1 if coolant or q >= 1.0
+                 else math.ceil(53 * math.log(2.0) / -math.log1p(-q)))
+    if max_loops * (cap * attempt_ns + cooling_ns) > _MAX_REQUEST_NS:
+        raise ValueError("a single request can exceed 2**50 ns of wall time; "
+                         "the loop success probability is too small")
+
+    attempts = np.empty(requests, dtype=np.int64)
+    wall_ns = np.empty(requests, dtype=np.int64)
+    loop_index = np.zeros(requests, dtype=np.int64)
+    signs = np.empty(requests, dtype=np.int8)
+    success = np.ones(requests, dtype=bool)
     attempt_wall = 0
-    for k in range(requests):
-        rec = run_request(cfg, request_rng(master_seed, k), request_index=k)
-        attempts_used[k] = rec.attempts_used
-        signs[k] = 0 if rec.sign is None else rec.sign
-        success[k] = rec.success
-        total_wall += rec.wall_time_ns
-        attempt_wall += rec.attempts_used * attempt_ns
-    attempts_used.setflags(write=False)
-    signs.setflags(write=False)
-    success.setflags(write=False)
+    cooling_wall = 0
+    for block, start in enumerate(range(0, requests, _BLOCK)):
+        stop = min(start + _BLOCK, requests)
+        ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(block,))
+        u = np.random.Generator(np.random.PCG64(ss)).random((stop - start, 3))
+        # in-loop position given success in the loop; u * q may round up to q
+        k = np.searchsorted(table, u[:, 1] * q, side="right") + 1
+        k = np.minimum(k, table.size)
+        sign = np.where(u[:, 2] < 0.5, 1, -1)
+        if coolant:
+            ok = u[:, 0] < q
+            n_att = np.where(ok, k, cap)
+            n_cool = np.ones(stop - start, dtype=np.int64)  # the initial cooling
+            success[start:stop] = ok
+            sign = np.where(ok, sign, 0)
+        else:
+            if q < 1.0:  # geometric loop count by inverse transform
+                loops = np.ceil(np.log1p(-u[:, 0]) / math.log1p(-q))
+            else:
+                loops = np.ones(stop - start)
+            n_cool = np.maximum(loops, 1.0).astype(np.int64) - 1
+            n_att = n_cool * cap + k
+            loop_index[start:stop] = n_cool
+        att_ns = n_att * attempt_ns
+        cool_ns = n_cool * cooling_ns
+        attempts[start:stop] = n_att
+        wall_ns[start:stop] = att_ns + cool_ns
+        signs[start:stop] = sign
+        attempt_wall += int(att_ns.sum())
+        cooling_wall += int(cool_ns.sum())
+    for col in (attempts, wall_ns, loop_index, signs, success):
+        col.setflags(write=False)
     return RateReport(requests=requests, successes=int(success.sum()),
-                      total_wall_ns=total_wall, attempt_wall_ns=attempt_wall,
-                      cooling_wall_ns=total_wall - attempt_wall,
-                      attempts_used=attempts_used, signs=signs,
-                      success_mask=success)
+                      total_wall_ns=attempt_wall + cooling_wall,
+                      attempt_wall_ns=attempt_wall, cooling_wall_ns=cooling_wall,
+                      attempts_used=attempts, signs=signs, success_mask=success,
+                      wall_ns=wall_ns, loop_index=loop_index)
 
 
-def records_to_csv(records, header_lines: tuple[str, ...] = ()) -> str:
-    """Serialize a herald-record stream to CSV."""
+def records_to_csv(report: RateReport, header_lines: tuple[str, ...] = (),
+                   limit: int | None = None) -> str:
+    """Serialize the first ``limit`` (default all) requests of a campaign."""
+    n = report.requests if limit is None else min(limit, report.requests)
+    rows = zip(report.attempts_used[:n].tolist(), report.wall_ns[:n].tolist(),
+               report.success_mask[:n].tolist(), report.signs[:n].tolist(),
+               report.loop_index[:n].tolist())
     buf = io.StringIO()
     for line in header_lines:
         buf.write(f"# {line}\n")
-    buf.write("request_index,attempts_used,wall_time_ns,success,sign\n")
-    for r in records:
-        sign = "" if r.sign is None else str(r.sign)
-        buf.write(f"{r.request_index},{r.attempts_used},{r.wall_time_ns},"
-                  f"{int(r.success)},{sign}\n")
+    buf.write("request_index,attempts_used,wall_time_ns,success,sign,loop_index\n")
+    buf.writelines(f"{k},{a},{w},{int(s)},{g if s else ''},{i}\n"
+                   for k, (a, w, s, g, i) in enumerate(rows))
     return buf.getvalue()
-
-
-def report_to_json(report: RateReport) -> str:
-    return json.dumps(report.summary(), sort_keys=True, indent=2)

@@ -2,8 +2,11 @@
 
 The oracles here are deliberately independent of the package implementation:
 partial traces by explicit index loops, survival probabilities by literal
-products, potentials minimized by generic optimizers.
+products, campaign requests by literal per-attempt coin flips, potentials
+minimized by generic optimizers.
 """
+
+import math
 
 import numpy as np
 
@@ -64,3 +67,28 @@ def loop_partial_trace(mat, dims, keep):
             out[kept_flat(row_vals), kept_flat(col_vals)] += \
                 mat[flat(row_vals), flat(col_vals)]
     return out
+
+
+def bernoulli_request(cfg, rng):
+    """One entanglement request by flipping one coin per attempt.
+
+    Returns ``(attempts_used, success)`` under the schedule of ``cfg``:
+    loops of the (hardware-capped) loop cap, recooling after each failed
+    loop without the coolant, one loop and a failed request at the cap with
+    it.
+    """
+    cap = cfg.loop_cap_with_coolant if cfg.coolant_present else cfg.loop_cap_no_coolant
+    if cfg.hardware_counter_cap is not None:
+        cap = min(cap, cfg.hardware_counter_cap)
+    attempts = 0
+    while True:
+        for n in range(cap):
+            attempts += 1
+            if cfg.coolant_present:
+                p = cfg.decay_a + cfg.decay_c
+            else:
+                p = cfg.decay_a * math.exp(-cfg.decay_b * n) + cfg.decay_c
+            if rng.random() < p:
+                return attempts, True
+        if cfg.coolant_present:
+            return attempts, False

@@ -79,8 +79,18 @@ def test_rate_records_stream(tmp_path):
     assert run(["rate", "--out", str(out), "--trials", "500", "--seed", "2",
                 "--records"]) == 0
     lines = (out / "herald_records_coolant.csv").read_text().splitlines()
-    assert lines[3] == "request_index,attempts_used,wall_time_ns,success,sign"
+    assert lines[3] == ("request_index,attempts_used,wall_time_ns,success,sign,"
+                        "loop_index")
     assert len(lines) == 4 + 500
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_rate_bad_trials_rejected_before_output(tmp_path, capsys, trials):
+    out = tmp_path / "rt"
+    assert run(["rate", "--out", str(out), "--trials", trials]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "bad_trials"
+    assert not out.exists()
 
 
 def test_rate_outputs(tmp_path):
@@ -163,6 +173,13 @@ def test_config_errors_exit_code(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config_invalid"
     assert "garbage_field" in err["message"]
+    # a quoted "no" is a string, not false: it must not select the coolant
+    bad.write_text('coolant_present: "no"\n')
+    assert run(["rate", "--config", str(bad), "--trials", "10",
+                "--out", str(tmp_path / "z")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config_invalid"
+    assert "coolant_present" in err["message"]
 
 
 def test_bad_grid_rejected(tmp_path, capsys):

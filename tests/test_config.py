@@ -73,6 +73,21 @@ def test_validation_errors():
         HardwareConfig(bell_coherence_envelope="flat")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("coolant_present", "no"),
+    ("coolant_present", 1),
+    ("loop_cap_no_coolant", 2.5),
+    ("loop_cap_with_coolant", True),
+    ("hardware_counter_cap", 16384.0),
+    ("attempt_duration", math.inf),
+    ("cooling_duration", math.inf),
+    ("cooling_duration", math.nan),
+])
+def test_campaign_fields_type_checked(field, value):
+    with pytest.raises(ValueError, match=field):
+        HardwareConfig(**{field: value})
+
+
 def test_profiles():
     cool = coolant_config()
     assert cool.coolant_present

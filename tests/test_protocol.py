@@ -3,31 +3,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from scipy.stats import chi2_contingency, chisquare
 
 from ionlink.config import HardwareConfig, coolant_config
 from ionlink.protocol import (
-    attempt_success_prob,
     effective_attempt_rate,
     records_to_csv,
-    request_rng,
-    run_request,
     simulate_campaign,
     _success_cdf_table,
 )
+from qutil import bernoulli_request
 
-
-def test_attempt_success_prob_formula():
-    cfg = HardwareConfig()
-    assert attempt_success_prob(0, cfg) == pytest.approx(cfg.decay_a + cfg.decay_c)
-    flat = replace(cfg, decay_b=0.0)
-    for n in (0, 10, 1000):
-        assert attempt_success_prob(n, flat) == pytest.approx(cfg.decay_a + cfg.decay_c)
-    cool = coolant_config()
-    for n in (0, 5000):
-        assert attempt_success_prob(n, cool) == pytest.approx(2.5e-4)
-    with pytest.raises(ValueError):
-        attempt_success_prob(-1, cfg)
+COLUMNS = ("attempts_used", "wall_ns", "success_mask", "signs", "loop_index")
 
 
 def test_effective_attempt_rates():
@@ -42,71 +29,109 @@ def test_survival_table_matches_literal_bernoulli_products():
     cfg = HardwareConfig()
     table = _success_cdf_table(cfg.decay_a, cfg.decay_b, cfg.decay_c, False,
                                cfg.loop_cap_no_coolant)
+    assert table[0] == pytest.approx(cfg.decay_a + cfg.decay_c)
     survival = 1.0
     for n in range(cfg.loop_cap_no_coolant):
         p = cfg.decay_a * math.exp(-cfg.decay_b * n) + cfg.decay_c
         survival *= 1.0 - p
         assert table[n] == pytest.approx(1.0 - survival, abs=1e-15)
+    # no decay: every attempt succeeds with A + C
+    flat = _success_cdf_table(cfg.decay_a, 0.0, cfg.decay_c, False, 1001)
+    p = cfg.decay_a + cfg.decay_c
+    for n in (0, 10, 1000):
+        assert flat[n] == pytest.approx(1.0 - (1.0 - p) ** (n + 1), rel=1e-12)
+    # the coolant removes the recoil decay: constant 2.5e-4 per attempt
+    cool = coolant_config()
+    table = _success_cdf_table(cool.decay_a, 0.5, cool.decay_c, True, 20000)
+    for n in (0, 5000):
+        assert table[n] == pytest.approx(1.0 - (1.0 - 2.5e-4) ** (n + 1), rel=1e-9)
 
 
 def test_certain_success_wall_times():
     cfg = replace(HardwareConfig(), decay_a=0.0, decay_b=0.0, decay_c=1.0)
-    rec = run_request(cfg, request_rng(0, 0))
-    assert rec.success and rec.attempts_used == 1
-    assert rec.wall_time_ns == 1000  # one 1 us attempt
+    rep = simulate_campaign(cfg, 1, 0)
+    assert rep.success_mask[0] and rep.attempts_used[0] == 1
+    assert rep.wall_ns[0] == 1000  # one 1 us attempt
     cool = replace(coolant_config(), decay_c=1.0)
-    rec = run_request(cool, request_rng(0, 0))
-    assert rec.attempts_used == 1
-    assert rec.wall_time_ns == 100_000 + 1000  # initial cooling + one attempt
+    rep = simulate_campaign(cool, 1, 0)
+    assert rep.attempts_used[0] == 1
+    assert rep.wall_ns[0] == 100_000 + 1000  # initial cooling + one attempt
 
 
 def test_wall_time_schedule_arithmetic_exact():
     cfg = HardwareConfig()
     attempt_ns = 1000
     cooling_ns = 100_000
-    for k in range(200):
-        rec = run_request(cfg, request_rng(3, k), request_index=k)
-        assert rec.wall_time_ns == (rec.attempts_used * attempt_ns
-                                    + rec.loop_index * cooling_ns)
-        assert rec.attempts_used > rec.loop_index * cfg.loop_cap_no_coolant
-        assert rec.attempts_used <= (rec.loop_index + 1) * cfg.loop_cap_no_coolant
+    rep = simulate_campaign(cfg, 200, master_seed=3)
+    att, loops = rep.attempts_used, rep.loop_index
+    assert np.array_equal(rep.wall_ns, att * attempt_ns + loops * cooling_ns)
+    assert np.all(att > loops * cfg.loop_cap_no_coolant)
+    assert np.all(att <= (loops + 1) * cfg.loop_cap_no_coolant)
+    assert rep.total_wall_ns == int(rep.wall_ns.sum())
+    assert rep.total_wall_ns == rep.attempt_wall_ns + rep.cooling_wall_ns
+    assert rep.cooling_wall_ns == int(loops.sum()) * cooling_ns
 
 
 def test_coolant_cap_and_failures():
     cfg = replace(coolant_config(), loop_cap_with_coolant=100)
-    fails = 0
-    for k in range(3000):
-        rec = run_request(cfg, request_rng(11, k), request_index=k)
-        assert rec.attempts_used <= 100
-        if not rec.success:
-            fails += 1
-            assert rec.sign is None
-            assert rec.attempts_used == 100
+    rep = simulate_campaign(cfg, 3000, master_seed=11)
+    assert np.all(rep.attempts_used <= 100)
+    failed = ~rep.success_mask
+    fails = int(failed.sum())
+    assert np.all(rep.signs[failed] == 0)
+    assert np.all(rep.attempts_used[failed] == 100)
+    assert np.all(np.abs(rep.signs[rep.success_mask]) == 1)
+    assert np.array_equal(rep.wall_ns, 100_000 + rep.attempts_used * 1000)
     # P(failure) = (1 - 2.5e-4)^100 ~ 0.975
     assert fails == pytest.approx(3000 * 0.9753, abs=3 * np.sqrt(3000 * 0.025))
 
 
 def test_hardware_counter_cap_flag():
     cfg = replace(coolant_config(), hardware_counter_cap=2**14)
-    for k in range(500):
-        rec = run_request(cfg, request_rng(2, k))
-        assert rec.attempts_used <= 2**14
+    rep = simulate_campaign(cfg, 500, master_seed=2)
+    assert np.all(rep.attempts_used <= 2**14)
+    assert np.all(rep.attempts_used[~rep.success_mask] == 2**14)
 
 
-def test_deterministic_replay_and_order_independence():
+def test_deterministic_replay_and_prefix_stability():
     cfg = HardwareConfig()
     rep1 = simulate_campaign(cfg, 500, master_seed=99)
     rep2 = simulate_campaign(cfg, 500, master_seed=99)
-    assert np.array_equal(rep1.attempts_used, rep2.attempts_used)
-    assert np.array_equal(rep1.signs, rep2.signs)
+    for col in COLUMNS:
+        assert np.array_equal(getattr(rep1, col), getattr(rep2, col))
     assert rep1.total_wall_ns == rep2.total_wall_ns
-    # per-request substreams: evaluating out of order gives identical records
-    shuffled = {k: run_request(cfg, request_rng(99, k), request_index=k)
-                for k in np.random.default_rng(0).permutation(500)}
-    for k in range(500):
-        assert shuffled[k].attempts_used == rep1.attempts_used[k]
+    # a request's outcome depends on (seed, index) only: a longer campaign,
+    # spanning several substream blocks, starts with the same rows
+    long = simulate_campaign(cfg, 10_000, master_seed=99)
+    for col in COLUMNS:
+        assert np.array_equal(getattr(long, col)[:500], getattr(rep1, col))
     rep3 = simulate_campaign(cfg, 500, master_seed=100)
     assert not np.array_equal(rep1.attempts_used, rep3.attempts_used)
+
+
+@pytest.mark.parametrize("cfg", [
+    replace(HardwareConfig(), decay_a=0.05, decay_b=0.1, decay_c=0.02,
+            loop_cap_no_coolant=10),
+    replace(coolant_config(), decay_c=0.05, loop_cap_with_coolant=30),
+], ids=["no_coolant", "coolant"])
+def test_attempts_distribution_matches_bernoulli_oracle(cfg):
+    # two-sample chi-square: kernel vs literal per-attempt coin flips; failed
+    # requests get their own category
+    n = 20_000
+    rep = simulate_campaign(cfg, n, master_seed=31)
+    rng = np.random.default_rng(32)
+    oracle = np.array([bernoulli_request(cfg, rng) for _ in range(n)])
+    kmax = 40
+
+    def categories(attempts, success):
+        return np.where(success, np.minimum(attempts, kmax), kmax + 1)
+
+    kernel = categories(rep.attempts_used, rep.success_mask)
+    ref = categories(oracle[:, 0], oracle[:, 1].astype(bool))
+    table = np.array([np.bincount(kernel, minlength=kmax + 2)[1:],
+                      np.bincount(ref, minlength=kmax + 2)[1:]])
+    table = table[:, table.sum(axis=0) > 0]
+    assert chi2_contingency(table).pvalue > 0.01
 
 
 def test_constant_p_attempts_follow_geometric_law():
@@ -143,6 +168,21 @@ def test_no_coolant_rate_at_constant_reference_probability():
     assert expected_rate == pytest.approx(78.0, abs=0.5)
 
 
+def test_summary_standard_errors():
+    cfg = HardwareConfig()
+    small = simulate_campaign(cfg, 4_000, master_seed=41).summary()
+    large = simulate_campaign(cfg, 64_000, master_seed=42).summary()
+    # i.i.d. requests: 16x the requests, a quarter of the error
+    for key in ("rate_hz_stderr", "mean_attempts_stderr"):
+        assert small[key] / large[key] == pytest.approx(4.0, rel=0.15)
+    # the delta-method error matches the scatter of independent campaigns
+    reports = [simulate_campaign(cfg, 2_000, master_seed=s) for s in range(60)]
+    rates = [r.rate_hz for r in reports]
+    stderr = np.mean([r.summary()["rate_hz_stderr"] for r in reports])
+    assert np.std(rates, ddof=1) == pytest.approx(stderr, rel=0.3)
+    assert simulate_campaign(cfg, 1, 0).summary()["rate_hz_stderr"] is None
+
+
 def test_empirical_cdf_matches_table():
     cfg = HardwareConfig()
     rep = simulate_campaign(cfg, 50_000, master_seed=23)
@@ -157,13 +197,25 @@ def test_empirical_cdf_matches_table():
 
 def test_records_csv_roundtrip():
     cfg = HardwareConfig()
-    records = [run_request(cfg, request_rng(1, k), request_index=k)
-               for k in range(5)]
-    csv = records_to_csv(records, ("meta",))
+    rep = simulate_campaign(cfg, 5, master_seed=1)
+    csv = records_to_csv(rep, ("meta",))
     lines = csv.strip().split("\n")
     assert lines[0] == "# meta"
-    assert lines[1] == "request_index,attempts_used,wall_time_ns,success,sign"
+    assert lines[1] == ("request_index,attempts_used,wall_time_ns,success,sign,"
+                        "loop_index")
     assert len(lines) == 7
     first = lines[2].split(",")
     assert int(first[0]) == 0
     assert int(first[3]) == 1
+    for k, line in enumerate(lines[2:]):
+        assert line == (f"{k},{rep.attempts_used[k]},{rep.wall_ns[k]},1,"
+                        f"{rep.signs[k]},{rep.loop_index[k]}")
+    assert len(records_to_csv(rep, (), limit=3).splitlines()) == 1 + 3
+
+
+def test_overlong_requests_rejected():
+    # a loop success probability this small allows single requests whose
+    # wall time would overflow the int64 nanosecond columns
+    cfg = replace(HardwareConfig(), decay_a=0.0, decay_c=1e-15)
+    with pytest.raises(ValueError, match="wall time"):
+        simulate_campaign(cfg, 10, master_seed=0)
