@@ -319,7 +319,10 @@ def cmd_modes(args) -> int:
         spec = modes.ChainSpec(masses_amu=(modes.MASS_BA_138,),
                                axial_freq_ref=args.axial_ref or 367e3,
                                radial_freq_ref=args.radial_ref or 890e3)
-    elif args.axial_ref and args.radial_ref:
+    elif (args.axial_ref is None) != (args.radial_ref is None):
+        raise CliError("bad_reference", "modes needs both --axial-ref and "
+                       "--radial-ref, or neither (without --single-ion)", 2)
+    elif args.axial_ref is not None:
         spec = modes.ChainSpec(masses_amu=modes.YB_BA_BA_MASSES,
                                axial_freq_ref=args.axial_ref,
                                radial_freq_ref=args.radial_ref)

@@ -128,6 +128,18 @@ class HardwareConfig:
     bright_detect_fidelity: float = 0.981
 
     def __post_init__(self):
+        # types from the annotations: a float field takes a finite int or float,
+        # the others their exact type (so True is no int and 1 no bool)
+        for f in dataclasses.fields(self):
+            v, kind = getattr(self, f.name), f.type.split(" | ")[0]
+            if kind == "float":
+                ok = (isinstance(v, float) or type(v) is int) and math.isfinite(v)
+            else:
+                ok = type(v) is {"int": int, "bool": bool, "str": str}[kind] or (
+                    v is None and f.type.endswith("| None"))
+            if not ok:
+                want = "a finite number" if kind == "float" else f"of type {f.type}"
+                raise ValueError(f"{f.name} must be {want}, got {v!r}")
         unit = [
             "eta_a", "eta_b", "pump_fidelity", "excite_prob", "pol_mixing_a",
             "pol_mixing_b", "temporal_overlap", "dark_count_prob",
@@ -147,9 +159,9 @@ class HardwareConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("attempt_duration", "cooling_duration"):  # scheduled in ns
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        if self.attempt_duration < 1e-9:  # scheduled in whole ns
+            raise ValueError(f"attempt_duration must be at least 1 ns, "
+                             f"got {self.attempt_duration!r}")
         nonneg = ["delta_hz", "analysis_delay", "decay_b", "detection_window",
                   "reduced_window", "bright_rate", "dark_rate"]
         for name in nonneg:
@@ -159,15 +171,10 @@ class HardwareConfig:
             raise ValueError("decay_a + decay_c must not exceed 1")
         if self.decay_c <= 0.0:
             raise ValueError("decay_c must be positive (guarantees eventual success)")
-        if type(self.coolant_present) is not bool:
-            raise ValueError(f"coolant_present must be true or false, "
-                             f"got {self.coolant_present!r}")
         for name in ("loop_cap_no_coolant", "loop_cap_with_coolant",
                      "hardware_counter_cap"):
             v = getattr(self, name)
-            if v is None and name == "hardware_counter_cap":
-                continue  # no hardware counter
-            if type(v) is not int or v < 1:
+            if v is not None and v < 1:  # None: no hardware counter
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         if self.bell_coherence_envelope not in ("gaussian", "exponential"):
             raise ValueError("bell_coherence_envelope must be gaussian|exponential")

@@ -9,9 +9,10 @@ coupling decay during the experiment) makes a bright ion read dark.  The
 aggregate no-bright and two-bright fidelities are config inputs; per-ion flip
 probabilities are derived as ``1 - sqrt(fidelity)``.
 
-One-bright events are not attributed to a specific ion; when a split is
-needed downstream the two odd states are assumed to contribute equally, and
-that assumption is carried as an explicit flag.
+The flip and count distributions are closed forms rather than scipy.stats
+calls, so importing this module loads no scipy: the binomial pmf on at most
+two ions is ``comb(n, k) p^k (1-p)^(n-k)``, and the Poisson CDF is a forward
+sum of ``mu^k / k!`` with ``e^-mu`` applied in factors that cannot underflow.
 """
 
 from __future__ import annotations
@@ -19,14 +20,32 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass
-from math import sqrt
+from math import comb, exp, sqrt
 
 import numpy as np
-from scipy.stats import binom, poisson
 
-# downstream convention flag: one-bright population split equally over the
-# two odd two-ion states when a per-state split is requested
-ONE_BRIGHT_SPLIT_ASSUMPTION = "one-bright events split equally between the odd states"
+
+def _binom_pmf(k: int, n: int, p: float) -> float:
+    return comb(n, k) * p ** k * (1.0 - p) ** (n - k)
+
+
+def _poisson_cdf(t: int, mu: float) -> float:
+    """P(X <= t) for X ~ Poisson(mu); e^-mu goes on in steps of at most e^-700,
+    one whenever the partial sum passes 1e250 and the rest at the end."""
+    if t < 0:
+        return 0.0
+    term = total = 1.0
+    pending = mu  # exponent of e^-mu not yet applied
+    for k in range(1, int(t) + 1):
+        term *= mu / k
+        total += term
+        if total > 1e250:
+            step = min(pending, 700.0)
+            term, total, pending = term * exp(-step), total * exp(-step), pending - step
+    while pending > 0.0:
+        step = min(pending, 700.0)
+        total, pending = total * exp(-step), pending - step
+    return min(total, 1.0)
 
 
 @dataclass(frozen=True)
@@ -75,9 +94,9 @@ def effective_bright_probs(true_bright: int, model: ReadoutModel,
     n_dark = n_ions - true_bright
     probs = np.zeros(n_ions + 1)
     for lost in range(true_bright + 1):
-        p_lost = binom.pmf(lost, true_bright, model.bright_to_dark_flip)
+        p_lost = _binom_pmf(lost, true_bright, model.bright_to_dark_flip)
         for gained in range(n_dark + 1):
-            p_gain = binom.pmf(gained, n_dark, model.dark_to_bright_flip)
+            p_gain = _binom_pmf(gained, n_dark, model.dark_to_bright_flip)
             probs[true_bright - lost + gained] += p_lost * p_gain
     return probs
 
@@ -193,8 +212,8 @@ class ConfusionMatrix:
             probs = effective_bright_probs(true, model)
             for eff, p_eff in enumerate(probs):
                 mu = model.dark_mean + eff * model.bright_mean
-                p0 = poisson.cdf(t1, mu)
-                p1 = poisson.cdf(t2, mu) - p0
+                p0 = _poisson_cdf(t1, mu)
+                p1 = _poisson_cdf(t2, mu) - p0
                 m[true, 0] += p_eff * p0
                 m[true, 1] += p_eff * p1
                 m[true, 2] += p_eff * (1.0 - p0 - p1)

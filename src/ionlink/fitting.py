@@ -14,7 +14,6 @@ scan of an ion heralded into ``(|down> + e^{i phi}|up>)/sqrt(2)`` fits to
 from __future__ import annotations
 
 import io
-import json
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -30,10 +29,6 @@ class SinusoidFit:
     offset: float
     residual_rms: float
     degenerate: bool = False
-
-    def value(self, x, angular_frequency: float):
-        return self.offset + self.amplitude * np.sin(
-            angular_frequency * np.asarray(x) - self.phase)
 
 
 def fit_sinusoid(x, y, angular_frequency: float) -> SinusoidFit:
@@ -110,6 +105,3 @@ class ScanResult:
                 "degenerate": f.degenerate,
             }
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.fit_summary(), sort_keys=True, indent=2)

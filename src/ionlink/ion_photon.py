@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .fitting import ScanResult, fit_sinusoid
 from .quantum import (
@@ -259,6 +258,7 @@ def phase_averaging_infidelity(window: float, qubit_freq: float) -> float:
 
 def qubit_freq_for_averaging_error(target: float, window: float) -> float:
     """Qubit splitting (rad/s) at which the window-averaging error equals ``target``."""
+    from scipy.optimize import brentq
     if not 0.0 < target < 0.5:
         raise ValueError("target must be in (0, 0.5)")
     if window <= 0:

@@ -24,7 +24,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 ECH = 1.602176634e-19       # elementary charge, C
 AMU = 1.66053906660e-27     # atomic mass unit, kg
@@ -255,6 +254,7 @@ def calibrate_reference_frequencies(
     with the axial reference (closed-form fit); the radial reference is found
     by a bounded scalar minimization.
     """
+    from scipy.optimize import minimize_scalar
     probe = ChainSpec(masses_amu=tuple(masses_amu), axial_freq_ref=1e5,
                       radial_freq_ref=1e6, reference_mass_amu=reference_mass_amu)
     ax = np.asarray(axial_targets_hz, dtype=float)

@@ -126,10 +126,6 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     @classmethod
-    def from_pure(cls, psi: PureState) -> "DensityMatrix":
-        return psi.density()
-
-    @classmethod
     def maximally_mixed(cls, dims: Sequence[int]) -> "DensityMatrix":
         dims = tuple(dims)
         d = int(np.prod(dims))
@@ -277,10 +273,6 @@ def dephasing_channel(coherence_scale: float) -> KrausChannel:
         np.sqrt((1.0 + lam) / 2.0) * ID2,
         np.sqrt((1.0 - lam) / 2.0) * SIGMA_Z,
     ])
-
-
-def projector(psi: PureState) -> np.ndarray:
-    return np.outer(psi.amplitudes, psi.amplitudes.conj())
 
 
 def computational_projectors(dims: Sequence[int]) -> list[np.ndarray]:

@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import curve_fit, minimize_scalar
 
 QUAD_REL_TOL = 1e-8
 
@@ -95,6 +93,7 @@ def cdf(n, p: DecayParams):
 
 def _adaptive_quad(f, a: float, b: float, rel_tol: float = QUAD_REL_TOL) -> float:
     """Single audited integration kernel: adaptive Gauss-Kronrod via QUADPACK."""
+    from scipy.integrate import quad
     value, abserr = quad(f, a, b, epsabs=0.0, epsrel=rel_tol, limit=500)
     if value != 0.0 and abserr > 10.0 * rel_tol * abs(value):
         raise RuntimeError(
@@ -138,6 +137,7 @@ def fit_decay(indices, probabilities, counts) -> DecayFit:
     excess, ``b`` from a log-linear regression of the head excess.  Degenerate
     (constant) data returns ``a = 0`` with ``b`` flagged unidentifiable.
     """
+    from scipy.optimize import curve_fit
     n = np.asarray(indices, dtype=float)
     y = np.asarray(probabilities, dtype=float)
     w = np.asarray(counts, dtype=float)
@@ -234,6 +234,7 @@ def optimal_cap(p: DecayParams, schedule: ScheduleParams, coolant: bool,
     domain boundaries, since constant-p coolant operation is monotone in the
     cap and peaks at the boundary).
     """
+    from scipy.optimize import minimize_scalar
     if max_cap < 1:
         raise ValueError("max_cap must be at least 1")
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +183,57 @@ def test_config_errors_exit_code(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config_invalid"
     assert "coolant_present" in err["message"]
+
+
+@pytest.mark.parametrize("command,yaml_text,field", [
+    pytest.param(["budget"], 'eta_a: "0.5"\n', "eta_a", id="budget-quoted"),
+    pytest.param(["swap"], 'eta_a: "0.5"\n', "eta_a", id="swap-quoted"),
+    # PyYAML reads an exponent without a dot as a string
+    pytest.param(["budget"], "double_excitation_prob: 1e-6\n",
+                 "double_excitation_prob", id="budget-dotless-exponent"),
+    pytest.param(["budget"], "delta_hz: .nan\n", "delta_hz", id="budget-nan"),
+    pytest.param(["rate", "--trials", "10"], "delta_hz: .nan\n", "delta_hz",
+                 id="rate-nan"),
+    pytest.param(["swap"], "delta_hz: .nan\n", "delta_hz", id="swap-nan"),
+    pytest.param(["rate", "--trials", "10"], "attempt_duration: 1.0e-10\n",
+                 "attempt_duration", id="rate-sub-ns-attempt"),
+])
+def test_config_type_and_range_errors_exit_2(tmp_path, capsys, command,
+                                             yaml_text, field):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml_text)
+    out = tmp_path / "out"
+    assert run(command + ["--config", str(cfg), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config_invalid"
+    assert field in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--axial-ref", "--radial-ref"])
+def test_modes_needs_both_references(tmp_path, capsys, flag):
+    out = tmp_path / "m"
+    assert run(["modes", "--out", str(out), flag, "900000"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "bad_reference"
+    assert not out.exists()
+
+
+def test_budget_ion_photon_swap_load_no_scipy(tmp_path):
+    script = """
+import sys
+from ionlink.cli import main
+out = sys.argv[1]
+assert main(["budget", "--out", out + "/b"]) == 0
+assert main(["ion-photon", "--out", out + "/i"]) == 0
+assert main(["swap", "--trials", "1000", "--out", out + "/s"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert res.stdout.splitlines()[-1] == "[]"
 
 
 def test_bad_grid_rejected(tmp_path, capsys):

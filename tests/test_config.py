@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -86,6 +87,24 @@ def test_validation_errors():
 def test_campaign_fields_type_checked(field, value):
     with pytest.raises(ValueError, match=field):
         HardwareConfig(**{field: value})
+
+
+def test_every_field_type_checked():
+    for f in dataclasses.fields(HardwareConfig):
+        bad = [[1.0]] + ([math.nan, math.inf, -math.inf, True, "0.5"]
+                         if f.type == "float" else [])
+        if f.type != "str":
+            bad.append("1")
+        for value in bad:
+            with pytest.raises(ValueError, match=f.name):
+                HardwareConfig(**{f.name: value})
+
+
+def test_float_fields_accept_ints_and_attempt_needs_1ns():
+    assert HardwareConfig(eta_a=1, delta_hz=0).eta_a == 1
+    assert HardwareConfig(attempt_duration=1e-9).attempt_duration == 1e-9
+    with pytest.raises(ValueError, match="attempt_duration"):
+        HardwareConfig(attempt_duration=0.9e-9)
 
 
 def test_profiles():

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.stats import binom, poisson
 
 from ionlink.detection import (
     ConfusionMatrix,
     ReadoutModel,
+    _binom_pmf,
+    _poisson_cdf,
     choose_thresholds,
     classify_counts,
     effective_bright_probs,
@@ -177,3 +180,35 @@ def test_histograms_csv():
     lines = csv.strip().split("\n")
     assert lines[0] == "# x"
     assert lines[1] == "count,freq_0bright,freq_1bright,freq_2bright"
+
+
+def test_binom_pmf_matches_scipy():
+    for n in range(3):
+        for k in range(n + 1):
+            for p in np.linspace(0.0, 1.0, 41):
+                assert _binom_pmf(k, n, p) == pytest.approx(
+                    binom.pmf(k, n, p), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, 1.0, 101.0, 201.0, 745.0, 1000.0])
+def test_poisson_cdf_matches_scipy(mu):
+    ts = np.arange(-1, 2001)
+    ref = poisson.cdf(ts, mu)
+    ours = np.array([_poisson_cdf(int(t), mu) for t in ts])
+    assert ours[0] == 0.0
+    if mu == 0.0:
+        assert np.all(ours[1:] == 1.0)
+    keep = ref > 1e-290  # below this scipy's own value is denormal or zero
+    assert keep.sum() > 0
+    np.testing.assert_allclose(ours[keep], ref[keep], rtol=1e-11, atol=0.0)
+    assert np.all(np.isfinite(ours)) and np.all(ours <= 1.0)
+
+
+def test_confusion_matrix_long_readout_is_finite():
+    # a 10 ms readout puts the two-bright mean at 2000 counts (e^-mu underflows)
+    model = ReadoutModel(duration=10e-3)
+    cm = ConfusionMatrix.from_model(model, 500, 1500)
+    assert np.all(np.isfinite(cm.matrix))
+    # counts above 1500 come only from two effective bright ions
+    assert cm.matrix[2, 2] == pytest.approx(effective_bright_probs(2, model)[2],
+                                            rel=1e-9)
