@@ -12,7 +12,7 @@ from .config import (
 )
 from .quantum import DensityMatrix, KrausChannel, PureState
 from .ion_photon import SourceParams
-from .swap import CoincidencePattern, Detection, SwapErrorParams
+from .swap import SwapErrorParams
 from .protocol import RateReport, simulate_campaign
 from .rate_model import DecayParams, ScheduleParams
 from .modes import ChainSpec, ModeTable
@@ -24,7 +24,7 @@ __all__ = [
     "measured_swap_config",
     "DensityMatrix", "KrausChannel", "PureState",
     "SourceParams",
-    "CoincidencePattern", "Detection", "SwapErrorParams",
+    "SwapErrorParams",
     "RateReport", "simulate_campaign",
     "DecayParams", "ScheduleParams",
     "ChainSpec", "ModeTable",

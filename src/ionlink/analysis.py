@@ -20,10 +20,23 @@ single-pulse contrast as ``F >= (pops + C2 - C1)/2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
+from . import swap
 from .config import HardwareConfig
+from .detection import (
+    ConfusionMatrix,
+    ReadoutModel,
+    SpamCorrection,
+    ThresholdResult,
+    choose_thresholds,
+    classify_counts,
+    sample_counts,
+    simulate_histogram,
+    spam_correct,
+)
 from .fitting import ScanResult, fit_sinusoid
 from .ion_photon import dephasing_infidelity, raman_rotation
 from .quantum import DensityMatrix, apply_unitary
@@ -72,31 +85,40 @@ def _randomize_odd_phase(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(m, TWO_ION_DIMS)
 
 
-def parity_scan(rho: DensityMatrix, phases, pulses: str = "two",
-                randomize_bell_phase: bool = False) -> ScanResult:
-    """Parity vs analysis phase under global pi/2 pulses, fitted at period pi.
-
-    ``pulses="one"`` scans the phase of a single pulse; ``"two"`` applies a
-    fixed phase-0 pulse first (converting the odd Bell state to the even one)
-    and scans the second pulse's phase.  Contrast is the fitted amplitude.
-    """
-    if rho.dims != TWO_ION_DIMS:
-        raise ValueError("parity_scan expects a two-ion state")
+def _analysis_sequence(rho: DensityMatrix, phases, pulses: str) -> list[DensityMatrix]:
+    """States after the analysis pulses, one per phase: for ``"two"`` a fixed
+    phase-0 pulse first (converting the odd Bell state to the even one), then
+    one pulse at each phase."""
     if pulses not in ("one", "two"):
         raise ValueError("pulses must be 'one' or 'two'")
-    state = _randomize_odd_phase(rho) if randomize_bell_phase else rho
     if pulses == "two":
-        state = apply_unitary(state, _global_rotation(0.0))
-    grid = np.asarray(phases, dtype=float)
-    values = np.empty_like(grid)
-    for i, phi in enumerate(grid):
-        rotated = apply_unitary(state, _global_rotation(phi))
-        values[i] = float(PARITY_DIAG @ np.real(np.diag(rotated.matrix)))
+        rho = apply_analysis_pulse(rho, 0.0)
+    return [apply_analysis_pulse(rho, phi) for phi in phases]
+
+
+def _parity_result(grid: np.ndarray, values: np.ndarray) -> ScanResult:
     fit = fit_sinusoid(grid, values, 2.0)
     flags = ("fit_degenerate",) if fit.degenerate else ()
     return ScanResult(control=grid, series={"parity": values}, fits={"parity": fit},
                       angular_frequency=2.0, contrast=fit.amplitude,
                       control_label="control_value", flags=flags)
+
+
+def parity_scan(rho: DensityMatrix, phases, pulses: str = "two",
+                randomize_bell_phase: bool = False) -> ScanResult:
+    """Parity vs analysis phase under global pi/2 pulses, fitted at period pi.
+
+    ``pulses="one"`` scans the phase of a single pulse; ``"two"`` applies a
+    fixed phase-0 pulse first and scans the second pulse's phase.  Contrast
+    is the fitted amplitude.
+    """
+    if rho.dims != TWO_ION_DIMS:
+        raise ValueError("parity_scan expects a two-ion state")
+    state = _randomize_odd_phase(rho) if randomize_bell_phase else rho
+    grid = np.asarray(phases, dtype=float)
+    values = np.array([PARITY_DIAG @ np.real(np.diag(r.matrix))
+                       for r in _analysis_sequence(state, grid, pulses)])
+    return _parity_result(grid, values)
 
 
 @dataclass(frozen=True)
@@ -123,6 +145,101 @@ def fidelity_lower_bound(inputs: FidelityBoundInputs) -> float:
     value = 0.5 * (inputs.odd_populations + inputs.two_pulse_contrast
                    - inputs.one_pulse_contrast)
     return min(1.0, max(0.0, value))
+
+
+# --- sampled swap experiment --------------------------------------------------
+
+MIN_SWAP_TRIALS = 100
+CALIBRATION_SHOTS = 20000
+
+
+def _sample_readout(rho: DensityMatrix, shots: int, model: ReadoutModel,
+                    thresholds: ThresholdResult,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Observed bright-count frequencies of ``shots`` z-basis readouts: basis
+    outcomes from the diagonal, then the counts of the shots with 0 (dd),
+    1 (ud or du) and 2 (uu) bright ions, in that order."""
+    probs = np.clip(np.real(np.diag(rho.matrix)), 0.0, None)
+    basis = rng.multinomial(shots, probs / probs.sum())
+    per_bright = (basis[IDX_DD], basis[IDX_UD] + basis[IDX_DU], basis[IDX_UU])
+    counts = np.concatenate([sample_counts(k, model, n, rng)
+                             for k, n in enumerate(per_bright)])
+    observed = np.bincount(classify_counts(counts, thresholds.t1, thresholds.t2),
+                           minlength=3).astype(float)
+    return observed / shots
+
+
+@dataclass(frozen=True)
+class SwapExperiment:
+    """Sampled readout calibration, populations and parity scans of the
+    heralded two-ion state, with the fidelity lower bound they give."""
+
+    histograms: tuple[np.ndarray, ...]   # counts for 0, 1, 2 prepared bright ions
+    thresholds: ThresholdResult
+    raw_populations: np.ndarray          # observed bright-count frequencies
+    populations: SpamCorrection          # SPAM-corrected bright-count populations
+    scans: Mapping[str, ScanResult]      # parity scans keyed "two" and "one"
+    bound: float
+    sign_counts: Mapping[int, int]       # heralds of sign +1 and -1
+
+    @property
+    def odd_populations(self) -> float:
+        return float(self.populations.populations[1])
+
+
+def swap_experiment(cfg: HardwareConfig, trials: int,
+                    rng: np.random.Generator) -> SwapExperiment:
+    """Monte Carlo of the measurements behind the two-ion fidelity bound.
+
+    The random draws come in this order: the calibration histograms for 0, 1
+    and 2 bright ions; the herald signs (equally likely); population readouts
+    of half of each sign's heralds, sign +1 first; then the parity scans,
+    ``"two"`` before ``"one"``, phase in the outer loop and sign in the inner,
+    each scan sharing a quarter of each sign's heralds over its 13 phases.
+    Each sign is analyzed after its own phase-alignment wait, which maps both
+    onto the plus Bell state.
+    """
+    if trials < MIN_SWAP_TRIALS:
+        raise ValueError(f"swap needs at least {MIN_SWAP_TRIALS} trials")
+    model = cfg.readout_model()
+    hists = tuple(simulate_histogram(k, model, CALIBRATION_SHOTS, rng)
+                  for k in range(3))
+    thresholds = choose_thresholds(hists)
+    cm = ConfusionMatrix.from_model(model, thresholds.t1, thresholds.t2)
+
+    sign_counts = {+1: int(rng.binomial(trials, 0.5))}
+    sign_counts[-1] = trials - sign_counts[+1]
+    states = {s: swap.aligned_state_from_config(cfg, sign=s) for s in sign_counts}
+
+    pop_freq = np.zeros(3)
+    for s, n_s in sign_counts.items():
+        shots = n_s // 2
+        freq = _sample_readout(states[s], shots, model, thresholds, rng)
+        pop_freq += freq * (shots / (trials // 2))
+    pop_corr = spam_correct(pop_freq / pop_freq.sum(), cm)
+
+    grid = np.linspace(0.0, np.pi, 13)
+    scans = {}
+    for pulses in ("two", "one"):
+        rotated = {s: _analysis_sequence(states[s], grid, pulses) for s in states}
+        values = np.empty_like(grid)
+        for i in range(grid.size):
+            parity_acc = 0.0
+            for s, n_s in sign_counts.items():
+                shots = max(1, (n_s // 4) // grid.size)
+                freq = _sample_readout(rotated[s][i], shots, model, thresholds, rng)
+                p = spam_correct(freq, cm).populations
+                parity_acc += (p[0] + p[2] - p[1]) * (n_s / trials)
+            values[i] = parity_acc
+        scans[pulses] = _parity_result(grid, values)
+
+    bound = fidelity_lower_bound(FidelityBoundInputs(
+        odd_populations=float(pop_corr.populations[1]),
+        two_pulse_contrast=min(1.0, scans["two"].contrast),
+        one_pulse_contrast=min(1.0, scans["one"].contrast)))
+    return SwapExperiment(histograms=hists, thresholds=thresholds,
+                          raw_populations=pop_freq, populations=pop_corr,
+                          scans=scans, bound=bound, sign_counts=sign_counts)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, modes, protocol, rate_model, swap
+from . import __version__, analysis, modes, protocol, rate_model
 from .config import (
     DECAY_COOLANT_RECONSTRUCTION,
     HardwareConfig,
@@ -26,17 +26,7 @@ from .config import (
     load_config,
     measured_swap_config,
 )
-from .fitting import ScanResult, fit_sinusoid
-from .detection import (
-    ConfusionMatrix,
-    choose_thresholds,
-    classify_counts,
-    effective_bright_probs,
-    histograms_to_csv,
-    simulate_histogram,
-    spam_correct,
-    thresholds_sidecar,
-)
+from .detection import histograms_to_csv, thresholds_sidecar
 from .ion_photon import (
     coherence_scan,
     correlated_populations,
@@ -49,9 +39,6 @@ from .ion_photon import (
 
 SEED_ENV_VAR = "IONLINK_SEED"
 DEFAULT_SEED = 1
-
-# number of bright ions for each two-ion basis index (dd, ud, du, uu)
-BRIGHT_OF_INDEX = (0, 1, 1, 2)
 
 
 class CliError(Exception):
@@ -150,112 +137,37 @@ def cmd_ion_photon(args) -> int:
 
 # --- swap --------------------------------------------------------------------
 
-def _readout_shots(true_bright: np.ndarray, model, rng) -> np.ndarray:
-    """Observed photon counts for an array of true bright-ion numbers."""
-    counts = np.empty(true_bright.size, dtype=np.int64)
-    for k in range(3):
-        mask = true_bright == k
-        n = int(mask.sum())
-        if n == 0:
-            continue
-        eff = rng.choice(3, size=n, p=effective_bright_probs(k, model))
-        counts[mask] = rng.poisson(model.dark_mean + eff * model.bright_mean)
-    return counts
-
-
-def _measure_state(rho, shots: int, model, thresholds, cm: ConfusionMatrix, rng):
-    """Sample z-basis outcomes, push through readout, classify, SPAM-correct."""
-    probs = np.clip(np.real(np.diag(rho.matrix)), 0.0, None)
-    probs = probs / probs.sum()
-    outcome_counts = rng.multinomial(shots, probs)
-    true_bright = np.repeat(BRIGHT_OF_INDEX, outcome_counts)
-    counts = _readout_shots(true_bright, model, rng)
-    observed = np.bincount(classify_counts(counts, thresholds.t1, thresholds.t2),
-                           minlength=3).astype(float)
-    freq = observed / shots
-    corr = spam_correct(freq, cm)
-    return freq, corr
-
-
 def cmd_swap(args) -> int:
     cfg = _resolve_config(args)
     seed = _resolve_seed(args)
     out = Path(args.out)
-    trials = args.trials
-    if trials < 100:
-        raise CliError("bad_trials", "swap needs at least 100 trials", 2)
+    if args.trials < analysis.MIN_SWAP_TRIALS:
+        raise CliError("bad_trials", f"swap needs at least "
+                       f"{analysis.MIN_SWAP_TRIALS} trials", 2)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    res = analysis.swap_experiment(cfg, args.trials, rng)
+
     header = _header(cfg, seed)
-    model = cfg.readout_model()
-
-    # readout calibration: histograms, thresholds, analytic confusion matrix
-    calib_shots = 20000
-    hists = [simulate_histogram(k, model, calib_shots, rng) for k in range(3)]
-    thresholds = choose_thresholds(hists)
-    cm = ConfusionMatrix.from_model(model, thresholds.t1, thresholds.t2)
-    _write(out, "readout_histograms.csv", histograms_to_csv(hists, header))
-    _write(out, "readout_thresholds.json", thresholds_sidecar(thresholds))
-
-    # heralds: signs are equally likely; each sign is analyzed after its own
-    # phase-alignment wait, which maps both onto the plus Bell state
-    sign_counts = {+1: int(rng.binomial(trials, 0.5))}
-    sign_counts[-1] = trials - sign_counts[+1]
-    states = {s: swap.aligned_state_from_config(cfg, sign=s) for s in (+1, -1)}
-
-    # populations: half the shots, pooled over signs
-    pop_freq = np.zeros(3)
-    for s, n_s in sign_counts.items():
-        shots = n_s // 2
-        freq, _ = _measure_state(states[s], shots, model, thresholds, cm, rng)
-        pop_freq += freq * (shots / (trials // 2))
-    pop_corr = spam_correct(pop_freq / pop_freq.sum(), cm)
-    odd_pops = float(pop_corr.populations[1])
-
-    # parity scans: remaining shots split between the two pulse sequences
-    phase_grid = np.linspace(0.0, np.pi, 13)
-    scans = {}
-    for pulses in ("two", "one"):
-        values = np.empty_like(phase_grid)
-        for i, phi in enumerate(phase_grid):
-            parity_acc = 0.0
-            for s, n_s in sign_counts.items():
-                shots = max(1, (n_s // 4) // phase_grid.size)
-                rotated = states[s]
-                if pulses == "two":
-                    rotated = analysis.apply_analysis_pulse(rotated, 0.0)
-                rotated = analysis.apply_analysis_pulse(rotated, phi)
-                _, corr = _measure_state(rotated, shots, model,
-                                         thresholds, cm, rng)
-                p = corr.populations
-                parity_acc += (p[0] + p[2] - p[1]) * (n_s / trials)
-            values[i] = parity_acc
-        fit = fit_sinusoid(phase_grid, values, 2.0)
-        scans[pulses] = ScanResult(control=phase_grid, series={"parity": values},
-                                   fits={"parity": fit}, angular_frequency=2.0,
-                                   contrast=fit.amplitude,
-                                   control_label="control_value")
-        _write(out, f"parity_{pulses}_pulse.csv", scans[pulses].to_csv(header))
-
-    bound = analysis.fidelity_lower_bound(analysis.FidelityBoundInputs(
-        odd_populations=odd_pops,
-        two_pulse_contrast=min(1.0, scans["two"].contrast),
-        one_pulse_contrast=min(1.0, scans["one"].contrast)))
-
+    _write(out, "readout_histograms.csv", histograms_to_csv(res.histograms, header))
+    _write(out, "readout_thresholds.json", thresholds_sidecar(res.thresholds))
+    for pulses, scan in res.scans.items():
+        _write(out, f"parity_{pulses}_pulse.csv", scan.to_csv(header))
     pops_csv = ["# " + line for line in header]
     pops_csv.append("bright_ions,raw_frequency,corrected_population")
     for k in range(3):
-        pops_csv.append(f"{k},{pop_freq[k]:.12g},{pop_corr.populations[k]:.12g}")
+        pops_csv.append(f"{k},{res.raw_populations[k]:.12g},"
+                        f"{res.populations.populations[k]:.12g}")
     _write(out, "populations.csv", "\n".join(pops_csv) + "\n")
-
     summary = {
-        "trials": trials,
-        "profile": getattr(args, "profile", "measured"),
-        "odd_populations": odd_pops,
-        "two_pulse_contrast": scans["two"].contrast,
-        "one_pulse_contrast": scans["one"].contrast,
-        "fidelity_lower_bound": bound,
-        "spam_clipped_mass": pop_corr.clipped_mass,
-        "herald_sign_counts": {"+1": sign_counts[+1], "-1": sign_counts[-1]},
+        "trials": args.trials,
+        "profile": args.profile,
+        "odd_populations": res.odd_populations,
+        "two_pulse_contrast": res.scans["two"].contrast,
+        "one_pulse_contrast": res.scans["one"].contrast,
+        "fidelity_lower_bound": res.bound,
+        "spam_clipped_mass": res.populations.clipped_mass,
+        "herald_sign_counts": {"+1": res.sign_counts[+1],
+                               "-1": res.sign_counts[-1]},
     }
     _write(out, "swap_summary.json", _json_payload(cfg, seed, summary))
     return 0
@@ -315,10 +227,16 @@ def cmd_modes(args) -> int:
     seed = _resolve_seed(args)
     out = Path(args.out)
     header = _header(cfg, seed)
+    for flag, ref in (("--axial-ref", args.axial_ref),
+                      ("--radial-ref", args.radial_ref)):
+        if ref is not None and not (np.isfinite(ref) and ref > 0.0):
+            raise CliError("bad_reference",
+                           f"{flag} must be finite and positive, got {ref}", 2)
     if args.single_ion:
-        spec = modes.ChainSpec(masses_amu=(modes.MASS_BA_138,),
-                               axial_freq_ref=args.axial_ref or 367e3,
-                               radial_freq_ref=args.radial_ref or 890e3)
+        spec = modes.ChainSpec(
+            masses_amu=(modes.MASS_BA_138,),
+            axial_freq_ref=367e3 if args.axial_ref is None else args.axial_ref,
+            radial_freq_ref=890e3 if args.radial_ref is None else args.radial_ref)
     elif (args.axial_ref is None) != (args.radial_ref is None):
         raise CliError("bad_reference", "modes needs both --axial-ref and "
                        "--radial-ref, or neither (without --single-ion)", 2)
@@ -398,30 +316,31 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"master seed (env {SEED_ENV_VAR} overrides the default)")
     common.add_argument("--out", type=str, default="ionlink-out",
                         help="output directory")
-    common.add_argument("--trials", type=int, default=100_000,
-                        help="Monte Carlo sample count where applicable")
     common.add_argument("--ideal", action="store_true",
                         help="zero every error parameter")
-    common.add_argument("--grid", type=str, default=None,
-                        help="grid spec start:stop:num for the scanned variable")
-    common.add_argument("--records", action="store_true",
-                        help="also emit the per-request herald-record stream "
-                             "(rate subcommand only)")
+    trials = argparse.ArgumentParser(add_help=False)
+    trials.add_argument("--trials", type=int, default=100_000,
+                        help="Monte Carlo sample count")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--grid", type=str, default=None,
+                      help="grid spec start:stop:num for the scanned variable")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("ion-photon", parents=[common],
+    sub.add_parser("ion-photon", parents=[common, grid],
                    help="correlation and coherence scans of both sources"
                    ).set_defaults(func=cmd_ion_photon)
-    p_swap = sub.add_parser("swap", parents=[common],
+    p_swap = sub.add_parser("swap", parents=[common, trials],
                             help="heralded two-ion state analysis with readout")
     p_swap.add_argument("--profile", choices=("measured", "predicted"),
                         default="measured",
                         help="error profile: measured tomography level or "
                              "predicted budget level")
     p_swap.set_defaults(func=cmd_swap)
-    sub.add_parser("rate", parents=[common],
-                   help="rate-vs-cap curves, analytic and Monte Carlo"
-                   ).set_defaults(func=cmd_rate)
+    p_rate = sub.add_parser("rate", parents=[common, trials, grid],
+                            help="rate-vs-cap curves, analytic and Monte Carlo")
+    p_rate.add_argument("--records", action="store_true",
+                        help="also emit the per-request herald-record stream")
+    p_rate.set_defaults(func=cmd_rate)
     p_modes = sub.add_parser("modes", parents=[common],
                              help="mixed-species chain normal modes")
     p_modes.add_argument("--axial-ref", type=float, default=None,

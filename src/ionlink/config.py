@@ -242,7 +242,8 @@ class HardwareConfig:
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
-            raise ValueError(f"unknown config field(s): {sorted(unknown)}")
+            # keys of mixed types (YAML allows `2: 3` beside `foo: 1`) sort as text
+            raise ValueError(f"unknown config field(s): {sorted(map(str, unknown))}")
         return cls(**data)
 
     def config_hash(self) -> str:
@@ -251,9 +252,13 @@ class HardwareConfig:
 
 
 def load_config(path) -> HardwareConfig:
-    """Read a YAML config file; unknown or invalid fields raise ValueError."""
+    """Read a YAML config file; a YAML syntax error or an unknown or invalid
+    field raises ValueError."""
     with open(path) as fh:
-        data = yaml.safe_load(fh)
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"cannot parse {path} as YAML: {exc}") from None
     if data is None:
         data = {}
     if not isinstance(data, dict):

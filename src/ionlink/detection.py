@@ -101,15 +101,24 @@ def effective_bright_probs(true_bright: int, model: ReadoutModel,
     return probs
 
 
+def sample_counts(true_bright: int, model: ReadoutModel, shots: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Photon counts of ``shots`` readouts of a prepared bright count.
+
+    Each shot draws its effective bright count after both flip branches, then
+    Poisson counts at that count's mean.  Zero shots draw nothing.
+    """
+    probs = effective_bright_probs(true_bright, model)
+    eff = rng.choice(len(probs), size=shots, p=probs)
+    return rng.poisson(model.dark_mean + eff * model.bright_mean)
+
+
 def simulate_histogram(true_bright: int, model: ReadoutModel, shots: int,
                        rng: np.random.Generator) -> np.ndarray:
     """Photon-count histogram (bincount array) for a prepared bright count."""
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    probs = effective_bright_probs(true_bright, model)
-    eff = rng.choice(len(probs), size=shots, p=probs)
-    counts = rng.poisson(model.dark_mean + eff * model.bright_mean)
-    return np.bincount(counts)
+    return np.bincount(sample_counts(true_bright, model, shots, rng))
 
 
 @dataclass(frozen=True)

@@ -50,42 +50,6 @@ H, V = 0, 1
 
 
 @dataclass(frozen=True)
-class Detection:
-    polarization: str  # "H" or "V"
-    side: int          # beamsplitter output side, 1 or 2
-
-    def __post_init__(self):
-        if self.polarization not in ("H", "V"):
-            raise ValueError(f"polarization must be H or V, got {self.polarization!r}")
-        if self.side not in (1, 2):
-            raise ValueError(f"side must be 1 or 2, got {self.side!r}")
-
-
-@dataclass(frozen=True)
-class CoincidencePattern:
-    """Two detections within one attempt window."""
-
-    first: Detection
-    second: Detection
-
-    @property
-    def same_side(self) -> bool:
-        return self.first.side == self.second.side
-
-
-def herald_sign(pattern: CoincidencePattern) -> int | None:
-    """+1 for same-side HV, -1 for opposite-side HV, None otherwise.
-
-    Only two of the four photon Bell states produce an H+V coincidence, so HH
-    and VV patterns do not herald.
-    """
-    pols = {pattern.first.polarization, pattern.second.polarization}
-    if pols != {"H", "V"}:
-        return None
-    return +1 if pattern.same_side else -1
-
-
-@dataclass(frozen=True)
 class SwapErrorParams:
     """Residual swap errors beyond the per-source polarization mixing."""
 
@@ -277,22 +241,3 @@ def simulate_heralds(eta_a: float, eta_b: float, attempts: int,
         heralds += h
         plus += int((rng.random(h) < 0.5).sum())
     return HeraldStats(attempts=attempts, heralds=heralds, plus_signs=plus)
-
-
-def sample_coincidence_pattern(rng: np.random.Generator) -> CoincidencePattern:
-    """One coincidence pattern for an ideal pair of interfering photons.
-
-    Polarizations are pairwise uniform; for H+V pairs the beamsplitter side
-    correlation follows the Bell-state decomposition (same/opposite sides
-    equally likely for indistinguishable photons).
-    """
-    pol_first = "H" if rng.random() < 0.5 else "V"
-    pol_second = "H" if rng.random() < 0.5 else "V"
-    side_first = 1 if rng.random() < 0.5 else 2
-    if pol_first != pol_second:
-        same = rng.random() < 0.5
-        side_second = side_first if same else (3 - side_first)
-    else:
-        side_second = 1 if rng.random() < 0.5 else 2
-    return CoincidencePattern(Detection(pol_first, side_first),
-                              Detection(pol_second, side_second))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from ionlink.analysis import (
     fidelity_lower_bound,
     parity,
     parity_scan,
+    swap_experiment,
 )
 from ionlink.config import HardwareConfig, ideal_config, measured_swap_config
 from ionlink.quantum import DensityMatrix, fidelity_pure, superposition
@@ -218,3 +221,34 @@ def test_efficiency_chain_variants():
 def test_apply_analysis_pulse_dim_check():
     with pytest.raises(ValueError):
         apply_analysis_pulse(DensityMatrix.maximally_mixed((2,)), 0.0)
+
+
+def test_swap_experiment_matches_closed_form_with_perfect_readout():
+    cfg = replace(measured_swap_config(HardwareConfig()),
+                  shelving_fidelity=1.0, bright_detect_fidelity=1.0)
+    trials = 2_000_000
+    res = swap_experiment(cfg, trials, np.random.default_rng(2024))
+    states = {s: aligned_state_from_config(cfg, sign=s) for s in (+1, -1)}
+    assert sum(res.sign_counts.values()) == trials
+
+    # odd populations: half of each sign's heralds, pooled
+    shots = {s: n // 2 for s, n in res.sign_counts.items()}
+    odd = sum(shots[s] / (trials // 2)
+              * float(np.real(states[s].matrix[1, 1] + states[s].matrix[2, 2]))
+              for s in states)
+    sigma = np.sqrt(odd * (1.0 - odd) / (trials // 2))
+    assert abs(res.odd_populations - odd) < 5.0 * sigma
+
+    # parity scans: a +/-1 outcome per shot, signs weighted by their heralds
+    for pulses in ("two", "one"):
+        grid = res.scans[pulses].control
+        sampled = res.scans[pulses].series["parity"]
+        exact = {s: parity_scan(states[s], grid, pulses=pulses).series["parity"]
+                 for s in states}
+        mean = np.zeros_like(grid)
+        var = np.zeros_like(grid)
+        for s, n in res.sign_counts.items():
+            w, k = n / trials, (n // 4) // grid.size
+            mean += w * exact[s]
+            var += w ** 2 * (1.0 - exact[s] ** 2) / k
+        assert np.all(np.abs(sampled - mean) < 5.0 * np.sqrt(var)), pulses

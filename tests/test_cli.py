@@ -210,6 +210,22 @@ def test_config_type_and_range_errors_exit_2(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("yaml_text,names", [
+    pytest.param("eta_a: [0.5\n", ["YAML"], id="syntax-error"),
+    pytest.param("foo: 1\n2: 3\n", ["'foo'", "'2'"], id="mixed-key-types"),
+])
+def test_config_parse_errors_exit_2(tmp_path, capsys, yaml_text, names):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml_text)
+    out = tmp_path / "out"
+    assert run(["budget", "--config", str(cfg), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config_invalid"
+    for name in names:
+        assert name in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--axial-ref", "--radial-ref"])
 def test_modes_needs_both_references(tmp_path, capsys, flag):
     out = tmp_path / "m"
@@ -217,6 +233,36 @@ def test_modes_needs_both_references(tmp_path, capsys, flag):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "bad_reference"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("refs", [
+    ["--single-ion", "--axial-ref", "0"],
+    ["--single-ion", "--radial-ref", "inf"],
+    ["--axial-ref", "-1", "--radial-ref", "890e3"],
+    ["--axial-ref", "nan", "--radial-ref", "890e3"],
+    ["--axial-ref", "367e3", "--radial-ref=-inf"],
+])
+def test_modes_references_finite_and_positive(tmp_path, capsys, refs):
+    out = tmp_path / "m"
+    assert run(["modes", "--out", str(out)] + refs) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "bad_reference"
+    assert not out.exists()
+
+
+def test_options_belong_to_their_subcommands(tmp_path, capsys):
+    foreign = [("budget", "--trials", "10"), ("modes", "--trials", "10"),
+               ("ion-photon", "--trials", "10"), ("budget", "--grid", "0:1:3"),
+               ("modes", "--grid", "0:1:3"), ("swap", "--grid", "0:1:3"),
+               ("budget", "--records"), ("modes", "--records"),
+               ("ion-photon", "--records"), ("swap", "--records")]
+    for command, *option in foreign:
+        out = tmp_path / command
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--out", str(out)] + option)
+        assert exc.value.code == 2, (command, option)
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_budget_ion_photon_swap_load_no_scipy(tmp_path):

@@ -5,16 +5,12 @@ from ionlink.config import HardwareConfig, ideal_config
 from ionlink.ion_photon import SourceParams
 from ionlink.quantum import fidelity_pure, partial_trace
 from ionlink.swap import (
-    CoincidencePattern,
-    Detection,
     HeraldStats,
     SwapErrorParams,
     aligned_state_from_config,
     bell_phase,
     bell_state,
-    herald_sign,
     phase_alignment_delay,
-    sample_coincidence_pattern,
     simulate_heralds,
     success_probability,
     swapped_state,
@@ -22,18 +18,6 @@ from ionlink.swap import (
 )
 
 TWO_PI = 2.0 * np.pi
-
-
-def _pattern(p1, s1, p2, s2):
-    return CoincidencePattern(Detection(p1, s1), Detection(p2, s2))
-
-
-def test_herald_sign_rules():
-    assert herald_sign(_pattern("H", 1, "V", 1)) == +1
-    assert herald_sign(_pattern("H", 1, "V", 2)) == -1
-    assert herald_sign(_pattern("V", 2, "H", 2)) == +1
-    assert herald_sign(_pattern("H", 1, "H", 2)) is None
-    assert herald_sign(_pattern("V", 1, "V", 1)) is None
 
 
 def test_success_probability_values():
@@ -170,22 +154,6 @@ def test_herald_fraction_matches_half_eta_product():
     assert abs(stats.plus_signs - stats.heralds / 2) < 3 * np.sqrt(stats.heralds / 4)
 
 
-def test_sampled_patterns_feed_herald_sign():
-    rng = np.random.default_rng(12)
-    signs = {+1: 0, -1: 0, None: 0}
-    for _ in range(2000):
-        sign = herald_sign(sample_coincidence_pattern(rng))
-        signs[sign] += 1
-    # HV patterns occur half the time, split evenly between signs
-    assert signs[None] == pytest.approx(1000, abs=3 * np.sqrt(500))
-    assert signs[+1] == pytest.approx(500, abs=3 * np.sqrt(375))
-    assert signs[-1] == pytest.approx(500, abs=3 * np.sqrt(375))
-
-
-def test_detection_validation():
-    with pytest.raises(ValueError):
-        Detection("D", 1)
-    with pytest.raises(ValueError):
-        Detection("H", 3)
+def test_swap_error_params_validation():
     with pytest.raises(ValueError):
         SwapErrorParams(temporal_overlap=1.5)
