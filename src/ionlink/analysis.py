@@ -39,7 +39,7 @@ from .detection import (
 )
 from .fitting import ScanResult, fit_sinusoid
 from .ion_photon import dephasing_infidelity, raman_rotation
-from .quantum import DensityMatrix, apply_unitary
+from .quantum import DensityMatrix, apply_unitary, conjugate
 
 TWO_ION_DIMS = (2, 2)
 # little-endian basis order of the two-ion register (ion A is bit 0):
@@ -58,9 +58,10 @@ def parity(populations) -> float:
     return float(PARITY_DIAG @ pops)
 
 
-def _global_rotation(phase: float) -> np.ndarray:
-    r = raman_rotation(phase)
-    return np.kron(r, r)
+def _global_rotation(phase) -> np.ndarray:
+    r = raman_rotation(phase)  # one r (x) r per phase of an array
+    both = r[..., :, None, :, None] * r[..., None, :, None, :]
+    return both.reshape(r.shape[:-2] + (4, 4))
 
 
 def apply_analysis_pulse(rho: DensityMatrix, phase: float) -> DensityMatrix:
@@ -85,15 +86,15 @@ def _randomize_odd_phase(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(m, TWO_ION_DIMS)
 
 
-def _analysis_sequence(rho: DensityMatrix, phases, pulses: str) -> list[DensityMatrix]:
-    """States after the analysis pulses, one per phase: for ``"two"`` a fixed
-    phase-0 pulse first (converting the odd Bell state to the even one), then
-    one pulse at each phase."""
+def _analysis_sequence(rho: DensityMatrix, phases, pulses: str) -> np.ndarray:
+    """Validated stack of the states after the analysis pulses, one per
+    phase: for ``"two"`` a fixed phase-0 pulse first (converting the odd Bell
+    state to the even one), then one pulse at each phase."""
     if pulses not in ("one", "two"):
         raise ValueError("pulses must be 'one' or 'two'")
     if pulses == "two":
         rho = apply_analysis_pulse(rho, 0.0)
-    return [apply_analysis_pulse(rho, phi) for phi in phases]
+    return conjugate(rho, _global_rotation(phases))
 
 
 def _parity_result(grid: np.ndarray, values: np.ndarray) -> ScanResult:
@@ -116,8 +117,8 @@ def parity_scan(rho: DensityMatrix, phases, pulses: str = "two",
         raise ValueError("parity_scan expects a two-ion state")
     state = _randomize_odd_phase(rho) if randomize_bell_phase else rho
     grid = np.asarray(phases, dtype=float)
-    values = np.array([PARITY_DIAG @ np.real(np.diag(r.matrix))
-                       for r in _analysis_sequence(state, grid, pulses)])
+    pops = np.real(np.diagonal(_analysis_sequence(state, grid, pulses), axis1=-2, axis2=-1))
+    values = pops @ PARITY_DIAG
     return _parity_result(grid, values)
 
 
@@ -153,13 +154,13 @@ MIN_SWAP_TRIALS = 100
 CALIBRATION_SHOTS = 20000
 
 
-def _sample_readout(rho: DensityMatrix, shots: int, model: ReadoutModel,
+def _sample_readout(rho: np.ndarray, shots: int, model: ReadoutModel,
                     thresholds: ThresholdResult,
                     rng: np.random.Generator) -> np.ndarray:
-    """Observed bright-count frequencies of ``shots`` z-basis readouts: basis
-    outcomes from the diagonal, then the counts of the shots with 0 (dd),
-    1 (ud or du) and 2 (uu) bright ions, in that order."""
-    probs = np.clip(np.real(np.diag(rho.matrix)), 0.0, None)
+    """Observed bright-count frequencies of ``shots`` z-basis readouts of the
+    matrix ``rho``: basis outcomes from the diagonal, then the counts of the
+    shots with 0 (dd), 1 (ud or du) and 2 (uu) bright ions, in that order."""
+    probs = np.clip(np.real(np.diag(rho)), 0.0, None)
     basis = rng.multinomial(shots, probs / probs.sum())
     per_bright = (basis[IDX_DD], basis[IDX_UD] + basis[IDX_DU], basis[IDX_UU])
     counts = np.concatenate([sample_counts(k, model, n, rng)
@@ -214,7 +215,7 @@ def swap_experiment(cfg: HardwareConfig, trials: int,
     pop_freq = np.zeros(3)
     for s, n_s in sign_counts.items():
         shots = n_s // 2
-        freq = _sample_readout(states[s], shots, model, thresholds, rng)
+        freq = _sample_readout(states[s].matrix, shots, model, thresholds, rng)
         pop_freq += freq * (shots / (trials // 2))
     pop_corr = spam_correct(pop_freq / pop_freq.sum(), cm)
 

@@ -304,8 +304,15 @@ def cmd_budget(args) -> int:
 
 # --- entry point -------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as a CliError (subparsers inherit the class)."""
+
+    def error(self, message: str):
+        raise CliError("usage", f"{self.prog}: {message}", 2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ionlink",
         description="Heralded ion-ion entanglement simulator and analytics")
     parser.add_argument("--version", action="version", version=__version__)
@@ -357,9 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         sys.stderr.write(json.dumps({"error": exc.category, "message": str(exc)})

@@ -25,7 +25,7 @@ from .quantum import (
     DensityMatrix,
     PureState,
     apply_channel,
-    apply_unitary,
+    conjugate,
     depolarizing_channel,
     ket,
     lift,
@@ -99,25 +99,25 @@ def emit_ion_photon_state(params: SourceParams) -> DensityMatrix:
     ``wrong_branch_emission = 0`` the heralded state is independent of the
     pump fidelity, which then only rescales the attempt success probability.
     """
-    rho = ideal_pair_state(params.superposition_phase).density().matrix.copy()
+    state = ideal_pair_state(params.superposition_phase).density()
     bad = params.wrong_branch_emission * (1.0 - params.pump_fidelity)
     good = params.pump_fidelity
     if bad > 0.0:
         w = bad / (good + bad)
         wrong = 0.5 * (ket((UP, H)).density().matrix + ket((DOWN, V)).density().matrix)
-        rho = (1.0 - w) * rho + w * wrong
-    state = DensityMatrix(rho, PAIR_DIMS)
+        state = DensityMatrix((1.0 - w) * state.matrix + w * wrong, PAIR_DIMS)
     if params.pol_mixing > 0.0:
         ch = depolarizing_channel(params.pol_mixing).on_subsystem(PHOTON, PAIR_DIMS)
         state = apply_channel(state, ch)
     return state
 
 
-def waveplate_unitary(kind: str, angle: float) -> np.ndarray:
+def waveplate_unitary(kind: str, angle) -> np.ndarray:
     """Jones matrix of a retarder with its fast axis rotated by ``angle``.
 
     Retardance is pi for ``"half"`` and pi/2 for ``"quarter"``; the matrix is
     ``R(angle) @ diag(1, exp(i*retardance)) @ R(-angle)`` up to global phase.
+    An array of angles gives the stack ``angle.shape + (2, 2)``.
     """
     if kind == "half":
         retardance = np.pi
@@ -126,18 +126,20 @@ def waveplate_unitary(kind: str, angle: float) -> np.ndarray:
     else:
         raise ValueError(f"unknown waveplate kind {kind!r}")
     c, s = np.cos(angle), np.sin(angle)
-    rot = np.array([[c, -s], [s, c]], dtype=complex)
-    return rot @ np.diag([1.0, np.exp(1j * retardance)]) @ rot.conj().T
+    rot = np.stack([c, -s, s, c], axis=-1).reshape(np.shape(angle) + (2, 2)).astype(complex)
+    return rot @ np.diag([1.0, np.exp(1j * retardance)]) @ rot.conj().swapaxes(-1, -2)
 
 
-def raman_rotation(phase: float, angle: float = np.pi / 2.0) -> np.ndarray:
-    """Qubit rotation ``exp(-i angle/2 (cos(phase) sx + sin(phase) sy))``."""
-    c = np.cos(angle / 2.0)
+def raman_rotation(phase, angle: float = np.pi / 2.0) -> np.ndarray:
+    """Qubit rotation ``exp(-i angle/2 (cos(phase) sx + sin(phase) sy))``;
+    an array of phases gives the stack ``phase.shape + (2, 2)``."""
+    phase = np.asarray(phase)
+    out = np.empty(phase.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = np.cos(angle / 2.0)
     s = np.sin(angle / 2.0)
-    return np.array([
-        [c, -1j * np.exp(-1j * phase) * s],
-        [-1j * np.exp(1j * phase) * s, c],
-    ])
+    out[..., 0, 1] = -1j * np.exp(-1j * phase) * s
+    out[..., 1, 0] = -1j * np.exp(1j * phase) * s
+    return out
 
 
 def correlation_scan(state: DensityMatrix, hwp_angles) -> ScanResult:
@@ -151,32 +153,24 @@ def correlation_scan(state: DensityMatrix, hwp_angles) -> ScanResult:
     if state.dims != PAIR_DIMS:
         raise ValueError("correlation_scan expects an (ion, photon) pair state")
     angles = np.asarray(hwp_angles, dtype=float)
-    proj_up = lift(P_UP, ION, PAIR_DIMS)
-    proj_h = lift(P_DOWN, PHOTON, PAIR_DIMS)   # photon H = 0
-    proj_v = lift(P_UP, PHOTON, PAIR_DIMS)     # photon V = 1
-    p_up_v = np.empty_like(angles)
-    p_up_h = np.empty_like(angles)
-    flags = []
-    for i, theta in enumerate(angles):
-        u = lift(waveplate_unitary("half", theta), PHOTON, PAIR_DIMS)
-        rotated = apply_unitary(state, u)
-        for proj_pol, out in ((proj_v, p_up_v), (proj_h, p_up_h)):
-            marginal = float(np.real(np.trace(proj_pol @ rotated.matrix)))
-            if marginal < 1e-12:
-                out[i] = np.nan
-                if "zero_marginal" not in flags:
-                    flags.append("zero_marginal")
-                continue
-            joint = float(np.real(np.trace(proj_up @ proj_pol @ rotated.matrix)))
-            out[i] = joint / marginal
+    rotated = conjugate(state, lift(waveplate_unitary("half", angles), PHOTON, PAIR_DIMS))
+    pops = np.real(np.diagonal(rotated, axis1=-2, axis2=-1))
+    up = np.real(np.diag(lift(P_UP, ION, PAIR_DIMS)))
+    series = {}
+    # photon V = 1 is P_UP on the photon, H = 0 is P_DOWN
+    for label, proj_pol in (("p_up_given_V", P_UP), ("p_up_given_H", P_DOWN)):
+        pol = np.real(np.diag(lift(proj_pol, PHOTON, PAIR_DIMS)))
+        marginal = pops @ pol
+        zero = marginal < 1e-12
+        joint = pops @ (up * pol)
+        series[label] = np.where(zero, np.nan, joint / np.where(zero, 1.0, marginal))
+    flags = ["zero_marginal"] if any(np.isnan(v).any() for v in series.values()) else []
     k = 4.0  # period pi/2 in plate angle
-    fits = {"p_up_given_V": fit_sinusoid(angles, p_up_v, k),
-            "p_up_given_H": fit_sinusoid(angles, p_up_h, k)}
+    fits = {label: fit_sinusoid(angles, values, k) for label, values in series.items()}
     if any(f.degenerate for f in fits.values()):
         flags.append("fit_degenerate")
     contrast = float(np.mean([2.0 * f.amplitude for f in fits.values()]))
-    return ScanResult(control=angles,
-                      series={"p_up_given_V": p_up_v, "p_up_given_H": p_up_h},
+    return ScanResult(control=angles, series=series,
                       fits=fits, angular_frequency=k, contrast=contrast,
                       control_label="control_value", flags=tuple(flags))
 
@@ -210,10 +204,7 @@ def coherence_scan(state: DensityMatrix, analysis_phases) -> ScanResult:
     if state.dims != (2,):
         raise ValueError("coherence_scan expects a single-qubit ion state")
     phases = np.asarray(analysis_phases, dtype=float)
-    p_up = np.empty_like(phases)
-    for i, phi in enumerate(phases):
-        rotated = apply_unitary(state, raman_rotation(phi))
-        p_up[i] = float(np.real(rotated.matrix[UP, UP]))
+    p_up = np.real(conjugate(state, raman_rotation(phases))[:, UP, UP])
     fit = fit_sinusoid(phases, p_up, 1.0)
     flags = ("fit_degenerate",) if fit.degenerate else ()
     return ScanResult(control=phases, series={"p_up": p_up}, fits={"p_up": fit},

@@ -12,6 +12,10 @@ package:
   ``tensor(a, b)`` places ``b``'s subsystems in the high part of the index.
 * Qubit basis labels: ion ``|down> = 0``, ``|up> = 1``; photon polarization
   ``|H> = 0``, ``|V> = 1``.
+* Stacks are shaped ``(..., d, d)``: :func:`lift`, :func:`conjugate`,
+  ``ion_photon.raman_rotation`` and ``ion_photon.waveplate_unitary`` map a
+  stack (or an array of phases or angles) to one matrix per leading index,
+  and :func:`validate_density` checks a whole stack in one call.
 
 All operations are pure functions; states are treated as immutable (the
 wrapped arrays are marked read-only).  Randomness always enters through an
@@ -20,6 +24,7 @@ explicit :class:`numpy.random.Generator`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -32,7 +37,6 @@ HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 CHANNEL_TOL = 1e-10
-PROJECTOR_TOL = 1e-10
 
 ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -52,7 +56,7 @@ def _normalize_dims(dim: int, dims: Sequence[int] | None) -> tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise ValueError(f"subsystem dimensions must be positive, got {dims}")
-    if int(np.prod(dims)) != dim:
+    if math.prod(dims) != dim:
         raise ValueError(f"dims {dims} do not factor dimension {dim}")
     return dims
 
@@ -111,15 +115,7 @@ class DensityMatrix:
             raise ValueError("density matrix must be square")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", _normalize_dims(mat.shape[0], dims))
-        herm = np.max(np.abs(mat - mat.conj().T))
-        if herm > HERMITIAN_TOL:
-            raise ValueError(f"matrix not Hermitian: max |rho - rho^dag| = {herm:.3e}")
-        tr = mat.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace is {tr!r}, expected 1")
-        lo = np.linalg.eigvalsh(mat).min()
-        if lo < -PSD_TOL:
-            raise ValueError(f"matrix not positive semidefinite: min eigenvalue {lo:.3e}")
+        validate_density(mat)
 
     @property
     def dim(self) -> int:
@@ -128,15 +124,35 @@ class DensityMatrix:
     @classmethod
     def maximally_mixed(cls, dims: Sequence[int]) -> "DensityMatrix":
         dims = tuple(dims)
-        d = int(np.prod(dims))
+        d = math.prod(dims)
         return cls(np.eye(d, dtype=complex) / d, dims)
+
+
+def validate_density(mats: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of ``(..., d, d)`` is Hermitian
+    (NaN fails), of unit trace and PSD (``rho + PSD_TOL * I`` has a Cholesky
+    factor).  The worst member decides each message, with its eigenvalue
+    from ``eigvalsh``, so a stack fails as its bad member alone would."""
+    mats = np.asarray(mats)
+    herm = np.abs(mats - mats.conj().swapaxes(-1, -2)).max()
+    if not herm <= HERMITIAN_TOL:
+        raise ValueError(f"matrix not Hermitian: max |rho - rho^dag| = {herm:.3e}")
+    tr = mats.trace(axis1=-2, axis2=-1)
+    dev = np.abs(tr - 1.0)
+    if dev.max() > TRACE_TOL:
+        raise ValueError(f"trace is {np.ravel(tr)[dev.argmax()]!r}, expected 1")
+    try:
+        np.linalg.cholesky(mats + PSD_TOL * np.eye(mats.shape[-1]))
+    except np.linalg.LinAlgError:
+        lo = np.linalg.eigvalsh(mats).min()
+        raise ValueError(f"matrix not positive semidefinite: min eigenvalue {lo:.3e}") from None
 
 
 def ket(values: Sequence[int], dims: Sequence[int] = None) -> PureState:
     """Computational basis state, e.g. ``ket([0, 1])`` for |down, up-or-V>."""
     if dims is None:
         dims = (2,) * len(values)
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     amps = np.zeros(d, dtype=complex)
     amps[basis_index(values, dims)] = 1.0
     return PureState(amps, dims)
@@ -149,7 +165,7 @@ def superposition(terms: Iterable[tuple[complex, Sequence[int]]],
     ``terms`` is an iterable of ``(amplitude, subsystem_values)`` pairs.
     """
     dims = tuple(dims)
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     amps = np.zeros(d, dtype=complex)
     for amplitude, values in terms:
         amps[basis_index(values, dims)] += amplitude
@@ -169,16 +185,20 @@ def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
 
 
 def lift(op: np.ndarray, index: int, dims: Sequence[int]) -> np.ndarray:
-    """Embed an operator acting on subsystem ``index`` into the full register."""
+    """Embed one operator, or a stack ``(..., d, d)``, acting on subsystem
+    ``index`` into the full register as ``I_high (x) op (x) I_low``."""
     dims = tuple(dims)
     if not 0 <= index < len(dims):
         raise ValueError(f"subsystem index {index} out of range for {dims}")
     op = np.asarray(op, dtype=complex)
-    if op.shape != (dims[index], dims[index]):
+    d = dims[index]
+    if op.shape[-2:] != (d, d):
         raise ValueError("operator shape does not match subsystem dimension")
-    low = int(np.prod(dims[:index], dtype=int))
-    high = int(np.prod(dims[index + 1:], dtype=int))
-    return np.kron(np.eye(high, dtype=complex), np.kron(op, np.eye(low, dtype=complex)))
+    low, high = math.prod(dims[:index]), math.prod(dims[index + 1:])
+    out = np.zeros(op.shape[:-2] + (high, d, low, high, d, low), dtype=complex)
+    # broadcast op into the writable view of the blocks with equal high and low
+    np.einsum("...hilhjl->...hlij", out)[...] = op[..., None, None, :, :]
+    return out.reshape(op.shape[:-2] + (high * d * low,) * 2)
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
@@ -198,7 +218,7 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     kept_rev = sorted(keep, reverse=True)
     out = [k for k in kept_rev] + [n + k for k in kept_rev]
     reduced = np.einsum(t, row + col, out)
-    d = int(np.prod([rho.dims[k] for k in keep]))
+    d = math.prod(rho.dims[k] for k in keep)
     return DensityMatrix(reduced.reshape(d, d), tuple(rho.dims[k] for k in keep))
 
 
@@ -207,46 +227,52 @@ def apply_unitary(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
     return DensityMatrix(u @ rho.matrix @ u.conj().T, rho.dims)
 
 
+def conjugate(rho: DensityMatrix, unitaries: np.ndarray) -> np.ndarray:
+    """Read-only stack of ``U rho U^dag``, one per unitary of ``(..., d, d)``,
+    validated as density matrices in one call."""
+    u = np.asarray(unitaries, dtype=complex)
+    out = u @ rho.matrix @ u.conj().swapaxes(-1, -2)
+    validate_density(out)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class KrausChannel:
-    """Trace-preserving channel given by a family of Kraus operators."""
+    """Trace-preserving channel given by a stack ``(n, d, d)`` of Kraus operators."""
 
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray
 
     def __init__(self, operators: Iterable[np.ndarray]):
-        ops = tuple(_frozen_array(k) for k in operators)
+        ops = [np.asarray(k) for k in operators]
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
         d = ops[0].shape[0]
         if any(k.shape != (d, d) for k in ops):
             raise ValueError("all Kraus operators must be square and dim-matched")
-        total = sum(k.conj().T @ k for k in ops)
-        dev = np.max(np.abs(total - np.eye(d)))
+        ops = _frozen_array(ops)
+        dev = np.max(np.abs((ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0) - np.eye(d)))
         if dev > CHANNEL_TOL:
             raise ValueError(f"channel not trace preserving: |sum K^dag K - I| = {dev:.3e}")
         object.__setattr__(self, "operators", ops)
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators.shape[-1]
 
     def on_subsystem(self, index: int, dims: Sequence[int]) -> "KrausChannel":
-        return KrausChannel(lift(k, index, dims) for k in self.operators)
+        return KrausChannel(lift(self.operators, index, dims))
 
 
 def apply_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
     if channel.dim != rho.dim:
         raise ValueError(f"channel dim {channel.dim} != state dim {rho.dim}")
-    out = np.zeros_like(rho.matrix)
-    for k in channel.operators:
-        out = out + k @ rho.matrix @ k.conj().T
+    ops = channel.operators
+    # summed in operator order, starting from zero
+    out = np.add.reduce(ops @ rho.matrix @ ops.conj().swapaxes(-1, -2), axis=0, initial=0.0)
     # re-symmetrize round-off so repeated channel application stays valid
     out = 0.5 * (out + out.conj().T)
     return DensityMatrix(out, rho.dims)
-
-
-def identity_channel(dim: int = 2) -> KrausChannel:
-    return KrausChannel([np.eye(dim, dtype=complex)])
 
 
 def depolarizing_channel(p: float) -> KrausChannel:
@@ -275,35 +301,9 @@ def dephasing_channel(coherence_scale: float) -> KrausChannel:
     ])
 
 
-def computational_projectors(dims: Sequence[int]) -> list[np.ndarray]:
-    d = int(np.prod(dims))
-    return [np.diag((np.arange(d) == i).astype(complex)) for i in range(d)]
-
-
 def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:
     """Overlap ``<psi| rho |psi>``, clamped to [0, 1]."""
     if rho.dim != psi.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {psi.dim}")
     val = float(np.real(psi.amplitudes.conj() @ rho.matrix @ psi.amplitudes))
     return min(1.0, max(0.0, val))
-
-
-def measure_projective(rho: DensityMatrix, projectors: Sequence[np.ndarray],
-                       rng: np.random.Generator) -> tuple[int, DensityMatrix]:
-    """Sample one projective outcome (Born rule) and collapse the state."""
-    projs = [np.asarray(p, dtype=complex) for p in projectors]
-    total = sum(projs)
-    dev = np.max(np.abs(total - np.eye(rho.dim)))
-    if dev > PROJECTOR_TOL:
-        raise ValueError(f"projectors incomplete: |sum P - I| = {dev:.3e}")
-    probs = np.array([max(0.0, float(np.real(np.trace(p @ rho.matrix)))) for p in projs])
-    s = probs.sum()
-    if abs(s - 1.0) > PROJECTOR_TOL:
-        raise ValueError(f"Born probabilities sum to {s!r}")
-    probs = probs / s
-    outcome = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    outcome = min(outcome, len(projs) - 1)
-    p = projs[outcome]
-    collapsed = p @ rho.matrix @ p / probs[outcome]
-    collapsed = 0.5 * (collapsed + collapsed.conj().T)
-    return outcome, DensityMatrix(collapsed, rho.dims)

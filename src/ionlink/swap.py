@@ -22,6 +22,7 @@ state construction applies it consistently.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -112,16 +113,16 @@ def bell_state(sign: int, phase: float = 0.0) -> PureState:
         [(1.0, (DOWN, UP)), (sign * np.exp(1j * phase), (UP, DOWN))], TWO_ION_DIMS)
 
 
+@lru_cache(maxsize=2)
 def _photon_bell_herald_projector(sign: int) -> np.ndarray:
-    """Projector onto (photons in Psi^sign) x (identity on both ions)."""
-    vecs = []
+    """Read-only projector onto (photons in Psi^sign) x (identity on both ions)."""
+    proj = np.zeros((16, 16), dtype=complex)
     for a in (DOWN, UP):
         for b in (DOWN, UP):
-            vecs.append(superposition(
-                [(1.0, (a, H, b, V)), (float(sign), (a, V, b, H))], FULL_DIMS))
-    proj = np.zeros((16, 16), dtype=complex)
-    for v in vecs:
-        proj += np.outer(v.amplitudes, v.amplitudes.conj())
+            v = superposition([(1.0, (a, H, b, V)), (float(sign), (a, V, b, H))],
+                              FULL_DIMS).amplitudes
+            proj += np.outer(v, v.conj())
+    proj.setflags(write=False)
     return proj
 
 

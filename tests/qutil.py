@@ -3,14 +3,16 @@
 The oracles here are deliberately independent of the package implementation:
 partial traces by explicit index loops, survival probabilities by literal
 products, campaign requests by literal per-attempt coin flips, potentials
-minimized by generic optimizers.
+minimized by generic optimizers, scans by one ``apply_unitary`` per grid
+point.
 """
 
 import math
 
 import numpy as np
 
-from ionlink.quantum import DensityMatrix
+from ionlink.ion_photon import raman_rotation, waveplate_unitary
+from ionlink.quantum import DensityMatrix, apply_unitary
 
 
 def random_unitary(rng, dim):
@@ -92,3 +94,40 @@ def bernoulli_request(cfg, rng):
                 return attempts, True
         if cfg.coolant_present:
             return attempts, False
+
+
+# --- scans, one grid point at a time -------------------------------------------
+# Register index = ion + 2 * photon for an (ion, photon) pair and
+# ion A + 2 * ion B for two ions (little-endian).
+
+def loop_parity_scan(rho, phases, pulses):
+    """Parity P(dd) + P(uu) - P(ud) - P(du) after global pi/2 pulses."""
+    def pulse(state, phase):
+        r = raman_rotation(float(phase))
+        return apply_unitary(state, np.kron(r, r))
+
+    if pulses == "two":
+        rho = pulse(rho, 0.0)
+    values = []
+    for phase in phases:
+        p = np.real(np.diag(pulse(rho, phase).matrix))
+        values.append(p[0] + p[3] - p[1] - p[2])
+    return np.array(values)
+
+
+def loop_correlation_scan(state, angles):
+    """``(P(up | V), P(up | H))`` after a half-wave plate on the photon."""
+    p_up_v, p_up_h = [], []
+    for theta in angles:
+        u = np.kron(waveplate_unitary("half", float(theta)), np.eye(2))
+        p = np.real(np.diag(apply_unitary(state, u).matrix))
+        for out, (both, pol_only) in ((p_up_v, (3, 2)), (p_up_h, (1, 0))):
+            marginal = p[both] + p[pol_only]
+            out.append(p[both] / marginal if marginal >= 1e-12 else np.nan)
+    return np.array(p_up_v), np.array(p_up_h)
+
+
+def loop_coherence_scan(state, phases):
+    """P(up) after a pi/2 rotation of each phase."""
+    return np.array([np.real(apply_unitary(state, raman_rotation(float(phase))).matrix[1, 1])
+                     for phase in phases])

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ionlink import __version__
 from ionlink.cli import main
 
 
@@ -258,11 +259,39 @@ def test_options_belong_to_their_subcommands(tmp_path, capsys):
                ("ion-photon", "--records"), ("swap", "--records")]
     for command, *option in foreign:
         out = tmp_path / command
-        with pytest.raises(SystemExit) as exc:
-            run([command, "--out", str(out)] + option)
-        assert exc.value.code == 2, (command, option)
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert run([command, "--out", str(out)] + option) == 2, (command, option)
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage"
+        assert "unrecognized arguments" in err["message"]
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["budget", "--records"],
+    ["rate", "--trials", "abc"],
+    ["modes", "--radial-ref", "-inf"],
+])
+def test_usage_errors_print_json(tmp_path, capsys, argv):
+    out = tmp_path / "u"
+    assert run(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "usage"
+    assert err["message"].startswith("ionlink")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["swap", "--help"], ["--version"]])
+def test_help_and_version_exit_0_in_plain_text(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("usage: ionlink") or captured.out == __version__ + "\n"
 
 
 def test_budget_ion_photon_swap_load_no_scipy(tmp_path):

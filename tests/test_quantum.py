@@ -8,20 +8,24 @@ from ionlink.quantum import (
     apply_channel,
     apply_unitary,
     basis_index,
-    computational_projectors,
     dephasing_channel,
     depolarizing_channel,
     fidelity_pure,
-    identity_channel,
     ket,
     lift,
-    measure_projective,
     partial_trace,
     superposition,
     tensor,
     SIGMA_X,
 )
+from ionlink.analysis import _sample_readout
+from ionlink.detection import ReadoutModel, ThresholdResult
 from qutil import loop_partial_trace, random_density
+
+# readout whose count classes never overlap: 0, 1000 or 2000 mean counts
+IDEAL_READOUT = ReadoutModel(bright_rate=1e6, dark_rate=0.0,
+                             shelving_fidelity=1.0, bright_detect_fidelity=1.0)
+IDEAL_THRESHOLDS = ThresholdResult(t1=500, t2=1500, misclassification=0.0)
 
 
 def test_basis_index_little_endian():
@@ -108,8 +112,10 @@ def test_partial_trace_rejects_bad_subsystem():
 def test_identity_channel_is_identity():
     rng = np.random.default_rng(5)
     rho = random_density(rng, (2,))
-    out = apply_channel(rho, identity_channel(2))
-    assert np.allclose(out.matrix, rho.matrix, atol=1e-15)
+    for channel in (KrausChannel([np.eye(2)]), dephasing_channel(1.0),
+                    depolarizing_channel(0.0)):
+        out = apply_channel(rho, channel)
+        assert np.allclose(out.matrix, rho.matrix, atol=1e-15)
 
 
 def test_full_dephasing_kills_coherence():
@@ -154,50 +160,48 @@ def test_fidelity_dim_mismatch():
 
 
 def test_measure_deterministic_outcome():
+    # z-basis readout of |dd> and |uu> gives 0 and 2 bright ions every shot
     rng = np.random.default_rng(0)
-    rho = ket((0,)).density()
-    projs = computational_projectors((2,))
-    outcome, collapsed = measure_projective(rho, projs, rng)
-    assert outcome == 0
-    assert np.allclose(collapsed.matrix, rho.matrix, atol=1e-12)
+    for values, expected in (((0, 0), [1.0, 0.0, 0.0]), ((1, 1), [0.0, 0.0, 1.0])):
+        rho = ket(values).density()
+        freq = _sample_readout(rho.matrix, 1000, IDEAL_READOUT, IDEAL_THRESHOLDS, rng)
+        assert freq.tolist() == expected
 
 
 def test_measure_mixed_is_fair():
+    # the maximally mixed pair reads one bright ion with probability 1/2
     rng = np.random.default_rng(21)
-    rho = DensityMatrix.maximally_mixed((2,))
-    projs = computational_projectors((2,))
+    rho = DensityMatrix.maximally_mixed((2, 2))
     shots = 100_000
-    ones = sum(measure_projective(rho, projs, rng)[0] for _ in range(shots))
+    freq = _sample_readout(rho.matrix, shots, IDEAL_READOUT, IDEAL_THRESHOLDS, rng)
     sigma = np.sqrt(shots * 0.25)
-    assert abs(ones - shots / 2) < 3 * sigma
+    assert abs(freq[1] * shots - shots / 2) < 3 * sigma
+    assert freq.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_pair_state_only_correlated_outcomes():
     # (|H,down> + |V,up>)/sqrt(2) on (ion, photon): Born probabilities are
     # 1/2 on (down,H) and (up,V), zero elsewhere
     state = superposition([(1.0, (0, 0)), (1.0, (1, 1))], (2, 2)).density()
-    projs = computational_projectors((2, 2))
+    projs = [np.outer(e, e) for e in np.eye(4)]
     probs = [np.real(np.trace(p @ state.matrix)) for p in projs]
     assert probs == pytest.approx([0.5, 0.0, 0.0, 0.5], abs=1e-12)
     assert sum(probs) == pytest.approx(1.0, abs=1e-10)
+    # read as two ions, the same state never shows exactly one bright ion
     rng = np.random.default_rng(2)
-    seen = {measure_projective(state, projs, rng)[0] for _ in range(200)}
-    assert seen <= {0, 3}
-
-
-def test_measure_requires_complete_projectors():
-    rho = DensityMatrix.maximally_mixed((2,))
-    with pytest.raises(ValueError, match="incomplete"):
-        measure_projective(rho, [np.diag([1.0, 0.0])], np.random.default_rng(0))
+    freq = _sample_readout(state.matrix, 200, IDEAL_READOUT, IDEAL_THRESHOLDS, rng)
+    assert freq[1] == 0.0
+    assert freq[0] > 0.0 and freq[2] > 0.0
 
 
 def test_born_probabilities_sum_to_one_for_random_states():
     rng = np.random.default_rng(17)
-    projs = computational_projectors((2, 2))
+    projs = [np.outer(e, e) for e in np.eye(4)]
     for _ in range(10):
         rho = random_density(rng, (2, 2))
-        total = sum(np.real(np.trace(p @ rho.matrix)) for p in projs)
-        assert abs(total - 1.0) < 1e-10
+        probs = [np.real(np.trace(p @ rho.matrix)) for p in projs]
+        assert min(probs) > -1e-12
+        assert abs(sum(probs) - 1.0) < 1e-10
 
 
 def test_roundtrip_tensor_partial_trace():
@@ -211,6 +215,8 @@ def test_roundtrip_tensor_partial_trace():
 def test_validation_rejects_bad_matrices():
     with pytest.raises(ValueError, match="Hermitian"):
         DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="trace"):
         DensityMatrix(np.eye(2))
     with pytest.raises(ValueError, match="semidefinite"):
