@@ -48,16 +48,6 @@ IDX_DD, IDX_UD, IDX_DU, IDX_UU = 0, 1, 2, 3
 PARITY_DIAG = np.array([1.0, -1.0, -1.0, 1.0])
 
 
-def parity(populations) -> float:
-    """Signed population sum P(dd) + P(uu) - P(ud) - P(du)."""
-    pops = np.asarray(populations, dtype=float)
-    if pops.shape != (4,):
-        raise ValueError("populations must be a 4-vector")
-    if abs(pops.sum() - 1.0) > 1e-9:
-        raise ValueError(f"populations must sum to 1, got {pops.sum()!r}")
-    return float(PARITY_DIAG @ pops)
-
-
 def _global_rotation(phase) -> np.ndarray:
     r = raman_rotation(phase)  # one r (x) r per phase of an array
     both = r[..., :, None, :, None] * r[..., None, :, None, :]
@@ -69,21 +59,6 @@ def apply_analysis_pulse(rho: DensityMatrix, phase: float) -> DensityMatrix:
     if rho.dims != TWO_ION_DIMS:
         raise ValueError("expects a two-ion state")
     return apply_unitary(rho, _global_rotation(phase))
-
-
-def _randomize_odd_phase(rho: DensityMatrix) -> DensityMatrix:
-    """Average over the free-evolution phase of the odd subspace.
-
-    Models analyzing heralds without phase alignment: every coherence with a
-    phase that winds with delta*t averages to zero; only populations and the
-    even coherence rho(dd, uu) survive.
-    """
-    m = np.zeros_like(rho.matrix)
-    for i in (IDX_DD, IDX_UD, IDX_DU, IDX_UU):
-        m[i, i] = rho.matrix[i, i]
-    m[IDX_DD, IDX_UU] = rho.matrix[IDX_DD, IDX_UU]
-    m[IDX_UU, IDX_DD] = rho.matrix[IDX_UU, IDX_DD]
-    return DensityMatrix(m, TWO_ION_DIMS)
 
 
 def _analysis_sequence(rho: DensityMatrix, phases, pulses: str) -> np.ndarray:
@@ -105,8 +80,7 @@ def _parity_result(grid: np.ndarray, values: np.ndarray) -> ScanResult:
                       control_label="control_value", flags=flags)
 
 
-def parity_scan(rho: DensityMatrix, phases, pulses: str = "two",
-                randomize_bell_phase: bool = False) -> ScanResult:
+def parity_scan(rho: DensityMatrix, phases, pulses: str = "two") -> ScanResult:
     """Parity vs analysis phase under global pi/2 pulses, fitted at period pi.
 
     ``pulses="one"`` scans the phase of a single pulse; ``"two"`` applies a
@@ -115,9 +89,8 @@ def parity_scan(rho: DensityMatrix, phases, pulses: str = "two",
     """
     if rho.dims != TWO_ION_DIMS:
         raise ValueError("parity_scan expects a two-ion state")
-    state = _randomize_odd_phase(rho) if randomize_bell_phase else rho
     grid = np.asarray(phases, dtype=float)
-    pops = np.real(np.diagonal(_analysis_sequence(state, grid, pulses), axis1=-2, axis2=-1))
+    pops = np.real(np.diagonal(_analysis_sequence(rho, grid, pulses), axis1=-2, axis2=-1))
     values = pops @ PARITY_DIAG
     return _parity_result(grid, values)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -39,6 +40,7 @@ from .ion_photon import (
 
 SEED_ENV_VAR = "IONLINK_SEED"
 DEFAULT_SEED = 1
+MAX_GRID_POINTS = 100_000
 
 
 class CliError(Exception):
@@ -49,15 +51,18 @@ class CliError(Exception):
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    """Parse 'start:stop:num' into a linspace grid."""
+    """Parse 'start:stop:num' into a linspace grid of 3 to MAX_GRID_POINTS."""
     try:
         start, stop, num = spec.split(":")
-        grid = np.linspace(float(start), float(stop), int(num))
-    except Exception as exc:
+        start, stop, num = float(start), float(stop), int(num)
+    except ValueError as exc:
         raise CliError("bad_grid", f"cannot parse grid spec {spec!r}: {exc}", 2)
-    if grid.size < 3:
-        raise CliError("bad_grid", "grid needs at least 3 points", 2)
-    return grid
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise CliError("bad_grid", f"grid ends must be finite, got {spec!r}", 2)
+    if not 3 <= num <= MAX_GRID_POINTS:
+        raise CliError("bad_grid", f"grid needs 3 to {MAX_GRID_POINTS} points, "
+                       f"got {num}", 2)
+    return np.linspace(start, stop, num)
 
 
 def _resolve_config(args) -> HardwareConfig:
@@ -183,7 +188,11 @@ def cmd_rate(args) -> int:
     if args.trials < 1:
         raise CliError("bad_trials", "rate needs at least 1 trial", 2)
     if args.grid:
-        caps = np.unique(np.maximum(1, _parse_grid(args.grid).astype(int)))
+        grid = _parse_grid(args.grid)
+        if grid.max() > rate_model.MAX_LOOP_CAP:
+            raise CliError("bad_grid", f"caps must not exceed "
+                           f"{rate_model.MAX_LOOP_CAP}, got {grid.max():g}", 2)
+        caps = np.unique(np.maximum(1, grid.astype(int)))
     else:
         caps = np.array([1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000,
                          5000, 10000, 20000])
@@ -195,16 +204,13 @@ def cmd_rate(args) -> int:
                                               cfg.decay_c), False),
     }
     for name, (params, coolant) in curves.items():
+        curve = rate_model.rate_curve(caps, params, schedule, coolant)
         lines = ["# " + h for h in header]
         lines.append("cap,cdf,mean_success_prob,rate_hz,rate_no_cooling_hz")
-        for n in caps:
-            c = rate_model.cdf(float(n), params)
-            pb = rate_model.mean_success_prob(float(n), params)
-            r_full = rate_model.request_rate(float(n), params, schedule, coolant,
-                                             include_cooling=True)
-            r_nc = rate_model.request_rate(float(n), params, schedule, coolant,
-                                           include_cooling=False)
-            lines.append(f"{n},{c:.12g},{pb:.12g},{r_full:.12g},{r_nc:.12g}")
+        for row in zip(curve.caps.tolist(), curve.cdf.tolist(),
+                       curve.mean_success_prob.tolist(), curve.rate_hz.tolist(),
+                       curve.rate_no_cooling_hz.tolist()):
+            lines.append("{},{:.12g},{:.12g},{:.12g},{:.12g}".format(*row))
         _write(out, f"rate_analytic_{name}.csv", "\n".join(lines) + "\n")
 
     # Monte Carlo at the configured caps, both schedules

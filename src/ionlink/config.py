@@ -49,6 +49,7 @@ from dataclasses import dataclass, replace
 import yaml
 
 from .ion_photon import SourceParams, dephasing_infidelity
+from .rate_model import MAX_LOOP_CAP
 
 TWO_PI = 2.0 * math.pi
 
@@ -174,8 +175,9 @@ class HardwareConfig:
         for name in ("loop_cap_no_coolant", "loop_cap_with_coolant",
                      "hardware_counter_cap"):
             v = getattr(self, name)
-            if v is not None and v < 1:  # None: no hardware counter
-                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+            if v is not None and not 1 <= v <= MAX_LOOP_CAP:  # None: no counter
+                raise ValueError(f"{name} must be an integer in "
+                                 f"[1, {MAX_LOOP_CAP}], got {v!r}")
         if self.bell_coherence_envelope not in ("gaussian", "exponential"):
             raise ValueError("bell_coherence_envelope must be gaussian|exponential")
         if self.swap_phase_convention not in ("b_minus_a", "a_minus_b"):

@@ -247,21 +247,6 @@ def phase_averaging_infidelity(window: float, qubit_freq: float) -> float:
     return 0.5 * (1.0 - math.sin(x) / x)
 
 
-def qubit_freq_for_averaging_error(target: float, window: float) -> float:
-    """Qubit splitting (rad/s) at which the window-averaging error equals ``target``."""
-    from scipy.optimize import brentq
-    if not 0.0 < target < 0.5:
-        raise ValueError("target must be in (0, 0.5)")
-    if window <= 0:
-        raise ValueError("window must be positive")
-
-    def f(omega):
-        return phase_averaging_infidelity(window, omega) - target
-
-    lo, hi = 1e-6 / window, 2.0 * np.pi / window
-    return float(brentq(f, lo, hi, xtol=1e-6 / window, rtol=1e-14))
-
-
 def correlated_populations(state: DensityMatrix) -> float:
     """Population in the correlated branches ``|H,down>`` and ``|V,up>``."""
     if state.dims != PAIR_DIMS:

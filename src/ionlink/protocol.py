@@ -23,9 +23,10 @@ rows of a longer campaign equal an ``n``-request campaign (prefix stability).
 
 The loop count of the no-coolant schedule is geometric and is sampled by
 inverse transform with ``log1p``; the in-loop position is sampled by inverse
-transform over the exact discrete first-success distribution (a cumulative
-product of per-attempt failure probabilities).  Both are distribution-
-identical to drawing every Bernoulli attempt individually.
+transform over the exact discrete first-success distribution: the table of
+``rate_model.success_cdf_table``, which the closed forms also sum over.
+Both are distribution-identical to drawing every Bernoulli attempt
+individually.
 """
 
 from __future__ import annotations
@@ -33,13 +34,12 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .config import HardwareConfig
+from .rate_model import DecayParams, success_cdf_table
 
-_TABLE_TAIL = 1e-18  # survival below this is treated as impossible
 # Requests per substream.  It fixes the random-stream layout, so changing it
 # changes every campaign's outcome.
 _BLOCK = 4096
@@ -63,27 +63,12 @@ def _loop_cap(cfg: HardwareConfig) -> int:
     return cap
 
 
-@lru_cache(maxsize=64)
-def _success_cdf_table(decay_a: float, decay_b: float, decay_c: float,
-                       coolant: bool, cap: int) -> np.ndarray:
-    """Discrete first-success CDF within one loop: F[k] = P(success <= k+1).
-
-    Attempt ``n`` since the last cooling succeeds with ``A + C`` under the
-    coolant (no recoil decay) and ``A exp(-B n) + C`` otherwise.  The table
-    is truncated where the survival drops below the tail threshold; the
-    truncation error is below 1e-18 per request.
-    """
-    n = np.arange(cap, dtype=float)
-    if coolant:
-        p = np.full(cap, decay_a + decay_c)
-    else:
-        p = decay_a * np.exp(-decay_b * n) + decay_c
-    survival = np.cumprod(1.0 - p)
-    keep = int(np.count_nonzero(survival >= _TABLE_TAIL))
-    keep = max(1, min(cap, keep + 1))
-    table = 1.0 - survival[:keep]
-    table.setflags(write=False)
-    return table
+def _success_model(cfg: HardwareConfig) -> DecayParams:
+    """The per-attempt success model a campaign samples: the coolant removes
+    the recoil decay, leaving ``0 * exp(-0 * n) + (A + C)``."""
+    if cfg.coolant_present:
+        return DecayParams(0.0, 0.0, cfg.decay_a + cfg.decay_c)
+    return DecayParams(cfg.decay_a, cfg.decay_b, cfg.decay_c)
 
 
 @dataclass(frozen=True)
@@ -172,8 +157,7 @@ def simulate_campaign(cfg: HardwareConfig, requests: int,
     attempt_ns = round(cfg.attempt_duration * 1e9)
     cooling_ns = round(cfg.cooling_duration * 1e9)
     coolant = cfg.coolant_present
-    table = _success_cdf_table(cfg.decay_a, cfg.decay_b, cfg.decay_c,
-                               coolant, cap)
+    table = success_cdf_table(_success_model(cfg), cap)
     q = float(table[-1])  # success probability of one loop
     # the largest loop count a uniform below 1 - 2**-53 can produce
     max_loops = (1 if coolant or q >= 1.0

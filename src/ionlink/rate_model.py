@@ -1,32 +1,41 @@
-"""Closed-form attempt-loop statistics for a decaying success probability.
+"""Attempt-loop statistics of the discrete attempt-success model.
 
-The per-attempt success probability decays with the attempt index ``n``
-(recoil heating between recooling breaks) as ``p(n) = A exp(-B n) + C``.
-Treating ``n`` as continuous, the first-success density and its integral are
+Attempt ``n`` of a loop (counted from 0 since the last cooling) heralds with
+probability ``p(n) = A exp(-B n) + C``.  The survival ``S_k``, the chance
+that the first ``k`` attempts all fail, is one cumulative product:
 
-    PDF(n) = exp[(A/B)(exp(-B n) - 1) - C n] (A exp(-B n) + C)
-    CDF(N) = 1 - exp[(A/B)(exp(-B N) - 1) - C N]
+    S_0 = 1,    S_k = prod_{j<k} (1 - p(j)).
 
-and the average success probability of a loop capped at ``N`` attempts is
+The campaign Monte Carlo (``protocol``) samples the first success from the
+table ``1 - S_k`` that :func:`success_cdf_table` builds, and every closed
+form here is an exact finite sum over the same table.  For a loop capped at
+``N`` attempts:
 
-    pbar(N) = CDF(N) / (N + 1 - integral_0^N CDF(n) dn),
+    herald probability    q(N)    = 1 - S_N
+    expected attempts     E(N)    = sum_{k<N} S_k
+    mean success prob     pbar(N) = q(N) / E(N)
 
-whose denominator equals ``1 + E[attempts consumed per request]``.  The
-simulator is discrete; the O(p) gap between the discrete process and these
-continuous formulas is far below every tolerance used here (p ~ 2.5e-4).
+``pbar`` is what ``successes / attempts consumed`` estimates in the Monte
+Carlo.  Without the coolant a request repeats loops until one heralds, each
+failed loop followed by a cooling break; with the coolant it runs one loop
+after one initial cooling.  Both give ``rate = q / (E dt + breaks dc)`` with
+``breaks = 1 - q`` or ``1``.  Caps are integers; an integral float such as
+``2000.0`` is accepted.
 
-``B = 0`` reduces everything to the constant-probability (exponential /
-geometric) case and is handled by the analytic limit.
+The continuous ``pdf`` and ``cdf`` (the attempt index treated as real) remain
+only as the reference that acceptance criterion 07 pins.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-QUAD_REL_TOL = 1e-8
+_TABLE_TAIL = 1e-18  # survival below this is treated as impossible
+MAX_LOOP_CAP = 10**7  # longest loop a table is built for
 
 
 @dataclass(frozen=True)
@@ -65,8 +74,31 @@ class ScheduleParams:
             raise ValueError("cooling_duration must be nonnegative")
 
 
+@lru_cache(maxsize=64)
+def success_cdf_table(p: DecayParams, cap: int) -> np.ndarray:
+    """Discrete first-success CDF within one loop: F[k] = 1 - S_{k+1}.
+
+    The table is truncated where the survival drops below the tail
+    threshold; the truncation error is below 1e-18 per request.  Since
+    ``p(n) >= c``, ``S_k <= (1 - c)^k``, so only the prefix that can lie
+    above the tail is built.
+    """
+    if not 1 <= cap <= MAX_LOOP_CAP:
+        raise ValueError(f"loop cap must be in [1, {MAX_LOOP_CAP}], got {cap!r}")
+    # (1 - c)^reach = tail
+    reach = math.log(_TABLE_TAIL) / math.log1p(-p.c) if p.c < 1.0 else 0.0
+    size = min(cap, math.ceil(min(reach, cap)) + 2)
+    survival = np.cumprod(1.0 - p.probability(np.arange(size, dtype=float)))
+    keep = int(np.count_nonzero(survival >= _TABLE_TAIL))
+    keep = max(1, min(cap, keep + 1))
+    table = 1.0 - survival[:keep]
+    table.setflags(write=False)
+    return table
+
+
 def _log_survival(n, p: DecayParams):
-    """Exponent ``g(n)`` with ``survival = exp(g)``; stable for small ``b``."""
+    """Continuous exponent ``g(n)`` with ``survival = exp(g)``; stable for
+    small ``b``."""
     n = np.asarray(n, dtype=float)
     if p.b == 0.0:
         return -(p.a + p.c) * n
@@ -74,7 +106,8 @@ def _log_survival(n, p: DecayParams):
 
 
 def pdf(n, p: DecayParams):
-    """First-success density at (continuous) attempt index ``n >= 0``."""
+    """Continuous first-success density at attempt index ``n >= 0``:
+    ``exp[(A/B)(exp(-B n) - 1) - C n] (A exp(-B n) + C)``."""
     n_arr = np.asarray(n, dtype=float)
     if np.any(n_arr < 0):
         raise ValueError("n must be nonnegative")
@@ -83,7 +116,8 @@ def pdf(n, p: DecayParams):
 
 
 def cdf(n, p: DecayParams):
-    """Probability of a herald within the first ``n`` attempts."""
+    """Continuous herald probability within ``n`` attempts:
+    ``1 - exp[(A/B)(exp(-B n) - 1) - C n]``."""
     n_arr = np.asarray(n, dtype=float)
     if np.any(n_arr < 0):
         raise ValueError("n must be nonnegative")
@@ -91,163 +125,70 @@ def cdf(n, p: DecayParams):
     return out if out.shape else float(out)
 
 
-def _adaptive_quad(f, a: float, b: float, rel_tol: float = QUAD_REL_TOL) -> float:
-    """Single audited integration kernel: adaptive Gauss-Kronrod via QUADPACK."""
-    from scipy.integrate import quad
-    value, abserr = quad(f, a, b, epsabs=0.0, epsrel=rel_tol, limit=500)
-    if value != 0.0 and abserr > 10.0 * rel_tol * abs(value):
-        raise RuntimeError(
-            f"quadrature did not reach rel tol {rel_tol:g}: "
-            f"value={value:.6e}, achieved abs err={abserr:.2e}")
-    return value
-
-
-def expected_attempts(n: float, p: DecayParams, rel_tol: float = QUAD_REL_TOL) -> float:
-    """E[attempts consumed by a loop capped at n] = integral of the survival."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 0.0
-    return _adaptive_quad(lambda x: math.exp(_log_survival(x, p)), 0.0, n, rel_tol)
-
-
-def mean_success_prob(n: float, p: DecayParams, rel_tol: float = QUAD_REL_TOL) -> float:
-    """Average success probability ``CDF(n) / (n + 1 - integral of CDF)``.
-
-    The denominator identity ``n + 1 - int_0^n CDF = 1 + int_0^n survival``
-    is used so the quadrature integrand stays well conditioned.
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    return cdf(n, p) / (1.0 + expected_attempts(n, p, rel_tol))
-
-
 @dataclass(frozen=True)
-class DecayFit:
-    params: DecayParams
-    covariance: np.ndarray | None
-    b_unidentifiable: bool = False
+class RateCurve:
+    """Loop statistics at each cap of ``caps``, one array entry per cap."""
+
+    caps: np.ndarray
+    cdf: np.ndarray                 # q(N): herald probability of one loop
+    mean_success_prob: np.ndarray   # q(N) / E(N)
+    rate_hz: np.ndarray             # heralds per second of wall time
+    rate_no_cooling_hz: np.ndarray  # the same with cooling time left out
 
 
-def fit_decay(indices, probabilities, counts) -> DecayFit:
-    """Weighted least squares of ``a exp(-b n) + c`` to per-index success data.
-
-    ``counts`` are the attempts behind each empirical probability; weights are
-    binomial.  Initialization: ``c`` from the tail mean, ``a`` from the head
-    excess, ``b`` from a log-linear regression of the head excess.  Degenerate
-    (constant) data returns ``a = 0`` with ``b`` flagged unidentifiable.
-    """
-    from scipy.optimize import curve_fit
-    n = np.asarray(indices, dtype=float)
-    y = np.asarray(probabilities, dtype=float)
-    w = np.asarray(counts, dtype=float)
-    if n.size < 3:
-        raise ValueError("need at least 3 distinct attempt indices")
-    if not (n.size == y.size == w.size):
-        raise ValueError("indices, probabilities and counts must match in length")
-    order = np.argsort(n)
-    n, y, w = n[order], y[order], w[order]
-
-    tail = max(1, n.size // 4)
-    c0 = float(np.mean(y[-tail:]))
-    head = max(2, n.size // 4)
-    a0 = float(np.mean(y[:head]) - c0)
-    spread = float(np.ptp(y))
-    if spread < 1e-15 or a0 <= 0.0:
-        c_hat = float(np.average(y, weights=w))
-        return DecayFit(DecayParams(a=0.0, b=0.0, c=c_hat), covariance=None,
-                        b_unidentifiable=True)
-    excess = y[:head] - c0
-    positive = excess > 0
-    if positive.sum() >= 2:
-        slope = np.polyfit(n[:head][positive], np.log(excess[positive]), 1)[0]
-        b0 = max(1e-9, -float(slope))
-    else:
-        b0 = 1.0 / max(1.0, float(n[-1]))
-
-    sigma = np.sqrt(np.maximum(y * (1.0 - y), 1e-12) / w)
-
-    def model(x, a, b, c):
-        return a * np.exp(-b * x) + c
-
-    popt, pcov = curve_fit(model, n, y, p0=[a0, b0, max(c0, 1e-12)],
-                           sigma=sigma, absolute_sigma=True, maxfev=20000)
-    a, b, c = popt
-    a = min(max(a, 0.0), 1.0)
-    c = min(max(c, 1e-15), 1.0)
-    if a + c > 1.0:
-        a = 1.0 - c
-    return DecayFit(DecayParams(a=float(a), b=float(max(b, 0.0)), c=float(c)),
-                    covariance=pcov)
+def _loop_sums(caps, p: DecayParams):
+    """Integral ``caps`` as an int array, with ``q(N)`` and ``E(N)`` at each."""
+    arr = np.asarray(caps, dtype=float)
+    if not (arr.size and np.all(np.isfinite(arr) & (arr >= 1)
+                                & (arr == np.round(arr)))):
+        raise ValueError(f"loop caps must be integers >= 1, got {caps!r}")
+    arr = arr.astype(np.int64)
+    table = success_cdf_table(p, int(arr.max()))
+    # E(k+1) = S_0 + ... + S_k; past a truncated table the survival is < tail
+    attempts = np.cumsum(np.concatenate(([1.0], 1.0 - table[:-1])))
+    at = np.minimum(arr, table.size) - 1
+    return arr, table[at], attempts[at]
 
 
-def expected_wall_time(n: float, p: DecayParams, schedule: ScheduleParams,
-                       coolant: bool, include_cooling: bool = True) -> float:
-    """Mean wall time per entanglement request at loop cap ``n`` (seconds).
-
-    Coolant mode runs a single loop per request after one initial cooling;
-    without the coolant, loops of ``n`` attempts repeat with a cooling break
-    after each failure until success.  ``include_cooling=False`` removes the
-    cooling contributions from the accounting (used when comparing loop-cap
-    curves independently of the recooling overhead).
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    q = cdf(n, p)
-    e_min = expected_attempts(n, p)  # E[min(first success, n)]
-    dt, dc = schedule.attempt_duration, schedule.cooling_duration
-    if coolant:
-        wall = e_min * dt
-        if include_cooling:
-            wall += dc
-        return wall
-    # geometric number of loops with per-loop success q
-    survival = math.exp(_log_survival(n, p))
-    e_attempts_success_loop = (e_min - n * survival) / q
-    failed_loops = 1.0 / q - 1.0
-    wall = (failed_loops * n + e_attempts_success_loop) * dt
-    if include_cooling:
-        wall += failed_loops * dc
-    return wall
+def rate_curve(caps, p: DecayParams, schedule: ScheduleParams,
+               coolant: bool) -> RateCurve:
+    """Closed-form loop statistics and request rates at integral ``caps``."""
+    caps, q, e = _loop_sums(caps, p)
+    attempt_time = e * schedule.attempt_duration
+    breaks = 1.0 if coolant else 1.0 - q
+    return RateCurve(caps=caps, cdf=q, mean_success_prob=q / e,
+                     rate_hz=q / (attempt_time + breaks * schedule.cooling_duration),
+                     rate_no_cooling_hz=q / attempt_time)
 
 
-def request_rate(n: float, p: DecayParams, schedule: ScheduleParams,
+def expected_attempts(n, p: DecayParams) -> float:
+    """``E(n) = sum_{k<n} S_k``: mean attempts a loop capped at ``n`` uses."""
+    return float(_loop_sums(n, p)[2])
+
+
+def mean_success_prob(n, p: DecayParams) -> float:
+    """``q(n) / E(n)``: heralds per attempt consumed at loop cap ``n``."""
+    _, q, e = _loop_sums(n, p)
+    return float(q / e)
+
+
+def request_rate(n, p: DecayParams, schedule: ScheduleParams,
                  coolant: bool, include_cooling: bool = True) -> float:
     """Successful heralds per second of wall time at loop cap ``n``.
 
-    A coolant-mode request succeeds with probability CDF(n) in its single
-    loop; without the coolant the loop repeats until success, so every
-    request eventually heralds.
+    ``include_cooling=False`` leaves the cooling intervals out of the wall
+    time (used to compare loop caps apart from the recooling overhead).
     """
-    success_per_request = cdf(n, p) if coolant else 1.0
-    return success_per_request / expected_wall_time(n, p, schedule, coolant,
-                                                    include_cooling)
+    curve = rate_curve(n, p, schedule, coolant)
+    return float(curve.rate_hz if include_cooling else curve.rate_no_cooling_hz)
 
 
 def optimal_cap(p: DecayParams, schedule: ScheduleParams, coolant: bool,
                 max_cap: int = 100_000,
                 include_cooling: bool = True) -> tuple[int, float]:
-    """Integer loop cap maximizing the request rate, with the rate achieved.
-
-    A bounded scalar search on the continuous relaxation is followed by an
-    exhaustive integer scan within +-50 of the relaxed optimum (and of the
-    domain boundaries, since constant-p coolant operation is monotone in the
-    cap and peaks at the boundary).
-    """
-    from scipy.optimize import minimize_scalar
-    if max_cap < 1:
-        raise ValueError("max_cap must be at least 1")
-
-    def negrate(x: float) -> float:
-        return -request_rate(x, p, schedule, coolant, include_cooling)
-
-    res = minimize_scalar(negrate, bounds=(1.0, float(max_cap)), method="bounded",
-                          options={"xatol": 0.5})
-    candidates = set()
-    for center in (int(round(res.x)), 1, max_cap):
-        for k in range(center - 50, center + 51):
-            if 1 <= k <= max_cap:
-                candidates.add(k)
-    best_n = max(candidates,
-                 key=lambda k: request_rate(k, p, schedule, coolant, include_cooling))
-    return best_n, request_rate(best_n, p, schedule, coolant, include_cooling)
+    """Integer loop cap in ``[1, max_cap]`` maximizing the request rate (the
+    smallest such cap), with the rate achieved."""
+    curve = rate_curve(np.arange(1, max_cap + 1), p, schedule, coolant)
+    rates = curve.rate_hz if include_cooling else curve.rate_no_cooling_hz
+    best = int(np.argmax(rates))
+    return best + 1, float(rates[best])

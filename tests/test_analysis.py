@@ -11,7 +11,6 @@ from ionlink.analysis import (
     efficiency_budget,
     error_budget,
     fidelity_lower_bound,
-    parity,
     parity_scan,
     swap_experiment,
 )
@@ -26,14 +25,6 @@ from ionlink.swap import (
 )
 
 PHASES = np.linspace(0.0, np.pi, 25)
-
-
-def test_parity_values():
-    assert parity([0.5, 0.0, 0.0, 0.5]) == 1.0   # even Bell populations
-    assert parity([0.0, 0.5, 0.5, 0.0]) == -1.0  # odd Bell populations
-    assert parity([0.25] * 4) == 0.0
-    with pytest.raises(ValueError):
-        parity([0.5, 0.5, 0.5, 0.5])
 
 
 def test_two_pulse_scan_ideal_state():
@@ -100,17 +91,6 @@ def test_measured_profile_reproduces_reference_scan():
     assert scan.contrast == pytest.approx(0.925, abs=5e-3)
     pops = np.real(np.diag(rho.matrix))
     assert pops[1] + pops[2] == pytest.approx(0.976, abs=1e-6)
-
-
-def test_randomize_bell_phase_toggle():
-    cfg = measured_swap_config()
-    rho = aligned_state_from_config(cfg, +1)
-    scan = parity_scan(rho, PHASES, pulses="two", randomize_bell_phase=True)
-    # unaligned analysis loses the odd coherence: only the population
-    # imbalance survives in the two-pulse amplitude
-    pops = np.real(np.diag(rho.matrix))
-    expected = (pops[1] + pops[2] - pops[0] - pops[3]) / 2.0
-    assert scan.contrast == pytest.approx(expected, abs=1e-10)
 
 
 def test_fidelity_lower_bound_values():

@@ -9,6 +9,7 @@ import pytest
 
 from ionlink import __version__
 from ionlink.cli import main
+from ionlink.config import HardwareConfig
 
 
 def read_all_bytes(root: Path) -> dict:
@@ -198,6 +199,11 @@ def test_config_errors_exit_code(tmp_path, capsys):
     pytest.param(["swap"], "delta_hz: .nan\n", "delta_hz", id="swap-nan"),
     pytest.param(["rate", "--trials", "10"], "attempt_duration: 1.0e-10\n",
                  "attempt_duration", id="rate-sub-ns-attempt"),
+    # caps above 10**7 would size the survival table past memory
+    pytest.param(["rate", "--trials", "10"], "loop_cap_with_coolant: 1000000000\n",
+                 "loop_cap_with_coolant", id="rate-over-limit-cap"),
+    pytest.param(["rate", "--trials", "10"], "hardware_counter_cap: 10000001\n",
+                 "hardware_counter_cap", id="rate-over-limit-counter"),
 ])
 def test_config_type_and_range_errors_exit_2(tmp_path, capsys, command,
                                              yaml_text, field):
@@ -302,6 +308,7 @@ out = sys.argv[1]
 assert main(["budget", "--out", out + "/b"]) == 0
 assert main(["ion-photon", "--out", out + "/i"]) == 0
 assert main(["swap", "--trials", "1000", "--out", out + "/s"]) == 0
+assert main(["rate", "--records", "--trials", "2000", "--out", out + "/r"]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -312,10 +319,15 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 
 def test_bad_grid_rejected(tmp_path, capsys):
-    assert run(["ion-photon", "--out", str(tmp_path / "g"),
-                "--grid", "zap"]) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "bad_grid"
+    for command, grid in (("ion-photon", "zap"),
+                          ("ion-photon", "0:1.5708:100001"),  # too many points
+                          ("ion-photon", "0:nan:11"),
+                          ("rate", "1:20000000:5")):  # caps above 10**7
+        out = tmp_path / "g"
+        assert run([command, "--out", str(out), "--grid", grid]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "bad_grid"
+        assert not out.exists()
 
 
 def test_grid_flag_controls_scan_points(tmp_path):
@@ -330,6 +342,23 @@ def test_grid_flag_controls_scan_points(tmp_path):
     lines = (out2 / "rate_analytic_coolant.csv").read_text().splitlines()
     data = [l for l in lines if not l.startswith("#")]
     assert len(data) == 1 + 4
+
+
+def test_rate_curves_are_the_discrete_model(tmp_path):
+    # every analytic row reads one survival table: the recooling-free rate
+    # is heralds per attempt times the attempt rate, and a one-attempt loop
+    # heralds with p(0) = decay_a + decay_c
+    out = tmp_path / "rate"
+    assert run(["rate", "--out", str(out), "--trials", "100"]) == 0
+    cfg = HardwareConfig()
+    for name in ("coolant", "no_coolant"):
+        lines = (out / f"rate_analytic_{name}.csv").read_text().splitlines()
+        rows = np.array([[float(x) for x in line.split(",")]
+                         for line in lines if line[0].isdigit()])
+        np.testing.assert_allclose(rows[:, 4] * cfg.attempt_duration,
+                                   rows[:, 2], rtol=1e-11, atol=0)
+    assert rows[0, 0] == 1
+    assert rows[0, 2] == pytest.approx(cfg.decay_a + cfg.decay_c, rel=1e-11)
 
 
 def test_config_file_flows_through(tmp_path):

@@ -13,7 +13,6 @@ from ionlink.ion_photon import (
     heralded_ion_state,
     ideal_pair_state,
     phase_averaging_infidelity,
-    qubit_freq_for_averaging_error,
     raman_rotation,
     waveplate_unitary,
 )
@@ -159,11 +158,6 @@ def test_phase_averaging_values():
     omega, window = 1e9, np.pi / 1e9
     assert phase_averaging_infidelity(window, omega) == \
         pytest.approx(0.5 * (1 - 2 / np.pi), abs=1e-12)
-
-
-def test_qubit_freq_calibration_round_trip():
-    omega = qubit_freq_for_averaging_error(0.001, 3e-9)
-    assert phase_averaging_infidelity(3e-9, omega) == pytest.approx(0.001, abs=1e-9)
 
 
 def test_default_qubit_freq_hits_reference_error():

@@ -10,8 +10,9 @@ from ionlink.protocol import (
     effective_attempt_rate,
     records_to_csv,
     simulate_campaign,
-    _success_cdf_table,
+    _success_model,
 )
+from ionlink.rate_model import DecayParams, success_cdf_table
 from qutil import bernoulli_request
 
 COLUMNS = ("attempts_used", "wall_ns", "success_mask", "signs", "loop_index")
@@ -27,8 +28,7 @@ def test_effective_attempt_rates():
 
 def test_survival_table_matches_literal_bernoulli_products():
     cfg = HardwareConfig()
-    table = _success_cdf_table(cfg.decay_a, cfg.decay_b, cfg.decay_c, False,
-                               cfg.loop_cap_no_coolant)
+    table = success_cdf_table(_success_model(cfg), cfg.loop_cap_no_coolant)
     assert table[0] == pytest.approx(cfg.decay_a + cfg.decay_c)
     survival = 1.0
     for n in range(cfg.loop_cap_no_coolant):
@@ -36,13 +36,13 @@ def test_survival_table_matches_literal_bernoulli_products():
         survival *= 1.0 - p
         assert table[n] == pytest.approx(1.0 - survival, abs=1e-15)
     # no decay: every attempt succeeds with A + C
-    flat = _success_cdf_table(cfg.decay_a, 0.0, cfg.decay_c, False, 1001)
+    flat = success_cdf_table(DecayParams(cfg.decay_a, 0.0, cfg.decay_c), 1001)
     p = cfg.decay_a + cfg.decay_c
     for n in (0, 10, 1000):
         assert flat[n] == pytest.approx(1.0 - (1.0 - p) ** (n + 1), rel=1e-12)
     # the coolant removes the recoil decay: constant 2.5e-4 per attempt
     cool = coolant_config()
-    table = _success_cdf_table(cool.decay_a, 0.5, cool.decay_c, True, 20000)
+    table = success_cdf_table(_success_model(replace(cool, decay_b=0.5)), 20000)
     for n in (0, 5000):
         assert table[n] == pytest.approx(1.0 - (1.0 - 2.5e-4) ** (n + 1), rel=1e-9)
 
@@ -187,7 +187,7 @@ def test_empirical_cdf_matches_table():
     cfg = HardwareConfig()
     rep = simulate_campaign(cfg, 50_000, master_seed=23)
     caps = np.array([10, 25, 50])
-    table = _success_cdf_table(cfg.decay_a, cfg.decay_b, cfg.decay_c, False, 50)
+    table = success_cdf_table(_success_model(cfg), 50)
     emp = rep.empirical_cdf(caps)
     for c, e in zip(caps, emp):
         want = table[c - 1]

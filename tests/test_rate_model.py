@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -9,10 +11,10 @@ from ionlink.rate_model import (
     ScheduleParams,
     cdf,
     expected_attempts,
-    fit_decay,
     mean_success_prob,
     optimal_cap,
     pdf,
+    rate_curve,
     request_rate,
 )
 
@@ -90,27 +92,33 @@ def test_pdf_is_derivative_of_cdf():
 
 
 def test_mean_success_prob_geometric_closed_form():
-    # constant p: pbar = CDF / (1 + (1 - exp(-pN))/p), computable exactly
+    # constant p: q = 1 - (1-p)^N heralds per loop and E = q/p attempts, so
+    # pbar = q/E is p itself at every cap
     p_val = 2e-3
     p = DecayParams(a=0.0, b=0.0, c=p_val)
-    for n in (10.0, 500.0, 5000.0):
-        q = 1.0 - np.exp(-p_val * n)
-        closed = q / (1.0 + q / p_val)
-        assert mean_success_prob(n, p) == pytest.approx(closed, rel=1e-10)
-    # pbar stays below the per-attempt value and approaches it for huge caps
-    # (exact limit p/(1+p): the +1 in the denominator counts the final attempt)
-    assert mean_success_prob(5000.0, p) < p_val
-    assert mean_success_prob(1e7, p) == pytest.approx(p_val / (1.0 + p_val), rel=1e-9)
-    assert mean_success_prob(1e7, p) == pytest.approx(p_val, abs=1.1 * p_val**2)
+    for n in (1, 2, 10, 500, 5000, 20000, 100_000):
+        q = 1.0 - (1.0 - p_val) ** n
+        assert rate_curve(n, p, ScheduleParams(), False).cdf == \
+            pytest.approx(q, rel=1e-12)
+        assert expected_attempts(n, p) == pytest.approx(q / p_val, rel=1e-12)
+        assert mean_success_prob(n, p) == pytest.approx(p_val, rel=1e-12)
 
 
 def test_mean_success_prob_small_cap_limit():
-    # the continuous attempt counting makes pbar(N) -> p(0) * N as N -> 0
-    # (the denominator tends to 1); the discrete single-attempt value p(0)
-    # is approached only via pbar(N)/N
+    # a one-attempt loop heralds with p(0) per attempt consumed: exactly the
+    # herald probability 1 - (1 - p(0)) of one Bernoulli attempt, which is
+    # p(0) up to the rounding of 1 - p(0)
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        p = random_params(rng)
+        p0 = p.a + p.c
+        assert mean_success_prob(1, p) == 1.0 - (1.0 - p0)
+        assert mean_success_prob(1, p) == pytest.approx(p0, rel=1e-12)
     p = DecayParams(a=1e-3, b=1e-3, c=1e-3)
-    n = 1e-4
-    assert mean_success_prob(n, p) / n == pytest.approx(p.a + p.c, rel=1e-3)
+    assert mean_success_prob(2.0, p) == mean_success_prob(2, p)
+    for bad in (0.5, 1.5, 0, -3, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            mean_success_prob(bad, p)
 
 
 def test_monte_carlo_agreement_with_mean_success_prob():
@@ -134,38 +142,6 @@ def test_monte_carlo_agreement_with_mean_success_prob():
         sigma = np.sqrt(analytic * (1 - analytic) / total_attempts)
         gap = analytic * p.probability(0.0)
         assert abs(mc - analytic) < 3 * sigma + gap
-
-
-def test_fit_decay_recovers_synthetic_parameters():
-    rng = np.random.default_rng(51)
-    truth = DecayParams(a=2.0e-4, b=4e-3, c=1.1e-4)
-    n = np.arange(0, 2000, 25, dtype=float)
-    shots = 1_000_000
-    probs = truth.probability(n)
-    observed = rng.binomial(shots, probs) / shots
-    fit = fit_decay(n, observed, np.full(n.size, shots))
-    assert not fit.b_unidentifiable
-    errs = np.sqrt(np.diag(fit.covariance))
-    assert abs(fit.params.a - truth.a) < 3 * errs[0]
-    assert abs(fit.params.b - truth.b) < 3 * errs[1]
-    assert abs(fit.params.c - truth.c) < 3 * errs[2]
-
-
-def test_fit_decay_constant_data():
-    n = np.arange(0.0, 100.0, 10.0)
-    fit = fit_decay(n, np.full(n.size, 3e-4), np.full(n.size, 1000))
-    assert fit.b_unidentifiable
-    assert fit.params.a == 0.0
-    assert fit.params.c == pytest.approx(3e-4, abs=1e-12)
-
-
-def test_fit_decay_noiseless_exact():
-    truth = DecayParams(a=1.5e-4, b=6e-3, c=1.2e-4)
-    n = np.arange(0, 1500, 20, dtype=float)
-    fit = fit_decay(n, truth.probability(n), np.full(n.size, 10**9))
-    assert fit.params.a == pytest.approx(truth.a, abs=1e-9)
-    assert fit.params.b == pytest.approx(truth.b, abs=1e-9)
-    assert fit.params.c == pytest.approx(truth.c, abs=1e-9)
 
 
 def test_optimal_cap_constant_p_is_boundary():
@@ -200,9 +176,9 @@ def test_uncooled_rate_declines_past_the_loop_knee():
                           include_cooling=False)
              for n in (50, 200, 1000, 5000, 20000)]
     assert all(b < a for a, b in zip(rates, rates[1:]))
-    # at cap 50 the recooling-free rate sits at pbar(50) * 1 MHz up to the
-    # +1-attempt counting difference (a ~2% effect at this success level)
-    assert rates[0] == pytest.approx(mean_success_prob(50.0, p) * 1e6, rel=0.025)
+    # the recooling-free rate is pbar(50) * 1 MHz: heralds per attempt times
+    # attempts per second
+    assert rates[0] == pytest.approx(mean_success_prob(50.0, p) * 1e6, rel=1e-12)
     # with the recooling breaks the early-success clustering of the decay
     # profile lands slightly above the constant-p 78/s reference arithmetic
     full = request_rate(50.0, p, schedule, coolant=False, include_cooling=True)
@@ -211,7 +187,7 @@ def test_uncooled_rate_declines_past_the_loop_knee():
 
 def test_request_rate_matches_discrete_sum_oracle():
     # independent oracle: compose the rate from literal discrete products and
-    # sums instead of the continuous closed forms and quadrature
+    # sums over whole loops instead of the per-loop rate formula
     p = DecayParams(a=5e-3, b=1e-2, c=2e-4)
     schedule = ScheduleParams()
     for cap in (20, 80, 300):
@@ -226,7 +202,7 @@ def test_request_rate_matches_discrete_sum_oracle():
                 + e_succ * schedule.attempt_duration)
         oracle = 1.0 / wall
         got = request_rate(float(cap), p, schedule, coolant=False)
-        assert got == pytest.approx(oracle, rel=1.5 * p.probability(0.0))
+        assert got == pytest.approx(oracle, rel=1e-12)
 
 
 def test_decay_gap_between_schedules():
@@ -252,9 +228,14 @@ def test_decay_params_validation():
 
 
 def test_expected_attempts_identity():
-    # denominator identity: N + 1 - int CDF = 1 + int survival
+    # sum_{k<N} S_k = E[min(first success, N)] = sum_k k pmf_k + N S_N, with
+    # the survival and the pmf from literal Bernoulli products
     p = DecayParams(a=1e-3, b=2e-3, c=5e-4)
-    n = 2000.0
-    int_cdf, _ = quad(lambda x: cdf(x, p), 0.0, n, limit=500)
-    assert n + 1.0 - int_cdf == pytest.approx(1.0 + expected_attempts(n, p),
-                                              rel=1e-8)
+    for n in (1, 7, 300, 2000):
+        survival, mean = 1.0, 0.0
+        for k in range(1, n + 1):
+            prob = p.a * math.exp(-p.b * (k - 1)) + p.c
+            mean += k * survival * prob  # first success at attempt k
+            survival *= 1.0 - prob
+        assert expected_attempts(n, p) == pytest.approx(mean + n * survival,
+                                                        rel=1e-12)
