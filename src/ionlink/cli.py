@@ -41,6 +41,7 @@ from .ion_photon import (
 SEED_ENV_VAR = "IONLINK_SEED"
 DEFAULT_SEED = 1
 MAX_GRID_POINTS = 100_000
+MAX_RATE_TRIALS = 10_000_000  # the campaign holds about 48 bytes per request
 
 
 class CliError(Exception):
@@ -185,8 +186,9 @@ def cmd_rate(args) -> int:
     seed = _resolve_seed(args)
     out = Path(args.out)
     header = _header(cfg, seed)
-    if args.trials < 1:
-        raise CliError("bad_trials", "rate needs at least 1 trial", 2)
+    if not 1 <= args.trials <= MAX_RATE_TRIALS:
+        raise CliError("bad_trials", f"rate needs 1 to {MAX_RATE_TRIALS} trials, "
+                       f"got {args.trials}", 2)
     if args.grid:
         grid = _parse_grid(args.grid)
         if grid.max() > rate_model.MAX_LOOP_CAP:
@@ -267,6 +269,7 @@ def cmd_modes(args) -> int:
          "participation": c.participation, "below_floor": c.below_floor}
         for c in modes.coolant_coupling_report(tables["radial"], coolant_index=0)
     ]
+    z = modes.equilibrium_positions(spec)
     summary = {
         "axial_freq_ref_hz": spec.axial_freq_ref,
         "radial_freq_ref_hz": spec.radial_freq_ref,
@@ -275,6 +278,8 @@ def cmd_modes(args) -> int:
         "equal_mass_axial_ratios": ratios,
         "equal_mass_expected": [1.0, 3.0 ** 0.5, (29.0 / 5.0) ** 0.5],
         "radial_coolant_coupling": coupling,
+        "max_eigen_residual": {d: float(np.max(t.eigen_residuals(spec, z)))
+                               for d, t in tables.items()},
     }
     _write(out, "modes_summary.json", _json_payload(cfg, seed, summary))
     return 0

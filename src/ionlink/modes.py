@@ -252,9 +252,10 @@ def calibrate_reference_frequencies(
     The single-ion frequencies behind a published table are often not printed;
     this least-squares fit recovers them.  Axial frequencies scale linearly
     with the axial reference (closed-form fit); the radial reference is found
-    by a bounded scalar minimization.
+    by a golden-section search (Kiefer, Proc. AMS 4, 502 (1953)) on
+    ``[0.5, 3.0] x max(radial targets)``, stopped once the bracket is
+    narrower than 1e-4 Hz (about 50 cost evaluations).
     """
-    from scipy.optimize import minimize_scalar
     probe = ChainSpec(masses_amu=tuple(masses_amu), axial_freq_ref=1e5,
                       radial_freq_ref=1e6, reference_mass_amu=reference_mass_amu)
     ax = np.asarray(axial_targets_hz, dtype=float)
@@ -272,9 +273,22 @@ def calibrate_reference_frequencies(
             return 1e30
         return float(np.sum((freqs - rad) ** 2))
 
+    # golden-section search: each step keeps the sub-bracket holding the
+    # lower interior point and reuses that point's cost
+    shrink = (5.0 ** 0.5 - 1.0) / 2.0
     guess = float(np.max(rad))
-    res = minimize_scalar(cost, bounds=(0.5 * guess, 3.0 * guess),
-                          method="bounded", options={"xatol": 1e-4})
+    lo, hi = 0.5 * guess, 3.0 * guess
+    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fc, fd = cost(c), cost(d)
+    while hi - lo > 1e-4:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - shrink * (hi - lo)
+            fc = cost(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + shrink * (hi - lo)
+            fd = cost(d)
     return ChainSpec(masses_amu=tuple(masses_amu), axial_freq_ref=axial_ref,
-                     radial_freq_ref=float(res.x),
+                     radial_freq_ref=0.5 * (lo + hi),
                      reference_mass_amu=reference_mass_amu)

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -89,7 +90,7 @@ def test_rate_records_stream(tmp_path):
     assert len(lines) == 4 + 500
 
 
-@pytest.mark.parametrize("trials", ["0", "-5"])
+@pytest.mark.parametrize("trials", ["0", "-5", "10000001"])
 def test_rate_bad_trials_rejected_before_output(tmp_path, capsys, trials):
     out = tmp_path / "rt"
     assert run(["rate", "--out", str(out), "--trials", trials]) == 2
@@ -127,6 +128,9 @@ def test_modes_outputs(tmp_path):
                                                                   abs=1e-9)
     flagged = [c for c in payload["radial_coolant_coupling"] if c["below_floor"]]
     assert len(flagged) == 0  # default floor 0.1 keeps every mode
+    residuals = payload["max_eigen_residual"]
+    assert set(residuals) == {"axial", "radial"}
+    assert all(0.0 <= r < 1e-10 for r in residuals.values())
 
 
 def test_modes_single_ion(tmp_path):
@@ -300,12 +304,13 @@ def test_help_and_version_exit_0_in_plain_text(capsys, argv):
     assert captured.out.startswith("usage: ionlink") or captured.out == __version__ + "\n"
 
 
-def test_budget_ion_photon_swap_load_no_scipy(tmp_path):
+def test_subcommands_load_no_scipy(tmp_path):
     script = """
 import sys
 from ionlink.cli import main
 out = sys.argv[1]
 assert main(["budget", "--out", out + "/b"]) == 0
+assert main(["modes", "--out", out + "/m"]) == 0
 assert main(["ion-photon", "--out", out + "/i"]) == 0
 assert main(["swap", "--trials", "1000", "--out", out + "/s"]) == 0
 assert main(["rate", "--records", "--trials", "2000", "--out", out + "/r"]) == 0
@@ -316,6 +321,22 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     res = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                          env=env, capture_output=True, text=True, check=True)
     assert res.stdout.splitlines()[-1] == "[]"
+
+
+def test_no_module_imports_scipy():
+    # covers import paths that no subcommand run above reaches
+    package = Path(__file__).resolve().parents[1] / "src" / "ionlink"
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert all(n.split(".")[0] != "scipy" for n in names), path.name
 
 
 def test_bad_grid_rejected(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 from ionlink.modes import (
     AMU,
@@ -111,6 +111,35 @@ def test_calibrated_chain_reproduces_reference_table():
             dev = min(np.max(np.abs(table.displacement[:, m] - printed[:, m])),
                       np.max(np.abs(table.displacement[:, m] + printed[:, m])))
             assert dev < 1.1e-3  # printed values carry 3 decimals
+
+
+def test_calibration_round_trip():
+    truth = ChainSpec(masses_amu=YB_BA_BA_MASSES, axial_freq_ref=367e3,
+                      radial_freq_ref=890e3)
+    spec = calibrate_reference_frequencies(
+        axial_targets_hz=normal_modes(truth, "axial").frequencies,
+        radial_targets_hz=normal_modes(truth, "radial").frequencies)
+    assert spec.axial_freq_ref == pytest.approx(367e3, rel=1e-12)
+    assert abs(spec.radial_freq_ref - 890e3) < 1e-3
+
+
+def test_calibration_matches_bounded_brent():
+    spec = calibrate_reference_frequencies()
+    targets = np.asarray(YB_BA_BA_RADIAL_HZ)
+
+    def cost(fr):
+        trial = ChainSpec(masses_amu=YB_BA_BA_MASSES,
+                          axial_freq_ref=spec.axial_freq_ref, radial_freq_ref=fr)
+        try:
+            freqs = normal_modes(trial, "radial").frequencies
+        except ValueError:
+            return 1e30
+        return float(np.sum((freqs - targets) ** 2))
+
+    # Brent's stopping width here is 1e-4 + sqrt(eps) * x, about 0.013 Hz
+    ref = minimize_scalar(cost, bounds=(0.5 * targets.max(), 3.0 * targets.max()),
+                          method="bounded", options={"xatol": 1e-4})
+    assert abs(spec.radial_freq_ref - ref.x) < 0.05
 
 
 def test_coolant_coupling_equal_mass_com():
