@@ -95,6 +95,9 @@ def parity_scan(rho: DensityMatrix, phases, pulses: str = "two") -> ScanResult:
     return _parity_result(grid, values)
 
 
+_ROUND_OFF = 1e-12  # excess past [0, 1] absorbed by FidelityBoundInputs
+
+
 @dataclass(frozen=True)
 class FidelityBoundInputs:
     """Measured ingredients of the two-ion fidelity lower bound."""
@@ -106,8 +109,11 @@ class FidelityBoundInputs:
     def __post_init__(self):
         for name in ("odd_populations", "two_pulse_contrast", "one_pulse_contrast"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
+            if not -_ROUND_OFF <= v <= 1.0 + _ROUND_OFF:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
+            # round-off past an edge (a noise-free state's odd population
+            # can come out as 1.0000000000000002) is absorbed
+            object.__setattr__(self, name, min(1.0, max(0.0, v)))
 
 
 def fidelity_lower_bound(inputs: FidelityBoundInputs) -> float:

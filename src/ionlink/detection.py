@@ -149,16 +149,21 @@ def choose_thresholds(histograms) -> ThresholdResult:
     padded = np.zeros((3, width))
     for k, h in enumerate(hists):
         padded[k, :h.size] = h / h.sum()
-    cums = np.cumsum(padded, axis=1)  # P(counts <= t | class)
-    best = None
+    c0, c1, c2 = np.cumsum(padded, axis=1)  # P(counts <= t | class)
+    # Pairs in the order t1, then t2 >= t1, one row of t2 at a time so that
+    # memory stays O(width).  An accepted error is below every earlier one,
+    # so only a row's strict prefix-minimum records can pass the tie rule.
+    best = (np.inf, 0, 0)
     for t1 in range(width):
-        err0 = 1.0 - cums[0, t1]                     # class 0 read as 1 or 2
-        for t2 in range(t1, width):
-            err1 = 1.0 - (cums[1, t2] - cums[1, t1])  # class 1 outside (t1, t2]
-            err2 = cums[2, t2]                        # class 2 read as 0 or 1
-            err = (err0 + err1 + err2) / 3.0
-            if best is None or err < best[0] - 1e-15:
-                best = (err, t1, t2)
+        err = ((1.0 - c0[t1])                        # class 0 read as 1 or 2
+               + (1.0 - (c1[t1:] - c1[t1]))          # class 1 outside (t1, t2]
+               + c2[t1:]) / 3.0                      # class 2 read as 0 or 1
+        if not err.min() < best[0] - 1e-15:
+            continue
+        prior = np.minimum.accumulate(err)
+        for i in [0] + (np.flatnonzero(err[1:] < prior[:-1]) + 1).tolist():
+            if err[i] < best[0] - 1e-15:
+                best = (err[i], t1, t1 + i)
     err, t1, t2 = best
     return ThresholdResult(t1=int(t1), t2=int(t2), misclassification=float(err),
                            degenerate=bool(err > 0.20))

@@ -25,6 +25,8 @@ The loop count of the no-coolant schedule is geometric and is sampled by
 inverse transform with ``log1p``; the in-loop position is sampled by inverse
 transform over the exact discrete first-success distribution: the table of
 ``rate_model.success_cdf_table``, which the closed forms also sum over.
+A block's keys are looked up in sorted order, which keeps the table walk in
+cache; each key gets the index a plain search would give.
 Both are distribution-identical to drawing every Bernoulli attempt
 individually.
 """
@@ -145,6 +147,22 @@ class RateReport:
         }
 
 
+def _search_in_key_order(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(table, keys, side="right")``, searched in sorted key
+    order so that consecutive searches touch neighbouring table entries
+    (Devroye, Non-Uniform Random Variate Generation, 1986, sec. III.2)."""
+    order = np.argsort(keys)
+    pos = np.empty(keys.size, dtype=np.intp)
+    pos[order] = np.searchsorted(table, keys[order], side="right")
+    return pos
+
+
+def _exact_sum(col: np.ndarray) -> int:
+    """Sum of an int64 column as a Python int: each ``_BLOCK``-row partial
+    sum fits in int64 (see ``_MAX_REQUEST_NS``), their total may not."""
+    return sum(np.add.reduceat(col, np.arange(0, col.size, _BLOCK)).tolist())
+
+
 def simulate_campaign(cfg: HardwareConfig, requests: int,
                       master_seed: int) -> RateReport:
     """Run ``requests`` independent entanglement requests.
@@ -167,24 +185,19 @@ def simulate_campaign(cfg: HardwareConfig, requests: int,
                          "the loop success probability is too small")
 
     attempts = np.empty(requests, dtype=np.int64)
-    wall_ns = np.empty(requests, dtype=np.int64)
     loop_index = np.zeros(requests, dtype=np.int64)
     signs = np.empty(requests, dtype=np.int8)
     success = np.ones(requests, dtype=bool)
-    attempt_wall = 0
-    cooling_wall = 0
     for block, start in enumerate(range(0, requests, _BLOCK)):
         stop = min(start + _BLOCK, requests)
         ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(block,))
         u = np.random.Generator(np.random.PCG64(ss)).random((stop - start, 3))
         # in-loop position given success in the loop; u * q may round up to q
-        k = np.searchsorted(table, u[:, 1] * q, side="right") + 1
-        k = np.minimum(k, table.size)
+        k = np.minimum(_search_in_key_order(table, u[:, 1] * q) + 1, table.size)
         sign = np.where(u[:, 2] < 0.5, 1, -1)
         if coolant:
             ok = u[:, 0] < q
-            n_att = np.where(ok, k, cap)
-            n_cool = np.ones(stop - start, dtype=np.int64)  # the initial cooling
+            attempts[start:stop] = np.where(ok, k, cap)
             success[start:stop] = ok
             sign = np.where(ok, sign, 0)
         else:
@@ -193,15 +206,15 @@ def simulate_campaign(cfg: HardwareConfig, requests: int,
             else:
                 loops = np.ones(stop - start)
             n_cool = np.maximum(loops, 1.0).astype(np.int64) - 1
-            n_att = n_cool * cap + k
+            attempts[start:stop] = n_cool * cap + k
             loop_index[start:stop] = n_cool
-        att_ns = n_att * attempt_ns
-        cool_ns = n_cool * cooling_ns
-        attempts[start:stop] = n_att
-        wall_ns[start:stop] = att_ns + cool_ns
         signs[start:stop] = sign
-        attempt_wall += int(att_ns.sum())
-        cooling_wall += int(cool_ns.sum())
+    # cooling breaks per request: the initial one with the coolant, else one
+    # after each failed loop
+    wall_ns = attempts * attempt_ns
+    wall_ns += cooling_ns if coolant else loop_index * cooling_ns
+    attempt_wall = attempt_ns * _exact_sum(attempts)
+    cooling_wall = cooling_ns * (requests if coolant else _exact_sum(loop_index))
     for col in (attempts, wall_ns, loop_index, signs, success):
         col.setflags(write=False)
     return RateReport(requests=requests, successes=int(success.sum()),

@@ -96,6 +96,16 @@ def success_cdf_table(p: DecayParams, cap: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=64)
+def _expected_attempts_table(p: DecayParams, cap: int) -> np.ndarray:
+    """``E(k+1) = S_0 + ... + S_k`` beside ``success_cdf_table(p, cap)``;
+    past a truncated table the survival is below the tail."""
+    table = success_cdf_table(p, cap)
+    attempts = np.cumsum(np.concatenate(([1.0], 1.0 - table[:-1])))
+    attempts.setflags(write=False)
+    return attempts
+
+
 def _log_survival(n, p: DecayParams):
     """Continuous exponent ``g(n)`` with ``survival = exp(g)``; stable for
     small ``b``."""
@@ -143,9 +153,8 @@ def _loop_sums(caps, p: DecayParams):
                                 & (arr == np.round(arr)))):
         raise ValueError(f"loop caps must be integers >= 1, got {caps!r}")
     arr = arr.astype(np.int64)
-    table = success_cdf_table(p, int(arr.max()))
-    # E(k+1) = S_0 + ... + S_k; past a truncated table the survival is < tail
-    attempts = np.cumsum(np.concatenate(([1.0], 1.0 - table[:-1])))
+    cap = int(arr.max())
+    table, attempts = success_cdf_table(p, cap), _expected_attempts_table(p, cap)
     at = np.minimum(arr, table.size) - 1
     return arr, table[at], attempts[at]
 

@@ -101,6 +101,28 @@ def test_fidelity_lower_bound_values():
     assert fidelity_lower_bound(FidelityBoundInputs(1.0, 0.0, 0.0)) == 0.5
 
 
+def test_fidelity_bound_inputs_absorb_round_off():
+    # the noise-free - herald state's odd population rounds to just above 1
+    rho = aligned_state_from_config(replace(ideal_config(HardwareConfig()),
+                                            phi_a=0.2), -1)
+    odd = float(np.real(rho.matrix[1, 1] + rho.matrix[2, 2]))
+    assert odd == 1.0000000000000002
+    inputs = FidelityBoundInputs(odd, 1.0, 0.0)
+    assert inputs.odd_populations == 1.0
+    assert fidelity_lower_bound(inputs) == 1.0
+    edge = FidelityBoundInputs(1.0 + 1e-12, 1.0 + 1e-12, -1e-12)
+    assert (edge.odd_populations, edge.two_pulse_contrast,
+            edge.one_pulse_contrast) == (1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [1.001, -0.001, 1.0 + 2e-12, float("nan")])
+def test_fidelity_bound_inputs_reject_out_of_range(bad):
+    with pytest.raises(ValueError, match="must be in"):
+        FidelityBoundInputs(bad, 0.5, 0.1)
+    with pytest.raises(ValueError, match="must be in"):
+        FidelityBoundInputs(0.9, 0.5, bad)
+
+
 def test_fidelity_lower_bound_monotonicity():
     base = FidelityBoundInputs(0.9, 0.8, 0.1)
     f0 = fidelity_lower_bound(base)

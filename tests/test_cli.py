@@ -99,6 +99,15 @@ def test_rate_bad_trials_rejected_before_output(tmp_path, capsys, trials):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("trials", ["99", "10000001"])
+def test_swap_bad_trials_rejected_before_output(tmp_path, capsys, trials):
+    out = tmp_path / "sw"
+    assert run(["swap", "--out", str(out), "--trials", trials]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "bad_trials"
+    assert not out.exists()
+
+
 def test_rate_outputs(tmp_path):
     out = tmp_path / "rate"
     assert run(["rate", "--out", str(out), "--trials", "20000",

@@ -110,6 +110,42 @@ def test_choose_thresholds_is_optimal_by_brute_force():
     assert thr.misclassification == pytest.approx(brute, abs=1e-12)
 
 
+def _thresholds_by_literal_loop(histograms):
+    """The exhaustive pair loop, in the order and with the tie rule that
+    ``choose_thresholds`` must reproduce."""
+    hists = [np.asarray(h, dtype=float) for h in histograms]
+    width = max(h.size for h in hists)
+    padded = np.zeros((3, width))
+    for k, h in enumerate(hists):
+        padded[k, :h.size] = h / h.sum()
+    cums = np.cumsum(padded, axis=1)
+    best = None
+    for t1 in range(width):
+        err0 = 1.0 - cums[0, t1]
+        for t2 in range(t1, width):
+            err1 = 1.0 - (cums[1, t2] - cums[1, t1])
+            err2 = cums[2, t2]
+            err = (err0 + err1 + err2) / 3.0
+            if best is None or err < best[0] - 1e-15:
+                best = (err, t1, t2)
+    return best[1], best[2], float(best[0])
+
+
+def test_choose_thresholds_matches_literal_loop():
+    model = ReadoutModel(bright_rate=20000.0, dark_rate=2000.0)
+    cases = []
+    for seed in range(30):
+        rng = np.random.default_rng(100 + seed)
+        shots = int(rng.integers(50, 3000))
+        cases.append([simulate_histogram(k, model, shots, rng) for k in range(3)])
+    flat = np.ones(12)
+    cases += [[flat, flat, flat], [flat, np.ones(5), np.ones(9)]]
+    for hists in cases:
+        thr = choose_thresholds(hists)
+        assert (thr.t1, thr.t2, thr.misclassification) == \
+            _thresholds_by_literal_loop(hists)
+
+
 def test_identical_histograms_flag_degenerate():
     h = np.bincount(np.random.default_rng(9).poisson(10.0, 10_000))
     thr = choose_thresholds([h, h, h])

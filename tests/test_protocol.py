@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -5,12 +7,15 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency, chisquare
 
-from ionlink.config import HardwareConfig, coolant_config
+from ionlink.config import DECAY_COOLANT_RECONSTRUCTION, HardwareConfig, coolant_config
 from ionlink.protocol import (
+    _BLOCK,
+    _loop_cap,
+    _search_in_key_order,
+    _success_model,
     effective_attempt_rate,
     records_to_csv,
     simulate_campaign,
-    _success_model,
 )
 from ionlink.rate_model import DecayParams, success_cdf_table
 from qutil import bernoulli_request
@@ -219,3 +224,51 @@ def test_overlong_requests_rejected():
     cfg = replace(HardwareConfig(), decay_a=0.0, decay_c=1e-15)
     with pytest.raises(ValueError, match="wall time"):
         simulate_campaign(cfg, 10, master_seed=0)
+
+
+# SHA-256 of records_to_csv + summary() for the three benchmark schedules at
+# 10000 requests (three blocks), taken before the in-loop positions were
+# searched in sorted key order: the lookup order must not change any output.
+CAMPAIGN_DIGESTS = {
+    ("no_coolant", 1): "0cf49fe603d9dddef2d3b04d5d4ffbed1c61c2955d370f38a70c7f16dcfc3a3c",
+    ("no_coolant", 2): "f9170464beaa39678076303ebba8f98d0da078b03b56ce9bfcb3f635900e1174",
+    ("coolant", 1): "75cd7e23c34a0e234e55c5121045d92e127622e114166abef126ea330395bb1f",
+    ("coolant", 2): "06e8c12885837bfab0a860101447e1e050b04cedcc6ef8b90c761ae2a5505e4b",
+    ("long_cap", 1): "c696331cfdbe7fdfd2cf4096a021709ea21202ab8fe7bc30a0165c8b1aa0390d",
+    ("long_cap", 2): "f60ba5cc341d2e468681abc88539c237d784a39b486b88282855ec14bed6abde",
+}
+
+
+def _schedule(name):
+    a, b, c = DECAY_COOLANT_RECONSTRUCTION
+    return {"no_coolant": HardwareConfig(), "coolant": coolant_config(),
+            "long_cap": replace(HardwareConfig(), decay_a=a, decay_b=b, decay_c=c,
+                                loop_cap_no_coolant=80_000)}[name]
+
+
+@pytest.mark.parametrize("name,seed", sorted(CAMPAIGN_DIGESTS))
+def test_campaign_outputs_pinned(name, seed):
+    requests = 10_000
+    assert requests > 2 * _BLOCK
+    rep = simulate_campaign(_schedule(name), requests, seed)
+    blob = records_to_csv(rep) + json.dumps(rep.summary(), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == CAMPAIGN_DIGESTS[name, seed]
+
+
+@pytest.mark.parametrize("name", ["no_coolant", "coolant", "long_cap"])
+def test_key_order_search_matches_plain_searchsorted(name):
+    cfg = _schedule(name)
+    table = success_cdf_table(_success_model(cfg), _loop_cap(cfg))
+    q = float(table[-1])
+    rng = np.random.default_rng(31)
+    keys = np.concatenate([
+        rng.random(3000) * q,
+        table[rng.integers(table.size, size=500)],  # exact table entries
+        table[:3], [0.0, q, q, np.nextafter(q, 0.0)],
+        np.repeat(rng.random(5) * q, 4),            # repeated keys
+    ])
+    rng.shuffle(keys)
+    got = _search_in_key_order(table, keys)
+    assert np.array_equal(got, np.searchsorted(table, keys, side="right"))
+    # u * q == q lands past the table; the kernel clamps it to the last entry
+    assert _search_in_key_order(table, np.array([q]))[0] == table.size

@@ -8,6 +8,7 @@ from ionlink.config import DECAY_COOLANT_RECONSTRUCTION, HardwareConfig
 from ionlink.protocol import simulate_campaign
 from ionlink.rate_model import (
     DecayParams,
+    _expected_attempts_table,
     ScheduleParams,
     cdf,
     expected_attempts,
@@ -239,3 +240,13 @@ def test_expected_attempts_identity():
             survival *= 1.0 - prob
         assert expected_attempts(n, p) == pytest.approx(mean + n * survival,
                                                         rel=1e-12)
+
+
+def test_expected_attempts_table_is_cached_and_read_only():
+    # the cached prefix sums are shared by every later call, so a caller
+    # must not be able to write into them
+    sums = _expected_attempts_table(RECON, 20000)
+    assert sums is _expected_attempts_table(RECON, 20000)
+    with pytest.raises(ValueError, match="read-only"):
+        sums[0] = 2.0
+    assert expected_attempts(20000, RECON) == sums[-1]
