@@ -96,10 +96,13 @@ def success_cdf_table(p: DecayParams, cap: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=8)
 def _expected_attempts_table(p: DecayParams, cap: int) -> np.ndarray:
     """``E(k+1) = S_0 + ... + S_k`` beside ``success_cdf_table(p, cap)``;
-    past a truncated table the survival is below the tail."""
+    past a truncated table the survival is below the tail.
+
+    Kept for fewer keys than the tables themselves: a table can hold 10^7
+    entries (80 MB), and callers reuse only a handful of ``(p, cap)``."""
     table = success_cdf_table(p, cap)
     attempts = np.cumsum(np.concatenate(([1.0], 1.0 - table[:-1])))
     attempts.setflags(write=False)

@@ -1,23 +1,29 @@
 """Paired parent/change benchmark runs, written to a BENCH_<PR>.json file.
 
     python3 tools/bench_pairs.py --parent REV --pr N \\
-        [--workload campaign=10 --workload cli_cold=3 ...] [--pairs 5] \\
+        [--workload campaign --workload cli_cold=3 ...] \\
         [--seconds 20] [--seed 9101] [--suite]
 
 Run from the root of a checkout.  The change is this checkout as it stands,
 uncommitted edits included; the parent is revision REV, extracted with
 ``git archive`` under ``.bench_build/`` and removed afterwards.  For each
-workload (default: every one of BENCHMARK.json, ``--pairs`` pairs each),
-pair ``i`` runs ``python3 perfbench/run.py --workload W --seed SEED+i
+workload ``NAME[=PAIRS]`` (PAIRS defaults to 10; no ``--workload`` means
+every workload of BENCHMARK.json at 10 pairs), pair ``i`` runs ``python3 perfbench/run.py --workload W --seed SEED+i
 --seconds S --trace 0`` once in each tree, one process at a time; the parent
 runs first in even pairs and the change first in odd ones.
 
 The file holds every pair's end-to-end metrics, each side's median and
 quartiles, and per metric the number of pairs the change won (the direction
 comes from BENCHMARK.json; ties count for neither side).  It also holds the
-first manifest of each side, the ``src/ionlink`` line counts of both trees
-and, with ``--suite``, the wall time and summary line of each tree's test
-suite.
+first manifest of each side, its ``git_commit`` replaced by the revision
+actually run (the parent's commit id; for the change, ``HEAD`` and whether
+tracked files had uncommitted edits), the ``src/ionlink`` line counts of both
+trees and, with ``--suite``, the wall time and summary line of each tree's
+test suite.
+
+The ``data`` extraction filter is used where ``tarfile`` has it (Python
+3.10.12, 3.11.4 and later); older interpreters extract the archive, which
+comes from this repository, without a filter.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build"
 RUN_TIMEOUT_S = 1800
+DEFAULT_PAIRS = 10
 
 
 def extract(rev: str, dest: Path) -> str:
@@ -48,8 +55,22 @@ def extract(rev: str, dest: Path) -> str:
     archive = subprocess.run(["git", "archive", "--format=tar", commit],
                              cwd=ROOT, check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)
     return commit
+
+
+def checkout_revision() -> str:
+    """``HEAD`` of this checkout, marked when tracked files have
+    uncommitted edits."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                              capture_output=True, text=True).stdout.strip()
+    head = git("rev-parse", "HEAD")
+    dirty = git("status", "--porcelain", "--untracked-files=no")
+    return f"{head} with uncommitted edits" if dirty else head
 
 
 def src_lines(tree: Path) -> dict:
@@ -118,8 +139,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True,
                         help="number in the output name BENCH_<PR>.json")
     parser.add_argument("--workload", action="append", default=[],
-                        metavar="NAME[=PAIRS]")
-    parser.add_argument("--pairs", type=int, default=5)
+                        metavar="NAME[=PAIRS]",
+                        help=f"PAIRS defaults to {DEFAULT_PAIRS}")
     parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--seed", type=int, default=9101,
                         help="seed of the first pair; pair i uses SEED + i")
@@ -135,7 +156,7 @@ def main(argv=None) -> int:
         name, _, count = spec.partition("=")
         if name not in known:
             parser.error(f"unknown workload {name!r}; BENCHMARK.json has {known}")
-        plan[name] = int(count) if count else args.pairs
+        plan[name] = int(count) if count else DEFAULT_PAIRS
     if min(plan.values()) < 1:
         parser.error("each workload needs at least one pair")
 
@@ -149,7 +170,8 @@ def main(argv=None) -> int:
             "command": "python3 perfbench/run.py --workload W --seed S "
                        f"--seconds {args.seconds} --trace 0",
             "parent": {"revision": commit, "src_lines": src_lines(parent_tree)},
-            "change": {"revision": "working tree", "src_lines": src_lines(ROOT)},
+            "change": {"revision": checkout_revision(),
+                       "src_lines": src_lines(ROOT)},
             "workloads": {},
         }
         for workload, count in plan.items():
@@ -160,6 +182,7 @@ def main(argv=None) -> int:
                 row = {"seed": seed, "first": order[0]}
                 for side in order:
                     res = run_bench(trees[side], workload, seed, args.seconds)
+                    res["manifest"]["git_commit"] = report[side]["revision"]
                     report[side].setdefault("manifest", res["manifest"])
                     row[side] = {k: v["value"]
                                  for k, v in res["result"]["metrics"].items()}
