@@ -159,12 +159,16 @@ class SwapExperiment:
     raw_populations: np.ndarray          # observed bright-count frequencies
     populations: SpamCorrection          # SPAM-corrected bright-count populations
     scans: Mapping[str, ScanResult]      # parity scans keyed "two" and "one"
-    bound: float
+    bound_inputs: FidelityBoundInputs    # the clipped values the bound uses
     sign_counts: Mapping[int, int]       # heralds of sign +1 and -1
 
     @property
     def odd_populations(self) -> float:
         return float(self.populations.populations[1])
+
+    @property
+    def bound(self) -> float:
+        return fidelity_lower_bound(self.bound_inputs)
 
 
 def swap_experiment(cfg: HardwareConfig, trials: int,
@@ -213,13 +217,14 @@ def swap_experiment(cfg: HardwareConfig, trials: int,
             values[i] = parity_acc
         scans[pulses] = _parity_result(grid, values)
 
-    bound = fidelity_lower_bound(FidelityBoundInputs(
+    bound_inputs = FidelityBoundInputs(
         odd_populations=float(pop_corr.populations[1]),
         two_pulse_contrast=min(1.0, scans["two"].contrast),
-        one_pulse_contrast=min(1.0, scans["one"].contrast)))
+        one_pulse_contrast=min(1.0, scans["one"].contrast))
     return SwapExperiment(histograms=hists, thresholds=thresholds,
                           raw_populations=pop_freq, populations=pop_corr,
-                          scans=scans, bound=bound, sign_counts=sign_counts)
+                          scans=scans, bound_inputs=bound_inputs,
+                          sign_counts=sign_counts)
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,14 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, modes, protocol, rate_model
+# Each cmd_* imports the library modules it runs, so that a fresh process
+# loads only those.
+from . import __version__
 from .config import (
     DECAY_COOLANT_RECONSTRUCTION,
     HardwareConfig,
@@ -26,16 +29,6 @@ from .config import (
     ideal_config,
     load_config,
     measured_swap_config,
-)
-from .detection import histograms_to_csv, thresholds_sidecar
-from .ion_photon import (
-    coherence_scan,
-    correlated_populations,
-    correlation_scan,
-    emit_ion_photon_state,
-    fidelity_lower_bound_pair,
-    fidelity_upper_bound,
-    heralded_ion_state,
 )
 
 SEED_ENV_VAR = "IONLINK_SEED"
@@ -117,6 +110,15 @@ def _json_payload(cfg: HardwareConfig, seed: int, body: dict) -> str:
 # --- ion-photon --------------------------------------------------------------
 
 def cmd_ion_photon(args) -> int:
+    from .ion_photon import (
+        coherence_scan,
+        correlated_populations,
+        correlation_scan,
+        emit_ion_photon_state,
+        fidelity_lower_bound_pair,
+        fidelity_upper_bound,
+        heralded_ion_state,
+    )
     cfg = _resolve_config(args)
     seed = _resolve_seed(args)
     out = Path(args.out)
@@ -146,6 +148,8 @@ def cmd_ion_photon(args) -> int:
 # --- swap --------------------------------------------------------------------
 
 def cmd_swap(args) -> int:
+    from . import analysis
+    from .detection import histograms_to_csv, thresholds_sidecar
     cfg = _resolve_config(args)
     seed = _resolve_seed(args)
     out = Path(args.out)
@@ -173,6 +177,7 @@ def cmd_swap(args) -> int:
         "two_pulse_contrast": res.scans["two"].contrast,
         "one_pulse_contrast": res.scans["one"].contrast,
         "fidelity_lower_bound": res.bound,
+        "bound_inputs": asdict(res.bound_inputs),
         "spam_clipped_mass": res.populations.clipped_mass,
         "herald_sign_counts": {"+1": res.sign_counts[+1],
                                "-1": res.sign_counts[-1]},
@@ -184,6 +189,7 @@ def cmd_swap(args) -> int:
 # --- rate --------------------------------------------------------------------
 
 def cmd_rate(args) -> int:
+    from . import protocol, rate_model
     cfg = _resolve_config(args)
     seed = _resolve_seed(args)
     out = Path(args.out)
@@ -233,6 +239,7 @@ def cmd_rate(args) -> int:
 # --- modes -------------------------------------------------------------------
 
 def cmd_modes(args) -> int:
+    from . import modes
     cfg = _resolve_config(args)
     seed = _resolve_seed(args)
     out = Path(args.out)
@@ -290,6 +297,7 @@ def cmd_modes(args) -> int:
 # --- budget ------------------------------------------------------------------
 
 def cmd_budget(args) -> int:
+    from . import analysis
     cfg = _resolve_config(args)
     seed = _resolve_seed(args)
     out = Path(args.out)

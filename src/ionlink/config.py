@@ -45,11 +45,12 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-import yaml
-
-from .ion_photon import SourceParams, dephasing_infidelity
 from .rate_model import MAX_LOOP_CAP
+
+if TYPE_CHECKING:  # imported where used, so loading a config needs no quantum layer
+    from .ion_photon import SourceParams
 
 TWO_PI = 2.0 * math.pi
 
@@ -209,6 +210,7 @@ class HardwareConfig:
         return p_dark / (p_true + p_dark)
 
     def source_a(self) -> SourceParams:
+        from .ion_photon import SourceParams
         return SourceParams(pump_fidelity=self.pump_fidelity,
                             excite_prob=self.excite_prob,
                             pol_mixing=self.pol_mixing_a,
@@ -216,6 +218,7 @@ class HardwareConfig:
                             collection_efficiency=self.eta_a)
 
     def source_b(self) -> SourceParams:
+        from .ion_photon import SourceParams
         return SourceParams(pump_fidelity=self.pump_fidelity,
                             excite_prob=self.excite_prob,
                             pol_mixing=self.pol_mixing_b,
@@ -224,6 +227,7 @@ class HardwareConfig:
 
     def bell_coherence_factor(self, t: float) -> float:
         """Pair-coherence contrast envelope at time ``t`` after the herald."""
+        from .ion_photon import dephasing_infidelity
         return 1.0 - 2.0 * dephasing_infidelity(t, self.t2_star_bell,
                                                 self.bell_coherence_envelope)
 
@@ -256,6 +260,7 @@ class HardwareConfig:
 def load_config(path) -> HardwareConfig:
     """Read a YAML config file; a YAML syntax error or an unknown or invalid
     field raises ValueError."""
+    import yaml
     with open(path) as fh:
         try:
             data = yaml.safe_load(fh)

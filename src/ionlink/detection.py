@@ -199,6 +199,7 @@ class ConfusionMatrix:
     """Row-stochastic map M[true][observed] of the bright-count readout."""
 
     matrix: np.ndarray
+    inverse: np.ndarray   # of matrix, for spam_correct
 
     def __init__(self, matrix):
         m = np.array(matrix, dtype=float)
@@ -212,7 +213,10 @@ class ConfusionMatrix:
         if abs(np.linalg.det(m)) < 1e-12:
             raise ValueError("confusion matrix is singular")
         m.setflags(write=False)
+        inv = np.linalg.inv(m)
+        inv.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "inverse", inv)
 
     @property
     def condition_number(self) -> float:
@@ -252,7 +256,7 @@ def spam_correct(observed, cm: ConfusionMatrix) -> SpamCorrection:
         raise ValueError("observed must be a 3-vector")
     if abs(obs.sum() - 1.0) > 1e-9:
         raise ValueError(f"observed frequencies must sum to 1, got {obs.sum()!r}")
-    raw = obs @ np.linalg.inv(cm.matrix)
+    raw = obs @ cm.inverse
     clipped = float(-raw[raw < 0].sum()) if np.any(raw < 0) else 0.0
     corrected = np.clip(raw, 0.0, None)
     corrected = corrected / corrected.sum()

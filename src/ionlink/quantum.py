@@ -121,12 +121,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @classmethod
-    def maximally_mixed(cls, dims: Sequence[int]) -> "DensityMatrix":
-        dims = tuple(dims)
-        d = math.prod(dims)
-        return cls(np.eye(d, dtype=complex) / d, dims)
-
 
 def validate_density(mats: np.ndarray) -> None:
     """Raise ValueError unless every matrix of ``(..., d, d)`` is Hermitian

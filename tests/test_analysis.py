@@ -41,7 +41,7 @@ def test_two_pulse_scan_after_alignment_pipeline():
 
 def test_zero_coherence_states():
     # fully mixed: no coherence and no population imbalance, flat either way
-    mixed = DensityMatrix.maximally_mixed((2, 2))
+    mixed = DensityMatrix(np.eye(4) / 4, (2, 2))
     assert parity_scan(mixed, PHASES, pulses="two").contrast < 1e-12
     assert parity_scan(mixed, PHASES, pulses="one").contrast < 1e-12
     # a classical odd mixture has no coherence but full population imbalance:
@@ -222,7 +222,7 @@ def test_efficiency_chain_variants():
 
 def test_apply_analysis_pulse_dim_check():
     with pytest.raises(ValueError):
-        apply_analysis_pulse(DensityMatrix.maximally_mixed((2,)), 0.0)
+        apply_analysis_pulse(DensityMatrix(np.eye(2) / 2, (2,)), 0.0)
 
 
 def test_swap_experiment_matches_closed_form_with_perfect_readout():

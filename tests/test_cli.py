@@ -80,6 +80,24 @@ def test_swap_ideal_bound(tmp_path):
     assert payload["fidelity_lower_bound"] > 0.999
 
 
+def test_swap_summary_reports_clipped_bound_inputs(tmp_path):
+    # the sampled two-pulse contrast overshoots 1 here; the bound uses 1
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text("phi_a: 0.2\n")
+    out = tmp_path / "clip"
+    assert run(["swap", "--ideal", "--trials", "20000", "--seed", "1",
+                "--config", str(cfg_path), "--out", str(out)]) == 0
+    payload = json.loads((out / "swap_summary.json").read_text())
+    assert payload["two_pulse_contrast"] == 1.0059938729467512
+    inputs = payload["bound_inputs"]
+    assert inputs == {"odd_populations": payload["odd_populations"],
+                      "two_pulse_contrast": 1.0,
+                      "one_pulse_contrast": payload["one_pulse_contrast"]}
+    assert payload["fidelity_lower_bound"] == 0.5 * (
+        inputs["odd_populations"] + inputs["two_pulse_contrast"]
+        - inputs["one_pulse_contrast"])
+
+
 def test_rate_records_stream(tmp_path):
     out = tmp_path / "rr"
     assert run(["rate", "--out", str(out), "--trials", "500", "--seed", "2",
@@ -313,23 +331,53 @@ def test_help_and_version_exit_0_in_plain_text(capsys, argv):
     assert captured.out.startswith("usage: ionlink") or captured.out == __version__ + "\n"
 
 
-def test_subcommands_load_no_scipy(tmp_path):
-    script = """
+# ionlink modules a subcommand must not load, beyond scipy and yaml for all
+NOT_LOADED = {
+    "budget": {"modes", "protocol"},
+    "modes": {"quantum", "protocol", "fitting", "ion_photon", "swap",
+              "analysis", "detection"},
+    "ion-photon": {"modes", "protocol", "swap", "analysis", "detection"},
+    "swap": {"modes", "protocol"},
+    "rate": {"quantum", "fitting", "ion_photon", "swap", "analysis",
+             "detection", "modes"},
+}
+LOADED_MODULES = """
 import sys
 from ionlink.cli import main
-out = sys.argv[1]
-assert main(["budget", "--out", out + "/b"]) == 0
-assert main(["modes", "--out", out + "/m"]) == 0
-assert main(["ion-photon", "--out", out + "/i"]) == 0
-assert main(["swap", "--trials", "1000", "--out", out + "/s"]) == 0
-assert main(["rate", "--records", "--trials", "2000", "--out", out + "/r"]) == 0
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+assert main(sys.argv[1:]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("ionlink", "scipy", "yaml")))
 """
+
+
+def loaded_modules(args) -> set:
+    """Module names under ionlink, scipy and yaml after one CLI run in a
+    fresh process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    res = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
-                         env=env, capture_output=True, text=True, check=True)
-    assert res.stdout.splitlines()[-1] == "[]"
+    res = subprocess.run([sys.executable, "-c", LOADED_MODULES, *args],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    return set(ast.literal_eval(res.stdout.splitlines()[-1]))
+
+
+def test_subcommands_load_no_scipy(tmp_path):
+    extra = {"swap": ["--trials", "1000"], "rate": ["--records", "--trials", "2000"]}
+    for command, absent in NOT_LOADED.items():
+        loaded = loaded_modules([command, "--out", str(tmp_path / command),
+                                 *extra.get(command, [])])
+        assert not {m for m in loaded if m.split(".")[0] == "scipy"}, command
+        assert "yaml" not in loaded, command
+        assert "ionlink.cli" in loaded
+        assert not loaded & {f"ionlink.{m}" for m in absent}, command
+
+
+def test_budget_config_loads_yaml(tmp_path):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text("t2_star_bell: 0.02\n")
+    out = tmp_path / "b"
+    loaded = loaded_modules(["budget", "--config", str(cfg_path), "--out", str(out)])
+    assert "yaml" in loaded
+    payload = json.loads((out / "budget.json").read_text())
+    assert payload["config_hash"] == HardwareConfig(t2_star_bell=0.02).config_hash()
 
 
 def test_no_module_imports_scipy():

@@ -196,6 +196,12 @@ def test_spam_correct_clips_and_reports():
     assert out.populations.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_confusion_inverse_stored_read_only():
+    cm = ConfusionMatrix.from_model(ReadoutModel(), 20, 150)
+    assert np.array_equal(cm.inverse, np.linalg.inv(cm.matrix))
+    assert not cm.inverse.flags.writeable
+
+
 def test_singular_confusion_rejected():
     with pytest.raises(ValueError, match="singular"):
         ConfusionMatrix(np.full((3, 3), 1.0 / 3.0))

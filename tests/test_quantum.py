@@ -43,7 +43,7 @@ def test_lift_acts_on_named_subsystem():
 
 
 def test_tensor_maximally_mixed():
-    half = DensityMatrix.maximally_mixed((2,))
+    half = DensityMatrix(np.eye(2) / 2, (2,))
     quarter = tensor(half, half)
     assert np.allclose(quarter.matrix, np.eye(4) / 4, atol=1e-15)
     assert quarter.dims == (2, 2)
@@ -70,9 +70,9 @@ def test_tensor_random_pairs_stay_valid():
 
 
 def test_tensor_register_cap():
-    four = DensityMatrix.maximally_mixed((2, 2, 2, 2))
+    four = DensityMatrix(np.eye(16) / 16, (2, 2, 2, 2))
     with pytest.raises(ValueError, match="cap"):
-        tensor(four, DensityMatrix.maximally_mixed((2,)))
+        tensor(four, DensityMatrix(np.eye(2) / 2, (2,)))
 
 
 def test_partial_trace_bell_gives_mixed():
@@ -102,7 +102,7 @@ def test_partial_trace_matches_loop_oracle():
 
 
 def test_partial_trace_rejects_bad_subsystem():
-    rho = DensityMatrix.maximally_mixed((2, 2))
+    rho = DensityMatrix(np.eye(4) / 4, (2, 2))
     with pytest.raises(ValueError):
         partial_trace(rho, [2])
     with pytest.raises(ValueError):
@@ -150,13 +150,13 @@ def test_non_trace_preserving_channel_rejected():
 def test_fidelity_trivial_cases():
     psi_plus = superposition([(1.0, (1, 0)), (1.0, (0, 1))], (2, 2))
     assert fidelity_pure(psi_plus.density(), psi_plus) == pytest.approx(1.0, abs=1e-12)
-    mixed = DensityMatrix.maximally_mixed((2, 2))
+    mixed = DensityMatrix(np.eye(4) / 4, (2, 2))
     assert fidelity_pure(mixed, psi_plus) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_fidelity_dim_mismatch():
     with pytest.raises(ValueError):
-        fidelity_pure(DensityMatrix.maximally_mixed((2,)), ket((0, 0)))
+        fidelity_pure(DensityMatrix(np.eye(2) / 2, (2,)), ket((0, 0)))
 
 
 def test_measure_deterministic_outcome():
@@ -171,7 +171,7 @@ def test_measure_deterministic_outcome():
 def test_measure_mixed_is_fair():
     # the maximally mixed pair reads one bright ion with probability 1/2
     rng = np.random.default_rng(21)
-    rho = DensityMatrix.maximally_mixed((2, 2))
+    rho = DensityMatrix(np.eye(4) / 4, (2, 2))
     shots = 100_000
     freq = _sample_readout(rho.matrix, shots, IDEAL_READOUT, IDEAL_THRESHOLDS, rng)
     sigma = np.sqrt(shots * 0.25)

@@ -152,7 +152,7 @@ def test_stack_rejects_its_one_bad_member_like_a_single_state(members, data, kin
 
 
 def test_conjugate_checks_every_member():
-    rho = DensityMatrix.maximally_mixed((2,))
+    rho = DensityMatrix(np.eye(2) / 2, (2,))
     stack = np.stack([np.eye(2), 2.0 * np.eye(2), np.eye(2)])
     with pytest.raises(ValueError, match="trace"):
         conjugate(rho, stack)

@@ -10,7 +10,11 @@ uncommitted edits included; the parent is revision REV, extracted with
 workload ``NAME[=PAIRS]`` (PAIRS defaults to 10; no ``--workload`` means
 every workload of BENCHMARK.json at 10 pairs), pair ``i`` runs ``python3 perfbench/run.py --workload W --seed SEED+i
 --seconds S --trace 0`` once in each tree, one process at a time; the parent
-runs first in even pairs and the change first in odd ones.
+runs first in even pairs and the change first in odd ones.  Before the first
+run, ``compileall`` writes fresh bytecode for ``src/`` and ``perfbench/`` of
+both trees, so that neither side recompiles modules on each cold start (the
+extracted parent has no ``__pycache__``, the checkout's may be stale, and
+``PYTHONDONTWRITEBYTECODE`` keeps imports from writing it).
 
 The file holds every pair's end-to-end metrics, each side's median and
 quartiles, and per metric the number of pairs the change won (the direction
@@ -45,6 +49,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build"
 RUN_TIMEOUT_S = 1800
 DEFAULT_PAIRS = 10
+COMPILED = ("src", "perfbench")
 
 
 def extract(rev: str, dest: Path) -> str:
@@ -165,10 +170,15 @@ def main(argv=None) -> int:
     try:
         commit = extract(args.parent, parent_tree)
         trees = {"parent": parent_tree, "change": ROOT}
+        for tree in trees.values():
+            subprocess.run([sys.executable, "-m", "compileall", "-q", *COMPILED],
+                           cwd=tree, check=True, capture_output=True)
         report = {
             "pr": args.pr,
             "command": "python3 perfbench/run.py --workload W --seed S "
                        f"--seconds {args.seconds} --trace 0",
+            "bytecode": f"python -m compileall {' '.join(COMPILED)} in both "
+                        "trees before the first run",
             "parent": {"revision": commit, "src_lines": src_lines(parent_tree)},
             "change": {"revision": checkout_revision(),
                        "src_lines": src_lines(ROOT)},
