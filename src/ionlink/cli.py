@@ -62,17 +62,14 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _resolve_config(args) -> HardwareConfig:
-    if args.config is not None:
-        try:
-            cfg = load_config(args.config)
-        except FileNotFoundError:
-            raise CliError("config_missing", f"config file not found: {args.config}", 2)
-        except ValueError as exc:
-            raise CliError("config_invalid", str(exc), 2)
-    else:
-        cfg = HardwareConfig()
-    if getattr(args, "profile", None) == "measured":
-        cfg = measured_swap_config(cfg)
+    try:
+        cfg = HardwareConfig() if args.config is None else load_config(args.config)
+        if getattr(args, "profile", None) == "measured":
+            cfg = measured_swap_config(cfg)  # raises if it cannot reach its targets
+    except FileNotFoundError:
+        raise CliError("config_missing", f"config file not found: {args.config}", 2)
+    except ValueError as exc:
+        raise CliError("config_invalid", str(exc), 2)
     if args.ideal:
         cfg = ideal_config(cfg)
     return cfg

@@ -9,8 +9,6 @@ recooling breaks.  Field-by-field symbol map:
 field                  meaning
 =====================  =======================================================
 eta_a, eta_b           all-in single-photon detection probability per attempt
-pump_fidelity          optical pumping success probability
-excite_prob            pulsed-excitation success probability
 pol_mixing_a/_b        photon depolarizing strength of each imaging path
 phi_a, phi_b           static superposition phases from fiber birefringence
 delta_hz               qubit frequency difference (omega_B - omega_A)/2pi
@@ -27,7 +25,7 @@ cooling_duration       one Doppler recooling interval
 loop_cap_no_coolant    attempts between recooling breaks without the coolant
 loop_cap_with_coolant  attempt cap N per request with the coolant
 decay_a/_b/_c          attempt success model p(n) = A exp(-B n) + C
-detection_window       photon acceptance window (reduced_window: strict variant)
+reduced_window         strict photon acceptance window
 readout_*              fluorescence readout model (see detection module)
 =====================  =======================================================
 
@@ -44,6 +42,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -90,8 +89,6 @@ class HardwareConfig:
     # photon sources
     eta_a: float = 0.023
     eta_b: float = 0.022
-    pump_fidelity: float = 0.96
-    excite_prob: float = 0.96
     pol_mixing_a: float = POL_MIXING_PREDICTED
     pol_mixing_b: float = POL_MIXING_PREDICTED
     phi_a: float = 5.00
@@ -119,8 +116,7 @@ class HardwareConfig:
     decay_a: float = DECAY_NO_COOLANT[0]
     decay_b: float = DECAY_NO_COOLANT[1]
     decay_c: float = DECAY_NO_COOLANT[2]
-    # photon detection windows
-    detection_window: float = 50e-9
+    # photon detection window
     reduced_window: float = 3e-9
     # fluorescence readout
     readout_duration: float = 1e-3
@@ -135,7 +131,9 @@ class HardwareConfig:
         for f in dataclasses.fields(self):
             v, kind = getattr(self, f.name), f.type.split(" | ")[0]
             if kind == "float":
-                ok = (isinstance(v, float) or type(v) is int) and math.isfinite(v)
+                # an int past float range overflows math.isfinite: not finite
+                ok = (math.isfinite(v) if isinstance(v, float)
+                      else type(v) is int and abs(v) <= sys.float_info.max)
             else:
                 ok = type(v) is {"int": int, "bool": bool, "str": str}[kind] or (
                     v is None and f.type.endswith("| None"))
@@ -143,8 +141,8 @@ class HardwareConfig:
                 want = "a finite number" if kind == "float" else f"of type {f.type}"
                 raise ValueError(f"{f.name} must be {want}, got {v!r}")
         unit = [
-            "eta_a", "eta_b", "pump_fidelity", "excite_prob", "pol_mixing_a",
-            "pol_mixing_b", "temporal_overlap", "dark_count_prob",
+            "eta_a", "eta_b", "pol_mixing_a", "pol_mixing_b",
+            "temporal_overlap", "dark_count_prob",
             "double_excitation_prob", "decay_a", "decay_c",
             "shelving_fidelity", "bright_detect_fidelity",
         ]
@@ -164,8 +162,8 @@ class HardwareConfig:
         if self.attempt_duration < 1e-9:  # scheduled in whole ns
             raise ValueError(f"attempt_duration must be at least 1 ns, "
                              f"got {self.attempt_duration!r}")
-        nonneg = ["delta_hz", "analysis_delay", "decay_b", "detection_window",
-                  "reduced_window", "bright_rate", "dark_rate"]
+        nonneg = ["delta_hz", "analysis_delay", "decay_b", "reduced_window",
+                  "bright_rate", "dark_rate"]
         for name in nonneg:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -211,19 +209,13 @@ class HardwareConfig:
 
     def source_a(self) -> SourceParams:
         from .ion_photon import SourceParams
-        return SourceParams(pump_fidelity=self.pump_fidelity,
-                            excite_prob=self.excite_prob,
-                            pol_mixing=self.pol_mixing_a,
-                            superposition_phase=self.phi_a % TWO_PI,
-                            collection_efficiency=self.eta_a)
+        return SourceParams(pol_mixing=self.pol_mixing_a,
+                            superposition_phase=self.phi_a % TWO_PI)
 
     def source_b(self) -> SourceParams:
         from .ion_photon import SourceParams
-        return SourceParams(pump_fidelity=self.pump_fidelity,
-                            excite_prob=self.excite_prob,
-                            pol_mixing=self.pol_mixing_b,
-                            superposition_phase=self.phi_b % TWO_PI,
-                            collection_efficiency=self.eta_b)
+        return SourceParams(pol_mixing=self.pol_mixing_b,
+                            superposition_phase=self.phi_b % TWO_PI)
 
     def bell_coherence_factor(self, t: float) -> float:
         """Pair-coherence contrast envelope at time ``t`` after the herald."""
@@ -295,18 +287,29 @@ def measured_swap_config(base: HardwareConfig | None = None) -> HardwareConfig:
     ``(P_odd - P_even)/2 + Re(odd coherence)`` (see the analysis module), so
     the coherence chain is solved against that relation; the resulting state
     has a true overlap with the target Bell state of exactly the measured 93.7%
-    fidelity bound.
+    fidelity bound.  A config whose admixtures or pair dephasing alone exceed
+    those targets raises ValueError.
     """
     base = base if base is not None else HardwareConfig()
     w_dark = base.dark_herald_weight()
     w_mixed = 1.0 - (1.0 - w_dark) * (1.0 - base.double_excitation_prob)
     pops_odd_target = 0.976
     parity_max_target = 0.925
-    w_pol = (2.0 * (1.0 - pops_odd_target) - w_mixed) / (1.0 - w_mixed)
+    unreachable = (f"the measured profile cannot reach odd populations "
+                   f"{pops_odd_target} and a parity maximum {parity_max_target}")
+    limit = 2.0 * (1.0 - pops_odd_target)
+    if not w_mixed <= limit:
+        raise ValueError(f"{unreachable}: the dark-count and double-excitation "
+                         f"admixtures {w_mixed:.3g} exceed {limit:.3g}")
+    w_pol = (limit - w_mixed) / (1.0 - w_mixed)
     pol_each = 1.0 - math.sqrt(1.0 - w_pol)
     coherence_target = parity_max_target - (2.0 * pops_odd_target - 1.0) / 2.0
     gamma = base.bell_coherence_factor(base.analysis_delay)
-    overlap = 2.0 * coherence_target / ((1.0 - w_pol) * gamma * (1.0 - w_mixed))
+    reach = (1.0 - w_pol) * gamma * (1.0 - w_mixed)
+    if not reach >= 2.0 * coherence_target:
+        raise ValueError(f"{unreachable}: the pair coherence {gamma:.3g} at "
+                         f"analysis_delay is too low")
+    overlap = 2.0 * coherence_target / reach
     return replace(base, pol_mixing_a=pol_each, pol_mixing_b=pol_each,
                    temporal_overlap=overlap)
 
@@ -315,7 +318,6 @@ def ideal_config(base: HardwareConfig | None = None) -> HardwareConfig:
     """All-error-off profile used for sanity checks."""
     base = base if base is not None else HardwareConfig()
     return replace(base,
-                   pump_fidelity=1.0, excite_prob=1.0,
                    pol_mixing_a=0.0, pol_mixing_b=0.0,
                    t2_star_single=1e9, t2_star_bell=1e9,
                    temporal_overlap=1.0, dark_count_prob=0.0,

@@ -5,10 +5,6 @@ The heralded pair lives on the register ``(ion, photon)`` with the ideal state
 
 * polarization mixing in the imaging path, as a depolarizing channel of
   configurable strength on the photon qubit;
-* optical-pumping and excitation failures, which in the sigma+ excitation
-  scheme produce no collectable photon and therefore scale the per-attempt
-  success probability without contaminating the heralded state (see
-  :func:`emit_ion_photon_state`);
 * qubit dephasing with a Gaussian contrast envelope, and contrast loss from
   averaging the analysis phase over a finite photon detection window.
 """
@@ -27,7 +23,6 @@ from .quantum import (
     apply_channel,
     conjugate,
     depolarizing_channel,
-    ket,
     lift,
     partial_trace,
     superposition,
@@ -50,37 +45,16 @@ P_DOWN = np.diag([1.0, 0.0]).astype(complex)
 
 @dataclass(frozen=True)
 class SourceParams:
-    """Per-source parameters of one ion-photon interface.
+    """Per-source parameters of the heralded state of one ion-photon interface."""
 
-    ``collection_efficiency`` is the all-in probability that an attempt yields
-    a detected photon (it already includes state preparation, branching and
-    every optical loss).  ``wrong_branch_emission`` is the relative
-    probability that an attempt with failed optical pumping still emits a
-    collectable photon; it is zero for sigma+ pulsed excitation, where the
-    wrongly pumped state has no excited level to reach, and is kept as an
-    explicit knob for schemes where that argument fails.
-    """
-
-    pump_fidelity: float = 0.96
-    excite_prob: float = 0.96
     pol_mixing: float = 0.0
     superposition_phase: float = 0.0
-    collection_efficiency: float = 0.023
-    wrong_branch_emission: float = 0.0
 
     def __post_init__(self):
-        for name in ("pump_fidelity", "excite_prob", "pol_mixing",
-                     "collection_efficiency", "wrong_branch_emission"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+        if not 0.0 <= self.pol_mixing <= 1.0:
+            raise ValueError(f"pol_mixing must be in [0, 1], got {self.pol_mixing}")
         if not 0.0 <= self.superposition_phase < TWO_PI:
             raise ValueError("superposition_phase must be in [0, 2*pi)")
-
-    @property
-    def state_prep_efficiency(self) -> float:
-        """Attempt-success scaling from pumping and excitation alone."""
-        return self.pump_fidelity * self.excite_prob
 
 
 def ideal_pair_state(phase: float = 0.0) -> PureState:
@@ -92,20 +66,11 @@ def ideal_pair_state(phase: float = 0.0) -> PureState:
 def emit_ion_photon_state(params: SourceParams) -> DensityMatrix:
     """Heralded ion-photon state of one source, photon detected.
 
-    The wrong-branch admixture (pump failure leaving the ion in |up>, giving
-    classically correlated |H,up> / |V,down> emission with no coherence to the
-    main branch) enters with its heralded weight, i.e. scaled by the relative
-    emission probability of the wrong branch.  With the default
-    ``wrong_branch_emission = 0`` the heralded state is independent of the
-    pump fidelity, which then only rescales the attempt success probability.
+    Under sigma+ excitation a pumping or excitation failure emits no photon,
+    so it lowers the attempt success probability but does not enter the
+    heralded state.
     """
     state = ideal_pair_state(params.superposition_phase).density()
-    bad = params.wrong_branch_emission * (1.0 - params.pump_fidelity)
-    good = params.pump_fidelity
-    if bad > 0.0:
-        w = bad / (good + bad)
-        wrong = 0.5 * (ket((UP, H)).density().matrix + ket((DOWN, V)).density().matrix)
-        state = DensityMatrix((1.0 - w) * state.matrix + w * wrong, PAIR_DIMS)
     if params.pol_mixing > 0.0:
         ch = depolarizing_channel(params.pol_mixing).on_subsystem(PHOTON, PAIR_DIMS)
         state = apply_channel(state, ch)

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import HardwareConfig
-from .ion_photon import SourceParams, emit_ion_photon_state
+from .ion_photon import emit_ion_photon_state
 from .quantum import (
     DensityMatrix,
     PureState,
@@ -48,27 +48,6 @@ TWO_ION_DIMS = (2, 2)
 
 DOWN, UP = 0, 1
 H, V = 0, 1
-
-
-@dataclass(frozen=True)
-class SwapErrorParams:
-    """Residual swap errors beyond the per-source polarization mixing."""
-
-    temporal_overlap: float = 1.0
-    dark_count_prob: float = 0.0
-    double_excitation_prob: float = 0.0
-
-    def __post_init__(self):
-        for name in ("temporal_overlap", "dark_count_prob", "double_excitation_prob"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-
-    @classmethod
-    def from_config(cls, cfg: HardwareConfig) -> "SwapErrorParams":
-        return cls(temporal_overlap=cfg.temporal_overlap,
-                   dark_count_prob=cfg.dark_count_prob,
-                   double_excitation_prob=cfg.double_excitation_prob)
 
 
 def success_probability(eta_a: float, eta_b: float) -> float:
@@ -126,25 +105,23 @@ def _photon_bell_herald_projector(sign: int) -> np.ndarray:
     return proj
 
 
-def swapped_state(src_a: SourceParams, src_b: SourceParams, sign: int, t: float,
-                  err: SwapErrorParams, cfg: HardwareConfig) -> DensityMatrix:
+def swapped_state(cfg: HardwareConfig, sign: int, t: float) -> DensityMatrix:
     """Two-ion state heralded by an H+V coincidence, ``t`` seconds afterwards.
 
-    Composition: each source emits its (possibly polarization-mixed) pair, the
-    photons are projected onto the heralded Bell state, the photons are traced
-    out, and then, in order, the free-evolution phase ``delta * t``, the pair
-    dephasing at the configured envelope, the wavepacket-overlap coherence
-    scaling and the incoherent dark-count / double-excitation admixtures are
-    applied.  With all errors off and ``delta*t + phi = 0 (mod 2*pi)`` the
+    Composition: each source of ``cfg`` emits its (possibly
+    polarization-mixed) pair, the photons are projected onto the heralded Bell
+    state, the photons are traced out, and then, in order, the free-evolution
+    phase ``delta * t``, the pair dephasing at the configured envelope, the
+    wavepacket-overlap coherence scaling and the incoherent dark-count /
+    double-excitation admixtures are applied.  With all errors off and ``delta*t + phi = 0 (mod 2*pi)`` the
     result is exactly the odd Bell state of the given sign.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     orientation = 1.0 if cfg.swap_phase_convention == "a_minus_b" else -1.0
-    pair_a = emit_ion_photon_state(replace(
-        src_a, superposition_phase=(orientation * src_a.superposition_phase) % TWO_PI))
-    pair_b = emit_ion_photon_state(replace(
-        src_b, superposition_phase=(orientation * src_b.superposition_phase) % TWO_PI))
+    pair_a, pair_b = (emit_ion_photon_state(replace(
+        src, superposition_phase=(orientation * src.superposition_phase) % TWO_PI))
+        for src in (cfg.source_a(), cfg.source_b()))
     full = tensor(pair_a, pair_b)
     proj = _photon_bell_herald_projector(sign)
     weighted = proj @ full.matrix @ proj
@@ -165,19 +142,17 @@ def swapped_state(src_a: SourceParams, src_b: SourceParams, sign: int, t: float,
     if gamma < 1.0:
         ions = apply_channel(ions, dephasing_channel(gamma).on_subsystem(0, TWO_ION_DIMS))
     # finite wavepacket overlap scales the interference coherence
-    if err.temporal_overlap < 1.0:
+    if cfg.temporal_overlap < 1.0:
         ions = apply_channel(
-            ions, dephasing_channel(err.temporal_overlap).on_subsystem(0, TWO_ION_DIMS))
+            ions, dephasing_channel(cfg.temporal_overlap).on_subsystem(0, TWO_ION_DIMS))
 
     # incoherent admixtures: a fake herald carries no ion correlation
     mat = ions.matrix.copy()
-    p_true = success_probability(src_a.collection_efficiency,
-                                 src_b.collection_efficiency)
-    if err.dark_count_prob > 0.0:
-        w_dark = err.dark_count_prob / (p_true + err.dark_count_prob)
+    w_dark = cfg.dark_herald_weight()
+    if w_dark > 0.0:
         mat = (1.0 - w_dark) * mat + w_dark * np.eye(4) / 4.0
-    if err.double_excitation_prob > 0.0:
-        w_x = err.double_excitation_prob
+    if cfg.double_excitation_prob > 0.0:
+        w_x = cfg.double_excitation_prob
         mat = (1.0 - w_x) * mat + w_x * np.eye(4) / 4.0
     return DensityMatrix(mat, TWO_ION_DIMS)
 
@@ -187,8 +162,7 @@ def swapped_state_from_config(cfg: HardwareConfig, sign: int = +1,
     """Heralded two-ion state at the configured analysis delay."""
     if t is None:
         t = cfg.analysis_delay
-    return swapped_state(cfg.source_a(), cfg.source_b(), sign, t,
-                         SwapErrorParams.from_config(cfg), cfg)
+    return swapped_state(cfg, sign, t)
 
 
 def aligned_state_from_config(cfg: HardwareConfig, sign: int = +1) -> DensityMatrix:

@@ -1,6 +1,10 @@
 import ast
+import contextlib
+import dataclasses
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -235,6 +239,16 @@ def test_config_errors_exit_code(tmp_path, capsys):
                  "loop_cap_with_coolant", id="rate-over-limit-cap"),
     pytest.param(["rate", "--trials", "10"], "hardware_counter_cap: 10000001\n",
                  "hardware_counter_cap", id="rate-over-limit-counter"),
+    # an int past float range must not overflow the finiteness check
+    pytest.param(["budget"], "eta_a: 1" + "0" * 400 + "\n", "eta_a",
+                 id="budget-huge-int"),
+    # configs the measured swap profile cannot calibrate to its targets
+    pytest.param(["swap"], "eta_a: 0.0\n", "measured profile",
+                 id="swap-measured-all-dark"),
+    pytest.param(["swap"], "t2_star_bell: 1.0e-5\n", "measured profile",
+                 id="swap-measured-dephased"),
+    pytest.param(["swap"], "double_excitation_prob: 0.5\n", "measured profile",
+                 id="swap-measured-mixed"),
 ])
 def test_config_type_and_range_errors_exit_2(tmp_path, capsys, command,
                                              yaml_text, field):
@@ -248,9 +262,22 @@ def test_config_type_and_range_errors_exit_2(tmp_path, capsys, command,
     assert not out.exists()
 
 
+def test_predicted_profile_takes_config_as_given(tmp_path):
+    # only the measured profile solves for targets; eta_a = 0 makes every
+    # herald dark, which the predicted profile simulates
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("eta_a: 0.0\n")
+    assert run(["swap", "--profile", "predicted", "--trials", "2000",
+                "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize("yaml_text,names", [
     pytest.param("eta_a: [0.5\n", ["YAML"], id="syntax-error"),
     pytest.param("foo: 1\n2: 3\n", ["'foo'", "'2'"], id="mixed-key-types"),
+    pytest.param("pump_fidelity: 0.96\nexcite_prob: 0.96\n"
+                 "detection_window: 5.0e-8\n",
+                 ["pump_fidelity", "excite_prob", "detection_window"],
+                 id="removed-fields"),
 ])
 def test_config_parse_errors_exit_2(tmp_path, capsys, yaml_text, names):
     cfg = tmp_path / "bad.yaml"
@@ -446,3 +473,53 @@ def test_config_file_flows_through(tmp_path):
     assert run(["ion-photon", "--config", str(cfg_path), "--out", str(out)]) == 0
     payload = json.loads((out / "ion_photon_fits.json").read_text())
     assert payload["A"]["correlation"]["contrast"] == pytest.approx(0.8, abs=1e-6)
+
+
+# Read by no subcommand yet; wiring one into an output removes it here.
+UNWIRED_FIELDS = {"t2_star_single", "qubit_freq", "reduced_window"}
+LIVENESS_RUNS = (["budget"], ["ion-photon"], ["swap", "--trials", "2000"],
+                 ["swap", "--trials", "2000", "--profile", "predicted"],
+                 ["rate", "--trials", "500"])
+
+
+def _perturbed(value, name):
+    if name == "hardware_counter_cap":
+        return 40
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value - value // 10
+    if isinstance(value, float):
+        return 0.9 * value
+    return {"exponential": "gaussian", "b_minus_a": "a_minus_b"}[value]
+
+
+def _outputs_without_hash(tmp_path, cfg) -> dict:
+    import yaml
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg.to_dict()))
+    outputs = {}
+    for argv in LIVENESS_RUNS:
+        out = tmp_path / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert run(argv + ["--seed", "3", "--config", str(path),
+                               "--out", str(out)]) == 0
+        files = {p.name: [line for line in p.read_text().splitlines()
+                          if "config_hash" not in line]
+                 for p in sorted(out.iterdir())}
+        outputs[" ".join(argv)] = (stdout.getvalue(), files)
+    return outputs
+
+
+def test_every_config_field_changes_some_output(tmp_path):
+    base = HardwareConfig()
+    reference = _outputs_without_hash(tmp_path, base)
+    dead = set()
+    for f in dataclasses.fields(HardwareConfig):
+        cfg = dataclasses.replace(
+            base, **{f.name: _perturbed(getattr(base, f.name), f.name)})
+        if _outputs_without_hash(tmp_path, cfg) == reference:
+            dead.add(f.name)
+    assert dead == UNWIRED_FIELDS

@@ -3,6 +3,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ionlink.config import (
     HardwareConfig,
@@ -31,7 +33,6 @@ def test_derived_quantities():
     w = cfg.dark_herald_weight()
     assert 0.0 < w < 0.01
     src = cfg.source_a()
-    assert src.collection_efficiency == 0.023
     assert src.superposition_phase == 5.00
 
 
@@ -72,6 +73,8 @@ def test_validation_errors():
         HardwareConfig(loop_cap_no_coolant=0)
     with pytest.raises(ValueError, match="envelope"):
         HardwareConfig(bell_coherence_envelope="flat")
+    with pytest.raises(ValueError, match="temporal_overlap"):
+        HardwareConfig(temporal_overlap=1.5)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -91,13 +94,43 @@ def test_campaign_fields_type_checked(field, value):
 
 def test_every_field_type_checked():
     for f in dataclasses.fields(HardwareConfig):
-        bad = [[1.0]] + ([math.nan, math.inf, -math.inf, True, "0.5"]
+        bad = [[1.0]] + ([math.nan, math.inf, -math.inf, 10**400, True, "0.5"]
                          if f.type == "float" else [])
         if f.type != "str":
             bad.append("1")
         for value in bad:
             with pytest.raises(ValueError, match=f.name):
                 HardwareConfig(**{f.name: value})
+
+
+# YAML-shaped values: nested scalars, lists and maps, with ints past float range
+_huge = st.integers(10**300, 10**400)
+_scalars = (st.none() | st.booleans() | st.floats() | st.text(max_size=8)
+            | st.integers() | _huge | _huge.map(lambda n: -n))
+_values = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=3)
+                       | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                       max_leaves=4)
+# known fields and unknown keys drawn apart, so that most examples reach the
+# field checks instead of stopping at an unknown key
+_fields = st.sampled_from([f.name for f in dataclasses.fields(HardwareConfig)])
+_mappings = st.tuples(
+    st.dictionaries(_fields, _values, max_size=3),
+    st.dictionaries(st.text(max_size=10) | st.integers(), _values, max_size=2),
+).map(lambda parts: {**parts[0], **parts[1]})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_mappings)
+def test_load_config_gives_config_or_value_error(tmp_path, data):
+    import yaml
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(data, sort_keys=False))
+    try:
+        cfg = load_config(path)
+    except ValueError:
+        return
+    assert isinstance(cfg, HardwareConfig)
 
 
 def test_float_fields_accept_ints_and_attempt_needs_1ns():

@@ -16,35 +16,16 @@ from ionlink.ion_photon import (
     raman_rotation,
     waveplate_unitary,
 )
-from ionlink.quantum import apply_channel, dephasing_channel, fidelity_pure, ket
+from ionlink.quantum import apply_channel, dephasing_channel, fidelity_pure
 
 HWP_GRID = np.linspace(0.0, np.pi / 2.0, 37)
 PHASE_GRID = np.linspace(0.0, 2.0 * np.pi, 41)
 
 
 def test_ideal_emission_matches_target():
-    params = SourceParams(pump_fidelity=1.0, excite_prob=1.0, pol_mixing=0.0,
-                          superposition_phase=0.0)
+    params = SourceParams(pol_mixing=0.0, superposition_phase=0.0)
     state = emit_ion_photon_state(params)
     assert fidelity_pure(state, ideal_pair_state(0.0)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_pump_error_scales_success_not_state():
-    params = SourceParams(pump_fidelity=0.96, excite_prob=0.96, pol_mixing=0.0)
-    state = emit_ion_photon_state(params)
-    # sigma+ excitation: a wrongly pumped ion emits nothing, so the heralded
-    # state is unchanged while the attempt success carries the product factor
-    assert fidelity_pure(state, ideal_pair_state(0.0)) == pytest.approx(1.0, abs=1e-12)
-    assert params.state_prep_efficiency == pytest.approx(0.9216, abs=1e-12)
-
-
-def test_wrong_branch_emission_admixes_flipped_correlations():
-    params = SourceParams(pump_fidelity=0.9, wrong_branch_emission=1.0)
-    state = emit_ion_photon_state(params)
-    w = 0.1 / (0.9 + 0.1)
-    wrong = 0.5 * (ket((1, 0)).density().matrix + ket((0, 1)).density().matrix)
-    expected = (1 - w) * ideal_pair_state(0.0).density().matrix + w * wrong
-    assert np.allclose(state.matrix, expected, atol=1e-12)
 
 
 def test_waveplate_trivial_settings():

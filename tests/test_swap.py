@@ -1,12 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ionlink.config import HardwareConfig, ideal_config
-from ionlink.ion_photon import SourceParams
 from ionlink.quantum import fidelity_pure, partial_trace
 from ionlink.swap import (
     HeraldStats,
-    SwapErrorParams,
     aligned_state_from_config,
     bell_phase,
     bell_state,
@@ -74,7 +74,6 @@ def test_phase_tracking_target_all_ideal():
 
 
 def test_swap_phase_convention_switch():
-    from dataclasses import replace
     base = ideal_config()
     for conv in ("b_minus_a", "a_minus_b"):
         cfg = replace(base, swap_phase_convention=conv)
@@ -87,13 +86,12 @@ def test_polarization_mixing_werner_oracle():
     # hand-derived closed form: depolarizing each photon with strength p_j
     # makes each pair a Werner state, and the herald projects the 4-qubit
     # product onto (1-w) |Bell><Bell| + w I/4 with w = 1 - (1-pA)(1-pB)
-    cfg = ideal_config()
     rng = np.random.default_rng(8)
     for _ in range(4):
         pa, pb = rng.uniform(0.0, 0.5, size=2)
-        rho = swapped_state(SourceParams(pol_mixing=pa),
-                            SourceParams(pol_mixing=pb),
-                            sign=+1, t=0.0, err=SwapErrorParams(), cfg=cfg)
+        cfg = replace(ideal_config(), pol_mixing_a=pa, pol_mixing_b=pb,
+                      phi_a=0.0, phi_b=0.0)
+        rho = swapped_state(cfg, +1, 0.0)
         w = 1.0 - (1.0 - pa) * (1.0 - pb)
         expected = ((1.0 - w) * bell_state(+1, 0.0).density().matrix
                     + w * np.eye(4) / 4.0)
@@ -113,7 +111,6 @@ def test_default_profile_matches_reference_levels():
 
 
 def test_fidelity_monotone_in_error_parameters():
-    from dataclasses import replace
     cfg = HardwareConfig()
     t = cfg.analysis_delay
 
@@ -152,8 +149,3 @@ def test_herald_fraction_matches_half_eta_product():
     assert abs(stats.herald_fraction - expected) < 3 * sigma
     # herald signs are balanced
     assert abs(stats.plus_signs - stats.heralds / 2) < 3 * np.sqrt(stats.heralds / 4)
-
-
-def test_swap_error_params_validation():
-    with pytest.raises(ValueError):
-        SwapErrorParams(temporal_overlap=1.5)
