@@ -64,15 +64,15 @@ def _parse_grid(spec: str) -> np.ndarray:
 def _resolve_config(args) -> HardwareConfig:
     try:
         cfg = HardwareConfig() if args.config is None else load_config(args.config)
-        if getattr(args, "profile", None) == "measured":
-            cfg = measured_swap_config(cfg)  # raises if it cannot reach its targets
+        # ideal_config resets every field the calibration sets, so --ideal
+        # skips it; it raises for a config that cannot reach its targets
+        if getattr(args, "profile", None) == "measured" and not args.ideal:
+            cfg = measured_swap_config(cfg)
     except FileNotFoundError:
         raise CliError("config_missing", f"config file not found: {args.config}", 2)
     except ValueError as exc:
         raise CliError("config_invalid", str(exc), 2)
-    if args.ideal:
-        cfg = ideal_config(cfg)
-    return cfg
+    return ideal_config(cfg) if args.ideal else cfg
 
 
 def _resolve_seed(args) -> int:

@@ -262,13 +262,14 @@ def test_config_type_and_range_errors_exit_2(tmp_path, capsys, command,
     assert not out.exists()
 
 
-def test_predicted_profile_takes_config_as_given(tmp_path):
+@pytest.mark.parametrize("option", [["--profile", "predicted"], ["--ideal"]])
+def test_uncalibrated_profiles_take_config_as_given(tmp_path, option):
     # only the measured profile solves for targets; eta_a = 0 makes every
-    # herald dark, which the predicted profile simulates
+    # herald dark, which the predicted profile simulates and --ideal zeroes
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("eta_a: 0.0\n")
-    assert run(["swap", "--profile", "predicted", "--trials", "2000",
-                "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert run(["swap", "--trials", "2000", "--config", str(cfg),
+                "--out", str(tmp_path / "out")] + option) == 0
 
 
 @pytest.mark.parametrize("yaml_text,names", [
