@@ -64,8 +64,8 @@ def _parse_grid(spec: str) -> np.ndarray:
 def _resolve_config(args) -> HardwareConfig:
     try:
         cfg = HardwareConfig() if args.config is None else load_config(args.config)
-        # ideal_config resets every field the calibration sets, so --ideal
-        # skips it; it raises for a config that cannot reach its targets
+        # --ideal resets every field the calibration sets, so it skips the
+        # calibration, which raises for a config that cannot reach its targets
         if getattr(args, "profile", None) == "measured" and not args.ideal:
             cfg = measured_swap_config(cfg)
     except FileNotFoundError:
