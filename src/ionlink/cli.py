@@ -22,14 +22,7 @@ import numpy as np
 # Each cmd_* imports the library modules it runs, so that a fresh process
 # loads only those.
 from . import __version__
-from .config import (
-    DECAY_COOLANT_RECONSTRUCTION,
-    HardwareConfig,
-    coolant_config,
-    ideal_config,
-    load_config,
-    measured_swap_config,
-)
+from .config import HardwareConfig, ideal_config, load_config, measured_swap_config
 
 SEED_ENV_VAR = "IONLINK_SEED"
 DEFAULT_SEED = 1
@@ -203,15 +196,9 @@ def cmd_rate(args) -> int:
     else:
         caps = np.array([1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000,
                          5000, 10000, 20000])
-    schedule = rate_model.ScheduleParams(attempt_duration=cfg.attempt_duration,
-                                         cooling_duration=cfg.cooling_duration)
-    curves = {
-        "coolant": (rate_model.DecayParams(*DECAY_COOLANT_RECONSTRUCTION), True),
-        "no_coolant": (rate_model.DecayParams(cfg.decay_a, cfg.decay_b,
-                                              cfg.decay_c), False),
-    }
-    for name, (params, coolant) in curves.items():
-        curve = rate_model.rate_curve(caps, params, schedule, coolant)
+    mc = {}
+    experiment = protocol.rate_experiment(cfg, caps, args.trials, seed)
+    for name, (run_cfg, curve, report) in experiment.items():
         lines = ["# " + h for h in header]
         lines.append("cap,cdf,mean_success_prob,rate_hz,rate_no_cooling_hz")
         for row in zip(curve.caps.tolist(), curve.cdf.tolist(),
@@ -219,13 +206,8 @@ def cmd_rate(args) -> int:
                        curve.rate_no_cooling_hz.tolist()):
             lines.append("{},{:.12g},{:.12g},{:.12g},{:.12g}".format(*row))
         _write(out, f"rate_analytic_{name}.csv", "\n".join(lines) + "\n")
-
-    # Monte Carlo at the configured caps, both schedules
-    mc = {}
-    for name, mc_cfg in (("no_coolant", cfg), ("coolant", coolant_config(cfg))):
-        report = protocol.simulate_campaign(mc_cfg, args.trials, seed)
         mc[name] = report.summary()
-        mc[name]["effective_attempt_rate_hz"] = protocol.effective_attempt_rate(mc_cfg)
+        mc[name]["effective_attempt_rate_hz"] = protocol.effective_attempt_rate(run_cfg)
         if args.records:
             _write(out, f"herald_records_{name}.csv",
                    protocol.records_to_csv(report, header, limit=100_000))

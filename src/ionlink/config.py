@@ -12,11 +12,8 @@ eta_a, eta_b           all-in single-photon detection probability per attempt
 pol_mixing_a/_b        photon depolarizing strength of each imaging path
 phi_a, phi_b           static superposition phases from fiber birefringence
 delta_hz               qubit frequency difference (omega_B - omega_A)/2pi
-t2_star_single         single-ion dephasing time (Gaussian contrast envelope)
 t2_star_bell           entangled-pair coherence time
 analysis_delay         wait between herald and the first analysis pulse
-qubit_freq             qubit splitting in rad/s (phase averaging over the
-                       photon detection window)
 temporal_overlap       photon wavepacket mode overlap at the beamsplitter
 dark_count_prob        probability of a fake coincidence per attempt window
 double_excitation_prob residual error weight (double excitation, crosstalk, background)
@@ -25,7 +22,6 @@ cooling_duration       one Doppler recooling interval
 loop_cap_no_coolant    attempts between recooling breaks without the coolant
 loop_cap_with_coolant  attempt cap N per request with the coolant
 decay_a/_b/_c          attempt success model p(n) = A exp(-B n) + C
-reduced_window         strict photon acceptance window
 readout_*              fluorescence readout model (see detection module)
 =====================  =======================================================
 
@@ -69,10 +65,6 @@ _W_DARK_TARGET = 4.0 * 0.002 / 3.0
 DARK_COUNT_DEFAULT = _W_DARK_TARGET * (0.5 * 0.023 * 0.022) / (1.0 - _W_DARK_TARGET)
 TEMPORAL_OVERLAP_DEFAULT = 0.996
 
-# Qubit splitting (rad/s) calibrated so that phase averaging over the reduced
-# 3 ns detection window costs 0.10% contrast; about 2*pi * 11.6 MHz.
-QUBIT_FREQ_DEFAULT = 7.30516e7
-
 # Attempt-success decay reconstructions p(n) = A exp(-B n) + C.  The fitted
 # values behind the reference rate curves are unpublished; these are chosen to
 # reproduce the reference anchors and are labeled reconstructions.
@@ -95,11 +87,9 @@ class HardwareConfig:
     phi_b: float = 0.48
     # qubit coherence
     delta_hz: float = 984.0
-    t2_star_single: float = 550e-6
     t2_star_bell: float = 38e-3
     bell_coherence_envelope: str = "exponential"
     analysis_delay: float = 210e-6
-    qubit_freq: float = QUBIT_FREQ_DEFAULT
     # Bell-state analyzer imperfections
     temporal_overlap: float = TEMPORAL_OVERLAP_DEFAULT
     dark_count_prob: float = DARK_COUNT_DEFAULT
@@ -116,8 +106,6 @@ class HardwareConfig:
     decay_a: float = DECAY_NO_COOLANT[0]
     decay_b: float = DECAY_NO_COOLANT[1]
     decay_c: float = DECAY_NO_COOLANT[2]
-    # photon detection window
-    reduced_window: float = 3e-9
     # fluorescence readout
     readout_duration: float = 1e-3
     bright_rate: float = 100000.0
@@ -154,16 +142,16 @@ class HardwareConfig:
             v = getattr(self, name)
             if not 0.0 <= v < TWO_PI:
                 raise ValueError(f"{name} must be in [0, 2*pi), got {v}")
-        positive = ["t2_star_single", "t2_star_bell", "attempt_duration",
-                    "cooling_duration", "readout_duration", "qubit_freq"]
+        positive = ["t2_star_bell", "attempt_duration", "cooling_duration",
+                    "readout_duration"]
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.attempt_duration < 1e-9:  # scheduled in whole ns
             raise ValueError(f"attempt_duration must be at least 1 ns, "
                              f"got {self.attempt_duration!r}")
-        nonneg = ["delta_hz", "analysis_delay", "decay_b", "reduced_window",
-                  "bright_rate", "dark_rate"]
+        nonneg = ["delta_hz", "analysis_delay", "decay_b", "bright_rate",
+                  "dark_rate"]
         for name in nonneg:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -250,13 +238,15 @@ class HardwareConfig:
 
 
 def load_config(path) -> HardwareConfig:
-    """Read a YAML config file; a YAML syntax error or an unknown or invalid
-    field raises ValueError."""
+    """Read a YAML config file; a YAML syntax error, a value Python cannot
+    build or an unknown or invalid field raises ValueError."""
     import yaml
     with open(path) as fh:
         try:
             data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
+        # a ValueError from PyYAML's constructors: an integer past Python's
+        # digit limit, or a date such as 2020-13-01
+        except (yaml.YAMLError, ValueError) as exc:
             raise ValueError(f"cannot parse {path} as YAML: {exc}") from None
     if data is None:
         data = {}
@@ -319,7 +309,7 @@ def ideal_config(base: HardwareConfig | None = None) -> HardwareConfig:
     base = base if base is not None else HardwareConfig()
     return replace(base,
                    pol_mixing_a=0.0, pol_mixing_b=0.0,
-                   t2_star_single=1e9, t2_star_bell=1e9,
+                   t2_star_bell=1e9,
                    temporal_overlap=1.0, dark_count_prob=0.0,
                    double_excitation_prob=0.0,
                    shelving_fidelity=1.0, bright_detect_fidelity=1.0)

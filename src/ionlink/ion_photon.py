@@ -5,8 +5,7 @@ The heralded pair lives on the register ``(ion, photon)`` with the ideal state
 
 * polarization mixing in the imaging path, as a depolarizing channel of
   configurable strength on the photon qubit;
-* qubit dephasing with a Gaussian contrast envelope, and contrast loss from
-  averaging the analysis phase over a finite photon detection window.
+* qubit dephasing with a Gaussian contrast envelope.
 """
 
 from __future__ import annotations
@@ -196,20 +195,6 @@ def dephasing_infidelity(t: float, t2_star: float, envelope: str = "gaussian") -
     else:
         raise ValueError(f"unknown envelope {envelope!r}")
     return 0.5 * (1.0 - env)
-
-
-def phase_averaging_infidelity(window: float, qubit_freq: float) -> float:
-    """Contrast loss from a uniform analysis-phase spread over the detection window.
-
-    ``(1 - sinc(w T / 2)) / 2`` with ``sinc(x) = sin(x)/x``; ``qubit_freq``
-    is the qubit splitting in rad/s and ``window`` the detection window in s.
-    """
-    if window < 0:
-        raise ValueError("window must be nonnegative")
-    x = 0.5 * qubit_freq * window
-    if x == 0.0:
-        return 0.0
-    return 0.5 * (1.0 - math.sin(x) / x)
 
 
 def correlated_populations(state: DensityMatrix) -> float:

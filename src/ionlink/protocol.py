@@ -39,8 +39,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import HardwareConfig
-from .rate_model import DecayParams, success_cdf_table
+from .config import HardwareConfig, coolant_config
+from .rate_model import (
+    DecayParams,
+    RateCurve,
+    ScheduleParams,
+    rate_curve,
+    success_cdf_table,
+)
 
 # Requests per substream.  It fixes the random-stream layout, so changing it
 # changes every campaign's outcome.
@@ -238,3 +244,19 @@ def records_to_csv(report: RateReport, header_lines: tuple[str, ...] = (),
     buf.writelines(f"{k},{a},{w},{int(s)},{g if s else ''},{i}\n"
                    for k, (a, w, s, g, i) in enumerate(rows))
     return buf.getvalue()
+
+
+def rate_experiment(cfg: HardwareConfig, caps, requests: int, master_seed: int
+                    ) -> dict[str, tuple[HardwareConfig, RateCurve, RateReport]]:
+    """Closed-form rate curve and campaign of both schedules.
+
+    ``"no_coolant"`` runs ``cfg`` as given and ``"coolant"`` runs
+    ``coolant_config(cfg)``; each curve sums the success model that the
+    campaign beside it samples.  Returns ``{name: (config, curve, report)}``.
+    """
+    out = {}
+    for name, c in (("no_coolant", cfg), ("coolant", coolant_config(cfg))):
+        schedule = ScheduleParams(c.attempt_duration, c.cooling_duration)
+        curve = rate_curve(caps, _success_model(c), schedule, c.coolant_present)
+        out[name] = (c, curve, simulate_campaign(c, requests, master_seed))
+    return out

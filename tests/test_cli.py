@@ -279,6 +279,11 @@ def test_uncalibrated_profiles_take_config_as_given(tmp_path, option):
                  "detection_window: 5.0e-8\n",
                  ["pump_fidelity", "excite_prob", "detection_window"],
                  id="removed-fields"),
+    # past Python's 4300-digit limit for int(str)
+    pytest.param("eta_a: 1" + "0" * 5000 + "\n", ["YAML", "bad.yaml"],
+                 id="long-integer"),
+    pytest.param("eta_a: [1" + "0" * 5000 + "]\n", ["YAML", "bad.yaml"],
+                 id="long-integer-in-list"),
 ])
 def test_config_parse_errors_exit_2(tmp_path, capsys, yaml_text, names):
     cfg = tmp_path / "bad.yaml"
@@ -467,6 +472,25 @@ def test_rate_curves_are_the_discrete_model(tmp_path):
     assert rows[0, 2] == pytest.approx(cfg.decay_a + cfg.decay_c, rel=1e-11)
 
 
+@pytest.mark.parametrize("yaml_text", ["", "coolant_present: true\n"],
+                         ids=["defaults", "coolant_present"])
+def test_rate_curves_use_the_model_their_campaign_samples(tmp_path, yaml_text):
+    from ionlink.config import coolant_config, load_config
+    from ionlink.protocol import _success_model
+    from ionlink.rate_model import success_cdf_table
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml_text)
+    out = tmp_path / "rate"
+    assert run(["rate", "--config", str(path), "--out", str(out),
+                "--trials", "100"]) == 0
+    cfg = load_config(path)
+    for name, campaign_cfg in (("no_coolant", cfg), ("coolant", coolant_config(cfg))):
+        lines = (out / f"rate_analytic_{name}.csv").read_text().splitlines()
+        cap_1 = next(line for line in lines if line.startswith("1,")).split(",")
+        p0 = success_cdf_table(_success_model(campaign_cfg), 1)[0]
+        assert float(cap_1[2]) == pytest.approx(p0, rel=1e-11), name
+
+
 def test_config_file_flows_through(tmp_path):
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text("pol_mixing_a: 0.2\npol_mixing_b: 0.2\n")
@@ -476,8 +500,6 @@ def test_config_file_flows_through(tmp_path):
     assert payload["A"]["correlation"]["contrast"] == pytest.approx(0.8, abs=1e-6)
 
 
-# Read by no subcommand yet; wiring one into an output removes it here.
-UNWIRED_FIELDS = {"t2_star_single", "qubit_freq", "reduced_window"}
 LIVENESS_RUNS = (["budget"], ["ion-photon"], ["swap", "--trials", "2000"],
                  ["swap", "--trials", "2000", "--profile", "predicted"],
                  ["rate", "--trials", "500"])
@@ -523,4 +545,4 @@ def test_every_config_field_changes_some_output(tmp_path):
             base, **{f.name: _perturbed(getattr(base, f.name), f.name)})
         if _outputs_without_hash(tmp_path, cfg) == reference:
             dead.add(f.name)
-    assert dead == UNWIRED_FIELDS
+    assert dead == set()

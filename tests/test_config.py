@@ -3,6 +3,7 @@ import math
 from dataclasses import replace
 
 import pytest
+import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -103,10 +104,32 @@ def test_every_field_type_checked():
                 HardwareConfig(**{f.name: value})
 
 
-# YAML-shaped values: nested scalars, lists and maps, with ints past float range
+class _Digits(str):
+    """An integer written out in YAML; Python's int(str) refuses one past
+    4300 digits, so it is dumped from its digits instead of from an int."""
+
+
+class _Dumper(yaml.SafeDumper):
+    pass
+
+
+_Dumper.add_representer(
+    _Digits, lambda dumper, v: dumper.represent_scalar("tag:yaml.org,2002:int", v))
+
+
+def _has_digits(value) -> bool:
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return any(map(_has_digits, value))
+    return isinstance(value, _Digits)
+
+# YAML-shaped values: nested scalars, lists and maps, with ints past float
+# range and past the digit limit
 _huge = st.integers(10**300, 10**400)
+_long = st.integers(4301, 5001).map(lambda n: _Digits("1" + "0" * (n - 1)))
 _scalars = (st.none() | st.booleans() | st.floats() | st.text(max_size=8)
-            | st.integers() | _huge | _huge.map(lambda n: -n))
+            | st.integers() | _huge | _huge.map(lambda n: -n) | _long)
 _values = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=3)
                        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
                        max_leaves=4)
@@ -123,12 +146,14 @@ _mappings = st.tuples(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_mappings)
 def test_load_config_gives_config_or_value_error(tmp_path, data):
-    import yaml
     path = tmp_path / "cfg.yaml"
-    path.write_text(yaml.safe_dump(data, sort_keys=False))
+    path.write_text(yaml.dump(data, Dumper=_Dumper, sort_keys=False))
     try:
         cfg = load_config(path)
-    except ValueError:
+    except ValueError as exc:
+        # PyYAML builds every value before any field is checked
+        if _has_digits(data):
+            assert str(exc).startswith(f"cannot parse {path} as YAML")
         return
     assert isinstance(cfg, HardwareConfig)
 

@@ -12,7 +12,6 @@ from ionlink.ion_photon import (
     fidelity_upper_bound,
     heralded_ion_state,
     ideal_pair_state,
-    phase_averaging_infidelity,
     raman_rotation,
     waveplate_unitary,
 )
@@ -131,21 +130,6 @@ def test_dephasing_infidelity_properties():
         dephasing_infidelity(1.0, -1.0)
     with pytest.raises(ValueError):
         dephasing_infidelity(1.0, 1.0, envelope="lorentzian")
-
-
-def test_phase_averaging_values():
-    assert phase_averaging_infidelity(0.0, 1e8) == 0.0
-    # omega*T = pi -> (1 - 2/pi)/2
-    omega, window = 1e9, np.pi / 1e9
-    assert phase_averaging_infidelity(window, omega) == \
-        pytest.approx(0.5 * (1 - 2 / np.pi), abs=1e-12)
-
-
-def test_default_qubit_freq_hits_reference_error():
-    from ionlink.config import QUBIT_FREQ_DEFAULT
-    # 0.10(2)% window-averaging error in the reduced 3 ns window
-    assert phase_averaging_infidelity(3e-9, QUBIT_FREQ_DEFAULT) == \
-        pytest.approx(0.001, abs=2e-4)
 
 
 def test_correlated_populations_ideal():

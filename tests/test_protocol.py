@@ -14,6 +14,7 @@ from ionlink.protocol import (
     _search_in_key_order,
     _success_model,
     effective_attempt_rate,
+    rate_experiment,
     records_to_csv,
     simulate_campaign,
 )
@@ -272,3 +273,17 @@ def test_key_order_search_matches_plain_searchsorted(name):
     assert np.array_equal(got, np.searchsorted(table, keys, side="right"))
     # u * q == q lands past the table; the kernel clamps it to the last entry
     assert _search_in_key_order(table, np.array([q]))[0] == table.size
+
+
+def test_rate_experiment_campaigns_agree_with_their_curves():
+    # each schedule's campaign estimates the closed-form rate of its own
+    # curve at the loop cap the campaign runs
+    caps = [1, 50, 2000, 20000]
+    experiment = rate_experiment(HardwareConfig(), caps, 20_000, 11)
+    assert list(experiment) == ["no_coolant", "coolant"]
+    assert experiment["coolant"][0] == coolant_config()
+    for name, (cfg, curve, report) in experiment.items():
+        cap = _loop_cap(cfg)
+        expected = curve.rate_hz[caps.index(cap)]
+        stderr = report.summary()["rate_hz_stderr"]
+        assert abs(report.rate_hz - expected) <= 3 * stderr, name
