@@ -28,12 +28,9 @@ from . import swap
 from .config import HardwareConfig
 from .detection import (
     ConfusionMatrix,
-    ReadoutModel,
     SpamCorrection,
     ThresholdResult,
     choose_thresholds,
-    classify_counts,
-    sample_counts,
     simulate_histogram,
     spam_correct,
 )
@@ -46,6 +43,7 @@ TWO_ION_DIMS = (2, 2)
 # index 0 = down,down ; 1 = up,down ; 2 = down,up ; 3 = up,up
 IDX_DD, IDX_UD, IDX_DU, IDX_UU = 0, 1, 2, 3
 PARITY_DIAG = np.array([1.0, -1.0, -1.0, 1.0])
+BRIGHT_PARITY = np.array([1.0, -1.0, 1.0])  # parity of 0, 1 and 2 bright ions
 
 
 def _global_rotation(phase) -> np.ndarray:
@@ -133,20 +131,19 @@ MIN_SWAP_TRIALS = 100
 CALIBRATION_SHOTS = 20000
 
 
-def _sample_readout(rho: np.ndarray, shots: int, model: ReadoutModel,
-                    thresholds: ThresholdResult,
+def _sample_readout(rho: np.ndarray, shots, cm: ConfusionMatrix,
                     rng: np.random.Generator) -> np.ndarray:
-    """Observed bright-count frequencies of ``shots`` z-basis readouts of the
-    matrix ``rho``: basis outcomes from the diagonal, then the counts of the
-    shots with 0 (dd), 1 (ud or du) and 2 (uu) bright ions, in that order."""
-    probs = np.clip(np.real(np.diag(rho)), 0.0, None)
-    basis = rng.multinomial(shots, probs / probs.sum())
-    per_bright = (basis[IDX_DD], basis[IDX_UD] + basis[IDX_DU], basis[IDX_UU])
-    counts = np.concatenate([sample_counts(k, model, n, rng)
-                             for k, n in enumerate(per_bright)])
-    observed = np.bincount(classify_counts(counts, thresholds.t1, thresholds.t2),
-                           minlength=3).astype(float)
-    return observed / shots
+    """Observed bright-count frequencies of z-basis readouts of each matrix of
+    the stack ``rho`` (..., 4, 4), ``shots`` readouts of each (an array that
+    broadcasts against the stack).  A thresholded shot of a state with 0 (dd),
+    1 (ud or du) or 2 (uu) bright ions falls in each class with that row of
+    ``cm``, so one multinomial over ``bright @ cm.matrix`` draws them all."""
+    diag = np.clip(np.real(np.diagonal(rho, axis1=-2, axis2=-1)), 0.0, None)
+    bright = np.stack([diag[..., IDX_DD], diag[..., IDX_UD] + diag[..., IDX_DU],
+                       diag[..., IDX_UU]], axis=-1)
+    probs = np.clip(bright / bright.sum(axis=-1, keepdims=True) @ cm.matrix, 0.0, None)
+    shots = np.asarray(shots)
+    return rng.multinomial(shots, probs) / shots[..., None]
 
 
 @dataclass(frozen=True)
@@ -176,12 +173,14 @@ def swap_experiment(cfg: HardwareConfig, trials: int,
     """Monte Carlo of the measurements behind the two-ion fidelity bound.
 
     The random draws come in this order: the calibration histograms for 0, 1
-    and 2 bright ions; the herald signs (equally likely); population readouts
-    of half of each sign's heralds, sign +1 first; then the parity scans,
-    ``"two"`` before ``"one"``, phase in the outer loop and sign in the inner,
-    each scan sharing a quarter of each sign's heralds over its 13 phases.
-    Each sign is analyzed after its own phase-alignment wait, which maps both
-    onto the plus Bell state.
+    and 2 bright ions; the herald signs (equally likely); then one readout
+    draw per stage, each over both signs, sign +1 first: the populations, from
+    half of each sign's heralds, then the ``"two"`` scan and the ``"one"``
+    scan, each sharing a quarter of each sign's heralds over its 13 phases.
+    Readouts are drawn from the confusion matrix of the model at the chosen
+    thresholds, the one that ``spam_correct`` inverts at every point.  Each
+    sign is analyzed after its own phase-alignment wait, which maps both onto
+    the plus Bell state.
     """
     if trials < MIN_SWAP_TRIALS:
         raise ValueError(f"swap needs at least {MIN_SWAP_TRIALS} trials")
@@ -193,29 +192,24 @@ def swap_experiment(cfg: HardwareConfig, trials: int,
 
     sign_counts = {+1: int(rng.binomial(trials, 0.5))}
     sign_counts[-1] = trials - sign_counts[+1]
-    states = {s: swap.aligned_state_from_config(cfg, sign=s) for s in sign_counts}
+    heralds = np.array(list(sign_counts.values()))
+    states = [swap.aligned_state_from_config(cfg, sign=s) for s in sign_counts]
 
-    pop_freq = np.zeros(3)
-    for s, n_s in sign_counts.items():
-        shots = n_s // 2
-        freq = _sample_readout(states[s].matrix, shots, model, thresholds, rng)
-        pop_freq += freq * (shots / (trials // 2))
-    pop_corr = spam_correct(pop_freq / pop_freq.sum(), cm)
+    # pooled over the signs: all counts over all shots
+    shots = heralds // 2
+    freq = _sample_readout(np.stack([st.matrix for st in states]), shots, cm, rng)
+    pop_freq = shots @ freq / shots.sum()
+    pop_corr = spam_correct(pop_freq, cm)
 
     grid = np.linspace(0.0, np.pi, 13)
+    shots = np.maximum(1, (heralds // 4) // grid.size)[:, None]
     scans = {}
     for pulses in ("two", "one"):
-        rotated = {s: _analysis_sequence(states[s], grid, pulses) for s in states}
-        values = np.empty_like(grid)
-        for i in range(grid.size):
-            parity_acc = 0.0
-            for s, n_s in sign_counts.items():
-                shots = max(1, (n_s // 4) // grid.size)
-                freq = _sample_readout(rotated[s][i], shots, model, thresholds, rng)
-                p = spam_correct(freq, cm).populations
-                parity_acc += (p[0] + p[2] - p[1]) * (n_s / trials)
-            values[i] = parity_acc
-        scans[pulses] = _parity_result(grid, values)
+        rotated = np.stack([_analysis_sequence(st, grid, pulses) for st in states])
+        freq = _sample_readout(rotated, shots, cm, rng)  # (sign, phase, class)
+        parity = [[spam_correct(f, cm).populations @ BRIGHT_PARITY for f in row]
+                  for row in freq]
+        scans[pulses] = _parity_result(grid, heralds / trials @ np.array(parity))
 
     bound_inputs = FidelityBoundInputs(
         odd_populations=float(pop_corr.populations[1]),

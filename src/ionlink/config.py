@@ -132,12 +132,15 @@ class HardwareConfig:
             "eta_a", "eta_b", "pol_mixing_a", "pol_mixing_b",
             "temporal_overlap", "dark_count_prob",
             "double_excitation_prob", "decay_a", "decay_c",
-            "shelving_fidelity", "bright_detect_fidelity",
         ]
         for name in unit:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
+        for name in ("shelving_fidelity", "bright_detect_fidelity"):
+            v = getattr(self, name)
+            if not 0.0 < v <= 1.0:  # the range ReadoutModel takes
+                raise ValueError(f"{name} must be in (0, 1], got {v}")
         for name in ("phi_a", "phi_b"):
             v = getattr(self, name)
             if not 0.0 <= v < TWO_PI:

@@ -86,39 +86,29 @@ class ReadoutModel:
         return 1.0 - sqrt(self.bright_detect_fidelity)
 
 
-def effective_bright_probs(true_bright: int, model: ReadoutModel,
-                           n_ions: int = 2) -> np.ndarray:
-    """P(effective bright count = k) after both flip branches."""
-    if not 0 <= true_bright <= n_ions:
-        raise ValueError(f"true_bright must be in [0, {n_ions}]")
-    n_dark = n_ions - true_bright
-    probs = np.zeros(n_ions + 1)
+def effective_bright_probs(true_bright: int, model: ReadoutModel) -> np.ndarray:
+    """P(effective bright count = k) of the two ions after both flip branches."""
+    if not 0 <= true_bright <= 2:
+        raise ValueError("true_bright must be in [0, 2]")
+    probs = np.zeros(3)
     for lost in range(true_bright + 1):
         p_lost = _binom_pmf(lost, true_bright, model.bright_to_dark_flip)
-        for gained in range(n_dark + 1):
-            p_gain = _binom_pmf(gained, n_dark, model.dark_to_bright_flip)
+        for gained in range(3 - true_bright):
+            p_gain = _binom_pmf(gained, 2 - true_bright, model.dark_to_bright_flip)
             probs[true_bright - lost + gained] += p_lost * p_gain
     return probs
 
 
-def sample_counts(true_bright: int, model: ReadoutModel, shots: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Photon counts of ``shots`` readouts of a prepared bright count.
-
-    Each shot draws its effective bright count after both flip branches, then
-    Poisson counts at that count's mean.  Zero shots draw nothing.
-    """
-    probs = effective_bright_probs(true_bright, model)
-    eff = rng.choice(len(probs), size=shots, p=probs)
-    return rng.poisson(model.dark_mean + eff * model.bright_mean)
-
-
 def simulate_histogram(true_bright: int, model: ReadoutModel, shots: int,
                        rng: np.random.Generator) -> np.ndarray:
-    """Photon-count histogram (bincount array) for a prepared bright count."""
+    """Photon-count histogram (bincount array) of ``shots`` readouts of a
+    prepared bright count: each shot draws its effective bright count after
+    both flip branches, then Poisson counts at that count's mean."""
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    return np.bincount(sample_counts(true_bright, model, shots, rng))
+    probs = effective_bright_probs(true_bright, model)
+    eff = rng.choice(len(probs), size=shots, p=probs)
+    return np.bincount(rng.poisson(model.dark_mean + eff * model.bright_mean))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from ionlink.analysis import (
     swap_experiment,
 )
 from ionlink.config import HardwareConfig, ideal_config, measured_swap_config
+from ionlink.detection import ConfusionMatrix
 from ionlink.quantum import DensityMatrix, fidelity_pure, superposition
 from ionlink.swap import (
     aligned_state_from_config,
@@ -225,32 +226,83 @@ def test_apply_analysis_pulse_dim_check():
         apply_analysis_pulse(DensityMatrix(np.eye(2) / 2, (2,)), 0.0)
 
 
-def test_swap_experiment_matches_closed_form_with_perfect_readout():
-    cfg = replace(measured_swap_config(HardwareConfig()),
-                  shelving_fidelity=1.0, bright_detect_fidelity=1.0)
+def _check_swap_against_closed_form(cfg, seed):
     trials = 2_000_000
-    res = swap_experiment(cfg, trials, np.random.default_rng(2024))
+    res = swap_experiment(cfg, trials, np.random.default_rng(seed))
     states = {s: aligned_state_from_config(cfg, sign=s) for s in (+1, -1)}
     assert sum(res.sign_counts.values()) == trials
+    cm = ConfusionMatrix.from_model(cfg.readout_model(), res.thresholds.t1,
+                                    res.thresholds.t2)
+
+    def moments(rho, v):
+        """Mean and one-shot variance of the SPAM-corrected estimate of
+        ``populations @ v`` (clipping aside): a shot in class j adds
+        ``(M^-1 v)_j``, and the classes follow ``bright @ M``."""
+        d = np.real(np.diagonal(rho, axis1=-2, axis2=-1))
+        q = np.stack([d[..., 0], d[..., 1] + d[..., 2], d[..., 3]], axis=-1) @ cm.matrix
+        u = cm.inverse @ np.asarray(v, dtype=float)
+        mean = q @ u
+        return mean, q @ u ** 2 - mean ** 2
 
     # odd populations: half of each sign's heralds, pooled
     shots = {s: n // 2 for s, n in res.sign_counts.items()}
-    odd = sum(shots[s] / (trials // 2)
-              * float(np.real(states[s].matrix[1, 1] + states[s].matrix[2, 2]))
-              for s in states)
-    sigma = np.sqrt(odd * (1.0 - odd) / (trials // 2))
-    assert abs(res.odd_populations - odd) < 5.0 * sigma
+    total = sum(shots.values())
+    odd = var = 0.0
+    for s in states:
+        m, v = moments(states[s].matrix, (0.0, 1.0, 0.0))
+        odd += shots[s] / total * m
+        var += shots[s] / total ** 2 * v
+    assert abs(res.odd_populations - odd) < 5.0 * np.sqrt(var)
 
-    # parity scans: a +/-1 outcome per shot, signs weighted by their heralds
+    # parity scans: one corrected parity per phase, signs weighted by heralds
     for pulses in ("two", "one"):
         grid = res.scans[pulses].control
         sampled = res.scans[pulses].series["parity"]
-        exact = {s: parity_scan(states[s], grid, pulses=pulses).series["parity"]
-                 for s in states}
         mean = np.zeros_like(grid)
         var = np.zeros_like(grid)
         for s, n in res.sign_counts.items():
             w, k = n / trials, (n // 4) // grid.size
-            mean += w * exact[s]
-            var += w ** 2 * (1.0 - exact[s] ** 2) / k
+            rotated = np.stack([apply_analysis_pulse(
+                apply_analysis_pulse(states[s], 0.0) if pulses == "two" else states[s],
+                phi).matrix for phi in grid])
+            m, v = moments(rotated, (1.0, -1.0, 1.0))
+            mean += w * m
+            var += w ** 2 * v / k
         assert np.all(np.abs(sampled - mean) < 5.0 * np.sqrt(var)), pulses
+
+
+def test_swap_experiment_matches_closed_form_with_perfect_readout():
+    _check_swap_against_closed_form(
+        replace(measured_swap_config(HardwareConfig()),
+                shelving_fidelity=1.0, bright_detect_fidelity=1.0), 2024)
+
+
+def test_swap_experiment_matches_closed_form_with_default_readout():
+    _check_swap_against_closed_form(measured_swap_config(HardwareConfig()), 2024)
+
+
+def test_swap_raw_populations_pool_counts_over_shots():
+    # seed 4 draws an odd herald count for each sign, so the two population
+    # readouts hold one shot fewer than trials // 2
+    res = swap_experiment(measured_swap_config(HardwareConfig()), 100_000,
+                          np.random.default_rng(4))
+    assert all(n % 2 for n in res.sign_counts.values())
+    assert res.raw_populations.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class _RecordingRng:
+    """A Generator that records the name of each method looked up on it."""
+
+    def __init__(self, rng):
+        self._rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self._rng, name)
+
+
+def test_swap_experiment_draws_each_readout_stage_at_once():
+    rng = _RecordingRng(np.random.default_rng(0))
+    swap_experiment(measured_swap_config(HardwareConfig()), 1000, rng)
+    after_signs = rng.calls[rng.calls.index("binomial"):]
+    assert after_signs == ["binomial"] + ["multinomial"] * 3

@@ -89,10 +89,10 @@ def test_swap_summary_reports_clipped_bound_inputs(tmp_path):
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text("phi_a: 0.2\n")
     out = tmp_path / "clip"
-    assert run(["swap", "--ideal", "--trials", "20000", "--seed", "1",
+    assert run(["swap", "--ideal", "--trials", "20000", "--seed", "3",
                 "--config", str(cfg_path), "--out", str(out)]) == 0
     payload = json.loads((out / "swap_summary.json").read_text())
-    assert payload["two_pulse_contrast"] == 1.0059938729467512
+    assert payload["two_pulse_contrast"] == 1.0144460682739402
     inputs = payload["bound_inputs"]
     assert inputs == {"odd_populations": payload["odd_populations"],
                       "two_pulse_contrast": 1.0,
@@ -249,6 +249,15 @@ def test_config_errors_exit_code(tmp_path, capsys):
                  id="swap-measured-dephased"),
     pytest.param(["swap"], "double_excitation_prob: 0.5\n", "measured profile",
                  id="swap-measured-mixed"),
+    # the readout model needs fidelities in (0, 1]
+    pytest.param(["swap"], "shelving_fidelity: 0.0\n", "shelving_fidelity",
+                 id="swap-zero-shelving"),
+    pytest.param(["budget"], "shelving_fidelity: 0.0\n", "shelving_fidelity",
+                 id="budget-zero-shelving"),
+    pytest.param(["swap"], "bright_detect_fidelity: 0.0\n",
+                 "bright_detect_fidelity", id="swap-zero-bright-detect"),
+    pytest.param(["budget"], "bright_detect_fidelity: 0.0\n",
+                 "bright_detect_fidelity", id="budget-zero-bright-detect"),
 ])
 def test_config_type_and_range_errors_exit_2(tmp_path, capsys, command,
                                              yaml_text, field):

@@ -254,3 +254,21 @@ def test_confusion_matrix_long_readout_is_finite():
     # counts above 1500 come only from two effective bright ions
     assert cm.matrix[2, 2] == pytest.approx(effective_bright_probs(2, model)[2],
                                             rel=1e-9)
+
+
+def test_thresholded_samples_follow_confusion_matrix_rows():
+    # the row of M that spam_correct inverts is the class distribution of a
+    # sampled shot: checked at the thresholds the default model chooses
+    model = ReadoutModel()
+    rng = np.random.default_rng(31)
+    thr = choose_thresholds([simulate_histogram(k, model, 20_000, rng)
+                             for k in range(3)])
+    cm = ConfusionMatrix.from_model(model, thr.t1, thr.t2)
+    shots = 2_000_000
+    for true in range(3):
+        hist = simulate_histogram(true, model, shots, rng)
+        cls = classify_counts(np.arange(hist.size), thr.t1, thr.t2)
+        observed = np.bincount(cls, weights=hist, minlength=3) / shots
+        row = cm.matrix[true]
+        sigma = np.sqrt(row * (1.0 - row) / shots)
+        assert np.all(np.abs(observed - row) <= 3.0 * sigma), (true, observed, row)

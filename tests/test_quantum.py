@@ -19,13 +19,13 @@ from ionlink.quantum import (
     SIGMA_X,
 )
 from ionlink.analysis import _sample_readout
-from ionlink.detection import ReadoutModel, ThresholdResult
+from ionlink.detection import ConfusionMatrix, ReadoutModel
 from qutil import loop_partial_trace, random_density
 
 # readout whose count classes never overlap: 0, 1000 or 2000 mean counts
 IDEAL_READOUT = ReadoutModel(bright_rate=1e6, dark_rate=0.0,
                              shelving_fidelity=1.0, bright_detect_fidelity=1.0)
-IDEAL_THRESHOLDS = ThresholdResult(t1=500, t2=1500, misclassification=0.0)
+IDEAL_CM = ConfusionMatrix.from_model(IDEAL_READOUT, 500, 1500)
 
 
 def test_basis_index_little_endian():
@@ -164,7 +164,7 @@ def test_measure_deterministic_outcome():
     rng = np.random.default_rng(0)
     for values, expected in (((0, 0), [1.0, 0.0, 0.0]), ((1, 1), [0.0, 0.0, 1.0])):
         rho = ket(values).density()
-        freq = _sample_readout(rho.matrix, 1000, IDEAL_READOUT, IDEAL_THRESHOLDS, rng)
+        freq = _sample_readout(rho.matrix, 1000, IDEAL_CM, rng)
         assert freq.tolist() == expected
 
 
@@ -173,7 +173,7 @@ def test_measure_mixed_is_fair():
     rng = np.random.default_rng(21)
     rho = DensityMatrix(np.eye(4) / 4, (2, 2))
     shots = 100_000
-    freq = _sample_readout(rho.matrix, shots, IDEAL_READOUT, IDEAL_THRESHOLDS, rng)
+    freq = _sample_readout(rho.matrix, shots, IDEAL_CM, rng)
     sigma = np.sqrt(shots * 0.25)
     assert abs(freq[1] * shots - shots / 2) < 3 * sigma
     assert freq.sum() == pytest.approx(1.0, abs=1e-12)
@@ -189,7 +189,7 @@ def test_measure_pair_state_only_correlated_outcomes():
     assert sum(probs) == pytest.approx(1.0, abs=1e-10)
     # read as two ions, the same state never shows exactly one bright ion
     rng = np.random.default_rng(2)
-    freq = _sample_readout(state.matrix, 200, IDEAL_READOUT, IDEAL_THRESHOLDS, rng)
+    freq = _sample_readout(state.matrix, 200, IDEAL_CM, rng)
     assert freq[1] == 0.0
     assert freq[0] > 0.0 and freq[2] > 0.0
 
