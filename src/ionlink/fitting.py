@@ -38,7 +38,8 @@ def fit_sinusoid(x, y, angular_frequency: float) -> SinusoidFit:
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be matching 1-d arrays")
     finite = np.isfinite(y)
-    x, y = x[finite], y[finite]
+    if not finite.all():
+        x, y = x[finite], y[finite]
     if x.size < 3:
         raise ValueError("need at least 3 finite points to fit a sinusoid")
     design = np.column_stack([np.sin(angular_frequency * x),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +41,19 @@ DOWN, UP = 0, 1
 
 P_UP = np.diag([0.0, 1.0]).astype(complex)
 P_DOWN = np.diag([1.0, 0.0]).astype(complex)
+
+
+def _frozen_diagonal(op: np.ndarray, index: int) -> np.ndarray:
+    diag = np.real(np.diag(lift(op, index, PAIR_DIMS)))
+    diag.setflags(write=False)
+    return diag
+
+
+# basis-population selectors of correlation_scan: ion up, and photon V = 1
+# (P_UP on the photon) or H = 0 (P_DOWN)
+_ION_UP = _frozen_diagonal(P_UP, ION)
+_PHOTON_POL = (("p_up_given_V", _frozen_diagonal(P_UP, PHOTON)),
+               ("p_up_given_H", _frozen_diagonal(P_DOWN, PHOTON)))
 
 
 @dataclass(frozen=True)
@@ -119,14 +133,11 @@ def correlation_scan(state: DensityMatrix, hwp_angles) -> ScanResult:
     angles = np.asarray(hwp_angles, dtype=float)
     rotated = conjugate(state, lift(waveplate_unitary("half", angles), PHOTON, PAIR_DIMS))
     pops = np.real(np.diagonal(rotated, axis1=-2, axis2=-1))
-    up = np.real(np.diag(lift(P_UP, ION, PAIR_DIMS)))
     series = {}
-    # photon V = 1 is P_UP on the photon, H = 0 is P_DOWN
-    for label, proj_pol in (("p_up_given_V", P_UP), ("p_up_given_H", P_DOWN)):
-        pol = np.real(np.diag(lift(proj_pol, PHOTON, PAIR_DIMS)))
+    for label, pol in _PHOTON_POL:
         marginal = pops @ pol
         zero = marginal < 1e-12
-        joint = pops @ (up * pol)
+        joint = pops @ (_ION_UP * pol)
         series[label] = np.where(zero, np.nan, joint / np.where(zero, 1.0, marginal))
     flags = ["zero_marginal"] if any(np.isnan(v).any() for v in series.values()) else []
     k = 4.0  # period pi/2 in plate angle
@@ -139,6 +150,15 @@ def correlation_scan(state: DensityMatrix, hwp_angles) -> ScanResult:
                       control_label="control_value", flags=tuple(flags))
 
 
+@lru_cache(maxsize=2)
+def _diagonal_herald_projector(sign: int) -> np.ndarray:
+    """Read-only projector onto photon ``(|H> + sign |V>)/sqrt2`` x ion identity."""
+    diag = superposition([(1.0, (H,)), (float(sign), (V,))], (2,)).amplitudes
+    proj = lift(np.outer(diag, diag.conj()), PHOTON, PAIR_DIMS)
+    proj.setflags(write=False)
+    return proj
+
+
 def heralded_ion_state(state: DensityMatrix, sign: int) -> DensityMatrix:
     """Ion state heralded by detecting the photon in ``(|H> + sign |V>)/sqrt2``.
 
@@ -148,8 +168,7 @@ def heralded_ion_state(state: DensityMatrix, sign: int) -> DensityMatrix:
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    diag = superposition([(1.0, (H,)), (float(sign), (V,))], (2,))
-    proj = lift(np.outer(diag.amplitudes, diag.amplitudes.conj()), PHOTON, PAIR_DIMS)
+    proj = _diagonal_herald_projector(sign)
     weighted = proj @ state.matrix @ proj
     w = float(np.real(np.trace(weighted)))
     if w < 1e-15:

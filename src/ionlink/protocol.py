@@ -248,14 +248,18 @@ def records_to_csv(report: RateReport, header_lines: tuple[str, ...] = (),
 
 def rate_experiment(cfg: HardwareConfig, caps, requests: int, master_seed: int
                     ) -> dict[str, tuple[HardwareConfig, RateCurve, RateReport]]:
-    """Closed-form rate curve and campaign of both schedules.
+    """Closed-form rate curve and campaign of each schedule.
 
-    ``"no_coolant"`` runs ``cfg`` as given and ``"coolant"`` runs
-    ``coolant_config(cfg)``; each curve sums the success model that the
-    campaign beside it samples.  Returns ``{name: (config, curve, report)}``.
+    ``"coolant"`` runs ``coolant_config(cfg)``, and ``"no_coolant"`` runs
+    ``cfg`` as given unless ``cfg`` already has the coolant, in which case
+    only the coolant schedule runs.  Each curve sums the success model that
+    the campaign beside it samples.  Returns ``{name: (config, curve, report)}``.
     """
+    schedules = [("coolant", coolant_config(cfg))]
+    if not cfg.coolant_present:
+        schedules.insert(0, ("no_coolant", cfg))
     out = {}
-    for name, c in (("no_coolant", cfg), ("coolant", coolant_config(cfg))):
+    for name, c in schedules:
         schedule = ScheduleParams(c.attempt_duration, c.cooling_duration)
         curve = rate_curve(caps, _success_model(c), schedule, c.coolant_present)
         out[name] = (c, curve, simulate_campaign(c, requests, master_seed))

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,11 +51,17 @@ def _frozen_array(values, dtype=complex) -> np.ndarray:
     return arr
 
 
+@lru_cache(maxsize=MAX_DIM)
+def _identity(d: int) -> np.ndarray:
+    """Read-only real ``d x d`` identity."""
+    eye = np.eye(d)
+    eye.setflags(write=False)
+    return eye
+
+
 def _normalize_dims(dim: int, dims: Sequence[int] | None) -> tuple[int, ...]:
-    if dims is None:
-        dims = (dim,)
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
+    dims = (dim,) if dims is None else tuple(map(int, dims))
+    if dims and min(dims) < 1:
         raise ValueError(f"subsystem dimensions must be positive, got {dims}")
     if math.prod(dims) != dim:
         raise ValueError(f"dims {dims} do not factor dimension {dim}")
@@ -136,7 +143,7 @@ def validate_density(mats: np.ndarray) -> None:
     if dev.max() > TRACE_TOL:
         raise ValueError(f"trace is {np.ravel(tr)[dev.argmax()]!r}, expected 1")
     try:
-        np.linalg.cholesky(mats + PSD_TOL * np.eye(mats.shape[-1]))
+        np.linalg.cholesky(mats + PSD_TOL * _identity(mats.shape[-1]))
     except np.linalg.LinAlgError:
         lo = np.linalg.eigvalsh(mats).min()
         raise ValueError(f"matrix not positive semidefinite: min eigenvalue {lo:.3e}") from None
@@ -245,7 +252,7 @@ class KrausChannel:
         if any(k.shape != (d, d) for k in ops):
             raise ValueError("all Kraus operators must be square and dim-matched")
         ops = _frozen_array(ops)
-        dev = np.max(np.abs((ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0) - np.eye(d)))
+        dev = np.max(np.abs((ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0) - _identity(d)))
         if dev > CHANNEL_TOL:
             raise ValueError(f"channel not trace preserving: |sum K^dag K - I| = {dev:.3e}")
         object.__setattr__(self, "operators", ops)

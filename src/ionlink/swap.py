@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import HardwareConfig
-from .ion_photon import emit_ion_photon_state
+from .ion_photon import SourceParams, emit_ion_photon_state
 from .quantum import (
     DensityMatrix,
     PureState,
@@ -105,6 +105,16 @@ def _photon_bell_herald_projector(sign: int) -> np.ndarray:
     return proj
 
 
+@lru_cache(maxsize=8)
+def _emitted_pairs(source_a: SourceParams, source_b: SourceParams) -> DensityMatrix:
+    """Read-only product of both sources' emitted pairs on the full register.
+
+    One set of photon outcomes heralds either sign, so both signs of a config
+    share this state; the sources are the orientation-adjusted ones.
+    """
+    return tensor(emit_ion_photon_state(source_a), emit_ion_photon_state(source_b))
+
+
 def swapped_state(cfg: HardwareConfig, sign: int, t: float) -> DensityMatrix:
     """Two-ion state heralded by an H+V coincidence, ``t`` seconds afterwards.
 
@@ -119,10 +129,9 @@ def swapped_state(cfg: HardwareConfig, sign: int, t: float) -> DensityMatrix:
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     orientation = 1.0 if cfg.swap_phase_convention == "a_minus_b" else -1.0
-    pair_a, pair_b = (emit_ion_photon_state(replace(
-        src, superposition_phase=(orientation * src.superposition_phase) % TWO_PI))
-        for src in (cfg.source_a(), cfg.source_b()))
-    full = tensor(pair_a, pair_b)
+    full = _emitted_pairs(*(replace(
+        src, superposition_phase=(orientation * src.superposition_phase) % TWO_PI)
+        for src in (cfg.source_a(), cfg.source_b())))
     proj = _photon_bell_herald_projector(sign)
     weighted = proj @ full.matrix @ proj
     w = float(np.real(np.trace(weighted)))

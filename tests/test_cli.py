@@ -493,11 +493,31 @@ def test_rate_curves_use_the_model_their_campaign_samples(tmp_path, yaml_text):
     assert run(["rate", "--config", str(path), "--out", str(out),
                 "--trials", "100"]) == 0
     cfg = load_config(path)
-    for name, campaign_cfg in (("no_coolant", cfg), ("coolant", coolant_config(cfg))):
+    schedules = [("coolant", coolant_config(cfg))]
+    if not cfg.coolant_present:
+        schedules.append(("no_coolant", cfg))
+    for name, campaign_cfg in schedules:
         lines = (out / f"rate_analytic_{name}.csv").read_text().splitlines()
         cap_1 = next(line for line in lines if line.startswith("1,")).split(",")
         p0 = success_cdf_table(_success_model(campaign_cfg), 1)[0]
         assert float(cap_1[2]) == pytest.approx(p0, rel=1e-11), name
+
+
+def test_rate_with_coolant_config_runs_only_the_coolant_schedule(tmp_path):
+    from ionlink.config import coolant_config
+    from ionlink.protocol import effective_attempt_rate
+    path = tmp_path / "cfg.yaml"
+    path.write_text("coolant_present: true\n")
+    out = tmp_path / "rate"
+    assert run(["rate", "--config", str(path), "--out", str(out),
+                "--trials", "200", "--records", "--seed", "3"]) == 0
+    mc = json.loads((out / "rate_mc.json").read_text())
+    assert {"coolant", "no_coolant"} & set(mc) == {"coolant"}
+    assert mc["coolant"]["effective_attempt_rate_hz"] == effective_attempt_rate(
+        coolant_config())
+    assert not list(out.glob("*no_coolant*"))
+    assert {p.name for p in out.iterdir()} == {
+        "rate_mc.json", "rate_analytic_coolant.csv", "herald_records_coolant.csv"}
 
 
 def test_config_file_flows_through(tmp_path):

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
+from ionlink import ion_photon
+from ionlink.fitting import fit_sinusoid
 from ionlink.ion_photon import (
+    ION,
+    P_DOWN,
+    P_UP,
+    PAIR_DIMS,
+    PHOTON,
     SourceParams,
     coherence_scan,
     correlated_populations,
@@ -15,7 +22,18 @@ from ionlink.ion_photon import (
     raman_rotation,
     waveplate_unitary,
 )
-from ionlink.quantum import apply_channel, dephasing_channel, fidelity_pure
+from ionlink.quantum import (
+    DensityMatrix,
+    apply_channel,
+    conjugate,
+    dephasing_channel,
+    fidelity_pure,
+    ket,
+    lift,
+    partial_trace,
+    superposition,
+)
+from qutil import random_density
 
 HWP_GRID = np.linspace(0.0, np.pi / 2.0, 37)
 PHASE_GRID = np.linspace(0.0, 2.0 * np.pi, 41)
@@ -155,3 +173,53 @@ def test_source_params_validation():
         SourceParams(pol_mixing=1.2)
     with pytest.raises(ValueError):
         SourceParams(superposition_phase=7.0)
+
+
+def _pair_states():
+    """20 seeded random pair states, and one whose photon is never V."""
+    states = [random_density(np.random.default_rng(seed), PAIR_DIMS) for seed in range(20)]
+    return states + [ket((0, 0)).density()]
+
+
+def test_cached_herald_projector_matches_inline_construction():
+    cache = ion_photon._diagonal_herald_projector
+    cache.cache_clear()
+    states = _pair_states()[:20]
+    for state in states:
+        for sign in (+1, -1):
+            diag = superposition([(1.0, (0,)), (float(sign), (1,))], (2,))
+            proj = lift(np.outer(diag.amplitudes, diag.amplitudes.conj()), PHOTON,
+                        PAIR_DIMS)
+            weighted = proj @ state.matrix @ proj
+            w = float(np.real(np.trace(weighted)))
+            expected = partial_trace(DensityMatrix(
+                0.5 * (weighted + weighted.conj().T) / w, PAIR_DIMS), keep=[ION])
+            assert np.array_equal(heralded_ion_state(state, sign).matrix,
+                                  expected.matrix)
+            assert np.array_equal(cache(sign), proj)
+            assert not cache(sign).flags.writeable
+    info = cache.cache_info()
+    # one miss per sign; every other lookup is a hit
+    assert (info.misses, info.hits, info.currsize) == (2, 3 * 2 * len(states) - 2, 2)
+
+
+def test_correlation_scan_selectors_match_inline_construction():
+    up = np.real(np.diag(lift(P_UP, ION, PAIR_DIMS)))
+    assert np.array_equal(ion_photon._ION_UP, up)
+    assert not ion_photon._ION_UP.flags.writeable
+    for _, pol in ion_photon._PHOTON_POL:
+        assert not pol.flags.writeable
+    for state in _pair_states():
+        rotated = conjugate(state, lift(waveplate_unitary("half", HWP_GRID), PHOTON,
+                                        PAIR_DIMS))
+        pops = np.real(np.diagonal(rotated, axis1=-2, axis2=-1))
+        scan = correlation_scan(state, HWP_GRID)
+        assert list(scan.series) == ["p_up_given_V", "p_up_given_H"]
+        for label, proj_pol in (("p_up_given_V", P_UP), ("p_up_given_H", P_DOWN)):
+            pol = np.real(np.diag(lift(proj_pol, PHOTON, PAIR_DIMS)))
+            marginal = pops @ pol
+            zero = marginal < 1e-12
+            expected = np.where(zero, np.nan,
+                                pops @ (up * pol) / np.where(zero, 1.0, marginal))
+            assert np.array_equal(scan.series[label], expected, equal_nan=True)
+            assert scan.fits[label] == fit_sinusoid(HWP_GRID, expected, 4.0)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from ionlink import quantum
 from ionlink.quantum import (
+    CHANNEL_TOL,
+    PSD_TOL,
     DensityMatrix,
     KrausChannel,
     PureState,
@@ -16,11 +19,12 @@ from ionlink.quantum import (
     partial_trace,
     superposition,
     tensor,
+    validate_density,
     SIGMA_X,
 )
 from ionlink.analysis import _sample_readout
 from ionlink.detection import ConfusionMatrix, ReadoutModel
-from qutil import loop_partial_trace, random_density
+from qutil import loop_partial_trace, random_density, random_unitary
 
 # readout whose count classes never overlap: 0, 1000 or 2000 mean counts
 IDEAL_READOUT = ReadoutModel(bright_rate=1e6, dark_rate=0.0,
@@ -223,6 +227,52 @@ def test_validation_rejects_bad_matrices():
         DensityMatrix(np.diag([1.5, -0.5]))
     with pytest.raises(ValueError, match="normalized"):
         PureState(np.array([1.0, 1.0]))
+
+
+def _with_min_eigenvalue(lowest, seed=3):
+    """Trace-1 Hermitian 4x4 matrix, in a random basis, with the given
+    smallest eigenvalue."""
+    u = random_unitary(np.random.default_rng(seed), 4)
+    mat = u @ np.diag([0.6 - lowest, 0.3, 0.1, lowest]) @ u.conj().T
+    return 0.5 * (mat + mat.conj().T)
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["alone", "in_stack"])
+def test_psd_check_holds_its_tolerance(stacked):
+    def member(mat):
+        return np.stack([np.eye(4) / 4, mat, np.eye(4) / 4]) if stacked else mat
+    assert PSD_TOL == 1e-10
+    validate_density(member(_with_min_eigenvalue(-0.5 * PSD_TOL)))
+    with pytest.raises(ValueError, match="semidefinite"):
+        validate_density(member(_with_min_eigenvalue(-2.0 * PSD_TOL)))
+
+
+def test_channel_check_holds_its_tolerance():
+    assert CHANNEL_TOL == 1e-10
+    KrausChannel([np.sqrt(1.0 + 0.5 * CHANNEL_TOL) * np.eye(2)])
+    with pytest.raises(ValueError, match="trace preserving"):
+        KrausChannel([np.sqrt(1.0 + 2.0 * CHANNEL_TOL) * np.eye(2)])
+
+
+def test_cached_identity_is_read_only():
+    for d in (1, 2, 4, 16):
+        eye = quantum._identity(d)
+        assert np.array_equal(eye, np.eye(d))
+        assert not eye.flags.writeable
+        assert quantum._identity(d) is eye
+
+
+def test_dims_normalization_errors():
+    assert PureState([1.0], ()).dims == ()
+    with pytest.raises(ValueError, match="do not factor"):
+        PureState([1.0, 0.0], ())
+    with pytest.raises(ValueError, match="positive"):
+        PureState(np.zeros(0))
+    with pytest.raises(ValueError, match="positive"):
+        DensityMatrix(np.eye(2) / 2, (2, 1, 0))
+    with pytest.raises(ValueError, match="do not factor"):
+        DensityMatrix(np.eye(4) / 4, (2, 3))
+    assert DensityMatrix(np.eye(4) / 4, np.array([2, 2])).dims == (2, 2)
 
 
 def test_unitary_application():

@@ -3,9 +3,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ionlink import swap
 from ionlink.config import HardwareConfig, ideal_config
-from ionlink.quantum import fidelity_pure, partial_trace
+from ionlink.ion_photon import emit_ion_photon_state
+from ionlink.quantum import (
+    DensityMatrix,
+    apply_channel,
+    apply_unitary,
+    dephasing_channel,
+    fidelity_pure,
+    partial_trace,
+    tensor,
+)
 from ionlink.swap import (
+    FULL_DIMS,
+    TWO_ION_DIMS,
     HeraldStats,
     aligned_state_from_config,
     bell_phase,
@@ -149,3 +161,66 @@ def test_herald_fraction_matches_half_eta_product():
     assert abs(stats.herald_fraction - expected) < 3 * sigma
     # herald signs are balanced
     assert abs(stats.plus_signs - stats.heralds / 2) < 3 * np.sqrt(stats.heralds / 4)
+
+
+def _literal_swapped_state(cfg, sign, t):
+    """``swapped_state`` step by step, with both pairs emitted and tensored
+    for this sign alone."""
+    orientation = 1.0 if cfg.swap_phase_convention == "a_minus_b" else -1.0
+    pair_a, pair_b = (emit_ion_photon_state(replace(
+        src, superposition_phase=(orientation * src.superposition_phase) % TWO_PI))
+        for src in (cfg.source_a(), cfg.source_b()))
+    full = tensor(pair_a, pair_b)
+    proj = swap._photon_bell_herald_projector(sign)
+    weighted = proj @ full.matrix @ proj
+    w = float(np.real(np.trace(weighted)))
+    heralded = DensityMatrix(0.5 * (weighted + weighted.conj().T) / w, FULL_DIMS)
+    ions = partial_trace(heralded, keep=[swap.ION_A, swap.ION_B])
+    half = 0.5 * cfg.delta * t
+    ions = apply_unitary(ions, np.kron(np.diag([1.0, np.exp(-1j * half)]),
+                                       np.diag([1.0, np.exp(+1j * half)])))
+    gamma = cfg.bell_coherence_factor(t)
+    if gamma < 1.0:
+        ions = apply_channel(ions, dephasing_channel(gamma).on_subsystem(0, TWO_ION_DIMS))
+    if cfg.temporal_overlap < 1.0:
+        ions = apply_channel(
+            ions, dephasing_channel(cfg.temporal_overlap).on_subsystem(0, TWO_ION_DIMS))
+    mat = ions.matrix.copy()
+    w_dark = cfg.dark_herald_weight()
+    if w_dark > 0.0:
+        mat = (1.0 - w_dark) * mat + w_dark * np.eye(4) / 4.0
+    if cfg.double_excitation_prob > 0.0:
+        w_x = cfg.double_excitation_prob
+        mat = (1.0 - w_x) * mat + w_x * np.eye(4) / 4.0
+    return DensityMatrix(mat, TWO_ION_DIMS)
+
+
+@pytest.mark.parametrize("convention", ["b_minus_a", "a_minus_b"])
+def test_both_herald_signs_share_one_pair_product(convention):
+    cache = swap._emitted_pairs
+    orientation = 1.0 if convention == "a_minus_b" else -1.0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        cfg = replace(HardwareConfig(), swap_phase_convention=convention,
+                      pol_mixing_a=rng.uniform(0.0, 0.2),
+                      pol_mixing_b=rng.uniform(0.0, 0.2),
+                      phi_a=rng.uniform(0.0, TWO_PI), phi_b=rng.uniform(0.0, TWO_PI),
+                      delta_hz=rng.uniform(0.0, 2000.0),
+                      t2_star_bell=rng.uniform(1e-3, 80e-3),
+                      temporal_overlap=rng.uniform(0.9, 1.0))
+        t = rng.uniform(0.0, 1e-3)
+        before = cache.cache_info()
+        for sign, extra_hits in ((+1, 0), (-1, 1)):
+            rho = swapped_state(cfg, sign, t)
+            info = cache.cache_info()
+            assert (info.misses, info.hits) == (before.misses + 1,
+                                                before.hits + extra_hits)
+            assert np.array_equal(rho.matrix, _literal_swapped_state(cfg, sign, t).matrix)
+        sources = [replace(src, superposition_phase=(
+            orientation * src.superposition_phase) % TWO_PI)
+            for src in (cfg.source_a(), cfg.source_b())]
+        shared = cache(*sources)
+        assert not shared.matrix.flags.writeable
+        assert np.array_equal(shared.matrix, tensor(
+            *(emit_ion_photon_state(src) for src in sources)).matrix)
+        assert cache.cache_info().currsize <= cache.cache_info().maxsize

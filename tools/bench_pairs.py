@@ -18,7 +18,9 @@ extracted parent has no ``__pycache__``, the checkout's may be stale, and
 
 The file holds every pair's end-to-end metrics, each side's median and
 quartiles, and per metric the number of pairs the change won (the direction
-comes from BENCHMARK.json; ties count for neither side).  It also holds the
+comes from BENCHMARK.json; ties count for neither side), how much worse the
+change's median is than the parent's against the metric's BENCHMARK.json
+bound, and whether a gain on it would hold (see ``summarize``).  It also holds the
 first manifest of each side, its ``git_commit`` replaced by the revision
 actually run (the parent's commit id; for the change, ``HEAD`` and whether
 tracked files had uncommitted edits), the ``src/ionlink`` line counts of both
@@ -109,21 +111,39 @@ def quartiles(values: list) -> list:
     return [q[0], q[2]]
 
 
-def summarize(pairs: list, better: dict) -> dict:
-    """Medians, quartiles and change wins per metric over ``pairs``."""
+def summarize(pairs: list, metrics: dict) -> dict:
+    """Per metric over ``pairs``: medians, quartiles, change wins and the two
+    rules a change is judged by.
+
+    ``metrics`` maps each name to its BENCHMARK.json entry (``better`` and
+    ``bound``).  ``worse_by`` is the change's median minus the parent's, as a
+    fraction of the parent's, signed so that positive means worse;
+    ``within_bound`` is ``worse_by <= bound``.  ``gain_holds`` needs the
+    change to win at least 9 of 10 pairs and its median to be better by more
+    than the parent's interquartile spread.
+    """
     out = {}
-    for name, direction in better.items():
+    for name, spec in metrics.items():
         parent = [p["parent"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
-        if direction == "lower":
-            wins = sum(c < p for p, c in zip(parent, change))
-        else:
-            wins = sum(c > p for p, c in zip(parent, change))
-        out[name] = {"parent_median": statistics.median(parent),
-                     "parent_quartiles": quartiles(parent),
-                     "change_median": statistics.median(change),
+        sign = -1.0 if spec["better"] == "higher" else 1.0
+        wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        parent_median, change_median = statistics.median(parent), statistics.median(change)
+        parent_quartiles = quartiles(parent)
+        worsening = sign * (change_median - parent_median)
+        if parent_median:
+            worse_by = worsening / abs(parent_median)
+        else:  # no scale to compare with: any worsening is out of bounds
+            worse_by = 0.0 if worsening <= 0 else None
+        out[name] = {"parent_median": parent_median,
+                     "parent_quartiles": parent_quartiles,
+                     "change_median": change_median,
                      "change_quartiles": quartiles(change),
-                     "change_wins": wins, "pairs": len(pairs)}
+                     "change_wins": wins, "pairs": len(pairs),
+                     "worse_by": worse_by, "bound": spec["bound"],
+                     "within_bound": worse_by is not None and worse_by <= spec["bound"],
+                     "gain_holds": (10 * wins >= 9 * len(pairs) and -worsening
+                                    > parent_quartiles[1] - parent_quartiles[0])}
     return out
 
 
@@ -154,7 +174,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
     known = [w["name"] for w in bench["workloads"]]
     plan = {}
     for spec in args.workload or known:
@@ -199,10 +219,10 @@ def main(argv=None) -> int:
                     row[f"{side}_failed"] = res["result"]["failed"]
                 print(f"{workload} pair {i + 1}/{count} (seed {seed}): " + ", ".join(
                     f"{k} {row['parent'][k]:.4g} -> {row['change'][k]:.4g}"
-                    for k in better), flush=True)
+                    for k in metrics), flush=True)
                 pairs.append(row)
             report["workloads"][workload] = {"pairs": pairs,
-                                             "summary": summarize(pairs, better)}
+                                             "summary": summarize(pairs, metrics)}
         if args.suite:
             for side, tree in trees.items():
                 report[side]["suite"] = run_suite(tree)
