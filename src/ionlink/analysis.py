@@ -74,8 +74,7 @@ def _parity_result(grid: np.ndarray, values: np.ndarray) -> ScanResult:
     fit = fit_sinusoid(grid, values, 2.0)
     flags = ("fit_degenerate",) if fit.degenerate else ()
     return ScanResult(control=grid, series={"parity": values}, fits={"parity": fit},
-                      angular_frequency=2.0, contrast=fit.amplitude,
-                      control_label="control_value", flags=flags)
+                      angular_frequency=2.0, contrast=fit.amplitude, flags=flags)
 
 
 def parity_scan(rho: DensityMatrix, phases, pulses: str = "two") -> ScanResult:
@@ -230,11 +229,8 @@ class BudgetLedger:
 
     def __init__(self, entries):
         entries = tuple((str(k), float(v)) for k, v in entries)
-        total = sum(v for _, v in entries)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "total", total)
-        if abs(self.total - sum(v for _, v in entries)) > 1e-12:
-            raise ValueError("total must equal the sum of contributions")
+        object.__setattr__(self, "total", sum(v for _, v in entries))
 
     def as_dict(self) -> dict:
         out = dict(self.entries)

@@ -1,8 +1,9 @@
 """Command-line front end: experiment subcommands with CSV/JSON emission.
 
-Every output file embeds the config hash and master seed in '#'-prefixed
-header lines (CSV) or top-level keys (JSON), so a rerun with the same config
-and seed is byte-identical.  Exit code 0 means every requested output was
+Every output file is written by ``_csv`` or ``_json_payload``, which embed
+the package version, config hash and master seed as '#'-prefixed header lines
+(CSV) or top-level keys (JSON); the library returns data only.  A rerun with
+the same config and seed is byte-identical.  Exit code 0 means every requested output was
 written; config and usage problems exit with code 2, runtime failures with
 code 1, both after printing a machine-parsable JSON error object to stderr.
 """
@@ -27,9 +28,14 @@ from .config import HardwareConfig, ideal_config, load_config, measured_swap_con
 SEED_ENV_VAR = "IONLINK_SEED"
 DEFAULT_SEED = 1
 MAX_GRID_POINTS = 100_000
-# Memory grows with --trials: a rate campaign holds about 48 bytes per
-# request, and swap peaks at about 51 MB RSS at 2e6 trials.
+# Memory grows with --trials for rate only: a campaign holds about 48 bytes
+# per request.  Swap draws its readout in batches, so its RSS stays about
+# 38 MB at any trial count.
 MAX_TRIALS = 10_000_000
+# rate --records writes at most this many requests per schedule
+MAX_RECORDS = 100_000
+RECORD_COLUMNS = ("request_index", "attempts_used", "wall_time_ns", "success",
+                  "sign", "loop_index")
 
 
 class CliError(Exception):
@@ -80,9 +86,8 @@ def _resolve_seed(args) -> int:
     return DEFAULT_SEED
 
 
-def _header(cfg: HardwareConfig, seed: int) -> tuple[str, ...]:
-    return (f"ionlink={__version__}", f"config_hash={cfg.config_hash()}",
-            f"seed={seed}")
+def _run_header(cfg: HardwareConfig, seed: int) -> dict:
+    return {"ionlink": __version__, "config_hash": cfg.config_hash(), "seed": seed}
 
 
 def _write(out_dir: Path, name: str, content: str) -> None:
@@ -91,10 +96,34 @@ def _write(out_dir: Path, name: str, content: str) -> None:
 
 
 def _json_payload(cfg: HardwareConfig, seed: int, body: dict) -> str:
-    payload = {"ionlink": __version__, "config_hash": cfg.config_hash(),
-               "seed": seed}
-    payload.update(body)
-    return json.dumps(payload, sort_keys=True, indent=2)
+    return json.dumps(_run_header(cfg, seed) | body, sort_keys=True, indent=2)
+
+
+def _csv(cfg: HardwareConfig, seed: int, columns, rows) -> str:
+    """The run header as '# key=value' lines, the column row, then one line
+    per row: a float cell as '%.12g', any other cell with str()."""
+    lines = [f"# {k}={v}" for k, v in _run_header(cfg, seed).items()]
+    lines.append(",".join(columns))
+    lines.extend(",".join(["%.12g" % v if isinstance(v, float) else str(v)
+                           for v in row]) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _scan_csv(cfg: HardwareConfig, seed: int, scan) -> str:
+    """A ScanResult as one row per control value: the control, then each series."""
+    return _csv(cfg, seed, ["control_value", *scan.series],
+                zip(scan.control.tolist(), *(v.tolist() for v in scan.series.values())))
+
+
+def _record_rows(report, limit: int):
+    """Rows of the first ``limit`` requests of a campaign; a failed request
+    has an empty sign cell."""
+    n = min(limit, report.requests)
+    cols = zip(report.attempts_used[:n].tolist(), report.wall_ns[:n].tolist(),
+               report.success_mask[:n].tolist(), report.signs[:n].tolist(),
+               report.loop_index[:n].tolist())
+    return ((k, a, w, int(s), g if s else "", i)
+            for k, (a, w, s, g, i) in enumerate(cols))
 
 
 # --- ion-photon --------------------------------------------------------------
@@ -114,15 +143,14 @@ def cmd_ion_photon(args) -> int:
     out = Path(args.out)
     hwp = _parse_grid(args.grid) if args.grid else np.linspace(0.0, np.pi / 2.0, 37)
     phases = np.linspace(0.0, 2.0 * np.pi, 41)
-    header = _header(cfg, seed)
     summary = {}
     for label, source in (("A", cfg.source_a()), ("B", cfg.source_b())):
         pair = emit_ion_photon_state(source)
         corr = correlation_scan(pair, hwp)
         ion = heralded_ion_state(pair, +1)
         coh = coherence_scan(ion, phases)
-        _write(out, f"correlation_{label}.csv", corr.to_csv(header))
-        _write(out, f"coherence_{label}.csv", coh.to_csv(header))
+        _write(out, f"correlation_{label}.csv", _scan_csv(cfg, seed, corr))
+        _write(out, f"coherence_{label}.csv", _scan_csv(cfg, seed, coh))
         pops = correlated_populations(pair)
         summary[label] = {
             "correlation": corr.fit_summary(),
@@ -139,7 +167,6 @@ def cmd_ion_photon(args) -> int:
 
 def cmd_swap(args) -> int:
     from . import analysis
-    from .detection import histograms_to_csv, thresholds_sidecar
     cfg = _resolve_config(args)
     seed = _resolve_seed(args)
     out = Path(args.out)
@@ -149,17 +176,21 @@ def cmd_swap(args) -> int:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     res = analysis.swap_experiment(cfg, args.trials, rng)
 
-    header = _header(cfg, seed)
-    _write(out, "readout_histograms.csv", histograms_to_csv(res.histograms, header))
-    _write(out, "readout_thresholds.json", thresholds_sidecar(res.thresholds))
+    # each histogram as frequencies, zero-padded to the widest
+    width = max(h.size for h in res.histograms)
+    freqs = np.stack([np.pad(h / h.sum(), (0, width - h.size))
+                      for h in res.histograms], axis=1)
+    _write(out, "readout_histograms.csv", _csv(
+        cfg, seed, ("count", "freq_0bright", "freq_1bright", "freq_2bright"),
+        ((c, *row) for c, row in enumerate(freqs.tolist()))))
+    _write(out, "readout_thresholds.json",
+           _json_payload(cfg, seed, asdict(res.thresholds)))
     for pulses, scan in res.scans.items():
-        _write(out, f"parity_{pulses}_pulse.csv", scan.to_csv(header))
-    pops_csv = ["# " + line for line in header]
-    pops_csv.append("bright_ions,raw_frequency,corrected_population")
-    for k in range(3):
-        pops_csv.append(f"{k},{res.raw_populations[k]:.12g},"
-                        f"{res.populations.populations[k]:.12g}")
-    _write(out, "populations.csv", "\n".join(pops_csv) + "\n")
+        _write(out, f"parity_{pulses}_pulse.csv", _scan_csv(cfg, seed, scan))
+    _write(out, "populations.csv", _csv(
+        cfg, seed, ("bright_ions", "raw_frequency", "corrected_population"),
+        zip(range(3), res.raw_populations.tolist(),
+            res.populations.populations.tolist())))
     summary = {
         "trials": args.trials,
         "profile": args.profile,
@@ -183,7 +214,6 @@ def cmd_rate(args) -> int:
     cfg = _resolve_config(args)
     seed = _resolve_seed(args)
     out = Path(args.out)
-    header = _header(cfg, seed)
     if not 1 <= args.trials <= MAX_TRIALS:
         raise CliError("bad_trials", f"rate needs 1 to {MAX_TRIALS} trials, "
                        f"got {args.trials}", 2)
@@ -199,18 +229,17 @@ def cmd_rate(args) -> int:
     mc = {}
     experiment = protocol.rate_experiment(cfg, caps, args.trials, seed)
     for name, (run_cfg, curve, report) in experiment.items():
-        lines = ["# " + h for h in header]
-        lines.append("cap,cdf,mean_success_prob,rate_hz,rate_no_cooling_hz")
-        for row in zip(curve.caps.tolist(), curve.cdf.tolist(),
-                       curve.mean_success_prob.tolist(), curve.rate_hz.tolist(),
-                       curve.rate_no_cooling_hz.tolist()):
-            lines.append("{},{:.12g},{:.12g},{:.12g},{:.12g}".format(*row))
-        _write(out, f"rate_analytic_{name}.csv", "\n".join(lines) + "\n")
+        _write(out, f"rate_analytic_{name}.csv", _csv(
+            cfg, seed, ("cap", "cdf", "mean_success_prob", "rate_hz",
+                        "rate_no_cooling_hz"),
+            zip(curve.caps.tolist(), curve.cdf.tolist(),
+                curve.mean_success_prob.tolist(), curve.rate_hz.tolist(),
+                curve.rate_no_cooling_hz.tolist())))
         mc[name] = report.summary()
         mc[name]["effective_attempt_rate_hz"] = protocol.effective_attempt_rate(run_cfg)
         if args.records:
-            _write(out, f"herald_records_{name}.csv",
-                   protocol.records_to_csv(report, header, limit=100_000))
+            _write(out, f"herald_records_{name}.csv", _csv(
+                cfg, seed, RECORD_COLUMNS, _record_rows(report, MAX_RECORDS)))
     _write(out, "rate_mc.json", _json_payload(cfg, seed, mc))
     return 0
 
@@ -222,7 +251,6 @@ def cmd_modes(args) -> int:
     cfg = _resolve_config(args)
     seed = _resolve_seed(args)
     out = Path(args.out)
-    header = _header(cfg, seed)
     for flag, ref in (("--axial-ref", args.axial_ref),
                       ("--radial-ref", args.radial_ref)):
         if ref is not None and not (np.isfinite(ref) and ref > 0.0):
@@ -243,8 +271,13 @@ def cmd_modes(args) -> int:
     else:
         spec = modes.calibrate_reference_frequencies()
     tables = {d: modes.normal_modes(spec, d) for d in ("axial", "radial")}
-    for d, table in tables.items():
-        _write(out, f"modes_{d}.csv", table.to_csv(header))
+    for d, t in tables.items():
+        # one row per mode: the displacement of each ion, then the frequency
+        columns = ["mode", *(f"ion{i}_mass{m:g}" for i, m in enumerate(t.masses_amu)),
+                   "frequency_khz"]
+        rows = ([f"{d}_{k + 1}", *(f"{x:.3f}" for x in t.displacement[:, k]),
+                 f"{t.frequencies[k] / 1e3:.1f}"] for k in range(t.n_modes))
+        _write(out, f"modes_{d}.csv", _csv(cfg, seed, columns, rows))
 
     # same-species sanity: 3 equal-mass axial frequency ratios
     eq_spec = modes.ChainSpec(masses_amu=(modes.MASS_BA_138,) * 3,
@@ -280,20 +313,12 @@ def cmd_budget(args) -> int:
     cfg = _resolve_config(args)
     seed = _resolve_seed(args)
     out = Path(args.out)
-    header = _header(cfg, seed)
     err = analysis.error_budget(cfg)
     eff = analysis.efficiency_budget()
-
-    lines = ["# " + h for h in header] + ["contribution,fraction"]
-    for k, v in err.entries:
-        lines.append(f"{k},{v:.12g}")
-    lines.append(f"total,{err.total:.12g}")
-    _write(out, "error_budget.csv", "\n".join(lines) + "\n")
-
-    lines = ["# " + h for h in header] + ["stage,factor,running_product"]
-    for label, factor, running in eff.stages:
-        lines.append(f"{label},{factor:.12g},{running:.12g}")
-    _write(out, "efficiency_budget.csv", "\n".join(lines) + "\n")
+    _write(out, "error_budget.csv", _csv(cfg, seed, ("contribution", "fraction"),
+                                         [*err.entries, ("total", err.total)]))
+    _write(out, "efficiency_budget.csv", _csv(
+        cfg, seed, ("stage", "factor", "running_product"), eff.stages))
 
     _write(out, "budget.json", _json_payload(cfg, seed, {
         "error_budget": err.as_dict(), "efficiency_chain": eff.as_dict()}))

@@ -17,8 +17,6 @@ sum of ``mu^k / k!`` with ``e^-mu`` applied in factors that cannot underflow.
 
 from __future__ import annotations
 
-import io
-import json
 from dataclasses import dataclass
 from math import comb, exp, sqrt
 
@@ -157,31 +155,6 @@ def choose_thresholds(histograms) -> ThresholdResult:
     err, t1, t2 = best
     return ThresholdResult(t1=int(t1), t2=int(t2), misclassification=float(err),
                            degenerate=bool(err > 0.20))
-
-
-def thresholds_sidecar(result: ThresholdResult) -> str:
-    return json.dumps({
-        "t1": result.t1, "t2": result.t2,
-        "misclassification": result.misclassification,
-        "degenerate": result.degenerate,
-    }, sort_keys=True, indent=2)
-
-
-def histograms_to_csv(histograms, header_lines: tuple[str, ...] = ()) -> str:
-    hists = [np.asarray(h, dtype=float) for h in histograms]
-    width = max(h.size for h in hists)
-    buf = io.StringIO()
-    for line in header_lines:
-        buf.write(f"# {line}\n")
-    buf.write("count,freq_0bright,freq_1bright,freq_2bright\n")
-    totals = [max(h.sum(), 1.0) for h in hists]
-    for c in range(width):
-        row = [f"{c}"]
-        for h, tot in zip(hists, totals):
-            v = h[c] / tot if c < h.size else 0.0
-            row.append(f"{v:.12g}")
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,7 @@ scan of an ion heralded into ``(|down> + e^{i phi}|up>)/sqrt(2)`` fits to
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 import numpy as np
@@ -76,33 +75,12 @@ class ScanResult:
     fits: Mapping[str, SinusoidFit]
     angular_frequency: float
     contrast: float
-    control_label: str = "control_value"
     flags: tuple[str, ...] = ()
 
-    def to_csv(self, header_lines: tuple[str, ...] = ()) -> str:
-        buf = io.StringIO()
-        for line in header_lines:
-            buf.write(f"# {line}\n")
-        names = list(self.series)
-        buf.write(",".join([self.control_label] + names) + "\n")
-        for i, c in enumerate(self.control):
-            row = [f"{c:.12g}"] + [f"{self.series[n][i]:.12g}" for n in names]
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
-
     def fit_summary(self) -> dict:
-        out = {
+        return {
             "angular_frequency": self.angular_frequency,
             "contrast": self.contrast,
             "flags": list(self.flags),
-            "fits": {},
+            "fits": {name: asdict(f) for name, f in self.fits.items()},
         }
-        for name, f in self.fits.items():
-            out["fits"][name] = {
-                "amplitude": f.amplitude,
-                "phase": f.phase,
-                "offset": f.offset,
-                "residual_rms": f.residual_rms,
-                "degenerate": f.degenerate,
-            }
-        return out

@@ -145,9 +145,8 @@ def correlation_scan(state: DensityMatrix, hwp_angles) -> ScanResult:
     if any(f.degenerate for f in fits.values()):
         flags.append("fit_degenerate")
     contrast = float(np.mean([2.0 * f.amplitude for f in fits.values()]))
-    return ScanResult(control=angles, series=series,
-                      fits=fits, angular_frequency=k, contrast=contrast,
-                      control_label="control_value", flags=tuple(flags))
+    return ScanResult(control=angles, series=series, fits=fits, angular_frequency=k,
+                      contrast=contrast, flags=tuple(flags))
 
 
 @lru_cache(maxsize=2)
@@ -191,8 +190,7 @@ def coherence_scan(state: DensityMatrix, analysis_phases) -> ScanResult:
     fit = fit_sinusoid(phases, p_up, 1.0)
     flags = ("fit_degenerate",) if fit.degenerate else ()
     return ScanResult(control=phases, series={"p_up": p_up}, fits={"p_up": fit},
-                      angular_frequency=1.0, contrast=2.0 * fit.amplitude,
-                      control_label="control_value", flags=flags)
+                      angular_frequency=1.0, contrast=2.0 * fit.amplitude, flags=flags)
 
 
 def dephasing_infidelity(t: float, t2_star: float, envelope: str = "gaussian") -> float:

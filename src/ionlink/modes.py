@@ -20,7 +20,6 @@ frequency, radial modes descending.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,19 +170,6 @@ class ModeTable:
             res = h @ u - w2 * (m * u)
             out[k] = np.linalg.norm(res) / np.linalg.norm(h @ u)
         return out
-
-    def to_csv(self, header_lines: tuple[str, ...] = ()) -> str:
-        """Table layout: one row per mode, species columns then frequency."""
-        buf = io.StringIO()
-        for line in header_lines:
-            buf.write(f"# {line}\n")
-        cols = [f"ion{i}_mass{m:g}" for i, m in enumerate(self.masses_amu)]
-        buf.write("mode," + ",".join(cols) + ",frequency_khz\n")
-        for k in range(self.n_modes):
-            entries = [f"{self.displacement[i, k]:.3f}" for i in range(len(self.masses_amu))]
-            buf.write(f"{self.direction}_{k + 1}," + ",".join(entries)
-                      + f",{self.frequencies[k] / 1e3:.1f}\n")
-        return buf.getvalue()
 
 
 def normal_modes(spec: ChainSpec, direction: str) -> ModeTable:

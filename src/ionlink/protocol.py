@@ -33,7 +33,6 @@ individually.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -230,34 +229,20 @@ def simulate_campaign(cfg: HardwareConfig, requests: int,
                       wall_ns=wall_ns, loop_index=loop_index)
 
 
-def records_to_csv(report: RateReport, header_lines: tuple[str, ...] = (),
-                   limit: int | None = None) -> str:
-    """Serialize the first ``limit`` (default all) requests of a campaign."""
-    n = report.requests if limit is None else min(limit, report.requests)
-    rows = zip(report.attempts_used[:n].tolist(), report.wall_ns[:n].tolist(),
-               report.success_mask[:n].tolist(), report.signs[:n].tolist(),
-               report.loop_index[:n].tolist())
-    buf = io.StringIO()
-    for line in header_lines:
-        buf.write(f"# {line}\n")
-    buf.write("request_index,attempts_used,wall_time_ns,success,sign,loop_index\n")
-    buf.writelines(f"{k},{a},{w},{int(s)},{g if s else ''},{i}\n"
-                   for k, (a, w, s, g, i) in enumerate(rows))
-    return buf.getvalue()
-
-
 def rate_experiment(cfg: HardwareConfig, caps, requests: int, master_seed: int
                     ) -> dict[str, tuple[HardwareConfig, RateCurve, RateReport]]:
     """Closed-form rate curve and campaign of each schedule.
 
-    ``"coolant"`` runs ``coolant_config(cfg)``, and ``"no_coolant"`` runs
-    ``cfg`` as given unless ``cfg`` already has the coolant, in which case
-    only the coolant schedule runs.  Each curve sums the success model that
-    the campaign beside it samples.  Returns ``{name: (config, curve, report)}``.
+    A ``cfg`` that already has the coolant runs as given, as the only
+    schedule ``"coolant"``.  Otherwise ``"no_coolant"`` runs ``cfg`` and
+    ``"coolant"`` runs ``coolant_config(cfg)``.  Each curve sums the success
+    model that the campaign beside it samples.  Returns
+    ``{name: (config, curve, report)}``.
     """
-    schedules = [("coolant", coolant_config(cfg))]
-    if not cfg.coolant_present:
-        schedules.insert(0, ("no_coolant", cfg))
+    if cfg.coolant_present:
+        schedules = [("coolant", cfg)]
+    else:
+        schedules = [("no_coolant", cfg), ("coolant", coolant_config(cfg))]
     out = {}
     for name, c in schedules:
         schedule = ScheduleParams(c.attempt_duration, c.cooling_duration)

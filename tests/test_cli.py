@@ -112,6 +112,91 @@ def test_rate_records_stream(tmp_path):
     assert len(lines) == 4 + 500
 
 
+FORMAT_RUNS = (["budget"], ["modes"], ["ion-photon"], ["swap", "--trials", "2000"],
+               ["rate", "--trials", "300", "--records"])
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """Output directory of each subcommand's run at seed 3, by subcommand."""
+    root = tmp_path_factory.mktemp("outputs")
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in FORMAT_RUNS:
+            assert run(argv + ["--seed", "3", "--out", str(root / argv[0])]) == 0
+    return {argv[0]: root / argv[0] for argv in FORMAT_RUNS}
+
+
+@pytest.mark.parametrize("command", [argv[0] for argv in FORMAT_RUNS])
+def test_every_output_file_carries_the_run_header(outputs, command):
+    files = sorted(outputs[command].iterdir())
+    assert {p.suffix for p in files} == {".csv", ".json"}
+    docs = {p.name: json.loads(p.read_text()) for p in files if p.suffix == ".json"}
+    config_hash = next(iter(docs.values()))["config_hash"]
+    for name, doc in docs.items():
+        assert (doc["ionlink"], doc["config_hash"], doc["seed"]) == (
+            __version__, config_hash, 3), name
+    for p in files:
+        if p.suffix == ".csv":
+            assert p.read_text().splitlines()[:3] == [
+                f"# ionlink={__version__}", f"# config_hash={config_hash}",
+                "# seed=3"], p.name
+
+
+def _table(outputs, command, name) -> list[str]:
+    """Column row and data rows of a CSV output."""
+    return (outputs[command] / name).read_text().splitlines()[3:]
+
+
+def test_csv_column_rows(outputs):
+    hists = _table(outputs, "swap", "readout_histograms.csv")
+    assert hists[0] == "count,freq_0bright,freq_1bright,freq_2bright"
+    # a scan is its control value, then each series, one row per grid point
+    assert _table(outputs, "swap", "parity_two_pulse.csv")[0] == (
+        "control_value,parity")
+    coherence = _table(outputs, "ion-photon", "coherence_A.csv")
+    assert coherence[0] == "control_value,p_up"
+    assert len(coherence) == 1 + 41
+    # a mode table is one row per mode: displacements, then frequency in kHz
+    modes = _table(outputs, "modes", "modes_axial.csv")
+    assert modes[0].startswith("mode,ion0_mass170.936")
+    assert modes[0].endswith("frequency_khz")
+    assert len(modes) == 1 + 3
+    assert modes[1].split(",")[-1] == "352.7"
+
+
+def test_rate_records_list_every_request(outputs):
+    from ionlink.config import coolant_config
+    from ionlink.protocol import simulate_campaign
+    failed = 0
+    for name, cfg in (("no_coolant", HardwareConfig()),
+                      ("coolant", coolant_config())):
+        rep = simulate_campaign(cfg, 300, 3)
+        rows = _table(outputs, "rate", f"herald_records_{name}.csv")
+        assert rows[0] == ("request_index,attempts_used,wall_time_ns,success,"
+                           "sign,loop_index")
+        assert len(rows) == 1 + rep.requests
+        for k, row in enumerate(rows[1:]):
+            ok = bool(rep.success_mask[k])
+            failed += not ok
+            # a failed request has no herald sign
+            sign = str(rep.signs[k]) if ok else ""
+            assert row == (f"{k},{rep.attempts_used[k]},{rep.wall_ns[k]},"
+                           f"{int(ok)},{sign},{rep.loop_index[k]}")
+    assert failed > 0
+
+
+def test_rate_records_stop_at_the_limit(tmp_path, monkeypatch):
+    import ionlink.cli
+    monkeypatch.setattr(ionlink.cli, "MAX_RECORDS", 3)
+    out = tmp_path / "rate"
+    assert run(["rate", "--trials", "5", "--records", "--out", str(out)]) == 0
+    mc = json.loads((out / "rate_mc.json").read_text())
+    for name in ("no_coolant", "coolant"):
+        assert mc[name]["requests"] == 5
+        lines = (out / f"herald_records_{name}.csv").read_text().splitlines()
+        assert len(lines) == 4 + 3
+
+
 @pytest.mark.parametrize("trials", ["0", "-5", "10000001"])
 def test_rate_bad_trials_rejected_before_output(tmp_path, capsys, trials):
     out = tmp_path / "rt"
@@ -493,9 +578,10 @@ def test_rate_curves_use_the_model_their_campaign_samples(tmp_path, yaml_text):
     assert run(["rate", "--config", str(path), "--out", str(out),
                 "--trials", "100"]) == 0
     cfg = load_config(path)
-    schedules = [("coolant", coolant_config(cfg))]
-    if not cfg.coolant_present:
-        schedules.append(("no_coolant", cfg))
+    if cfg.coolant_present:
+        schedules = [("coolant", cfg)]
+    else:
+        schedules = [("no_coolant", cfg), ("coolant", coolant_config(cfg))]
     for name, campaign_cfg in schedules:
         lines = (out / f"rate_analytic_{name}.csv").read_text().splitlines()
         cap_1 = next(line for line in lines if line.startswith("1,")).split(",")
@@ -518,6 +604,29 @@ def test_rate_with_coolant_config_runs_only_the_coolant_schedule(tmp_path):
     assert not list(out.glob("*no_coolant*"))
     assert {p.name for p in out.iterdir()} == {
         "rate_mc.json", "rate_analytic_coolant.csv", "herald_records_coolant.csv"}
+
+
+def test_rate_with_coolant_reads_the_configured_decays(tmp_path):
+    # the coolant removes the recoil decay but keeps A + C as the success
+    # probability, so a config with the coolant samples its own decay_a + decay_c
+    files = {}
+    for label, yaml_text in (
+            ("default", "coolant_present: true\n"),
+            ("decays", "coolant_present: true\ndecay_a: 0.01\ndecay_c: 1.0e-3\n")):
+        path = tmp_path / f"{label}.yaml"
+        path.write_text(yaml_text)
+        out = tmp_path / label
+        assert run(["rate", "--config", str(path), "--out", str(out),
+                    "--trials", "200", "--records", "--seed", "3"]) == 0
+        files[label] = {p.name: [line for line in p.read_text().splitlines()
+                                 if "config_hash" not in line]
+                        for p in sorted(out.iterdir())}
+    assert set(files["default"]) == set(files["decays"])
+    for name in files["default"]:
+        assert files["default"][name] != files["decays"][name], name
+    cap_1 = next(line for line in files["decays"]["rate_analytic_coolant.csv"]
+                 if line.startswith("1,")).split(",")
+    assert float(cap_1[2]) == pytest.approx(0.011, rel=1e-12)
 
 
 def test_config_file_flows_through(tmp_path):

@@ -10,7 +10,6 @@ from ionlink.detection import (
     choose_thresholds,
     classify_counts,
     effective_bright_probs,
-    histograms_to_csv,
     simulate_histogram,
     spam_correct,
 )
@@ -213,15 +212,6 @@ def test_condition_number_reported():
     model = ReadoutModel()
     cm = ConfusionMatrix.from_model(model, 20, 150)
     assert 1.0 <= cm.condition_number < 1.2
-
-
-def test_histograms_csv():
-    rng = np.random.default_rng(5)
-    hists = [np.bincount(rng.poisson(mu, 1000)) for mu in (1.0, 30.0, 60.0)]
-    csv = histograms_to_csv(hists, ("x",))
-    lines = csv.strip().split("\n")
-    assert lines[0] == "# x"
-    assert lines[1] == "count,freq_0bright,freq_1bright,freq_2bright"
 
 
 def test_binom_pmf_matches_scipy():

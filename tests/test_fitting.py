@@ -58,17 +58,12 @@ def test_non_finite_points_are_ignored():
     assert fit.phase == pytest.approx(1.0, abs=1e-12)
 
 
-def test_scan_result_csv_and_json():
+def test_scan_result_fit_summary():
     x = np.linspace(0, 1, 5)
     y = 0.5 + 0.1 * np.sin(2 * x)
     fit = fit_sinusoid(x, y, 2.0)
     scan = ScanResult(control=x, series={"p": y}, fits={"p": fit},
-                      angular_frequency=2.0, contrast=0.2, control_label="c")
-    csv = scan.to_csv(("hello",))
-    lines = csv.strip().split("\n")
-    assert lines[0] == "# hello"
-    assert lines[1] == "c,p"
-    assert len(lines) == 2 + x.size
+                      angular_frequency=2.0, contrast=0.2)
     summary = scan.fit_summary()
     assert summary["contrast"] == 0.2
     assert summary["fits"]["p"]["amplitude"] == pytest.approx(0.1, abs=1e-12)

@@ -169,17 +169,6 @@ def test_radial_instability_reported_by_mode():
         normal_modes(spec, "radial")
 
 
-def test_mode_table_csv_layout():
-    spec = calibrate_reference_frequencies()
-    csv = normal_modes(spec, "axial").to_csv(("meta",))
-    lines = csv.strip().split("\n")
-    assert lines[0] == "# meta"
-    assert lines[1].startswith("mode,ion0_mass170.936")
-    assert lines[1].endswith("frequency_khz")
-    assert len(lines) == 5
-    assert lines[2].split(",")[-1] == "352.7"
-
-
 def test_chain_spec_validation():
     with pytest.raises(ValueError):
         ChainSpec(masses_amu=(), axial_freq_ref=1e5, radial_freq_ref=1e6)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency, chisquare
 
+from ionlink.cli import RECORD_COLUMNS, _csv, _record_rows
 from ionlink.config import DECAY_COOLANT_RECONSTRUCTION, HardwareConfig, coolant_config
 from ionlink.protocol import (
     _BLOCK,
@@ -15,7 +16,6 @@ from ionlink.protocol import (
     _success_model,
     effective_attempt_rate,
     rate_experiment,
-    records_to_csv,
     simulate_campaign,
 )
 from ionlink.rate_model import DecayParams, success_cdf_table
@@ -201,24 +201,6 @@ def test_empirical_cdf_matches_table():
         assert abs(e - want) < 4 * sigma
 
 
-def test_records_csv_roundtrip():
-    cfg = HardwareConfig()
-    rep = simulate_campaign(cfg, 5, master_seed=1)
-    csv = records_to_csv(rep, ("meta",))
-    lines = csv.strip().split("\n")
-    assert lines[0] == "# meta"
-    assert lines[1] == ("request_index,attempts_used,wall_time_ns,success,sign,"
-                        "loop_index")
-    assert len(lines) == 7
-    first = lines[2].split(",")
-    assert int(first[0]) == 0
-    assert int(first[3]) == 1
-    for k, line in enumerate(lines[2:]):
-        assert line == (f"{k},{rep.attempts_used[k]},{rep.wall_ns[k]},1,"
-                        f"{rep.signs[k]},{rep.loop_index[k]}")
-    assert len(records_to_csv(rep, (), limit=3).splitlines()) == 1 + 3
-
-
 def test_overlong_requests_rejected():
     # a loop success probability this small allows single requests whose
     # wall time would overflow the int64 nanosecond columns
@@ -227,9 +209,10 @@ def test_overlong_requests_rejected():
         simulate_campaign(cfg, 10, master_seed=0)
 
 
-# SHA-256 of records_to_csv + summary() for the three benchmark schedules at
-# 10000 requests (three blocks), taken before the in-loop positions were
-# searched in sorted key order: the lookup order must not change any output.
+# SHA-256 of the herald-record CSV below its run header lines, plus summary(),
+# for the three benchmark schedules at 10000 requests (three blocks), taken
+# before the in-loop positions were searched in sorted key order: the lookup
+# order must not change any output.
 CAMPAIGN_DIGESTS = {
     ("no_coolant", 1): "0cf49fe603d9dddef2d3b04d5d4ffbed1c61c2955d370f38a70c7f16dcfc3a3c",
     ("no_coolant", 2): "f9170464beaa39678076303ebba8f98d0da078b03b56ce9bfcb3f635900e1174",
@@ -251,8 +234,10 @@ def _schedule(name):
 def test_campaign_outputs_pinned(name, seed):
     requests = 10_000
     assert requests > 2 * _BLOCK
-    rep = simulate_campaign(_schedule(name), requests, seed)
-    blob = records_to_csv(rep) + json.dumps(rep.summary(), sort_keys=True)
+    cfg = _schedule(name)
+    rep = simulate_campaign(cfg, requests, seed)
+    records = _csv(cfg, seed, RECORD_COLUMNS, _record_rows(rep, requests))
+    blob = records.split("\n", 3)[3] + json.dumps(rep.summary(), sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == CAMPAIGN_DIGESTS[name, seed]
 
 
