@@ -1,10 +1,10 @@
 """Command-line front end: experiment subcommands with CSV/JSON emission.
 
-Every output file is written by ``_csv`` or ``_json_payload``, which embed
-the package version, config hash and master seed as '#'-prefixed header lines
-(CSV) or top-level keys (JSON); the library returns data only.  A rerun with
-the same config and seed is byte-identical.  Exit code 0 means every requested output was
-written; config and usage problems exit with code 2, runtime failures with
+Every output file is written by ``_csv`` or ``_json_payload``, which embed the
+package version, config hash and master seed as '#'-prefixed header lines (CSV)
+or top-level keys (JSON); the library returns data only.  A rerun with the same
+config and seed is byte-identical.  Exit code 0 means every requested output
+was written; config and usage problems exit with code 2, runtime failures with
 code 1, both after printing a machine-parsable JSON error object to stderr.
 """
 
