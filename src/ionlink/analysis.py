@@ -20,6 +20,7 @@ single-pulse contrast as ``F >= (pops + C2 - C1)/2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -36,7 +37,7 @@ from .detection import (
 )
 from .fitting import ScanResult, fit_sinusoid
 from .ion_photon import dephasing_infidelity, raman_rotation
-from .quantum import DensityMatrix, apply_unitary, conjugate
+from .quantum import DensityMatrix, apply_unitary, cache_by_value, conjugate
 
 TWO_ION_DIMS = (2, 2)
 # little-endian basis order of the two-ion register (ion A is bit 0):
@@ -52,11 +53,25 @@ def _global_rotation(phase) -> np.ndarray:
     return both.reshape(r.shape[:-2] + (4, 4))
 
 
+@lru_cache(maxsize=32)
+def _pulse(phase: float) -> np.ndarray:
+    """Read-only global pi/2 pulse of one phase.  ``-0.0`` shares the entry
+    of ``0.0``, whose pulse is bitwise the same."""
+    u = _global_rotation(phase)
+    u.setflags(write=False)
+    return u
+
+
+# one stack per scan grid, 4 grids kept: at cli.MAX_GRID_POINTS phases a
+# stack holds 25.6 MB
+_pulse_stack = cache_by_value(maxsize=4)(_global_rotation)
+
+
 def apply_analysis_pulse(rho: DensityMatrix, phase: float) -> DensityMatrix:
     """Global pi/2 pulse of the given phase on both ions."""
     if rho.dims != TWO_ION_DIMS:
         raise ValueError("expects a two-ion state")
-    return apply_unitary(rho, _global_rotation(phase))
+    return apply_unitary(rho, _pulse(float(phase)))
 
 
 def _analysis_sequence(rho: DensityMatrix, phases, pulses: str) -> np.ndarray:
@@ -67,7 +82,7 @@ def _analysis_sequence(rho: DensityMatrix, phases, pulses: str) -> np.ndarray:
         raise ValueError("pulses must be 'one' or 'two'")
     if pulses == "two":
         rho = apply_analysis_pulse(rho, 0.0)
-    return conjugate(rho, _global_rotation(phases))
+    return conjugate(rho, _pulse_stack(phases))
 
 
 def _parity_result(grid: np.ndarray, values: np.ndarray) -> ScanResult:
@@ -145,7 +160,7 @@ def _sample_readout(rho: np.ndarray, shots, cm: ConfusionMatrix,
     return rng.multinomial(shots, probs) / shots[..., None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SwapExperiment:
     """Sampled readout calibration, populations and parity scans of the
     heralded two-ion state, with the fidelity lower bound they give."""

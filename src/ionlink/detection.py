@@ -157,7 +157,7 @@ def choose_thresholds(histograms) -> ThresholdResult:
                            degenerate=bool(err > 0.20))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfusionMatrix:
     """Row-stochastic map M[true][observed] of the bright-count readout."""
 
@@ -201,7 +201,7 @@ class ConfusionMatrix:
         return cls(m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpamCorrection:
     populations: np.ndarray
     clipped_mass: float

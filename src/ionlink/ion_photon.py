@@ -21,6 +21,7 @@ from .quantum import (
     DensityMatrix,
     PureState,
     apply_channel,
+    cache_by_value,
     conjugate,
     depolarizing_channel,
     lift,
@@ -120,6 +121,17 @@ def raman_rotation(phase, angle: float = np.pi / 2.0) -> np.ndarray:
     return out
 
 
+# one stack per scan grid, 4 grids kept per cache: at cli.MAX_GRID_POINTS
+# points a plate stack holds 25.6 MB and a rotation stack 6.4 MB
+@cache_by_value(maxsize=4)
+def _half_wave_stack(angles) -> np.ndarray:
+    """Half-wave plate at each angle, acting on the photon of the pair."""
+    return lift(waveplate_unitary("half", angles), PHOTON, PAIR_DIMS)
+
+
+_raman_stack = cache_by_value(maxsize=4)(raman_rotation)
+
+
 def correlation_scan(state: DensityMatrix, hwp_angles) -> ScanResult:
     """Conditional P(ion up | photon in V) and (... | H) vs half-wave-plate angle.
 
@@ -131,7 +143,7 @@ def correlation_scan(state: DensityMatrix, hwp_angles) -> ScanResult:
     if state.dims != PAIR_DIMS:
         raise ValueError("correlation_scan expects an (ion, photon) pair state")
     angles = np.asarray(hwp_angles, dtype=float)
-    rotated = conjugate(state, lift(waveplate_unitary("half", angles), PHOTON, PAIR_DIMS))
+    rotated = conjugate(state, _half_wave_stack(angles))
     pops = np.real(np.diagonal(rotated, axis1=-2, axis2=-1))
     series = {}
     for label, pol in _PHOTON_POL:
@@ -186,7 +198,7 @@ def coherence_scan(state: DensityMatrix, analysis_phases) -> ScanResult:
     if state.dims != (2,):
         raise ValueError("coherence_scan expects a single-qubit ion state")
     phases = np.asarray(analysis_phases, dtype=float)
-    p_up = np.real(conjugate(state, raman_rotation(phases))[:, UP, UP])
+    p_up = np.real(conjugate(state, _raman_stack(phases))[:, UP, UP])
     fit = fit_sinusoid(phases, p_up, 1.0)
     flags = ("fit_degenerate",) if fit.degenerate else ()
     return ScanResult(control=phases, series={"p_up": p_up}, fits={"p_up": fit},

@@ -145,7 +145,7 @@ def _hessian(spec: ChainSpec, z: np.ndarray, direction: str) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeTable:
     """Normal-mode frequencies and participation of one trap direction."""
 

@@ -78,7 +78,7 @@ def _success_model(cfg: HardwareConfig) -> DecayParams:
     return DecayParams(cfg.decay_a, cfg.decay_b, cfg.decay_c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateReport:
     """Per-request columns and aggregates of a campaign.
 

@@ -18,15 +18,22 @@ package:
   and :func:`validate_density` checks a whole stack in one call.
 
 All operations are pure functions; states are treated as immutable (the
-wrapped arrays are marked read-only).  Randomness always enters through an
-explicit :class:`numpy.random.Generator`.
+wrapped arrays are marked read-only).  Classes that hold arrays, here and in
+the other modules, are declared ``eq=False``: they compare and hash by
+identity, because a generated field-wise ``==`` would compare arrays and
+raise.  Randomness always enters through an explicit
+:class:`numpy.random.Generator`.
+
+An operator that depends only on control values (a pulse phase, a scan grid,
+a fit frequency) is built once per value and shared read-only through
+:func:`cache_by_value`, a cache bounded by entry count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,6 +66,42 @@ def _identity(d: int) -> np.ndarray:
     return eye
 
 
+@lru_cache(maxsize=MAX_DIM)
+def _psd_shift(d: int) -> np.ndarray:
+    """Read-only ``PSD_TOL * I``, the shift of the PSD check."""
+    shift = PSD_TOL * _identity(d)
+    shift.setflags(write=False)
+    return shift
+
+
+def cache_by_value(maxsize: int):
+    """Decorator that builds ``build(*values)`` once per set of values and
+    returns it read-only.
+
+    Each argument is converted to a float array and keyed by its shape and
+    bytes, so ``-0.0`` and ``0.0`` are distinct keys and a repeated NaN finds
+    its entry; ``build`` receives read-only float arrays equal to the
+    converted arguments.  At most ``maxsize`` results are kept, least
+    recently used dropped first; ``cache_info`` and ``cache_clear`` are those
+    of the underlying ``lru_cache``.
+    """
+    def decorate(build):
+        @lru_cache(maxsize=maxsize)
+        def cached(*keys):
+            out = build(*(np.frombuffer(raw).reshape(shape) for shape, raw in keys))
+            out.setflags(write=False)
+            return out
+
+        @wraps(build)
+        def lookup(*values):
+            arrays = [np.asarray(v, dtype=float) for v in values]
+            return cached(*((a.shape, a.tobytes()) for a in arrays))
+
+        lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
+        return lookup
+    return decorate
+
+
 def _normalize_dims(dim: int, dims: Sequence[int] | None) -> tuple[int, ...]:
     dims = (dim,) if dims is None else tuple(map(int, dims))
     if dims and min(dims) < 1:
@@ -83,7 +126,7 @@ def basis_index(values: Sequence[int], dims: Sequence[int]) -> int:
     return index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized state vector over a register of subsystems."""
 
@@ -109,7 +152,7 @@ class PureState:
                              self.dims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Trace-one Hermitian PSD matrix with a declared subsystem factorization."""
 
@@ -143,7 +186,7 @@ def validate_density(mats: np.ndarray) -> None:
     if dev.max() > TRACE_TOL:
         raise ValueError(f"trace is {np.ravel(tr)[dev.argmax()]!r}, expected 1")
     try:
-        np.linalg.cholesky(mats + PSD_TOL * _identity(mats.shape[-1]))
+        np.linalg.cholesky(mats + _psd_shift(mats.shape[-1]))
     except np.linalg.LinAlgError:
         lo = np.linalg.eigvalsh(mats).min()
         raise ValueError(f"matrix not positive semidefinite: min eigenvalue {lo:.3e}") from None
@@ -238,7 +281,7 @@ def conjugate(rho: DensityMatrix, unitaries: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Trace-preserving channel given by a stack ``(n, d, d)`` of Kraus operators."""
 

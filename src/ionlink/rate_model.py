@@ -138,7 +138,7 @@ def cdf(n, p: DecayParams):
     return out if out.shape else float(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateCurve:
     """Loop statistics at each cap of ``caps``, one array entry per cap."""
 

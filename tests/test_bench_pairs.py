@@ -1,5 +1,7 @@
 import importlib.util
+import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -74,3 +76,61 @@ def test_zero_parent_median():
     pairs = [{"parent": {"ok_ratio": 0.0}, "change": {"ok_ratio": -1.0}}]
     row = bench_pairs.summarize(pairs, metrics)["ok_ratio"]
     assert row["worse_by"] is None and not row["within_bound"]
+
+
+LAYERS = {"quantum.lift.calls": {"better": "lower"},
+          "cli.main.self_s": {"better": "lower"}}
+
+
+def _traced(lift_calls, main_self_s):
+    return {"quantum.lift.calls": {"value": lift_calls, "unit": "calls/op"},
+            "cli.main.self_s": {"value": main_self_s, "unit": "s/op"},
+            "ok_ratio": {"value": 1.0, "unit": "ratio"}}
+
+
+def test_layer_rows_keep_printed_values_and_zero_spans():
+    rows = bench_pairs.layer_rows(_traced(10.0, 0.0), _traced(8.0, 0.0), LAYERS)
+    assert set(rows) == set(LAYERS)
+    assert rows["quantum.lift.calls"] == {"unit": "calls/op", "better": "lower",
+                                          "parent": 10.0, "change": 8.0,
+                                          "ratio": pytest.approx(0.8)}
+    # a span the workload does not reach reads 0 on both sides, with no ratio
+    assert rows["cli.main.self_s"] == {"unit": "s/op", "better": "lower",
+                                       "parent": 0.0, "change": 0.0, "ratio": None}
+
+
+def test_main_stores_one_traced_run_per_side(tmp_path, monkeypatch):
+    root = _PATH.parent.parent
+    (tmp_path / "BENCHMARK.json").write_text((root / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "BUILD", tmp_path / ".bench_build")
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "checkout_revision", lambda: "1" * 40)
+    monkeypatch.setattr(bench_pairs, "src_lines", lambda tree: {"total": 1})
+    monkeypatch.setattr(bench_pairs, "subprocess",  # the compileall step
+                        SimpleNamespace(run=lambda *args, **kwargs: None))
+    bench = json.loads((root / "BENCHMARK.json").read_text())
+    runs = []
+
+    def fake_run(tree, workload, seed, seconds, trace=0):
+        side = "change" if tree == tmp_path else "parent"
+        runs.append((side, seed, trace))
+        names = bench["per_layer" if trace else "end_to_end"]
+        value = {"parent": 2.0, "change": 1.0}[side]
+        return {"manifest": {"git_commit": None},
+                "result": {"failed": 0, "metrics": {
+                    m["name"]: {"value": value, "unit": m["unit"]} for m in names}}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    assert bench_pairs.main(["--parent", "HEAD", "--pr", "99", "--workload",
+                             "campaign=2", "--seed", "40"]) == 0
+    # two pairs untraced, alternating sides, then one traced run per side
+    assert runs == [("parent", 40, 0), ("change", 40, 0), ("change", 41, 0),
+                    ("parent", 41, 0), ("parent", 40, 1), ("change", 40, 1)]
+    report = json.loads((tmp_path / "BENCH_99.json").read_text())
+    trace = report["workloads"]["campaign"]["trace"]
+    assert trace["seed"] == 40 and trace["failed"] == {"parent": 0, "change": 0}
+    assert set(trace["rows"]) == {m["name"] for m in bench["per_layer"]}
+    row = trace["rows"]["quantum.lift.calls"]
+    assert (row["parent"], row["change"], row["ratio"]) == (2.0, 1.0, 0.5)
+    assert "--trace 1" in report["trace_command"]

@@ -260,6 +260,48 @@ def test_cached_identity_is_read_only():
         assert np.array_equal(eye, np.eye(d))
         assert not eye.flags.writeable
         assert quantum._identity(d) is eye
+        shift = quantum._psd_shift(d)
+        assert np.array_equal(shift, PSD_TOL * np.eye(d))
+        assert not shift.flags.writeable
+        assert quantum._psd_shift(d) is shift
+
+
+def _array_holders():
+    """Two equal-valued instances, built apart, of each class that holds an
+    array field."""
+    from ionlink.analysis import parity_scan, swap_experiment
+    from ionlink.config import HardwareConfig, ideal_config
+    from ionlink.detection import spam_correct
+    from ionlink.modes import MASS_BA_138, ChainSpec, normal_modes
+    from ionlink.protocol import simulate_campaign
+    from ionlink.rate_model import DecayParams, ScheduleParams, rate_curve
+
+    spec = ChainSpec(masses_amu=(MASS_BA_138,) * 2, axial_freq_ref=1e5,
+                     radial_freq_ref=1e6)
+    rho = ket([0, 1]).density()
+    builders = {
+        "PureState": lambda: ket([0, 1]),
+        "DensityMatrix": lambda: ket([0, 1]).density(),
+        "KrausChannel": lambda: depolarizing_channel(0.1),
+        "ScanResult": lambda: parity_scan(rho, np.linspace(0.0, np.pi, 5)),
+        "ConfusionMatrix": lambda: ConfusionMatrix.from_model(IDEAL_READOUT, 500, 1500),
+        "SpamCorrection": lambda: spam_correct([0.2, 0.5, 0.3], IDEAL_CM),
+        "SwapExperiment": lambda: swap_experiment(ideal_config(), 100,
+                                                  np.random.default_rng(1)),
+        "RateReport": lambda: simulate_campaign(HardwareConfig(), 10, 1),
+        "RateCurve": lambda: rate_curve([1, 2], DecayParams(1e-3, 0.0, 1e-3),
+                                        ScheduleParams(), False),
+        "ModeTable": lambda: normal_modes(spec, "axial"),
+    }
+    return {name: (build(), build()) for name, build in builders.items()}
+
+
+def test_array_holders_compare_and_hash_by_identity():
+    for name, (a, b) in _array_holders().items():
+        assert type(a).__name__ == name
+        assert a == a and not (a == b) and a != b, name
+        assert a in [b, a] and b not in [a]
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
 
 
 def test_dims_normalization_errors():

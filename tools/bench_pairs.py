@@ -10,8 +10,9 @@ uncommitted edits included; the parent is revision REV, extracted with
 workload ``NAME[=PAIRS]`` (PAIRS defaults to 10; no ``--workload`` means
 every workload of BENCHMARK.json at 10 pairs), pair ``i`` runs ``python3 perfbench/run.py --workload W --seed SEED+i
 --seconds S --trace 0`` once in each tree, one process at a time; the parent
-runs first in even pairs and the change first in odd ones.  Before the first
-run, ``compileall`` writes fresh bytecode for ``src/`` and ``perfbench/`` of
+runs first in even pairs and the change first in odd ones.  After the pairs
+of a workload, one ``--trace 1`` run per side at seed SEED (parent first)
+gives its per-layer rows.  Before the first run, ``compileall`` writes fresh bytecode for ``src/`` and ``perfbench/`` of
 both trees, so that neither side recompiles modules on each cold start (the
 extracted parent has no ``__pycache__``, the checkout's may be stale, and
 ``PYTHONDONTWRITEBYTECODE`` keeps imports from writing it).
@@ -23,7 +24,8 @@ change's median is than the parent's against the metric's BENCHMARK.json
 bound, and whether a gain on it would hold (see ``summarize``).  It also holds the
 first manifest of each side, its ``git_commit`` replaced by the revision
 actually run (the parent's commit id; for the change, ``HEAD`` and whether
-tracked files had uncommitted edits), the ``src/ionlink`` line counts of both
+tracked files had uncommitted edits), per workload the per-layer rows of the
+traced runs (see ``layer_rows``), the ``src/ionlink`` line counts of both
 trees and, with ``--suite``, the wall time and summary line of each tree's
 test suite.
 
@@ -88,12 +90,13 @@ def src_lines(tree: Path) -> dict:
     return out
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One ``perfbench/run.py --trace 0`` run in ``tree``: its manifest and
-    its JSON result."""
+def run_bench(tree: Path, workload: str, seed: int, seconds: int,
+              trace: int = 0) -> dict:
+    """One ``perfbench/run.py`` run in ``tree``: its manifest and its JSON
+    result."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
@@ -147,6 +150,23 @@ def summarize(pairs: list, metrics: dict) -> dict:
     return out
 
 
+def layer_rows(parent: dict, change: dict, metrics: dict) -> dict:
+    """Per-layer rows of one traced run per side.
+
+    ``parent`` and ``change`` are the ``metrics`` of each side's JSON result
+    (name to ``{"value", "unit"}``), and ``metrics`` maps each per-layer name
+    of BENCHMARK.json to its entry.  Values are kept as printed: a span that
+    a workload does not reach reads 0.  ``ratio`` is the change's value over
+    the parent's, or None where the parent reads 0.
+    """
+    rows = {}
+    for name, spec in metrics.items():
+        p, c = parent[name]["value"], change[name]["value"]
+        rows[name] = {"unit": parent[name]["unit"], "better": spec["better"],
+                      "parent": p, "change": c, "ratio": c / p if p else None}
+    return rows
+
+
 def run_suite(tree: Path) -> dict:
     t0 = perf_counter()
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p",
@@ -175,6 +195,7 @@ def main(argv=None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in bench["end_to_end"]}
+    layers = {m["name"]: m for m in bench["per_layer"]}
     known = [w["name"] for w in bench["workloads"]]
     plan = {}
     for spec in args.workload or known:
@@ -197,6 +218,8 @@ def main(argv=None) -> int:
             "pr": args.pr,
             "command": "python3 perfbench/run.py --workload W --seed S "
                        f"--seconds {args.seconds} --trace 0",
+            "trace_command": "python3 perfbench/run.py --workload W --seed "
+                             f"{args.seed} --seconds {args.seconds} --trace 1",
             "bytecode": f"python -m compileall {' '.join(COMPILED)} in both "
                         "trees before the first run",
             "parent": {"revision": commit, "src_lines": src_lines(parent_tree)},
@@ -221,8 +244,15 @@ def main(argv=None) -> int:
                     f"{k} {row['parent'][k]:.4g} -> {row['change'][k]:.4g}"
                     for k in metrics), flush=True)
                 pairs.append(row)
-            report["workloads"][workload] = {"pairs": pairs,
-                                             "summary": summarize(pairs, metrics)}
+            traced = {side: run_bench(trees[side], workload, args.seed,
+                                      args.seconds, trace=1)["result"]
+                      for side in ("parent", "change")}
+            report["workloads"][workload] = {
+                "pairs": pairs, "summary": summarize(pairs, metrics),
+                "trace": {"seed": args.seed,
+                          "failed": {side: r["failed"] for side, r in traced.items()},
+                          "rows": layer_rows(traced["parent"]["metrics"],
+                                             traced["change"]["metrics"], layers)}}
         if args.suite:
             for side, tree in trees.items():
                 report[side]["suite"] = run_suite(tree)
