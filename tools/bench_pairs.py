@@ -12,10 +12,11 @@ every workload of BENCHMARK.json at 10 pairs), pair ``i`` runs ``python3 perfben
 --seconds S --trace 0`` once in each tree, one process at a time; the parent
 runs first in even pairs and the change first in odd ones.  After the pairs
 of a workload, one ``--trace 1`` run per side at seed SEED (parent first)
-gives its per-layer rows.  Before the first run, ``compileall`` writes fresh bytecode for ``src/`` and ``perfbench/`` of
-both trees, so that neither side recompiles modules on each cold start (the
-extracted parent has no ``__pycache__``, the checkout's may be stale, and
-``PYTHONDONTWRITEBYTECODE`` keeps imports from writing it).
+gives its per-layer rows.  Before the first run, ``compileall`` writes fresh
+bytecode for ``src/`` and ``perfbench/`` of both trees, so that neither side
+recompiles modules on each cold start (the extracted parent has no
+``__pycache__``, the checkout's may be stale, and ``PYTHONDONTWRITEBYTECODE``
+keeps imports from writing it).
 
 The file holds every pair's end-to-end metrics, each side's median and
 quartiles, and per metric the number of pairs the change won (the direction
