@@ -268,8 +268,11 @@ def error_budget(cfg: HardwareConfig) -> BudgetLedger:
     envelope.  other: wavepacket-overlap contrast loss plus the incoherent
     dark-count and double-excitation admixtures.
 
-    The full multiplicative composition lives in ``swap.swapped_state``; the
-    two are compared in tests, not conflated.
+    The exact state is ``swap.swapped_state``: the pair dephasing and the
+    overlap multiply one coherence factor (``HardwareConfig.herald_coherence``)
+    and the admixtures combine into one weight
+    (``HardwareConfig.mixed_herald_weight``).  The ledger and that state are
+    compared in tests, not conflated.
     """
     w_pol = 1.0 - (1.0 - cfg.pol_mixing_a) * (1.0 - cfg.pol_mixing_b)
     polarization = 0.75 * w_pol

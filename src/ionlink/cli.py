@@ -75,15 +75,18 @@ def _resolve_config(args) -> HardwareConfig:
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    seed, source = args.seed, "--seed"
+    if seed is None:
+        env, source = os.environ.get(SEED_ENV_VAR), SEED_ENV_VAR
+        if env is None:
+            return DEFAULT_SEED
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise CliError("bad_seed", f"{SEED_ENV_VAR}={env!r} is not an integer", 2)
-    return DEFAULT_SEED
+    if seed < 0:
+        raise CliError("bad_seed", f"{source} must be non-negative, got {seed}", 2)
+    return seed
 
 
 def _run_header(cfg: HardwareConfig, seed: int) -> dict:
@@ -91,8 +94,11 @@ def _run_header(cfg: HardwareConfig, seed: int) -> dict:
 
 
 def _write(out_dir: Path, name: str, content: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(content)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / name).write_text(content)
+    except OSError as exc:  # e.g. --out names an existing file
+        raise CliError("bad_out", f"cannot write {out_dir / name}: {exc}", 2) from None
 
 
 def _json_payload(cfg: HardwareConfig, seed: int, body: dict) -> str:

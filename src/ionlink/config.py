@@ -214,6 +214,14 @@ class HardwareConfig:
         return 1.0 - 2.0 * dephasing_infidelity(t, self.t2_star_bell,
                                                 self.bell_coherence_envelope)
 
+    def herald_coherence(self, t: float) -> float:
+        """Scale of the heralded ion-A coherences at ``t``: envelope times overlap."""
+        return self.bell_coherence_factor(t) * self.temporal_overlap
+
+    def mixed_herald_weight(self) -> float:
+        """Weight of ``I/4`` in the heralded state: fake and double-excitation heralds."""
+        return 1.0 - (1.0 - self.dark_herald_weight()) * (1.0 - self.double_excitation_prob)
+
     def readout_model(self):
         from .detection import ReadoutModel
         return ReadoutModel(bright_rate=self.bright_rate, dark_rate=self.dark_rate,
@@ -284,8 +292,7 @@ def measured_swap_config(base: HardwareConfig | None = None) -> HardwareConfig:
     those targets raises ValueError.
     """
     base = base if base is not None else HardwareConfig()
-    w_dark = base.dark_herald_weight()
-    w_mixed = 1.0 - (1.0 - w_dark) * (1.0 - base.double_excitation_prob)
+    w_mixed = base.mixed_herald_weight()
     pops_odd_target = 0.976
     parity_max_target = 0.925
     unreachable = (f"the measured profile cannot reach odd populations "
@@ -297,7 +304,7 @@ def measured_swap_config(base: HardwareConfig | None = None) -> HardwareConfig:
     w_pol = (limit - w_mixed) / (1.0 - w_mixed)
     pol_each = 1.0 - math.sqrt(1.0 - w_pol)
     coherence_target = parity_max_target - (2.0 * pops_odd_target - 1.0) / 2.0
-    gamma = base.bell_coherence_factor(base.analysis_delay)
+    gamma = replace(base, temporal_overlap=1.0).herald_coherence(base.analysis_delay)
     reach = (1.0 - w_pol) * gamma * (1.0 - w_mixed)
     if not reach >= 2.0 * coherence_target:
         raise ValueError(f"{unreachable}: the pair coherence {gamma:.3g} at "

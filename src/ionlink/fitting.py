@@ -32,6 +32,13 @@ class SinusoidFit:
     degenerate: bool = False
 
 
+def wrap_phase(phase: float) -> float:
+    """``phase mod 2*pi`` in ``[0, 2*pi)``: a tiny negative phase, whose
+    remainder rounds to 2*pi, wraps to 0."""
+    wrapped = float(phase) % TWO_PI
+    return wrapped if wrapped < TWO_PI else 0.0
+
+
 @cache_by_value(maxsize=8)
 def _design(x, angular_frequency) -> np.ndarray:
     """``(sin, cos, 1)`` regressors, built once per grid and frequency (8
@@ -62,7 +69,7 @@ def fit_sinusoid(x, y, angular_frequency: float) -> SinusoidFit:
         degenerate = True
     else:
         # y = A sin(kx - phase): coeff of sin is A cos(phase), of cos is -A sin(phase)
-        phase = float(np.arctan2(-a_cos, a_sin)) % TWO_PI
+        phase = wrap_phase(np.arctan2(-a_cos, a_sin))
     resid = y - design @ coef
     rms = float(np.sqrt(np.mean(resid ** 2)))
     return SinusoidFit(amplitude=amplitude, phase=phase, offset=float(offset),

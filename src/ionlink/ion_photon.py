@@ -3,8 +3,8 @@
 The heralded pair lives on the register ``(ion, photon)`` with the ideal state
 ``(|H>|down> + e^{i phase}|V>|up>)/sqrt(2)``.  Imperfections modeled here:
 
-* polarization mixing in the imaging path, as a depolarizing channel of
-  configurable strength on the photon qubit;
+* polarization mixing in the imaging path, as depolarizing of configurable
+  strength on the photon qubit;
 * qubit dephasing with a Gaussian contrast envelope.
 """
 
@@ -20,10 +20,8 @@ from .fitting import ScanResult, fit_sinusoid
 from .quantum import (
     DensityMatrix,
     PureState,
-    apply_channel,
     cache_by_value,
     conjugate,
-    depolarizing_channel,
     lift,
     partial_trace,
     superposition,
@@ -80,15 +78,17 @@ def ideal_pair_state(phase: float = 0.0) -> PureState:
 def emit_ion_photon_state(params: SourceParams) -> DensityMatrix:
     """Heralded ion-photon state of one source, photon detected.
 
-    Under sigma+ excitation a pumping or excitation failure emits no photon,
-    so it lowers the attempt success probability but does not enter the
-    heralded state.
+    Polarization mixing of strength ``p`` depolarizes the photon:
+    ``(1-p) rho + p (I/2 (x) Tr_photon rho)``, the photon in the high index
+    bits.  Under sigma+ excitation a pumping or excitation failure emits no
+    photon, so it lowers the attempt success probability but does not enter
+    the heralded state.
     """
-    state = ideal_pair_state(params.superposition_phase).density()
-    if params.pol_mixing > 0.0:
-        ch = depolarizing_channel(params.pol_mixing).on_subsystem(PHOTON, PAIR_DIMS)
-        state = apply_channel(state, ch)
-    return state
+    amps = ideal_pair_state(params.superposition_phase).amplitudes
+    pure = np.outer(amps, amps.conj())
+    ion = np.einsum("pipj->ij", pure.reshape(2, 2, 2, 2))
+    p = params.pol_mixing
+    return DensityMatrix((1.0 - p) * pure + 0.5 * p * lift(ion, ION, PAIR_DIMS), PAIR_DIMS)
 
 
 def waveplate_unitary(kind: str, angle) -> np.ndarray:

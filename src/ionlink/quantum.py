@@ -8,8 +8,8 @@ package:
   left-to-right ordering of their subsystems.
 * Index mapping is little-endian: subsystem ``k`` of a register with
   subsystem dimensions ``dims`` contributes ``value * prod(dims[:k])`` to the
-  flat basis index, so subsystem 0 varies fastest.  Equivalently,
-  ``tensor(a, b)`` places ``b``'s subsystems in the high part of the index.
+  flat basis index, so subsystem 0 varies fastest.  Equivalently, the
+  register ``(a, b)`` of two factors is ``np.kron(b, a)``.
 * Qubit basis labels: ion ``|down> = 0``, ``|up> = 1``; photon polarization
   ``|H> = 0``, ``|V> = 1``.
 * Stacks are shaped ``(..., d, d)``: :func:`lift`, :func:`conjugate`,
@@ -38,18 +38,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Register size cap: the modeled system never exceeds 2 ions + 2 photons.
+# Largest register dimension (2 ions + 2 photons): bounds the per-dimension caches.
 MAX_DIM = 16
 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
-CHANNEL_TOL = 1e-10
-
-ID2 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def _frozen_array(values, dtype=complex) -> np.ndarray:
@@ -219,15 +213,6 @@ def superposition(terms: Iterable[tuple[complex, Sequence[int]]],
     return PureState(amps / norm, dims)
 
 
-def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Kronecker product; ``b``'s subsystems are appended above ``a``'s."""
-    dim = a.dim * b.dim
-    if dim > MAX_DIM:
-        raise ValueError(f"register dimension {dim} exceeds cap {MAX_DIM}")
-    # little-endian layout: the later register occupies the high index bits
-    return DensityMatrix(np.kron(b.matrix, a.matrix), a.dims + b.dims)
-
-
 def lift(op: np.ndarray, index: int, dims: Sequence[int]) -> np.ndarray:
     """Embed one operator, or a stack ``(..., d, d)``, acting on subsystem
     ``index`` into the full register as ``I_high (x) op (x) I_low``."""
@@ -279,70 +264,6 @@ def conjugate(rho: DensityMatrix, unitaries: np.ndarray) -> np.ndarray:
     validate_density(out)
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class KrausChannel:
-    """Trace-preserving channel given by a stack ``(n, d, d)`` of Kraus operators."""
-
-    operators: np.ndarray
-
-    def __init__(self, operators: Iterable[np.ndarray]):
-        ops = [np.asarray(k) for k in operators]
-        if not ops:
-            raise ValueError("channel needs at least one Kraus operator")
-        d = ops[0].shape[0]
-        if any(k.shape != (d, d) for k in ops):
-            raise ValueError("all Kraus operators must be square and dim-matched")
-        ops = _frozen_array(ops)
-        dev = np.max(np.abs((ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0) - _identity(d)))
-        if dev > CHANNEL_TOL:
-            raise ValueError(f"channel not trace preserving: |sum K^dag K - I| = {dev:.3e}")
-        object.__setattr__(self, "operators", ops)
-
-    @property
-    def dim(self) -> int:
-        return self.operators.shape[-1]
-
-    def on_subsystem(self, index: int, dims: Sequence[int]) -> "KrausChannel":
-        return KrausChannel(lift(self.operators, index, dims))
-
-
-def apply_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
-    if channel.dim != rho.dim:
-        raise ValueError(f"channel dim {channel.dim} != state dim {rho.dim}")
-    ops = channel.operators
-    # summed in operator order, starting from zero
-    out = np.add.reduce(ops @ rho.matrix @ ops.conj().swapaxes(-1, -2), axis=0, initial=0.0)
-    # re-symmetrize round-off so repeated channel application stays valid
-    out = 0.5 * (out + out.conj().T)
-    return DensityMatrix(out, rho.dims)
-
-
-def depolarizing_channel(p: float) -> KrausChannel:
-    """Single-qubit depolarizing, convention ``rho -> (1-p) rho + p I/2``."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("depolarizing strength must be in [0, 1]")
-    return KrausChannel([
-        np.sqrt(1.0 - 0.75 * p) * ID2,
-        np.sqrt(0.25 * p) * SIGMA_X,
-        np.sqrt(0.25 * p) * SIGMA_Y,
-        np.sqrt(0.25 * p) * SIGMA_Z,
-    ])
-
-
-def dephasing_channel(coherence_scale: float) -> KrausChannel:
-    """Single-qubit phase damping that scales off-diagonals by the given factor.
-
-    ``coherence_scale = 1`` is the identity; ``0`` removes all coherence.
-    """
-    lam = float(coherence_scale)
-    if not -1.0 <= lam <= 1.0:
-        raise ValueError("coherence scale must be in [-1, 1]")
-    return KrausChannel([
-        np.sqrt((1.0 + lam) / 2.0) * ID2,
-        np.sqrt((1.0 - lam) / 2.0) * SIGMA_Z,
-    ])
 
 
 def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:

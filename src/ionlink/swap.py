@@ -6,7 +6,10 @@ V detection projects the photon pair onto one of the two polarization Bell
 states ``(|HV> +/- |VH>)/sqrt(2)`` - same-side coincidences onto the symmetric
 combination, opposite-side onto the antisymmetric one.  HH and VV patterns
 herald nothing.  The absolute sign assignment (same side -> +1) is a
-documented convention; the experiment fixes only the relative rule.
+documented convention; the experiment fixes only the relative rule.  The
+heralded state is computed on the two ions alone, as the partial inner
+product of the two emitted ion-photon pairs with that photon Bell state, so
+the four-qubit register (ion A, photon A, ion B, photon B) is never formed.
 
 Phase bookkeeping: projecting two ideal pairs onto the photon Bell states
 leaves the ions in ``(|down,up> + sign e^{i phi}|up,down>)/sqrt(2)``, where
@@ -27,23 +30,12 @@ from functools import lru_cache
 import numpy as np
 
 from .config import HardwareConfig
+from .fitting import wrap_phase
 from .ion_photon import SourceParams, emit_ion_photon_state
-from .quantum import (
-    DensityMatrix,
-    PureState,
-    apply_channel,
-    apply_unitary,
-    dephasing_channel,
-    partial_trace,
-    superposition,
-    tensor,
-)
+from .quantum import DensityMatrix, PureState, superposition
 
 TWO_PI = 2.0 * np.pi
 
-# full register: (ion A, photon A, ion B, photon B)
-FULL_DIMS = (2, 2, 2, 2)
-ION_A, PHOTON_A, ION_B, PHOTON_B = range(4)
 TWO_ION_DIMS = (2, 2)
 
 DOWN, UP = 0, 1
@@ -92,78 +84,59 @@ def bell_state(sign: int, phase: float = 0.0) -> PureState:
         [(1.0, (DOWN, UP)), (sign * np.exp(1j * phase), (UP, DOWN))], TWO_ION_DIMS)
 
 
-@lru_cache(maxsize=2)
-def _photon_bell_herald_projector(sign: int) -> np.ndarray:
-    """Read-only projector onto (photons in Psi^sign) x (identity on both ions)."""
-    proj = np.zeros((16, 16), dtype=complex)
-    for a in (DOWN, UP):
-        for b in (DOWN, UP):
-            v = superposition([(1.0, (a, H, b, V)), (float(sign), (a, V, b, H))],
-                              FULL_DIMS).amplitudes
-            proj += np.outer(v, v.conj())
-    proj.setflags(write=False)
-    return proj
-
-
 @lru_cache(maxsize=8)
-def _emitted_pairs(source_a: SourceParams, source_b: SourceParams) -> DensityMatrix:
-    """Read-only product of both sources' emitted pairs on the full register.
+def _emitted_pairs(source_a: SourceParams, source_b: SourceParams) -> np.ndarray:
+    """Read-only stack of both sources' emitted pair states, each as the
+    tensor ``[photon, ion, photon', ion']``.
 
     One set of photon outcomes heralds either sign, so both signs of a config
-    share this state; the sources are the orientation-adjusted ones.
+    share these pairs; the sources are the orientation-adjusted ones.
     """
-    return tensor(emit_ion_photon_state(source_a), emit_ion_photon_state(source_b))
+    pairs = np.stack([emit_ion_photon_state(src).matrix.reshape(2, 2, 2, 2)
+                      for src in (source_a, source_b)])
+    pairs.setflags(write=False)
+    return pairs
+
+
+# two-ion register index ion A + 2 ion B: the free-evolution phase
+# exponent of each level, and the elements whose ion-A levels differ
+_ION_A, _ION_B = np.divmod(np.arange(4), 2)[::-1]
+_EVOLUTION = (_ION_A - _ION_B)[:, None] - (_ION_A - _ION_B)[None, :]
+_A_FLIPS = _ION_A[:, None] != _ION_A[None, :]
 
 
 def swapped_state(cfg: HardwareConfig, sign: int, t: float) -> DensityMatrix:
     """Two-ion state heralded by an H+V coincidence, ``t`` seconds afterwards.
 
     Composition: each source of ``cfg`` emits its (possibly
-    polarization-mixed) pair, the photons are projected onto the heralded Bell
-    state, the photons are traced out, and then, in order, the free-evolution
-    phase ``delta * t``, the pair dephasing at the configured envelope, the
-    wavepacket-overlap coherence scaling and the incoherent dark-count /
-    double-excitation admixtures are applied.  With all errors off and ``delta*t + phi = 0 (mod 2*pi)`` the
-    result is exactly the odd Bell state of the given sign.
+    polarization-mixed) pair, and the ions keep the photon-Bell partial inner
+    product ``<Psi^sign| rho_A (x) rho_B |Psi^sign>`` of the two pairs,
+    normalized.  Then, elementwise, the free evolution adds the phase
+    ``delta * t`` between ``|up,down>`` and ``|down,up>``, the coherences
+    between ion-A levels are scaled by ``cfg.herald_coherence(t)`` (pair
+    dephasing times wavepacket overlap), and the dark-count and
+    double-excitation heralds mix in ``I/4`` with
+    ``cfg.mixed_herald_weight()``.  With all errors off and
+    ``delta*t + phi = 0 (mod 2*pi)`` the result is exactly the odd Bell state
+    of the given sign.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     orientation = 1.0 if cfg.swap_phase_convention == "a_minus_b" else -1.0
-    full = _emitted_pairs(*(replace(
-        src, superposition_phase=(orientation * src.superposition_phase) % TWO_PI)
+    pair_a, pair_b = _emitted_pairs(*(replace(
+        src, superposition_phase=wrap_phase(orientation * src.superposition_phase))
         for src in (cfg.source_a(), cfg.source_b())))
-    proj = _photon_bell_herald_projector(sign)
-    weighted = proj @ full.matrix @ proj
-    w = float(np.real(np.trace(weighted)))
+    # real photon Bell amplitudes psi[photon A, photon B]
+    psi = np.array([[0.0, 1.0], [float(sign), 0.0]]) / np.sqrt(2.0)
+    ions = np.einsum("ab,cd,aicj,bkdl->kilj", psi, psi, pair_a, pair_b).reshape(4, 4)
+    w = float(np.real(np.trace(ions)))
     if w < 1e-15:
         raise ValueError("herald outcome has zero probability")
-    heralded = DensityMatrix(0.5 * (weighted + weighted.conj().T) / w, FULL_DIMS)
-    ions = partial_trace(heralded, keep=[ION_A, ION_B])
-
-    # free evolution: relative phase delta*t on |up,down> vs |down,up>
-    half = 0.5 * cfg.delta * t
-    u = np.kron(np.diag([1.0, np.exp(-1j * half)]),    # ion B (high bits)
-                np.diag([1.0, np.exp(+1j * half)]))    # ion A (low bits)
-    ions = apply_unitary(ions, u)
-
-    # pair dephasing: differential phase noise at the configured envelope
-    gamma = cfg.bell_coherence_factor(t)
-    if gamma < 1.0:
-        ions = apply_channel(ions, dephasing_channel(gamma).on_subsystem(0, TWO_ION_DIMS))
-    # finite wavepacket overlap scales the interference coherence
-    if cfg.temporal_overlap < 1.0:
-        ions = apply_channel(
-            ions, dephasing_channel(cfg.temporal_overlap).on_subsystem(0, TWO_ION_DIMS))
-
-    # incoherent admixtures: a fake herald carries no ion correlation
-    mat = ions.matrix.copy()
-    w_dark = cfg.dark_herald_weight()
-    if w_dark > 0.0:
-        mat = (1.0 - w_dark) * mat + w_dark * np.eye(4) / 4.0
-    if cfg.double_excitation_prob > 0.0:
-        w_x = cfg.double_excitation_prob
-        mat = (1.0 - w_x) * mat + w_x * np.eye(4) / 4.0
-    return DensityMatrix(mat, TWO_ION_DIMS)
+    ions = 0.5 * (ions + ions.conj().T) / w
+    ions = ions * np.exp(0.5j * cfg.delta * t * _EVOLUTION)
+    ions = np.where(_A_FLIPS, cfg.herald_coherence(t) * ions, ions)
+    w_mixed = cfg.mixed_herald_weight()
+    return DensityMatrix((1.0 - w_mixed) * ions + w_mixed * np.eye(4) / 4.0, TWO_ION_DIMS)
 
 
 def swapped_state_from_config(cfg: HardwareConfig, sign: int = +1,

@@ -4,15 +4,37 @@ The oracles here are deliberately independent of the package implementation:
 partial traces by explicit index loops, survival probabilities by literal
 products, campaign requests by literal per-attempt coin flips, potentials
 minimized by generic optimizers, scans by one ``apply_unitary`` per grid
-point.
+point, noise by Kraus channels on the full register.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from ionlink.ion_photon import raman_rotation, waveplate_unitary
-from ionlink.quantum import DensityMatrix, apply_unitary
+from ionlink.ion_photon import (
+    PAIR_DIMS,
+    PHOTON,
+    ideal_pair_state,
+    raman_rotation,
+    waveplate_unitary,
+)
+from ionlink.quantum import (
+    MAX_DIM,
+    DensityMatrix,
+    apply_unitary,
+    lift,
+    partial_trace,
+    superposition,
+)
+
+CHANNEL_TOL = 1e-10
+
+ID2 = np.eye(2, dtype=complex)
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def random_unitary(rng, dim):
@@ -131,3 +153,130 @@ def loop_coherence_scan(state, phases):
     """P(up) after a pi/2 rotation of each phase."""
     return np.array([np.real(apply_unitary(state, raman_rotation(float(phase))).matrix[1, 1])
                      for phase in phases])
+
+
+# --- register-level reference: products and Kraus channels ----------------------
+
+def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
+    """Kronecker product; ``b``'s subsystems are appended above ``a``'s."""
+    dim = a.dim * b.dim
+    if dim > MAX_DIM:
+        raise ValueError(f"register dimension {dim} exceeds cap {MAX_DIM}")
+    # little-endian layout: the later register occupies the high index bits
+    return DensityMatrix(np.kron(b.matrix, a.matrix), a.dims + b.dims)
+
+
+@dataclass(frozen=True, eq=False)
+class KrausChannel:
+    """Trace-preserving channel given by a stack ``(n, d, d)`` of Kraus operators."""
+
+    operators: np.ndarray
+
+    def __init__(self, operators: Iterable[np.ndarray]):
+        ops = [np.asarray(k) for k in operators]
+        if not ops:
+            raise ValueError("channel needs at least one Kraus operator")
+        d = ops[0].shape[0]
+        if any(k.shape != (d, d) for k in ops):
+            raise ValueError("all Kraus operators must be square and dim-matched")
+        ops = np.array(ops, dtype=complex)
+        ops.setflags(write=False)
+        dev = np.max(np.abs((ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0) - np.eye(d)))
+        if dev > CHANNEL_TOL:
+            raise ValueError(f"channel not trace preserving: |sum K^dag K - I| = {dev:.3e}")
+        object.__setattr__(self, "operators", ops)
+
+    @property
+    def dim(self) -> int:
+        return self.operators.shape[-1]
+
+    def on_subsystem(self, index: int, dims: Sequence[int]) -> "KrausChannel":
+        return KrausChannel(lift(self.operators, index, dims))
+
+
+def apply_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
+    if channel.dim != rho.dim:
+        raise ValueError(f"channel dim {channel.dim} != state dim {rho.dim}")
+    ops = channel.operators
+    # summed in operator order, starting from zero
+    out = np.add.reduce(ops @ rho.matrix @ ops.conj().swapaxes(-1, -2), axis=0, initial=0.0)
+    # re-symmetrize round-off so repeated channel application stays valid
+    out = 0.5 * (out + out.conj().T)
+    return DensityMatrix(out, rho.dims)
+
+
+def depolarizing_channel(p: float) -> KrausChannel:
+    """Single-qubit depolarizing, convention ``rho -> (1-p) rho + p I/2``."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("depolarizing strength must be in [0, 1]")
+    return KrausChannel([
+        np.sqrt(1.0 - 0.75 * p) * ID2,
+        np.sqrt(0.25 * p) * SIGMA_X,
+        np.sqrt(0.25 * p) * SIGMA_Y,
+        np.sqrt(0.25 * p) * SIGMA_Z,
+    ])
+
+
+def dephasing_channel(coherence_scale: float) -> KrausChannel:
+    """Single-qubit phase damping that scales off-diagonals by the given factor.
+
+    ``coherence_scale = 1`` is the identity; ``0`` removes all coherence.
+    """
+    lam = float(coherence_scale)
+    if not -1.0 <= lam <= 1.0:
+        raise ValueError("coherence scale must be in [-1, 1]")
+    return KrausChannel([
+        np.sqrt((1.0 + lam) / 2.0) * ID2,
+        np.sqrt((1.0 - lam) / 2.0) * SIGMA_Z,
+    ])
+
+
+def channel_emitted_pair(pol_mixing, phase):
+    """One source's emitted pair: the ideal pair, then the depolarizing
+    channel on its photon."""
+    state = ideal_pair_state(phase).density()
+    if pol_mixing > 0.0:
+        ch = depolarizing_channel(pol_mixing).on_subsystem(PHOTON, PAIR_DIMS)
+        state = apply_channel(state, ch)
+    return state
+
+
+def literal_swapped_state(cfg, sign, t):
+    """The heralded two-ion state on the full register (ion A, photon A,
+    ion B, photon B): both channel-emitted pairs tensored, projected onto
+    the photon Bell state of ``sign``, the photons traced out, then a phase
+    unitary, two dephasing channels and two admixtures in turn."""
+    full_dims, two_ion_dims = (2, 2, 2, 2), (2, 2)
+    orientation = 1.0 if cfg.swap_phase_convention == "a_minus_b" else -1.0
+    pair_a, pair_b = (channel_emitted_pair(pol, orientation * phi)
+                      for pol, phi in ((cfg.pol_mixing_a, cfg.phi_a),
+                                       (cfg.pol_mixing_b, cfg.phi_b)))
+    full = tensor(pair_a, pair_b)
+    proj = np.zeros((16, 16), dtype=complex)
+    for a in (0, 1):
+        for b in (0, 1):
+            # photon A H and photon B V, plus sign times the reverse
+            v = superposition([(1.0, (a, 0, b, 1)), (float(sign), (a, 1, b, 0))],
+                              full_dims).amplitudes
+            proj += np.outer(v, v.conj())
+    weighted = proj @ full.matrix @ proj
+    w = float(np.real(np.trace(weighted)))
+    heralded = DensityMatrix(0.5 * (weighted + weighted.conj().T) / w, full_dims)
+    ions = partial_trace(heralded, keep=[0, 2])
+    half = 0.5 * cfg.delta * t
+    ions = apply_unitary(ions, np.kron(np.diag([1.0, np.exp(-1j * half)]),
+                                       np.diag([1.0, np.exp(+1j * half)])))
+    gamma = cfg.bell_coherence_factor(t)
+    if gamma < 1.0:
+        ions = apply_channel(ions, dephasing_channel(gamma).on_subsystem(0, two_ion_dims))
+    if cfg.temporal_overlap < 1.0:
+        ions = apply_channel(
+            ions, dephasing_channel(cfg.temporal_overlap).on_subsystem(0, two_ion_dims))
+    mat = ions.matrix.copy()
+    w_dark = cfg.dark_herald_weight()
+    if w_dark > 0.0:
+        mat = (1.0 - w_dark) * mat + w_dark * np.eye(4) / 4.0
+    if cfg.double_excitation_prob > 0.0:
+        w_x = cfg.double_excitation_prob
+        mat = (1.0 - w_x) * mat + w_x * np.eye(4) / 4.0
+    return DensityMatrix(mat, two_ion_dims)

@@ -24,6 +24,7 @@ from ionlink.swap import (
     phase_alignment_delay,
     swapped_state_from_config,
 )
+from qutil import literal_swapped_state
 
 PHASES = np.linspace(0.0, np.pi, 25)
 
@@ -103,9 +104,11 @@ def test_fidelity_lower_bound_values():
 
 
 def test_fidelity_bound_inputs_absorb_round_off():
-    # the noise-free - herald state's odd population rounds to just above 1
-    rho = aligned_state_from_config(replace(ideal_config(HardwareConfig()),
-                                            phi_a=0.2), -1)
+    # the register-level reference of the noise-free - herald state rounds
+    # its odd population to just above 1
+    cfg = replace(ideal_config(HardwareConfig()), phi_a=0.2)
+    t = phase_alignment_delay(cfg.delta, cfg.swap_phase(), target=np.pi)
+    rho = literal_swapped_state(cfg, -1, t)
     odd = float(np.real(rho.matrix[1, 1] + rho.matrix[2, 2]))
     assert odd == 1.0000000000000002
     inputs = FidelityBoundInputs(odd, 1.0, 0.0)

@@ -285,6 +285,40 @@ def test_seed_env_override(tmp_path, monkeypatch):
     assert read_all_bytes(out1) == read_all_bytes(out2)
 
 
+@pytest.mark.parametrize("command", ["budget", "modes", "ion-photon", "swap", "rate"])
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, monkeypatch, command, via):
+    out = tmp_path / "s"
+    argv = [command, "--out", str(out)]
+    if via == "flag":
+        argv += ["--seed", "-3"]
+    else:
+        monkeypatch.setenv("IONLINK_SEED", "-4")
+    assert run(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "bad_seed"
+    assert ("-3" if via == "flag" else "-4") in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["budget", "swap"])
+def test_out_naming_a_file_is_a_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("keep me\n")
+    argv = [command, "--out", str(out)] + (["--trials", "5000"] if command == "swap" else [])
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "bad_out"
+    assert str(out) in err["message"]
+    assert out.read_text() == "keep me\n"
+
+
 def test_config_errors_exit_code(tmp_path, capsys):
     missing = tmp_path / "nope.yaml"
     assert run(["budget", "--config", str(missing),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ionlink.fitting import ScanResult, fit_sinusoid
+from ionlink.fitting import ScanResult, fit_sinusoid, wrap_phase
 
 
 def test_exact_recovery_known_period():
@@ -25,6 +25,16 @@ def test_phase_convention_for_heralded_superposition():
     y = 0.5 * (1 + np.sin(x - phi0))
     fit = fit_sinusoid(x, y, 1.0)
     assert fit.phase == pytest.approx(phi0, abs=1e-9)
+
+
+def test_phase_just_below_zero_wraps_to_zero():
+    # arctan2 gives -1e-17 here, and -1e-17 mod 2*pi rounds to 2*pi
+    x = np.linspace(0, np.pi, 25)
+    fit = fit_sinusoid(x, np.sin(2 * x) + 1e-16 * np.cos(2 * x), 2.0)
+    assert fit.phase == 0.0
+    assert wrap_phase(-1e-17) == 0.0
+    assert wrap_phase(-1.0) == pytest.approx(2 * np.pi - 1.0, abs=1e-15)
+    assert wrap_phase(2 * np.pi) == 0.0
 
 
 def test_constant_data_flags_degenerate():

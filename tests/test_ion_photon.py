@@ -24,16 +24,14 @@ from ionlink.ion_photon import (
 )
 from ionlink.quantum import (
     DensityMatrix,
-    apply_channel,
     conjugate,
-    dephasing_channel,
     fidelity_pure,
     ket,
     lift,
     partial_trace,
     superposition,
 )
-from qutil import random_density
+from qutil import apply_channel, dephasing_channel, random_density
 
 HWP_GRID = np.linspace(0.0, np.pi / 2.0, 37)
 PHASE_GRID = np.linspace(0.0, 2.0 * np.pi, 41)
@@ -156,7 +154,7 @@ def test_correlated_populations_ideal():
 
 
 def test_correlation_scan_random_states_stay_bounded():
-    from qutil import random_density
+    from qutil import apply_channel, dephasing_channel, random_density
     rng = np.random.default_rng(19)
     for _ in range(5):
         state = random_density(rng, (2, 2))

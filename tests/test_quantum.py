@@ -3,28 +3,32 @@ import pytest
 
 from ionlink import quantum
 from ionlink.quantum import (
-    CHANNEL_TOL,
     PSD_TOL,
     DensityMatrix,
-    KrausChannel,
     PureState,
-    apply_channel,
     apply_unitary,
     basis_index,
-    dephasing_channel,
-    depolarizing_channel,
     fidelity_pure,
     ket,
     lift,
     partial_trace,
     superposition,
-    tensor,
     validate_density,
-    SIGMA_X,
 )
 from ionlink.analysis import _sample_readout
 from ionlink.detection import ConfusionMatrix, ReadoutModel
-from qutil import loop_partial_trace, random_density, random_unitary
+from qutil import (
+    CHANNEL_TOL,
+    SIGMA_X,
+    KrausChannel,
+    apply_channel,
+    dephasing_channel,
+    depolarizing_channel,
+    loop_partial_trace,
+    random_density,
+    random_unitary,
+    tensor,
+)
 
 # readout whose count classes never overlap: 0, 1000 or 2000 mean counts
 IDEAL_READOUT = ReadoutModel(bright_rate=1e6, dark_rate=0.0,

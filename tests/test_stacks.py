@@ -10,21 +10,36 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ionlink.analysis import parity_scan
-from ionlink.ion_photon import DOWN, H, coherence_scan, correlation_scan
+from ionlink.config import HardwareConfig
+from ionlink.ion_photon import (
+    DOWN,
+    H,
+    SourceParams,
+    coherence_scan,
+    correlation_scan,
+    emit_ion_photon_state,
+)
 from ionlink.quantum import (
     DensityMatrix,
-    apply_channel,
     apply_unitary,
     conjugate,
-    dephasing_channel,
-    depolarizing_channel,
     ket,
     lift,
     partial_trace,
-    tensor,
     validate_density,
 )
-from qutil import loop_coherence_scan, loop_correlation_scan, loop_parity_scan
+from qutil import (
+    apply_channel,
+    channel_emitted_pair,
+    dephasing_channel,
+    depolarizing_channel,
+    literal_swapped_state,
+    loop_coherence_scan,
+    loop_correlation_scan,
+    loop_parity_scan,
+    tensor,
+)
+from ionlink.swap import swapped_state
 
 # fixed examples and no timing checks, so a loaded machine cannot fail a run
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
@@ -194,3 +209,38 @@ def test_conjugate_output_valid_and_matches_apply_unitary(rho, us):
     assert out.shape == (len(us), 4, 4) and not out.flags.writeable
     for u, got in zip(us, out):
         np.testing.assert_allclose(got, apply_unitary(rho, u).matrix, rtol=0, atol=1e-12)
+
+
+# --- closed forms against the register-level Kraus reference ----------------------
+
+phases = st.floats(0.0, 2.0 * np.pi, exclude_max=True)
+
+
+@PROPERTY
+@given(st.floats(0.0, 1.0), phases)
+def test_emission_matches_photon_depolarizing_channel(p, phase):
+    source = SourceParams(pol_mixing=p, superposition_phase=phase)
+    np.testing.assert_allclose(emit_ion_photon_state(source).matrix,
+                               channel_emitted_pair(p, phase).matrix, rtol=0, atol=1e-12)
+
+
+@st.composite
+def swap_configs(draw):
+    return HardwareConfig(
+        pol_mixing_a=draw(st.floats(0.0, 1.0)), pol_mixing_b=draw(st.floats(0.0, 1.0)),
+        phi_a=draw(phases), phi_b=draw(phases),
+        delta_hz=draw(st.floats(0.0, 5000.0)),
+        t2_star_bell=draw(st.floats(1e-4, 1.0)),
+        bell_coherence_envelope=draw(st.sampled_from(["gaussian", "exponential"])),
+        temporal_overlap=draw(st.floats(0.0, 1.0)),
+        dark_count_prob=draw(st.floats(0.0, 1e-3)),
+        double_excitation_prob=draw(st.floats(0.0, 0.2)),
+        swap_phase_convention=draw(st.sampled_from(["b_minus_a", "a_minus_b"])))
+
+
+@PROPERTY
+@given(swap_configs(), st.sampled_from([+1, -1]), st.floats(0.0, 5e-3))
+def test_swapped_state_matches_full_register_reference(cfg, sign, t):
+    np.testing.assert_allclose(swapped_state(cfg, sign, t).matrix,
+                               literal_swapped_state(cfg, sign, t).matrix,
+                               rtol=0, atol=1e-12)

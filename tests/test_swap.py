@@ -5,19 +5,10 @@ import pytest
 
 from ionlink import swap
 from ionlink.config import HardwareConfig, ideal_config
+from ionlink.fitting import wrap_phase
 from ionlink.ion_photon import emit_ion_photon_state
-from ionlink.quantum import (
-    DensityMatrix,
-    apply_channel,
-    apply_unitary,
-    dephasing_channel,
-    fidelity_pure,
-    partial_trace,
-    tensor,
-)
+from ionlink.quantum import fidelity_pure, partial_trace
 from ionlink.swap import (
-    FULL_DIMS,
-    TWO_ION_DIMS,
     HeraldStats,
     aligned_state_from_config,
     bell_phase,
@@ -28,6 +19,7 @@ from ionlink.swap import (
     swapped_state,
     swapped_state_from_config,
 )
+from qutil import literal_swapped_state
 
 TWO_PI = 2.0 * np.pi
 
@@ -92,6 +84,17 @@ def test_swap_phase_convention_switch():
         rho = aligned_state_from_config(cfg, sign=+1)
         assert fidelity_pure(rho, bell_state(+1, 0.0)) == pytest.approx(1.0,
                                                                         abs=1e-12)
+
+
+def test_tiny_source_phase_folds_to_zero():
+    # -1e-300 mod 2*pi rounds to 2*pi, outside a source phase's range
+    for conv, field in (("b_minus_a", "phi_b"), ("a_minus_b", "phi_a")):
+        cfg = replace(ideal_config(), phi_a=0.0, phi_b=0.0, swap_phase_convention=conv)
+        tiny = replace(cfg, **{field: 1e-300})
+        for sign in (+1, -1):
+            np.testing.assert_allclose(swapped_state(tiny, sign, 0.0).matrix,
+                                       swapped_state(cfg, sign, 0.0).matrix,
+                                       rtol=0, atol=1e-15)
 
 
 def test_polarization_mixing_werner_oracle():
@@ -163,38 +166,6 @@ def test_herald_fraction_matches_half_eta_product():
     assert abs(stats.plus_signs - stats.heralds / 2) < 3 * np.sqrt(stats.heralds / 4)
 
 
-def _literal_swapped_state(cfg, sign, t):
-    """``swapped_state`` step by step, with both pairs emitted and tensored
-    for this sign alone."""
-    orientation = 1.0 if cfg.swap_phase_convention == "a_minus_b" else -1.0
-    pair_a, pair_b = (emit_ion_photon_state(replace(
-        src, superposition_phase=(orientation * src.superposition_phase) % TWO_PI))
-        for src in (cfg.source_a(), cfg.source_b()))
-    full = tensor(pair_a, pair_b)
-    proj = swap._photon_bell_herald_projector(sign)
-    weighted = proj @ full.matrix @ proj
-    w = float(np.real(np.trace(weighted)))
-    heralded = DensityMatrix(0.5 * (weighted + weighted.conj().T) / w, FULL_DIMS)
-    ions = partial_trace(heralded, keep=[swap.ION_A, swap.ION_B])
-    half = 0.5 * cfg.delta * t
-    ions = apply_unitary(ions, np.kron(np.diag([1.0, np.exp(-1j * half)]),
-                                       np.diag([1.0, np.exp(+1j * half)])))
-    gamma = cfg.bell_coherence_factor(t)
-    if gamma < 1.0:
-        ions = apply_channel(ions, dephasing_channel(gamma).on_subsystem(0, TWO_ION_DIMS))
-    if cfg.temporal_overlap < 1.0:
-        ions = apply_channel(
-            ions, dephasing_channel(cfg.temporal_overlap).on_subsystem(0, TWO_ION_DIMS))
-    mat = ions.matrix.copy()
-    w_dark = cfg.dark_herald_weight()
-    if w_dark > 0.0:
-        mat = (1.0 - w_dark) * mat + w_dark * np.eye(4) / 4.0
-    if cfg.double_excitation_prob > 0.0:
-        w_x = cfg.double_excitation_prob
-        mat = (1.0 - w_x) * mat + w_x * np.eye(4) / 4.0
-    return DensityMatrix(mat, TWO_ION_DIMS)
-
-
 @pytest.mark.parametrize("convention", ["b_minus_a", "a_minus_b"])
 def test_both_herald_signs_share_one_pair_product(convention):
     cache = swap._emitted_pairs
@@ -215,12 +186,13 @@ def test_both_herald_signs_share_one_pair_product(convention):
             info = cache.cache_info()
             assert (info.misses, info.hits) == (before.misses + 1,
                                                 before.hits + extra_hits)
-            assert np.array_equal(rho.matrix, _literal_swapped_state(cfg, sign, t).matrix)
-        sources = [replace(src, superposition_phase=(
-            orientation * src.superposition_phase) % TWO_PI)
+            np.testing.assert_allclose(rho.matrix, literal_swapped_state(cfg, sign, t).matrix,
+                                       rtol=0, atol=1e-12)
+        sources = [replace(src, superposition_phase=wrap_phase(
+            orientation * src.superposition_phase))
             for src in (cfg.source_a(), cfg.source_b())]
         shared = cache(*sources)
-        assert not shared.matrix.flags.writeable
-        assert np.array_equal(shared.matrix, tensor(
-            *(emit_ion_photon_state(src) for src in sources)).matrix)
+        assert not shared.flags.writeable
+        assert np.array_equal(shared, np.stack(
+            [emit_ion_photon_state(src).matrix.reshape(2, 2, 2, 2) for src in sources]))
         assert cache.cache_info().currsize <= cache.cache_info().maxsize
