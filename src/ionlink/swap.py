@@ -39,7 +39,6 @@ TWO_PI = 2.0 * np.pi
 TWO_ION_DIMS = (2, 2)
 
 DOWN, UP = 0, 1
-H, V = 0, 1
 
 
 def success_probability(eta_a: float, eta_b: float) -> float:
@@ -126,7 +125,7 @@ def swapped_state(cfg: HardwareConfig, sign: int, t: float) -> DensityMatrix:
     pair_a, pair_b = _emitted_pairs(*(replace(
         src, superposition_phase=wrap_phase(orientation * src.superposition_phase))
         for src in (cfg.source_a(), cfg.source_b())))
-    # real photon Bell amplitudes psi[photon A, photon B]
+    # real photon Bell amplitudes psi[photon A, photon B], H = 0 and V = 1
     psi = np.array([[0.0, 1.0], [float(sign), 0.0]]) / np.sqrt(2.0)
     ions = np.einsum("ab,cd,aicj,bkdl->kilj", psi, psi, pair_a, pair_b).reshape(4, 4)
     w = float(np.real(np.trace(ions)))
