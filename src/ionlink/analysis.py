@@ -62,9 +62,15 @@ def _pulse(phase: float) -> np.ndarray:
     return u
 
 
-# one stack per scan grid, 4 grids kept: at cli.MAX_GRID_POINTS phases a
-# stack holds 25.6 MB
+# one stack per scan grid, 4 grids kept per cache: at cli.MAX_GRID_POINTS
+# phases a stack holds 25.6 MB
 _pulse_stack = cache_by_value(maxsize=4)(_global_rotation)
+
+
+@cache_by_value(maxsize=4)
+def _two_pulse_stack(phases) -> np.ndarray:
+    """The fixed phase-0 pulse, then one pulse at each phase: ``U(phi) U(0)``."""
+    return _global_rotation(phases) @ _pulse(0.0)
 
 
 def apply_analysis_pulse(rho: DensityMatrix, phase: float) -> DensityMatrix:
@@ -80,9 +86,8 @@ def _analysis_sequence(rho: DensityMatrix, phases, pulses: str) -> np.ndarray:
     state to the even one), then one pulse at each phase."""
     if pulses not in ("one", "two"):
         raise ValueError("pulses must be 'one' or 'two'")
-    if pulses == "two":
-        rho = apply_analysis_pulse(rho, 0.0)
-    return conjugate(rho, _pulse_stack(phases))
+    stack = _pulse_stack(phases) if pulses == "one" else _two_pulse_stack(phases)
+    return conjugate(rho, stack)
 
 
 def _parity_result(grid: np.ndarray, values: np.ndarray) -> ScanResult:

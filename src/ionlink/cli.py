@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -28,6 +27,13 @@ from .config import HardwareConfig, ideal_config, load_config, measured_swap_con
 SEED_ENV_VAR = "IONLINK_SEED"
 DEFAULT_SEED = 1
 MAX_GRID_POINTS = 100_000
+# Grid ends lie within +-MAX_GRID_END, so that stop - start and k * x stay
+# finite for each fitted frequency k <= 4.
+MAX_GRID_END = 1e300
+# modes references (trap secular frequencies): the spring constants, the
+# Coulomb length and the eigenproblem residuals stay finite and nonzero far
+# beyond this range, but not over every positive float.
+REFERENCE_RANGE_HZ = (1.0, 1e12)
 # Memory grows with --trials for rate only: a campaign holds about 48 bytes
 # per request.  Swap draws its readout in batches, so its RSS stays about
 # 38 MB at any trial count.
@@ -52,8 +58,9 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, stop, num = float(start), float(stop), int(num)
     except ValueError as exc:
         raise CliError("bad_grid", f"cannot parse grid spec {spec!r}: {exc}", 2)
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise CliError("bad_grid", f"grid ends must be finite, got {spec!r}", 2)
+    if not (abs(start) <= MAX_GRID_END and abs(stop) <= MAX_GRID_END):
+        raise CliError("bad_grid", f"grid ends must be finite and within "
+                       f"+-{MAX_GRID_END:g}, got {spec!r}", 2)
     if not 3 <= num <= MAX_GRID_POINTS:
         raise CliError("bad_grid", f"grid needs 3 to {MAX_GRID_POINTS} points, "
                        f"got {num}", 2)
@@ -228,7 +235,7 @@ def cmd_rate(args) -> int:
         if grid.max() > rate_model.MAX_LOOP_CAP:
             raise CliError("bad_grid", f"caps must not exceed "
                            f"{rate_model.MAX_LOOP_CAP}, got {grid.max():g}", 2)
-        caps = np.unique(np.maximum(1, grid.astype(int)))
+        caps = np.unique(np.maximum(1.0, grid).astype(int))
     else:
         caps = np.array([1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000,
                          5000, 10000, 20000])
@@ -257,11 +264,12 @@ def cmd_modes(args) -> int:
     cfg = _resolve_config(args)
     seed = _resolve_seed(args)
     out = Path(args.out)
+    lo, hi = REFERENCE_RANGE_HZ
     for flag, ref in (("--axial-ref", args.axial_ref),
                       ("--radial-ref", args.radial_ref)):
-        if ref is not None and not (np.isfinite(ref) and ref > 0.0):
+        if ref is not None and not lo <= ref <= hi:
             raise CliError("bad_reference",
-                           f"{flag} must be finite and positive, got {ref}", 2)
+                           f"{flag} must be within [{lo:g}, {hi:g}] Hz, got {ref}", 2)
     if args.single_ion:
         spec = modes.ChainSpec(
             masses_amu=(modes.MASS_BA_138,),

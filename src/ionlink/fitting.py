@@ -40,12 +40,18 @@ def wrap_phase(phase: float) -> float:
 
 
 @cache_by_value(maxsize=8)
-def _design(x, angular_frequency) -> np.ndarray:
-    """``(sin, cos, 1)`` regressors, built once per grid and frequency (8
-    kept: 2.4 MB each at ``cli.MAX_GRID_POINTS`` points)."""
-    return np.column_stack([np.sin(angular_frequency * x),
-                            np.cos(angular_frequency * x),
-                            np.ones_like(x)])
+def _solver(x, angular_frequency) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(sin, cos, 1)`` regressors with their pseudo-inverse and rank,
+    built once per grid and frequency (8 kept: 4.8 MB each at
+    ``cli.MAX_GRID_POINTS`` points).  Singular values up to ``eps * n`` times
+    the largest count as zero, the cutoff of ``np.linalg.lstsq``, so the
+    product with ``y`` is its minimum-norm solution."""
+    design = np.column_stack([np.sin(angular_frequency * x),
+                              np.cos(angular_frequency * x),
+                              np.ones_like(x)])
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    rank = int(np.count_nonzero(s > np.finfo(float).eps * max(design.shape) * s[0]))
+    return design, (vt[:rank].T / s[:rank]) @ u[:, :rank].T, rank
 
 
 def fit_sinusoid(x, y, angular_frequency: float) -> SinusoidFit:
@@ -59,11 +65,11 @@ def fit_sinusoid(x, y, angular_frequency: float) -> SinusoidFit:
         x, y = x[finite], y[finite]
     if x.size < 3:
         raise ValueError("need at least 3 finite points to fit a sinusoid")
-    design = _design(x, angular_frequency)
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    design, pinv, rank = _solver(x, angular_frequency)
+    coef = pinv @ y
     a_sin, a_cos, offset = coef
     amplitude = float(np.hypot(a_sin, a_cos))
-    degenerate = bool(rank < 3)
+    degenerate = rank < 3
     if amplitude < 1e-14:
         phase = 0.0
         degenerate = True
@@ -71,7 +77,7 @@ def fit_sinusoid(x, y, angular_frequency: float) -> SinusoidFit:
         # y = A sin(kx - phase): coeff of sin is A cos(phase), of cos is -A sin(phase)
         phase = wrap_phase(np.arctan2(-a_cos, a_sin))
     resid = y - design @ coef
-    rms = float(np.sqrt(np.mean(resid ** 2)))
+    rms = float(np.sqrt(resid @ resid / resid.size))
     return SinusoidFit(amplitude=amplitude, phase=phase, offset=float(offset),
                        residual_rms=rms, degenerate=degenerate)
 

@@ -12,20 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .fitting import ScanResult, fit_sinusoid
-from .quantum import (
-    DensityMatrix,
-    PureState,
-    cache_by_value,
-    conjugate,
-    lift,
-    partial_trace,
-    superposition,
-)
+from .quantum import DensityMatrix, PureState, cache_by_value, conjugate, lift
 
 TWO_PI = 2.0 * np.pi
 
@@ -69,26 +60,29 @@ class SourceParams:
             raise ValueError("superposition_phase must be in [0, 2*pi)")
 
 
+def _pair_amplitudes(phase: float) -> np.ndarray:
+    # |H,down> and |V,up> are the basis indices 0 and 3 (ion + 2 * photon)
+    return np.array([1.0, 0.0, 0.0, np.exp(1j * phase)]) / np.sqrt(2.0)
+
+
 def ideal_pair_state(phase: float = 0.0) -> PureState:
     """``(|H,down> + e^{i phase} |V,up>)/sqrt(2)`` on (ion, photon)."""
-    return superposition(
-        [(1.0, (DOWN, H)), (np.exp(1j * phase), (UP, V))], PAIR_DIMS)
+    return PureState(_pair_amplitudes(phase), PAIR_DIMS)
 
 
 def emit_ion_photon_state(params: SourceParams) -> DensityMatrix:
     """Heralded ion-photon state of one source, photon detected.
 
-    Polarization mixing of strength ``p`` depolarizes the photon:
-    ``(1-p) rho + p (I/2 (x) Tr_photon rho)``, the photon in the high index
-    bits.  Under sigma+ excitation a pumping or excitation failure emits no
-    photon, so it lowers the attempt success probability but does not enter
-    the heralded state.
+    Polarization mixing of strength ``p`` depolarizes the photon,
+    ``(1-p) rho + p (I/2 (x) Tr_photon rho)``; the ideal pair's ion marginal
+    is ``I/2``, so this is ``(1-p) |psi><psi| + p I/4``.  Under sigma+
+    excitation a pumping or excitation failure emits no photon, so it lowers
+    the attempt success probability but does not enter the heralded state.
     """
-    amps = ideal_pair_state(params.superposition_phase).amplitudes
-    pure = np.outer(amps, amps.conj())
-    ion = np.einsum("pipj->ij", pure.reshape(2, 2, 2, 2))
+    amps = _pair_amplitudes(params.superposition_phase)
     p = params.pol_mixing
-    return DensityMatrix((1.0 - p) * pure + 0.5 * p * lift(ion, ION, PAIR_DIMS), PAIR_DIMS)
+    return DensityMatrix((1.0 - p) * np.outer(amps, amps.conj()) + 0.25 * p * np.eye(4),
+                         PAIR_DIMS)
 
 
 def waveplate_unitary(kind: str, angle) -> np.ndarray:
@@ -161,31 +155,23 @@ def correlation_scan(state: DensityMatrix, hwp_angles) -> ScanResult:
                       contrast=contrast, flags=tuple(flags))
 
 
-@lru_cache(maxsize=2)
-def _diagonal_herald_projector(sign: int) -> np.ndarray:
-    """Read-only projector onto photon ``(|H> + sign |V>)/sqrt2`` x ion identity."""
-    diag = superposition([(1.0, (H,)), (float(sign), (V,))], (2,)).amplitudes
-    proj = lift(np.outer(diag, diag.conj()), PHOTON, PAIR_DIMS)
-    proj.setflags(write=False)
-    return proj
-
-
 def heralded_ion_state(state: DensityMatrix, sign: int) -> DensityMatrix:
     """Ion state heralded by detecting the photon in ``(|H> + sign |V>)/sqrt2``.
 
     This is the diagonal-basis detection reached by a half-wave plate rotating
     the polarization by 45 degrees; for the ideal pair it yields
-    ``(|down> + sign e^{i phase} |up>)/sqrt(2)``.
+    ``(|down> + sign e^{i phase} |up>)/sqrt(2)``.  The ion block
+    ``<d| rho |d>`` of the photon state ``d`` is normalized by its trace, the
+    herald probability.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    proj = _diagonal_herald_projector(sign)
-    weighted = proj @ state.matrix @ proj
-    w = float(np.real(np.trace(weighted)))
+    m = state.matrix.reshape(2, 2, 2, 2)  # (photon, ion, photon, ion)
+    block = 0.5 * (m[H, :, H] + m[V, :, V] + sign * (m[H, :, V] + m[V, :, H]))
+    w = float(np.real(np.trace(block)))
     if w < 1e-15:
         raise ValueError("herald outcome has zero probability")
-    collapsed = DensityMatrix(0.5 * (weighted + weighted.conj().T) / w, PAIR_DIMS)
-    return partial_trace(collapsed, keep=[ION])
+    return DensityMatrix(0.5 * (block + block.conj().T) / w, (2,))
 
 
 def coherence_scan(state: DensityMatrix, analysis_phases) -> ScanResult:

@@ -75,7 +75,8 @@ def cache_by_value(maxsize: int):
     Each argument is converted to a float array and keyed by its shape and
     bytes, so ``-0.0`` and ``0.0`` are distinct keys and a repeated NaN finds
     its entry; ``build`` receives read-only float arrays equal to the
-    converted arguments.  At most ``maxsize`` results are kept, least
+    converted arguments.  A result that is a tuple is returned with each of
+    its arrays read-only.  At most ``maxsize`` results are kept, least
     recently used dropped first; ``cache_info`` and ``cache_clear`` are those
     of the underlying ``lru_cache``.
     """
@@ -83,7 +84,9 @@ def cache_by_value(maxsize: int):
         @lru_cache(maxsize=maxsize)
         def cached(*keys):
             out = build(*(np.frombuffer(raw).reshape(shape) for shape, raw in keys))
-            out.setflags(write=False)
+            for part in out if isinstance(out, tuple) else (out,):
+                if isinstance(part, np.ndarray):
+                    part.setflags(write=False)
             return out
 
         @wraps(build)
@@ -228,27 +231,6 @@ def lift(op: np.ndarray, index: int, dims: Sequence[int]) -> np.ndarray:
     # broadcast op into the writable view of the blocks with equal high and low
     np.einsum("...hilhjl->...hlij", out)[...] = op[..., None, None, :, :]
     return out.reshape(op.shape[:-2] + (high * d * low,) * 2)
-
-
-def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Reduced state over the subsystems in ``keep`` (register order preserved)."""
-    n = len(rho.dims)
-    keep = sorted(set(int(k) for k in keep))
-    if not keep:
-        raise ValueError("keep must name at least one subsystem")
-    if any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"subsystem index out of range: keep={keep}, n={n}")
-    rev = rho.dims[::-1]
-    t = rho.matrix.reshape(rev + rev)
-    # einsum labels: row label of subsystem k is k; col label is n+k if kept,
-    # else k (tracing pairs the row and column axes of discarded subsystems)
-    row = [k for k in range(n - 1, -1, -1)]
-    col = [n + k if k in keep else k for k in range(n - 1, -1, -1)]
-    kept_rev = sorted(keep, reverse=True)
-    out = [k for k in kept_rev] + [n + k for k in kept_rev]
-    reduced = np.einsum(t, row + col, out)
-    d = math.prod(rho.dims[k] for k in keep)
-    return DensityMatrix(reduced.reshape(d, d), tuple(rho.dims[k] for k in keep))
 
 
 def apply_unitary(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:

@@ -4,7 +4,8 @@ The oracles here are deliberately independent of the package implementation:
 partial traces by explicit index loops, survival probabilities by literal
 products, campaign requests by literal per-attempt coin flips, potentials
 minimized by generic optimizers, scans by one ``apply_unitary`` per grid
-point, noise by Kraus channels on the full register.
+point, noise by Kraus channels on the full register, the single-ion herald
+by a lifted projector and a partial trace.
 """
 
 import math
@@ -25,7 +26,6 @@ from ionlink.quantum import (
     DensityMatrix,
     apply_unitary,
     lift,
-    partial_trace,
     superposition,
 )
 
@@ -153,6 +153,41 @@ def loop_coherence_scan(state, phases):
     """P(up) after a pi/2 rotation of each phase."""
     return np.array([np.real(apply_unitary(state, raman_rotation(float(phase))).matrix[1, 1])
                      for phase in phases])
+
+
+# --- register-level reference: products, partial traces and Kraus channels ------
+
+def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
+    """Reduced state over the subsystems in ``keep`` (register order preserved)."""
+    n = len(rho.dims)
+    keep = sorted(set(int(k) for k in keep))
+    if not keep:
+        raise ValueError("keep must name at least one subsystem")
+    if any(k < 0 or k >= n for k in keep):
+        raise ValueError(f"subsystem index out of range: keep={keep}, n={n}")
+    rev = rho.dims[::-1]
+    t = rho.matrix.reshape(rev + rev)
+    # einsum labels: row label of subsystem k is k; col label is n+k if kept,
+    # else k (tracing pairs the row and column axes of discarded subsystems)
+    row = [k for k in range(n - 1, -1, -1)]
+    col = [n + k if k in keep else k for k in range(n - 1, -1, -1)]
+    kept_rev = sorted(keep, reverse=True)
+    out = [k for k in kept_rev] + [n + k for k in kept_rev]
+    reduced = np.einsum(t, row + col, out)
+    d = math.prod(rho.dims[k] for k in keep)
+    return DensityMatrix(reduced.reshape(d, d), tuple(rho.dims[k] for k in keep))
+
+
+def projected_ion_state(pair: DensityMatrix, sign: int) -> DensityMatrix:
+    """The ion state heralded by the photon in ``(|H> + sign |V>)/sqrt2``:
+    the pair projected with the lifted photon projector, normalized, and the
+    photon traced out."""
+    diag = superposition([(1.0, (0,)), (float(sign), (1,))], (2,)).amplitudes
+    proj = lift(np.outer(diag, diag.conj()), PHOTON, PAIR_DIMS)
+    weighted = proj @ pair.matrix @ proj
+    w = float(np.real(np.trace(weighted)))
+    return partial_trace(DensityMatrix(0.5 * (weighted + weighted.conj().T) / w, PAIR_DIMS),
+                         keep=[0])
 
 
 # --- register-level reference: products and Kraus channels ----------------------

@@ -41,8 +41,11 @@ def _pulse_stack(grid):
     return np.array([_kron_pulse(p) for p in grid], dtype=complex).reshape(grid.shape + (4, 4))
 
 
-def _design(x, k):
-    return np.column_stack([np.sin(k * x), np.cos(k * x), np.ones_like(x)])
+def _solver(x, k):
+    design = np.column_stack([np.sin(k * x), np.cos(k * x), np.ones_like(x)])
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    rank = int(np.count_nonzero(s > np.finfo(float).eps * max(design.shape) * s[0]))
+    return design, (vt[:rank].T / s[:rank]) @ u[:, :rank].T, rank
 
 
 # (cache, arguments from one drawn grid and frequency, inline construction)
@@ -51,15 +54,26 @@ CACHES = {
               lambda g, k: _kron_pulse(g[0])),
     "pulse_stack": (analysis._pulse_stack, lambda g, k: (g,),
                     lambda g, k: _pulse_stack(g)),
+    "two_pulse_stack": (analysis._two_pulse_stack, lambda g, k: (g,),
+                        lambda g, k: _pulse_stack(g) @ _kron_pulse(0.0)),
     "half_wave_stack": (ion_photon._half_wave_stack, lambda g, k: (g,),
                         lambda g, k: lift(waveplate_unitary("half", g), PHOTON, PAIR_DIMS)),
     "raman_stack": (ion_photon._raman_stack, lambda g, k: (g,),
                     lambda g, k: raman_rotation(g)),
-    "fit_design": (fitting._design, lambda g, k: (g, k), _design),
+    "fit_solver": (fitting._solver, lambda g, k: (g, k), _solver),
 }
+# a pulse needs one phase and a fit solver the 3 points of a fit
+MIN_POINTS = {"pulse": 1, "fit_solver": 3}
 
 
 def _assert_same(cached, inline):
+    if isinstance(inline, tuple):  # the fit solver: design, pseudo-inverse, rank
+        assert type(cached) is tuple and len(cached) == len(inline)
+        *arrays, rank = inline
+        assert cached[-1] == rank
+        for c, i in zip(cached, arrays):
+            _assert_same(c, i)
+        return
     assert np.array_equal(cached, inline)
     assert cached.shape == inline.shape and cached.tobytes() == inline.tobytes()
     assert not cached.flags.writeable
@@ -72,7 +86,7 @@ def _assert_same(cached, inline):
 def test_cached_operator_equals_inline_construction(drawn):
     for name, (cache, args, inline) in CACHES.items():
         for g, k in drawn + drawn[::-1]:  # the second pass hits or rebuilds
-            if g.size or name != "pulse":
+            if g.size >= MIN_POINTS.get(name, 0):
                 _assert_same(cache(*args(g, k)), inline(g, k))
 
 
@@ -104,8 +118,8 @@ def test_hit_returns_the_built_array_and_scans_repeat():
 
 
 def test_each_cache_stays_within_its_bound():
-    bounds = {"pulse": 32, "pulse_stack": 4, "half_wave_stack": 4,
-              "raman_stack": 4, "fit_design": 8}
+    bounds = {"pulse": 32, "pulse_stack": 4, "two_pulse_stack": 4, "half_wave_stack": 4,
+              "raman_stack": 4, "fit_solver": 8}
     rng = np.random.default_rng(11)
     for name, (cache, args, inline) in CACHES.items():
         cache.cache_clear()

@@ -7,10 +7,14 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ionlink import __version__
 from ionlink.cli import main
@@ -92,7 +96,7 @@ def test_swap_summary_reports_clipped_bound_inputs(tmp_path):
     assert run(["swap", "--ideal", "--trials", "20000", "--seed", "3",
                 "--config", str(cfg_path), "--out", str(out)]) == 0
     payload = json.loads((out / "swap_summary.json").read_text())
-    assert payload["two_pulse_contrast"] == 1.0144460682739402
+    assert payload["two_pulse_contrast"] == 1.0144460682739407
     inputs = payload["bound_inputs"]
     assert inputs == {"odd_populations": payload["odd_populations"],
                       "two_pulse_contrast": 1.0,
@@ -440,6 +444,10 @@ def test_modes_needs_both_references(tmp_path, capsys, flag):
     ["--axial-ref", "-1", "--radial-ref", "890e3"],
     ["--axial-ref", "nan", "--radial-ref", "890e3"],
     ["--axial-ref", "367e3", "--radial-ref=-inf"],
+    # past the range the spring constants and the Coulomb length can represent
+    ["--axial-ref", "1e-300", "--radial-ref", "1e-300"],
+    ["--axial-ref", "1e300", "--radial-ref", "1e300"],
+    ["--single-ion", "--radial-ref", "1e300"],
 ])
 def test_modes_references_finite_and_positive(tmp_path, capsys, refs):
     out = tmp_path / "m"
@@ -561,6 +569,8 @@ def test_bad_grid_rejected(tmp_path, capsys):
     for command, grid in (("ion-photon", "zap"),
                           ("ion-photon", "0:1.5708:100001"),  # too many points
                           ("ion-photon", "0:nan:11"),
+                          ("ion-photon", "0:1e308:5"),  # 4 * x overflows in the fit
+                          ("ion-photon", "0:-1e301:5"),
                           ("rate", "1:20000000:5")):  # caps above 10**7
         out = tmp_path / "g"
         assert run([command, "--out", str(out), "--grid", grid]) == 2
@@ -581,6 +591,14 @@ def test_grid_flag_controls_scan_points(tmp_path):
     lines = (out2 / "rate_analytic_coolant.csv").read_text().splitlines()
     data = [l for l in lines if not l.startswith("#")]
     assert len(data) == 1 + 4
+
+
+def test_rate_grid_below_one_caps_at_one(tmp_path, capsys):
+    out = tmp_path / "low"
+    assert run(["rate", "--out", str(out), "--grid=-1e300:1:3", "--trials", "10"]) == 0
+    assert capsys.readouterr().err == ""
+    lines = (out / "rate_analytic_coolant.csv").read_text().splitlines()
+    assert [l.split(",")[0] for l in lines if not l.startswith("#")] == ["cap", "1"]
 
 
 def test_rate_curves_are_the_discrete_model(tmp_path):
@@ -718,3 +736,49 @@ def test_every_config_field_changes_some_output(tmp_path):
         if _outputs_without_hash(tmp_path, cfg) == reference:
             dead.add(f.name)
     assert dead == set()
+
+
+# --- fuzzed argv: every input keeps the error contract ---------------------------
+
+EDGE_FLOATS = ("0", "-0.0", "5e-324", "1e-300", "0.5", "1", "367e3", "890e3", "1e12",
+               "1.5e12", "1e300", "1e308", "1e309", "inf", "-inf", "nan", "-1", "abc", "")
+float_texts = st.one_of(st.sampled_from(EDGE_FLOATS),
+                        st.floats(-1e300, 1e300).map(repr),  # within the grid bound
+                        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                        st.text(max_size=8))
+# grid sizes stay small or invalid, so that every run is quick
+count_texts = st.one_of(st.sampled_from(["-1", "0", "2", "100001", "10" * 20, "1e3", "x"]),
+                        st.integers(3, 40).map(str))
+
+
+@st.composite
+def fuzzed_argv(draw):
+    if draw(st.booleans()):
+        argv = ["modes"] + draw(st.sampled_from([[], ["--single-ion"]]))
+        refs = st.one_of(st.floats(1.0, 1e12).map(repr), float_texts)
+        for flag in draw(st.sets(st.sampled_from(["--axial-ref", "--radial-ref"]))):
+            argv.append(f"{flag}={draw(refs)}")
+        return argv
+    ends = st.one_of(st.sampled_from(["0", "1e300", "-1e301", "1e308"]),
+                     st.floats(allow_nan=False, allow_infinity=False).map(repr))
+    grid = draw(st.one_of(
+        st.tuples(ends, ends, st.integers(3, 40).map(str)).map(":".join),
+        st.tuples(float_texts, float_texts, count_texts).map(":".join),
+        st.text(max_size=16)))
+    return ["ion-photon", f"--grid={grid}"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=fuzzed_argv())
+def test_fuzzed_argv_keeps_the_error_contract(capfd, argv):
+    # capfd sees what native code prints too; a Python warning fails the run
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(argv + ["--out", out])
+    assert code in (0, 1, 2)
+    lines = capfd.readouterr().err.splitlines()
+    assert len(lines) == (code != 0)
+    if lines:
+        err = json.loads(lines[0])
+        assert set(err) == {"error", "message"}

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from ionlink import fitting
 from ionlink.fitting import ScanResult, fit_sinusoid, wrap_phase
 
 
@@ -77,3 +81,64 @@ def test_scan_result_fit_summary():
     summary = scan.fit_summary()
     assert summary["contrast"] == 0.2
     assert summary["fits"]["p"]["amplitude"] == pytest.approx(0.1, abs=1e-12)
+
+
+# --- the cached solver against np.linalg.lstsq ----------------------------------
+
+sizes = st.one_of(st.just(3), st.integers(3, 40))
+frequencies = st.one_of(st.sampled_from([1.0, 2.0, 4.0]), st.floats(0.05, 8.0))
+
+
+@st.composite
+def fit_inputs(draw):
+    """A grid of one of four kinds, a frequency and data in [-1, 1] with up
+    to all but 3 points NaN: random points; one point repeated (rank 1);
+    multiples of pi at k = 1 or 2, where the sin regressor is round-off
+    (rank 2 or 1); and k = 0, where it is exactly zero."""
+    n = draw(sizes)
+    kind = draw(st.sampled_from(["random", "random", "repeated", "multiples_of_pi",
+                                 "k_zero"]))
+    if kind == "multiples_of_pi":
+        x = np.pi * draw(arrays(float, n, elements=st.integers(-2, 2).map(float)))
+        k = draw(st.sampled_from([1.0, 2.0]))
+    else:
+        # ascending points at least pi/64 apart
+        steps = draw(arrays(int, n, elements=st.integers(1, 32)))
+        x = np.pi / 64.0 * (draw(st.integers(-256, 0)) + np.cumsum(steps))
+        if kind == "repeated":
+            x = np.full(n, x[0])
+        k = 0.0 if kind == "k_zero" else draw(frequencies)
+    y = draw(arrays(float, n, elements=st.floats(-1.0, 1.0)))
+    y[draw(st.lists(st.integers(0, n - 1), max_size=n - 3))] = np.nan
+    return x, y, k
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(fit_inputs())
+@example((np.pi * np.arange(4.0), np.array([0.1, -0.2, 0.3, 0.5]), 1.0))  # rank 2
+@example((np.linspace(0.0, 1.0, 4), np.array([0.1, np.nan, 0.3, 0.2]), 2.0))  # 3 finite
+@example((1e-4 * np.arange(4.0), np.array([0.1, -0.2, 0.3, 0.5]), 1.0))  # rank 3, cond 1e9
+def test_cached_solver_fit_equals_lstsq(inputs):
+    x, y, k = inputs
+    finite = np.isfinite(y)
+    xf, yf = x[finite], y[finite]
+    design = np.column_stack([np.sin(k * xf), np.cos(k * xf), np.ones_like(xf)])
+    coef, _, rank, sv = np.linalg.lstsq(design, yf, rcond=None)
+    # where the numerical rank is unambiguous, both solvers find it
+    cutoff = np.finfo(float).eps * xf.size * sv[0]
+    assume(sv[rank - 1] >= 10.0 * cutoff and np.all(sv[rank:] <= 0.1 * cutoff))
+    assert fitting._solver(xf, k)[2] == rank
+    # with a well-conditioned kept part, two SVD-based solvers agree to round-off
+    if sv[rank - 1] < 1e-4 * sv[0]:
+        return
+    fit = fit_sinusoid(x, y, k)
+    amplitude = np.hypot(coef[0], coef[1])
+    resid = yf - design @ coef
+    assert fit.amplitude == pytest.approx(amplitude, rel=0, abs=1e-12)
+    assert fit.offset == pytest.approx(coef[2], rel=0, abs=1e-12)
+    assert fit.residual_rms == pytest.approx(np.sqrt(np.mean(resid ** 2)), rel=0, abs=1e-12)
+    # y = offset + A sin(kx - phase): sin coefficient A cos(phase), cos coefficient -A sin(phase)
+    np.testing.assert_allclose([fit.amplitude * np.cos(fit.phase),
+                                -fit.amplitude * np.sin(fit.phase)],
+                               coef[:2], rtol=0, atol=1e-12)
+    assert fit.degenerate == bool(rank < 3 or amplitude < 1e-14)

@@ -22,16 +22,8 @@ from ionlink.ion_photon import (
     raman_rotation,
     waveplate_unitary,
 )
-from ionlink.quantum import (
-    DensityMatrix,
-    conjugate,
-    fidelity_pure,
-    ket,
-    lift,
-    partial_trace,
-    superposition,
-)
-from qutil import apply_channel, dephasing_channel, random_density
+from ionlink.quantum import conjugate, fidelity_pure, ket, lift
+from qutil import apply_channel, dephasing_channel, projected_ion_state, random_density
 
 HWP_GRID = np.linspace(0.0, np.pi / 2.0, 37)
 PHASE_GRID = np.linspace(0.0, 2.0 * np.pi, 41)
@@ -179,26 +171,19 @@ def _pair_states():
     return states + [ket((0, 0)).density()]
 
 
-def test_cached_herald_projector_matches_inline_construction():
-    cache = ion_photon._diagonal_herald_projector
-    cache.cache_clear()
-    states = _pair_states()[:20]
-    for state in states:
+def test_herald_matches_inline_construction():
+    for state in _pair_states()[:20]:
         for sign in (+1, -1):
-            diag = superposition([(1.0, (0,)), (float(sign), (1,))], (2,))
-            proj = lift(np.outer(diag.amplitudes, diag.amplitudes.conj()), PHOTON,
-                        PAIR_DIMS)
-            weighted = proj @ state.matrix @ proj
-            w = float(np.real(np.trace(weighted)))
-            expected = partial_trace(DensityMatrix(
-                0.5 * (weighted + weighted.conj().T) / w, PAIR_DIMS), keep=[ION])
-            assert np.array_equal(heralded_ion_state(state, sign).matrix,
-                                  expected.matrix)
-            assert np.array_equal(cache(sign), proj)
-            assert not cache(sign).flags.writeable
-    info = cache.cache_info()
-    # one miss per sign; every other lookup is a hit
-    assert (info.misses, info.hits, info.currsize) == (2, 3 * 2 * len(states) - 2, 2)
+            # the ion block <d| rho |d> of the photon state d = (|H> + sign |V>)/sqrt2
+            m = state.matrix.reshape(2, 2, 2, 2)
+            block = 0.5 * (m[0, :, 0] + m[1, :, 1] + sign * (m[0, :, 1] + m[1, :, 0]))
+            expected = 0.5 * (block + block.conj().T) / float(np.real(np.trace(block)))
+            ion = heralded_ion_state(state, sign)
+            assert ion.dims == (2,)
+            assert np.array_equal(ion.matrix, expected)
+            assert not ion.matrix.flags.writeable
+            reference = projected_ion_state(state, sign).matrix
+            assert np.abs(ion.matrix - reference).max() < 1e-12
 
 
 def test_correlation_scan_selectors_match_inline_construction():

@@ -11,7 +11,6 @@ from ionlink.quantum import (
     fidelity_pure,
     ket,
     lift,
-    partial_trace,
     superposition,
     validate_density,
 )
@@ -25,6 +24,7 @@ from qutil import (
     dephasing_channel,
     depolarizing_channel,
     loop_partial_trace,
+    partial_trace,
     random_density,
     random_unitary,
     tensor,

@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ionlink.analysis import parity_scan
+from ionlink import analysis
+from ionlink.analysis import apply_analysis_pulse, parity_scan
 from ionlink.config import HardwareConfig
 from ionlink.ion_photon import (
     DOWN,
@@ -18,6 +19,7 @@ from ionlink.ion_photon import (
     coherence_scan,
     correlation_scan,
     emit_ion_photon_state,
+    heralded_ion_state,
 )
 from ionlink.quantum import (
     DensityMatrix,
@@ -25,7 +27,6 @@ from ionlink.quantum import (
     conjugate,
     ket,
     lift,
-    partial_trace,
     validate_density,
 )
 from qutil import (
@@ -37,6 +38,8 @@ from qutil import (
     loop_coherence_scan,
     loop_correlation_scan,
     loop_parity_scan,
+    partial_trace,
+    projected_ion_state,
     tensor,
 )
 from ionlink.swap import swapped_state
@@ -82,6 +85,14 @@ def assert_valid(rho: DensityMatrix) -> None:
 def test_parity_scan_matches_loop_oracle(rho, phases, pulses):
     got = parity_scan(rho, phases, pulses=pulses).series["parity"]
     np.testing.assert_allclose(got, loop_parity_scan(rho, phases, pulses),
+                               rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(states((2, 2)), grids)
+def test_folded_two_pulse_stack_equals_pulse_then_stack(rho, phases):
+    stepwise = conjugate(apply_analysis_pulse(rho, 0.0), analysis._pulse_stack(phases))
+    np.testing.assert_allclose(analysis._analysis_sequence(rho, phases, "two"), stepwise,
                                rtol=0, atol=1e-12)
 
 
@@ -222,6 +233,13 @@ def test_emission_matches_photon_depolarizing_channel(p, phase):
     source = SourceParams(pol_mixing=p, superposition_phase=phase)
     np.testing.assert_allclose(emit_ion_photon_state(source).matrix,
                                channel_emitted_pair(p, phase).matrix, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(states((2, 2), floor=0.01), st.sampled_from([+1, -1]))
+def test_herald_matches_projector_reference(pair, sign):
+    np.testing.assert_allclose(heralded_ion_state(pair, sign).matrix,
+                               projected_ion_state(pair, sign).matrix, rtol=0, atol=1e-12)
 
 
 @st.composite

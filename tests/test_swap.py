@@ -7,7 +7,7 @@ from ionlink import swap
 from ionlink.config import HardwareConfig, ideal_config
 from ionlink.fitting import wrap_phase
 from ionlink.ion_photon import emit_ion_photon_state
-from ionlink.quantum import fidelity_pure, partial_trace
+from ionlink.quantum import fidelity_pure
 from ionlink.swap import (
     HeraldStats,
     aligned_state_from_config,
@@ -19,7 +19,7 @@ from ionlink.swap import (
     swapped_state,
     swapped_state_from_config,
 )
-from qutil import literal_swapped_state
+from qutil import literal_swapped_state, partial_trace
 
 TWO_PI = 2.0 * np.pi
 
