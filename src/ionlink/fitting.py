@@ -13,6 +13,7 @@ scan of an ion heralded into ``(|down> + e^{i phi}|up>)/sqrt(2)`` fits to
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Mapping
 
@@ -65,6 +66,11 @@ def fit_sinusoid(x, y, angular_frequency: float) -> SinusoidFit:
         x, y = x[finite], y[finite]
     if x.size < 3:
         raise ValueError("need at least 3 finite points to fit a sinusoid")
+    # a product of Python floats overflows to inf without a warning
+    reach = float(np.abs(x).max())
+    if not math.isfinite(abs(angular_frequency) * reach):
+        raise ValueError(f"k * x must be finite, got k = {angular_frequency!r} "
+                         f"and |x| up to {reach!r}")
     design, pinv, rank = _solver(x, angular_frequency)
     coef = pinv @ y
     a_sin, a_cos, offset = coef

@@ -32,6 +32,11 @@ K_COUL = ECH**2 / (4.0 * np.pi * EPS0)
 MASS_YB_171 = 170.936330    # amu
 MASS_BA_138 = 137.905247    # amu
 
+# Reference (single-ion secular) frequencies, Hz: the spring constants, the
+# Coulomb length and the eigenproblem residuals stay finite and nonzero far
+# beyond this range, but not over every positive float.
+REFERENCE_RANGE_HZ = (1.0, 1e12)
+
 # Default calibration targets: measured mode table of the Yb-Ba-Ba chain used
 # for sympathetic cooling (frequencies in Hz; axial ascending, radial
 # descending).  The displacement entries are units-normalized per mode, laid
@@ -65,8 +70,12 @@ class ChainSpec:
             raise ValueError("need at least one ion")
         if any(m <= 0 for m in self.masses_amu):
             raise ValueError("masses must be positive")
-        if self.axial_freq_ref <= 0 or self.radial_freq_ref <= 0:
-            raise ValueError("reference frequencies must be positive")
+        lo, hi = REFERENCE_RANGE_HZ
+        for name in ("axial_freq_ref", "radial_freq_ref"):
+            ref = getattr(self, name)
+            if not lo <= ref <= hi:
+                raise ValueError(f"{name} must be within [{lo:g}, {hi:g}] Hz, "
+                                 f"got {ref!r}")
         if self.reference_mass_amu <= 0:
             raise ValueError("reference mass must be positive")
 

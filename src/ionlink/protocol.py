@@ -25,16 +25,18 @@ The loop count of the no-coolant schedule is geometric and is sampled by
 inverse transform with ``log1p``; the in-loop position is sampled by inverse
 transform over the exact discrete first-success distribution: the table of
 ``rate_model.success_cdf_table``, which the closed forms also sum over.
-A block's keys are looked up in sorted order, which keeps the table walk in
-cache; each key gets the index a plain search would give.
-Both are distribution-identical to drawing every Bernoulli attempt
-individually.
+Keys are found through a cached guide table (Chen & Asau, AIIE Trans. 6,
+163 (1974)) of up to 2**17 equal buckets over ``[0, q]``: bucketing is
+monotone in floating point, so each key gets exactly the index a binary
+search gives (0.5 MB per index at most, 8 kept).  Both samplers are
+distribution-identical to drawing every Bernoulli attempt individually.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -152,13 +154,30 @@ class RateReport:
         }
 
 
-def _search_in_key_order(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(table, keys, side="right")``, searched in sorted key
-    order so that consecutive searches touch neighbouring table entries
-    (Devroye, Non-Uniform Random Variate Generation, 1986, sec. III.2)."""
-    order = np.argsort(keys)
-    pos = np.empty(keys.size, dtype=np.intp)
-    pos[order] = np.searchsorted(table, keys[order], side="right")
+@lru_cache(maxsize=8)
+def _bucket_index(p: DecayParams, cap: int) -> tuple[np.ndarray, float]:
+    """Guide table of ``success_cdf_table(p, cap)``: ``x`` lies in bucket
+    ``int(x * scale)`` of ``min(2 * size, 2**17)`` over ``[0, q]``, and
+    ``first[j]`` counts the entries in buckets below ``j``."""
+    table = success_cdf_table(p, cap)
+    buckets = min(2 * table.size, 2**17)
+    scale = buckets / float(table[-1]) if table[-1] else 0.0  # q = 0 or >= 2**-53
+    counts = np.bincount((table * scale).astype(np.intp), minlength=buckets + 1)
+    first = np.concatenate(([0], np.cumsum(counts[:-1]))).astype(np.int32)
+    first.setflags(write=False)
+    return first, scale
+
+
+def _bucket_search(table: np.ndarray, first: np.ndarray, scale: float,
+                   keys: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(table, keys, side="right")`` for keys in ``[0, q]``.
+    ``int(x * scale)`` is monotone, so the answer is ``first`` of the key's
+    bucket plus the entries of that bucket up to the key: one step takes the
+    first of them, and the keys still short are searched in full."""
+    pos = first[(keys * scale).astype(np.intp)]  # < size: no bucket above q's
+    pos += table[pos] <= keys
+    short = np.flatnonzero(table[np.minimum(pos, table.size - 1)] <= keys)
+    pos[short] = np.searchsorted(table, keys[short], side="right")
     return pos
 
 
@@ -174,20 +193,24 @@ def simulate_campaign(cfg: HardwareConfig, requests: int,
 
     Request ``k``'s outcome depends only on ``(cfg, master_seed, k)``.
     """
-    if requests < 1:
-        raise ValueError("requests must be at least 1")
+    if (isinstance(requests, bool) or not isinstance(requests, (int, np.integer))
+            or requests < 1):
+        raise ValueError(f"requests must be an integer of at least 1, got {requests!r}")
     cap = _loop_cap(cfg)
     attempt_ns = round(cfg.attempt_duration * 1e9)
     cooling_ns = round(cfg.cooling_duration * 1e9)
     coolant = cfg.coolant_present
-    table = success_cdf_table(_success_model(cfg), cap)
+    model = _success_model(cfg)
+    table = success_cdf_table(model, cap)
     q = float(table[-1])  # success probability of one loop
-    # the largest loop count a uniform below 1 - 2**-53 can produce
-    max_loops = (1 if coolant or q >= 1.0
+    # the largest loop count a uniform below 1 - 2**-53 can produce; a loop
+    # that never heralds (q rounds to 0) never ends
+    max_loops = (1 if coolant or q >= 1.0 else math.inf if q == 0.0
                  else math.ceil(53 * math.log(2.0) / -math.log1p(-q)))
     if max_loops * (cap * attempt_ns + cooling_ns) > _MAX_REQUEST_NS:
         raise ValueError("a single request can exceed 2**50 ns of wall time; "
                          "the loop success probability is too small")
+    first, scale = _bucket_index(model, cap)
 
     attempts = np.empty(requests, dtype=np.int64)
     loop_index = np.zeros(requests, dtype=np.int64)
@@ -198,7 +221,8 @@ def simulate_campaign(cfg: HardwareConfig, requests: int,
         ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(block,))
         u = np.random.Generator(np.random.PCG64(ss)).random((stop - start, 3))
         # in-loop position given success in the loop; u * q may round up to q
-        k = np.minimum(_search_in_key_order(table, u[:, 1] * q) + 1, table.size)
+        k = np.minimum(_bucket_search(table, first, scale, u[:, 1] * q) + 1,
+                       table.size)
         sign = np.where(u[:, 2] < 0.5, 1, -1)
         if coolant:
             ok = u[:, 0] < q

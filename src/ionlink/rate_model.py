@@ -47,6 +47,8 @@ class DecayParams:
     c: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.c))):
+            raise ValueError(f"decay parameters must be finite, got {self!r}")
         if not 0.0 <= self.a <= 1.0:
             raise ValueError("a must be in [0, 1]")
         if self.b < 0.0:
@@ -68,6 +70,8 @@ class ScheduleParams:
     cooling_duration: float = 100e-6
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.attempt_duration, self.cooling_duration))):
+            raise ValueError(f"durations must be finite, got {self!r}")
         if self.attempt_duration <= 0:
             raise ValueError("attempt_duration must be positive")
         if self.cooling_duration < 0:

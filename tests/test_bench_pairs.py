@@ -119,7 +119,8 @@ def test_main_stores_one_traced_run_per_side(tmp_path, monkeypatch):
         value = {"parent": 2.0, "change": 1.0}[side]
         return {"manifest": {"git_commit": None},
                 "result": {"failed": 0, "metrics": {
-                    m["name"]: {"value": value, "unit": m["unit"]} for m in names}}}
+                    m["name"]: {"value": value, "unit": m["unit"]} for m in names}},
+                "speed_factor": {"parent": 0.9, "change": 1.1}[side] + seed}
 
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
     assert bench_pairs.main(["--parent", "HEAD", "--pr", "99", "--workload",
@@ -128,9 +129,26 @@ def test_main_stores_one_traced_run_per_side(tmp_path, monkeypatch):
     assert runs == [("parent", 40, 0), ("change", 40, 0), ("change", 41, 0),
                     ("parent", 41, 0), ("parent", 40, 1), ("change", 40, 1)]
     report = json.loads((tmp_path / "BENCH_99.json").read_text())
+    pairs = report["workloads"]["campaign"]["pairs"]
+    assert [(p["parent_speed_factor"], p["change_speed_factor"]) for p in pairs] \
+        == [(40.9, 41.1), (41.9, 42.1)]
+    assert report["workloads"]["campaign"]["speed_factor_median"] == \
+        {"parent": pytest.approx(41.4), "change": pytest.approx(41.6)}
     trace = report["workloads"]["campaign"]["trace"]
     assert trace["seed"] == 40 and trace["failed"] == {"parent": 0, "change": 0}
     assert set(trace["rows"]) == {m["name"] for m in bench["per_layer"]}
     row = trace["rows"]["quantum.lift.calls"]
     assert (row["parent"], row["change"], row["ratio"]) == (2.0, 1.0, 0.5)
     assert "--trace 1" in report["trace_command"]
+
+
+def test_speed_factor_parsed_from_perfbench_output():
+    out = ("latency_p50_s                                    0.000296 s  (n=27000)\n"
+           "raw wall clock: latency p50 0.000301 s, p90 0.00035 s; "
+           "median speed factor 0.9834\n"
+           "raw setup: 0.31 s\nfail_ratio 0 (0 of 27000 ops)\n{}\n")
+    assert bench_pairs.speed_factor(out) == 0.9834
+    # no op succeeded: perfbench prints no raw wall clock line
+    assert bench_pairs.speed_factor("fail_ratio 1 (3 of 3 ops)\n{}\n") is None
+    assert bench_pairs.median_or_none([1.0, None, 3.0, 2.0]) == 2.0
+    assert bench_pairs.median_or_none([None, None]) is None

@@ -749,26 +749,48 @@ float_texts = st.one_of(st.sampled_from(EDGE_FLOATS),
 # grid sizes stay small or invalid, so that every run is quick
 count_texts = st.one_of(st.sampled_from(["-1", "0", "2", "100001", "10" * 20, "1e3", "x"]),
                         st.integers(3, 40).map(str))
+# rate runs a campaign of every valid trial count, so its counts stay small;
+# swap samples its readout counts, so any valid count is quick
+BAD_TRIALS = ["-1", "0", "10000001", "1e3", "x", ""]
+rate_trials = st.one_of(st.sampled_from(BAD_TRIALS), st.integers(1, 2000).map(str))
+swap_trials = st.one_of(st.sampled_from(BAD_TRIALS + ["99", "100", "10000000"]),
+                        st.integers(1, 2000).map(str))
+seed_texts = st.one_of(st.sampled_from(["0", "1", "-1", "9" * 30, "1e3", "x", ""]),
+                       st.integers(0, 2**64).map(str))
 
 
 @st.composite
 def fuzzed_argv(draw):
-    if draw(st.booleans()):
-        argv = ["modes"] + draw(st.sampled_from([[], ["--single-ion"]]))
+    command = draw(st.sampled_from(["modes", "ion-photon", "rate", "swap", "budget"]))
+    argv = [command]
+    if command == "modes":
+        argv += draw(st.sampled_from([[], ["--single-ion"]]))
         refs = st.one_of(st.floats(1.0, 1e12).map(repr), float_texts)
         for flag in draw(st.sets(st.sampled_from(["--axial-ref", "--radial-ref"]))):
             argv.append(f"{flag}={draw(refs)}")
-        return argv
-    ends = st.one_of(st.sampled_from(["0", "1e300", "-1e301", "1e308"]),
-                     st.floats(allow_nan=False, allow_infinity=False).map(repr))
-    grid = draw(st.one_of(
-        st.tuples(ends, ends, st.integers(3, 40).map(str)).map(":".join),
-        st.tuples(float_texts, float_texts, count_texts).map(":".join),
-        st.text(max_size=16)))
-    return ["ion-photon", f"--grid={grid}"]
+    if command == "ion-photon" or command == "rate" and draw(st.booleans()):
+        ends = st.one_of(st.sampled_from(["0", "1", "1e7", "1e300", "-1e301", "1e308"]),
+                         st.floats(allow_nan=False, allow_infinity=False).map(repr))
+        grid = draw(st.one_of(
+            st.tuples(ends, ends, st.integers(3, 40).map(str)).map(":".join),
+            st.tuples(float_texts, float_texts, count_texts).map(":".join),
+            st.text(max_size=16)))
+        argv.append(f"--grid={grid}")
+    if command == "rate":
+        argv.append(f"--trials={draw(rate_trials)}")
+        argv += draw(st.sampled_from([[], ["--records"]]))
+    if command == "swap":
+        if draw(st.booleans()):
+            argv.append(f"--trials={draw(swap_trials)}")
+        if draw(st.booleans()):
+            profile = st.sampled_from(["measured", "predicted", "tomography", ""])
+            argv.append(f"--profile={draw(profile)}")
+    if draw(st.booleans()):
+        argv.append(f"--seed={draw(seed_texts)}")
+    return argv
 
 
-@settings(max_examples=100, deadline=None, derandomize=True,
+@settings(max_examples=250, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=fuzzed_argv())
 def test_fuzzed_argv_keeps_the_error_contract(capfd, argv):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -61,6 +63,20 @@ def test_noise_residual_reported():
 def test_requires_enough_points():
     with pytest.raises(ValueError):
         fit_sinusoid([0.0, 1.0], [0.0, 1.0], 1.0)
+
+
+@pytest.mark.parametrize("x,k", [
+    (np.linspace(0.0, 1e308, 5), 4.0),          # k * x overflows
+    (np.array([0.0, 1.0, np.inf, 2.0]), 1.0),
+    (np.array([0.0, 1.0, np.nan, 2.0]), 1.0),
+    (np.linspace(0.0, 1.0, 5), np.inf),
+    (np.linspace(0.0, 1.0, 5), np.nan),
+])
+def test_non_finite_phases_rejected_without_warnings(x, k):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="k \\* x must be finite"):
+            fit_sinusoid(x, np.ones(x.size), k)
 
 
 def test_non_finite_points_are_ignored():

@@ -8,6 +8,7 @@ from ionlink.modes import (
     K_COUL,
     MASS_BA_138,
     MASS_YB_171,
+    REFERENCE_RANGE_HZ,
     YB_BA_BA_AXIAL_DISPLACEMENT,
     YB_BA_BA_AXIAL_HZ,
     YB_BA_BA_MASSES,
@@ -174,6 +175,26 @@ def test_chain_spec_validation():
         ChainSpec(masses_amu=(), axial_freq_ref=1e5, radial_freq_ref=1e6)
     with pytest.raises(ValueError):
         ChainSpec(masses_amu=(100.0,), axial_freq_ref=-1.0, radial_freq_ref=1e6)
+
+
+@pytest.mark.parametrize("refs", [(1e300, 1e300), (1e-300, 1e-300), (3.7e5, 1e300),
+                                  (0.5, 9e5), (np.nan, 9e5), (3.7e5, np.inf)])
+def test_chain_spec_rejects_references_out_of_range(refs):
+    # past REFERENCE_RANGE_HZ the spring constants overflow (1e300) or the
+    # Coulomb length divides by zero (1e-300) inside the solve
+    with pytest.raises(ValueError, match="must be within"):
+        ChainSpec(masses_amu=YB_BA_BA_MASSES, axial_freq_ref=refs[0],
+                  radial_freq_ref=refs[1])
+
+
+def test_reference_range_ends_solve():
+    lo, hi = REFERENCE_RANGE_HZ
+    for axial, radial in ((lo, 10.0 * lo), (hi / 10.0, hi)):
+        spec = ChainSpec(masses_amu=YB_BA_BA_MASSES, axial_freq_ref=axial,
+                         radial_freq_ref=radial)
+        for direction in ("axial", "radial"):
+            freqs = normal_modes(spec, direction).frequencies
+            assert np.all(np.isfinite(freqs)) and np.all(freqs > 0)
 
 
 def test_masses_constants():

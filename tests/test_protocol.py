@@ -5,14 +5,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2_contingency, chisquare
 
 from ionlink.cli import RECORD_COLUMNS, _csv, _record_rows
 from ionlink.config import DECAY_COOLANT_RECONSTRUCTION, HardwareConfig, coolant_config
 from ionlink.protocol import (
     _BLOCK,
+    _bucket_index,
+    _bucket_search,
     _loop_cap,
-    _search_in_key_order,
     _success_model,
     effective_attempt_rate,
     rate_experiment,
@@ -211,8 +214,8 @@ def test_overlong_requests_rejected():
 
 # SHA-256 of the herald-record CSV below its run header lines, plus summary(),
 # for the three benchmark schedules at 10000 requests (three blocks), taken
-# before the in-loop positions were searched in sorted key order: the lookup
-# order must not change any output.
+# with a plain binary search of the in-loop positions: how the search finds
+# them must not change any output.
 CAMPAIGN_DIGESTS = {
     ("no_coolant", 1): "0cf49fe603d9dddef2d3b04d5d4ffbed1c61c2955d370f38a70c7f16dcfc3a3c",
     ("no_coolant", 2): "f9170464beaa39678076303ebba8f98d0da078b03b56ce9bfcb3f635900e1174",
@@ -242,9 +245,11 @@ def test_campaign_outputs_pinned(name, seed):
 
 
 @pytest.mark.parametrize("name", ["no_coolant", "coolant", "long_cap"])
-def test_key_order_search_matches_plain_searchsorted(name):
+def test_bucket_search_matches_plain_searchsorted(name):
     cfg = _schedule(name)
-    table = success_cdf_table(_success_model(cfg), _loop_cap(cfg))
+    p, cap = _success_model(cfg), _loop_cap(cfg)
+    table = success_cdf_table(p, cap)
+    first, scale = _bucket_index(p, cap)
     q = float(table[-1])
     rng = np.random.default_rng(31)
     keys = np.concatenate([
@@ -254,10 +259,81 @@ def test_key_order_search_matches_plain_searchsorted(name):
         np.repeat(rng.random(5) * q, 4),            # repeated keys
     ])
     rng.shuffle(keys)
-    got = _search_in_key_order(table, keys)
+    got = _bucket_search(table, first, scale, keys)
     assert np.array_equal(got, np.searchsorted(table, keys, side="right"))
     # u * q == q lands past the table; the kernel clamps it to the last entry
-    assert _search_in_key_order(table, np.array([q]))[0] == table.size
+    assert _bucket_search(table, first, scale, np.array([q]))[0] == table.size
+
+
+@st.composite
+def tables_and_keys(draw):
+    """A valid success model and cap, with keys in ``[0, q]``: table entries,
+    their float neighbours, 0, ``q`` and repeats.  c = 1 builds a one-entry
+    table, large c tables whose trailing entries round to 1.0, and c = 1e-17
+    a table of zeros (q = 0)."""
+    c = draw(st.one_of(st.sampled_from([1.0, 0.5, 2.5e-4, 1e-5, 1e-17]),
+                       st.floats(1e-5, 1.0)))
+    a = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0 - c)))
+    assume(a + c <= 1.0)
+    b = draw(st.one_of(st.sampled_from([0.0, 50.0]), st.floats(0.0, 10.0)))
+    cap = draw(st.one_of(st.sampled_from([1, 2, 50, 20_000, 100_000]),
+                         st.integers(1, 100_000)))
+    p = DecayParams(a, b, c)
+    table = success_cdf_table(p, cap)
+    q = float(table[-1])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    at = table[rng.integers(table.size, size=200)]
+    keys = np.concatenate([rng.random(500) * q, at, np.nextafter(at, 0.0),
+                           np.nextafter(at, 2.0), table[-3:], [0.0, q, q],
+                           np.repeat(rng.random(5) * q, 3)])
+    keys = keys[(keys >= 0.0) & (keys <= q)]
+    rng.shuffle(keys)
+    return p, cap, keys
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(tables_and_keys())
+def test_bucket_search_equals_searchsorted(inputs):
+    p, cap, keys = inputs
+    table = success_cdf_table(p, cap)
+    got = _bucket_search(table, *_bucket_index(p, cap), keys)
+    assert np.array_equal(got, np.searchsorted(table, keys, side="right"))
+
+
+def test_bucket_index_is_read_only_and_bounded():
+    p = _success_model(coolant_config())
+    first, scale = _bucket_index(p, 20_000)
+    assert _bucket_index(p, 20_000)[0] is first
+    assert first.dtype == np.int32 and first.size == 2 * 20_000 + 1
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] = 1
+    for cap in range(1, 12):
+        first, _ = _bucket_index(p, 300_000 + cap)  # past 2**17 buckets
+        assert first.size == 2**17 + 1
+    info = _bucket_index.cache_info()
+    assert info.maxsize == 8 and info.currsize == 8
+
+
+@pytest.mark.parametrize("requests", [0, -1, 10.0, True, "10", None, np.float64(5)])
+def test_request_count_must_be_a_positive_integer(requests):
+    with pytest.raises(ValueError, match="requests must be an integer"):
+        simulate_campaign(HardwareConfig(), requests, master_seed=0)
+
+
+def test_numpy_integer_request_count_accepted():
+    rep = simulate_campaign(HardwareConfig(), np.int64(5), master_seed=0)
+    assert rep.requests == 5
+
+
+def test_loop_that_never_heralds_rejected():
+    # 1 - 1e-17 rounds to 1: the loop success probability q is 0 and a
+    # no-coolant request would loop forever
+    cfg = replace(HardwareConfig(), decay_a=0.0, decay_c=1e-17)
+    with pytest.raises(ValueError, match="wall time"):
+        simulate_campaign(cfg, 10, master_seed=0)
+    # with the coolant every request fails at the cap
+    rep = simulate_campaign(replace(cfg, coolant_present=True), 10, master_seed=0)
+    assert rep.successes == 0 and np.all(rep.attempts_used == cfg.loop_cap_with_coolant)
 
 
 def test_rate_experiment_campaigns_agree_with_their_curves():

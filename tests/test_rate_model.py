@@ -226,6 +226,25 @@ def test_decay_params_validation():
         DecayParams(a=0.1, b=0.0, c=0.0)
 
 
+@pytest.mark.parametrize("abc", [(0.1, math.nan, 0.1), (0.1, math.inf, 0.1),
+                                 (math.nan, 0.0, 0.1), (0.1, 0.0, math.nan),
+                                 (-math.inf, 0.0, 0.1)])
+def test_decay_params_must_be_finite(abc):
+    # a NaN or infinite rate built a NaN table, and rate_curve returned NaN
+    # rates without an error
+    with pytest.raises(ValueError, match="finite"):
+        DecayParams(*abc)
+
+
+@pytest.mark.parametrize("durations", [{"attempt_duration": math.nan},
+                                       {"attempt_duration": math.inf},
+                                       {"cooling_duration": math.inf},
+                                       {"cooling_duration": math.nan}])
+def test_schedule_params_must_be_finite(durations):
+    with pytest.raises(ValueError, match="finite"):
+        ScheduleParams(**durations)
+
+
 def test_expected_attempts_identity():
     # sum_{k<N} S_k = E[min(first success, N)] = sum_k k pmf_k + N S_N, with
     # the survival and the pmf from literal Bernoulli products

@@ -18,7 +18,8 @@ recompiles modules on each cold start (the extracted parent has no
 ``__pycache__``, the checkout's may be stale, and ``PYTHONDONTWRITEBYTECODE``
 keeps imports from writing it).
 
-The file holds every pair's end-to-end metrics, each side's median and
+The file holds every pair's end-to-end metrics and speed factors (see
+``speed_factor``), each side's median speed factor, each side's median and
 quartiles, and per metric the number of pairs the change won (the direction
 comes from BENCHMARK.json; ties count for neither side), how much worse the
 change's median is than the parent's against the metric's BENCHMARK.json
@@ -91,10 +92,24 @@ def src_lines(tree: Path) -> dict:
     return out
 
 
+def speed_factor(stdout: str) -> float | None:
+    """The ``median speed factor`` that perfbench prints after its metrics,
+    or None when it printed none (no op succeeded).
+
+    perfbench scales each time by this factor, the reference host's
+    calibration time over this host's just before the op; its medians show
+    how far the host drifted between runs and between sessions."""
+    marker = "median speed factor "
+    for line in stdout.splitlines():
+        if marker in line:
+            return float(line.split(marker, 1)[1].split()[0])
+    return None
+
+
 def run_bench(tree: Path, workload: str, seed: int, seconds: int,
               trace: int = 0) -> dict:
-    """One ``perfbench/run.py`` run in ``tree``: its manifest and its JSON
-    result."""
+    """One ``perfbench/run.py`` run in ``tree``: its manifest, its JSON
+    result and its speed factor."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
@@ -105,7 +120,14 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: int,
                            f"{proc.returncode}: {proc.stderr[-500:]}")
     manifest = next(json.loads(line[len("manifest "):]) for line in lines
                     if line.startswith("manifest "))
-    return {"manifest": manifest, "result": json.loads(lines[-1])}
+    return {"manifest": manifest, "result": json.loads(lines[-1]),
+            "speed_factor": speed_factor(proc.stdout)}
+
+
+def median_or_none(values: list) -> float | None:
+    """Median of the values that are not None, or None if there are none."""
+    present = [v for v in values if v is not None]
+    return statistics.median(present) if present else None
 
 
 def quartiles(values: list) -> list:
@@ -241,6 +263,7 @@ def main(argv=None) -> int:
                     row[side] = {k: v["value"]
                                  for k, v in res["result"]["metrics"].items()}
                     row[f"{side}_failed"] = res["result"]["failed"]
+                    row[f"{side}_speed_factor"] = res["speed_factor"]
                 print(f"{workload} pair {i + 1}/{count} (seed {seed}): " + ", ".join(
                     f"{k} {row['parent'][k]:.4g} -> {row['change'][k]:.4g}"
                     for k in metrics), flush=True)
@@ -250,6 +273,8 @@ def main(argv=None) -> int:
                       for side in ("parent", "change")}
             report["workloads"][workload] = {
                 "pairs": pairs, "summary": summarize(pairs, metrics),
+                "speed_factor_median": {side: median_or_none(
+                    [p[f"{side}_speed_factor"] for p in pairs]) for side in trees},
                 "trace": {"seed": args.seed,
                           "failed": {side: r["failed"] for side, r in traced.items()},
                           "rows": layer_rows(traced["parent"]["metrics"],
