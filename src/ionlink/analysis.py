@@ -268,19 +268,19 @@ def error_budget(cfg: HardwareConfig) -> BudgetLedger:
     """First-order additive infidelity budget of the heralded two-ion state.
 
     polarization: exact Werner-admixture propagation of both sources' photon
-    depolarizing through the swap, ``(3/4)(1 - (1-pA)(1-pB))``.
+    depolarizing through the swap, ``(3/4) w_pol`` with
+    ``w_pol = 1 - (1-pA)(1-pB)`` from ``HardwareConfig.polarization_weight``.
     coherence: pair dephasing over the analysis delay at the configured
     envelope.  other: wavepacket-overlap contrast loss plus the incoherent
     dark-count and double-excitation admixtures.
 
-    The exact state is ``swap.swapped_state``: the pair dephasing and the
-    overlap multiply one coherence factor (``HardwareConfig.herald_coherence``)
-    and the admixtures combine into one weight
-    (``HardwareConfig.mixed_herald_weight``).  The ledger and that state are
-    compared in tests, not conflated.
+    The exact state is ``swap.swapped_state``: it reads the same
+    ``polarization_weight``, the pair dephasing and the overlap multiply one
+    coherence factor (``HardwareConfig.herald_coherence``) and the admixtures
+    combine into one weight (``HardwareConfig.mixed_herald_weight``).  The
+    ledger and that state are compared in tests, not conflated.
     """
-    w_pol = 1.0 - (1.0 - cfg.pol_mixing_a) * (1.0 - cfg.pol_mixing_b)
-    polarization = 0.75 * w_pol
+    polarization = 0.75 * cfg.polarization_weight()
     coherence = dephasing_infidelity(cfg.analysis_delay, cfg.t2_star_bell,
                                      cfg.bell_coherence_envelope)
     other = (0.5 * (1.0 - cfg.temporal_overlap)

@@ -137,7 +137,7 @@ def _record_rows(report, limit: int):
 
 # --- ion-photon --------------------------------------------------------------
 
-def cmd_ion_photon(args) -> int:
+def cmd_ion_photon(args, cfg: HardwareConfig, seed: int, out: Path) -> int:
     from .ion_photon import (
         coherence_scan,
         correlated_populations,
@@ -147,9 +147,6 @@ def cmd_ion_photon(args) -> int:
         fidelity_upper_bound,
         heralded_ion_state,
     )
-    cfg = _resolve_config(args)
-    seed = _resolve_seed(args)
-    out = Path(args.out)
     hwp = _parse_grid(args.grid) if args.grid else np.linspace(0.0, np.pi / 2.0, 37)
     phases = np.linspace(0.0, 2.0 * np.pi, 41)
     summary = {}
@@ -174,11 +171,8 @@ def cmd_ion_photon(args) -> int:
 
 # --- swap --------------------------------------------------------------------
 
-def cmd_swap(args) -> int:
+def cmd_swap(args, cfg: HardwareConfig, seed: int, out: Path) -> int:
     from . import analysis
-    cfg = _resolve_config(args)
-    seed = _resolve_seed(args)
-    out = Path(args.out)
     if not analysis.MIN_SWAP_TRIALS <= args.trials <= MAX_TRIALS:
         raise CliError("bad_trials", f"swap needs {analysis.MIN_SWAP_TRIALS} to "
                        f"{MAX_TRIALS} trials, got {args.trials}", 2)
@@ -218,11 +212,8 @@ def cmd_swap(args) -> int:
 
 # --- rate --------------------------------------------------------------------
 
-def cmd_rate(args) -> int:
+def cmd_rate(args, cfg: HardwareConfig, seed: int, out: Path) -> int:
     from . import protocol, rate_model
-    cfg = _resolve_config(args)
-    seed = _resolve_seed(args)
-    out = Path(args.out)
     if not 1 <= args.trials <= MAX_TRIALS:
         raise CliError("bad_trials", f"rate needs 1 to {MAX_TRIALS} trials, "
                        f"got {args.trials}", 2)
@@ -255,11 +246,8 @@ def cmd_rate(args) -> int:
 
 # --- modes -------------------------------------------------------------------
 
-def cmd_modes(args) -> int:
+def cmd_modes(args, cfg: HardwareConfig, seed: int, out: Path) -> int:
     from . import modes
-    cfg = _resolve_config(args)
-    seed = _resolve_seed(args)
-    out = Path(args.out)
     masses, axial, radial = modes.YB_BA_BA_MASSES, args.axial_ref, args.radial_ref
     if args.single_ion:
         masses = (modes.MASS_BA_138,)
@@ -313,11 +301,8 @@ def cmd_modes(args) -> int:
 
 # --- budget ------------------------------------------------------------------
 
-def cmd_budget(args) -> int:
+def cmd_budget(args, cfg: HardwareConfig, seed: int, out: Path) -> int:
     from . import analysis
-    cfg = _resolve_config(args)
-    seed = _resolve_seed(args)
-    out = Path(args.out)
     err = analysis.error_budget(cfg)
     eff = analysis.efficiency_budget()
     _write(out, "error_budget.csv", _csv(cfg, seed, ("contribution", "fraction"),
@@ -396,7 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # config errors are reported before seed errors, both before the
+        # subcommand's own checks
+        cfg = _resolve_config(args)
+        seed = _resolve_seed(args)
+        return args.func(args, cfg, seed, Path(args.out))
     except CliError as exc:
         sys.stderr.write(json.dumps({"error": exc.category, "message": str(exc)})
                          + "\n")

@@ -218,6 +218,11 @@ class HardwareConfig:
         """Scale of the heralded ion-A coherences at ``t``: envelope times overlap."""
         return self.bell_coherence_factor(t) * self.temporal_overlap
 
+    def polarization_weight(self) -> float:
+        """Weight of ``I/4`` in the heralded state from both sources' photon
+        depolarizing: ``1 - (1 - pol_mixing_a)(1 - pol_mixing_b)``."""
+        return 1.0 - (1.0 - self.pol_mixing_a) * (1.0 - self.pol_mixing_b)
+
     def mixed_herald_weight(self) -> float:
         """Weight of ``I/4`` in the heralded state: fake and double-excitation heralds."""
         return 1.0 - (1.0 - self.dark_herald_weight()) * (1.0 - self.double_excitation_prob)

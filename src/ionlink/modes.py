@@ -36,6 +36,9 @@ MASS_BA_138 = 137.905247    # amu
 # Coulomb length and the eigenproblem residuals stay finite and nonzero far
 # beyond this range, but not over every positive float.
 REFERENCE_RANGE_HZ = (1.0, 1e12)
+# Ion and reference masses, amu: the same holds over this range, which
+# spans an electron's mass to a large molecular ion's.
+MASS_RANGE_AMU = (1e-4, 1e9)
 
 # Default calibration targets: measured mode table of the Yb-Ba-Ba chain used
 # for sympathetic cooling (frequencies in Hz; axial ascending, radial
@@ -68,16 +71,17 @@ class ChainSpec:
     def __post_init__(self):
         if len(self.masses_amu) < 1:
             raise ValueError("need at least one ion")
-        if any(m <= 0 for m in self.masses_amu):
-            raise ValueError("masses must be positive")
+        lo, hi = MASS_RANGE_AMU
+        for m in (*self.masses_amu, self.reference_mass_amu):
+            if not lo <= m <= hi:
+                raise ValueError(f"masses must be within [{lo:g}, {hi:g}] amu, "
+                                 f"got {m!r}")
         lo, hi = REFERENCE_RANGE_HZ
         for name in ("axial_freq_ref", "radial_freq_ref"):
             ref = getattr(self, name)
             if not lo <= ref <= hi:
                 raise ValueError(f"{name} must be within [{lo:g}, {hi:g}] Hz, "
                                  f"got {ref!r}")
-        if self.reference_mass_amu <= 0:
-            raise ValueError("reference mass must be positive")
 
     @property
     def n_ions(self) -> int:

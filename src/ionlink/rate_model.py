@@ -189,22 +189,15 @@ def mean_success_prob(n, p: DecayParams) -> float:
 
 
 def request_rate(n, p: DecayParams, schedule: ScheduleParams,
-                 coolant: bool, include_cooling: bool = True) -> float:
-    """Successful heralds per second of wall time at loop cap ``n``.
-
-    ``include_cooling=False`` leaves the cooling intervals out of the wall
-    time (used to compare loop caps apart from the recooling overhead).
-    """
-    curve = rate_curve(n, p, schedule, coolant)
-    return float(curve.rate_hz if include_cooling else curve.rate_no_cooling_hz)
+                 coolant: bool) -> float:
+    """Successful heralds per second of wall time at loop cap ``n``."""
+    return float(rate_curve(n, p, schedule, coolant).rate_hz)
 
 
 def optimal_cap(p: DecayParams, schedule: ScheduleParams, coolant: bool,
-                max_cap: int = 100_000,
-                include_cooling: bool = True) -> tuple[int, float]:
+                max_cap: int = 100_000) -> tuple[int, float]:
     """Integer loop cap in ``[1, max_cap]`` maximizing the request rate (the
     smallest such cap), with the rate achieved."""
-    curve = rate_curve(np.arange(1, max_cap + 1), p, schedule, coolant)
-    rates = curve.rate_hz if include_cooling else curve.rate_no_cooling_hz
+    rates = rate_curve(np.arange(1, max_cap + 1), p, schedule, coolant).rate_hz
     best = int(np.argmax(rates))
     return best + 1, float(rates[best])

@@ -6,10 +6,12 @@ V detection projects the photon pair onto one of the two polarization Bell
 states ``(|HV> +/- |VH>)/sqrt(2)`` - same-side coincidences onto the symmetric
 combination, opposite-side onto the antisymmetric one.  HH and VV patterns
 herald nothing.  The absolute sign assignment (same side -> +1) is a
-documented convention; the experiment fixes only the relative rule.  The
-heralded state is computed on the two ions alone, as the partial inner
-product of the two emitted ion-photon pairs with that photon Bell state, so
-the four-qubit register (ion A, photon A, ion B, photon B) is never formed.
+documented convention; the experiment fixes only the relative rule.  Each
+source emits ``(1-p) |psi><psi| + p I/4``, so the heralded two-ion state is a
+Werner-type X matrix (Werner, PRA 40, 4277 (1989)) and is written down in
+closed form; the four-qubit register (ion A, photon A, ion B, photon B), its
+projection and partial trace live in ``tests/qutil.py`` as the reference the
+tests compare against.
 
 Phase bookkeeping: projecting two ideal pairs onto the photon Bell states
 leaves the ions in ``(|down,up> + sign e^{i phi}|up,down>)/sqrt(2)``, where
@@ -18,20 +20,17 @@ the V-branch phase of each source is referenced.  The reference two-ion form use
 ``phi = phi_B - phi_A`` while the single-ion coherence scans fit ``+phi_j``
 per source; these two conventions cannot be derived from each other without
 unstated reference choices, so ``HardwareConfig.swap_phase_convention``
-selects the orientation (default ``"b_minus_a"``, the reference form), and the
-state construction applies it consistently.
+selects the orientation (default ``"b_minus_a"``, the reference form), and
+``HardwareConfig.swap_phase`` alone applies it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import HardwareConfig
-from .fitting import wrap_phase
-from .ion_photon import SourceParams, emit_ion_photon_state
 from .quantum import DensityMatrix, PureState, superposition
 
 TWO_PI = 2.0 * np.pi
@@ -83,59 +82,29 @@ def bell_state(sign: int, phase: float = 0.0) -> PureState:
         [(1.0, (DOWN, UP)), (sign * np.exp(1j * phase), (UP, DOWN))], TWO_ION_DIMS)
 
 
-@lru_cache(maxsize=8)
-def _emitted_pairs(source_a: SourceParams, source_b: SourceParams) -> np.ndarray:
-    """Read-only stack of both sources' emitted pair states, each as the
-    tensor ``[photon, ion, photon', ion']``.
-
-    One set of photon outcomes heralds either sign, so both signs of a config
-    share these pairs; the sources are the orientation-adjusted ones.
-    """
-    pairs = np.stack([emit_ion_photon_state(src).matrix.reshape(2, 2, 2, 2)
-                      for src in (source_a, source_b)])
-    pairs.setflags(write=False)
-    return pairs
-
-
-# two-ion register index ion A + 2 ion B: the free-evolution phase
-# exponent of each level, and the elements whose ion-A levels differ
-_ION_A, _ION_B = np.divmod(np.arange(4), 2)[::-1]
-_EVOLUTION = (_ION_A - _ION_B)[:, None] - (_ION_A - _ION_B)[None, :]
-_A_FLIPS = _ION_A[:, None] != _ION_A[None, :]
-
-
 def swapped_state(cfg: HardwareConfig, sign: int, t: float) -> DensityMatrix:
     """Two-ion state heralded by an H+V coincidence, ``t`` seconds afterwards.
 
-    Composition: each source of ``cfg`` emits its (possibly
-    polarization-mixed) pair, and the ions keep the photon-Bell partial inner
-    product ``<Psi^sign| rho_A (x) rho_B |Psi^sign>`` of the two pairs,
-    normalized.  Then, elementwise, the free evolution adds the phase
-    ``delta * t`` between ``|up,down>`` and ``|down,up>``, the coherences
-    between ion-A levels are scaled by ``cfg.herald_coherence(t)`` (pair
-    dephasing times wavepacket overlap), and the dark-count and
-    double-excitation heralds mix in ``I/4`` with
-    ``cfg.mixed_herald_weight()``.  With all errors off and
+    Each source emits ``(1-p) |psi><psi| + p I/4``, so the photon-Bell
+    projection of the two pairs leaves the ions in the Werner-type X matrix
+    ``(1-w) rho_Bell + w I/4``.  The ``I/4`` weight ``w`` joins both sources'
+    polarization mixing (``cfg.polarization_weight()``) with the dark-count
+    and double-excitation heralds (``cfg.mixed_herald_weight()``).  The odd
+    coherence carries the sign, the free-evolution phase ``delta * t`` on top
+    of ``cfg.swap_phase()``, and the scale ``cfg.herald_coherence(t)`` (pair
+    dephasing times wavepacket overlap).  With all errors off and
     ``delta*t + phi = 0 (mod 2*pi)`` the result is exactly the odd Bell state
     of the given sign.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    orientation = 1.0 if cfg.swap_phase_convention == "a_minus_b" else -1.0
-    pair_a, pair_b = _emitted_pairs(*(replace(
-        src, superposition_phase=wrap_phase(orientation * src.superposition_phase))
-        for src in (cfg.source_a(), cfg.source_b())))
-    # real photon Bell amplitudes psi[photon A, photon B], H = 0 and V = 1
-    psi = np.array([[0.0, 1.0], [float(sign), 0.0]]) / np.sqrt(2.0)
-    ions = np.einsum("ab,cd,aicj,bkdl->kilj", psi, psi, pair_a, pair_b).reshape(4, 4)
-    w = float(np.real(np.trace(ions)))
-    if w < 1e-15:
-        raise ValueError("herald outcome has zero probability")
-    ions = 0.5 * (ions + ions.conj().T) / w
-    ions = ions * np.exp(0.5j * cfg.delta * t * _EVOLUTION)
-    ions = np.where(_A_FLIPS, cfg.herald_coherence(t) * ions, ions)
-    w_mixed = cfg.mixed_herald_weight()
-    return DensityMatrix((1.0 - w_mixed) * ions + w_mixed * np.eye(4) / 4.0, TWO_ION_DIMS)
+    w = 1.0 - (1.0 - cfg.polarization_weight()) * (1.0 - cfg.mixed_herald_weight())
+    rho = np.diag([0.25 * w, 0.5 - 0.25 * w, 0.5 - 0.25 * w, 0.25 * w]).astype(complex)
+    # |up,down><down,up| and its conjugate (register index ion A + 2 * ion B)
+    rho[1, 2] = (0.5 * (1.0 - w) * sign * cfg.herald_coherence(t)
+                 * np.exp(1j * (cfg.swap_phase() + cfg.delta * t)))
+    rho[2, 1] = np.conj(rho[1, 2])
+    return DensityMatrix(rho, TWO_ION_DIMS)
 
 
 def swapped_state_from_config(cfg: HardwareConfig, sign: int = +1,

@@ -2,6 +2,7 @@ import dataclasses
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
@@ -14,6 +15,8 @@ from ionlink.config import (
     load_config,
     measured_swap_config,
 )
+from ionlink.quantum import fidelity_pure
+from ionlink.swap import bell_phase, bell_state, swapped_state
 
 
 def test_defaults_are_valid_and_hashable():
@@ -177,6 +180,21 @@ def test_profiles():
     measured = measured_swap_config()
     assert measured.pol_mixing_a > HardwareConfig().pol_mixing_a
     assert measured.temporal_overlap < HardwareConfig().temporal_overlap
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_measured_profile_identities_at_analysis_delay(sign):
+    # the calibration's documented targets hold exactly at analysis_delay:
+    # odd populations, the odd coherence that brings the parity maximum to
+    # 0.925, and the resulting overlap 0.976/2 + (0.925 - 0.976 + 1/2)
+    cfg = measured_swap_config()
+    t = cfg.analysis_delay
+    state = swapped_state(cfg, sign, t)
+    rho = state.matrix
+    assert np.real(rho[1, 1] + rho[2, 2]) == pytest.approx(0.976, abs=1e-12)
+    assert abs(rho[1, 2]) == pytest.approx(0.925 - 0.476, abs=1e-12)
+    target = bell_state(sign, bell_phase(cfg.delta, t, cfg.swap_phase()))
+    assert fidelity_pure(state, target) == pytest.approx(0.937, abs=1e-12)
 
 
 def test_readout_model_adapter():

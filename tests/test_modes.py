@@ -7,6 +7,7 @@ from ionlink.modes import (
     ChainSpec,
     K_COUL,
     MASS_BA_138,
+    MASS_RANGE_AMU,
     MASS_YB_171,
     REFERENCE_RANGE_HZ,
     YB_BA_BA_AXIAL_DISPLACEMENT,
@@ -170,11 +171,34 @@ def test_radial_instability_reported_by_mode():
         normal_modes(spec, "radial")
 
 
+@pytest.mark.filterwarnings("error")
 def test_chain_spec_validation():
     with pytest.raises(ValueError):
         ChainSpec(masses_amu=(), axial_freq_ref=1e5, radial_freq_ref=1e6)
     with pytest.raises(ValueError):
         ChainSpec(masses_amu=(100.0,), axial_freq_ref=-1.0, radial_freq_ref=1e6)
+    # past MASS_RANGE_AMU a NaN mass solves to NaN frequencies, an infinite
+    # reference mass divides by zero and 1e300 overflows the mass weighting
+    for masses, reference in (((np.nan, MASS_BA_138), MASS_BA_138),
+                              ((MASS_BA_138, np.inf), MASS_BA_138),
+                              ((1e300,), MASS_BA_138), ((0.0,), MASS_BA_138),
+                              ((-1.0, MASS_BA_138), MASS_BA_138),
+                              ((MASS_BA_138,), np.nan), ((MASS_BA_138,), np.inf),
+                              ((MASS_BA_138,), 1e300), ((MASS_BA_138,), 0.0)):
+        with pytest.raises(ValueError, match="masses must be within"):
+            ChainSpec(masses_amu=masses, axial_freq_ref=1e5, radial_freq_ref=1e6,
+                      reference_mass_amu=reference)
+
+
+@pytest.mark.filterwarnings("error")
+def test_mass_range_ends_solve():
+    lo, hi = MASS_RANGE_AMU
+    for masses, reference in (((lo, lo), lo), ((hi, hi), hi), ((hi,), lo)):
+        spec = ChainSpec(masses_amu=masses, axial_freq_ref=1e5, radial_freq_ref=1e6,
+                         reference_mass_amu=reference)
+        for direction in ("axial", "radial"):
+            freqs = normal_modes(spec, direction).frequencies
+            assert np.all(np.isfinite(freqs)) and np.all(freqs > 0)
 
 
 @pytest.mark.parametrize("refs", [(1e300, 1e300), (1e-300, 1e-300), (3.7e5, 1e300),

@@ -171,16 +171,15 @@ def test_uncooled_rate_declines_past_the_loop_knee():
     from ionlink.config import DECAY_NO_COOLANT
     p = DecayParams(*DECAY_NO_COOLANT)
     schedule = ScheduleParams()
-    rates = [request_rate(float(n), p, schedule, coolant=False,
-                          include_cooling=False)
-             for n in (50, 200, 1000, 5000, 20000)]
+    rates = rate_curve([50, 200, 1000, 5000, 20000], p, schedule,
+                       coolant=False).rate_no_cooling_hz
     assert all(b < a for a, b in zip(rates, rates[1:]))
     # the recooling-free rate is pbar(50) * 1 MHz: heralds per attempt times
     # attempts per second
     assert rates[0] == pytest.approx(mean_success_prob(50.0, p) * 1e6, rel=1e-12)
     # with the recooling breaks the early-success clustering of the decay
     # profile lands slightly above the constant-p 78/s reference arithmetic
-    full = request_rate(50.0, p, schedule, coolant=False, include_cooling=True)
+    full = float(rate_curve(50, p, schedule, coolant=False).rate_hz)
     assert full == pytest.approx(79.5, abs=1.0)
 
 
@@ -210,10 +209,10 @@ def test_decay_gap_between_schedules():
     schedule = ScheduleParams()
     decayed = DecayParams(a=1.1e-4, b=50.0, c=1.4e-4)
     cooled = DecayParams(a=0.0, b=0.0, c=2.5e-4)
-    r_red = request_rate(20000, decayed, schedule, coolant=False,
-                         include_cooling=False)
-    r_blue = request_rate(20000, cooled, schedule, coolant=True,
-                          include_cooling=False)
+    r_red = float(rate_curve(20000, decayed, schedule,
+                             coolant=False).rate_no_cooling_hz)
+    r_blue = float(rate_curve(20000, cooled, schedule,
+                              coolant=True).rate_no_cooling_hz)
     assert r_blue > 1.5 * r_red
 
 

@@ -3,10 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ionlink import swap
 from ionlink.config import HardwareConfig, ideal_config
-from ionlink.fitting import wrap_phase
-from ionlink.ion_photon import emit_ion_photon_state
 from ionlink.quantum import fidelity_pure
 from ionlink.swap import (
     HeraldStats,
@@ -19,7 +16,7 @@ from ionlink.swap import (
     swapped_state,
     swapped_state_from_config,
 )
-from qutil import literal_swapped_state, partial_trace
+from qutil import partial_trace
 
 TWO_PI = 2.0 * np.pi
 
@@ -164,35 +161,3 @@ def test_herald_fraction_matches_half_eta_product():
     assert abs(stats.herald_fraction - expected) < 3 * sigma
     # herald signs are balanced
     assert abs(stats.plus_signs - stats.heralds / 2) < 3 * np.sqrt(stats.heralds / 4)
-
-
-@pytest.mark.parametrize("convention", ["b_minus_a", "a_minus_b"])
-def test_both_herald_signs_share_one_pair_product(convention):
-    cache = swap._emitted_pairs
-    orientation = 1.0 if convention == "a_minus_b" else -1.0
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        cfg = replace(HardwareConfig(), swap_phase_convention=convention,
-                      pol_mixing_a=rng.uniform(0.0, 0.2),
-                      pol_mixing_b=rng.uniform(0.0, 0.2),
-                      phi_a=rng.uniform(0.0, TWO_PI), phi_b=rng.uniform(0.0, TWO_PI),
-                      delta_hz=rng.uniform(0.0, 2000.0),
-                      t2_star_bell=rng.uniform(1e-3, 80e-3),
-                      temporal_overlap=rng.uniform(0.9, 1.0))
-        t = rng.uniform(0.0, 1e-3)
-        before = cache.cache_info()
-        for sign, extra_hits in ((+1, 0), (-1, 1)):
-            rho = swapped_state(cfg, sign, t)
-            info = cache.cache_info()
-            assert (info.misses, info.hits) == (before.misses + 1,
-                                                before.hits + extra_hits)
-            np.testing.assert_allclose(rho.matrix, literal_swapped_state(cfg, sign, t).matrix,
-                                       rtol=0, atol=1e-12)
-        sources = [replace(src, superposition_phase=wrap_phase(
-            orientation * src.superposition_phase))
-            for src in (cfg.source_a(), cfg.source_b())]
-        shared = cache(*sources)
-        assert not shared.flags.writeable
-        assert np.array_equal(shared, np.stack(
-            [emit_ion_photon_state(src).matrix.reshape(2, 2, 2, 2) for src in sources]))
-        assert cache.cache_info().currsize <= cache.cache_info().maxsize
