@@ -75,6 +75,13 @@ DECAY_NO_COOLANT = (1.1275e-4, 6.0e-3, 1.4025e-4)
 #   probability 2.50e-4 at a 20000-attempt cap, CDF(20000) > 99%.
 DECAY_COOLANT_RECONSTRUCTION = (4.984e-5, 1.0e-3, 2.4016e-4)
 
+# Longest single request the campaign kernel schedules, in whole ns, so that
+# a block's wall-time sum fits in int64; no attempt or recooling may exceed it.
+MAX_REQUEST_NS = 2**50
+# Largest two-bright mean readout count: readout sampling and the threshold
+# search grow with the histogram width (the default is 201 counts).
+MAX_READOUT_COUNTS = 1e4
+
 
 @dataclass(frozen=True)
 class HardwareConfig:
@@ -153,11 +160,20 @@ class HardwareConfig:
         if self.attempt_duration < 1e-9:  # scheduled in whole ns
             raise ValueError(f"attempt_duration must be at least 1 ns, "
                              f"got {self.attempt_duration!r}")
+        for name in ("attempt_duration", "cooling_duration"):
+            if getattr(self, name) * 1e9 > MAX_REQUEST_NS:
+                raise ValueError(f"{name} must be at most 2**50 ns, "
+                                 f"got {getattr(self, name)!r}")
         nonneg = ["delta_hz", "analysis_delay", "decay_b", "bright_rate",
                   "dark_rate"]
         for name in nonneg:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        counts = (self.dark_rate + 2.0 * self.bright_rate) * self.readout_duration
+        if counts > MAX_READOUT_COUNTS:
+            raise ValueError(f"the two-bright mean readout count (dark_rate + 2 "
+                             f"bright_rate) * readout_duration must be at most "
+                             f"{MAX_READOUT_COUNTS:g}, got {counts:g}")
         if self.decay_a + self.decay_c > 1.0:
             raise ValueError("decay_a + decay_c must not exceed 1")
         if self.decay_c <= 0.0:

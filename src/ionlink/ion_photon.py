@@ -204,7 +204,8 @@ def dephasing_infidelity(t: float, t2_star: float, envelope: str = "gaussian") -
     if t2_star <= 0:
         raise ValueError("T2* must be positive")
     if envelope == "gaussian":
-        env = math.exp(-((t / t2_star) ** 2))
+        # past t = 28 T2* the envelope is 0.0; the cap keeps the square finite
+        env = math.exp(-(min(t / t2_star, 1e150) ** 2))
     elif envelope == "exponential":
         env = math.exp(-t / t2_star)
     else:

@@ -20,7 +20,7 @@ frequency, radial modes descending.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -102,60 +102,54 @@ class ChainSpec:
         return (m_ref * 2.0 * np.pi * self.radial_freq_ref) ** 2 / self.masses_kg
 
 
-def equilibrium_positions(spec: ChainSpec, max_iterations: int = 500) -> np.ndarray:
+_MAX_ITERATIONS = 500  # Newton steps of the equilibrium search
+
+
+def _curvatures(z: np.ndarray) -> np.ndarray:
+    """Pair curvatures ``1/|z_i - z_j|^3``, 0 on the diagonal."""
+    d = np.abs(np.subtract.outer(z, z))
+    np.fill_diagonal(d, np.inf)
+    return 1.0 / d**3
+
+
+def _trap_hessian(springs: float | np.ndarray, c: np.ndarray, weight: float) -> np.ndarray:
+    """``diag(springs) + weight * (diag(c 1) - c)``: the trap springs plus the
+    pair curvatures ``c``, weighted 2 axially and -1 radially."""
+    return np.diag(springs + weight * c.sum(axis=1)) - weight * c
+
+
+def equilibrium_positions(spec: ChainSpec) -> np.ndarray:
     """Axial equilibrium positions (meters) by damped Newton iteration.
 
     Equal charges make the equilibria independent of the masses; the natural
-    length scale is ``(K_COUL / axial_spring)^(1/3)``.
+    length scale is ``(K_COUL / axial_spring)^(1/3)``.  In those units the net
+    force on ion i is ``u_i - sum_j (u_i - u_j) c_ij``, whose Jacobian is the
+    axial Hessian at unit spring (James, Appl. Phys. B 66, 181 (1998)).
     """
     n = spec.n_ions
     if n == 1:
         return np.zeros(1)
     ell = (K_COUL / spec.axial_spring) ** (1.0 / 3.0)
     u = np.linspace(-(n - 1) / 2.0, (n - 1) / 2.0, n)
-    for _ in range(max_iterations):
-        grad = u.copy()
-        hess = np.eye(n)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                d = u[i] - u[j]
-                grad[i] -= np.sign(d) / d**2
-                inv3 = 2.0 / abs(d) ** 3
-                hess[i, i] += inv3
-                hess[i, j] = -inv3
-        step = np.linalg.solve(hess, grad)
+    for _ in range(_MAX_ITERATIONS):
+        c = _curvatures(u)
+        force = u - c.sum(axis=1) * u + c @ u
+        step = np.linalg.solve(_trap_hessian(1.0, c, 2.0), force)
         # damping keeps the ordering when the initial guess is far off
         scale = min(1.0, 0.5 * np.min(np.abs(np.diff(u))) / max(np.max(np.abs(step)), 1e-300))
         u = u - scale * step
-        if np.linalg.norm(grad) < 1e-14:
+        if np.linalg.norm(force) < 1e-14:
             return u * ell
-    raise RuntimeError(f"equilibrium search did not converge in {max_iterations} iterations")
-
-
-def _coulomb_curvatures(z: np.ndarray) -> np.ndarray:
-    n = len(z)
-    c = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                c[i, j] = K_COUL / abs(z[i] - z[j]) ** 3
-    return c
+    raise RuntimeError(f"equilibrium search did not converge in {_MAX_ITERATIONS} iterations")
 
 
 def _hessian(spec: ChainSpec, z: np.ndarray, direction: str) -> np.ndarray:
-    n = spec.n_ions
-    c = _coulomb_curvatures(z)
+    c = K_COUL * _curvatures(z)
     if direction == "axial":
-        h = np.diag(np.full(n, spec.axial_spring))
-        h += 2.0 * (np.diag(c.sum(axis=1)) - c)
-    elif direction == "radial":
-        h = np.diag(spec.radial_springs())
-        h -= np.diag(c.sum(axis=1)) - c
-    else:
-        raise ValueError(f"direction must be axial or radial, got {direction!r}")
-    return h
+        return _trap_hessian(spec.axial_spring, c, 2.0)
+    if direction == "radial":
+        return _trap_hessian(spec.radial_springs(), c, -1.0)
+    raise ValueError(f"direction must be axial or radial, got {direction!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,23 +160,12 @@ class ModeTable:
     frequencies: np.ndarray          # Hz, per mode
     participation: np.ndarray        # orthonormal b, [ion, mode]
     displacement: np.ndarray         # unit-norm displacement patterns, [ion, mode]
+    residuals: np.ndarray            # relative residual of H u = w^2 M u, per mode
     masses_amu: tuple[float, ...]
 
     @property
     def n_modes(self) -> int:
         return self.frequencies.size
-
-    def eigen_residuals(self, spec: ChainSpec, z: np.ndarray) -> np.ndarray:
-        """Relative residual of ``H u = w^2 M u`` per mode (u = M^-1/2 b)."""
-        h = _hessian(spec, z, self.direction)
-        m = spec.masses_kg
-        out = np.empty(self.n_modes)
-        for k in range(self.n_modes):
-            u = self.participation[:, k] / np.sqrt(m)
-            w2 = (2.0 * np.pi * self.frequencies[k]) ** 2
-            res = h @ u - w2 * (m * u)
-            out[k] = np.linalg.norm(res) / np.linalg.norm(h @ u)
-        return out
 
 
 def normal_modes(spec: ChainSpec, direction: str) -> ModeTable:
@@ -194,26 +177,26 @@ def normal_modes(spec: ChainSpec, direction: str) -> ModeTable:
     z = equilibrium_positions(spec)
     h = _hessian(spec, z, direction)
     m = spec.masses_kg
-    d = h / np.sqrt(np.outer(m, m))
-    w2, b = np.linalg.eigh(d)  # ascending
+    w2, b = np.linalg.eigh(h / np.sqrt(np.outer(m, m)))  # ascending
     if direction == "radial":
-        order = np.argsort(w2)[::-1]  # printed convention: descending
-        w2, b = w2[order], b[:, order]
-    for k, val in enumerate(w2):
-        if val <= 0:
-            raise ValueError(
-                f"unstable configuration: {direction} mode {k + 1} has "
-                f"omega^2 = {val:.3e} <= 0 (weaken the axial confinement)")
+        w2, b = w2[::-1], b[:, ::-1]  # printed convention: descending
+    if np.any(w2 <= 0):
+        k = int(np.argmax(w2 <= 0))  # the first unstable mode
+        raise ValueError(
+            f"unstable configuration: {direction} mode {k + 1} has "
+            f"omega^2 = {w2[k]:.3e} <= 0 (weaken the axial confinement)")
     freqs = np.sqrt(w2) / (2.0 * np.pi)
     # sign convention: largest-magnitude component positive per mode
-    for k in range(b.shape[1]):
-        idx = np.argmax(np.abs(b[:, k]))
-        if b[idx, k] < 0:
-            b[:, k] = -b[:, k]
-    disp = b / np.sqrt(m)[:, None]
-    disp = disp / np.linalg.norm(disp, axis=0, keepdims=True)
+    peak = b[np.argmax(np.abs(b), axis=0), np.arange(b.shape[1])]
+    b = np.where(peak < 0, -b, b)
+    u = b / np.sqrt(m)[:, None]
+    hu = h @ u
+    residuals = (np.linalg.norm(hu - w2 * (m[:, None] * u), axis=0)
+                 / np.linalg.norm(hu, axis=0))
+    disp = u / np.linalg.norm(u, axis=0, keepdims=True)
     return ModeTable(direction=direction, frequencies=freqs, participation=b,
-                     displacement=disp, masses_amu=tuple(spec.masses_amu))
+                     displacement=disp, residuals=residuals,
+                     masses_amu=tuple(spec.masses_amu))
 
 
 @dataclass(frozen=True)
@@ -233,12 +216,9 @@ def coolant_coupling_report(table: ModeTable, coolant_index: int,
     """
     if not 0 <= coolant_index < len(table.masses_amu):
         raise ValueError("coolant index out of range")
-    out = []
-    for k in range(table.n_modes):
-        amp = abs(float(table.displacement[coolant_index, k]))
-        out.append(CoolantCoupling(mode_index=k, frequency=float(table.frequencies[k]),
-                                   participation=amp, below_floor=amp < floor))
-    return out
+    amps = np.abs(table.displacement[coolant_index]).tolist()
+    return [CoolantCoupling(mode_index=k, frequency=f, participation=a, below_floor=a < floor)
+            for k, (f, a) in enumerate(zip(table.frequencies.tolist(), amps))]
 
 
 def calibrate_reference_frequencies(
@@ -264,8 +244,7 @@ def calibrate_reference_frequencies(
     rad = np.asarray(radial_targets_hz, dtype=float)
 
     def cost(fr: float) -> float:
-        spec = ChainSpec(masses_amu=tuple(masses_amu), axial_freq_ref=axial_ref,
-                         radial_freq_ref=fr, reference_mass_amu=reference_mass_amu)
+        spec = replace(probe, axial_freq_ref=axial_ref, radial_freq_ref=fr)
         try:
             freqs = normal_modes(spec, "radial").frequencies
         except ValueError:
@@ -288,6 +267,4 @@ def calibrate_reference_frequencies(
             lo, c, fc = c, d, fd
             d = lo + shrink * (hi - lo)
             fd = cost(d)
-    return ChainSpec(masses_amu=tuple(masses_amu), axial_freq_ref=axial_ref,
-                     radial_freq_ref=0.5 * (lo + hi),
-                     reference_mass_amu=reference_mass_amu)
+    return replace(probe, axial_freq_ref=axial_ref, radial_freq_ref=0.5 * (lo + hi))

@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import HardwareConfig, coolant_config
+from .config import MAX_REQUEST_NS, HardwareConfig, coolant_config
 from .rate_model import (
     DecayParams,
     RateCurve,
@@ -52,8 +52,6 @@ from .rate_model import (
 # Requests per substream.  It fixes the random-stream layout, so changing it
 # changes every campaign's outcome.
 _BLOCK = 4096
-# Longest single request, so that a block's wall-time sum fits in int64.
-_MAX_REQUEST_NS = 2**50
 
 
 def effective_attempt_rate(cfg: HardwareConfig) -> float:
@@ -183,7 +181,7 @@ def _bucket_search(table: np.ndarray, first: np.ndarray, scale: float,
 
 def _exact_sum(col: np.ndarray) -> int:
     """Sum of an int64 column as a Python int: each ``_BLOCK``-row partial
-    sum fits in int64 (see ``_MAX_REQUEST_NS``), their total may not."""
+    sum fits in int64 (see ``MAX_REQUEST_NS``), their total may not."""
     return sum(np.add.reduceat(col, np.arange(0, col.size, _BLOCK)).tolist())
 
 
@@ -207,7 +205,7 @@ def simulate_campaign(cfg: HardwareConfig, requests: int,
     # that never heralds (q rounds to 0) never ends
     max_loops = (1 if coolant or q >= 1.0 else math.inf if q == 0.0
                  else math.ceil(53 * math.log(2.0) / -math.log1p(-q)))
-    if max_loops * (cap * attempt_ns + cooling_ns) > _MAX_REQUEST_NS:
+    if max_loops * (cap * attempt_ns + cooling_ns) > MAX_REQUEST_NS:
         raise ValueError("a single request can exceed 2**50 ns of wall time; "
                          "the loop success probability is too small")
     first, scale = _bucket_index(model, cap)

@@ -71,7 +71,10 @@ def phase_alignment_delay(delta: float, phase: float, target: float = 0.0) -> fl
         raise ValueError("delta is zero and phase is not already aligned")
     if delta < 0.0:
         residual = residual - TWO_PI
-    return float(residual / delta)
+    t = float(residual / delta)
+    if np.isinf(t):
+        raise ValueError(f"delta {delta!r} rad/s is too small to align the phases")
+    return t
 
 
 def bell_state(sign: int, phase: float = 0.0) -> PureState:

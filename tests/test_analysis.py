@@ -66,6 +66,13 @@ def test_one_pulse_scan_measures_even_coherence():
     assert np.allclose(scan_odd.series["parity"], 1.0, atol=1e-12)
 
 
+def test_phase_alignment_delay_rejects_a_vanishing_delta():
+    # a subnormal frequency difference puts the alignment past float range
+    with pytest.raises(ValueError, match="too small"):
+        phase_alignment_delay(5e-324, 1.0)
+    assert phase_alignment_delay(1e-300, np.pi) == pytest.approx(np.pi * 1e300)
+
+
 def test_two_pulse_amplitude_identity():
     # exact relation: two-pulse amplitude = (P_odd - P_even)/2 + Re(m) + Re(e)
     # with m the odd and e the even coherence; the population imbalance term

@@ -794,7 +794,13 @@ def fuzzed_argv(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=fuzzed_argv())
 def test_fuzzed_argv_keeps_the_error_contract(capfd, argv):
-    # capfd sees what native code prints too; a Python warning fails the run
+    assert_error_contract(capfd, argv)
+
+
+def assert_error_contract(capfd, argv):
+    """Run ``argv``: exit 0, 1 or 2 and one JSON error line on stderr exactly
+    when it fails.  capfd sees what native code prints too; a Python warning
+    fails the run."""
     with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run(argv + ["--out", out])
@@ -804,3 +810,39 @@ def test_fuzzed_argv_keeps_the_error_contract(capfd, argv):
     if lines:
         err = json.loads(lines[0])
         assert set(err) == {"error", "message"}
+
+
+# --- fuzzed --config: edge values of every numeric field ------------------------
+
+NUMERIC_FIELDS = [f for f in dataclasses.fields(HardwareConfig)
+                  if f.type.split(" | ")[0] in ("float", "int")]
+WRONG_TYPES = ("abc", True, None, [1.0], {"x": 1})
+
+
+def edge_values(field) -> st.SearchStrategy:
+    """0, the smallest positive value, the default, a huge value, wrong types."""
+    tiny, huge = (1, 10**300) if field.type.startswith("int") else (5e-324, 1e300)
+    return st.sampled_from((0, tiny, field.default, huge, -huge) + WRONG_TYPES)
+
+
+@st.composite
+def fuzzed_config(draw):
+    fields = draw(st.lists(st.sampled_from(NUMERIC_FIELDS), min_size=1, max_size=3,
+                           unique_by=lambda f: f.name))
+    data = {f.name: draw(edge_values(f)) for f in fields}
+    if draw(st.booleans()):  # the envelope that squares the pair-coherence time
+        data["bell_coherence_envelope"] = "gaussian"
+    return data
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=fuzzed_config(),
+       command=st.sampled_from([["swap", "--trials=200"], ["rate", "--trials=100"],
+                                ["budget"], ["ion-photon"]]))
+def test_fuzzed_config_keeps_the_error_contract(capfd, data, command):
+    import yaml
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert_error_contract(capfd, command + ["--config", str(path)])

@@ -140,6 +140,13 @@ def test_dephasing_infidelity_properties():
         dephasing_infidelity(1.0, 1.0, envelope="lorentzian")
 
 
+def test_dephasing_infidelity_at_huge_times():
+    # the Gaussian envelope's square would overflow a float past t/T2* = 1e154
+    for envelope in ("gaussian", "exponential"):
+        assert dephasing_infidelity(1e300, 1e-3, envelope=envelope) == 0.5
+        assert dephasing_infidelity(1e300, 5e-324, envelope=envelope) == 0.5
+
+
 def test_correlated_populations_ideal():
     state = ideal_pair_state(0.3).density()
     assert correlated_populations(state) == pytest.approx(1.0, abs=1e-12)

@@ -94,11 +94,45 @@ def test_orthonormality_both_relations():
 def test_eigenproblem_residuals():
     spec = ChainSpec(masses_amu=YB_BA_BA_MASSES, axial_freq_ref=3.7e5,
                      radial_freq_ref=9e5)
-    z = equilibrium_positions(spec)
     for direction in ("axial", "radial"):
         table = normal_modes(spec, direction)
-        assert np.max(table.eigen_residuals(spec, z)) < 1e-10
+        assert np.max(table.residuals) < 1e-10
 
+
+
+def coulomb_net_forces(spec, z):
+    """Axial force on each ion: the trap spring plus the pairwise Coulomb law."""
+    return np.array([-spec.axial_spring * z[i]
+                     + sum(K_COUL * np.sign(z[i] - z[j]) / (z[i] - z[j]) ** 2
+                           for j in range(len(z)) if j != i)
+                     for i in range(len(z))])
+
+
+def test_longer_chains_with_random_masses():
+    # Positions and orthonormality over the whole MASS_RANGE_AMU; the residual
+    # bound over atomic ions (1 to 300 amu), since the mass-weighted solve's
+    # residual grows as about 1e-16 x the spread of w^2: the mass ratio
+    # axially, its square radially.
+    rng = np.random.default_rng(2020)
+    log_range = np.log10(MASS_RANGE_AMU)
+    for n in range(2, 11):
+        for log_lo, log_hi, directions in ((*log_range, ("axial",)),
+                                           (0.0, np.log10(300.0), ("axial", "radial"))):
+            masses = tuple((10.0 ** rng.uniform(log_lo, log_hi, n)).tolist())
+            spec = ChainSpec(masses_amu=masses, axial_freq_ref=1e5, radial_freq_ref=1e7)
+            z = equilibrium_positions(spec)
+            assert np.all(np.diff(z) > 0)
+            forces = coulomb_net_forces(spec, z)
+            assert np.max(np.abs(forces)) < 1e-12 * spec.axial_spring * np.max(np.abs(z))
+            same_species = ChainSpec(masses_amu=(MASS_BA_138,) * n, axial_freq_ref=1e5,
+                                     radial_freq_ref=1e7)
+            np.testing.assert_array_equal(z, equilibrium_positions(same_species))
+            for direction in directions:
+                table = normal_modes(spec, direction)
+                b = table.participation
+                assert np.max(np.abs(b.T @ b - np.eye(n))) < 1e-12
+                if log_lo == 0.0:
+                    assert np.max(table.residuals) < 1e-10
 
 def test_calibrated_chain_reproduces_reference_table():
     spec = calibrate_reference_frequencies()
