@@ -172,7 +172,7 @@ def cmd_ion_photon(args, cfg: HardwareConfig, seed: int, out: Path) -> int:
 # --- swap --------------------------------------------------------------------
 
 def cmd_swap(args, cfg: HardwareConfig, seed: int, out: Path) -> int:
-    from . import analysis
+    from . import analysis, swap
     if not analysis.MIN_SWAP_TRIALS <= args.trials <= MAX_TRIALS:
         raise CliError("bad_trials", f"swap needs {analysis.MIN_SWAP_TRIALS} to "
                        f"{MAX_TRIALS} trials, got {args.trials}", 2)
@@ -205,6 +205,8 @@ def cmd_swap(args, cfg: HardwareConfig, seed: int, out: Path) -> int:
         "spam_clipped_mass": res.populations.clipped_mass,
         "herald_sign_counts": {"+1": res.sign_counts[+1],
                                "-1": res.sign_counts[-1]},
+        "alignment_wait_s": {"+1": swap.alignment_wait(cfg, +1),
+                             "-1": swap.alignment_wait(cfg, -1)},
     }
     _write(out, "swap_summary.json", _json_payload(cfg, seed, summary))
     return 0

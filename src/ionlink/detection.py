@@ -9,41 +9,25 @@ coupling decay during the experiment) makes a bright ion read dark.  The
 aggregate no-bright and two-bright fidelities are config inputs; per-ion flip
 probabilities are derived as ``1 - sqrt(fidelity)``.
 
-The flip and count distributions are closed forms rather than scipy.stats
-calls, so importing this module loads no scipy: the binomial pmf on at most
-two ions is ``comb(n, k) p^k (1-p)^(n-k)``, and the Poisson CDF is a forward
-sum of ``mu^k / k!`` with ``e^-mu`` applied in factors that cannot underflow.
+Each prepared class has one count pmf per model (``ReadoutModel.count_pmf``):
+the Poisson mixture over the flip branches (Myerson et al., PRL 100, 200502
+(2008)).  The calibration histograms are multinomial draws from it, and the
+confusion matrix is read off its cumulative sums.  No scipy is loaded: each
+Poisson row is the ratio recurrence ``mu/k`` run outward from its mode, where
+every factor is at most 1, then normalized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, exp, sqrt
+from functools import cached_property
+from math import comb, sqrt
 
 import numpy as np
 
 
 def _binom_pmf(k: int, n: int, p: float) -> float:
     return comb(n, k) * p ** k * (1.0 - p) ** (n - k)
-
-
-def _poisson_cdf(t: int, mu: float) -> float:
-    """P(X <= t) for X ~ Poisson(mu); e^-mu goes on in steps of at most e^-700,
-    one whenever the partial sum passes 1e250 and the rest at the end."""
-    if t < 0:
-        return 0.0
-    term = total = 1.0
-    pending = mu  # exponent of e^-mu not yet applied
-    for k in range(1, int(t) + 1):
-        term *= mu / k
-        total += term
-        if total > 1e250:
-            step = min(pending, 700.0)
-            term, total, pending = term * exp(-step), total * exp(-step), pending - step
-    while pending > 0.0:
-        step = min(pending, 700.0)
-        total, pending = total * exp(-step), pending - step
-    return min(total, 1.0)
 
 
 @dataclass(frozen=True)
@@ -57,10 +41,10 @@ class ReadoutModel:
     bright_detect_fidelity: float = 0.981  # aggregate two-bright fidelity
 
     def __post_init__(self):
-        if self.bright_rate < 0 or self.dark_rate < 0:
-            raise ValueError("rates must be nonnegative")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not (0.0 <= self.bright_rate < np.inf and 0.0 <= self.dark_rate < np.inf):
+            raise ValueError("rates must be finite and nonnegative")
+        if not 0.0 < self.duration < np.inf:
+            raise ValueError("duration must be finite and positive")
         for name in ("shelving_fidelity", "bright_detect_fidelity"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1]")
@@ -83,6 +67,22 @@ class ReadoutModel:
         """Per-ion probability that a bright ion reads dark."""
         return 1.0 - sqrt(self.bright_detect_fidelity)
 
+    @cached_property
+    def count_pmf(self) -> np.ndarray:
+        """Read-only (3, N): row k is P(counts = n | k prepared bright ions).
+        N = two-bright mean + 12 sd + 40 drops a tail below 1e-33 to mean 1e4."""
+        mu_max = self.dark_mean + 2.0 * self.bright_mean
+        k = np.arange(int(mu_max + 12.0 * sqrt(mu_max)) + 40, dtype=float)
+        poisson = np.ones((3, k.size))
+        for row, mu in zip(poisson, self.dark_mean + np.arange(3) * self.bright_mean):
+            mode = int(mu)
+            row[mode + 1:] = np.cumprod(mu / k[mode + 1:])
+            row[:mode] = np.cumprod(k[mode:0:-1] / mu)[::-1]
+        flips = np.array([effective_bright_probs(j, self) for j in range(3)])
+        pmf = flips @ (poisson / poisson.sum(axis=1, keepdims=True))
+        pmf.setflags(write=False)
+        return pmf
+
 
 def effective_bright_probs(true_bright: int, model: ReadoutModel) -> np.ndarray:
     """P(effective bright count = k) of the two ions after both flip branches."""
@@ -100,13 +100,11 @@ def effective_bright_probs(true_bright: int, model: ReadoutModel) -> np.ndarray:
 def simulate_histogram(true_bright: int, model: ReadoutModel, shots: int,
                        rng: np.random.Generator) -> np.ndarray:
     """Photon-count histogram (bincount array) of ``shots`` readouts of a
-    prepared bright count: each shot draws its effective bright count after
-    both flip branches, then Poisson counts at that count's mean."""
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    probs = effective_bright_probs(true_bright, model)
-    eff = rng.choice(len(probs), size=shots, p=probs)
-    return np.bincount(rng.poisson(model.dark_mean + eff * model.bright_mean))
+    prepared bright count: one multinomial draw over the class's count pmf,
+    which is the bincount of ``shots`` independent single-shot draws."""
+    if not (0 <= true_bright <= 2 and shots >= 1):
+        raise ValueError("need true_bright in [0, 2] and at least 1 shot")
+    return np.trim_zeros(rng.multinomial(shots, model.count_pmf[true_bright]), "b")
 
 
 @dataclass(frozen=True)
@@ -168,8 +166,8 @@ class ConfusionMatrix:
         m = np.array(matrix, dtype=float)
         if m.shape != (3, 3):
             raise ValueError("confusion matrix must be 3x3")
-        if np.any(m < -1e-12) or np.any(m > 1.0 + 1e-12):
-            raise ValueError("entries must be probabilities")
+        if not np.all((m >= -1e-12) & (m <= 1.0 + 1e-12)):
+            raise ValueError("entries must be finite probabilities")
         rows = m.sum(axis=1)
         if np.max(np.abs(rows - 1.0)) > 1e-12:
             raise ValueError(f"rows must sum to 1, got {rows}")
@@ -187,18 +185,12 @@ class ConfusionMatrix:
 
     @classmethod
     def from_model(cls, model: ReadoutModel, t1: int, t2: int) -> "ConfusionMatrix":
-        """Analytic Poisson-mixture confusion matrix at the given thresholds."""
-        m = np.zeros((3, 3))
-        for true in range(3):
-            probs = effective_bright_probs(true, model)
-            for eff, p_eff in enumerate(probs):
-                mu = model.dark_mean + eff * model.bright_mean
-                p0 = _poisson_cdf(t1, mu)
-                p1 = _poisson_cdf(t2, mu) - p0
-                m[true, 0] += p_eff * p0
-                m[true, 1] += p_eff * p1
-                m[true, 2] += p_eff * (1.0 - p0 - p1)
-        return cls(m)
+        """Confusion matrix of the model's count pmf at the given thresholds."""
+        if not 0 <= t1 <= t2:
+            raise ValueError(f"thresholds must satisfy 0 <= t1 <= t2, got {t1}, {t2}")
+        cdf = np.cumsum(model.count_pmf, axis=1)
+        c1, c2 = cdf[:, np.minimum([t1, t2], cdf.shape[1] - 1)].T
+        return cls(np.stack([c1, c2 - c1, 1.0 - c2], axis=1))
 
 
 @dataclass(frozen=True, eq=False)

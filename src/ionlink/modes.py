@@ -36,9 +36,9 @@ MASS_BA_138 = 137.905247    # amu
 # Coulomb length and the eigenproblem residuals stay finite and nonzero far
 # beyond this range, but not over every positive float.
 REFERENCE_RANGE_HZ = (1.0, 1e12)
-# Ion and reference masses, amu: the same holds over this range, which
-# spans an electron's mass to a large molecular ion's.
-MASS_RANGE_AMU = (1e-4, 1e9)
+# Ion and reference masses, amu: atomic ions, whose mass ratio of at most 300
+# keeps the mass-weighted solve's residual below 1e-10 in both directions.
+MASS_RANGE_AMU = (1.0, 300.0)
 
 # Default calibration targets: measured mode table of the Yb-Ba-Ba chain used
 # for sympathetic cooling (frequencies in Hz; axial ascending, radial

@@ -118,16 +118,22 @@ def swapped_state_from_config(cfg: HardwareConfig, sign: int = +1,
     return swapped_state(cfg, sign, t)
 
 
-def aligned_state_from_config(cfg: HardwareConfig, sign: int = +1) -> DensityMatrix:
-    """Heralded state analyzed at the phase-alignment delay for its sign.
+def alignment_wait(cfg: HardwareConfig, sign: int) -> float:
+    """Phase-alignment delay after a herald of the given sign, in seconds.
 
     Waiting until ``delta*t + phi = 0 (mod 2*pi)`` turns a +1 herald into the
     plus Bell state; a -1 herald needs ``delta*t + phi = pi``, which absorbs
     the sign, so both heralds are analyzed as ``|Psi+>``.
     """
+    if sign not in (+1, -1):
+        raise ValueError("sign must be +1 or -1")
     target = 0.0 if sign == +1 else np.pi
-    t = phase_alignment_delay(cfg.delta, cfg.swap_phase(), target=target)
-    return swapped_state_from_config(cfg, sign=sign, t=t)
+    return phase_alignment_delay(cfg.delta, cfg.swap_phase(), target=target)
+
+
+def aligned_state_from_config(cfg: HardwareConfig, sign: int = +1) -> DensityMatrix:
+    """Heralded state analyzed after ``alignment_wait`` for its sign."""
+    return swapped_state_from_config(cfg, sign=sign, t=alignment_wait(cfg, sign))
 
 
 @dataclass(frozen=True)

@@ -292,10 +292,13 @@ def test_swap_experiment_matches_closed_form_with_default_readout():
 
 
 def test_swap_raw_populations_pool_counts_over_shots():
-    # seed 4 draws an odd herald count for each sign, so the two population
-    # readouts hold one shot fewer than trials // 2
-    res = swap_experiment(measured_swap_config(HardwareConfig()), 100_000,
-                          np.random.default_rng(4))
+    # the first seed that draws an odd herald count for each sign, so that the
+    # two population readouts hold one shot fewer than trials // 2
+    cfg = measured_swap_config(HardwareConfig())
+    for seed in range(100):
+        res = swap_experiment(cfg, 100_000, np.random.default_rng(seed))
+        if all(n % 2 for n in res.sign_counts.values()):
+            break
     assert all(n % 2 for n in res.sign_counts.values())
     assert res.raw_populations.sum() == pytest.approx(1.0, abs=1e-12)
 

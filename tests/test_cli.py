@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from ionlink import __version__
 from ionlink.cli import main
-from ionlink.config import HardwareConfig
+from ionlink.config import MAX_READOUT_COUNTS, HardwareConfig, load_config
 
 
 def read_all_bytes(root: Path) -> dict:
@@ -75,6 +75,8 @@ def test_swap_reference_bound(tmp_path):
     # measured profile reproduces the reference levels within sampling noise
     assert payload["odd_populations"] == pytest.approx(0.976, abs=4e-3)
     assert payload["fidelity_lower_bound"] == pytest.approx(0.937, abs=0.015)
+    assert payload["alignment_wait_s"] == pytest.approx({"+1": 731.1e-6,
+                                                         "-1": 222.9e-6}, abs=0.1e-6)
     assert (out / "populations.csv").exists()
     assert (out / "parity_two_pulse.csv").exists()
     assert (out / "readout_thresholds.json").exists()
@@ -96,7 +98,7 @@ def test_swap_summary_reports_clipped_bound_inputs(tmp_path):
     assert run(["swap", "--ideal", "--trials", "20000", "--seed", "3",
                 "--config", str(cfg_path), "--out", str(out)]) == 0
     payload = json.loads((out / "swap_summary.json").read_text())
-    assert payload["two_pulse_contrast"] == 1.0144460682739407
+    assert payload["two_pulse_contrast"] == 1.0012697626210771
     inputs = payload["bound_inputs"]
     assert inputs == {"odd_populations": payload["odd_populations"],
                       "two_pulse_contrast": 1.0,
@@ -104,6 +106,19 @@ def test_swap_summary_reports_clipped_bound_inputs(tmp_path):
     assert payload["fidelity_lower_bound"] == 0.5 * (
         inputs["odd_populations"] + inputs["two_pulse_contrast"]
         - inputs["one_pulse_contrast"])
+
+
+def test_swap_runs_at_the_readout_count_bound(tmp_path):
+    # a count pmf whose rows sum past 1 by more than numpy's tolerance makes
+    # the calibration's multinomial draw raise at this mean
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text("dark_rate: 1.0e+6\nbright_rate: 4.5e+6\n"
+                        "readout_duration: 1.0e-3\n")
+    cfg = load_config(cfg_path)
+    assert (cfg.dark_rate + 2.0 * cfg.bright_rate) * cfg.readout_duration \
+        == MAX_READOUT_COUNTS
+    assert run(["swap", "--trials", "200", "--config", str(cfg_path),
+                "--out", str(tmp_path / "bound")]) == 0
 
 
 def test_rate_records_stream(tmp_path):

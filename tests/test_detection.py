@@ -6,7 +6,6 @@ from ionlink.detection import (
     ConfusionMatrix,
     ReadoutModel,
     _binom_pmf,
-    _poisson_cdf,
     choose_thresholds,
     classify_counts,
     effective_bright_probs,
@@ -222,18 +221,50 @@ def test_binom_pmf_matches_scipy():
                     binom.pmf(k, n, p), rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("mu", [0.0, 0.5, 1.0, 101.0, 201.0, 745.0, 1000.0])
-def test_poisson_cdf_matches_scipy(mu):
-    ts = np.arange(-1, 2001)
-    ref = poisson.cdf(ts, mu)
-    ours = np.array([_poisson_cdf(int(t), mu) for t in ts])
-    assert ours[0] == 0.0
-    if mu == 0.0:
-        assert np.all(ours[1:] == 1.0)
-    keep = ref > 1e-290  # below this scipy's own value is denormal or zero
-    assert keep.sum() > 0
-    np.testing.assert_allclose(ours[keep], ref[keep], rtol=1e-11, atol=0.0)
-    assert np.all(np.isfinite(ours)) and np.all(ours <= 1.0)
+@pytest.mark.parametrize("mu", [0.0, 0.5, 1.0, 101.0, 201.0, 745.0, 1000.0, 1e4])
+def test_count_pmf_matches_scipy(mu):
+    # pure Poisson rows: no flips and no bright counts
+    pure = ReadoutModel(bright_rate=0.0, dark_rate=mu, duration=1.0,
+                        shelving_fidelity=1.0, bright_detect_fidelity=1.0)
+    assert pure.count_pmf.shape[1] == int(mu + 12.0 * np.sqrt(mu)) + 40
+    for row in pure.count_pmf:
+        np.testing.assert_allclose(np.cumsum(row), poisson.cdf(np.arange(row.size), mu),
+                                   rtol=0.0, atol=1e-12)
+    # the flip mixture, with the two-bright mean at mu
+    model = ReadoutModel(bright_rate=0.45 * mu, dark_rate=0.1 * mu, duration=1.0)
+    counts = np.arange(model.count_pmf.shape[1])
+    for true, row in enumerate(model.count_pmf):
+        ref = sum(p * poisson.cdf(counts, model.dark_mean + eff * model.bright_mean)
+                  for eff, p in enumerate(effective_bright_probs(true, model)))
+        np.testing.assert_allclose(np.cumsum(row), ref, rtol=0.0, atol=1e-12)
+    for m in (pure, model):
+        np.testing.assert_allclose(m.count_pmf.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        assert not m.count_pmf.flags.writeable
+        assert m.count_pmf is m.count_pmf  # built once per model
+
+
+@pytest.mark.parametrize("field", ["bright_rate", "dark_rate", "duration"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_readout_model_rejects_non_finite_inputs(field, value):
+    # a non-finite mean has no count pmf, so the model rejects it up front
+    with pytest.raises(ValueError, match="finite"):
+        ReadoutModel(**{field: value})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_confusion_matrix_rejects_non_finite_entries(value):
+    m = np.eye(3)
+    m[1, 1] = value
+    with pytest.raises(ValueError, match="finite"):
+        ConfusionMatrix(m)
+    with pytest.raises(ValueError, match="finite"):
+        ConfusionMatrix(np.full((3, 3), value))
+
+
+def test_confusion_matrix_rejects_disordered_thresholds():
+    for t1, t2 in ((-1, 150), (150, 20)):
+        with pytest.raises(ValueError, match="thresholds"):
+            ConfusionMatrix.from_model(ReadoutModel(), t1, t2)
 
 
 def test_confusion_matrix_long_readout_is_finite():

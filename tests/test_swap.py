@@ -8,6 +8,7 @@ from ionlink.quantum import fidelity_pure
 from ionlink.swap import (
     HeraldStats,
     aligned_state_from_config,
+    alignment_wait,
     bell_phase,
     bell_state,
     phase_alignment_delay,
@@ -19,6 +20,17 @@ from ionlink.swap import (
 from qutil import partial_trace
 
 TWO_PI = 2.0 * np.pi
+
+
+def test_alignment_wait_is_the_delay_each_sign_is_analyzed_at():
+    cfg = HardwareConfig()
+    waits = {sign: alignment_wait(cfg, sign) for sign in (+1, -1)}
+    assert waits == pytest.approx({+1: 731.1e-6, -1: 222.9e-6}, abs=0.1e-6)
+    for sign, t in waits.items():
+        np.testing.assert_array_equal(aligned_state_from_config(cfg, sign).matrix,
+                                      swapped_state(cfg, sign, t).matrix)
+    with pytest.raises(ValueError, match="sign"):
+        alignment_wait(cfg, 0)
 
 
 def test_success_probability_values():
