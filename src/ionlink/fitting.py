@@ -35,8 +35,12 @@ class SinusoidFit:
 
 def wrap_phase(phase: float) -> float:
     """``phase mod 2*pi`` in ``[0, 2*pi)``: a tiny negative phase, whose
-    remainder rounds to 2*pi, wraps to 0."""
-    wrapped = float(phase) % TWO_PI
+    remainder rounds to 2*pi, wraps to 0.  A non-finite phase raises
+    ValueError."""
+    phase = float(phase)
+    if not math.isfinite(phase):
+        raise ValueError(f"phase must be finite, got {phase!r}")
+    wrapped = phase % TWO_PI
     return wrapped if wrapped < TWO_PI else 0.0
 
 

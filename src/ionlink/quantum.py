@@ -27,6 +27,16 @@ raise.  Randomness always enters through an explicit
 An operator that depends only on control values (a pulse phase, a scan grid,
 a fit frequency) is built once per value and shared read-only through
 :func:`cache_by_value`, a cache bounded by entry count.
+
+Every state built anywhere in the package passes :func:`validate_density`,
+so its cost is paid per state.  Its PSD check calls numpy's Cholesky gufunc
+``numpy.linalg._umath_linalg.cholesky_lo`` directly: ``np.linalg.cholesky``
+wraps that same gufunc in array wrapping, dtype resolution and a callback
+``errstate``, which on a 4x4 state cost more than the factorization.  The
+gufunc flags a failed factorization as a floating-point ``invalid`` error,
+turned into ``FloatingPointError`` here exactly where ``np.linalg.cholesky``
+raises ``LinAlgError``; ``tests/test_quantum.py`` checks that equivalence, so
+a numpy release that changes the private gufunc fails the suite.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ from functools import lru_cache, wraps
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 # Largest register dimension (2 ions + 2 photons): bounds the per-dimension caches.
 MAX_DIM = 16
@@ -100,7 +111,12 @@ def cache_by_value(maxsize: int):
 
 
 def _normalize_dims(dim: int, dims: Sequence[int] | None) -> tuple[int, ...]:
-    dims = (dim,) if dims is None else tuple(map(int, dims))
+    return _checked_dims(dim, (dim,) if dims is None else tuple(dims))
+
+
+@lru_cache(maxsize=64)
+def _checked_dims(dim: int, dims: tuple) -> tuple[int, ...]:
+    dims = tuple(map(int, dims))
     if dims and min(dims) < 1:
         raise ValueError(f"subsystem dimensions must be positive, got {dims}")
     if math.prod(dims) != dim:
@@ -137,7 +153,7 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", _normalize_dims(amps.size, dims))
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"state vector not normalized: |psi| = {norm!r}")
 
     @property
@@ -173,18 +189,19 @@ def validate_density(mats: np.ndarray) -> None:
     """Raise ValueError unless every matrix of ``(..., d, d)`` is Hermitian
     (NaN fails), of unit trace and PSD (``rho + PSD_TOL * I`` has a Cholesky
     factor).  The worst member decides each message, with its eigenvalue
-    from ``eigvalsh``, so a stack fails as its bad member alone would."""
+    from ``eigvalsh``, so a stack fails as its bad member alone would.  An
+    empty stack has no member to fail."""
     mats = np.asarray(mats)
-    herm = np.abs(mats - mats.conj().swapaxes(-1, -2)).max()
+    herm = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(initial=0.0)
     if not herm <= HERMITIAN_TOL:
         raise ValueError(f"matrix not Hermitian: max |rho - rho^dag| = {herm:.3e}")
     tr = mats.trace(axis1=-2, axis2=-1)
-    dev = np.abs(tr - 1.0)
-    if dev.max() > TRACE_TOL:
-        raise ValueError(f"trace is {np.ravel(tr)[dev.argmax()]!r}, expected 1")
+    if (abs(tr - 1.0) > TRACE_TOL).any():
+        raise ValueError(f"trace is {np.ravel(tr)[abs(tr - 1.0).argmax()]!r}, expected 1")
     try:
-        np.linalg.cholesky(mats + _psd_shift(mats.shape[-1]))
-    except np.linalg.LinAlgError:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            _umath_linalg.cholesky_lo(mats + _psd_shift(mats.shape[-1]))
+    except FloatingPointError:
         lo = np.linalg.eigvalsh(mats).min()
         raise ValueError(f"matrix not positive semidefinite: min eigenvalue {lo:.3e}") from None
 
@@ -210,6 +227,8 @@ def superposition(terms: Iterable[tuple[complex, Sequence[int]]],
     amps = np.zeros(d, dtype=complex)
     for amplitude, values in terms:
         amps[basis_index(values, dims)] += amplitude
+    if not np.isfinite(amps).all():
+        raise ValueError("superposition amplitudes must be finite")
     norm = np.linalg.norm(amps)
     if norm == 0:
         raise ValueError("superposition has zero norm")

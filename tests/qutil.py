@@ -5,7 +5,8 @@ partial traces by explicit index loops, survival probabilities by literal
 products, campaign requests by literal per-attempt coin flips, potentials
 minimized by generic optimizers, scans by one ``apply_unitary`` per grid
 point, noise by Kraus channels on the full register, the single-ion herald
-by a lifted projector and a partial trace.
+by a lifted projector and a partial trace, density-matrix validation through
+the public ``np.linalg.cholesky``.
 """
 
 import math
@@ -22,7 +23,10 @@ from ionlink.ion_photon import (
     waveplate_unitary,
 )
 from ionlink.quantum import (
+    HERMITIAN_TOL,
     MAX_DIM,
+    PSD_TOL,
+    TRACE_TOL,
     DensityMatrix,
     apply_unitary,
     lift,
@@ -116,6 +120,25 @@ def bernoulli_request(cfg, rng):
                 return attempts, True
         if cfg.coolant_present:
             return attempts, False
+
+
+def reference_validate_density(mats):
+    """Density-matrix validation through ``np.linalg.cholesky``: the same
+    verdicts and messages as ``quantum.validate_density``, with each check
+    written out through numpy's public API."""
+    mats = np.asarray(mats)
+    herm = np.abs(mats - mats.conj().swapaxes(-1, -2)).max()
+    if not herm <= HERMITIAN_TOL:
+        raise ValueError(f"matrix not Hermitian: max |rho - rho^dag| = {herm:.3e}")
+    tr = mats.trace(axis1=-2, axis2=-1)
+    dev = np.abs(tr - 1.0)
+    if dev.max() > TRACE_TOL:
+        raise ValueError(f"trace is {np.ravel(tr)[dev.argmax()]!r}, expected 1")
+    try:
+        np.linalg.cholesky(mats + PSD_TOL * np.eye(mats.shape[-1]))
+    except np.linalg.LinAlgError:
+        lo = np.linalg.eigvalsh(mats).min()
+        raise ValueError(f"matrix not positive semidefinite: min eigenvalue {lo:.3e}") from None
 
 
 # --- scans, one grid point at a time -------------------------------------------

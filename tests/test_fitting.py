@@ -43,6 +43,12 @@ def test_phase_just_below_zero_wraps_to_zero():
     assert wrap_phase(2 * np.pi) == 0.0
 
 
+@pytest.mark.parametrize("phase", [np.nan, np.inf, -np.inf])
+def test_wrap_phase_rejects_non_finite_phases(phase):
+    with pytest.raises(ValueError, match="finite"):
+        wrap_phase(phase)
+
+
 def test_constant_data_flags_degenerate():
     x = np.linspace(0, np.pi, 10)
     fit = fit_sinusoid(x, np.full_like(x, 0.25), 2.0)

@@ -1,9 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionlink import quantum
 from ionlink.quantum import (
+    HERMITIAN_TOL,
     PSD_TOL,
+    TRACE_TOL,
     DensityMatrix,
     PureState,
     apply_unitary,
@@ -27,6 +33,7 @@ from qutil import (
     partial_trace,
     random_density,
     random_unitary,
+    reference_validate_density,
     tensor,
 )
 
@@ -233,6 +240,21 @@ def test_validation_rejects_bad_matrices():
         PureState(np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_non_finite_amplitudes_are_rejected(bad):
+    with pytest.raises(ValueError, match="normalized"):
+        PureState([bad, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        superposition([(bad, (0,)), (1.0, (1,))], (2,))
+
+
+def test_bell_state_rejects_a_nan_phase():
+    from ionlink.swap import bell_state
+
+    with pytest.raises(ValueError, match="finite"):
+        bell_state(+1, np.nan)
+
+
 def _with_min_eigenvalue(lowest, seed=3):
     """Trace-1 Hermitian 4x4 matrix, in a random basis, with the given
     smallest eigenvalue."""
@@ -249,6 +271,126 @@ def test_psd_check_holds_its_tolerance(stacked):
     validate_density(member(_with_min_eigenvalue(-0.5 * PSD_TOL)))
     with pytest.raises(ValueError, match="semidefinite"):
         validate_density(member(_with_min_eigenvalue(-2.0 * PSD_TOL)))
+
+
+def _random_basis(rng, d, real):
+    if not real:
+        return random_unitary(rng, d)
+    q, r = np.linalg.qr(rng.normal(size=(d, d)))
+    return q * np.sign(np.diag(r))
+
+
+@st.composite
+def _validation_inputs(draw):
+    """A matrix or stack of trace-1 Hermitian PSD matrices, real or complex,
+    with one member edited: its smallest eigenvalue, trace or Hermiticity
+    moved to 0.5 or 2 times the tolerance of its check (either sign), or one
+    entry made NaN or infinite."""
+    d = draw(st.sampled_from([2, 4, 16]))
+    real = draw(st.booleans())
+    shape = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    edit = draw(st.sampled_from(["none", "eigenvalue", "trace", "hermiticity",
+                                 "nan", "inf", "-inf"]))
+    factor = draw(st.sampled_from([-2.0, -0.5, 0.5, 2.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = int(np.prod(shape))
+    target = int(rng.integers(count))
+    members = []
+    for k in range(count):
+        probs = rng.dirichlet(np.ones(d))
+        if k == target and edit == "eigenvalue":
+            probs[-1] = factor * PSD_TOL
+            probs[:-1] *= (1.0 - probs[-1]) / probs[:-1].sum()
+        u = _random_basis(rng, d, real)
+        mat = (u * probs) @ u.conj().T
+        mat = 0.5 * (mat + mat.conj().T)
+        members.append(mat / mat.trace().real)
+    mats = np.stack(members)
+    i, j = rng.integers(d, size=2)
+    if edit == "trace":
+        mats[target] *= 1.0 + factor * TRACE_TOL
+    elif edit == "hermiticity":
+        mats[target, i, (i + 1 + j % (d - 1)) % d] += factor * HERMITIAN_TOL * (
+            1.0 if real else np.exp(2j * np.pi * rng.random()))
+    elif edit != "eigenvalue" and edit != "none":
+        mats[target, i, j] = float(edit)
+    return mats.reshape(shape + (d, d)), edit, factor
+
+
+def _verdict(validate, mats):
+    """``None`` on accept, else the ValueError message, with the warnings
+    raised on the way; the numpy error state must be the same afterwards."""
+    before = np.geterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            validate(mats)
+            message = None
+        except ValueError as exc:
+            message = str(exc)
+    assert np.geterr() == before
+    return message, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_validation_inputs())
+def test_validation_matches_the_public_cholesky_reference(case):
+    mats, edit, factor = case
+    message, warned = _verdict(validate_density, mats)
+    assert (message, warned) == _verdict(reference_validate_density, mats)
+    expected = {"none": None,
+                "eigenvalue": "semidefinite" if factor < -1.0 else None,
+                "trace": "trace" if abs(factor) > 1.0 else None,
+                "hermiticity": "Hermitian" if abs(factor) > 1.0 else None,
+                }.get(edit, "Hermitian")
+    assert (message is None) if expected is None else expected in message
+
+
+def test_validation_accepts_an_empty_stack():
+    from ionlink.analysis import parity_scan
+
+    validate_density(np.zeros((0, 4, 4)))
+    validate_density(np.zeros((2, 0, 4, 4), dtype=complex))
+    with pytest.raises(ValueError, match="trace"):
+        validate_density(np.zeros((3, 0, 0)))
+    with pytest.raises(ValueError, match="need at least 3 finite points"):
+        parity_scan(ket([0, 1]).density(), [])
+
+
+def test_private_cholesky_gufunc_fails_where_numpy_cholesky_does():
+    gufunc = np.linalg._umath_linalg.cholesky_lo
+    assert quantum._umath_linalg.cholesky_lo is gufunc
+    assert gufunc.signature == "(m,m)->(m,m)"
+    assert {"d->d", "D->D"} <= set(gufunc.types)
+    rng = np.random.default_rng(23)
+    cases = [np.zeros((2, 2)), np.eye(3), np.diag([1.0, 0.0]), np.diag([1.0, -1e-300]),
+             np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[1.0, 5.0], [-5.0, 1.0]]),
+             np.stack([np.eye(4), -np.eye(4)]), np.zeros((0, 3, 3))]
+    for lowest in (-2.0, -0.5, 0.5, 2.0):
+        member = _with_min_eigenvalue(lowest * PSD_TOL)
+        cases += [member + quantum._psd_shift(4), member]
+    for d in (2, 4, 16):
+        for _ in range(20):
+            z = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+            herm = z + z.conj().swapaxes(-1, -2) + rng.normal(scale=d, size=(3, 1, 1)) * np.eye(d)
+            cases += [herm, herm.real, z]
+    failures = 0
+    for mats in cases:
+        try:
+            expected = np.linalg.cholesky(mats)
+        except np.linalg.LinAlgError:
+            expected = None
+        try:
+            with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+                factor = gufunc(mats)
+        except FloatingPointError:
+            factor = None
+        assert (factor is None) == (expected is None)
+        if expected is None:
+            failures += 1
+        else:
+            np.testing.assert_array_equal(factor, expected)
+    assert 0 < failures < len(cases)
 
 
 def test_channel_check_holds_its_tolerance():
