@@ -21,6 +21,7 @@ frequency, radial modes descending.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -125,22 +126,35 @@ def equilibrium_positions(spec: ChainSpec) -> np.ndarray:
     length scale is ``(K_COUL / axial_spring)^(1/3)``.  In those units the net
     force on ion i is ``u_i - sum_j (u_i - u_j) c_ij``, whose Jacobian is the
     axial Hessian at unit spring (James, Appl. Phys. B 66, 181 (1998)).
+
+    The result depends only on the ion count and the axial spring, and is
+    solved once per pair and returned read-only: the radial search of
+    ``calibrate_reference_frequencies`` keeps both fixed.
     """
-    n = spec.n_ions
-    if n == 1:
-        return np.zeros(1)
-    ell = (K_COUL / spec.axial_spring) ** (1.0 / 3.0)
-    u = np.linspace(-(n - 1) / 2.0, (n - 1) / 2.0, n)
-    for _ in range(_MAX_ITERATIONS):
-        c = _curvatures(u)
-        force = u - c.sum(axis=1) * u + c @ u
-        step = np.linalg.solve(_trap_hessian(1.0, c, 2.0), force)
-        # damping keeps the ordering when the initial guess is far off
-        scale = min(1.0, 0.5 * np.min(np.abs(np.diff(u))) / max(np.max(np.abs(step)), 1e-300))
-        u = u - scale * step
-        if np.linalg.norm(force) < 1e-14:
-            return u * ell
-    raise RuntimeError(f"equilibrium search did not converge in {_MAX_ITERATIONS} iterations")
+    return _equilibrium(spec.n_ions, spec.axial_spring)
+
+
+@lru_cache(maxsize=8)
+def _equilibrium(n: int, axial_spring: float) -> np.ndarray:
+    z = np.zeros(1)
+    if n > 1:
+        ell = (K_COUL / axial_spring) ** (1.0 / 3.0)
+        u = np.linspace(-(n - 1) / 2.0, (n - 1) / 2.0, n)
+        for _ in range(_MAX_ITERATIONS):
+            c = _curvatures(u)
+            force = u - c.sum(axis=1) * u + c @ u
+            step = np.linalg.solve(_trap_hessian(1.0, c, 2.0), force)
+            # damping keeps the ordering when the initial guess is far off
+            scale = min(1.0, 0.5 * np.min(np.abs(np.diff(u))) / max(np.max(np.abs(step)), 1e-300))
+            u = u - scale * step
+            if np.linalg.norm(force) < 1e-14:
+                break
+        else:
+            raise RuntimeError(f"equilibrium search did not converge in "
+                               f"{_MAX_ITERATIONS} iterations")
+        z = u * ell
+    z.setflags(write=False)
+    return z
 
 
 def _hessian(spec: ChainSpec, z: np.ndarray, direction: str) -> np.ndarray:

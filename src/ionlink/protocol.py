@@ -25,11 +25,21 @@ The loop count of the no-coolant schedule is geometric and is sampled by
 inverse transform with ``log1p``; the in-loop position is sampled by inverse
 transform over the exact discrete first-success distribution: the table of
 ``rate_model.success_cdf_table``, which the closed forms also sum over.
-Keys are found through a cached guide table (Chen & Asau, AIIE Trans. 6,
-163 (1974)) of up to 2**17 equal buckets over ``[0, q]``: bucketing is
+Keys are found through a guide table (Chen & Asau, AIIE Trans. 6, 163
+(1974)) of up to 2**17 equal buckets over ``[0, q]``, built over all but the
+last table entry, and searched in a copy of the table whose last entry is
+``+inf``: the sentinel keeps every answer at or below the last index, where
+a key of ``q`` belongs (``u * q`` may round up to ``q``).  Bucketing is
 monotone in floating point, so each key gets exactly the index a binary
-search gives (0.5 MB per index at most, 8 kept).  Both samplers are
-distribution-identical to drawing every Bernoulli attempt individually.
+search gives.  Both samplers are distribution-identical to drawing every
+Bernoulli attempt individually.
+
+Everything but the random stream is set up once per config and cached
+(``_sampler``, 8 entries): the sentinel table (8 bytes per table entry; a
+table holds at most ``cap`` entries, and only those whose survival is above
+1e-18), the int32 guide (at most 0.5 MB), ``q``, ``log1p(-q)``, the loop
+cap, the durations in ns and whether a request can exceed
+``MAX_REQUEST_NS``, which every call checks.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,37 +163,59 @@ class RateReport:
         }
 
 
+class _Sampler(NamedTuple):
+    """What ``simulate_campaign`` needs of one config beyond its random
+    stream; see the module docstring."""
+
+    bounded: np.ndarray  # success_cdf_table with its last entry +inf
+    guide: np.ndarray    # int32: entries of bounded[:-1] in buckets below j
+    scale: float         # key x lies in bucket int(x * scale)
+    q: float             # success probability of one loop
+    log_q: float         # log1p(-q); -inf at q = 1
+    cap: int
+    attempt_ns: int
+    cooling_ns: int
+    overlong: bool       # a request can exceed MAX_REQUEST_NS
+
+
 @lru_cache(maxsize=8)
-def _bucket_index(p: DecayParams, cap: int) -> tuple[np.ndarray, float]:
-    """Guide table of ``success_cdf_table(p, cap)``: ``x`` lies in bucket
-    ``int(x * scale)`` of ``min(2 * size, 2**17)`` over ``[0, q]``, and
-    ``first[j]`` counts the entries in buckets below ``j``."""
-    table = success_cdf_table(p, cap)
+def _sampler(cfg: HardwareConfig) -> _Sampler:
+    cap = _loop_cap(cfg)
+    attempt_ns = round(cfg.attempt_duration * 1e9)
+    cooling_ns = round(cfg.cooling_duration * 1e9)
+    table = success_cdf_table(_success_model(cfg), cap)
+    q = float(table[-1])
+    # the largest loop count a uniform below 1 - 2**-53 can produce; a loop
+    # that never heralds (q rounds to 0) never ends
+    max_loops = (1 if cfg.coolant_present or q >= 1.0 else math.inf if q == 0.0
+                 else math.ceil(53 * math.log(2.0) / -math.log1p(-q)))
     buckets = min(2 * table.size, 2**17)
-    scale = buckets / float(table[-1]) if table[-1] else 0.0  # q = 0 or >= 2**-53
-    counts = np.bincount((table * scale).astype(np.intp), minlength=buckets + 1)
-    first = np.concatenate(([0], np.cumsum(counts[:-1]))).astype(np.int32)
-    first.setflags(write=False)
-    return first, scale
+    scale = buckets / q if q else 0.0  # q = 0 or >= 2**-53
+    counts = np.bincount((table[:-1] * scale).astype(np.intp),
+                         minlength=buckets + 1)
+    guide = np.concatenate(([0], np.cumsum(counts[:-1]))).astype(np.int32)
+    bounded = table.copy()
+    bounded[-1] = np.inf
+    guide.setflags(write=False)
+    bounded.setflags(write=False)
+    return _Sampler(bounded, guide, scale, q,
+                    math.log1p(-q) if q < 1.0 else -math.inf, cap, attempt_ns,
+                    cooling_ns, max_loops * (cap * attempt_ns + cooling_ns)
+                    > MAX_REQUEST_NS)
 
 
-def _bucket_search(table: np.ndarray, first: np.ndarray, scale: float,
-                   keys: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(table, keys, side="right")`` for keys in ``[0, q]``.
-    ``int(x * scale)`` is monotone, so the answer is ``first`` of the key's
-    bucket plus the entries of that bucket up to the key: one step takes the
-    first of them, and the keys still short are searched in full."""
-    pos = first[(keys * scale).astype(np.intp)]  # < size: no bucket above q's
-    pos += table[pos] <= keys
-    short = np.flatnonzero(table[np.minimum(pos, table.size - 1)] <= keys)
-    pos[short] = np.searchsorted(table, keys[short], side="right")
+def _search(s: _Sampler, keys: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(s.bounded, keys, side="right")`` for keys in
+    ``[0, q]``, in ``[0, size - 1]``.  ``int(x * scale)`` is monotone, so
+    the answer is the key's guide entry plus the entries of its bucket up to
+    the key: one step takes the first of them, and the keys still short are
+    searched in full."""
+    pos = s.guide.take((keys * s.scale).astype(np.intp))
+    pos += s.bounded.take(pos) <= keys
+    short = s.bounded.take(pos) <= keys
+    if short.any():
+        pos[short] = np.searchsorted(s.bounded, keys[short], side="right")
     return pos
-
-
-def _exact_sum(col: np.ndarray) -> int:
-    """Sum of an int64 column as a Python int: each ``_BLOCK``-row partial
-    sum fits in int64 (see ``MAX_REQUEST_NS``), their total may not."""
-    return sum(np.add.reduceat(col, np.arange(0, col.size, _BLOCK)).tolist())
 
 
 def simulate_campaign(cfg: HardwareConfig, requests: int,
@@ -194,57 +227,51 @@ def simulate_campaign(cfg: HardwareConfig, requests: int,
     if (isinstance(requests, bool) or not isinstance(requests, (int, np.integer))
             or requests < 1):
         raise ValueError(f"requests must be an integer of at least 1, got {requests!r}")
-    cap = _loop_cap(cfg)
-    attempt_ns = round(cfg.attempt_duration * 1e9)
-    cooling_ns = round(cfg.cooling_duration * 1e9)
-    coolant = cfg.coolant_present
-    model = _success_model(cfg)
-    table = success_cdf_table(model, cap)
-    q = float(table[-1])  # success probability of one loop
-    # the largest loop count a uniform below 1 - 2**-53 can produce; a loop
-    # that never heralds (q rounds to 0) never ends
-    max_loops = (1 if coolant or q >= 1.0 else math.inf if q == 0.0
-                 else math.ceil(53 * math.log(2.0) / -math.log1p(-q)))
-    if max_loops * (cap * attempt_ns + cooling_ns) > MAX_REQUEST_NS:
+    s = _sampler(cfg)
+    if s.overlong:
         raise ValueError("a single request can exceed 2**50 ns of wall time; "
                          "the loop success probability is too small")
-    first, scale = _bucket_index(model, cap)
-
+    coolant = cfg.coolant_present
     attempts = np.empty(requests, dtype=np.int64)
     loop_index = np.zeros(requests, dtype=np.int64)
     signs = np.empty(requests, dtype=np.int8)
     success = np.ones(requests, dtype=bool)
+    attempt_sum = loop_sum = 0  # exact: each block's sum fits in int64
     for block, start in enumerate(range(0, requests, _BLOCK)):
         stop = min(start + _BLOCK, requests)
         ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(block,))
         u = np.random.Generator(np.random.PCG64(ss)).random((stop - start, 3))
-        # in-loop position given success in the loop; u * q may round up to q
-        k = np.minimum(_bucket_search(table, first, scale, u[:, 1] * q) + 1,
-                       table.size)
-        sign = np.where(u[:, 2] < 0.5, 1, -1)
+        att, sign = attempts[start:stop], signs[start:stop]
+        # in-loop position given success in the loop
+        np.add(_search(s, u[:, 1] * s.q), 1, out=att)
+        sign[...] = u[:, 2] < 0.5
+        sign += sign
+        sign -= 1
         if coolant:
-            ok = u[:, 0] < q
-            attempts[start:stop] = np.where(ok, k, cap)
-            success[start:stop] = ok
-            sign = np.where(ok, sign, 0)
-        else:
-            if q < 1.0:  # geometric loop count by inverse transform
-                loops = np.ceil(np.log1p(-u[:, 0]) / math.log1p(-q))
-            else:
-                loops = np.ones(stop - start)
-            n_cool = np.maximum(loops, 1.0).astype(np.int64) - 1
-            attempts[start:stop] = n_cool * cap + k
-            loop_index[start:stop] = n_cool
-        signs[start:stop] = sign
+            ok = success[start:stop]
+            np.less(u[:, 0], s.q, out=ok)
+            np.putmask(att, ~ok, s.cap)
+            sign *= ok
+        else:  # geometric loop count by inverse transform
+            loops = np.negative(u[:, 0])
+            np.log1p(loops, out=loops)
+            loops /= s.log_q
+            np.ceil(loops, out=loops)
+            n_cool = loop_index[start:stop]
+            n_cool[...] = np.maximum(loops, 1.0, out=loops)
+            n_cool -= 1
+            att += n_cool * s.cap
+            loop_sum += int(n_cool.sum())
+        attempt_sum += int(att.sum())
     # cooling breaks per request: the initial one with the coolant, else one
     # after each failed loop
-    wall_ns = attempts * attempt_ns
-    wall_ns += cooling_ns if coolant else loop_index * cooling_ns
-    attempt_wall = attempt_ns * _exact_sum(attempts)
-    cooling_wall = cooling_ns * (requests if coolant else _exact_sum(loop_index))
+    wall_ns = attempts * s.attempt_ns
+    wall_ns += s.cooling_ns if coolant else loop_index * s.cooling_ns
+    attempt_wall = s.attempt_ns * attempt_sum
+    cooling_wall = s.cooling_ns * (requests if coolant else loop_sum)
     for col in (attempts, wall_ns, loop_index, signs, success):
         col.setflags(write=False)
-    return RateReport(requests=requests, successes=int(success.sum()),
+    return RateReport(requests=requests, successes=int(np.count_nonzero(success)),
                       total_wall_ns=attempt_wall + cooling_wall,
                       attempt_wall_ns=attempt_wall, cooling_wall_ns=cooling_wall,
                       attempts_used=attempts, signs=signs, success_mask=success,

@@ -187,23 +187,27 @@ class DensityMatrix:
 
 def validate_density(mats: np.ndarray) -> None:
     """Raise ValueError unless every matrix of ``(..., d, d)`` is Hermitian
-    (NaN fails), of unit trace and PSD (``rho + PSD_TOL * I`` has a Cholesky
-    factor).  The worst member decides each message, with its eigenvalue
-    from ``eigvalsh``, so a stack fails as its bad member alone would.  An
-    empty stack has no member to fail."""
+    (a NaN or infinite entry fails), of unit trace and PSD (``rho + PSD_TOL
+    * I`` has a Cholesky factor).  The worst member decides each message,
+    with its eigenvalue from ``eigvalsh``, so a stack fails as its bad member
+    alone would.  An empty stack has no member to fail."""
     mats = np.asarray(mats)
-    herm = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(initial=0.0)
-    if not herm <= HERMITIAN_TOL:
-        raise ValueError(f"matrix not Hermitian: max |rho - rho^dag| = {herm:.3e}")
-    tr = mats.trace(axis1=-2, axis2=-1)
-    if (abs(tr - 1.0) > TRACE_TOL).any():
-        raise ValueError(f"trace is {np.ravel(tr)[abs(tr - 1.0).argmax()]!r}, expected 1")
-    try:
-        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        try:
+            herm = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(initial=0.0)
+        except FloatingPointError:  # inf - inf: an infinite entry and its mirror
+            herm = math.nan
+        if not herm <= HERMITIAN_TOL:
+            raise ValueError(f"matrix not Hermitian: max |rho - rho^dag| = {herm:.3e}")
+        tr = mats.trace(axis1=-2, axis2=-1)
+        if (abs(tr - 1.0) > TRACE_TOL).any():
+            raise ValueError(f"trace is {np.ravel(tr)[abs(tr - 1.0).argmax()]!r}, expected 1")
+        try:
             _umath_linalg.cholesky_lo(mats + _psd_shift(mats.shape[-1]))
-    except FloatingPointError:
-        lo = np.linalg.eigvalsh(mats).min()
-        raise ValueError(f"matrix not positive semidefinite: min eigenvalue {lo:.3e}") from None
+        except FloatingPointError:
+            lo = np.linalg.eigvalsh(mats).min()
+            raise ValueError(f"matrix not positive semidefinite: "
+                             f"min eigenvalue {lo:.3e}") from None
 
 
 def ket(values: Sequence[int], dims: Sequence[int] = None) -> PureState:

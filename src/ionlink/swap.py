@@ -26,6 +26,7 @@ selects the orientation (default ``"b_minus_a"``, the reference form), and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,8 @@ def bell_state(sign: int, phase: float = 0.0) -> PureState:
     """``(|down,up> + sign e^{i phase} |up,down>)/sqrt(2)`` on (ion A, ion B)."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
+    if not math.isfinite(phase):
+        raise ValueError(f"phase must be finite, got {phase!r}")
     return superposition(
         [(1.0, (DOWN, UP)), (sign * np.exp(1j * phase), (UP, DOWN))], TWO_ION_DIMS)
 

@@ -6,7 +6,8 @@ products, campaign requests by literal per-attempt coin flips, potentials
 minimized by generic optimizers, scans by one ``apply_unitary`` per grid
 point, noise by Kraus channels on the full register, the single-ion herald
 by a lifted projector and a partial trace, density-matrix validation through
-the public ``np.linalg.cholesky``.
+the public ``np.linalg.cholesky``, the campaign kernel through a plain binary
+search and whole-column arithmetic.
 """
 
 import math
@@ -15,6 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ionlink.config import MAX_REQUEST_NS
 from ionlink.ion_photon import (
     PAIR_DIMS,
     PHOTON,
@@ -22,6 +24,7 @@ from ionlink.ion_photon import (
     raman_rotation,
     waveplate_unitary,
 )
+from ionlink.protocol import _BLOCK, RateReport, _loop_cap, _success_model
 from ionlink.quantum import (
     HERMITIAN_TOL,
     MAX_DIM,
@@ -32,6 +35,7 @@ from ionlink.quantum import (
     lift,
     superposition,
 )
+from ionlink.rate_model import success_cdf_table
 
 CHANNEL_TOL = 1e-10
 
@@ -120,6 +124,61 @@ def bernoulli_request(cfg, rng):
                 return attempts, True
         if cfg.coolant_present:
             return attempts, False
+
+
+def reference_simulate_campaign(cfg, requests, master_seed):
+    """``protocol.simulate_campaign`` as it stood before its sampler was
+    cached: the same random stream, every in-loop position from
+    ``np.searchsorted`` over the whole table, and the columns and their
+    sums from whole-array arithmetic."""
+    cap = _loop_cap(cfg)
+    attempt_ns = round(cfg.attempt_duration * 1e9)
+    cooling_ns = round(cfg.cooling_duration * 1e9)
+    coolant = cfg.coolant_present
+    table = success_cdf_table(_success_model(cfg), cap)
+    q = float(table[-1])
+    max_loops = (1 if coolant or q >= 1.0 else math.inf if q == 0.0
+                 else math.ceil(53 * math.log(2.0) / -math.log1p(-q)))
+    if max_loops * (cap * attempt_ns + cooling_ns) > MAX_REQUEST_NS:
+        raise ValueError("a single request can exceed 2**50 ns of wall time; "
+                         "the loop success probability is too small")
+    attempts = np.empty(requests, dtype=np.int64)
+    loop_index = np.zeros(requests, dtype=np.int64)
+    signs = np.empty(requests, dtype=np.int8)
+    success = np.ones(requests, dtype=bool)
+    for block, start in enumerate(range(0, requests, _BLOCK)):
+        stop = min(start + _BLOCK, requests)
+        ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(block,))
+        u = np.random.Generator(np.random.PCG64(ss)).random((stop - start, 3))
+        k = np.minimum(np.searchsorted(table, u[:, 1] * q, side="right") + 1,
+                       table.size)
+        sign = np.where(u[:, 2] < 0.5, 1, -1)
+        if coolant:
+            ok = u[:, 0] < q
+            attempts[start:stop] = np.where(ok, k, cap)
+            success[start:stop] = ok
+            sign = np.where(ok, sign, 0)
+        else:
+            if q < 1.0:
+                loops = np.ceil(np.log1p(-u[:, 0]) / math.log1p(-q))
+            else:
+                loops = np.ones(stop - start)
+            n_cool = np.maximum(loops, 1.0).astype(np.int64) - 1
+            attempts[start:stop] = n_cool * cap + k
+            loop_index[start:stop] = n_cool
+        signs[start:stop] = sign
+    wall_ns = attempts * attempt_ns
+    wall_ns += cooling_ns if coolant else loop_index * cooling_ns
+    attempt_wall = attempt_ns * sum(int(x) for x in attempts)
+    cooling_wall = cooling_ns * (requests if coolant
+                                 else sum(int(x) for x in loop_index))
+    for col in (attempts, wall_ns, loop_index, signs, success):
+        col.setflags(write=False)
+    return RateReport(requests=requests, successes=int(success.sum()),
+                      total_wall_ns=attempt_wall + cooling_wall,
+                      attempt_wall_ns=attempt_wall, cooling_wall_ns=cooling_wall,
+                      attempts_used=attempts, signs=signs, success_mask=success,
+                      wall_ns=wall_ns, loop_index=loop_index)
 
 
 def reference_validate_density(mats):

@@ -99,7 +99,7 @@ def test_layer_rows_keep_printed_values_and_zero_spans():
                                        "parent": 0.0, "change": 0.0, "ratio": None}
 
 
-def test_main_stores_one_traced_run_per_side(tmp_path, monkeypatch):
+def test_main_stores_the_median_of_alternating_traced_runs(tmp_path, monkeypatch):
     root = _PATH.parent.parent
     (tmp_path / "BENCHMARK.json").write_text((root / "BENCHMARK.json").read_text())
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
@@ -111,23 +111,32 @@ def test_main_stores_one_traced_run_per_side(tmp_path, monkeypatch):
                         SimpleNamespace(run=lambda *args, **kwargs: None))
     bench = json.loads((root / "BENCHMARK.json").read_text())
     runs = []
+    # per side, the traced runs read the first, middle and last of these in
+    # turn: their median is neither the first, the last nor the mean
+    traced_values = {"parent": [2.0, 4.0, 9.0], "change": [1.0, 2.0, 6.0]}
 
     def fake_run(tree, workload, seed, seconds, trace=0):
         side = "change" if tree == tmp_path else "parent"
         runs.append((side, seed, trace))
         names = bench["per_layer" if trace else "end_to_end"]
-        value = {"parent": 2.0, "change": 1.0}[side]
+        if trace:
+            value = traced_values[side][sum(r[::2] == (side, 1) for r in runs) - 1]
+        else:
+            value = {"parent": 2.0, "change": 1.0}[side]
         return {"manifest": {"git_commit": None},
-                "result": {"failed": 0, "metrics": {
+                "result": {"failed": len(runs) % 2, "metrics": {
                     m["name"]: {"value": value, "unit": m["unit"]} for m in names}},
                 "speed_factor": {"parent": 0.9, "change": 1.1}[side] + seed}
 
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
     assert bench_pairs.main(["--parent", "HEAD", "--pr", "99", "--workload",
                              "campaign=2", "--seed", "40"]) == 0
-    # two pairs untraced, alternating sides, then one traced run per side
+    # two pairs untraced, then the traced runs, each alternating sides
+    assert bench_pairs.TRACED_RUNS == 3
     assert runs == [("parent", 40, 0), ("change", 40, 0), ("change", 41, 0),
-                    ("parent", 41, 0), ("parent", 40, 1), ("change", 40, 1)]
+                    ("parent", 41, 0), ("parent", 40, 1), ("change", 40, 1),
+                    ("change", 40, 1), ("parent", 40, 1), ("parent", 40, 1),
+                    ("change", 40, 1)]
     report = json.loads((tmp_path / "BENCH_99.json").read_text())
     pairs = report["workloads"]["campaign"]["pairs"]
     assert [(p["parent_speed_factor"], p["change_speed_factor"]) for p in pairs] \
@@ -135,10 +144,11 @@ def test_main_stores_one_traced_run_per_side(tmp_path, monkeypatch):
     assert report["workloads"]["campaign"]["speed_factor_median"] == \
         {"parent": pytest.approx(41.4), "change": pytest.approx(41.6)}
     trace = report["workloads"]["campaign"]["trace"]
-    assert trace["seed"] == 40 and trace["failed"] == {"parent": 0, "change": 0}
+    assert trace["seed"] == 40 and trace["runs"] == 3
+    assert trace["failed"] == {"parent": [1, 0, 1], "change": [0, 1, 0]}
     assert set(trace["rows"]) == {m["name"] for m in bench["per_layer"]}
     row = trace["rows"]["quantum.lift.calls"]
-    assert (row["parent"], row["change"], row["ratio"]) == (2.0, 1.0, 0.5)
+    assert (row["parent"], row["change"], row["ratio"]) == (4.0, 2.0, 0.5)
     assert "--trace 1" in report["trace_command"]
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize, minimize_scalar
 
+from ionlink import modes
 from ionlink.modes import (
     AMU,
     ChainSpec,
@@ -129,6 +130,23 @@ def test_longer_chains_with_random_masses():
                 b = table.participation
                 assert np.max(np.abs(b.T @ b - np.eye(n))) < 1e-12
                 assert np.max(table.residuals) < 1e-10
+
+
+def test_cached_equilibrium_equals_a_fresh_solve_and_is_read_only():
+    # the cache key is (ion count, axial spring): other masses and radial
+    # references of the same chain share one solve
+    for n in (1, 2, 5):
+        spec = spec_equal(n=n, fz=2.3e5)
+        z = equilibrium_positions(spec)
+        fresh = modes._equilibrium.__wrapped__(n, spec.axial_spring)
+        assert z.tobytes() == fresh.tobytes() and z.dtype == fresh.dtype
+        other = ChainSpec(masses_amu=(MASS_YB_171,) * n, axial_freq_ref=2.3e5,
+                          radial_freq_ref=3e6)
+        assert equilibrium_positions(other) is z
+        assert not z.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            z[0] = 1.0
+    assert modes._equilibrium.cache_info().maxsize == 8
 
 
 def test_calibrated_chain_reproduces_reference_table():

@@ -1,11 +1,12 @@
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency, chisquare
 
@@ -13,16 +14,16 @@ from ionlink.cli import RECORD_COLUMNS, _csv, _record_rows
 from ionlink.config import DECAY_COOLANT_RECONSTRUCTION, HardwareConfig, coolant_config
 from ionlink.protocol import (
     _BLOCK,
-    _bucket_index,
-    _bucket_search,
     _loop_cap,
+    _sampler,
+    _search,
     _success_model,
     effective_attempt_rate,
     rate_experiment,
     simulate_campaign,
 )
 from ionlink.rate_model import DecayParams, success_cdf_table
-from qutil import bernoulli_request
+from qutil import bernoulli_request, reference_simulate_campaign
 
 COLUMNS = ("attempts_used", "wall_ns", "success_mask", "signs", "loop_index")
 
@@ -244,13 +245,30 @@ def test_campaign_outputs_pinned(name, seed):
     assert hashlib.sha256(blob.encode()).hexdigest() == CAMPAIGN_DIGESTS[name, seed]
 
 
+def _no_coolant(p, cap):
+    """A no-coolant config that samples the success model ``p`` in loops of
+    ``cap``."""
+    return replace(HardwareConfig(), decay_a=p.a, decay_b=p.b, decay_c=p.c,
+                   loop_cap_no_coolant=cap)
+
+
+def _assert_search(s, table, keys):
+    """The guide search equals a binary search of the sentinel table, which
+    is the binary search of the table itself with the key ``q`` (past the
+    table) moved onto the last entry."""
+    got = _search(s, keys)
+    assert np.array_equal(got, np.searchsorted(s.bounded, keys, side="right"))
+    assert np.array_equal(got, np.minimum(np.searchsorted(table, keys, side="right"),
+                                          table.size - 1))
+
+
 @pytest.mark.parametrize("name", ["no_coolant", "coolant", "long_cap"])
 def test_bucket_search_matches_plain_searchsorted(name):
     cfg = _schedule(name)
-    p, cap = _success_model(cfg), _loop_cap(cfg)
-    table = success_cdf_table(p, cap)
-    first, scale = _bucket_index(p, cap)
+    s = _sampler(cfg)
+    table = success_cdf_table(_success_model(cfg), _loop_cap(cfg))
     q = float(table[-1])
+    assert s.q == q and np.array_equal(s.bounded[:-1], table[:-1])
     rng = np.random.default_rng(31)
     keys = np.concatenate([
         rng.random(3000) * q,
@@ -259,18 +277,16 @@ def test_bucket_search_matches_plain_searchsorted(name):
         np.repeat(rng.random(5) * q, 4),            # repeated keys
     ])
     rng.shuffle(keys)
-    got = _bucket_search(table, first, scale, keys)
-    assert np.array_equal(got, np.searchsorted(table, keys, side="right"))
-    # u * q == q lands past the table; the kernel clamps it to the last entry
-    assert _bucket_search(table, first, scale, np.array([q]))[0] == table.size
+    _assert_search(s, table, keys)
+    # u * q == q lands on the last entry, as the sentinel puts it there
+    assert _search(s, np.array([q]))[0] == table.size - 1
 
 
 @st.composite
-def tables_and_keys(draw):
-    """A valid success model and cap, with keys in ``[0, q]``: table entries,
-    their float neighbours, 0, ``q`` and repeats.  c = 1 builds a one-entry
-    table, large c tables whose trailing entries round to 1.0, and c = 1e-17
-    a table of zeros (q = 0)."""
+def models(draw):
+    """A valid success model and cap.  c = 1 builds a one-entry table, large
+    c tables whose trailing entries round to 1.0, and c = 1e-17 a table of
+    zeros (q = 0)."""
     c = draw(st.one_of(st.sampled_from([1.0, 0.5, 2.5e-4, 1e-5, 1e-17]),
                        st.floats(1e-5, 1.0)))
     a = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0 - c)))
@@ -278,7 +294,14 @@ def tables_and_keys(draw):
     b = draw(st.one_of(st.sampled_from([0.0, 50.0]), st.floats(0.0, 10.0)))
     cap = draw(st.one_of(st.sampled_from([1, 2, 50, 20_000, 100_000]),
                          st.integers(1, 100_000)))
-    p = DecayParams(a, b, c)
+    return DecayParams(a, b, c), cap
+
+
+@st.composite
+def tables_and_keys(draw):
+    """A success model and cap (see ``models``), with keys in ``[0, q]``:
+    table entries, their float neighbours, 0, ``q`` and repeats."""
+    p, cap = draw(models())
     table = success_cdf_table(p, cap)
     q = float(table[-1])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -295,23 +318,61 @@ def tables_and_keys(draw):
 @given(tables_and_keys())
 def test_bucket_search_equals_searchsorted(inputs):
     p, cap, keys = inputs
-    table = success_cdf_table(p, cap)
-    got = _bucket_search(table, *_bucket_index(p, cap), keys)
-    assert np.array_equal(got, np.searchsorted(table, keys, side="right"))
+    _assert_search(_sampler(_no_coolant(p, cap)), success_cdf_table(p, cap), keys)
 
 
 def test_bucket_index_is_read_only_and_bounded():
-    p = _success_model(coolant_config())
-    first, scale = _bucket_index(p, 20_000)
-    assert _bucket_index(p, 20_000)[0] is first
-    assert first.dtype == np.int32 and first.size == 2 * 20_000 + 1
-    with pytest.raises(ValueError, match="read-only"):
-        first[0] = 1
-    for cap in range(1, 12):
-        first, _ = _bucket_index(p, 300_000 + cap)  # past 2**17 buckets
-        assert first.size == 2**17 + 1
-    info = _bucket_index.cache_info()
+    cfg = coolant_config()
+    s = _sampler(cfg)
+    assert _sampler(cfg) is s
+    assert s.guide.dtype == np.int32 and s.guide.size == 2 * 20_000 + 1
+    for arr in (s.guide, s.bounded):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    for cap in range(1, 12):  # past 2**17 buckets
+        s = _sampler(replace(cfg, loop_cap_with_coolant=300_000 + cap))
+        assert s.guide.size == 2**17 + 1
+    info = _sampler.cache_info()
     assert info.maxsize == 8 and info.currsize == 8
+
+
+@st.composite
+def campaigns(draw):
+    """A config of either schedule on a drawn success model, loop cap and
+    hardware counter cap, with a request count at and around the block
+    edges, and a seed."""
+    p, cap = draw(models())
+    cfg = replace(_no_coolant(p, cap), loop_cap_with_coolant=cap,
+                  coolant_present=draw(st.booleans()),
+                  hardware_counter_cap=draw(st.one_of(
+                      st.none(), st.just(1), st.integers(1, 100_000))))
+    requests = draw(st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                     2 * _BLOCK + 7]))
+    return cfg, requests, draw(st.integers(0, 2**63 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(campaigns())
+@example((replace(HardwareConfig(), decay_a=0.0, decay_c=1e-17), 10, 0))  # q = 0
+def test_campaign_equals_the_reference_kernel(inputs):
+    cfg, requests, seed = inputs
+    try:
+        want = reference_simulate_campaign(cfg, requests, seed)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            simulate_campaign(cfg, requests, seed)
+        return
+    got = simulate_campaign(cfg, requests, seed)
+    for col in COLUMNS:
+        a, b = getattr(got, col), getattr(want, col)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes(), col
+        assert not a.flags.writeable and not b.flags.writeable
+    for name in ("requests", "successes", "total_wall_ns", "attempt_wall_ns",
+                 "cooling_wall_ns"):
+        assert type(getattr(got, name)) is int
+        assert getattr(got, name) == getattr(want, name)
+    assert got.summary() == want.summary()
 
 
 @pytest.mark.parametrize("requests", [0, -1, 10.0, True, "10", None, np.float64(5)])

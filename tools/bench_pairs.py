@@ -11,10 +11,11 @@ workload ``NAME[=PAIRS]`` (PAIRS defaults to 10; no ``--workload`` means
 every workload of BENCHMARK.json at 10 pairs), pair ``i`` runs ``python3 perfbench/run.py --workload W --seed SEED+i
 --seconds S --trace 0`` once in each tree, one process at a time; the parent
 runs first in even pairs and the change first in odd ones.  After the pairs
-of a workload, one ``--trace 1`` run per side at seed SEED (parent first)
-gives its per-layer rows.  Before the first run, ``compileall`` writes fresh
-bytecode for ``src/`` and ``perfbench/`` of both trees, so that neither side
-recompiles modules on each cold start (the extracted parent has no
+of a workload, ``TRACED_RUNS`` ``--trace 1`` runs per side at seed SEED,
+alternating sides in the same way, give its per-layer rows as their
+medians.  Before the first run, ``compileall`` writes fresh bytecode for
+``src/`` and ``perfbench/`` of both trees, so that neither side recompiles
+modules on each cold start (the extracted parent has no
 ``__pycache__``, the checkout's may be stale, and ``PYTHONDONTWRITEBYTECODE``
 keeps imports from writing it).
 
@@ -27,9 +28,9 @@ bound, and whether a gain on it would hold (see ``summarize``).  It also holds t
 first manifest of each side, its ``git_commit`` replaced by the revision
 actually run (the parent's commit id; for the change, ``HEAD`` and whether
 tracked files had uncommitted edits), per workload the per-layer rows of the
-traced runs (see ``layer_rows``), the ``src/ionlink`` line counts of both
-trees and, with ``--suite``, the wall time and summary line of each tree's
-test suite.
+traced runs (see ``median_metrics`` and ``layer_rows``), the ``src/ionlink``
+line counts of both trees and, with ``--suite``, the wall time and summary
+line of each tree's test suite.
 
 The ``data`` extraction filter is used where ``tarfile`` has it (Python
 3.10.12, 3.11.4 and later); older interpreters extract the archive, which
@@ -55,6 +56,9 @@ ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build"
 RUN_TIMEOUT_S = 1800
 DEFAULT_PAIRS = 10
+# traced runs per side and workload: one run's layer rows carry that run's
+# whole noise (15-48% on unchanged layers), so each row is a median
+TRACED_RUNS = 3
 COMPILED = ("src", "perfbench")
 
 
@@ -173,11 +177,18 @@ def summarize(pairs: list, metrics: dict) -> dict:
     return out
 
 
-def layer_rows(parent: dict, change: dict, metrics: dict) -> dict:
-    """Per-layer rows of one traced run per side.
+def median_metrics(runs: list) -> dict:
+    """Per metric, the median value over ``runs``, each the ``metrics`` of
+    one JSON result (name to ``{"value", "unit"}``)."""
+    return {name: {"value": statistics.median(r[name]["value"] for r in runs),
+                   "unit": entry["unit"]} for name, entry in runs[0].items()}
 
-    ``parent`` and ``change`` are the ``metrics`` of each side's JSON result
-    (name to ``{"value", "unit"}``), and ``metrics`` maps each per-layer name
+
+def layer_rows(parent: dict, change: dict, metrics: dict) -> dict:
+    """Per-layer rows of the traced runs of each side.
+
+    ``parent`` and ``change`` map each metric name to ``{"value", "unit"}``
+    (see ``median_metrics``), and ``metrics`` maps each per-layer name
     of BENCHMARK.json to its entry.  Values are kept as printed: a span that
     a workload does not reach reads 0.  ``ratio`` is the change's value over
     the parent's, or None where the parent reads 0.
@@ -268,17 +279,23 @@ def main(argv=None) -> int:
                     f"{k} {row['parent'][k]:.4g} -> {row['change'][k]:.4g}"
                     for k in metrics), flush=True)
                 pairs.append(row)
-            traced = {side: run_bench(trees[side], workload, args.seed,
-                                      args.seconds, trace=1)["result"]
-                      for side in ("parent", "change")}
+            traced = {"parent": [], "change": []}
+            for i in range(TRACED_RUNS):
+                for side in (("parent", "change") if i % 2 == 0
+                             else ("change", "parent")):
+                    traced[side].append(run_bench(trees[side], workload, args.seed,
+                                                  args.seconds, trace=1)["result"])
+            medians = {side: median_metrics([r["metrics"] for r in runs])
+                       for side, runs in traced.items()}
             report["workloads"][workload] = {
                 "pairs": pairs, "summary": summarize(pairs, metrics),
                 "speed_factor_median": {side: median_or_none(
                     [p[f"{side}_speed_factor"] for p in pairs]) for side in trees},
-                "trace": {"seed": args.seed,
-                          "failed": {side: r["failed"] for side, r in traced.items()},
-                          "rows": layer_rows(traced["parent"]["metrics"],
-                                             traced["change"]["metrics"], layers)}}
+                "trace": {"seed": args.seed, "runs": TRACED_RUNS,
+                          "failed": {side: [r["failed"] for r in runs]
+                                     for side, runs in traced.items()},
+                          "rows": layer_rows(medians["parent"], medians["change"],
+                                             layers)}}
         if args.suite:
             for side, tree in trees.items():
                 report[side]["suite"] = run_suite(tree)
