@@ -17,12 +17,16 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
-# Each cmd_* imports the library modules it runs, so that a fresh process
-# loads only those.
+# Each cmd_* imports the library modules it runs, and numpy where it uses
+# it, so that a fresh process loads only those: budget loads no numpy.
 from . import __version__
-from .config import HardwareConfig, ideal_config, load_config, measured_swap_config
+from .config import (
+    MAX_LOOP_CAP,
+    HardwareConfig,
+    ideal_config,
+    load_config,
+    measured_swap_config,
+)
 
 SEED_ENV_VAR = "IONLINK_SEED"
 DEFAULT_SEED = 1
@@ -47,8 +51,9 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
-def _parse_grid(spec: str) -> np.ndarray:
+def _parse_grid(spec: str):
     """Parse 'start:stop:num' into a linspace grid of 3 to MAX_GRID_POINTS."""
+    import numpy as np
     try:
         start, stop, num = spec.split(":")
         start, stop, num = float(start), float(stop), int(num)
@@ -138,6 +143,7 @@ def _record_rows(report, limit: int):
 # --- ion-photon --------------------------------------------------------------
 
 def cmd_ion_photon(args, cfg: HardwareConfig, seed: int, out: Path) -> int:
+    import numpy as np
     from .ion_photon import (
         coherence_scan,
         correlated_populations,
@@ -172,6 +178,7 @@ def cmd_ion_photon(args, cfg: HardwareConfig, seed: int, out: Path) -> int:
 # --- swap --------------------------------------------------------------------
 
 def cmd_swap(args, cfg: HardwareConfig, seed: int, out: Path) -> int:
+    import numpy as np
     from . import analysis, swap
     if not analysis.MIN_SWAP_TRIALS <= args.trials <= MAX_TRIALS:
         raise CliError("bad_trials", f"swap needs {analysis.MIN_SWAP_TRIALS} to "
@@ -215,15 +222,16 @@ def cmd_swap(args, cfg: HardwareConfig, seed: int, out: Path) -> int:
 # --- rate --------------------------------------------------------------------
 
 def cmd_rate(args, cfg: HardwareConfig, seed: int, out: Path) -> int:
-    from . import protocol, rate_model
+    import numpy as np
+    from . import protocol
     if not 1 <= args.trials <= MAX_TRIALS:
         raise CliError("bad_trials", f"rate needs 1 to {MAX_TRIALS} trials, "
                        f"got {args.trials}", 2)
     if args.grid:
         grid = _parse_grid(args.grid)
-        if grid.max() > rate_model.MAX_LOOP_CAP:
+        if grid.max() > MAX_LOOP_CAP:
             raise CliError("bad_grid", f"caps must not exceed "
-                           f"{rate_model.MAX_LOOP_CAP}, got {grid.max():g}", 2)
+                           f"{MAX_LOOP_CAP}, got {grid.max():g}", 2)
         caps = np.unique(np.maximum(1.0, grid).astype(int))
     else:
         caps = np.array([1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000,
@@ -249,6 +257,7 @@ def cmd_rate(args, cfg: HardwareConfig, seed: int, out: Path) -> int:
 # --- modes -------------------------------------------------------------------
 
 def cmd_modes(args, cfg: HardwareConfig, seed: int, out: Path) -> int:
+    import numpy as np
     from . import modes
     masses, axial, radial = modes.YB_BA_BA_MASSES, args.axial_ref, args.radial_ref
     if args.single_ion:
@@ -302,9 +311,9 @@ def cmd_modes(args, cfg: HardwareConfig, seed: int, out: Path) -> int:
 # --- budget ------------------------------------------------------------------
 
 def cmd_budget(args, cfg: HardwareConfig, seed: int, out: Path) -> int:
-    from . import analysis
-    err = analysis.error_budget(cfg)
-    eff = analysis.efficiency_budget()
+    from . import budget
+    err = budget.error_budget(cfg)
+    eff = budget.efficiency_budget()
     _write(out, "error_budget.csv", _csv(cfg, seed, ("contribution", "fraction"),
                                          [*err.entries, ("total", err.total)]))
     _write(out, "efficiency_budget.csv", _csv(

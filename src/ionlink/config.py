@@ -42,8 +42,6 @@ import sys
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from .rate_model import MAX_LOOP_CAP
-
 if TYPE_CHECKING:  # imported where used, so loading a config needs no quantum layer
     from .ion_photon import SourceParams
 
@@ -81,6 +79,29 @@ MAX_REQUEST_NS = 2**50
 # Largest two-bright mean readout count: readout sampling and the threshold
 # search grow with the histogram width (the default is 201 counts).
 MAX_READOUT_COUNTS = 1e4
+MAX_LOOP_CAP = 10**7  # longest loop a success table is built for
+
+
+def dephasing_infidelity(t: float, t2_star: float, envelope: str = "gaussian") -> float:
+    """Infidelity of an equal superposition after dephasing for time ``t``.
+
+    The contrast envelope is Gaussian, ``exp(-(t/T2*)^2)``, except where an
+    exponential envelope is requested (used for the entangled-pair coherence,
+    whose slow differential drift is better described by a plain decay).
+    Returns ``(1 - envelope(t)) / 2``.
+    """
+    if t < 0:
+        raise ValueError("time must be nonnegative")
+    if t2_star <= 0:
+        raise ValueError("T2* must be positive")
+    if envelope == "gaussian":
+        # past t = 28 T2* the envelope is 0.0; the cap keeps the square finite
+        env = math.exp(-(min(t / t2_star, 1e150) ** 2))
+    elif envelope == "exponential":
+        env = math.exp(-t / t2_star)
+    else:
+        raise ValueError(f"unknown envelope {envelope!r}")
+    return 0.5 * (1.0 - env)
 
 
 @dataclass(frozen=True)
@@ -226,7 +247,6 @@ class HardwareConfig:
 
     def bell_coherence_factor(self, t: float) -> float:
         """Pair-coherence contrast envelope at time ``t`` after the herald."""
-        from .ion_photon import dephasing_infidelity
         return 1.0 - 2.0 * dephasing_infidelity(t, self.t2_star_bell,
                                                 self.bell_coherence_envelope)
 

@@ -1,16 +1,14 @@
 """Ion-photon entangled pair generation and its characterization scans.
 
 The heralded pair lives on the register ``(ion, photon)`` with the ideal state
-``(|H>|down> + e^{i phase}|V>|up>)/sqrt(2)``.  Imperfections modeled here:
-
-* polarization mixing in the imaging path, as depolarizing of configurable
-  strength on the photon qubit;
-* qubit dephasing with a Gaussian contrast envelope.
+``(|H>|down> + e^{i phase}|V>|up>)/sqrt(2)``.  The imperfection modeled here
+is polarization mixing in the imaging path, as depolarizing of configurable
+strength on the photon qubit; the dephasing error model is
+``config.dephasing_infidelity``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,28 +187,6 @@ def coherence_scan(state: DensityMatrix, analysis_phases) -> ScanResult:
     flags = ("fit_degenerate",) if fit.degenerate else ()
     return ScanResult(control=phases, series={"p_up": p_up}, fits={"p_up": fit},
                       angular_frequency=1.0, contrast=2.0 * fit.amplitude, flags=flags)
-
-
-def dephasing_infidelity(t: float, t2_star: float, envelope: str = "gaussian") -> float:
-    """Infidelity of an equal superposition after dephasing for time ``t``.
-
-    The contrast envelope is Gaussian, ``exp(-(t/T2*)^2)``, except where an
-    exponential envelope is requested (used for the entangled-pair coherence,
-    whose slow differential drift is better described by a plain decay).
-    Returns ``(1 - envelope(t)) / 2``.
-    """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if t2_star <= 0:
-        raise ValueError("T2* must be positive")
-    if envelope == "gaussian":
-        # past t = 28 T2* the envelope is 0.0; the cap keeps the square finite
-        env = math.exp(-(min(t / t2_star, 1e150) ** 2))
-    elif envelope == "exponential":
-        env = math.exp(-t / t2_star)
-    else:
-        raise ValueError(f"unknown envelope {envelope!r}")
-    return 0.5 * (1.0 - env)
 
 
 def correlated_populations(state: DensityMatrix) -> float:

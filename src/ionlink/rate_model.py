@@ -34,8 +34,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import MAX_LOOP_CAP
+
 _TABLE_TAIL = 1e-18  # survival below this is treated as impossible
-MAX_LOOP_CAP = 10**7  # longest loop a table is built for
 
 
 @dataclass(frozen=True)

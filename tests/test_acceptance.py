@@ -7,18 +7,18 @@ from dataclasses import replace
 import numpy as np
 from scipy.integrate import quad
 
-from ionlink import analysis, modes, protocol, rate_model, swap
+from ionlink import analysis, budget, modes, protocol, rate_model, swap
 from ionlink.cli import main as cli_main
 from ionlink.config import (
     DECAY_COOLANT_RECONSTRUCTION,
     HardwareConfig,
     coolant_config,
+    dephasing_infidelity,
     ideal_config,
 )
 from ionlink.detection import ConfusionMatrix, ReadoutModel, choose_thresholds, \
     simulate_histogram, spam_correct
-from ionlink.ion_photon import dephasing_infidelity, emit_ion_photon_state, \
-    ideal_pair_state
+from ionlink.ion_photon import emit_ion_photon_state, ideal_pair_state
 from ionlink.quantum import fidelity_pure
 
 
@@ -30,7 +30,7 @@ def _report(index: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_01_efficiency_chain():
-    total = analysis.efficiency_budget().total
+    total = budget.efficiency_budget().total
     _report(1, "efficiency chain", abs(total - 0.025) <= 0.001,
             f"product = {total:.4f}")
 
@@ -83,7 +83,7 @@ def test_criterion_04_fidelity_bound_arithmetic():
 
 def test_criterion_05_error_budget():
     cfg = HardwareConfig()
-    ledger = analysis.error_budget(cfg)
+    ledger = budget.error_budget(cfg)
     entries = dict(ledger.entries)
     ok_entries = (abs(entries["polarization"] - 0.029) <= 5e-4
                   and abs(entries["coherence"] - 0.003) <= 5e-4

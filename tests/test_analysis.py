@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from ionlink.analysis import (
-    BudgetLedger,
-    DEFAULT_EFFICIENCY_CHAIN,
     FidelityBoundInputs,
     apply_analysis_pulse,
-    efficiency_budget,
-    error_budget,
     fidelity_lower_bound,
     parity_scan,
     swap_experiment,
+)
+from ionlink.budget import (
+    DEFAULT_EFFICIENCY_CHAIN,
+    BudgetLedger,
+    efficiency_budget,
+    error_budget,
 )
 from ionlink.config import HardwareConfig, ideal_config, measured_swap_config
 from ionlink.detection import ConfusionMatrix

@@ -89,7 +89,7 @@ def _traced(lift_calls, main_self_s):
 
 
 def test_layer_rows_keep_printed_values_and_zero_spans():
-    rows = bench_pairs.layer_rows(_traced(10.0, 0.0), _traced(8.0, 0.0), LAYERS)
+    rows = bench_pairs.layer_rows([_traced(10.0, 0.0)], [_traced(8.0, 0.0)], LAYERS)
     assert set(rows) == set(LAYERS)
     assert rows["quantum.lift.calls"] == {"unit": "calls/op", "better": "lower",
                                           "parent": 10.0, "change": 8.0,
@@ -97,6 +97,21 @@ def test_layer_rows_keep_printed_values_and_zero_spans():
     # a span the workload does not reach reads 0 on both sides, with no ratio
     assert rows["cli.main.self_s"] == {"unit": "s/op", "better": "lower",
                                        "parent": 0.0, "change": 0.0, "ratio": None}
+
+
+def test_layer_ratio_is_the_median_of_paired_run_ratios():
+    # the host slows down in the first pair and speeds up in the last: each
+    # pair's ratio cancels that, the ratio of the two medians does not
+    parent = [_traced(10.0, 0.0), _traced(12.0, 2.0), _traced(30.0, 0.0)]
+    change = [_traced(20.0, 1.0), _traced(13.0, 1.0), _traced(15.0, 4.0)]
+    rows = bench_pairs.layer_rows(parent, change, LAYERS)
+    lift = rows["quantum.lift.calls"]
+    assert (lift["parent"], lift["change"]) == (12.0, 15.0)  # both medians kept
+    assert lift["ratio"] == pytest.approx(13.0 / 12.0)  # of 2.0, 13/12 and 0.5
+    assert 15.0 / 12.0 != pytest.approx(lift["ratio"])
+    # pairs whose parent reads 0 give no ratio; the one left is 1/2
+    main = rows["cli.main.self_s"]
+    assert (main["parent"], main["change"], main["ratio"]) == (0.0, 1.0, 0.5)
 
 
 def test_main_stores_the_median_of_alternating_traced_runs(tmp_path, monkeypatch):

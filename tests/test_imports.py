@@ -1,8 +1,14 @@
 """Every import and every module-level private name in the package source
 is used: standard-library ``ast`` scans, since the project installs no
-linter."""
+linter.  And each CLI run loads only the modules it runs: fresh-interpreter
+runs that list what they imported."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import ionlink
@@ -76,3 +82,63 @@ def test_package_has_no_unread_private_names():
     found = {path.name: unused for path in sorted(SRC.glob("*.py"))
              if (unused := unused_private_names(path.read_text()))}
     assert found == {}
+
+
+# A fresh interpreter imports ionlink.config alone (no argv), or runs
+# cli.main(argv) from a working directory of its own, then prints its exit
+# code and error category, the ionlink submodules it loaded, and which of
+# numpy, scipy and yaml it loaded.
+LOAD_SET = """
+import contextlib, io, json, sys
+import ionlink.config
+code = error = None
+if sys.argv[1:]:
+    from ionlink.cli import main
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = main(sys.argv[1:])
+        except SystemExit as exc:  # --version
+            code = exc.code
+    if err.getvalue():
+        error = json.loads(err.getvalue())["error"]
+print(json.dumps({"exit": code, "error": error,
+                  "ionlink": sorted(m.split(".", 1)[1] for m in sys.modules
+                                    if m.startswith("ionlink.")),
+                  "third_party": sorted({"numpy", "scipy", "yaml"} & set(sys.modules))}))
+"""
+
+NUMPY_FREE = ["cli", "config"]
+LOAD_SETS = [  # argv, exit code, error category, ionlink submodules, third party
+    ([], None, None, ["config"], []),
+    (["--version"], 0, None, NUMPY_FREE, []),
+    (["budget", "--records"], 2, "usage", NUMPY_FREE, []),
+    (["budget", "--config", "bad.yaml"], 2, "config_invalid", NUMPY_FREE, ["yaml"]),
+    (["budget"], 0, None, ["budget", "cli", "config"], []),
+    (["modes"], 0, None, ["cli", "config", "modes"], ["numpy"]),
+    (["rate", "--records", "--trials", "200"], 0, None,
+     ["cli", "config", "protocol", "rate_model"], ["numpy"]),
+    (["ion-photon"], 0, None,
+     ["cli", "config", "fitting", "ion_photon", "quantum"], ["numpy"]),
+    # analysis reaches budget through the error_budget alias it keeps
+    (["swap", "--trials", "200"], 0, None,
+     ["analysis", "budget", "cli", "config", "detection", "fitting",
+      "ion_photon", "quantum", "swap"], ["numpy"]),
+]
+
+
+def test_each_cli_run_loads_exactly_its_modules(tmp_path):
+    (tmp_path / "bad.yaml").write_text("eta_a: 2.0\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+
+    def loaded(argv):
+        # the subcommands write files of different names into ./ionlink-out
+        res = subprocess.run([sys.executable, "-c", LOAD_SET, *argv], cwd=tmp_path,
+                             env=env, capture_output=True, text=True, check=True)
+        return json.loads(res.stdout)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        found = list(pool.map(loaded, [case[0] for case in LOAD_SETS]))
+    for (argv, code, error, modules, third_party), got in zip(LOAD_SETS, found):
+        assert got == {"exit": code, "error": error, "ionlink": modules,
+                       "third_party": third_party}, argv

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ionlink import ion_photon
+from ionlink.config import dephasing_infidelity
 from ionlink.fitting import fit_sinusoid
 from ionlink.ion_photon import (
     ION,
@@ -13,7 +14,6 @@ from ionlink.ion_photon import (
     coherence_scan,
     correlated_populations,
     correlation_scan,
-    dephasing_infidelity,
     emit_ion_photon_state,
     fidelity_lower_bound_pair,
     fidelity_upper_bound,

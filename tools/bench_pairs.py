@@ -12,8 +12,8 @@ every workload of BENCHMARK.json at 10 pairs), pair ``i`` runs ``python3 perfben
 --seconds S --trace 0`` once in each tree, one process at a time; the parent
 runs first in even pairs and the change first in odd ones.  After the pairs
 of a workload, ``TRACED_RUNS`` ``--trace 1`` runs per side at seed SEED,
-alternating sides in the same way, give its per-layer rows as their
-medians.  Before the first run, ``compileall`` writes fresh bytecode for
+alternating sides in the same way, give its per-layer rows (see
+``layer_rows``).  Before the first run, ``compileall`` writes fresh bytecode for
 ``src/`` and ``perfbench/`` of both trees, so that neither side recompiles
 modules on each cold start (the extracted parent has no
 ``__pycache__``, the checkout's may be stale, and ``PYTHONDONTWRITEBYTECODE``
@@ -28,7 +28,7 @@ bound, and whether a gain on it would hold (see ``summarize``).  It also holds t
 first manifest of each side, its ``git_commit`` replaced by the revision
 actually run (the parent's commit id; for the change, ``HEAD`` and whether
 tracked files had uncommitted edits), per workload the per-layer rows of the
-traced runs (see ``median_metrics`` and ``layer_rows``), the ``src/ionlink``
+traced runs (see ``layer_rows``), the ``src/ionlink``
 line counts of both trees and, with ``--suite``, the wall time and summary
 line of each tree's test suite.
 
@@ -177,27 +177,26 @@ def summarize(pairs: list, metrics: dict) -> dict:
     return out
 
 
-def median_metrics(runs: list) -> dict:
-    """Per metric, the median value over ``runs``, each the ``metrics`` of
-    one JSON result (name to ``{"value", "unit"}``)."""
-    return {name: {"value": statistics.median(r[name]["value"] for r in runs),
-                   "unit": entry["unit"]} for name, entry in runs[0].items()}
-
-
-def layer_rows(parent: dict, change: dict, metrics: dict) -> dict:
+def layer_rows(parent: list, change: list, metrics: dict) -> dict:
     """Per-layer rows of the traced runs of each side.
 
-    ``parent`` and ``change`` map each metric name to ``{"value", "unit"}``
-    (see ``median_metrics``), and ``metrics`` maps each per-layer name
-    of BENCHMARK.json to its entry.  Values are kept as printed: a span that
-    a workload does not reach reads 0.  ``ratio`` is the change's value over
-    the parent's, or None where the parent reads 0.
+    ``parent`` and ``change`` hold the ``metrics`` of each side's traced
+    runs (name to ``{"value", "unit"}``) in run order, so that run ``i`` of
+    both sides forms a pair run back to back; ``metrics`` maps each
+    per-layer name of BENCHMARK.json to its entry.  ``parent`` and
+    ``change`` in a row are each side's median value, kept as printed: a
+    span that a workload does not reach reads 0.  ``ratio`` is the median of
+    the pairs' change/parent ratios, so that a host slowdown that hits both
+    runs of a pair cancels, or None where the parent reads 0 in every pair.
     """
     rows = {}
     for name, spec in metrics.items():
-        p, c = parent[name]["value"], change[name]["value"]
-        rows[name] = {"unit": parent[name]["unit"], "better": spec["better"],
-                      "parent": p, "change": c, "ratio": c / p if p else None}
+        p = [run[name]["value"] for run in parent]
+        c = [run[name]["value"] for run in change]
+        rows[name] = {"unit": parent[0][name]["unit"], "better": spec["better"],
+                      "parent": statistics.median(p), "change": statistics.median(c),
+                      "ratio": median_or_none([ci / pi if pi else None
+                                               for pi, ci in zip(p, c)])}
     return rows
 
 
@@ -285,8 +284,6 @@ def main(argv=None) -> int:
                              else ("change", "parent")):
                     traced[side].append(run_bench(trees[side], workload, args.seed,
                                                   args.seconds, trace=1)["result"])
-            medians = {side: median_metrics([r["metrics"] for r in runs])
-                       for side, runs in traced.items()}
             report["workloads"][workload] = {
                 "pairs": pairs, "summary": summarize(pairs, metrics),
                 "speed_factor_median": {side: median_or_none(
@@ -294,8 +291,9 @@ def main(argv=None) -> int:
                 "trace": {"seed": args.seed, "runs": TRACED_RUNS,
                           "failed": {side: [r["failed"] for r in runs]
                                      for side, runs in traced.items()},
-                          "rows": layer_rows(medians["parent"], medians["change"],
-                                             layers)}}
+                          "rows": layer_rows(
+                              [r["metrics"] for r in traced["parent"]],
+                              [r["metrics"] for r in traced["change"]], layers)}}
         if args.suite:
             for side, tree in trees.items():
                 report[side]["suite"] = run_suite(tree)
