@@ -20,7 +20,7 @@ single-pulse contrast as ``F >= (pops + C2 - C1)/2``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Mapping
 
@@ -239,6 +239,42 @@ def swap_experiment(cfg: HardwareConfig, trials: int,
                           raw_populations=pop_freq, populations=pop_corr,
                           scans=scans, bound_inputs=bound_inputs,
                           sign_counts=sign_counts)
+
+
+def swap_outputs(cfg: HardwareConfig, trials: int, seed: int, profile: str) -> dict:
+    """The ``swap`` run: ``swap_experiment`` seeded with ``seed``, as its
+    calibration histograms (frequencies, zero-padded to the widest),
+    thresholds, parity scans and populations, and a summary of the bound that
+    records ``trials`` and ``profile``, the name of the error profile of ``cfg``."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    res = swap_experiment(cfg, trials, rng)
+    width = max(h.size for h in res.histograms)
+    freqs = np.stack([np.pad(h / h.sum(), (0, width - h.size))
+                      for h in res.histograms], axis=1)
+    return {
+        "readout_histograms.csv": (
+            ("count", "freq_0bright", "freq_1bright", "freq_2bright"),
+            [(c, *row) for c, row in enumerate(freqs.tolist())]),
+        "readout_thresholds.json": asdict(res.thresholds),
+        **{f"parity_{pulses}_pulse.csv": scan.table() for pulses, scan in res.scans.items()},
+        "populations.csv": (
+            ("bright_ions", "raw_frequency", "corrected_population"),
+            zip(range(3), res.raw_populations.tolist(),
+                res.populations.populations.tolist())),
+        "swap_summary.json": {
+            "trials": trials,
+            "profile": profile,
+            "odd_populations": res.odd_populations,
+            "two_pulse_contrast": res.scans["two"].contrast,
+            "one_pulse_contrast": res.scans["one"].contrast,
+            "fidelity_lower_bound": res.bound,
+            "bound_inputs": asdict(res.bound_inputs),
+            "spam_clipped_mass": res.populations.clipped_mass,
+            "herald_sign_counts": {"+1": res.sign_counts[+1], "-1": res.sign_counts[-1]},
+            "alignment_wait_s": {"+1": swap.alignment_wait(cfg, +1),
+                                 "-1": swap.alignment_wait(cfg, -1)},
+        },
+    }
 
 
 # perfbench's state_sweep workload calls analysis.error_budget; the budget

@@ -111,3 +111,16 @@ def efficiency_budget(chain=DEFAULT_EFFICIENCY_CHAIN) -> EfficiencyReport:
         running *= factor
         stages.append((label, float(factor), running))
     return EfficiencyReport(stages=tuple(stages), total=running)
+
+
+def budget_outputs(cfg: HardwareConfig) -> tuple[dict, str]:
+    """The ``budget`` run: both ledgers as CSV tables and together in
+    ``budget.json``, and the text it prints."""
+    err, eff = error_budget(cfg), efficiency_budget()
+    return {
+        "error_budget.csv": (("contribution", "fraction"),
+                             [*err.entries, ("total", err.total)]),
+        "efficiency_budget.csv": (("stage", "factor", "running_product"), eff.stages),
+        "budget.json": {"error_budget": err.as_dict(), "efficiency_chain": eff.as_dict()},
+    }, (f"error budget\n{err.to_text()}\n\n"
+        f"photon collection chain\n{eff.to_text()}\n")

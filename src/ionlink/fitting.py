@@ -116,3 +116,8 @@ class ScanResult:
             "flags": list(self.flags),
             "fits": {name: asdict(f) for name, f in self.fits.items()},
         }
+
+    def table(self) -> tuple[list[str], zip]:
+        """``(columns, rows)``: per control value, the value then each series."""
+        return (["control_value", *self.series],
+                zip(self.control.tolist(), *(v.tolist() for v in self.series.values())))

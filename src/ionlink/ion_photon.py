@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import HardwareConfig
 from .fitting import ScanResult, fit_sinusoid
 from .quantum import DensityMatrix, PureState, cache_by_value, conjugate, lift
 
@@ -214,3 +215,30 @@ def fidelity_lower_bound_pair(correlated_pops: float, coherence_contrast: float)
     reference values as a consistency test only.
     """
     return min(1.0, max(0.0, 0.5 * (correlated_pops + coherence_contrast)))
+
+
+def ion_photon_outputs(cfg: HardwareConfig, hwp_angles=None) -> dict:
+    """The ``ion-photon`` run: of each source, the correlation scan over
+    ``hwp_angles`` (by default 37 angles over ``[0, pi/2]``) and the
+    coherence scan of its ``+1`` herald over 41 phases, as CSV tables, and
+    their fits with both fidelity bounds in ``ion_photon_fits.json``."""
+    if hwp_angles is None:
+        hwp_angles = np.linspace(0.0, np.pi / 2.0, 37)
+    phases = np.linspace(0.0, TWO_PI, 41)
+    files, summary = {}, {}
+    for label, source in (("A", cfg.source_a()), ("B", cfg.source_b())):
+        pair = emit_ion_photon_state(source)
+        corr = correlation_scan(pair, hwp_angles)
+        coh = coherence_scan(heralded_ion_state(pair, +1), phases)
+        files[f"correlation_{label}.csv"] = corr.table()
+        files[f"coherence_{label}.csv"] = coh.table()
+        pops = correlated_populations(pair)
+        summary[label] = {
+            "correlation": corr.fit_summary(),
+            "coherence": coh.fit_summary(),
+            "correlated_populations": pops,
+            "fidelity_upper_bound": fidelity_upper_bound(corr.contrast),
+            "fidelity_lower_bound": fidelity_lower_bound_pair(pops, coh.contrast),
+        }
+    files["ion_photon_fits.json"] = summary
+    return files

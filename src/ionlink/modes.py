@@ -58,6 +58,9 @@ YB_BA_BA_RADIAL_DISPLACEMENT = (
     (0.587, 0.672, -0.512),
     (0.790, -0.615, 0.144),
 )
+# single Ba-138 ion references of a modes --single-ion run, Hz
+SINGLE_ION_AXIAL_HZ = 367e3
+SINGLE_ION_RADIAL_HZ = 890e3
 
 
 @dataclass(frozen=True)
@@ -177,10 +180,6 @@ class ModeTable:
     residuals: np.ndarray            # relative residual of H u = w^2 M u, per mode
     masses_amu: tuple[float, ...]
 
-    @property
-    def n_modes(self) -> int:
-        return self.frequencies.size
-
 
 def normal_modes(spec: ChainSpec, direction: str) -> ModeTable:
     """Solve the mass-weighted eigenproblem for one trap direction.
@@ -282,3 +281,50 @@ def calibrate_reference_frequencies(
             d = lo + shrink * (hi - lo)
             fd = cost(d)
     return replace(probe, axial_freq_ref=axial_ref, radial_freq_ref=0.5 * (lo + hi))
+
+
+def chain_spec(axial_ref=None, radial_ref=None, single_ion: bool = False) -> ChainSpec:
+    """The chain of a ``modes`` run.  A single Ba-138 ion takes the
+    ``SINGLE_ION_*_HZ`` reference it is not given.  The Yb-Ba-Ba chain takes
+    both references, or neither: then they are calibrated to its measured
+    mode table.  One reference alone, or one out of range, raises ValueError."""
+    if single_ion:
+        return ChainSpec(
+            (MASS_BA_138,), SINGLE_ION_AXIAL_HZ if axial_ref is None else axial_ref,
+            SINGLE_ION_RADIAL_HZ if radial_ref is None else radial_ref)
+    if axial_ref is None and radial_ref is None:
+        return calibrate_reference_frequencies()
+    if axial_ref is None or radial_ref is None:
+        raise ValueError("the Yb-Ba-Ba chain needs both reference frequencies or neither")
+    return ChainSpec(YB_BA_BA_MASSES, axial_ref, radial_ref)
+
+
+def modes_outputs(spec: ChainSpec) -> dict:
+    """The ``modes`` run: each direction's mode table as a CSV table, one
+    row per mode (each ion's displacement, then the frequency in kHz), and a
+    summary with the references, the frequencies, three equal-mass axial
+    ratios beside their closed form, the coolant (ion 0) coupling of each
+    radial mode and the largest eigenproblem residual of each direction."""
+    tables = {d: normal_modes(spec, d) for d in ("axial", "radial")}
+    files = {}
+    for d, t in tables.items():
+        columns = ["mode", *(f"ion{i}_mass{m:g}" for i, m in enumerate(t.masses_amu)),
+                   "frequency_khz"]
+        files[f"modes_{d}.csv"] = (columns, [
+            [f"{d}_{k + 1}", *(f"{x:.3f}" for x in u), f"{f / 1e3:.1f}"]
+            for k, (u, f) in enumerate(zip(t.displacement.T, t.frequencies))])
+    eq = normal_modes(replace(spec, masses_amu=(MASS_BA_138,) * 3), "axial").frequencies
+    files["modes_summary.json"] = {
+        "axial_freq_ref_hz": spec.axial_freq_ref,
+        "radial_freq_ref_hz": spec.radial_freq_ref,
+        "axial_frequencies_hz": tables["axial"].frequencies.tolist(),
+        "radial_frequencies_hz": tables["radial"].frequencies.tolist(),
+        "equal_mass_axial_ratios": (eq / eq[0]).tolist(),
+        "equal_mass_expected": [1.0, 3.0 ** 0.5, (29.0 / 5.0) ** 0.5],
+        "radial_coolant_coupling": [
+            {"mode": c.mode_index + 1, "frequency_hz": c.frequency,
+             "participation": c.participation, "below_floor": c.below_floor}
+            for c in coolant_coupling_report(tables["radial"], coolant_index=0)],
+        "max_eigen_residual": {d: float(np.max(t.residuals)) for d, t in tables.items()},
+    }
+    return files

@@ -60,6 +60,10 @@ from .rate_model import (
     success_cdf_table,
 )
 
+# the caps of a rate run's analytic curves when no grid is given
+DEFAULT_CAPS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000, 20000)
+RECORD_COLUMNS = ("request_index", "attempts_used", "wall_time_ns", "success",
+                  "sign", "loop_index")
 # Requests per substream.  It fixes the random-stream layout, so changing it
 # changes every campaign's outcome.
 _BLOCK = 4096
@@ -298,3 +302,37 @@ def rate_experiment(cfg: HardwareConfig, caps, requests: int, master_seed: int
         curve = rate_curve(caps, _success_model(c), schedule, c.coolant_present)
         out[name] = (c, curve, simulate_campaign(c, requests, master_seed))
     return out
+
+
+def _record_rows(report: RateReport, limit: int):
+    """Rows of the first ``limit`` requests of a campaign; a failed request
+    has an empty sign cell."""
+    n = min(limit, report.requests)
+    cols = zip(report.attempts_used[:n].tolist(), report.wall_ns[:n].tolist(),
+               report.success_mask[:n].tolist(), report.signs[:n].tolist(),
+               report.loop_index[:n].tolist())
+    return ((k, a, w, int(s), g if s else "", i)
+            for k, (a, w, s, g, i) in enumerate(cols))
+
+
+def rate_outputs(cfg: HardwareConfig, grid, requests: int, master_seed: int,
+                 records: int) -> dict:
+    """The ``rate`` run: ``rate_experiment`` at the caps of ``grid`` (each point
+    rounded down to an integer of at least 1; ``DEFAULT_CAPS`` for ``None``), as
+    each schedule's analytic curve, the first ``records`` rows of its campaign
+    and ``rate_mc.json``: the campaign summaries and effective attempt rates."""
+    caps = DEFAULT_CAPS if grid is None else np.unique(np.maximum(1.0, grid).astype(int))
+    files, mc = {}, {}
+    for name, (run_cfg, curve, report) in rate_experiment(
+            cfg, caps, requests, master_seed).items():
+        files[f"rate_analytic_{name}.csv"] = (
+            ("cap", "cdf", "mean_success_prob", "rate_hz", "rate_no_cooling_hz"),
+            zip(curve.caps.tolist(), curve.cdf.tolist(), curve.mean_success_prob.tolist(),
+                curve.rate_hz.tolist(), curve.rate_no_cooling_hz.tolist()))
+        mc[name] = report.summary() | {
+            "effective_attempt_rate_hz": effective_attempt_rate(run_cfg)}
+        if records:
+            files[f"herald_records_{name}.csv"] = (RECORD_COLUMNS,
+                                                   _record_rows(report, records))
+    files["rate_mc.json"] = mc
+    return files

@@ -113,14 +113,6 @@ def swapped_state(cfg: HardwareConfig, sign: int, t: float) -> DensityMatrix:
     return DensityMatrix(rho, TWO_ION_DIMS)
 
 
-def swapped_state_from_config(cfg: HardwareConfig, sign: int = +1,
-                              t: float | None = None) -> DensityMatrix:
-    """Heralded two-ion state at the configured analysis delay."""
-    if t is None:
-        t = cfg.analysis_delay
-    return swapped_state(cfg, sign, t)
-
-
 def alignment_wait(cfg: HardwareConfig, sign: int) -> float:
     """Phase-alignment delay after a herald of the given sign, in seconds.
 
@@ -136,7 +128,7 @@ def alignment_wait(cfg: HardwareConfig, sign: int) -> float:
 
 def aligned_state_from_config(cfg: HardwareConfig, sign: int = +1) -> DensityMatrix:
     """Heralded state analyzed after ``alignment_wait`` for its sign."""
-    return swapped_state_from_config(cfg, sign=sign, t=alignment_wait(cfg, sign))
+    return swapped_state(cfg, sign, alignment_wait(cfg, sign))
 
 
 @dataclass(frozen=True)

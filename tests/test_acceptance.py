@@ -90,7 +90,7 @@ def test_criterion_05_error_budget():
                   and abs(entries["other"] - 0.004) <= 5e-4
                   and abs(ledger.total - 0.036) <= 5e-4)
     t = cfg.analysis_delay
-    rho = swap.swapped_state_from_config(cfg, +1, t=t)
+    rho = swap.swapped_state(cfg, +1, t)
     target = swap.bell_state(+1, swap.bell_phase(cfg.delta, t, cfg.swap_phase()))
     infidelity = 1.0 - fidelity_pure(rho, target)
     ok_full = abs(infidelity - ledger.total) <= 5e-3

@@ -24,7 +24,7 @@ from ionlink.swap import (
     bell_phase,
     bell_state,
     phase_alignment_delay,
-    swapped_state_from_config,
+    swapped_state,
 )
 from qutil import literal_swapped_state
 
@@ -82,7 +82,7 @@ def test_two_pulse_amplitude_identity():
     cfg = measured_swap_config()
     for sign, target in ((+1, 0.0), (-1, np.pi)):
         t = phase_alignment_delay(cfg.delta, cfg.swap_phase(), target=target)
-        rho = swapped_state_from_config(cfg, sign, t=t)
+        rho = swapped_state(cfg, sign, t)
         pops = np.real(np.diag(rho.matrix))
         m = rho.matrix[2, 1]
         e = rho.matrix[0, 3]
@@ -97,7 +97,7 @@ def test_measured_profile_reproduces_reference_scan():
     # wait, and its scan maximum sits at the reference 92.5% level
     cfg = measured_swap_config()
     t = phase_alignment_delay(cfg.delta, cfg.swap_phase(), target=np.pi)
-    rho = swapped_state_from_config(cfg, -1, t=t)
+    rho = swapped_state(cfg, -1, t)
     scan = parity_scan(rho, PHASES, pulses="two")
     assert scan.contrast == pytest.approx(0.925, abs=5e-3)
     pops = np.real(np.diag(rho.matrix))
@@ -195,7 +195,7 @@ def test_error_budget_ideal_config_is_zero():
 def test_budget_matches_full_density_matrix():
     cfg = HardwareConfig()
     t = cfg.analysis_delay
-    rho = swapped_state_from_config(cfg, +1, t=t)
+    rho = swapped_state(cfg, +1, t)
     target = bell_state(+1, bell_phase(cfg.delta, t, cfg.swap_phase()))
     infidelity = 1.0 - fidelity_pure(rho, target)
     assert infidelity == pytest.approx(error_budget(cfg).total, abs=5e-3)

@@ -115,6 +115,7 @@ LOAD_SETS = [  # argv, exit code, error category, ionlink submodules, third part
     (["budget", "--records"], 2, "usage", NUMPY_FREE, []),
     (["budget", "--config", "bad.yaml"], 2, "config_invalid", NUMPY_FREE, ["yaml"]),
     (["budget"], 0, None, ["budget", "cli", "config"], []),
+    (["budget", "--config", "good.yaml"], 0, None, ["budget", "cli", "config"], ["yaml"]),
     (["modes"], 0, None, ["cli", "config", "modes"], ["numpy"]),
     (["rate", "--records", "--trials", "200"], 0, None,
      ["cli", "config", "protocol", "rate_model"], ["numpy"]),
@@ -129,6 +130,7 @@ LOAD_SETS = [  # argv, exit code, error category, ionlink submodules, third part
 
 def test_each_cli_run_loads_exactly_its_modules(tmp_path):
     (tmp_path / "bad.yaml").write_text("eta_a: 2.0\n")
+    (tmp_path / "good.yaml").write_text("t2_star_bell: 0.02\n")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
 
     def loaded(argv):

@@ -10,11 +10,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency, chisquare
 
-from ionlink.cli import RECORD_COLUMNS, _csv, _record_rows
+from ionlink.cli import _csv
 from ionlink.config import DECAY_COOLANT_RECONSTRUCTION, HardwareConfig, coolant_config
 from ionlink.protocol import (
     _BLOCK,
+    RECORD_COLUMNS,
     _loop_cap,
+    _record_rows,
     _sampler,
     _search,
     _success_model,

@@ -15,7 +15,6 @@ from ionlink.swap import (
     simulate_heralds,
     success_probability,
     swapped_state,
-    swapped_state_from_config,
 )
 from qutil import partial_trace
 
@@ -81,7 +80,7 @@ def test_phase_tracking_target_all_ideal():
     cfg = ideal_config()
     t = 123e-6
     for sign in (+1, -1):
-        rho = swapped_state_from_config(cfg, sign=sign, t=t)
+        rho = swapped_state(cfg, sign, t)
         target = bell_state(sign, bell_phase(cfg.delta, t, cfg.swap_phase()))
         assert fidelity_pure(rho, target) == pytest.approx(1.0, abs=1e-12)
 
@@ -125,7 +124,7 @@ def test_polarization_mixing_werner_oracle():
 def test_default_profile_matches_reference_levels():
     cfg = HardwareConfig()
     t = cfg.analysis_delay
-    rho = swapped_state_from_config(cfg, sign=+1, t=t)
+    rho = swapped_state(cfg, +1, t)
     target = bell_state(+1, bell_phase(cfg.delta, t, cfg.swap_phase()))
     fid = fidelity_pure(rho, target)
     # predicted infidelity budget totals ~3.6%
@@ -139,7 +138,7 @@ def test_fidelity_monotone_in_error_parameters():
     t = cfg.analysis_delay
 
     def fid(c):
-        rho = swapped_state_from_config(c, sign=+1, t=t)
+        rho = swapped_state(c, +1, t)
         return fidelity_pure(rho, bell_state(+1, bell_phase(c.delta, t,
                                                             c.swap_phase())))
 
