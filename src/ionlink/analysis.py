@@ -38,7 +38,7 @@ from .detection import (
 )
 from .fitting import ScanResult, fit_sinusoid
 from .ion_photon import raman_rotation
-from .quantum import DensityMatrix, apply_unitary, cache_by_value, conjugate
+from .quantum import DensityMatrix, apply_unitary, cache_by_value, rotated_populations
 
 TWO_ION_DIMS = (2, 2)
 # little-endian basis order of the two-ion register (ion A is bit 0):
@@ -82,13 +82,13 @@ def apply_analysis_pulse(rho: DensityMatrix, phase: float) -> DensityMatrix:
 
 
 def _analysis_sequence(rho: DensityMatrix, phases, pulses: str) -> np.ndarray:
-    """Validated stack of the states after the analysis pulses, one per
-    phase: for ``"two"`` a fixed phase-0 pulse first (converting the odd Bell
-    state to the even one), then one pulse at each phase."""
+    """Populations ``(phase, 4)`` of the states after the analysis pulses:
+    for ``"two"`` a fixed phase-0 pulse first (converting the odd Bell state
+    to the even one), then one pulse at each phase."""
     if pulses not in ("one", "two"):
         raise ValueError("pulses must be 'one' or 'two'")
     stack = _pulse_stack(phases) if pulses == "one" else _two_pulse_stack(phases)
-    return conjugate(rho, stack)
+    return rotated_populations(rho, stack)
 
 
 def _parity_result(grid: np.ndarray, values: np.ndarray) -> ScanResult:
@@ -108,9 +108,7 @@ def parity_scan(rho: DensityMatrix, phases, pulses: str = "two") -> ScanResult:
     if rho.dims != TWO_ION_DIMS:
         raise ValueError("parity_scan expects a two-ion state")
     grid = np.asarray(phases, dtype=float)
-    pops = np.real(np.diagonal(_analysis_sequence(rho, grid, pulses), axis1=-2, axis2=-1))
-    values = pops @ PARITY_DIAG
-    return _parity_result(grid, values)
+    return _parity_result(grid, _analysis_sequence(rho, grid, pulses) @ PARITY_DIAG)
 
 
 _ROUND_OFF = 1e-12  # excess past [0, 1] absorbed by FidelityBoundInputs
@@ -151,14 +149,14 @@ MIN_SWAP_TRIALS = 100
 CALIBRATION_SHOTS = 20000
 
 
-def _sample_readout(rho: np.ndarray, shots, cm: ConfusionMatrix,
+def _sample_readout(pops: np.ndarray, shots, cm: ConfusionMatrix,
                     rng: np.random.Generator) -> np.ndarray:
-    """Observed bright-count frequencies of z-basis readouts of each matrix of
-    the stack ``rho`` (..., 4, 4), ``shots`` readouts of each (an array that
-    broadcasts against the stack).  A thresholded shot of a state with 0 (dd),
+    """Observed bright-count frequencies of z-basis readouts of each state of
+    the populations ``pops`` (..., 4), ``shots`` readouts of each (an array
+    that broadcasts against them).  A thresholded shot of a state with 0 (dd),
     1 (ud or du) or 2 (uu) bright ions falls in each class with that row of
     ``cm``, so one multinomial over ``bright @ cm.matrix`` draws them all."""
-    diag = np.clip(np.real(np.diagonal(rho, axis1=-2, axis2=-1)), 0.0, None)
+    diag = np.clip(pops, 0.0, None)
     bright = np.stack([diag[..., IDX_DD], diag[..., IDX_UD] + diag[..., IDX_DU],
                        diag[..., IDX_UU]], axis=-1)
     probs = np.clip(bright / bright.sum(axis=-1, keepdims=True) @ cm.matrix, 0.0, None)
@@ -217,7 +215,7 @@ def swap_experiment(cfg: HardwareConfig, trials: int,
 
     # pooled over the signs: all counts over all shots
     shots = heralds // 2
-    freq = _sample_readout(np.stack([st.matrix for st in states]), shots, cm, rng)
+    freq = _sample_readout(np.real([np.diag(st.matrix) for st in states]), shots, cm, rng)
     pop_freq = shots @ freq / shots.sum()
     pop_corr = spam_correct(pop_freq, cm)
 
@@ -225,11 +223,10 @@ def swap_experiment(cfg: HardwareConfig, trials: int,
     shots = np.maximum(1, (heralds // 4) // grid.size)[:, None]
     scans = {}
     for pulses in ("two", "one"):
-        rotated = np.stack([_analysis_sequence(st, grid, pulses) for st in states])
-        freq = _sample_readout(rotated, shots, cm, rng)  # (sign, phase, class)
-        parity = [[spam_correct(f, cm).populations @ BRIGHT_PARITY for f in row]
-                  for row in freq]
-        scans[pulses] = _parity_result(grid, heralds / trials @ np.array(parity))
+        pops = np.stack([_analysis_sequence(st, grid, pulses) for st in states])
+        freq = _sample_readout(pops, shots, cm, rng)  # (sign, phase, class)
+        parity = spam_correct(freq, cm).populations @ BRIGHT_PARITY
+        scans[pulses] = _parity_result(grid, heralds / trials @ parity)
 
     bound_inputs = FidelityBoundInputs(
         odd_populations=float(pop_corr.populations[1]),

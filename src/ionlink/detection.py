@@ -196,24 +196,26 @@ class ConfusionMatrix:
 @dataclass(frozen=True, eq=False)
 class SpamCorrection:
     populations: np.ndarray
-    clipped_mass: float
+    clipped_mass: float | np.ndarray   # one value per row of a stack
 
 
 def spam_correct(observed, cm: ConfusionMatrix) -> SpamCorrection:
-    """Invert the observation map: observed = true @ M, so true = observed @ M^-1.
+    """Invert the observation map: observed = true @ M, so true = observed @ M^-1,
+    of a 3-vector or of each row of a stack ``(..., 3)``, in one product.
 
     The inverse can leave the probability simplex at finite statistics;
     negative components are clipped to zero and the clipped magnitude is
-    reported, then the result is renormalized.
+    reported, then each row is renormalized.
     """
     obs = np.asarray(observed, dtype=float)
-    if obs.shape != (3,):
-        raise ValueError("observed must be a 3-vector")
-    if abs(obs.sum() - 1.0) > 1e-9:
-        raise ValueError(f"observed frequencies must sum to 1, got {obs.sum()!r}")
+    if obs.shape[-1:] != (3,):
+        raise ValueError("observed must be a 3-vector or a stack of them")
+    sums = obs.sum(axis=-1)
+    if (abs(sums - 1.0) > 1e-9).any():
+        worst = np.ravel(sums)[abs(np.ravel(sums) - 1.0).argmax()]
+        raise ValueError(f"observed frequencies must sum to 1, got {worst!r}")
     raw = obs @ cm.inverse
-    clipped = float(-raw[raw < 0].sum()) if np.any(raw < 0) else 0.0
     corrected = np.clip(raw, 0.0, None)
-    corrected = corrected / corrected.sum()
+    corrected = corrected / corrected.sum(axis=-1, keepdims=True)
     corrected.setflags(write=False)
-    return SpamCorrection(populations=corrected, clipped_mass=clipped)
+    return SpamCorrection(corrected, clipped_mass=np.clip(-raw, 0.0, None).sum(axis=-1))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import HardwareConfig
 from .fitting import ScanResult, fit_sinusoid
-from .quantum import DensityMatrix, PureState, cache_by_value, conjugate, lift
+from .quantum import DensityMatrix, PureState, cache_by_value, lift, rotated_populations
 
 TWO_PI = 2.0 * np.pi
 
@@ -136,8 +136,7 @@ def correlation_scan(state: DensityMatrix, hwp_angles) -> ScanResult:
     if state.dims != PAIR_DIMS:
         raise ValueError("correlation_scan expects an (ion, photon) pair state")
     angles = np.asarray(hwp_angles, dtype=float)
-    rotated = conjugate(state, _half_wave_stack(angles))
-    pops = np.real(np.diagonal(rotated, axis1=-2, axis2=-1))
+    pops = rotated_populations(state, _half_wave_stack(angles))
     series = {}
     for label, pol in _PHOTON_POL:
         marginal = pops @ pol
@@ -183,7 +182,7 @@ def coherence_scan(state: DensityMatrix, analysis_phases) -> ScanResult:
     if state.dims != (2,):
         raise ValueError("coherence_scan expects a single-qubit ion state")
     phases = np.asarray(analysis_phases, dtype=float)
-    p_up = np.real(conjugate(state, _raman_stack(phases))[:, UP, UP])
+    p_up = rotated_populations(state, _raman_stack(phases))[:, UP]
     fit = fit_sinusoid(phases, p_up, 1.0)
     flags = ("fit_degenerate",) if fit.degenerate else ()
     return ScanResult(control=phases, series={"p_up": p_up}, fits={"p_up": fit},

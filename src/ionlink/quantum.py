@@ -12,10 +12,11 @@ package:
   register ``(a, b)`` of two factors is ``np.kron(b, a)``.
 * Qubit basis labels: ion ``|down> = 0``, ``|up> = 1``; photon polarization
   ``|H> = 0``, ``|V> = 1``.
-* Stacks are shaped ``(..., d, d)``: :func:`lift`, :func:`conjugate`,
-  ``ion_photon.raman_rotation`` and ``ion_photon.waveplate_unitary`` map a
-  stack (or an array of phases or angles) to one matrix per leading index,
-  and :func:`validate_density` checks a whole stack in one call.
+* Stacks are shaped ``(..., d, d)``: :func:`lift`, ``ion_photon.raman_rotation``
+  and ``ion_photon.waveplate_unitary`` map a stack (or an array of phases or
+  angles) to one matrix per leading index, :func:`rotated_populations` a stack
+  of unitaries to populations ``(..., d)``, and :func:`validate_density` checks
+  a whole stack in one call.
 
 All operations are pure functions; states are treated as immutable (the
 wrapped arrays are marked read-only).  Classes that hold arrays, here and in
@@ -261,14 +262,15 @@ def apply_unitary(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
     return DensityMatrix(u @ rho.matrix @ u.conj().T, rho.dims)
 
 
-def conjugate(rho: DensityMatrix, unitaries: np.ndarray) -> np.ndarray:
-    """Read-only stack of ``U rho U^dag``, one per unitary of ``(..., d, d)``,
-    validated as density matrices in one call."""
+def rotated_populations(rho: DensityMatrix, unitaries: np.ndarray) -> np.ndarray:
+    """Populations ``(..., d)``: the real diagonal of ``U rho U^dag`` for each
+    unitary of ``(..., d, d)``, without the states.  A non-finite population (a
+    NaN control value) sends the full stack of states to :func:`validate_density`."""
     u = np.asarray(unitaries, dtype=complex)
-    out = u @ rho.matrix @ u.conj().swapaxes(-1, -2)
-    validate_density(out)
-    out.setflags(write=False)
-    return out
+    pops = ((u @ rho.matrix) * u.conj()).sum(axis=-1).real
+    if not np.isfinite(pops).all():
+        validate_density(u @ rho.matrix @ u.conj().swapaxes(-1, -2))
+    return pops
 
 
 def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:

@@ -4,10 +4,11 @@ The oracles here are deliberately independent of the package implementation:
 partial traces by explicit index loops, survival probabilities by literal
 products, campaign requests by literal per-attempt coin flips, potentials
 minimized by generic optimizers, scans by one ``apply_unitary`` per grid
-point, noise by Kraus channels on the full register, the single-ion herald
-by a lifted projector and a partial trace, density-matrix validation through
-the public ``np.linalg.cholesky``, the campaign kernel through a plain binary
-search and whole-column arithmetic.
+point, scan populations by the full rotated states, noise by Kraus channels
+on the full register, the single-ion herald by a lifted projector and a
+partial trace, density-matrix validation through the public
+``np.linalg.cholesky``, the campaign kernel through a plain binary search and
+whole-column arithmetic.
 """
 
 import math
@@ -34,6 +35,7 @@ from ionlink.quantum import (
     apply_unitary,
     lift,
     superposition,
+    validate_density,
 )
 from ionlink.rate_model import success_cdf_table
 
@@ -198,6 +200,17 @@ def reference_validate_density(mats):
     except np.linalg.LinAlgError:
         lo = np.linalg.eigvalsh(mats).min()
         raise ValueError(f"matrix not positive semidefinite: min eigenvalue {lo:.3e}") from None
+
+
+def conjugate(rho: DensityMatrix, unitaries: np.ndarray) -> np.ndarray:
+    """Read-only stack of ``U rho U^dag``, one per unitary of ``(..., d, d)``,
+    validated as density matrices in one call: the full states whose
+    diagonals ``quantum.rotated_populations`` returns."""
+    u = np.asarray(unitaries, dtype=complex)
+    out = u @ rho.matrix @ u.conj().swapaxes(-1, -2)
+    validate_density(out)
+    out.setflags(write=False)
+    return out
 
 
 # --- scans, one grid point at a time -------------------------------------------

@@ -194,6 +194,27 @@ def test_spam_correct_clips_and_reports():
     assert out.populations.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_spam_correct_stack_corrects_each_row_alone():
+    cm = ConfusionMatrix(np.array([[0.9, 0.1, 0.0],
+                                   [0.1, 0.8, 0.1],
+                                   [0.0, 0.1, 0.9]]))
+    observed = np.random.default_rng(8).dirichlet(np.ones(3), size=(2, 13))
+    observed[0, 3] = [0.99, 0.01, 0.0]  # a row that clips
+    out = spam_correct(observed, cm)
+    assert out.populations.shape == (2, 13, 3) and out.clipped_mass.shape == (2, 13)
+    assert not out.populations.flags.writeable
+    for idx in np.ndindex(2, 13):
+        row = spam_correct(observed[idx], cm)
+        np.testing.assert_allclose(out.populations[idx], row.populations, rtol=0, atol=1e-15)
+        assert out.clipped_mass[idx] == pytest.approx(row.clipped_mass, rel=0, abs=1e-15)
+    assert out.clipped_mass[0, 3] > 0.0
+    observed[1, 4] = [0.5, 0.5, 0.5]
+    with pytest.raises(ValueError, match=r"must sum to 1, got .*1\.5"):
+        spam_correct(observed, cm)
+    with pytest.raises(ValueError, match="3-vector"):
+        spam_correct(observed[..., :2], cm)
+
+
 def test_confusion_inverse_stored_read_only():
     cm = ConfusionMatrix.from_model(ReadoutModel(), 20, 150)
     assert np.array_equal(cm.inverse, np.linalg.inv(cm.matrix))

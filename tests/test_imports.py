@@ -1,7 +1,7 @@
-"""Every import and every module-level private name in the package source
-is used: standard-library ``ast`` scans, since the project installs no
-linter.  And each CLI run loads only the modules it runs: fresh-interpreter
-runs that list what they imported."""
+"""Every import in the package and test sources, and every module-level
+private name in the package source, is used: standard-library ``ast`` scans,
+since the project installs no linter.  And each CLI run loads only the
+modules it runs: fresh-interpreter runs that list what they imported."""
 
 import ast
 import json
@@ -14,6 +14,7 @@ from pathlib import Path
 import ionlink
 
 SRC = Path(ionlink.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,6 +45,12 @@ def test_scan_flags_an_unused_import():
 
 def test_package_has_no_unused_imports():
     found = {path.name: unused for path in sorted(SRC.glob("*.py"))
+             if (unused := unused_imports(path.read_text()))}
+    assert found == {}
+
+
+def test_test_modules_have_no_unused_imports():
+    found = {path.name: unused for path in sorted(TESTS.glob("*.py"))
              if (unused := unused_imports(path.read_text()))}
     assert found == {}
 

@@ -22,7 +22,7 @@ from ionlink.ion_photon import (
     raman_rotation,
     waveplate_unitary,
 )
-from ionlink.quantum import conjugate, fidelity_pure, ket, lift
+from ionlink.quantum import fidelity_pure, ket, lift, rotated_populations
 from qutil import apply_channel, dephasing_channel, projected_ion_state, random_density
 
 HWP_GRID = np.linspace(0.0, np.pi / 2.0, 37)
@@ -200,9 +200,8 @@ def test_correlation_scan_selectors_match_inline_construction():
     for _, pol in ion_photon._PHOTON_POL:
         assert not pol.flags.writeable
     for state in _pair_states():
-        rotated = conjugate(state, lift(waveplate_unitary("half", HWP_GRID), PHOTON,
-                                        PAIR_DIMS))
-        pops = np.real(np.diagonal(rotated, axis1=-2, axis2=-1))
+        pops = rotated_populations(state, lift(waveplate_unitary("half", HWP_GRID), PHOTON,
+                                               PAIR_DIMS))
         scan = correlation_scan(state, HWP_GRID)
         assert list(scan.series) == ["p_up_given_V", "p_up_given_H"]
         for label, proj_pol in (("p_up_given_V", P_UP), ("p_up_given_H", P_DOWN)):

@@ -24,14 +24,15 @@ from ionlink.ion_photon import (
 from ionlink.quantum import (
     DensityMatrix,
     apply_unitary,
-    conjugate,
     ket,
     lift,
+    rotated_populations,
     validate_density,
 )
 from qutil import (
     apply_channel,
     channel_emitted_pair,
+    conjugate,
     dephasing_channel,
     depolarizing_channel,
     literal_swapped_state,
@@ -92,7 +93,8 @@ def test_parity_scan_matches_loop_oracle(rho, phases, pulses):
 @given(states((2, 2)), grids)
 def test_folded_two_pulse_stack_equals_pulse_then_stack(rho, phases):
     stepwise = conjugate(apply_analysis_pulse(rho, 0.0), analysis._pulse_stack(phases))
-    np.testing.assert_allclose(analysis._analysis_sequence(rho, phases, "two"), stepwise,
+    np.testing.assert_allclose(analysis._analysis_sequence(rho, phases, "two"),
+                               np.real(np.diagonal(stepwise, axis1=-2, axis2=-1)),
                                rtol=0, atol=1e-12)
 
 
@@ -220,6 +222,17 @@ def test_conjugate_output_valid_and_matches_apply_unitary(rho, us):
     assert out.shape == (len(us), 4, 4) and not out.flags.writeable
     for u, got in zip(us, out):
         np.testing.assert_allclose(got, apply_unitary(rho, u).matrix, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(st.sampled_from([(2,), (2, 2)]), st.integers(0, 6), st.data())
+def test_rotated_populations_equal_diagonal_of_conjugated_states(dims, count, data):
+    rho = data.draw(states(dims))
+    us = data.draw(unitaries(rho.dim, count))
+    got = rotated_populations(rho, us)
+    assert got.shape == (len(us), rho.dim) and got.dtype == float
+    np.testing.assert_allclose(got, np.diagonal(conjugate(rho, us), axis1=-2, axis2=-1),
+                               rtol=0, atol=1e-12)
 
 
 # --- closed forms against the register-level Kraus reference ----------------------

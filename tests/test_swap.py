@@ -6,7 +6,6 @@ import pytest
 from ionlink.config import HardwareConfig, ideal_config
 from ionlink.quantum import fidelity_pure
 from ionlink.swap import (
-    HeraldStats,
     aligned_state_from_config,
     alignment_wait,
     bell_phase,
