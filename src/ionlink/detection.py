@@ -115,12 +115,6 @@ class ThresholdResult:
     degenerate: bool = False
 
 
-def classify_counts(counts, t1: int, t2: int) -> np.ndarray:
-    """0 for counts <= t1, 1 for t1 < counts <= t2, else 2."""
-    counts = np.asarray(counts)
-    return np.where(counts <= t1, 0, np.where(counts <= t2, 1, 2))
-
-
 def choose_thresholds(histograms) -> ThresholdResult:
     """Exhaustive threshold pair minimizing the mean per-class error.
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import HardwareConfig
 from .fitting import ScanResult, fit_sinusoid
-from .quantum import DensityMatrix, PureState, cache_by_value, lift, rotated_populations
+from .quantum import DensityMatrix, cache_by_value, lift, rotated_populations
 
 TWO_PI = 2.0 * np.pi
 
@@ -24,9 +24,9 @@ ION = 0
 PHOTON = 1
 PAIR_DIMS = (2, 2)
 
-# photon basis values (H = 0, V = 1); ion basis (down = 0, up = 1)
+# photon basis values (H = 0, V = 1) and the ion's up value (down = 0)
 H, V = 0, 1
-DOWN, UP = 0, 1
+UP = 1
 
 P_UP = np.diag([0.0, 1.0]).astype(complex)
 P_DOWN = np.diag([1.0, 0.0]).astype(complex)
@@ -64,11 +64,6 @@ def _pair_amplitudes(phase: float) -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, np.exp(1j * phase)]) / np.sqrt(2.0)
 
 
-def ideal_pair_state(phase: float = 0.0) -> PureState:
-    """``(|H,down> + e^{i phase} |V,up>)/sqrt(2)`` on (ion, photon)."""
-    return PureState(_pair_amplitudes(phase), PAIR_DIMS)
-
-
 def emit_ion_photon_state(params: SourceParams) -> DensityMatrix:
     """Heralded ion-photon state of one source, photon detected.
 
@@ -84,31 +79,24 @@ def emit_ion_photon_state(params: SourceParams) -> DensityMatrix:
                          PAIR_DIMS)
 
 
-def waveplate_unitary(kind: str, angle) -> np.ndarray:
-    """Jones matrix of a retarder with its fast axis rotated by ``angle``.
-
-    Retardance is pi for ``"half"`` and pi/2 for ``"quarter"``; the matrix is
-    ``R(angle) @ diag(1, exp(i*retardance)) @ R(-angle)`` up to global phase.
+def waveplate_unitary(angle) -> np.ndarray:
+    """Jones matrix of a half-wave plate with its fast axis rotated by
+    ``angle``: ``R(angle) @ diag(1, -1) @ R(-angle)`` up to global phase.
     An array of angles gives the stack ``angle.shape + (2, 2)``.
     """
-    if kind == "half":
-        retardance = np.pi
-    elif kind == "quarter":
-        retardance = np.pi / 2.0
-    else:
-        raise ValueError(f"unknown waveplate kind {kind!r}")
     c, s = np.cos(angle), np.sin(angle)
     rot = np.stack([c, -s, s, c], axis=-1).reshape(np.shape(angle) + (2, 2)).astype(complex)
-    return rot @ np.diag([1.0, np.exp(1j * retardance)]) @ rot.conj().swapaxes(-1, -2)
+    # exp(i pi) keeps its 1.2e-16 imaginary part: -1 would move scans at round-off
+    return rot @ np.diag([1.0, np.exp(1j * np.pi)]) @ rot.conj().swapaxes(-1, -2)
 
 
-def raman_rotation(phase, angle: float = np.pi / 2.0) -> np.ndarray:
-    """Qubit rotation ``exp(-i angle/2 (cos(phase) sx + sin(phase) sy))``;
+def raman_rotation(phase) -> np.ndarray:
+    """Qubit pi/2 rotation ``exp(-i pi/4 (cos(phase) sx + sin(phase) sy))``;
     an array of phases gives the stack ``phase.shape + (2, 2)``."""
     phase = np.asarray(phase)
     out = np.empty(phase.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = out[..., 1, 1] = np.cos(angle / 2.0)
-    s = np.sin(angle / 2.0)
+    out[..., 0, 0] = out[..., 1, 1] = np.cos(np.pi / 4.0)
+    s = np.sin(np.pi / 4.0)
     out[..., 0, 1] = -1j * np.exp(-1j * phase) * s
     out[..., 1, 0] = -1j * np.exp(1j * phase) * s
     return out
@@ -119,7 +107,7 @@ def raman_rotation(phase, angle: float = np.pi / 2.0) -> np.ndarray:
 @cache_by_value(maxsize=4)
 def _half_wave_stack(angles) -> np.ndarray:
     """Half-wave plate at each angle, acting on the photon of the pair."""
-    return lift(waveplate_unitary("half", angles), PHOTON, PAIR_DIMS)
+    return lift(waveplate_unitary(angles), PHOTON, PAIR_DIMS)
 
 
 _raman_stack = cache_by_value(maxsize=4)(raman_rotation)

@@ -43,21 +43,11 @@ MASS_RANGE_AMU = (1.0, 300.0)
 
 # Default calibration targets: measured mode table of the Yb-Ba-Ba chain used
 # for sympathetic cooling (frequencies in Hz; axial ascending, radial
-# descending).  The displacement entries are units-normalized per mode, laid
-# out as [ion, mode] with ions ordered (Yb, Ba, Ba) along the axis.
+# descending), with the ions ordered (Yb, Ba, Ba) along the axis.  The
+# table's printed displacement patterns are the reference of the tests.
 YB_BA_BA_MASSES = (MASS_YB_171, MASS_BA_138, MASS_BA_138)
 YB_BA_BA_AXIAL_HZ = (353e3, 604e3, 872e3)
 YB_BA_BA_RADIAL_HZ = (868e3, 737e3, 606e3)
-YB_BA_BA_AXIAL_DISPLACEMENT = (
-    (0.614, 0.640, 0.300),
-    (0.567, -0.126, -0.840),
-    (0.549, -0.758, 0.453),
-)
-YB_BA_BA_RADIAL_DISPLACEMENT = (
-    (0.178, 0.412, 0.847),
-    (0.587, 0.672, -0.512),
-    (0.790, -0.615, 0.144),
-)
 # single Ba-138 ion references of a modes --single-ion run, Hz
 SINGLE_ION_AXIAL_HZ = 367e3
 SINGLE_ION_RADIAL_HZ = 890e3

@@ -131,12 +131,6 @@ class RateReport:
     def rate_attempts_only_hz(self) -> float:
         return self.successes / (self.attempt_wall_ns * 1e-9)
 
-    def empirical_cdf(self, caps) -> np.ndarray:
-        """Fraction of requests succeeding within each cap in ``caps``."""
-        caps = np.asarray(caps, dtype=float)
-        attempts = np.sort(self.attempts_used[self.success_mask])
-        return np.searchsorted(attempts, caps, side="right") / self.requests
-
     def summary(self) -> dict:
         """Aggregates with standard errors (``None`` below two requests).
 

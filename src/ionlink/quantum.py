@@ -12,11 +12,13 @@ package:
   register ``(a, b)`` of two factors is ``np.kron(b, a)``.
 * Qubit basis labels: ion ``|down> = 0``, ``|up> = 1``; photon polarization
   ``|H> = 0``, ``|V> = 1``.
-* Stacks are shaped ``(..., d, d)``: :func:`lift`, ``ion_photon.raman_rotation``
-  and ``ion_photon.waveplate_unitary`` map a stack (or an array of phases or
-  angles) to one matrix per leading index, :func:`rotated_populations` a stack
-  of unitaries to populations ``(..., d)``, and :func:`validate_density` checks
-  a whole stack in one call.
+* Stacks are shaped ``(..., d, d)``: :func:`lift` maps a stack to one
+  matrix per leading index, as ``ion_photon.raman_rotation`` (a pi/2 pulse)
+  and ``ion_photon.waveplate_unitary`` (a half-wave plate) map an array of
+  phases or angles; :func:`rotated_populations` maps a stack of unitaries to
+  populations ``(..., d)``, and :func:`validate_density` checks a whole stack
+  in one call.  Basis kets and the density matrix of a pure state, which only
+  the tests build, are in ``tests/qutil.py``.
 
 All operations are pure functions; states are treated as immutable (the
 wrapped arrays are marked read-only).  Classes that hold arrays, here and in
@@ -161,10 +163,6 @@ class PureState:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()),
-                             self.dims)
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
@@ -209,16 +207,6 @@ def validate_density(mats: np.ndarray) -> None:
             lo = np.linalg.eigvalsh(mats).min()
             raise ValueError(f"matrix not positive semidefinite: "
                              f"min eigenvalue {lo:.3e}") from None
-
-
-def ket(values: Sequence[int], dims: Sequence[int] = None) -> PureState:
-    """Computational basis state, e.g. ``ket([0, 1])`` for |down, up-or-V>."""
-    if dims is None:
-        dims = (2,) * len(values)
-    d = math.prod(dims)
-    amps = np.zeros(d, dtype=complex)
-    amps[basis_index(values, dims)] = 1.0
-    return PureState(amps, dims)
 
 
 def superposition(terms: Iterable[tuple[complex, Sequence[int]]],

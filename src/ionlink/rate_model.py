@@ -22,8 +22,8 @@ after one initial cooling.  Both give ``rate = q / (E dt + breaks dc)`` with
 ``breaks = 1 - q`` or ``1``.  Caps are integers; an integral float such as
 ``2000.0`` is accepted.
 
-The continuous ``pdf`` and ``cdf`` (the attempt index treated as real) remain
-only as the reference that acceptance criterion 07 pins.
+The continuous density and CDF (the attempt index treated as real), which
+acceptance criterion 07 pins, live in ``tests/qutil.py`` as a reference.
 """
 
 from __future__ import annotations
@@ -114,35 +114,6 @@ def _expected_attempts_table(p: DecayParams, cap: int) -> np.ndarray:
     return attempts
 
 
-def _log_survival(n, p: DecayParams):
-    """Continuous exponent ``g(n)`` with ``survival = exp(g)``; stable for
-    small ``b``."""
-    n = np.asarray(n, dtype=float)
-    if p.b == 0.0:
-        return -(p.a + p.c) * n
-    return p.a * np.expm1(-p.b * n) / p.b - p.c * n
-
-
-def pdf(n, p: DecayParams):
-    """Continuous first-success density at attempt index ``n >= 0``:
-    ``exp[(A/B)(exp(-B n) - 1) - C n] (A exp(-B n) + C)``."""
-    n_arr = np.asarray(n, dtype=float)
-    if np.any(n_arr < 0):
-        raise ValueError("n must be nonnegative")
-    out = np.exp(_log_survival(n_arr, p)) * p.probability(n_arr)
-    return out if out.shape else float(out)
-
-
-def cdf(n, p: DecayParams):
-    """Continuous herald probability within ``n`` attempts:
-    ``1 - exp[(A/B)(exp(-B n) - 1) - C n]``."""
-    n_arr = np.asarray(n, dtype=float)
-    if np.any(n_arr < 0):
-        raise ValueError("n must be nonnegative")
-    out = -np.expm1(_log_survival(n_arr, p))
-    return out if out.shape else float(out)
-
-
 @dataclass(frozen=True, eq=False)
 class RateCurve:
     """Loop statistics at each cap of ``caps``, one array entry per cap."""
@@ -176,17 +147,6 @@ def rate_curve(caps, p: DecayParams, schedule: ScheduleParams,
     return RateCurve(caps=caps, cdf=q, mean_success_prob=q / e,
                      rate_hz=q / (attempt_time + breaks * schedule.cooling_duration),
                      rate_no_cooling_hz=q / attempt_time)
-
-
-def expected_attempts(n, p: DecayParams) -> float:
-    """``E(n) = sum_{k<n} S_k``: mean attempts a loop capped at ``n`` uses."""
-    return float(_loop_sums(n, p)[2])
-
-
-def mean_success_prob(n, p: DecayParams) -> float:
-    """``q(n) / E(n)``: heralds per attempt consumed at loop cap ``n``."""
-    _, q, e = _loop_sums(n, p)
-    return float(q / e)
 
 
 def request_rate(n, p: DecayParams, schedule: ScheduleParams,

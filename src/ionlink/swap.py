@@ -5,8 +5,11 @@ beamsplitter erases which-path information, and a coincidence of one H and one
 V detection projects the photon pair onto one of the two polarization Bell
 states ``(|HV> +/- |VH>)/sqrt(2)`` - same-side coincidences onto the symmetric
 combination, opposite-side onto the antisymmetric one.  HH and VV patterns
-herald nothing.  The absolute sign assignment (same side -> +1) is a
-documented convention; the experiment fixes only the relative rule.  Each
+herald nothing, so an attempt heralds with probability ``eta_A eta_B / 2``
+(``HardwareConfig.herald_probability``), either sign equally likely; the
+campaign Monte Carlo (``protocol``) samples the heralds and their signs.  The
+absolute sign assignment (same side -> +1) is a documented convention; the
+experiment fixes only the relative rule.  Each
 source emits ``(1-p) |psi><psi| + p I/4``, so the heralded two-ion state is a
 Werner-type X matrix (Werner, PRA 40, 4277 (1989)) and is written down in
 closed form; the four-qubit register (ion A, photon A, ion B, photon B), its
@@ -27,7 +30,6 @@ selects the orientation (default ``"b_minus_a"``, the reference form), and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,21 +41,6 @@ TWO_PI = 2.0 * np.pi
 TWO_ION_DIMS = (2, 2)
 
 DOWN, UP = 0, 1
-
-
-def success_probability(eta_a: float, eta_b: float) -> float:
-    """Per-attempt herald probability ``eta_a * eta_b / 2``.
-
-    The factor 1/2 is the fraction of photon Bell states the analyzer heralds.
-    """
-    if not (0.0 <= eta_a <= 1.0 and 0.0 <= eta_b <= 1.0):
-        raise ValueError("efficiencies must be in [0, 1]")
-    return 0.5 * eta_a * eta_b
-
-
-def bell_phase(delta: float, t: float, phase: float) -> float:
-    """Accumulated superposition phase ``(delta*t + phase) mod 2*pi``."""
-    return float((delta * t + phase) % TWO_PI)
 
 
 def phase_alignment_delay(delta: float, phase: float, target: float = 0.0) -> float:
@@ -129,44 +116,3 @@ def alignment_wait(cfg: HardwareConfig, sign: int) -> float:
 def aligned_state_from_config(cfg: HardwareConfig, sign: int = +1) -> DensityMatrix:
     """Heralded state analyzed after ``alignment_wait`` for its sign."""
     return swapped_state(cfg, sign, alignment_wait(cfg, sign))
-
-
-@dataclass(frozen=True)
-class HeraldStats:
-    """Tallies from attempt-level herald sampling."""
-
-    attempts: int
-    heralds: int
-    plus_signs: int
-
-    @property
-    def herald_fraction(self) -> float:
-        return self.heralds / self.attempts if self.attempts else 0.0
-
-
-def simulate_heralds(eta_a: float, eta_b: float, attempts: int,
-                     rng: np.random.Generator, chunk: int = 1_000_000) -> HeraldStats:
-    """Monte Carlo of the attempt loop at the detection-outcome level.
-
-    Each attempt collects a photon from each source independently; on a
-    coincidence, the photon polarizations are uniform (each source's photon
-    marginal is maximally mixed), so half the coincidences give the H+V
-    patterns that herald, with the two signs equally likely.
-    """
-    if attempts < 1:
-        raise ValueError("attempts must be at least 1")
-    heralds = 0
-    plus = 0
-    remaining = attempts
-    while remaining > 0:
-        n = min(chunk, remaining)
-        remaining -= n
-        coincidence = (rng.random(n) < eta_a) & (rng.random(n) < eta_b)
-        k = int(coincidence.sum())
-        if k == 0:
-            continue
-        is_herald = rng.random(k) < 0.5
-        h = int(is_herald.sum())
-        heralds += h
-        plus += int((rng.random(h) < 0.5).sum())
-    return HeraldStats(attempts=attempts, heralds=heralds, plus_signs=plus)

@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite: random states and brute-force oracles.
+"""Shared helpers for the test suite: random states, brute-force oracles and
+the references that no command-line run needs.
 
 The oracles here are deliberately independent of the package implementation:
 partial traces by explicit index loops, survival probabilities by literal
@@ -9,6 +10,14 @@ on the full register, the single-ion herald by a lifted projector and a
 partial trace, density-matrix validation through the public
 ``np.linalg.cholesky``, the campaign kernel through a plain binary search and
 whole-column arithmetic.
+
+The references are what the tests compare the package against, kept out of
+``src/`` because the command line runs none of them: basis kets and the
+density matrix of a pure state, the ideal ion-photon pair, the Bell-state
+phase, threshold classification of single counts, a campaign's empirical
+first-success CDF, the continuous first-success density and CDF of the rate
+model with its expected attempts and mean success probability per cap, and
+the printed Yb-Ba-Ba displacement tables.
 """
 
 import math
@@ -21,7 +30,7 @@ from ionlink.config import MAX_REQUEST_NS
 from ionlink.ion_photon import (
     PAIR_DIMS,
     PHOTON,
-    ideal_pair_state,
+    _pair_amplitudes,
     raman_rotation,
     waveplate_unitary,
 )
@@ -32,12 +41,14 @@ from ionlink.quantum import (
     PSD_TOL,
     TRACE_TOL,
     DensityMatrix,
+    PureState,
     apply_unitary,
+    basis_index,
     lift,
     superposition,
     validate_density,
 )
-from ionlink.rate_model import success_cdf_table
+from ionlink.rate_model import DecayParams, _loop_sums, success_cdf_table
 
 CHANNEL_TOL = 1e-10
 
@@ -45,6 +56,101 @@ ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+# --- references that no command-line run needs ---------------------------------
+
+def ket(values: Sequence[int], dims: Sequence[int] = None) -> PureState:
+    """Computational basis state, e.g. ``ket([0, 1])`` for |down, up-or-V>."""
+    if dims is None:
+        dims = (2,) * len(values)
+    d = math.prod(dims)
+    amps = np.zeros(d, dtype=complex)
+    amps[basis_index(values, dims)] = 1.0
+    return PureState(amps, dims)
+
+
+def density(psi: PureState) -> DensityMatrix:
+    """``|psi><psi|`` on the register of ``psi``."""
+    return DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.dims)
+
+
+def ideal_pair_state(phase: float = 0.0) -> PureState:
+    """``(|H,down> + e^{i phase} |V,up>)/sqrt(2)`` on (ion, photon)."""
+    return PureState(_pair_amplitudes(phase), PAIR_DIMS)
+
+
+def bell_phase(delta: float, t: float, phase: float) -> float:
+    """Accumulated superposition phase ``(delta*t + phase) mod 2*pi``."""
+    return float((delta * t + phase) % (2.0 * np.pi))
+
+
+def classify_counts(counts, t1: int, t2: int) -> np.ndarray:
+    """0 for counts <= t1, 1 for t1 < counts <= t2, else 2."""
+    counts = np.asarray(counts)
+    return np.where(counts <= t1, 0, np.where(counts <= t2, 1, 2))
+
+
+def empirical_cdf(report: RateReport, caps) -> np.ndarray:
+    """Fraction of a campaign's requests succeeding within each cap in ``caps``."""
+    caps = np.asarray(caps, dtype=float)
+    attempts = np.sort(report.attempts_used[report.success_mask])
+    return np.searchsorted(attempts, caps, side="right") / report.requests
+
+
+def _log_survival(n, p: DecayParams):
+    """Continuous exponent ``g(n)`` with ``survival = exp(g)``; stable for
+    small ``b``."""
+    n = np.asarray(n, dtype=float)
+    if p.b == 0.0:
+        return -(p.a + p.c) * n
+    return p.a * np.expm1(-p.b * n) / p.b - p.c * n
+
+
+def pdf(n, p: DecayParams):
+    """Continuous first-success density at attempt index ``n >= 0``:
+    ``exp[(A/B)(exp(-B n) - 1) - C n] (A exp(-B n) + C)``."""
+    n_arr = np.asarray(n, dtype=float)
+    if np.any(n_arr < 0):
+        raise ValueError("n must be nonnegative")
+    out = np.exp(_log_survival(n_arr, p)) * p.probability(n_arr)
+    return out if out.shape else float(out)
+
+
+def cdf(n, p: DecayParams):
+    """Continuous herald probability within ``n`` attempts:
+    ``1 - exp[(A/B)(exp(-B n) - 1) - C n]``."""
+    n_arr = np.asarray(n, dtype=float)
+    if np.any(n_arr < 0):
+        raise ValueError("n must be nonnegative")
+    out = -np.expm1(_log_survival(n_arr, p))
+    return out if out.shape else float(out)
+
+
+def expected_attempts(n, p: DecayParams) -> float:
+    """``E(n) = sum_{k<n} S_k``: mean attempts a loop capped at ``n`` uses."""
+    return float(_loop_sums(n, p)[2])
+
+
+def mean_success_prob(n, p: DecayParams) -> float:
+    """``q(n) / E(n)``: heralds per attempt consumed at loop cap ``n``."""
+    _, q, e = _loop_sums(n, p)
+    return float(q / e)
+
+
+# Printed displacement patterns of the measured Yb-Ba-Ba mode table, unit
+# norm per mode, laid out as [ion, mode] with ions ordered (Yb, Ba, Ba) along
+# the axis; the sign of each mode is arbitrary.
+YB_BA_BA_AXIAL_DISPLACEMENT = (
+    (0.614, 0.640, 0.300),
+    (0.567, -0.126, -0.840),
+    (0.549, -0.758, 0.453),
+)
+YB_BA_BA_RADIAL_DISPLACEMENT = (
+    (0.178, 0.412, 0.847),
+    (0.587, 0.672, -0.512),
+    (0.790, -0.615, 0.144),
+)
 
 
 def random_unitary(rng, dim):
@@ -236,7 +342,7 @@ def loop_correlation_scan(state, angles):
     """``(P(up | V), P(up | H))`` after a half-wave plate on the photon."""
     p_up_v, p_up_h = [], []
     for theta in angles:
-        u = np.kron(waveplate_unitary("half", float(theta)), np.eye(2))
+        u = np.kron(waveplate_unitary(float(theta)), np.eye(2))
         p = np.real(np.diag(apply_unitary(state, u).matrix))
         for out, (both, pol_only) in ((p_up_v, (3, 2)), (p_up_h, (1, 0))):
             marginal = p[both] + p[pol_only]
@@ -364,7 +470,7 @@ def dephasing_channel(coherence_scale: float) -> KrausChannel:
 def channel_emitted_pair(pol_mixing, phase):
     """One source's emitted pair: the ideal pair, then the depolarizing
     channel on its photon."""
-    state = ideal_pair_state(phase).density()
+    state = density(ideal_pair_state(phase))
     if pol_mixing > 0.0:
         ch = depolarizing_channel(pol_mixing).on_subsystem(PHOTON, PAIR_DIMS)
         state = apply_channel(state, ch)

@@ -18,8 +18,18 @@ from ionlink.config import (
 )
 from ionlink.detection import ConfusionMatrix, ReadoutModel, choose_thresholds, \
     simulate_histogram, spam_correct
-from ionlink.ion_photon import emit_ion_photon_state, ideal_pair_state
+from ionlink.ion_photon import emit_ion_photon_state
 from ionlink.quantum import fidelity_pure
+from qutil import (
+    YB_BA_BA_AXIAL_DISPLACEMENT,
+    YB_BA_BA_RADIAL_DISPLACEMENT,
+    bell_phase,
+    cdf,
+    density,
+    empirical_cdf,
+    ideal_pair_state,
+    pdf,
+)
 
 
 def _report(index: int, name: str, ok: bool, detail: str = "") -> None:
@@ -36,15 +46,20 @@ def test_criterion_01_efficiency_chain():
 
 
 def test_criterion_02_herald_probability():
-    p = swap.success_probability(0.023, 0.022)
+    cfg = HardwareConfig()
+    p = cfg.herald_probability()
     ok_value = abs(p - 2.53e-4) < 1e-8 and abs(p - 2.50e-4) <= 1.6e-5
-    attempts = 10_000_000
-    stats = swap.simulate_heralds(0.023, 0.022, attempts,
-                                  np.random.default_rng(2024))
-    sigma = np.sqrt(p * (1 - p) / attempts)
-    ok_mc = abs(stats.herald_fraction - p) < 3 * sigma
+    # the campaign kernel's share of requests that herald on their first
+    # attempt is p(0) = decay_a + decay_c; ten campaigns of 10^6 requests
+    requests = 10_000_000
+    first = sum(int(np.count_nonzero(
+        protocol.simulate_campaign(cfg, requests // 10, master_seed).attempts_used == 1))
+        for master_seed in range(2024, 2034))
+    fraction = first / requests
+    sigma = np.sqrt(p * (1 - p) / requests)
+    ok_mc = abs(fraction - p) < 3 * sigma
     _report(2, "herald probability", ok_value and ok_mc,
-            f"analytic {p:.3e}, MC {stats.herald_fraction:.3e} "
+            f"analytic {p:.3e}, MC first-attempt fraction {fraction:.3e} "
             f"(3-sigma {3 * sigma:.2e})")
 
 
@@ -91,7 +106,7 @@ def test_criterion_05_error_budget():
                   and abs(ledger.total - 0.036) <= 5e-4)
     t = cfg.analysis_delay
     rho = swap.swapped_state(cfg, +1, t)
-    target = swap.bell_state(+1, swap.bell_phase(cfg.delta, t, cfg.swap_phase()))
+    target = swap.bell_state(+1, bell_phase(cfg.delta, t, cfg.swap_phase()))
     infidelity = 1.0 - fidelity_pure(rho, target)
     ok_full = abs(infidelity - ledger.total) <= 5e-3
     _report(5, "error budget", ok_entries and ok_full,
@@ -111,18 +126,18 @@ def test_criterion_07_rate_model():
         c = rng.uniform(2e-4, 2e-3)
         params = rate_model.DecayParams(a=rng.uniform(0.0, 2.0 * c),
                                         b=rng.uniform(1e-4, 1e-2), c=c)
-        total, _ = quad(lambda x: rate_model.pdf(x, params), 0.0, np.inf,
+        total, _ = quad(lambda x: pdf(x, params), 0.0, np.inf,
                         limit=500)
         ok_norm = ok_norm and abs(total - 1.0) <= 1e-8
 
     params = rate_model.DecayParams(*DECAY_COOLANT_RECONSTRUCTION)
     ok_cdf = True
     for n in np.linspace(100.0, 40000.0, 12):
-        integral, _ = quad(lambda x: rate_model.pdf(x, params), 0.0, n,
+        integral, _ = quad(lambda x: pdf(x, params), 0.0, n,
                            epsabs=1e-13, limit=500)
-        ok_cdf = ok_cdf and abs(rate_model.cdf(n, params) - integral) <= 1e-10
+        ok_cdf = ok_cdf and abs(cdf(n, params) - integral) <= 1e-10
 
-    ok_anchor = rate_model.cdf(20000.0, params) > 0.99
+    ok_anchor = cdf(20000.0, params) > 0.99
 
     # Monte Carlo attempts-used CDF vs the analytic closed form, 1e6 requests
     cap = 80_000
@@ -131,12 +146,12 @@ def test_criterion_07_rate_model():
     rep = protocol.simulate_campaign(cfg, 1_000_000, master_seed=777)
     grid = np.unique(np.concatenate([np.arange(1, 200),
                                      np.geomspace(200, cap, 400).astype(int)]))
-    emp = rep.empirical_cdf(grid)
-    ana = rate_model.cdf(grid.astype(float), params)
+    emp = empirical_cdf(rep, grid)
+    ana = cdf(grid.astype(float), params)
     sup = float(np.max(np.abs(emp - ana)))
     ok_mc = sup < 0.01
     _report(7, "rate model", ok_norm and ok_cdf and ok_anchor and ok_mc,
-            f"sup-norm {sup:.4f}, CDF(20000) = {rate_model.cdf(20000.0, params):.4f}")
+            f"sup-norm {sup:.4f}, CDF(20000) = {cdf(20000.0, params):.4f}")
 
 
 def test_criterion_08_mode_table():
@@ -146,8 +161,8 @@ def test_criterion_08_mode_table():
     ok_freq = (np.max(np.abs(ax.frequencies - modes.YB_BA_BA_AXIAL_HZ)) < 500.0
                and np.max(np.abs(rad.frequencies - modes.YB_BA_BA_RADIAL_HZ)) < 500.0)
     ok_vec = True
-    for table, printed in ((ax, modes.YB_BA_BA_AXIAL_DISPLACEMENT),
-                           (rad, modes.YB_BA_BA_RADIAL_DISPLACEMENT)):
+    for table, printed in ((ax, YB_BA_BA_AXIAL_DISPLACEMENT),
+                           (rad, YB_BA_BA_RADIAL_DISPLACEMENT)):
         printed = np.asarray(printed)
         for m in range(3):
             dev = min(np.max(np.abs(table.displacement[:, m] - printed[:, m])),
@@ -175,7 +190,7 @@ def test_criterion_09_ideal_physics():
                              ideal_pair_state(cfg.phi_a))
     ion_fids = [fidelity_pure(swap.aligned_state_from_config(cfg, s),
                               swap.bell_state(+1, 0.0)) for s in (+1, -1)]
-    scan = analysis.parity_scan(swap.bell_state(+1, 0.0).density(),
+    scan = analysis.parity_scan(density(swap.bell_state(+1, 0.0)),
                                 np.linspace(0, np.pi, 25), pulses="two")
     ok = (abs(pair_fid - 1.0) < 1e-9
           and all(abs(f - 1.0) < 1e-9 for f in ion_fids)

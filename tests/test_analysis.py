@@ -21,18 +21,17 @@ from ionlink.detection import ConfusionMatrix
 from ionlink.quantum import DensityMatrix, fidelity_pure, superposition
 from ionlink.swap import (
     aligned_state_from_config,
-    bell_phase,
     bell_state,
     phase_alignment_delay,
     swapped_state,
 )
-from qutil import literal_swapped_state
+from qutil import bell_phase, density, literal_swapped_state
 
 PHASES = np.linspace(0.0, np.pi, 25)
 
 
 def test_two_pulse_scan_ideal_state():
-    scan = parity_scan(bell_state(+1, 0.0).density(), PHASES, pulses="two")
+    scan = parity_scan(density(bell_state(+1, 0.0)), PHASES, pulses="two")
     assert scan.contrast == pytest.approx(1.0, abs=1e-10)
 
 
@@ -59,11 +58,11 @@ def test_zero_coherence_states():
 
 def test_one_pulse_scan_measures_even_coherence():
     # state with a pure even coherence: (|dd> + |uu>)/sqrt(2)
-    phi_plus = superposition([(1.0, (0, 0)), (1.0, (1, 1))], (2, 2)).density()
+    phi_plus = density(superposition([(1.0, (0, 0)), (1.0, (1, 1))], (2, 2)))
     scan = parity_scan(phi_plus, PHASES, pulses="one")
     assert scan.contrast == pytest.approx(1.0, abs=1e-10)
     # while the ideal odd state shows none: its one-pulse parity is constant
-    scan_odd = parity_scan(bell_state(+1, 0.0).density(), PHASES, pulses="one")
+    scan_odd = parity_scan(density(bell_state(+1, 0.0)), PHASES, pulses="one")
     assert scan_odd.contrast < 1e-12
     assert np.allclose(scan_odd.series["parity"], 1.0, atol=1e-12)
 

@@ -15,12 +15,12 @@ from ionlink.ion_photon import (
     PHOTON,
     coherence_scan,
     correlation_scan,
-    ideal_pair_state,
     raman_rotation,
     waveplate_unitary,
 )
-from ionlink.quantum import apply_unitary, cache_by_value, ket, lift
+from ionlink.quantum import apply_unitary, cache_by_value, lift
 from ionlink.swap import bell_state
+from qutil import density, ideal_pair_state, ket
 
 # fixed examples and no timing checks, so a loaded machine cannot fail a run
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -57,7 +57,7 @@ CACHES = {
     "two_pulse_stack": (analysis._two_pulse_stack, lambda g, k: (g,),
                         lambda g, k: _pulse_stack(g) @ _kron_pulse(0.0)),
     "half_wave_stack": (ion_photon._half_wave_stack, lambda g, k: (g,),
-                        lambda g, k: lift(waveplate_unitary("half", g), PHOTON, PAIR_DIMS)),
+                        lambda g, k: lift(waveplate_unitary(g), PHOTON, PAIR_DIMS)),
     "raman_stack": (ion_photon._raman_stack, lambda g, k: (g,),
                     lambda g, k: raman_rotation(g)),
     "fit_solver": (fitting._solver, lambda g, k: (g, k), _solver),
@@ -111,7 +111,7 @@ def test_hit_returns_the_built_array_and_scans_repeat():
     grid = np.linspace(0.0, np.pi, 13)
     assert analysis._pulse_stack(grid) is analysis._pulse_stack(grid.copy())
     assert analysis._pulse(0.25) is analysis._pulse(0.25)
-    rho = bell_state(+1, 0.4).density()
+    rho = density(bell_state(+1, 0.4))
     first, again = parity_scan(rho, grid), parity_scan(rho, list(grid))
     assert first.series["parity"].tobytes() == again.series["parity"].tobytes()
     assert first.fits == again.fits
@@ -133,13 +133,13 @@ def test_each_cache_stays_within_its_bound():
 
 
 NAN_CALLS = {
-    "pulse": lambda: apply_analysis_pulse(bell_state(+1).density(), np.nan),
-    "two_pulse_scan": lambda: parity_scan(bell_state(+1).density(), [0.0, np.nan, 1.0]),
-    "one_pulse_scan": lambda: parity_scan(bell_state(+1).density(), [0.0, np.nan, 1.0],
+    "pulse": lambda: apply_analysis_pulse(density(bell_state(+1)), np.nan),
+    "two_pulse_scan": lambda: parity_scan(density(bell_state(+1)), [0.0, np.nan, 1.0]),
+    "one_pulse_scan": lambda: parity_scan(density(bell_state(+1)), [0.0, np.nan, 1.0],
                                           pulses="one"),
-    "correlation_scan": lambda: correlation_scan(ideal_pair_state().density(),
+    "correlation_scan": lambda: correlation_scan(density(ideal_pair_state()),
                                                  [0.0, np.nan, 1.0]),
-    "coherence_scan": lambda: coherence_scan(ket([0]).density(), [0.0, 1.0, np.nan]),
+    "coherence_scan": lambda: coherence_scan(density(ket([0])), [0.0, 1.0, np.nan]),
 }
 
 
@@ -152,7 +152,7 @@ def test_nan_control_still_fails_validation(name):
 
 
 def test_cached_pulse_matches_uncached_application():
-    rho = bell_state(-1, 1.1).density()
+    rho = density(bell_state(-1, 1.1))
     for phase in (0.0, -0.0, 0.3, 2.0 * np.pi):
         expected = apply_unitary(rho, _kron_pulse(phase))
         assert np.array_equal(apply_analysis_pulse(rho, phase).matrix, expected.matrix)

@@ -16,7 +16,8 @@ from ionlink.config import (
     measured_swap_config,
 )
 from ionlink.quantum import fidelity_pure
-from ionlink.swap import bell_phase, bell_state, swapped_state
+from ionlink.swap import bell_state, swapped_state
+from qutil import bell_phase
 
 
 def test_defaults_are_valid_and_hashable():
@@ -38,6 +39,14 @@ def test_derived_quantities():
     assert 0.0 < w < 0.01
     src = cfg.source_a()
     assert src.superposition_phase == 5.00
+
+
+def test_herald_probability_values():
+    # half of the coincidences herald: eta_a * eta_b / 2
+    assert replace(HardwareConfig(), eta_a=1.0, eta_b=1.0).herald_probability() == 0.5
+    assert replace(HardwareConfig(), eta_a=0.0, eta_b=0.7).herald_probability() == 0.0
+    # measured efficiencies give the reference 2.50(16)e-4 herald probability
+    assert HardwareConfig().herald_probability() == pytest.approx(2.53e-4, abs=1e-6)
 
 
 def test_yaml_roundtrip(tmp_path):

@@ -7,11 +7,11 @@ from ionlink.detection import (
     ReadoutModel,
     _binom_pmf,
     choose_thresholds,
-    classify_counts,
     effective_bright_probs,
     simulate_histogram,
     spam_correct,
 )
+from qutil import classify_counts
 
 
 def hist_mean(hist):

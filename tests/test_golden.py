@@ -23,13 +23,29 @@ LAPACK_KEYS = {
     "modes_summary.json": {
         "axial_freq_ref_hz", "radial_freq_ref_hz", "axial_frequencies_hz",
         "radial_frequencies_hz", "equal_mass_axial_ratios",
-        "radial_coolant_coupling", "max_eigen_residual"},
+        "radial_coolant_coupling"},
     "ion_photon_fits.json": {
         "correlation", "coherence", "fidelity_upper_bound", "fidelity_lower_bound"},
     "swap_summary.json": {
         "odd_populations", "two_pulse_contrast", "one_pulse_contrast",
         "fidelity_lower_bound", "bound_inputs", "spam_clipped_mass"},
 }
+
+
+# JSON keys whose floats are round-off of a solve, near 1e-16, where '%.12g'
+# absorbs no LAPACK difference: any value below the key's bound stands for
+# any other, the bound that tests/test_cli.py::test_modes_outputs enforces.
+BOUNDED_KEYS = {"modes_summary.json": {"max_eigen_residual": 1e-10}}
+
+
+def _bounded(doc, bounds, bound=None):
+    """``doc`` with each float under a key of ``bounds`` that lies below
+    that key's bound as the text ``'< bound'``."""
+    if isinstance(doc, dict):
+        return {k: _bounded(v, bounds, bounds.get(k, bound)) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_bounded(v, bounds, bound) for v in doc]
+    return f"< {bound:g}" if bound and isinstance(doc, float) and abs(doc) < bound else doc
 
 
 def _rounded(doc, keys, inside=False):
@@ -73,9 +89,12 @@ def difference(name: str, want: str, got: str) -> str | None:
     if not name.endswith(".json"):
         return f"{name}: {_text_difference(want, got)}"
     a, b = json.loads(want), json.loads(got)
-    keys = LAPACK_KEYS.get(name, set())
-    if a != b and keys and _rounded(a, keys) == _rounded(b, keys):
-        return None
+    if a != b:
+        bounds = BOUNDED_KEYS.get(name, {})
+        a, b = _bounded(a, bounds), _bounded(b, bounds)
+        keys = LAPACK_KEYS.get(name, set())
+        if a == b or (keys and _rounded(a, keys) == _rounded(b, keys)):
+            return None
     return f"{name}: {_json_difference(a, b) or 'same values, different bytes'}"
 
 
@@ -104,3 +123,13 @@ def test_difference_names_the_first_differing_key_and_cell():
     noisy = json.dumps({"odd_populations": 0.1, "trials": 0.10000000000000002})
     assert difference("swap_summary.json", want, noisy) == (
         "swap_summary.json: /trials: 0.1 != 0.10000000000000002")
+    # an eigensolver residual passes below its bound, whatever its digits
+    want = json.dumps({"max_eigen_residual": {"axial": 9.9e-16}, "n": 3.0})
+    noisy = json.dumps({"max_eigen_residual": {"axial": 3.1e-16}, "n": 3.0})
+    assert difference("modes_summary.json", want, noisy) is None
+    high = json.dumps({"max_eigen_residual": {"axial": 2e-10}, "n": 3.0})
+    assert difference("modes_summary.json", want, high) == (
+        "modes_summary.json: /max_eigen_residual/axial: '< 1e-10' != 2e-10")
+    moved = json.dumps({"max_eigen_residual": {"axial": 3.1e-16}, "n": 3.5})
+    assert difference("modes_summary.json", want, moved) == (
+        "modes_summary.json: /n: 3.0 != 3.5")

@@ -18,12 +18,21 @@ from ionlink.ion_photon import (
     fidelity_lower_bound_pair,
     fidelity_upper_bound,
     heralded_ion_state,
-    ideal_pair_state,
     raman_rotation,
     waveplate_unitary,
 )
-from ionlink.quantum import fidelity_pure, ket, lift, rotated_populations
-from qutil import apply_channel, dephasing_channel, projected_ion_state, random_density
+from ionlink.quantum import fidelity_pure, lift, rotated_populations
+from qutil import (
+    SIGMA_X,
+    SIGMA_Y,
+    apply_channel,
+    density,
+    dephasing_channel,
+    ideal_pair_state,
+    ket,
+    projected_ion_state,
+    random_density,
+)
 
 HWP_GRID = np.linspace(0.0, np.pi / 2.0, 37)
 PHASE_GRID = np.linspace(0.0, 2.0 * np.pi, 41)
@@ -36,23 +45,20 @@ def test_ideal_emission_matches_target():
 
 
 def test_waveplate_trivial_settings():
-    hwp0 = waveplate_unitary("half", 0.0)
+    hwp0 = waveplate_unitary(0.0)
     # diag(1, -1) up to global phase
     ratio = hwp0[1, 1] / hwp0[0, 0]
     assert ratio == pytest.approx(-1.0, abs=1e-12)
-    hwp45 = waveplate_unitary("half", np.pi / 4.0)
+    hwp45 = waveplate_unitary(np.pi / 4.0)
     assert abs(hwp45[0, 1]) == pytest.approx(1.0, abs=1e-12)
     assert abs(hwp45[1, 0]) == pytest.approx(1.0, abs=1e-12)
     assert abs(hwp45[0, 0]) < 1e-12
-    for kind in ("half", "quarter"):
-        u = waveplate_unitary(kind, 0.3)
-        assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
-    with pytest.raises(ValueError):
-        waveplate_unitary("third", 0.0)
+    u = waveplate_unitary(0.3)
+    assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
 
 
 def test_hwp_at_225_gives_balanced_outcomes():
-    state = ideal_pair_state(0.0).density()
+    state = density(ideal_pair_state(0.0))
     scan = correlation_scan(state, np.array([0.0, np.pi / 8.0, np.pi / 4.0]))
     # at 22.5 degrees both conditionals are 1/2 by direct Born computation
     assert scan.series["p_up_given_V"][1] == pytest.approx(0.5, abs=1e-12)
@@ -60,7 +66,7 @@ def test_hwp_at_225_gives_balanced_outcomes():
 
 
 def test_correlation_scan_ideal_contrast():
-    state = ideal_pair_state(0.0).density()
+    state = density(ideal_pair_state(0.0))
     scan = correlation_scan(state, HWP_GRID)
     assert scan.contrast == pytest.approx(1.0, abs=1e-9)
     assert scan.series["p_up_given_V"].max() == pytest.approx(1.0, abs=1e-12)
@@ -82,12 +88,14 @@ def test_reference_contrast_gives_documented_upper_bound():
 
 
 def test_raman_rotation_basics():
-    r_pi = raman_rotation(0.0, np.pi)
+    r_pi = raman_rotation(0.0) @ raman_rotation(0.0)
     flipped = r_pi @ np.array([1.0, 0.0])
     assert abs(flipped[1]) == pytest.approx(1.0, abs=1e-12)
     for phi in (0.0, 1.1, 4.0):
         half = raman_rotation(phi)
-        assert np.allclose(half @ half, raman_rotation(phi, np.pi), atol=1e-12)
+        # two pi/2 pulses make the pi pulse -i (cos(phi) sx + sin(phi) sy)
+        pi_pulse = -1j * (np.cos(phi) * SIGMA_X + np.sin(phi) * SIGMA_Y)
+        assert np.allclose(half @ half, pi_pulse, atol=1e-12)
         assert np.max(np.abs(half @ half.conj().T - np.eye(2))) < 1e-12
 
 
@@ -148,7 +156,7 @@ def test_dephasing_infidelity_at_huge_times():
 
 
 def test_correlated_populations_ideal():
-    state = ideal_pair_state(0.3).density()
+    state = density(ideal_pair_state(0.3))
     assert correlated_populations(state) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -175,7 +183,7 @@ def test_source_params_validation():
 def _pair_states():
     """20 seeded random pair states, and one whose photon is never V."""
     states = [random_density(np.random.default_rng(seed), PAIR_DIMS) for seed in range(20)]
-    return states + [ket((0, 0)).density()]
+    return states + [density(ket((0, 0)))]
 
 
 def test_herald_matches_inline_construction():
@@ -200,7 +208,7 @@ def test_correlation_scan_selectors_match_inline_construction():
     for _, pol in ion_photon._PHOTON_POL:
         assert not pol.flags.writeable
     for state in _pair_states():
-        pops = rotated_populations(state, lift(waveplate_unitary("half", HWP_GRID), PHOTON,
+        pops = rotated_populations(state, lift(waveplate_unitary(HWP_GRID), PHOTON,
                                                PAIR_DIMS))
         scan = correlation_scan(state, HWP_GRID)
         assert list(scan.series) == ["p_up_given_V", "p_up_given_H"]

@@ -11,16 +11,15 @@ from ionlink.modes import (
     MASS_RANGE_AMU,
     MASS_YB_171,
     REFERENCE_RANGE_HZ,
-    YB_BA_BA_AXIAL_DISPLACEMENT,
     YB_BA_BA_AXIAL_HZ,
     YB_BA_BA_MASSES,
-    YB_BA_BA_RADIAL_DISPLACEMENT,
     YB_BA_BA_RADIAL_HZ,
     calibrate_reference_frequencies,
     coolant_coupling_report,
     equilibrium_positions,
     normal_modes,
 )
+from qutil import YB_BA_BA_AXIAL_DISPLACEMENT, YB_BA_BA_RADIAL_DISPLACEMENT
 
 
 def spec_equal(n=3, fz=1e5, fr=1e6):

@@ -25,7 +25,7 @@ from ionlink.protocol import (
     simulate_campaign,
 )
 from ionlink.rate_model import DecayParams, success_cdf_table
-from qutil import bernoulli_request, reference_simulate_campaign
+from qutil import bernoulli_request, empirical_cdf, reference_simulate_campaign
 
 COLUMNS = ("attempts_used", "wall_ns", "success_mask", "signs", "loop_index")
 
@@ -195,12 +195,24 @@ def test_summary_standard_errors():
     assert simulate_campaign(cfg, 1, 0).summary()["rate_hz_stderr"] is None
 
 
+def test_herald_signs_are_balanced():
+    # both photon Bell states herald equally often: over 10^7 default
+    # requests (every one succeeds) the +1 count lies within 3 sd of half
+    plus = successes = 0
+    for master_seed in range(500, 510):
+        rep = simulate_campaign(HardwareConfig(), 1_000_000, master_seed)
+        plus += int(np.count_nonzero(rep.signs == 1))
+        successes += rep.successes
+    assert successes == 10_000_000
+    assert abs(plus - successes / 2) < 3 * math.sqrt(successes / 4)
+
+
 def test_empirical_cdf_matches_table():
     cfg = HardwareConfig()
     rep = simulate_campaign(cfg, 50_000, master_seed=23)
     caps = np.array([10, 25, 50])
     table = success_cdf_table(_success_model(cfg), 50)
-    emp = rep.empirical_cdf(caps)
+    emp = empirical_cdf(rep, caps)
     for c, e in zip(caps, emp):
         want = table[c - 1]
         sigma = np.sqrt(want * (1 - want) / 50_000)

@@ -15,7 +15,6 @@ from ionlink.quantum import (
     apply_unitary,
     basis_index,
     fidelity_pure,
-    ket,
     lift,
     superposition,
     validate_density,
@@ -28,7 +27,9 @@ from qutil import (
     KrausChannel,
     apply_channel,
     dephasing_channel,
+    density,
     depolarizing_channel,
+    ket,
     loop_partial_trace,
     partial_trace,
     random_density,
@@ -65,8 +66,8 @@ def test_tensor_maximally_mixed():
 
 
 def test_tensor_basis_states():
-    down = ket((0,)).density()
-    up = ket((1,)).density()
+    down = density(ket((0,)))
+    up = density(ket((1,)))
     prod = tensor(down, up)  # (down, up): subsystem 0 = down
     expected_index = basis_index((0, 1), (2, 2))
     assert prod.matrix[expected_index, expected_index] == 1.0
@@ -91,7 +92,7 @@ def test_tensor_register_cap():
 
 
 def test_partial_trace_bell_gives_mixed():
-    phi_plus = superposition([(1.0, (0, 0)), (1.0, (1, 1))], (2, 2)).density()
+    phi_plus = density(superposition([(1.0, (0, 0)), (1.0, (1, 1))], (2, 2)))
     reduced = partial_trace(phi_plus, keep=[0])
     assert np.allclose(reduced.matrix, np.eye(2) / 2, atol=1e-15)
 
@@ -134,7 +135,7 @@ def test_identity_channel_is_identity():
 
 
 def test_full_dephasing_kills_coherence():
-    plus = superposition([(1.0, (0,)), (1.0, (1,))], (2,)).density()
+    plus = density(superposition([(1.0, (0,)), (1.0, (1,))], (2,)))
     out = apply_channel(plus, dephasing_channel(0.0))
     assert np.allclose(out.matrix, np.eye(2) / 2, atol=1e-15)
 
@@ -142,7 +143,7 @@ def test_full_dephasing_kills_coherence():
 def test_depolarizing_hand_value():
     # rho -> (1-p) rho + p I/2 on |down><down| gives diag(1 - p/2, p/2)
     p = 0.1
-    out = apply_channel(ket((0,)).density(), depolarizing_channel(p))
+    out = apply_channel(density(ket((0,))), depolarizing_channel(p))
     assert np.allclose(out.matrix, np.diag([1 - p / 2, p / 2]), atol=1e-15)
 
 
@@ -164,7 +165,7 @@ def test_non_trace_preserving_channel_rejected():
 
 def test_fidelity_trivial_cases():
     psi_plus = superposition([(1.0, (1, 0)), (1.0, (0, 1))], (2, 2))
-    assert fidelity_pure(psi_plus.density(), psi_plus) == pytest.approx(1.0, abs=1e-12)
+    assert fidelity_pure(density(psi_plus), psi_plus) == pytest.approx(1.0, abs=1e-12)
     mixed = DensityMatrix(np.eye(4) / 4, (2, 2))
     assert fidelity_pure(mixed, psi_plus) == pytest.approx(0.25, abs=1e-12)
 
@@ -178,7 +179,7 @@ def test_measure_deterministic_outcome():
     # z-basis readout of |dd> and |uu> gives 0 and 2 bright ions every shot
     rng = np.random.default_rng(0)
     for values, expected in (((0, 0), [1.0, 0.0, 0.0]), ((1, 1), [0.0, 0.0, 1.0])):
-        rho = ket(values).density()
+        rho = density(ket(values))
         freq = _sample_readout(np.real(np.diag(rho.matrix)), 1000, IDEAL_CM, rng)
         assert freq.tolist() == expected
 
@@ -197,7 +198,7 @@ def test_measure_mixed_is_fair():
 def test_measure_pair_state_only_correlated_outcomes():
     # (|H,down> + |V,up>)/sqrt(2) on (ion, photon): Born probabilities are
     # 1/2 on (down,H) and (up,V), zero elsewhere
-    state = superposition([(1.0, (0, 0)), (1.0, (1, 1))], (2, 2)).density()
+    state = density(superposition([(1.0, (0, 0)), (1.0, (1, 1))], (2, 2)))
     projs = [np.outer(e, e) for e in np.eye(4)]
     probs = [np.real(np.trace(p @ state.matrix)) for p in projs]
     assert probs == pytest.approx([0.5, 0.0, 0.0, 0.5], abs=1e-12)
@@ -362,7 +363,7 @@ def test_validation_accepts_an_empty_stack():
     with pytest.raises(ValueError, match="trace"):
         validate_density(np.zeros((3, 0, 0)))
     with pytest.raises(ValueError, match="need at least 3 finite points"):
-        parity_scan(ket([0, 1]).density(), [])
+        parity_scan(density(ket([0, 1])), [])
 
 
 def test_private_cholesky_gufunc_fails_where_numpy_cholesky_does():
@@ -432,10 +433,10 @@ def _array_holders():
 
     spec = ChainSpec(masses_amu=(MASS_BA_138,) * 2, axial_freq_ref=1e5,
                      radial_freq_ref=1e6)
-    rho = ket([0, 1]).density()
+    rho = density(ket([0, 1]))
     builders = {
         "PureState": lambda: ket([0, 1]),
-        "DensityMatrix": lambda: ket([0, 1]).density(),
+        "DensityMatrix": lambda: density(ket([0, 1])),
         "KrausChannel": lambda: depolarizing_channel(0.1),
         "ScanResult": lambda: parity_scan(rho, np.linspace(0.0, np.pi, 5)),
         "ConfusionMatrix": lambda: ConfusionMatrix.from_model(IDEAL_READOUT, 500, 1500),
@@ -472,6 +473,6 @@ def test_dims_normalization_errors():
 
 
 def test_unitary_application():
-    rho = ket((0,)).density()
+    rho = density(ket((0,)))
     out = apply_unitary(rho, SIGMA_X)
     assert np.allclose(out.matrix, np.diag([0.0, 1.0]), atol=1e-15)

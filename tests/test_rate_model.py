@@ -10,14 +10,11 @@ from ionlink.rate_model import (
     DecayParams,
     _expected_attempts_table,
     ScheduleParams,
-    cdf,
-    expected_attempts,
-    mean_success_prob,
     optimal_cap,
-    pdf,
     rate_curve,
     request_rate,
 )
+from qutil import cdf, expected_attempts, mean_success_prob, pdf
 
 RECON = DecayParams(*DECAY_COOLANT_RECONSTRUCTION)
 

@@ -13,7 +13,6 @@ from ionlink import analysis
 from ionlink.analysis import apply_analysis_pulse, parity_scan
 from ionlink.config import HardwareConfig
 from ionlink.ion_photon import (
-    DOWN,
     H,
     SourceParams,
     coherence_scan,
@@ -24,7 +23,6 @@ from ionlink.ion_photon import (
 from ionlink.quantum import (
     DensityMatrix,
     apply_unitary,
-    ket,
     lift,
     rotated_populations,
     validate_density,
@@ -33,8 +31,10 @@ from qutil import (
     apply_channel,
     channel_emitted_pair,
     conjugate,
+    density,
     dephasing_channel,
     depolarizing_channel,
+    ket,
     literal_swapped_state,
     loop_coherence_scan,
     loop_correlation_scan,
@@ -117,7 +117,7 @@ def test_coherence_scan_matches_loop_oracle(state, phases):
 def test_correlation_scan_zero_marginal_is_nan_and_flagged():
     # photon in H: the V branch is empty at plate angles 0 and pi/2, the H
     # branch at pi/4
-    state = ket((DOWN, H)).density()
+    state = density(ket((0, H)))  # ion down
     angles = np.linspace(0.0, np.pi / 2.0, 7)
     scan = correlation_scan(state, angles)
     assert "zero_marginal" in scan.flags

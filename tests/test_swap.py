@@ -8,14 +8,11 @@ from ionlink.quantum import fidelity_pure
 from ionlink.swap import (
     aligned_state_from_config,
     alignment_wait,
-    bell_phase,
     bell_state,
     phase_alignment_delay,
-    simulate_heralds,
-    success_probability,
     swapped_state,
 )
-from qutil import partial_trace
+from qutil import bell_phase, density, partial_trace
 
 TWO_PI = 2.0 * np.pi
 
@@ -29,13 +26,6 @@ def test_alignment_wait_is_the_delay_each_sign_is_analyzed_at():
                                       swapped_state(cfg, sign, t).matrix)
     with pytest.raises(ValueError, match="sign"):
         alignment_wait(cfg, 0)
-
-
-def test_success_probability_values():
-    assert success_probability(1.0, 1.0) == 0.5
-    assert success_probability(0.0, 0.7) == 0.0
-    # measured efficiencies give the reference 2.50(16)e-4 herald probability
-    assert success_probability(0.023, 0.022) == pytest.approx(2.53e-4, abs=1e-6)
 
 
 def test_bell_phase_values():
@@ -115,7 +105,7 @@ def test_polarization_mixing_werner_oracle():
                       phi_a=0.0, phi_b=0.0)
         rho = swapped_state(cfg, +1, 0.0)
         w = 1.0 - (1.0 - pa) * (1.0 - pb)
-        expected = ((1.0 - w) * bell_state(+1, 0.0).density().matrix
+        expected = ((1.0 - w) * density(bell_state(+1, 0.0)).matrix
                     + w * np.eye(4) / 4.0)
         assert np.allclose(rho.matrix, expected, atol=1e-12)
 
@@ -156,18 +146,7 @@ def test_fidelity_monotone_in_error_parameters():
 
 def test_reduced_states_are_maximally_mixed():
     for sign in (+1, -1):
-        rho = bell_state(sign, 0.7).density()
+        rho = density(bell_state(sign, 0.7))
         for keep in ([0], [1]):
             red = partial_trace(rho, keep)
             assert np.allclose(red.matrix, np.eye(2) / 2, atol=1e-12)
-
-
-def test_herald_fraction_matches_half_eta_product():
-    eta_a, eta_b = 0.023, 0.022
-    attempts = 1_000_000
-    stats = simulate_heralds(eta_a, eta_b, attempts, np.random.default_rng(5))
-    expected = success_probability(eta_a, eta_b)
-    sigma = np.sqrt(expected * (1 - expected) / attempts)
-    assert abs(stats.herald_fraction - expected) < 3 * sigma
-    # herald signs are balanced
-    assert abs(stats.plus_signs - stats.heralds / 2) < 3 * np.sqrt(stats.heralds / 4)
