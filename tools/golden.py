@@ -28,7 +28,13 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 
 SEEDS = (5, 99)
-# label: argv; "{coolant}" stands for a config file with the coolant present
+# config file name: text; "{name}" in an argv stands for that file's path
+CONFIGS = {
+    "coolant": "coolant_present: true\n",
+    # class means 2, 8 and 14 counts: the readout classes overlap
+    "overlap": "bright_rate: 6000.0\ndark_rate: 2000.0\n",
+}
+# label: argv
 RUNS = {
     "budget": ["budget"],
     "modes": ["modes"],
@@ -37,6 +43,7 @@ RUNS = {
     "ion-photon-grid": ["ion-photon", "--grid", "0:1:7"],
     "swap": ["swap"],
     "swap-predicted": ["swap", "--profile", "predicted"],
+    "swap-overlap": ["swap", "--config", "{overlap}"],
     "rate-records": ["rate", "--records", "--trials", "2000"],
     "rate-grid": ["rate", "--grid", "1:300:5", "--trials", "500"],
     "rate-coolant": ["rate", "--config", "{coolant}", "--trials", "2000"],
@@ -58,10 +65,11 @@ def run_outputs(argv: list[str], seed: int, tmp: Path) -> dict[str, str]:
     """File name to text of each output of one CLI run in the empty
     directory ``tmp``, stored as this module's docstring says."""
     from ionlink.cli import main
-    coolant = tmp / "coolant.yaml"
-    coolant.write_text("coolant_present: true\n")
+    paths = {name: tmp / f"{name}.yaml" for name in CONFIGS}
+    for name, path in paths.items():
+        path.write_text(CONFIGS[name])
     out = tmp / "out"
-    argv = [arg.format(coolant=coolant) for arg in argv]
+    argv = [arg.format(**paths) for arg in argv]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = main(argv + ["--seed", str(seed), "--out", str(out)])
