@@ -40,7 +40,6 @@ from .fitting import ScanResult, fit_sinusoid
 from .ion_photon import raman_rotation
 from .quantum import DensityMatrix, apply_unitary, cache_by_value, rotated_populations
 
-TWO_ION_DIMS = (2, 2)
 # little-endian basis order of the two-ion register (ion A is bit 0):
 # index 0 = down,down ; 1 = up,down ; 2 = down,up ; 3 = up,up
 IDX_DD, IDX_UD, IDX_DU, IDX_UU = 0, 1, 2, 3
@@ -76,7 +75,7 @@ def _two_pulse_stack(phases) -> np.ndarray:
 
 def apply_analysis_pulse(rho: DensityMatrix, phase: float) -> DensityMatrix:
     """Global pi/2 pulse of the given phase on both ions."""
-    if rho.dims != TWO_ION_DIMS:
+    if rho.dims != swap.TWO_ION_DIMS:
         raise ValueError("expects a two-ion state")
     return apply_unitary(rho, _pulse(float(phase)))
 
@@ -105,7 +104,7 @@ def parity_scan(rho: DensityMatrix, phases, pulses: str = "two") -> ScanResult:
     fixed phase-0 pulse first and scans the second pulse's phase.  Contrast
     is the fitted amplitude.
     """
-    if rho.dims != TWO_ION_DIMS:
+    if rho.dims != swap.TWO_ION_DIMS:
         raise ValueError("parity_scan expects a two-ion state")
     grid = np.asarray(phases, dtype=float)
     return _parity_result(grid, _analysis_sequence(rho, grid, pulses) @ PARITY_DIAG)

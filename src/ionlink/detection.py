@@ -116,11 +116,14 @@ class ThresholdResult:
 
 
 def choose_thresholds(histograms) -> ThresholdResult:
-    """Exhaustive threshold pair minimizing the mean per-class error.
+    """Threshold pair ``t1 <= t2`` minimizing the mean per-class error.
 
     ``histograms`` are three bincount arrays for 0, 1 and 2 prepared bright
-    ions.  Ties break toward the lower thresholds.  A best-case error above
-    20% sets the degenerate flag (overlapping distributions).
+    ions.  The error separates as ``[f(t1) + g(t2)] / 3``, so the best ``t2``
+    for each ``t1`` is the minimum of ``g`` over ``t2 >= t1``, and one
+    suffix-minimum pass finds the pair in O(width).  Ties, within 1e-15,
+    break toward the lower thresholds.  A best-case error above 20% sets the
+    degenerate flag (overlapping distributions).
     """
     hists = [np.asarray(h, dtype=float) for h in histograms]
     if len(hists) != 3 or any(h.sum() <= 0 for h in hists):
@@ -130,22 +133,16 @@ def choose_thresholds(histograms) -> ThresholdResult:
     for k, h in enumerate(hists):
         padded[k, :h.size] = h / h.sum()
     c0, c1, c2 = np.cumsum(padded, axis=1)  # P(counts <= t | class)
-    # Pairs in the order t1, then t2 >= t1, one row of t2 at a time so that
-    # memory stays O(width).  An accepted error is below every earlier one,
-    # so only a row's strict prefix-minimum records can pass the tie rule.
-    best = (np.inf, 0, 0)
-    for t1 in range(width):
-        err = ((1.0 - c0[t1])                        # class 0 read as 1 or 2
-               + (1.0 - (c1[t1:] - c1[t1]))          # class 1 outside (t1, t2]
-               + c2[t1:]) / 3.0                      # class 2 read as 0 or 1
-        if not err.min() < best[0] - 1e-15:
-            continue
-        prior = np.minimum.accumulate(err)
-        for i in [0] + (np.flatnonzero(err[1:] < prior[:-1]) + 1).tolist():
-            if err[i] < best[0] - 1e-15:
-                best = (err[i], t1, t1 + i)
-    err, t1, t2 = best
-    return ThresholdResult(t1=int(t1), t2=int(t2), misclassification=float(err),
+    f = 1.0 - c0 + c1   # class 0 read as 1 or 2, class 1 read as 0
+    g = 1.0 - c1 + c2   # class 1 read as 2, class 2 read as 0 or 1
+    tail = np.minimum.accumulate(g[::-1])[::-1]   # min of g over t2 >= t1
+    by_t1 = f + tail    # 3x the least error of each t1
+    t1 = int(np.argmax(by_t1 <= by_t1.min() + 1e-15))
+    t2 = t1 + int(np.argmax(g[t1:] <= tail[t1] + 1e-15))
+    # the pair's error summed as in a direct pair loop, not as f + g: the
+    # two round differently, and the reported value keeps its last digits
+    err = ((1.0 - c0[t1]) + (1.0 - (c1[t2] - c1[t1])) + c2[t2]) / 3.0
+    return ThresholdResult(t1=t1, t2=t2, misclassification=float(err),
                            degenerate=bool(err > 0.20))
 
 

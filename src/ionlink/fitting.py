@@ -19,9 +19,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .config import TWO_PI
 from .quantum import cache_by_value
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)

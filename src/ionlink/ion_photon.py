@@ -13,36 +13,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import HardwareConfig
+from .config import TWO_PI, HardwareConfig
 from .fitting import ScanResult, fit_sinusoid
-from .quantum import DensityMatrix, cache_by_value, lift, rotated_populations
+from .quantum import DensityMatrix, cache_by_value, rotated_populations
 
-TWO_PI = 2.0 * np.pi
-
-# subsystem indices of the pair register
-ION = 0
-PHOTON = 1
-PAIR_DIMS = (2, 2)
+PAIR_DIMS = (2, 2)  # (ion, photon)
 
 # photon basis values (H = 0, V = 1) and the ion's up value (down = 0)
 H, V = 0, 1
 UP = 1
 
-P_UP = np.diag([0.0, 1.0]).astype(complex)
-P_DOWN = np.diag([1.0, 0.0]).astype(complex)
-
-
-def _frozen_diagonal(op: np.ndarray, index: int) -> np.ndarray:
-    diag = np.real(np.diag(lift(op, index, PAIR_DIMS)))
-    diag.setflags(write=False)
-    return diag
-
-
-# basis-population selectors of correlation_scan: ion up, and photon V = 1
-# (P_UP on the photon) or H = 0 (P_DOWN)
-_ION_UP = _frozen_diagonal(P_UP, ION)
-_PHOTON_POL = (("p_up_given_V", _frozen_diagonal(P_UP, PHOTON)),
-               ("p_up_given_H", _frozen_diagonal(P_DOWN, PHOTON)))
+# basis-population selectors of correlation_scan over the pair's basis index
+# ion + 2 * photon: ion up, photon V and photon H
+_SELECTORS = np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]])
+_SELECTORS.setflags(write=False)
+_ION_UP = _SELECTORS[0]
+_PHOTON_POL = (("p_up_given_V", _SELECTORS[1]), ("p_up_given_H", _SELECTORS[2]))
 
 
 @dataclass(frozen=True)
@@ -107,7 +93,11 @@ def raman_rotation(phase) -> np.ndarray:
 @cache_by_value(maxsize=4)
 def _half_wave_stack(angles) -> np.ndarray:
     """Half-wave plate at each angle, acting on the photon of the pair."""
-    return lift(waveplate_unitary(angles), PHOTON, PAIR_DIMS)
+    plates = waveplate_unitary(angles)
+    out = np.zeros(plates.shape[:-2] + (2, 2, 2, 2), dtype=complex)
+    for ion in (0, 1):  # out viewed as (photon, ion, photon, ion)
+        out[..., :, ion, :, ion] = plates
+    return out.reshape(plates.shape[:-2] + (4, 4))
 
 
 _raman_stack = cache_by_value(maxsize=4)(raman_rotation)

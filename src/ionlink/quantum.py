@@ -12,13 +12,14 @@ package:
   register ``(a, b)`` of two factors is ``np.kron(b, a)``.
 * Qubit basis labels: ion ``|down> = 0``, ``|up> = 1``; photon polarization
   ``|H> = 0``, ``|V> = 1``.
-* Stacks are shaped ``(..., d, d)``: :func:`lift` maps a stack to one
-  matrix per leading index, as ``ion_photon.raman_rotation`` (a pi/2 pulse)
-  and ``ion_photon.waveplate_unitary`` (a half-wave plate) map an array of
+* Stacks are shaped ``(..., d, d)``, one matrix per leading index, as
+  ``ion_photon.raman_rotation`` (a pi/2 pulse) and
+  ``ion_photon.waveplate_unitary`` (a half-wave plate) map an array of
   phases or angles; :func:`rotated_populations` maps a stack of unitaries to
   populations ``(..., d)``, and :func:`validate_density` checks a whole stack
-  in one call.  Basis kets and the density matrix of a pure state, which only
-  the tests build, are in ``tests/qutil.py``.
+  in one call.  Basis kets, the density matrix of a pure state and operators
+  lifted into a larger register, which only the tests build, are in
+  ``tests/qutil.py``.
 
 All operations are pure functions; states are treated as immutable (the
 wrapped arrays are marked read-only).  Classes that hold arrays, here and in
@@ -226,23 +227,6 @@ def superposition(terms: Iterable[tuple[complex, Sequence[int]]],
     if norm == 0:
         raise ValueError("superposition has zero norm")
     return PureState(amps / norm, dims)
-
-
-def lift(op: np.ndarray, index: int, dims: Sequence[int]) -> np.ndarray:
-    """Embed one operator, or a stack ``(..., d, d)``, acting on subsystem
-    ``index`` into the full register as ``I_high (x) op (x) I_low``."""
-    dims = tuple(dims)
-    if not 0 <= index < len(dims):
-        raise ValueError(f"subsystem index {index} out of range for {dims}")
-    op = np.asarray(op, dtype=complex)
-    d = dims[index]
-    if op.shape[-2:] != (d, d):
-        raise ValueError("operator shape does not match subsystem dimension")
-    low, high = math.prod(dims[:index]), math.prod(dims[index + 1:])
-    out = np.zeros(op.shape[:-2] + (high, d, low, high, d, low), dtype=complex)
-    # broadcast op into the writable view of the blocks with equal high and low
-    np.einsum("...hilhjl->...hlij", out)[...] = op[..., None, None, :, :]
-    return out.reshape(op.shape[:-2] + (high * d * low,) * 2)
 
 
 def apply_unitary(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:

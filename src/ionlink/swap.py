@@ -33,10 +33,8 @@ import math
 
 import numpy as np
 
-from .config import HardwareConfig
+from .config import TWO_PI, HardwareConfig
 from .quantum import DensityMatrix, PureState, superposition
-
-TWO_PI = 2.0 * np.pi
 
 TWO_ION_DIMS = (2, 2)
 

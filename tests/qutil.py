@@ -13,11 +13,12 @@ whole-column arithmetic.
 
 The references are what the tests compare the package against, kept out of
 ``src/`` because the command line runs none of them: basis kets and the
-density matrix of a pure state, the ideal ion-photon pair, the Bell-state
-phase, threshold classification of single counts, a campaign's empirical
-first-success CDF, the continuous first-success density and CDF of the rate
-model with its expected attempts and mean success probability per cap, and
-the printed Yb-Ba-Ba displacement tables.
+density matrix of a pure state, operators lifted into a register, the ideal
+ion-photon pair, the Bell-state phase, threshold classification of single
+counts, a campaign's empirical first-success CDF, the continuous
+first-success density and CDF of the rate model with its expected attempts
+and mean success probability per cap, and the printed Yb-Ba-Ba displacement
+tables.
 """
 
 import math
@@ -29,7 +30,6 @@ import numpy as np
 from ionlink.config import MAX_REQUEST_NS
 from ionlink.ion_photon import (
     PAIR_DIMS,
-    PHOTON,
     _pair_amplitudes,
     raman_rotation,
     waveplate_unitary,
@@ -44,7 +44,6 @@ from ionlink.quantum import (
     PureState,
     apply_unitary,
     basis_index,
-    lift,
     superposition,
     validate_density,
 )
@@ -59,6 +58,27 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 # --- references that no command-line run needs ---------------------------------
+
+# subsystem indices of the (ion, photon) pair register
+ION, PHOTON = 0, 1
+
+
+def lift(op: np.ndarray, index: int, dims: Sequence[int]) -> np.ndarray:
+    """Embed one operator, or a stack ``(..., d, d)``, acting on subsystem
+    ``index`` into the full register as ``I_high (x) op (x) I_low``."""
+    dims = tuple(dims)
+    if not 0 <= index < len(dims):
+        raise ValueError(f"subsystem index {index} out of range for {dims}")
+    op = np.asarray(op, dtype=complex)
+    d = dims[index]
+    if op.shape[-2:] != (d, d):
+        raise ValueError("operator shape does not match subsystem dimension")
+    low, high = math.prod(dims[:index]), math.prod(dims[index + 1:])
+    out = np.zeros(op.shape[:-2] + (high, d, low, high, d, low), dtype=complex)
+    # broadcast op into the writable view of the blocks with equal high and low
+    np.einsum("...hilhjl->...hlij", out)[...] = op[..., None, None, :, :]
+    return out.reshape(op.shape[:-2] + (high * d * low,) * 2)
+
 
 def ket(values: Sequence[int], dims: Sequence[int] = None) -> PureState:
     """Computational basis state, e.g. ``ket([0, 1])`` for |down, up-or-V>."""

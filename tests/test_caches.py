@@ -12,15 +12,14 @@ from ionlink import analysis, fitting, ion_photon
 from ionlink.analysis import apply_analysis_pulse, parity_scan
 from ionlink.ion_photon import (
     PAIR_DIMS,
-    PHOTON,
     coherence_scan,
     correlation_scan,
     raman_rotation,
     waveplate_unitary,
 )
-from ionlink.quantum import apply_unitary, cache_by_value, lift
+from ionlink.quantum import apply_unitary, cache_by_value
 from ionlink.swap import bell_state
-from qutil import density, ideal_pair_state, ket
+from qutil import PHOTON, density, ideal_pair_state, ket, lift
 
 # fixed examples and no timing checks, so a loaded machine cannot fail a run
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)

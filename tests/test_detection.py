@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom, poisson
 
 from ionlink.detection import (
@@ -129,7 +131,14 @@ def _thresholds_by_literal_loop(histograms):
     return best[1], best[2], float(best[0])
 
 
+def _assert_matches_literal_loop(hists):
+    thr = choose_thresholds(hists)
+    assert (thr.t1, thr.t2, thr.misclassification) == _thresholds_by_literal_loop(hists)
+
+
 def test_choose_thresholds_matches_literal_loop():
+    """Sampled readouts, flat histograms, and drawn small integer histograms
+    of ragged widths, whose errors tie on plateaus at round-off."""
     model = ReadoutModel(bright_rate=20000.0, dark_rate=2000.0)
     cases = []
     for seed in range(30):
@@ -138,10 +147,21 @@ def test_choose_thresholds_matches_literal_loop():
         cases.append([simulate_histogram(k, model, shots, rng) for k in range(3)])
     flat = np.ones(12)
     cases += [[flat, flat, flat], [flat, np.ones(5), np.ones(9)]]
+    # best t1 = 3, where the error at t2 = 3 exceeds its minimum at t2 = 4
+    # by round-off only: the tie rule keeps t2 = 3
+    cases.append([[1, 1, 3, 1, 3, 2, 1], [1, 1, 0, 0, 1, 0], [0, 1, 0, 0, 1, 1]])
     for hists in cases:
-        thr = choose_thresholds(hists)
-        assert (thr.t1, thr.t2, thr.misclassification) == \
-            _thresholds_by_literal_loop(hists)
+        _assert_matches_literal_loop(hists)
+
+    histogram = st.lists(st.integers(0, 3), min_size=1, max_size=30)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.lists(histogram, min_size=3, max_size=3))
+    def drawn(hists):
+        assume(all(sum(h) > 0 for h in hists))
+        _assert_matches_literal_loop(hists)
+
+    drawn()
 
 
 def test_identical_histograms_flag_degenerate():

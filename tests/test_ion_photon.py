@@ -5,11 +5,7 @@ from ionlink import ion_photon
 from ionlink.config import dephasing_infidelity
 from ionlink.fitting import fit_sinusoid
 from ionlink.ion_photon import (
-    ION,
-    P_DOWN,
-    P_UP,
     PAIR_DIMS,
-    PHOTON,
     SourceParams,
     coherence_scan,
     correlated_populations,
@@ -21,8 +17,10 @@ from ionlink.ion_photon import (
     raman_rotation,
     waveplate_unitary,
 )
-from ionlink.quantum import fidelity_pure, lift, rotated_populations
+from ionlink.quantum import fidelity_pure, rotated_populations
 from qutil import (
+    ION,
+    PHOTON,
     SIGMA_X,
     SIGMA_Y,
     apply_channel,
@@ -30,12 +28,15 @@ from qutil import (
     dephasing_channel,
     ideal_pair_state,
     ket,
+    lift,
     projected_ion_state,
     random_density,
 )
 
 HWP_GRID = np.linspace(0.0, np.pi / 2.0, 37)
 PHASE_GRID = np.linspace(0.0, 2.0 * np.pi, 41)
+P_UP = np.diag([0.0, 1.0])    # ion up, or photon V
+P_DOWN = np.diag([1.0, 0.0])  # ion down, or photon H
 
 
 def test_ideal_emission_matches_target():

@@ -15,7 +15,6 @@ from ionlink.quantum import (
     apply_unitary,
     basis_index,
     fidelity_pure,
-    lift,
     superposition,
     validate_density,
 )
@@ -30,6 +29,7 @@ from qutil import (
     density,
     depolarizing_channel,
     ket,
+    lift,
     loop_partial_trace,
     partial_trace,
     random_density,

@@ -23,7 +23,6 @@ from ionlink.ion_photon import (
 from ionlink.quantum import (
     DensityMatrix,
     apply_unitary,
-    lift,
     rotated_populations,
     validate_density,
 )
@@ -35,6 +34,7 @@ from qutil import (
     dephasing_channel,
     depolarizing_channel,
     ket,
+    lift,
     literal_swapped_state,
     loop_coherence_scan,
     loop_correlation_scan,
