@@ -76,6 +76,9 @@ def _resolve_config(args) -> HardwareConfig:
             cfg = measured_swap_config(cfg)
     except FileNotFoundError:
         raise CliError("config_missing", f"config file not found: {args.config}", 2)
+    except OSError as exc:  # a directory, or a file without read permission
+        raise CliError("config_invalid",
+                       f"cannot read config file {args.config}: {exc.strerror}", 2)
     except ValueError as exc:
         raise CliError("config_invalid", str(exc), 2)
     return ideal_config(cfg) if args.ideal else cfg

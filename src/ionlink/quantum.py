@@ -17,9 +17,8 @@ package:
   ``ion_photon.waveplate_unitary`` (a half-wave plate) map an array of
   phases or angles; :func:`rotated_populations` maps a stack of unitaries to
   populations ``(..., d)``, and :func:`validate_density` checks a whole stack
-  in one call.  Basis kets, the density matrix of a pure state and operators
-  lifted into a larger register, which only the tests build, are in
-  ``tests/qutil.py``.
+  in one call.  Operators lifted into a larger register, which only the
+  tests build, are in ``tests/qutil.py``.
 
 All operations are pure functions; states are treated as immutable (the
 wrapped arrays are marked read-only).  Classes that hold arrays, here and in
@@ -48,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -68,17 +67,9 @@ def _frozen_array(values, dtype=complex) -> np.ndarray:
 
 
 @lru_cache(maxsize=MAX_DIM)
-def _identity(d: int) -> np.ndarray:
-    """Read-only real ``d x d`` identity."""
-    eye = np.eye(d)
-    eye.setflags(write=False)
-    return eye
-
-
-@lru_cache(maxsize=MAX_DIM)
 def _psd_shift(d: int) -> np.ndarray:
     """Read-only ``PSD_TOL * I``, the shift of the PSD check."""
-    shift = PSD_TOL * _identity(d)
+    shift = PSD_TOL * np.eye(d)
     shift.setflags(write=False)
     return shift
 
@@ -128,43 +119,6 @@ def _checked_dims(dim: int, dims: tuple) -> tuple[int, ...]:
     return dims
 
 
-def basis_index(values: Sequence[int], dims: Sequence[int]) -> int:
-    """Flat index of the computational basis state with the given subsystem
-    values, little-endian (subsystem 0 in the lowest place)."""
-    if len(values) != len(dims):
-        raise ValueError("one value per subsystem required")
-    index = 0
-    stride = 1
-    for v, d in zip(values, dims):
-        if not 0 <= v < d:
-            raise ValueError(f"value {v} out of range for dimension {d}")
-        index += v * stride
-        stride *= d
-    return index
-
-
-@dataclass(frozen=True, eq=False)
-class PureState:
-    """Normalized state vector over a register of subsystems."""
-
-    amplitudes: np.ndarray
-    dims: tuple[int, ...]
-
-    def __init__(self, amplitudes, dims: Sequence[int] | None = None):
-        amps = _frozen_array(amplitudes)
-        if amps.ndim != 1:
-            raise ValueError("amplitudes must be a vector")
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "dims", _normalize_dims(amps.size, dims))
-        norm = np.linalg.norm(amps)
-        if not abs(norm - 1.0) <= 1e-12:
-            raise ValueError(f"state vector not normalized: |psi| = {norm!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Trace-one Hermitian PSD matrix with a declared subsystem factorization."""
@@ -179,10 +133,6 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", _normalize_dims(mat.shape[0], dims))
         validate_density(mat)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def validate_density(mats: np.ndarray) -> None:
@@ -210,25 +160,6 @@ def validate_density(mats: np.ndarray) -> None:
                              f"min eigenvalue {lo:.3e}") from None
 
 
-def superposition(terms: Iterable[tuple[complex, Sequence[int]]],
-                  dims: Sequence[int]) -> PureState:
-    """Normalized superposition of computational basis states.
-
-    ``terms`` is an iterable of ``(amplitude, subsystem_values)`` pairs.
-    """
-    dims = tuple(dims)
-    d = math.prod(dims)
-    amps = np.zeros(d, dtype=complex)
-    for amplitude, values in terms:
-        amps[basis_index(values, dims)] += amplitude
-    if not np.isfinite(amps).all():
-        raise ValueError("superposition amplitudes must be finite")
-    norm = np.linalg.norm(amps)
-    if norm == 0:
-        raise ValueError("superposition has zero norm")
-    return PureState(amps / norm, dims)
-
-
 def apply_unitary(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
     u = np.asarray(u, dtype=complex)
     return DensityMatrix(u @ rho.matrix @ u.conj().T, rho.dims)
@@ -243,11 +174,3 @@ def rotated_populations(rho: DensityMatrix, unitaries: np.ndarray) -> np.ndarray
     if not np.isfinite(pops).all():
         validate_density(u @ rho.matrix @ u.conj().swapaxes(-1, -2))
     return pops
-
-
-def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:
-    """Overlap ``<psi| rho |psi>``, clamped to [0, 1]."""
-    if rho.dim != psi.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {psi.dim}")
-    val = float(np.real(psi.amplitudes.conj() @ rho.matrix @ psi.amplitudes))
-    return min(1.0, max(0.0, val))

@@ -29,16 +29,12 @@ selects the orientation (default ``"b_minus_a"``, the reference form), and
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .config import TWO_PI, HardwareConfig
-from .quantum import DensityMatrix, PureState, superposition
+from .quantum import DensityMatrix
 
 TWO_ION_DIMS = (2, 2)
-
-DOWN, UP = 0, 1
 
 
 def phase_alignment_delay(delta: float, phase: float, target: float = 0.0) -> float:
@@ -61,16 +57,6 @@ def phase_alignment_delay(delta: float, phase: float, target: float = 0.0) -> fl
     if np.isinf(t):
         raise ValueError(f"delta {delta!r} rad/s is too small to align the phases")
     return t
-
-
-def bell_state(sign: int, phase: float = 0.0) -> PureState:
-    """``(|down,up> + sign e^{i phase} |up,down>)/sqrt(2)`` on (ion A, ion B)."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if not math.isfinite(phase):
-        raise ValueError(f"phase must be finite, got {phase!r}")
-    return superposition(
-        [(1.0, (DOWN, UP)), (sign * np.exp(1j * phase), (UP, DOWN))], TWO_ION_DIMS)
 
 
 def swapped_state(cfg: HardwareConfig, sign: int, t: float) -> DensityMatrix:

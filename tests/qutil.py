@@ -12,10 +12,11 @@ partial trace, density-matrix validation through the public
 whole-column arithmetic.
 
 The references are what the tests compare the package against, kept out of
-``src/`` because the command line runs none of them: basis kets and the
-density matrix of a pure state, operators lifted into a register, the ideal
-ion-photon pair, the Bell-state phase, threshold classification of single
-counts, a campaign's empirical first-success CDF, the continuous
+``src/`` because the command line runs none of them: basis kets, the ideal
+ion-photon pair and the Bell states as plain amplitude arrays, the density
+matrix of a pure state and its overlap with a density matrix, operators
+lifted into a register, the Bell-state phase, threshold classification of
+single counts, a campaign's empirical first-success CDF, the continuous
 first-success density and CDF of the rate model with its expected attempts
 and mean success probability per cap, and the printed Yb-Ba-Ba displacement
 tables.
@@ -41,10 +42,7 @@ from ionlink.quantum import (
     PSD_TOL,
     TRACE_TOL,
     DensityMatrix,
-    PureState,
     apply_unitary,
-    basis_index,
-    superposition,
     validate_density,
 )
 from ionlink.rate_model import DecayParams, _loop_sums, success_cdf_table
@@ -80,24 +78,34 @@ def lift(op: np.ndarray, index: int, dims: Sequence[int]) -> np.ndarray:
     return out.reshape(op.shape[:-2] + (high * d * low,) * 2)
 
 
-def ket(values: Sequence[int], dims: Sequence[int] = None) -> PureState:
-    """Computational basis state, e.g. ``ket([0, 1])`` for |down, up-or-V>."""
-    if dims is None:
-        dims = (2,) * len(values)
-    d = math.prod(dims)
-    amps = np.zeros(d, dtype=complex)
-    amps[basis_index(values, dims)] = 1.0
-    return PureState(amps, dims)
+def ket(values: Sequence[int]) -> np.ndarray:
+    """Amplitudes of the computational basis state of qubits ``values``,
+    little-endian (qubit 0 in the lowest place): ``ket([0, 1])`` is
+    |down, up-or-V>, index 2."""
+    amps = np.zeros(2 ** len(values), dtype=complex)
+    amps[sum(v << k for k, v in enumerate(values))] = 1.0
+    return amps
 
 
-def density(psi: PureState) -> DensityMatrix:
-    """``|psi><psi|`` on the register of ``psi``."""
-    return DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.dims)
+def density(psi: np.ndarray) -> DensityMatrix:
+    """``|psi><psi|`` on a register of ``log2(psi.size)`` qubits."""
+    return DensityMatrix(np.outer(psi, psi.conj()), (2,) * (psi.size.bit_length() - 1))
 
 
-def ideal_pair_state(phase: float = 0.0) -> PureState:
+def fidelity_pure(rho: DensityMatrix, psi: np.ndarray) -> float:
+    """Overlap ``<psi| rho |psi>``, clamped to [0, 1]."""
+    val = float(np.real(psi.conj() @ rho.matrix @ psi))
+    return min(1.0, max(0.0, val))
+
+
+def ideal_pair_state(phase: float = 0.0) -> np.ndarray:
     """``(|H,down> + e^{i phase} |V,up>)/sqrt(2)`` on (ion, photon)."""
-    return PureState(_pair_amplitudes(phase), PAIR_DIMS)
+    return _pair_amplitudes(phase)
+
+
+def bell_state(sign: int, phase: float = 0.0) -> np.ndarray:
+    """``(|down,up> + sign e^{i phase} |up,down>)/sqrt(2)`` on (ion A, ion B)."""
+    return np.sqrt(0.5) * (ket((0, 1)) + sign * np.exp(1j * phase) * ket((1, 0)))
 
 
 def bell_phase(delta: float, t: float, phase: float) -> float:
@@ -187,12 +195,6 @@ def random_density(rng, dims):
     mat = 0.5 * (mat + mat.conj().T)
     mat = mat / mat.trace().real
     return DensityMatrix(mat, dims)
-
-
-def random_pure(rng, dims):
-    d = int(np.prod(dims))
-    amps = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return amps / np.linalg.norm(amps)
 
 
 def loop_partial_trace(mat, dims, keep):
@@ -403,7 +405,7 @@ def projected_ion_state(pair: DensityMatrix, sign: int) -> DensityMatrix:
     """The ion state heralded by the photon in ``(|H> + sign |V>)/sqrt2``:
     the pair projected with the lifted photon projector, normalized, and the
     photon traced out."""
-    diag = superposition([(1.0, (0,)), (float(sign), (1,))], (2,)).amplitudes
+    diag = np.sqrt(0.5) * (ket((0,)) + sign * ket((1,)))
     proj = lift(np.outer(diag, diag.conj()), PHOTON, PAIR_DIMS)
     weighted = proj @ pair.matrix @ proj
     w = float(np.real(np.trace(weighted)))
@@ -415,7 +417,7 @@ def projected_ion_state(pair: DensityMatrix, sign: int) -> DensityMatrix:
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product; ``b``'s subsystems are appended above ``a``'s."""
-    dim = a.dim * b.dim
+    dim = a.matrix.shape[0] * b.matrix.shape[0]
     if dim > MAX_DIM:
         raise ValueError(f"register dimension {dim} exceeds cap {MAX_DIM}")
     # little-endian layout: the later register occupies the high index bits
@@ -451,8 +453,9 @@ class KrausChannel:
 
 
 def apply_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
-    if channel.dim != rho.dim:
-        raise ValueError(f"channel dim {channel.dim} != state dim {rho.dim}")
+    dim = rho.matrix.shape[0]
+    if channel.dim != dim:
+        raise ValueError(f"channel dim {channel.dim} != state dim {dim}")
     ops = channel.operators
     # summed in operator order, starting from zero
     out = np.add.reduce(ops @ rho.matrix @ ops.conj().swapaxes(-1, -2), axis=0, initial=0.0)
@@ -512,8 +515,7 @@ def literal_swapped_state(cfg, sign, t):
     for a in (0, 1):
         for b in (0, 1):
             # photon A H and photon B V, plus sign times the reverse
-            v = superposition([(1.0, (a, 0, b, 1)), (float(sign), (a, 1, b, 0))],
-                              full_dims).amplitudes
+            v = np.sqrt(0.5) * (ket((a, 0, b, 1)) + sign * ket((a, 1, b, 0)))
             proj += np.outer(v, v.conj())
     weighted = proj @ full.matrix @ proj
     w = float(np.real(np.trace(weighted)))

@@ -19,14 +19,15 @@ from ionlink.config import (
 from ionlink.detection import ConfusionMatrix, ReadoutModel, choose_thresholds, \
     simulate_histogram, spam_correct
 from ionlink.ion_photon import emit_ion_photon_state
-from ionlink.quantum import fidelity_pure
 from qutil import (
     YB_BA_BA_AXIAL_DISPLACEMENT,
     YB_BA_BA_RADIAL_DISPLACEMENT,
     bell_phase,
+    bell_state,
     cdf,
     density,
     empirical_cdf,
+    fidelity_pure,
     ideal_pair_state,
     pdf,
 )
@@ -106,7 +107,7 @@ def test_criterion_05_error_budget():
                   and abs(ledger.total - 0.036) <= 5e-4)
     t = cfg.analysis_delay
     rho = swap.swapped_state(cfg, +1, t)
-    target = swap.bell_state(+1, bell_phase(cfg.delta, t, cfg.swap_phase()))
+    target = bell_state(+1, bell_phase(cfg.delta, t, cfg.swap_phase()))
     infidelity = 1.0 - fidelity_pure(rho, target)
     ok_full = abs(infidelity - ledger.total) <= 5e-3
     _report(5, "error budget", ok_entries and ok_full,
@@ -189,8 +190,8 @@ def test_criterion_09_ideal_physics():
     pair_fid = fidelity_pure(emit_ion_photon_state(cfg.source_a()),
                              ideal_pair_state(cfg.phi_a))
     ion_fids = [fidelity_pure(swap.aligned_state_from_config(cfg, s),
-                              swap.bell_state(+1, 0.0)) for s in (+1, -1)]
-    scan = analysis.parity_scan(density(swap.bell_state(+1, 0.0)),
+                              bell_state(+1, 0.0)) for s in (+1, -1)]
+    scan = analysis.parity_scan(density(bell_state(+1, 0.0)),
                                 np.linspace(0, np.pi, 25), pulses="two")
     ok = (abs(pair_fid - 1.0) < 1e-9
           and all(abs(f - 1.0) < 1e-9 for f in ion_fids)

@@ -18,14 +18,20 @@ from ionlink.budget import (
 )
 from ionlink.config import HardwareConfig, ideal_config, measured_swap_config
 from ionlink.detection import ConfusionMatrix
-from ionlink.quantum import DensityMatrix, fidelity_pure, superposition
+from ionlink.quantum import DensityMatrix
 from ionlink.swap import (
     aligned_state_from_config,
-    bell_state,
     phase_alignment_delay,
     swapped_state,
 )
-from qutil import bell_phase, density, literal_swapped_state
+from qutil import (
+    bell_phase,
+    bell_state,
+    density,
+    fidelity_pure,
+    ket,
+    literal_swapped_state,
+)
 
 PHASES = np.linspace(0.0, np.pi, 25)
 
@@ -58,7 +64,7 @@ def test_zero_coherence_states():
 
 def test_one_pulse_scan_measures_even_coherence():
     # state with a pure even coherence: (|dd> + |uu>)/sqrt(2)
-    phi_plus = density(superposition([(1.0, (0, 0)), (1.0, (1, 1))], (2, 2)))
+    phi_plus = density(np.sqrt(0.5) * (ket((0, 0)) + ket((1, 1))))
     scan = parity_scan(phi_plus, PHASES, pulses="one")
     assert scan.contrast == pytest.approx(1.0, abs=1e-10)
     # while the ideal odd state shows none: its one-pulse parity is constant

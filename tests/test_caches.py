@@ -18,8 +18,7 @@ from ionlink.ion_photon import (
     waveplate_unitary,
 )
 from ionlink.quantum import apply_unitary, cache_by_value
-from ionlink.swap import bell_state
-from qutil import PHOTON, density, ideal_pair_state, ket, lift
+from qutil import PHOTON, bell_state, density, ideal_pair_state, ket, lift
 
 # fixed examples and no timing checks, so a loaded machine cannot fail a run
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)

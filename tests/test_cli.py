@@ -355,6 +355,14 @@ def test_config_errors_exit_code(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config_invalid"
     assert "coolant_present" in err["message"]
+    # a path that exists but cannot be read as a file
+    assert run(["budget", "--config", str(tmp_path),
+                "--out", str(tmp_path / "w")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "config_invalid"
+    assert str(tmp_path) in err["message"]
 
 
 @pytest.mark.parametrize("command,yaml_text,field", [

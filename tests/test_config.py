@@ -15,9 +15,8 @@ from ionlink.config import (
     load_config,
     measured_swap_config,
 )
-from ionlink.quantum import fidelity_pure
-from ionlink.swap import bell_state, swapped_state
-from qutil import bell_phase
+from ionlink.swap import swapped_state
+from qutil import bell_phase, bell_state, fidelity_pure
 
 
 def test_defaults_are_valid_and_hashable():

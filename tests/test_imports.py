@@ -199,8 +199,6 @@ UNREACHED_BY_THE_CLI = {
     "analysis.error_budget": "perfbench state_sweep calls it (ROADMAP item 5)",
     "rate_model.request_rate": "perfbench state_sweep calls it (ROADMAP item 5)",
     "config.DECAY_COOLANT_RECONSTRUCTION": "perfbench reads it (ROADMAP items 5, 9)",
-    "quantum.fidelity_pure": "the overlap diagnostic will report it (ROADMAP items 1, 13)",
-    "swap.bell_state": "the overlap diagnostic's target (ROADMAP items 1, 13)",
     "rate_model.optimal_cap": "rate will report the best cap (ROADMAP item 2)",
     "detection.ConfusionMatrix.condition_number":
         "readout_thresholds.json will report it (ROADMAP item 4)",
@@ -213,6 +211,15 @@ def test_package_defines_only_what_the_cli_reaches():
     unreached = unreached_definitions(sources, ["cli.main"])
     assert sorted(set(UNREACHED_BY_THE_CLI) - set(unreached)) == []
     assert unreached_definitions(sources, ["cli.main", *UNREACHED_BY_THE_CLI]) == []
+
+
+def test_qutil_defines_only_what_the_tests_import():
+    imported = {f"qutil.{alias.name}"
+                for path in sorted(TESTS.glob("test_*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "qutil"
+                for alias in node.names}
+    assert unreached_definitions({"qutil": (TESTS / "qutil.py").read_text()}, imported) == []
 
 
 # A fresh interpreter imports ionlink.config alone (no argv), or runs

@@ -17,7 +17,7 @@ from ionlink.ion_photon import (
     raman_rotation,
     waveplate_unitary,
 )
-from ionlink.quantum import fidelity_pure, rotated_populations
+from ionlink.quantum import rotated_populations
 from qutil import (
     ION,
     PHOTON,
@@ -26,6 +26,7 @@ from qutil import (
     apply_channel,
     density,
     dephasing_channel,
+    fidelity_pure,
     ideal_pair_state,
     ket,
     lift,

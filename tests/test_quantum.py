@@ -11,11 +11,7 @@ from ionlink.quantum import (
     PSD_TOL,
     TRACE_TOL,
     DensityMatrix,
-    PureState,
     apply_unitary,
-    basis_index,
-    fidelity_pure,
-    superposition,
     validate_density,
 )
 from ionlink.analysis import _sample_readout
@@ -28,6 +24,7 @@ from qutil import (
     dephasing_channel,
     density,
     depolarizing_channel,
+    fidelity_pure,
     ket,
     lift,
     loop_partial_trace,
@@ -46,16 +43,15 @@ IDEAL_CM = ConfusionMatrix.from_model(IDEAL_READOUT, 500, 1500)
 
 def test_basis_index_little_endian():
     # subsystem 0 occupies the lowest place
-    assert basis_index((1, 0), (2, 2)) == 1
-    assert basis_index((0, 1), (2, 2)) == 2
-    assert basis_index((1, 0, 1), (2, 2, 2)) == 5
+    assert np.flatnonzero(ket((1, 0))).tolist() == [1]
+    assert np.flatnonzero(ket((0, 1))).tolist() == [2]
+    assert np.flatnonzero(ket((1, 0, 1))).tolist() == [5]
 
 
 def test_lift_acts_on_named_subsystem():
     x_on_1 = lift(SIGMA_X, 1, (2, 2))
-    psi = ket((0, 0)).amplitudes
-    flipped = x_on_1 @ psi
-    assert flipped[basis_index((0, 1), (2, 2))] == 1.0
+    flipped = x_on_1 @ ket((0, 0))
+    assert flipped[2] == 1.0  # (0, 1): subsystem 1 in the higher place
 
 
 def test_tensor_maximally_mixed():
@@ -69,7 +65,7 @@ def test_tensor_basis_states():
     down = density(ket((0,)))
     up = density(ket((1,)))
     prod = tensor(down, up)  # (down, up): subsystem 0 = down
-    expected_index = basis_index((0, 1), (2, 2))
+    expected_index = 2
     assert prod.matrix[expected_index, expected_index] == 1.0
     assert np.count_nonzero(prod.matrix) == 1
 
@@ -92,7 +88,7 @@ def test_tensor_register_cap():
 
 
 def test_partial_trace_bell_gives_mixed():
-    phi_plus = density(superposition([(1.0, (0, 0)), (1.0, (1, 1))], (2, 2)))
+    phi_plus = density(np.sqrt(0.5) * (ket((0, 0)) + ket((1, 1))))
     reduced = partial_trace(phi_plus, keep=[0])
     assert np.allclose(reduced.matrix, np.eye(2) / 2, atol=1e-15)
 
@@ -135,7 +131,7 @@ def test_identity_channel_is_identity():
 
 
 def test_full_dephasing_kills_coherence():
-    plus = density(superposition([(1.0, (0,)), (1.0, (1,))], (2,)))
+    plus = density(np.sqrt(0.5) * (ket((0,)) + ket((1,))))
     out = apply_channel(plus, dephasing_channel(0.0))
     assert np.allclose(out.matrix, np.eye(2) / 2, atol=1e-15)
 
@@ -164,15 +160,10 @@ def test_non_trace_preserving_channel_rejected():
 
 
 def test_fidelity_trivial_cases():
-    psi_plus = superposition([(1.0, (1, 0)), (1.0, (0, 1))], (2, 2))
+    psi_plus = np.sqrt(0.5) * (ket((1, 0)) + ket((0, 1)))
     assert fidelity_pure(density(psi_plus), psi_plus) == pytest.approx(1.0, abs=1e-12)
     mixed = DensityMatrix(np.eye(4) / 4, (2, 2))
     assert fidelity_pure(mixed, psi_plus) == pytest.approx(0.25, abs=1e-12)
-
-
-def test_fidelity_dim_mismatch():
-    with pytest.raises(ValueError):
-        fidelity_pure(DensityMatrix(np.eye(2) / 2, (2,)), ket((0, 0)))
 
 
 def test_measure_deterministic_outcome():
@@ -198,7 +189,7 @@ def test_measure_mixed_is_fair():
 def test_measure_pair_state_only_correlated_outcomes():
     # (|H,down> + |V,up>)/sqrt(2) on (ion, photon): Born probabilities are
     # 1/2 on (down,H) and (up,V), zero elsewhere
-    state = density(superposition([(1.0, (0, 0)), (1.0, (1, 1))], (2, 2)))
+    state = density(np.sqrt(0.5) * (ket((0, 0)) + ket((1, 1))))
     projs = [np.outer(e, e) for e in np.eye(4)]
     probs = [np.real(np.trace(p @ state.matrix)) for p in projs]
     assert probs == pytest.approx([0.5, 0.0, 0.0, 0.5], abs=1e-12)
@@ -240,25 +231,6 @@ def test_validation_rejects_bad_matrices():
         DensityMatrix(np.eye(2))
     with pytest.raises(ValueError, match="semidefinite"):
         DensityMatrix(np.diag([1.5, -0.5]))
-    with pytest.raises(ValueError, match="normalized"):
-        PureState(np.array([1.0, 1.0]))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
-def test_non_finite_amplitudes_are_rejected(bad):
-    with pytest.raises(ValueError, match="normalized"):
-        PureState([bad, 0.0])
-    with pytest.raises(ValueError, match="finite"):
-        superposition([(bad, (0,)), (1.0, (1,))], (2,))
-
-
-def test_bell_state_rejects_a_nan_phase():
-    from ionlink.swap import bell_state
-
-    # an infinite phase is rejected before np.exp, which would warn on it
-    for phase in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="phase must be finite"):
-            bell_state(+1, phase)
 
 
 def _with_min_eigenvalue(lowest, seed=3):
@@ -411,10 +383,6 @@ def test_channel_check_holds_its_tolerance():
 
 def test_cached_identity_is_read_only():
     for d in (1, 2, 4, 16):
-        eye = quantum._identity(d)
-        assert np.array_equal(eye, np.eye(d))
-        assert not eye.flags.writeable
-        assert quantum._identity(d) is eye
         shift = quantum._psd_shift(d)
         assert np.array_equal(shift, PSD_TOL * np.eye(d))
         assert not shift.flags.writeable
@@ -435,7 +403,6 @@ def _array_holders():
                      radial_freq_ref=1e6)
     rho = density(ket([0, 1]))
     builders = {
-        "PureState": lambda: ket([0, 1]),
         "DensityMatrix": lambda: density(ket([0, 1])),
         "KrausChannel": lambda: depolarizing_channel(0.1),
         "ScanResult": lambda: parity_scan(rho, np.linspace(0.0, np.pi, 5)),
@@ -460,11 +427,11 @@ def test_array_holders_compare_and_hash_by_identity():
 
 
 def test_dims_normalization_errors():
-    assert PureState([1.0], ()).dims == ()
+    assert DensityMatrix([[1.0]], ()).dims == ()
     with pytest.raises(ValueError, match="do not factor"):
-        PureState([1.0, 0.0], ())
+        DensityMatrix(np.eye(2) / 2, ())
     with pytest.raises(ValueError, match="positive"):
-        PureState(np.zeros(0))
+        DensityMatrix(np.zeros((0, 0)))
     with pytest.raises(ValueError, match="positive"):
         DensityMatrix(np.eye(2) / 2, (2, 1, 0))
     with pytest.raises(ValueError, match="do not factor"):

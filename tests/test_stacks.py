@@ -228,9 +228,10 @@ def test_conjugate_output_valid_and_matches_apply_unitary(rho, us):
 @given(st.sampled_from([(2,), (2, 2)]), st.integers(0, 6), st.data())
 def test_rotated_populations_equal_diagonal_of_conjugated_states(dims, count, data):
     rho = data.draw(states(dims))
-    us = data.draw(unitaries(rho.dim, count))
+    d = rho.matrix.shape[0]
+    us = data.draw(unitaries(d, count))
     got = rotated_populations(rho, us)
-    assert got.shape == (len(us), rho.dim) and got.dtype == float
+    assert got.shape == (len(us), d) and got.dtype == float
     np.testing.assert_allclose(got, np.diagonal(conjugate(rho, us), axis1=-2, axis2=-1),
                                rtol=0, atol=1e-12)
 

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from ionlink.config import HardwareConfig, ideal_config
-from ionlink.quantum import fidelity_pure
 from ionlink.swap import (
     aligned_state_from_config,
     alignment_wait,
-    bell_state,
     phase_alignment_delay,
     swapped_state,
 )
-from qutil import bell_phase, density, partial_trace
+from qutil import bell_phase, bell_state, density, fidelity_pure, partial_trace
 
 TWO_PI = 2.0 * np.pi
 
