@@ -33,6 +33,7 @@ from .detection import (
     SpamCorrection,
     ThresholdResult,
     choose_thresholds,
+    count_pmf,
     simulate_histogram,
     spam_correct,
 )
@@ -194,18 +195,18 @@ def swap_experiment(cfg: HardwareConfig, trials: int,
     draw per stage, each over both signs, sign +1 first: the populations, from
     half of each sign's heralds, then the ``"two"`` scan and the ``"one"``
     scan, each sharing a quarter of each sign's heralds over its 13 phases.
-    Readouts are drawn from the confusion matrix of the model at the chosen
-    thresholds, the one that ``spam_correct`` inverts at every point.  Each
-    sign is analyzed after its own phase-alignment wait, which maps both onto
-    the plus Bell state.
+    Readouts are drawn from the confusion matrix of ``cfg``'s count pmf at
+    the chosen thresholds, the one that ``spam_correct`` inverts at every
+    point.  Each sign is analyzed after its own phase-alignment wait, which
+    maps both onto the plus Bell state.
     """
     if trials < MIN_SWAP_TRIALS:
         raise ValueError(f"swap needs at least {MIN_SWAP_TRIALS} trials")
-    model = cfg.readout_model()
-    hists = tuple(simulate_histogram(k, model, CALIBRATION_SHOTS, rng)
+    pmf = count_pmf(cfg)
+    hists = tuple(simulate_histogram(k, pmf, CALIBRATION_SHOTS, rng)
                   for k in range(3))
     thresholds = choose_thresholds(hists)
-    cm = ConfusionMatrix.from_model(model, thresholds.t1, thresholds.t2)
+    cm = ConfusionMatrix.from_pmf(pmf, thresholds.t1, thresholds.t2)
 
     sign_counts = {+1: int(rng.binomial(trials, 0.5))}
     sign_counts[-1] = trials - sign_counts[+1]

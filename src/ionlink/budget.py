@@ -43,8 +43,8 @@ def error_budget(cfg: HardwareConfig) -> BudgetLedger:
     polarization: exact Werner-admixture propagation of both sources' photon
     depolarizing through the swap, ``(3/4) w_pol`` with
     ``w_pol = 1 - (1-pA)(1-pB)`` from ``HardwareConfig.polarization_weight``.
-    coherence: pair dephasing over the analysis delay at the configured
-    envelope.  other: wavepacket-overlap contrast loss plus the incoherent
+    coherence: pair dephasing over the analysis delay at the exponential
+    pair envelope.  other: wavepacket-overlap contrast loss plus the incoherent
     dark-count and double-excitation admixtures.
 
     The exact state is ``swap.swapped_state``: it reads the same
@@ -55,7 +55,7 @@ def error_budget(cfg: HardwareConfig) -> BudgetLedger:
     """
     polarization = 0.75 * cfg.polarization_weight()
     coherence = dephasing_infidelity(cfg.analysis_delay, cfg.t2_star_bell,
-                                     cfg.bell_coherence_envelope)
+                                     "exponential")
     other = (0.5 * (1.0 - cfg.temporal_overlap)
              + 0.75 * cfg.dark_herald_weight()
              + 0.75 * cfg.double_excitation_prob)

@@ -5,25 +5,33 @@ trapped-ion photon sources (A and B) feeding a fiber Bell-state analyzer,
 with an optional sympathetic coolant that removes the need for periodic
 recooling breaks.  Field-by-field symbol map:
 
-=====================  =======================================================
-field                  meaning
-=====================  =======================================================
-eta_a, eta_b           all-in single-photon detection probability per attempt
-pol_mixing_a/_b        photon depolarizing strength of each imaging path
-phi_a, phi_b           static superposition phases from fiber birefringence
-delta_hz               qubit frequency difference (omega_B - omega_A)/2pi
-t2_star_bell           entangled-pair coherence time
-analysis_delay         wait between herald and the first analysis pulse
-temporal_overlap       photon wavepacket mode overlap at the beamsplitter
-dark_count_prob        probability of a fake coincidence per attempt window
-double_excitation_prob residual error weight (double excitation, crosstalk, background)
-attempt_duration       one entanglement attempt (pump + excite + collect)
-cooling_duration       one Doppler recooling interval
-loop_cap_no_coolant    attempts between recooling breaks without the coolant
-loop_cap_with_coolant  attempt cap N per request with the coolant
-decay_a/_b/_c          attempt success model p(n) = A exp(-B n) + C
-readout_*              fluorescence readout model (see detection module)
-=====================  =======================================================
+======================  ======================================================
+field                   meaning
+======================  ======================================================
+eta_a, eta_b            all-in single-photon detection probability per attempt
+pol_mixing_a,           photon depolarizing strength of each imaging path
+pol_mixing_b
+phi_a, phi_b            static superposition phases from fiber birefringence
+delta_hz                qubit frequency difference (omega_B - omega_A)/2pi
+t2_star_bell            entangled-pair coherence time (exponential envelope)
+analysis_delay          wait between herald and the first analysis pulse
+temporal_overlap        photon wavepacket mode overlap at the beamsplitter
+dark_count_prob         probability of a fake coincidence per attempt window
+double_excitation_prob  residual error weight (double excitation, crosstalk,
+                        background)
+attempt_duration        one entanglement attempt (pump + excite + collect)
+cooling_duration        one Doppler recooling interval
+loop_cap_no_coolant     attempts between recooling breaks without the coolant
+loop_cap_with_coolant   attempt cap N per request with the coolant
+coolant_present         selects the continuously cooled schedule
+decay_a, decay_b,       attempt success model p(n) = A exp(-B n) + C
+decay_c
+readout_duration        fluorescence readout window
+bright_rate             counts/s per bright ion
+dark_rate               background counts/s
+shelving_fidelity       aggregate no-bright readout fidelity
+bright_detect_fidelity  aggregate two-bright readout fidelity
+======================  ======================================================
 
 Defaults constitute the *predicted* error profile: the error-budget entries
 evaluate to 2.9% (polarization), ~0.3% (pair coherence) and ~0.4% (temporal
@@ -116,20 +124,17 @@ class HardwareConfig:
     # qubit coherence
     delta_hz: float = 984.0
     t2_star_bell: float = 38e-3
-    bell_coherence_envelope: str = "exponential"
     analysis_delay: float = 210e-6
     # Bell-state analyzer imperfections
     temporal_overlap: float = TEMPORAL_OVERLAP_DEFAULT
     dark_count_prob: float = DARK_COUNT_DEFAULT
     double_excitation_prob: float = 1e-5
-    swap_phase_convention: str = "b_minus_a"
     # attempt schedule
     attempt_duration: float = 1e-6
     cooling_duration: float = 100e-6
     loop_cap_no_coolant: int = 50
     loop_cap_with_coolant: int = 20000
     coolant_present: bool = False
-    hardware_counter_cap: int | None = None
     # attempt success model
     decay_a: float = DECAY_NO_COOLANT[0]
     decay_b: float = DECAY_NO_COOLANT[1]
@@ -145,16 +150,15 @@ class HardwareConfig:
         # types from the annotations: a float field takes a finite int or float,
         # the others their exact type (so True is no int and 1 no bool)
         for f in dataclasses.fields(self):
-            v, kind = getattr(self, f.name), f.type.split(" | ")[0]
-            if kind == "float":
+            v = getattr(self, f.name)
+            if f.type == "float":
                 # an int past float range overflows math.isfinite: not finite
                 ok = (math.isfinite(v) if isinstance(v, float)
                       else type(v) is int and abs(v) <= sys.float_info.max)
             else:
-                ok = type(v) is {"int": int, "bool": bool, "str": str}[kind] or (
-                    v is None and f.type.endswith("| None"))
+                ok = type(v) is {"int": int, "bool": bool}[f.type]
             if not ok:
-                want = "a finite number" if kind == "float" else f"of type {f.type}"
+                want = "a finite number" if f.type == "float" else f"of type {f.type}"
                 raise ValueError(f"{f.name} must be {want}, got {v!r}")
         unit = [
             "eta_a", "eta_b", "pol_mixing_a", "pol_mixing_b",
@@ -167,7 +171,7 @@ class HardwareConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         for name in ("shelving_fidelity", "bright_detect_fidelity"):
             v = getattr(self, name)
-            if not 0.0 < v <= 1.0:  # the range ReadoutModel takes
+            if not 0.0 < v <= 1.0:  # 1 - sqrt(fidelity) is a flip probability
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
         for name in ("phi_a", "phi_b"):
             v = getattr(self, name)
@@ -199,16 +203,11 @@ class HardwareConfig:
             raise ValueError("decay_a + decay_c must not exceed 1")
         if self.decay_c <= 0.0:
             raise ValueError("decay_c must be positive (guarantees eventual success)")
-        for name in ("loop_cap_no_coolant", "loop_cap_with_coolant",
-                     "hardware_counter_cap"):
+        for name in ("loop_cap_no_coolant", "loop_cap_with_coolant"):
             v = getattr(self, name)
-            if v is not None and not 1 <= v <= MAX_LOOP_CAP:  # None: no counter
+            if not 1 <= v <= MAX_LOOP_CAP:
                 raise ValueError(f"{name} must be an integer in "
                                  f"[1, {MAX_LOOP_CAP}], got {v!r}")
-        if self.bell_coherence_envelope not in ("gaussian", "exponential"):
-            raise ValueError("bell_coherence_envelope must be gaussian|exponential")
-        if self.swap_phase_convention not in ("b_minus_a", "a_minus_b"):
-            raise ValueError("swap_phase_convention must be b_minus_a|a_minus_b")
 
     # --- derived quantities --------------------------------------------------
 
@@ -218,10 +217,9 @@ class HardwareConfig:
         return TWO_PI * self.delta_hz
 
     def swap_phase(self) -> float:
-        """Static phase of the heralded two-ion superposition (rad)."""
-        if self.swap_phase_convention == "b_minus_a":
-            return self.phi_b - self.phi_a
-        return self.phi_a - self.phi_b
+        """Static phase of the heralded two-ion superposition (rad):
+        ``phi_b - phi_a``, the reference orientation (see the swap module)."""
+        return self.phi_b - self.phi_a
 
     def herald_probability(self) -> float:
         """Per-attempt probability of a true coincidence herald."""
@@ -238,17 +236,19 @@ class HardwareConfig:
     def source_a(self) -> SourceParams:
         from .ion_photon import SourceParams
         return SourceParams(pol_mixing=self.pol_mixing_a,
-                            superposition_phase=self.phi_a % TWO_PI)
+                            superposition_phase=self.phi_a)
 
     def source_b(self) -> SourceParams:
         from .ion_photon import SourceParams
         return SourceParams(pol_mixing=self.pol_mixing_b,
-                            superposition_phase=self.phi_b % TWO_PI)
+                            superposition_phase=self.phi_b)
 
     def bell_coherence_factor(self, t: float) -> float:
-        """Pair-coherence contrast envelope at time ``t`` after the herald."""
-        return 1.0 - 2.0 * dephasing_infidelity(t, self.t2_star_bell,
-                                                self.bell_coherence_envelope)
+        """Pair-coherence contrast envelope at time ``t`` after the herald:
+        exponential, ``exp(-t/t2_star_bell)``.  That envelope gives the 0.3%
+        coherence cost at the 210 us analysis delay; a Gaussian would give
+        1.5e-5."""
+        return 1.0 - 2.0 * dephasing_infidelity(t, self.t2_star_bell, "exponential")
 
     def herald_coherence(self, t: float) -> float:
         """Scale of the heralded ion-A coherences at ``t``: envelope times overlap."""
@@ -262,13 +262,6 @@ class HardwareConfig:
     def mixed_herald_weight(self) -> float:
         """Weight of ``I/4`` in the heralded state: fake and double-excitation heralds."""
         return 1.0 - (1.0 - self.dark_herald_weight()) * (1.0 - self.double_excitation_prob)
-
-    def readout_model(self):
-        from .detection import ReadoutModel
-        return ReadoutModel(bright_rate=self.bright_rate, dark_rate=self.dark_rate,
-                            duration=self.readout_duration,
-                            shelving_fidelity=self.shelving_fidelity,
-                            bright_detect_fidelity=self.bright_detect_fidelity)
 
     # --- serialization -------------------------------------------------------
 
@@ -327,10 +320,14 @@ def measured_swap_config(base: HardwareConfig | None = None) -> HardwareConfig:
     measured observables: odd-parity populations of 97.6% and a two-pulse
     parity-scan maximum of 92.5%.  The exact parity-scan amplitude is
     ``(P_odd - P_even)/2 + Re(odd coherence)`` (see the analysis module), so
-    the coherence chain is solved against that relation; the resulting state
-    has a true overlap with the target Bell state of exactly the measured 93.7%
-    fidelity bound.  A config whose admixtures or pair dephasing alone exceed
-    those targets raises ValueError.
+    the coherence chain is solved against that relation.  At
+    ``analysis_delay`` the resulting state has a true overlap with the target
+    Bell state of exactly the measured 93.7% fidelity bound.  The ``swap`` run
+    analyzes each herald sign after its own phase-alignment wait instead, so
+    its states have dephased for other times: with the defaults the overlaps
+    are 0.9309 at 731 us (sign +1) and 0.9368 at 223 us (sign -1).  A config
+    whose admixtures or pair dephasing alone exceed those targets raises
+    ValueError.
     """
     base = base if base is not None else HardwareConfig()
     w_mixed = base.mixed_herald_weight()

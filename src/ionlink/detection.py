@@ -9,8 +9,8 @@ coupling decay during the experiment) makes a bright ion read dark.  The
 aggregate no-bright and two-bright fidelities are config inputs; per-ion flip
 probabilities are derived as ``1 - sqrt(fidelity)``.
 
-Each prepared class has one count pmf per model (``ReadoutModel.count_pmf``):
-the Poisson mixture over the flip branches (Myerson et al., PRL 100, 200502
+Each prepared class has one count pmf per config (``count_pmf``): the
+Poisson mixture over the flip branches (Myerson et al., PRL 100, 200502
 (2008)).  The calibration histograms are multinomial draws from it, and the
 confusion matrix is read off its cumulative sums.  No scipy is loaded: each
 Poisson row is the ratio recurrence ``mu/k`` run outward from its mode, where
@@ -20,91 +20,64 @@ every factor is at most 1, then normalized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb, sqrt
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # annotations only: loading the readout needs no config module
+    from .config import HardwareConfig
 
 
 def _binom_pmf(k: int, n: int, p: float) -> float:
     return comb(n, k) * p ** k * (1.0 - p) ** (n - k)
 
 
-@dataclass(frozen=True)
-class ReadoutModel:
-    """Poisson count model of the shared fluorescence readout."""
-
-    bright_rate: float = 100000.0       # counts/s per bright ion
-    dark_rate: float = 1000.0           # counts/s background
-    duration: float = 1e-3              # s
-    shelving_fidelity: float = 0.987    # aggregate no-bright fidelity
-    bright_detect_fidelity: float = 0.981  # aggregate two-bright fidelity
-
-    def __post_init__(self):
-        if not (0.0 <= self.bright_rate < np.inf and 0.0 <= self.dark_rate < np.inf):
-            raise ValueError("rates must be finite and nonnegative")
-        if not 0.0 < self.duration < np.inf:
-            raise ValueError("duration must be finite and positive")
-        for name in ("shelving_fidelity", "bright_detect_fidelity"):
-            if not 0.0 < getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1]")
-
-    @property
-    def dark_mean(self) -> float:
-        return self.dark_rate * self.duration
-
-    @property
-    def bright_mean(self) -> float:
-        return self.bright_rate * self.duration
-
-    @property
-    def dark_to_bright_flip(self) -> float:
-        """Per-ion probability that a shelved ion fluoresces anyway."""
-        return 1.0 - sqrt(self.shelving_fidelity)
-
-    @property
-    def bright_to_dark_flip(self) -> float:
-        """Per-ion probability that a bright ion reads dark."""
-        return 1.0 - sqrt(self.bright_detect_fidelity)
-
-    @cached_property
-    def count_pmf(self) -> np.ndarray:
-        """Read-only (3, N): row k is P(counts = n | k prepared bright ions).
-        N = two-bright mean + 12 sd + 40 drops a tail below 1e-33 to mean 1e4."""
-        mu_max = self.dark_mean + 2.0 * self.bright_mean
-        k = np.arange(int(mu_max + 12.0 * sqrt(mu_max)) + 40, dtype=float)
-        poisson = np.ones((3, k.size))
-        for row, mu in zip(poisson, self.dark_mean + np.arange(3) * self.bright_mean):
-            mode = int(mu)
-            row[mode + 1:] = np.cumprod(mu / k[mode + 1:])
-            row[:mode] = np.cumprod(k[mode:0:-1] / mu)[::-1]
-        flips = np.array([effective_bright_probs(j, self) for j in range(3)])
-        pmf = flips @ (poisson / poisson.sum(axis=1, keepdims=True))
-        pmf.setflags(write=False)
-        return pmf
+def count_pmf(cfg: HardwareConfig) -> np.ndarray:
+    """Read-only (3, N): row k is P(counts = n | k prepared bright ions) under
+    the readout fields of ``cfg``.  N = two-bright mean + 12 sd + 40 drops a
+    tail below 1e-33 up to the config bound of 1e4 mean counts."""
+    dark_mean = cfg.dark_rate * cfg.readout_duration
+    bright_mean = cfg.bright_rate * cfg.readout_duration
+    mu_max = dark_mean + 2.0 * bright_mean
+    k = np.arange(int(mu_max + 12.0 * sqrt(mu_max)) + 40, dtype=float)
+    poisson = np.ones((3, k.size))
+    for row, mu in zip(poisson, dark_mean + np.arange(3) * bright_mean):
+        mode = int(mu)
+        row[mode + 1:] = np.cumprod(mu / k[mode + 1:])
+        row[:mode] = np.cumprod(k[mode:0:-1] / mu)[::-1]
+    flips = np.array([effective_bright_probs(j, cfg) for j in range(3)])
+    pmf = flips @ (poisson / poisson.sum(axis=1, keepdims=True))
+    pmf.setflags(write=False)
+    return pmf
 
 
-def effective_bright_probs(true_bright: int, model: ReadoutModel) -> np.ndarray:
-    """P(effective bright count = k) of the two ions after both flip branches."""
+def effective_bright_probs(true_bright: int, cfg: HardwareConfig) -> np.ndarray:
+    """P(effective bright count = k) of the two ions after both flip branches:
+    per ion, a shelved ion fluoresces with ``1 - sqrt(shelving_fidelity)`` and
+    a bright ion reads dark with ``1 - sqrt(bright_detect_fidelity)``."""
     if not 0 <= true_bright <= 2:
         raise ValueError("true_bright must be in [0, 2]")
+    dark_to_bright = 1.0 - sqrt(cfg.shelving_fidelity)
+    bright_to_dark = 1.0 - sqrt(cfg.bright_detect_fidelity)
     probs = np.zeros(3)
     for lost in range(true_bright + 1):
-        p_lost = _binom_pmf(lost, true_bright, model.bright_to_dark_flip)
+        p_lost = _binom_pmf(lost, true_bright, bright_to_dark)
         for gained in range(3 - true_bright):
-            p_gain = _binom_pmf(gained, 2 - true_bright, model.dark_to_bright_flip)
+            p_gain = _binom_pmf(gained, 2 - true_bright, dark_to_bright)
             probs[true_bright - lost + gained] += p_lost * p_gain
     return probs
 
 
-def simulate_histogram(true_bright: int, model: ReadoutModel, shots: int,
+def simulate_histogram(true_bright: int, pmf: np.ndarray, shots: int,
                        rng: np.random.Generator) -> np.ndarray:
     """Photon-count histogram (bincount array) of ``shots`` readouts of a
-    prepared bright count: one multinomial draw over the class's count pmf,
-    which is the bincount of ``shots`` independent single-shot draws."""
+    prepared bright count: one multinomial draw over the class's row of
+    ``pmf`` (from ``count_pmf``), which is the bincount of ``shots``
+    independent single-shot draws."""
     if not (0 <= true_bright <= 2 and shots >= 1):
         raise ValueError("need true_bright in [0, 2] and at least 1 shot")
-    return np.trim_zeros(rng.multinomial(shots, model.count_pmf[true_bright]), "b")
+    return np.trim_zeros(rng.multinomial(shots, pmf[true_bright]), "b")
 
 
 @dataclass(frozen=True)
@@ -175,11 +148,11 @@ class ConfusionMatrix:
         return float(np.linalg.cond(self.matrix))
 
     @classmethod
-    def from_model(cls, model: ReadoutModel, t1: int, t2: int) -> "ConfusionMatrix":
-        """Confusion matrix of the model's count pmf at the given thresholds."""
+    def from_pmf(cls, pmf: np.ndarray, t1: int, t2: int) -> "ConfusionMatrix":
+        """Confusion matrix of a ``count_pmf`` at the given thresholds."""
         if not 0 <= t1 <= t2:
             raise ValueError(f"thresholds must satisfy 0 <= t1 <= t2, got {t1}, {t2}")
-        cdf = np.cumsum(model.count_pmf, axis=1)
+        cdf = np.cumsum(pmf, axis=1)
         c1, c2 = cdf[:, np.minimum([t1, t2], cdf.shape[1] - 1)].T
         return cls(np.stack([c1, c2 - c1, 1.0 - c2], axis=1))
 

@@ -78,11 +78,8 @@ def effective_attempt_rate(cfg: HardwareConfig) -> float:
 
 
 def _loop_cap(cfg: HardwareConfig) -> int:
-    cap = (cfg.loop_cap_with_coolant if cfg.coolant_present
-           else cfg.loop_cap_no_coolant)
-    if cfg.hardware_counter_cap is not None:
-        cap = min(cap, cfg.hardware_counter_cap)
-    return cap
+    return (cfg.loop_cap_with_coolant if cfg.coolant_present
+            else cfg.loop_cap_no_coolant)
 
 
 def _success_model(cfg: HardwareConfig) -> DecayParams:

@@ -67,8 +67,8 @@ class DecayParams:
 class ScheduleParams:
     """Durations entering the wall-time arithmetic."""
 
-    attempt_duration: float = 1e-6
-    cooling_duration: float = 100e-6
+    attempt_duration: float
+    cooling_duration: float
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.attempt_duration, self.cooling_duration))):

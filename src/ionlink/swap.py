@@ -22,8 +22,7 @@ leaves the ions in ``(|down,up> + sign e^{i phi}|up,down>)/sqrt(2)``, where
 the V-branch phase of each source is referenced.  The reference two-ion form uses
 ``phi = phi_B - phi_A`` while the single-ion coherence scans fit ``+phi_j``
 per source; these two conventions cannot be derived from each other without
-unstated reference choices, so ``HardwareConfig.swap_phase_convention``
-selects the orientation (default ``"b_minus_a"``, the reference form), and
+unstated reference choices, so the model takes the reference form, and
 ``HardwareConfig.swap_phase`` alone applies it.
 """
 

@@ -35,7 +35,7 @@ from ionlink.ion_photon import (
     raman_rotation,
     waveplate_unitary,
 )
-from ionlink.protocol import _BLOCK, RateReport, _loop_cap, _success_model
+from ionlink.protocol import _BLOCK, RateReport, _success_model
 from ionlink.quantum import (
     HERMITIAN_TOL,
     MAX_DIM,
@@ -235,13 +235,11 @@ def bernoulli_request(cfg, rng):
     """One entanglement request by flipping one coin per attempt.
 
     Returns ``(attempts_used, success)`` under the schedule of ``cfg``:
-    loops of the (hardware-capped) loop cap, recooling after each failed
+    loops of the loop cap, recooling after each failed
     loop without the coolant, one loop and a failed request at the cap with
     it.
     """
     cap = cfg.loop_cap_with_coolant if cfg.coolant_present else cfg.loop_cap_no_coolant
-    if cfg.hardware_counter_cap is not None:
-        cap = min(cap, cfg.hardware_counter_cap)
     attempts = 0
     while True:
         for n in range(cap):
@@ -261,10 +259,10 @@ def reference_simulate_campaign(cfg, requests, master_seed):
     cached: the same random stream, every in-loop position from
     ``np.searchsorted`` over the whole table, and the columns and their
     sums from whole-array arithmetic."""
-    cap = _loop_cap(cfg)
+    coolant = cfg.coolant_present
+    cap = cfg.loop_cap_with_coolant if coolant else cfg.loop_cap_no_coolant
     attempt_ns = round(cfg.attempt_duration * 1e9)
     cooling_ns = round(cfg.cooling_duration * 1e9)
-    coolant = cfg.coolant_present
     table = success_cdf_table(_success_model(cfg), cap)
     q = float(table[-1])
     max_loops = (1 if coolant or q >= 1.0 else math.inf if q == 0.0
@@ -506,8 +504,9 @@ def literal_swapped_state(cfg, sign, t):
     the photon Bell state of ``sign``, the photons traced out, then a phase
     unitary, two dephasing channels and two admixtures in turn."""
     full_dims, two_ion_dims = (2, 2, 2, 2), (2, 2)
-    orientation = 1.0 if cfg.swap_phase_convention == "a_minus_b" else -1.0
-    pair_a, pair_b = (channel_emitted_pair(pol, orientation * phi)
+    # each pair at minus its source phase: the projection then leaves
+    # phi_b - phi_a, the orientation of HardwareConfig.swap_phase
+    pair_a, pair_b = (channel_emitted_pair(pol, -phi)
                       for pol, phi in ((cfg.pol_mixing_a, cfg.phi_a),
                                        (cfg.pol_mixing_b, cfg.phi_b)))
     full = tensor(pair_a, pair_b)

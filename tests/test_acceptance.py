@@ -16,7 +16,7 @@ from ionlink.config import (
     dephasing_infidelity,
     ideal_config,
 )
-from ionlink.detection import ConfusionMatrix, ReadoutModel, choose_thresholds, \
+from ionlink.detection import ConfusionMatrix, choose_thresholds, count_pmf, \
     simulate_histogram, spam_correct
 from ionlink.ion_photon import emit_ion_photon_state
 from qutil import (
@@ -202,11 +202,11 @@ def test_criterion_09_ideal_physics():
 
 
 def test_criterion_10_spam_and_thresholds():
-    model = ReadoutModel()
+    pmf = count_pmf(HardwareConfig())
     rng = np.random.default_rng(1010)
-    hists = [simulate_histogram(k, model, 50_000, rng) for k in range(3)]
+    hists = [simulate_histogram(k, pmf, 50_000, rng) for k in range(3)]
     thr = choose_thresholds(hists)
-    cm = ConfusionMatrix.from_model(model, thr.t1, thr.t2)
+    cm = ConfusionMatrix.from_pmf(pmf, thr.t1, thr.t2)
     ok_fid = all(cm.matrix[k, k] >= 0.98 for k in range(3))
     ok_round = True
     for _ in range(10):

@@ -17,7 +17,7 @@ from ionlink.budget import (
     error_budget,
 )
 from ionlink.config import HardwareConfig, ideal_config, measured_swap_config
-from ionlink.detection import ConfusionMatrix
+from ionlink.detection import ConfusionMatrix, count_pmf
 from ionlink.quantum import DensityMatrix
 from ionlink.swap import (
     aligned_state_from_config,
@@ -248,8 +248,8 @@ def _check_swap_against_closed_form(cfg, seed):
     res = swap_experiment(cfg, trials, np.random.default_rng(seed))
     states = {s: aligned_state_from_config(cfg, sign=s) for s in (+1, -1)}
     assert sum(res.sign_counts.values()) == trials
-    cm = ConfusionMatrix.from_model(cfg.readout_model(), res.thresholds.t1,
-                                    res.thresholds.t2)
+    cm = ConfusionMatrix.from_pmf(count_pmf(cfg), res.thresholds.t1,
+                                  res.thresholds.t2)
 
     def moments(rho, v):
         """Mean and one-shot variance of the SPAM-corrected estimate of

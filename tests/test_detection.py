@@ -4,16 +4,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom, poisson
 
+from ionlink.config import HardwareConfig
 from ionlink.detection import (
     ConfusionMatrix,
-    ReadoutModel,
     _binom_pmf,
     choose_thresholds,
+    count_pmf,
     effective_bright_probs,
     simulate_histogram,
     spam_correct,
 )
 from qutil import classify_counts
+
+DEFAULT = HardwareConfig()
+DEFAULT_PMF = count_pmf(DEFAULT)
 
 
 def hist_mean(hist):
@@ -22,26 +26,26 @@ def hist_mean(hist):
 
 
 def test_pure_dark_histogram():
-    model = ReadoutModel(bright_rate=0.0, dark_rate=2000.0, duration=1e-3,
+    cfg = HardwareConfig(bright_rate=0.0, dark_rate=2000.0, readout_duration=1e-3,
                          shelving_fidelity=1.0, bright_detect_fidelity=1.0)
-    hist = simulate_histogram(0, model, 200_000, np.random.default_rng(1))
-    mu = model.dark_mean
+    hist = simulate_histogram(0, count_pmf(cfg), 200_000, np.random.default_rng(1))
+    mu = cfg.dark_rate * cfg.readout_duration
     assert hist_mean(hist) == pytest.approx(mu, abs=3 * np.sqrt(mu / 200_000))
 
 
 def test_two_bright_mean_is_additive():
-    model = ReadoutModel(shelving_fidelity=1.0, bright_detect_fidelity=1.0)
-    hist = simulate_histogram(2, model, 200_000, np.random.default_rng(2))
-    mu = model.dark_mean + 2 * model.bright_mean
+    cfg = HardwareConfig(shelving_fidelity=1.0, bright_detect_fidelity=1.0)
+    hist = simulate_histogram(2, count_pmf(cfg), 200_000, np.random.default_rng(2))
+    mu = (cfg.dark_rate + 2 * cfg.bright_rate) * cfg.readout_duration
     assert hist_mean(hist) == pytest.approx(mu, abs=3 * np.sqrt(mu / 200_000))
 
 
 def test_histogram_means_scale_with_duration():
     rng = np.random.default_rng(3)
-    m1 = ReadoutModel(duration=1e-3, shelving_fidelity=1.0,
-                      bright_detect_fidelity=1.0)
-    m2 = ReadoutModel(duration=2e-3, shelving_fidelity=1.0,
-                      bright_detect_fidelity=1.0)
+    m1 = count_pmf(HardwareConfig(readout_duration=1e-3, shelving_fidelity=1.0,
+                                  bright_detect_fidelity=1.0))
+    m2 = count_pmf(HardwareConfig(readout_duration=2e-3, shelving_fidelity=1.0,
+                                  bright_detect_fidelity=1.0))
     h1 = simulate_histogram(1, m1, 100_000, rng)
     h2 = simulate_histogram(1, m2, 100_000, rng)
     ratio = hist_mean(h2) / hist_mean(h1)
@@ -49,18 +53,16 @@ def test_histogram_means_scale_with_duration():
 
 
 def test_flip_probabilities_reproduce_aggregate_fidelities():
-    model = ReadoutModel()
     # P(read 0 bright | both shelved) = shelving fidelity, by construction
-    assert effective_bright_probs(0, model)[0] == pytest.approx(0.987, abs=1e-12)
-    assert effective_bright_probs(2, model)[2] == pytest.approx(0.981, abs=1e-12)
+    assert effective_bright_probs(0, DEFAULT)[0] == pytest.approx(0.987, abs=1e-12)
+    assert effective_bright_probs(2, DEFAULT)[2] == pytest.approx(0.981, abs=1e-12)
 
 
 def test_default_model_misclassification_levels():
-    model = ReadoutModel()
-    hists = [simulate_histogram(k, model, 50_000, np.random.default_rng(10 + k))
+    hists = [simulate_histogram(k, DEFAULT_PMF, 50_000, np.random.default_rng(10 + k))
              for k in range(3)]
     thr = choose_thresholds(hists)
-    cm = ConfusionMatrix.from_model(model, thr.t1, thr.t2)
+    cm = ConfusionMatrix.from_pmf(DEFAULT_PMF, thr.t1, thr.t2)
     # ~1.3% no-bright and ~1.9% two-bright error, dominated by the flips
     assert 1.0 - cm.matrix[0, 0] == pytest.approx(0.013, abs=2e-3)
     assert 1.0 - cm.matrix[2, 2] == pytest.approx(0.019, abs=2e-3)
@@ -139,12 +141,12 @@ def _assert_matches_literal_loop(hists):
 def test_choose_thresholds_matches_literal_loop():
     """Sampled readouts, flat histograms, and drawn small integer histograms
     of ragged widths, whose errors tie on plateaus at round-off."""
-    model = ReadoutModel(bright_rate=20000.0, dark_rate=2000.0)
+    pmf = count_pmf(HardwareConfig(bright_rate=20000.0, dark_rate=2000.0))
     cases = []
     for seed in range(30):
         rng = np.random.default_rng(100 + seed)
         shots = int(rng.integers(50, 3000))
-        cases.append([simulate_histogram(k, model, shots, rng) for k in range(3)])
+        cases.append([simulate_histogram(k, pmf, shots, rng) for k in range(3)])
     flat = np.ones(12)
     cases += [[flat, flat, flat], [flat, np.ones(5), np.ones(9)]]
     # best t1 = 3, where the error at t2 = 3 exceeds its minimum at t2 = 4
@@ -194,8 +196,7 @@ def test_spam_correct_forward_roundtrip():
 def test_spam_correct_reference_level():
     # raw odd-parity population near 0.96 corrects to ~0.976 for a
     # reference-level confusion matrix
-    model = ReadoutModel()
-    cm = ConfusionMatrix.from_model(model, 20, 150)
+    cm = ConfusionMatrix.from_pmf(DEFAULT_PMF, 20, 150)
     truth = np.array([0.012, 0.976, 0.012])
     observed = truth @ cm.matrix
     assert observed[1] < 0.976  # readout errors wash the odd population out
@@ -236,7 +237,7 @@ def test_spam_correct_stack_corrects_each_row_alone():
 
 
 def test_confusion_inverse_stored_read_only():
-    cm = ConfusionMatrix.from_model(ReadoutModel(), 20, 150)
+    cm = ConfusionMatrix.from_pmf(DEFAULT_PMF, 20, 150)
     assert np.array_equal(cm.inverse, np.linalg.inv(cm.matrix))
     assert not cm.inverse.flags.writeable
 
@@ -249,8 +250,7 @@ def test_singular_confusion_rejected():
 
 
 def test_condition_number_reported():
-    model = ReadoutModel()
-    cm = ConfusionMatrix.from_model(model, 20, 150)
+    cm = ConfusionMatrix.from_pmf(DEFAULT_PMF, 20, 150)
     assert 1.0 <= cm.condition_number < 1.2
 
 
@@ -265,31 +265,31 @@ def test_binom_pmf_matches_scipy():
 @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0, 101.0, 201.0, 745.0, 1000.0, 1e4])
 def test_count_pmf_matches_scipy(mu):
     # pure Poisson rows: no flips and no bright counts
-    pure = ReadoutModel(bright_rate=0.0, dark_rate=mu, duration=1.0,
-                        shelving_fidelity=1.0, bright_detect_fidelity=1.0)
-    assert pure.count_pmf.shape[1] == int(mu + 12.0 * np.sqrt(mu)) + 40
-    for row in pure.count_pmf:
+    pure = count_pmf(HardwareConfig(bright_rate=0.0, dark_rate=mu, readout_duration=1.0,
+                                    shelving_fidelity=1.0, bright_detect_fidelity=1.0))
+    assert pure.shape[1] == int(mu + 12.0 * np.sqrt(mu)) + 40
+    for row in pure:
         np.testing.assert_allclose(np.cumsum(row), poisson.cdf(np.arange(row.size), mu),
                                    rtol=0.0, atol=1e-12)
     # the flip mixture, with the two-bright mean at mu
-    model = ReadoutModel(bright_rate=0.45 * mu, dark_rate=0.1 * mu, duration=1.0)
-    counts = np.arange(model.count_pmf.shape[1])
-    for true, row in enumerate(model.count_pmf):
-        ref = sum(p * poisson.cdf(counts, model.dark_mean + eff * model.bright_mean)
-                  for eff, p in enumerate(effective_bright_probs(true, model)))
+    cfg = HardwareConfig(bright_rate=0.45 * mu, dark_rate=0.1 * mu, readout_duration=1.0)
+    mixed = count_pmf(cfg)
+    counts = np.arange(mixed.shape[1])
+    for true, row in enumerate(mixed):
+        ref = sum(p * poisson.cdf(counts, cfg.dark_rate + eff * cfg.bright_rate)
+                  for eff, p in enumerate(effective_bright_probs(true, cfg)))
         np.testing.assert_allclose(np.cumsum(row), ref, rtol=0.0, atol=1e-12)
-    for m in (pure, model):
-        np.testing.assert_allclose(m.count_pmf.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
-        assert not m.count_pmf.flags.writeable
-        assert m.count_pmf is m.count_pmf  # built once per model
+    for pmf in (pure, mixed):
+        np.testing.assert_allclose(pmf.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        assert not pmf.flags.writeable
 
 
-@pytest.mark.parametrize("field", ["bright_rate", "dark_rate", "duration"])
+@pytest.mark.parametrize("field", ["bright_rate", "dark_rate", "readout_duration"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_readout_model_rejects_non_finite_inputs(field, value):
-    # a non-finite mean has no count pmf, so the model rejects it up front
-    with pytest.raises(ValueError, match="finite"):
-        ReadoutModel(**{field: value})
+    # a non-finite mean has no count pmf, so the config rejects it up front
+    with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+        HardwareConfig(**{field: value})
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -305,30 +305,29 @@ def test_confusion_matrix_rejects_non_finite_entries(value):
 def test_confusion_matrix_rejects_disordered_thresholds():
     for t1, t2 in ((-1, 150), (150, 20)):
         with pytest.raises(ValueError, match="thresholds"):
-            ConfusionMatrix.from_model(ReadoutModel(), t1, t2)
+            ConfusionMatrix.from_pmf(DEFAULT_PMF, t1, t2)
 
 
 def test_confusion_matrix_long_readout_is_finite():
     # a 10 ms readout puts the two-bright mean at 2000 counts (e^-mu underflows)
-    model = ReadoutModel(duration=10e-3)
-    cm = ConfusionMatrix.from_model(model, 500, 1500)
+    cfg = HardwareConfig(readout_duration=10e-3)
+    cm = ConfusionMatrix.from_pmf(count_pmf(cfg), 500, 1500)
     assert np.all(np.isfinite(cm.matrix))
     # counts above 1500 come only from two effective bright ions
-    assert cm.matrix[2, 2] == pytest.approx(effective_bright_probs(2, model)[2],
+    assert cm.matrix[2, 2] == pytest.approx(effective_bright_probs(2, cfg)[2],
                                             rel=1e-9)
 
 
 def test_thresholded_samples_follow_confusion_matrix_rows():
     # the row of M that spam_correct inverts is the class distribution of a
     # sampled shot: checked at the thresholds the default model chooses
-    model = ReadoutModel()
     rng = np.random.default_rng(31)
-    thr = choose_thresholds([simulate_histogram(k, model, 20_000, rng)
+    thr = choose_thresholds([simulate_histogram(k, DEFAULT_PMF, 20_000, rng)
                              for k in range(3)])
-    cm = ConfusionMatrix.from_model(model, thr.t1, thr.t2)
+    cm = ConfusionMatrix.from_pmf(DEFAULT_PMF, thr.t1, thr.t2)
     shots = 2_000_000
     for true in range(3):
-        hist = simulate_histogram(true, model, shots, rng)
+        hist = simulate_histogram(true, DEFAULT_PMF, shots, rng)
         cls = classify_counts(np.arange(hist.size), thr.t1, thr.t2)
         observed = np.bincount(cls, weights=hist, minlength=3) / shots
         row = cm.matrix[true]

@@ -98,13 +98,6 @@ def test_coolant_cap_and_failures():
     assert fails == pytest.approx(3000 * 0.9753, abs=3 * np.sqrt(3000 * 0.025))
 
 
-def test_hardware_counter_cap_flag():
-    cfg = replace(coolant_config(), hardware_counter_cap=2**14)
-    rep = simulate_campaign(cfg, 500, master_seed=2)
-    assert np.all(rep.attempts_used <= 2**14)
-    assert np.all(rep.attempts_used[~rep.success_mask] == 2**14)
-
-
 def test_deterministic_replay_and_prefix_stability():
     cfg = HardwareConfig()
     rep1 = simulate_campaign(cfg, 500, master_seed=99)
@@ -352,14 +345,11 @@ def test_bucket_index_is_read_only_and_bounded():
 
 @st.composite
 def campaigns(draw):
-    """A config of either schedule on a drawn success model, loop cap and
-    hardware counter cap, with a request count at and around the block
-    edges, and a seed."""
+    """A config of either schedule on a drawn success model and loop cap,
+    with a request count at and around the block edges, and a seed."""
     p, cap = draw(models())
     cfg = replace(_no_coolant(p, cap), loop_cap_with_coolant=cap,
-                  coolant_present=draw(st.booleans()),
-                  hardware_counter_cap=draw(st.one_of(
-                      st.none(), st.just(1), st.integers(1, 100_000))))
+                  coolant_present=draw(st.booleans()))
     requests = draw(st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
                                      2 * _BLOCK + 7]))
     return cfg, requests, draw(st.integers(0, 2**63 - 1))

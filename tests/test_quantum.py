@@ -15,7 +15,8 @@ from ionlink.quantum import (
     validate_density,
 )
 from ionlink.analysis import _sample_readout
-from ionlink.detection import ConfusionMatrix, ReadoutModel
+from ionlink.config import HardwareConfig
+from ionlink.detection import ConfusionMatrix, count_pmf
 from qutil import (
     CHANNEL_TOL,
     SIGMA_X,
@@ -36,9 +37,10 @@ from qutil import (
 )
 
 # readout whose count classes never overlap: 0, 1000 or 2000 mean counts
-IDEAL_READOUT = ReadoutModel(bright_rate=1e6, dark_rate=0.0,
-                             shelving_fidelity=1.0, bright_detect_fidelity=1.0)
-IDEAL_CM = ConfusionMatrix.from_model(IDEAL_READOUT, 500, 1500)
+IDEAL_READOUT = count_pmf(HardwareConfig(bright_rate=1e6, dark_rate=0.0,
+                                         shelving_fidelity=1.0,
+                                         bright_detect_fidelity=1.0))
+IDEAL_CM = ConfusionMatrix.from_pmf(IDEAL_READOUT, 500, 1500)
 
 
 def test_basis_index_little_endian():
@@ -406,13 +408,13 @@ def _array_holders():
         "DensityMatrix": lambda: density(ket([0, 1])),
         "KrausChannel": lambda: depolarizing_channel(0.1),
         "ScanResult": lambda: parity_scan(rho, np.linspace(0.0, np.pi, 5)),
-        "ConfusionMatrix": lambda: ConfusionMatrix.from_model(IDEAL_READOUT, 500, 1500),
+        "ConfusionMatrix": lambda: ConfusionMatrix.from_pmf(IDEAL_READOUT, 500, 1500),
         "SpamCorrection": lambda: spam_correct([0.2, 0.5, 0.3], IDEAL_CM),
         "SwapExperiment": lambda: swap_experiment(ideal_config(), 100,
                                                   np.random.default_rng(1)),
         "RateReport": lambda: simulate_campaign(HardwareConfig(), 10, 1),
         "RateCurve": lambda: rate_curve([1, 2], DecayParams(1e-3, 0.0, 1e-3),
-                                        ScheduleParams(), False),
+                                        ScheduleParams(1e-6, 100e-6), False),
         "ModeTable": lambda: normal_modes(spec, "axial"),
     }
     return {name: (build(), build()) for name, build in builders.items()}

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ionlink.rate_model import (
 from qutil import cdf, expected_attempts, mean_success_prob, pdf
 
 RECON = DecayParams(*DECAY_COOLANT_RECONSTRUCTION)
+SCHEDULE = ScheduleParams(attempt_duration=1e-6, cooling_duration=100e-6)
 
 
 def random_params(rng):
@@ -96,7 +98,7 @@ def test_mean_success_prob_geometric_closed_form():
     p = DecayParams(a=0.0, b=0.0, c=p_val)
     for n in (1, 2, 10, 500, 5000, 20000, 100_000):
         q = 1.0 - (1.0 - p_val) ** n
-        assert rate_curve(n, p, ScheduleParams(), False).cdf == \
+        assert rate_curve(n, p, SCHEDULE, False).cdf == \
             pytest.approx(q, rel=1e-12)
         assert expected_attempts(n, p) == pytest.approx(q / p_val, rel=1e-12)
         assert mean_success_prob(n, p) == pytest.approx(p_val, rel=1e-12)
@@ -142,11 +144,10 @@ def test_monte_carlo_agreement_with_mean_success_prob():
 
 def test_optimal_cap_constant_p_is_boundary():
     p = DecayParams(a=0.0, b=0.0, c=2.5e-4)
-    schedule = ScheduleParams()
-    best, rate = optimal_cap(p, schedule, coolant=True, max_cap=20000)
+    best, rate = optimal_cap(p, SCHEDULE, coolant=True, max_cap=20000)
     assert best == 20000
     # rate is monotone increasing in the cap for constant p
-    rates = [request_rate(n, p, schedule, True) for n in (100, 1000, 20000)]
+    rates = [request_rate(n, p, SCHEDULE, True) for n in (100, 1000, 20000)]
     assert rates[0] < rates[1] < rates[2]
 
 
@@ -154,10 +155,9 @@ def test_optimal_cap_interior_for_strong_decay():
     # strong decay (steady state well below the initial value) with recooling
     # overhead: a finite cap near the decay knee wins
     p = DecayParams(a=5e-3, b=1e-2, c=2e-4)
-    schedule = ScheduleParams(attempt_duration=1e-6, cooling_duration=100e-6)
-    best, best_rate = optimal_cap(p, schedule, coolant=False, max_cap=500)
+    best, best_rate = optimal_cap(p, SCHEDULE, coolant=False, max_cap=500)
     brute = max(range(1, 501),
-                key=lambda n: request_rate(n, p, schedule, coolant=False))
+                key=lambda n: request_rate(n, p, SCHEDULE, coolant=False))
     assert best == brute
     assert 1 < best < 500
 
@@ -167,8 +167,7 @@ def test_uncooled_rate_declines_past_the_loop_knee():
     # deteriorates as the loop cap grows past the recoil-decay knee
     from ionlink.config import DECAY_NO_COOLANT
     p = DecayParams(*DECAY_NO_COOLANT)
-    schedule = ScheduleParams()
-    rates = rate_curve([50, 200, 1000, 5000, 20000], p, schedule,
+    rates = rate_curve([50, 200, 1000, 5000, 20000], p, SCHEDULE,
                        coolant=False).rate_no_cooling_hz
     assert all(b < a for a, b in zip(rates, rates[1:]))
     # the recooling-free rate is pbar(50) * 1 MHz: heralds per attempt times
@@ -176,7 +175,7 @@ def test_uncooled_rate_declines_past_the_loop_knee():
     assert rates[0] == pytest.approx(mean_success_prob(50.0, p) * 1e6, rel=1e-12)
     # with the recooling breaks the early-success clustering of the decay
     # profile lands slightly above the constant-p 78/s reference arithmetic
-    full = float(rate_curve(50, p, schedule, coolant=False).rate_hz)
+    full = float(rate_curve(50, p, SCHEDULE, coolant=False).rate_hz)
     assert full == pytest.approx(79.5, abs=1.0)
 
 
@@ -184,7 +183,6 @@ def test_request_rate_matches_discrete_sum_oracle():
     # independent oracle: compose the rate from literal discrete products and
     # sums over whole loops instead of the per-loop rate formula
     p = DecayParams(a=5e-3, b=1e-2, c=2e-4)
-    schedule = ScheduleParams()
     for cap in (20, 80, 300):
         n = np.arange(cap)
         probs = p.probability(n)
@@ -192,23 +190,22 @@ def test_request_rate_matches_discrete_sum_oracle():
         q = 1.0 - survival[-1]
         e_min = 1.0 + survival[:-1].sum()  # E[min(first success, cap)]
         e_succ = (e_min - cap * survival[-1]) / q
-        wall = ((1.0 / q - 1.0) * (cap * schedule.attempt_duration
-                                   + schedule.cooling_duration)
-                + e_succ * schedule.attempt_duration)
+        wall = ((1.0 / q - 1.0) * (cap * SCHEDULE.attempt_duration
+                                   + SCHEDULE.cooling_duration)
+                + e_succ * SCHEDULE.attempt_duration)
         oracle = 1.0 / wall
-        got = request_rate(float(cap), p, schedule, coolant=False)
+        got = request_rate(float(cap), p, SCHEDULE, coolant=False)
         assert got == pytest.approx(oracle, rel=1e-12)
 
 
 def test_decay_gap_between_schedules():
     # instant decay to the steady state (b -> large) vs continuous cooling at
     # the fresh value: the cooled schedule sustains the higher rate
-    schedule = ScheduleParams()
     decayed = DecayParams(a=1.1e-4, b=50.0, c=1.4e-4)
     cooled = DecayParams(a=0.0, b=0.0, c=2.5e-4)
-    r_red = float(rate_curve(20000, decayed, schedule,
+    r_red = float(rate_curve(20000, decayed, SCHEDULE,
                              coolant=False).rate_no_cooling_hz)
-    r_blue = float(rate_curve(20000, cooled, schedule,
+    r_blue = float(rate_curve(20000, cooled, SCHEDULE,
                               coolant=True).rate_no_cooling_hz)
     assert r_blue > 1.5 * r_red
 
@@ -238,7 +235,7 @@ def test_decay_params_must_be_finite(abc):
                                        {"cooling_duration": math.nan}])
 def test_schedule_params_must_be_finite(durations):
     with pytest.raises(ValueError, match="finite"):
-        ScheduleParams(**durations)
+        replace(SCHEDULE, **durations)
 
 
 def test_expected_attempts_identity():

@@ -263,11 +263,9 @@ def swap_configs(draw):
         phi_a=draw(phases), phi_b=draw(phases),
         delta_hz=draw(st.floats(0.0, 5000.0)),
         t2_star_bell=draw(st.floats(1e-4, 1.0)),
-        bell_coherence_envelope=draw(st.sampled_from(["gaussian", "exponential"])),
         temporal_overlap=draw(st.floats(0.0, 1.0)),
         dark_count_prob=draw(st.floats(0.0, 1e-3)),
-        double_excitation_prob=draw(st.floats(0.0, 0.2)),
-        swap_phase_convention=draw(st.sampled_from(["b_minus_a", "a_minus_b"])))
+        double_excitation_prob=draw(st.floats(0.0, 0.2)))
 
 
 @PROPERTY

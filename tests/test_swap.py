@@ -72,19 +72,10 @@ def test_phase_tracking_target_all_ideal():
         assert fidelity_pure(rho, target) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_swap_phase_convention_switch():
-    base = ideal_config()
-    for conv in ("b_minus_a", "a_minus_b"):
-        cfg = replace(base, swap_phase_convention=conv)
-        rho = aligned_state_from_config(cfg, sign=+1)
-        assert fidelity_pure(rho, bell_state(+1, 0.0)) == pytest.approx(1.0,
-                                                                        abs=1e-12)
-
-
 def test_tiny_source_phase_folds_to_zero():
     # -1e-300 mod 2*pi rounds to 2*pi, outside a source phase's range
-    for conv, field in (("b_minus_a", "phi_b"), ("a_minus_b", "phi_a")):
-        cfg = replace(ideal_config(), phi_a=0.0, phi_b=0.0, swap_phase_convention=conv)
+    cfg = replace(ideal_config(), phi_a=0.0, phi_b=0.0)
+    for field in ("phi_a", "phi_b"):
         tiny = replace(cfg, **{field: 1e-300})
         for sign in (+1, -1):
             np.testing.assert_allclose(swapped_state(tiny, sign, 0.0).matrix,
