@@ -20,6 +20,7 @@ single-pulse contrast as ``F >= (pops + C2 - C1)/2``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -37,8 +38,7 @@ from .detection import (
     simulate_histogram,
     spam_correct,
 )
-from .fitting import ScanResult, fit_sinusoid
-from .ion_photon import raman_rotation
+from .fitting import ScanResult, SinusoidFit, wrap_phase
 from .quantum import DensityMatrix, apply_unitary, cache_by_value, rotated_populations
 
 # little-endian basis order of the two-ion register (ion A is bit 0):
@@ -46,6 +46,18 @@ from .quantum import DensityMatrix, apply_unitary, cache_by_value, rotated_popul
 IDX_DD, IDX_UD, IDX_DU, IDX_UU = 0, 1, 2, 3
 PARITY_DIAG = np.array([1.0, -1.0, -1.0, 1.0])
 BRIGHT_PARITY = np.array([1.0, -1.0, 1.0])  # parity of 0, 1 and 2 bright ions
+
+
+def raman_rotation(phase) -> np.ndarray:
+    """Qubit pi/2 rotation ``exp(-i pi/4 (cos(phase) sx + sin(phase) sy))``;
+    an array of phases gives the stack ``phase.shape + (2, 2)``."""
+    phase = np.asarray(phase)
+    out = np.empty(phase.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = np.cos(np.pi / 4.0)
+    s = np.sin(np.pi / 4.0)
+    out[..., 0, 1] = -1j * np.exp(-1j * phase) * s
+    out[..., 1, 0] = -1j * np.exp(1j * phase) * s
+    return out
 
 
 def _global_rotation(phase) -> np.ndarray:
@@ -89,6 +101,53 @@ def _analysis_sequence(rho: DensityMatrix, phases, pulses: str) -> np.ndarray:
         raise ValueError("pulses must be 'one' or 'two'")
     stack = _pulse_stack(phases) if pulses == "one" else _two_pulse_stack(phases)
     return rotated_populations(rho, stack)
+
+
+@cache_by_value(maxsize=8)
+def _solver(x, angular_frequency) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(sin, cos, 1)`` regressors with their pseudo-inverse and rank, built
+    once per grid and frequency (8 kept).  Singular values up to ``eps * n``
+    times the largest count as zero, the cutoff of ``np.linalg.lstsq``, so
+    the product with ``y`` is its minimum-norm solution."""
+    design = np.column_stack([np.sin(angular_frequency * x),
+                              np.cos(angular_frequency * x),
+                              np.ones_like(x)])
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    rank = int(np.count_nonzero(s > np.finfo(float).eps * max(design.shape) * s[0]))
+    return design, (vt[:rank].T / s[:rank]) @ u[:, :rank].T, rank
+
+
+def fit_sinusoid(x, y, angular_frequency: float) -> SinusoidFit:
+    """Least-squares fit of ``offset + A sin(k x - phase)`` at known ``k``."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("x and y must be matching 1-d arrays")
+    finite = np.isfinite(y)
+    if not finite.all():
+        x, y = x[finite], y[finite]
+    if x.size < 3:
+        raise ValueError("need at least 3 finite points to fit a sinusoid")
+    # a product of Python floats overflows to inf without a warning
+    reach = float(np.abs(x).max())
+    if not math.isfinite(abs(angular_frequency) * reach):
+        raise ValueError(f"k * x must be finite, got k = {angular_frequency!r} "
+                         f"and |x| up to {reach!r}")
+    design, pinv, rank = _solver(x, angular_frequency)
+    coef = pinv @ y
+    a_sin, a_cos, offset = coef
+    amplitude = float(np.hypot(a_sin, a_cos))
+    degenerate = rank < 3
+    if amplitude < 1e-14:
+        phase = 0.0
+        degenerate = True
+    else:
+        # y = A sin(kx - phase): coeff of sin is A cos(phase), of cos is -A sin(phase)
+        phase = wrap_phase(np.arctan2(-a_cos, a_sin))
+    resid = y - design @ coef
+    rms = float(np.sqrt(resid @ resid / resid.size))
+    return SinusoidFit(amplitude=amplitude, phase=phase, offset=float(offset),
+                       residual_rms=rms, degenerate=degenerate)
 
 
 def _parity_result(grid: np.ndarray, values: np.ndarray) -> ScanResult:

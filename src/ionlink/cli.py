@@ -18,8 +18,8 @@ import os
 import sys
 from pathlib import Path
 
-# Each cmd_* imports the library module it runs, and _parse_grid numpy, so
-# that a fresh process loads only those: budget loads no numpy.
+# Each cmd_* imports the library module it runs, so that a fresh process
+# loads only those: budget and ion-photon load no numpy.
 from . import __version__
 from .config import (
     MAX_LOOP_CAP,
@@ -52,7 +52,7 @@ class CliError(Exception):
 
 def _parse_grid(spec: str):
     """Parse 'start:stop:num' into a linspace grid of 3 to MAX_GRID_POINTS."""
-    import numpy as np
+    from .fitting import linspace
     try:
         start, stop, num = spec.split(":")
         start, stop, num = float(start), float(stop), int(num)
@@ -64,7 +64,7 @@ def _parse_grid(spec: str):
     if not 3 <= num <= MAX_GRID_POINTS:
         raise CliError("bad_grid", f"grid needs 3 to {MAX_GRID_POINTS} points, "
                        f"got {num}", 2)
-    return np.linspace(start, stop, num)
+    return linspace(start, stop, num)
 
 
 def _resolve_config(args) -> HardwareConfig:
@@ -148,9 +148,9 @@ def cmd_rate(args, cfg: HardwareConfig, seed: int, out: Path) -> None:
     from .protocol import rate_outputs
     _check_trials("rate", args.trials, 1)
     grid = _parse_grid(args.grid) if args.grid else None
-    if grid is not None and grid.max() > MAX_LOOP_CAP:
+    if grid is not None and max(grid) > MAX_LOOP_CAP:
         raise CliError("bad_grid", f"caps must not exceed "
-                       f"{MAX_LOOP_CAP}, got {grid.max():g}", 2)
+                       f"{MAX_LOOP_CAP}, got {max(grid):g}", 2)
     _write(out, cfg, seed, rate_outputs(cfg, grid, args.trials, seed,
                                         MAX_RECORDS if args.records else 0))
 

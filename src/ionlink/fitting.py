@@ -1,9 +1,11 @@
-"""Sinusoid fitting and the common scan-result container.
+"""Sinusoid fits, the common scan-result container and scan grids.
 
 All scans in this package oscillate with a period that is known a priori
 (waveplate scans at four times the plate angle, analysis-phase scans at the
-phase itself, parity scans at twice the phase), so fits are plain linear least
-squares on ``(cos, sin, 1)`` regressors; no iterative optimizer is involved.
+phase itself, parity scans at twice the phase), so a fit is linear in
+``(sin, cos, 1)``: ``analysis.fit_sinusoid`` fits sampled series by least
+squares, and the closed-form scans of ``ion_photon`` report their exact
+coefficients.  This module loads no numpy.
 
 Fit model: ``y = offset + amplitude * sin(k * x - phase)`` with
 ``amplitude >= 0`` and ``phase`` in ``[0, 2*pi)``.  With this convention a
@@ -15,12 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Mapping
-
-import numpy as np
+from typing import Mapping, Sequence
 
 from .config import TWO_PI
-from .quantum import cache_by_value
 
 
 @dataclass(frozen=True)
@@ -43,66 +42,50 @@ def wrap_phase(phase: float) -> float:
     return wrapped if wrapped < TWO_PI else 0.0
 
 
-@cache_by_value(maxsize=8)
-def _solver(x, angular_frequency) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(sin, cos, 1)`` regressors with their pseudo-inverse and rank,
-    built once per grid and frequency (8 kept: 4.8 MB each at
-    ``cli.MAX_GRID_POINTS`` points).  Singular values up to ``eps * n`` times
-    the largest count as zero, the cutoff of ``np.linalg.lstsq``, so the
-    product with ``y`` is its minimum-norm solution."""
-    design = np.column_stack([np.sin(angular_frequency * x),
-                              np.cos(angular_frequency * x),
-                              np.ones_like(x)])
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
-    rank = int(np.count_nonzero(s > np.finfo(float).eps * max(design.shape) * s[0]))
-    return design, (vt[:rank].T / s[:rank]) @ u[:, :rank].T, rank
+DISTINCT_TOL = 1e-7
 
 
-def fit_sinusoid(x, y, angular_frequency: float) -> SinusoidFit:
-    """Least-squares fit of ``offset + A sin(k x - phase)`` at known ``k``."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be matching 1-d arrays")
-    finite = np.isfinite(y)
-    if not finite.all():
-        x, y = x[finite], y[finite]
-    if x.size < 3:
-        raise ValueError("need at least 3 finite points to fit a sinusoid")
-    # a product of Python floats overflows to inf without a warning
-    reach = float(np.abs(x).max())
-    if not math.isfinite(abs(angular_frequency) * reach):
-        raise ValueError(f"k * x must be finite, got k = {angular_frequency!r} "
-                         f"and |x| up to {reach!r}")
-    design, pinv, rank = _solver(x, angular_frequency)
-    coef = pinv @ y
-    a_sin, a_cos, offset = coef
-    amplitude = float(np.hypot(a_sin, a_cos))
-    degenerate = rank < 3
-    if amplitude < 1e-14:
-        phase = 0.0
-        degenerate = True
-    else:
-        # y = A sin(kx - phase): coeff of sin is A cos(phase), of cos is -A sin(phase)
-        phase = wrap_phase(np.arctan2(-a_cos, a_sin))
-    resid = y - design @ coef
-    rms = float(np.sqrt(resid @ resid / resid.size))
-    return SinusoidFit(amplitude=amplitude, phase=phase, offset=float(offset),
-                       residual_rms=rms, degenerate=degenerate)
+def determines_sinusoid(x: Sequence[float], angular_frequency: float) -> bool:
+    """Whether the grid ``x`` determines ``offset + A sin(k x - phase)``: some
+    three of its points ``(cos kx, sin kx)``, kept in order, lie more than
+    ``DISTINCT_TOL`` apart (distinct points of a circle are never collinear).
+    Three points at spacing s give the ``(sin, cos, 1)`` regressors a smallest
+    singular value near 0.29 s^2, below ``np.linalg.lstsq``'s rank cutoff
+    (1.6e-15) under s = 7.5e-8."""
+    kept = []
+    for v in x:
+        point = (math.cos(angular_frequency * v), math.sin(angular_frequency * v))
+        if all(math.dist(point, other) > DISTINCT_TOL for other in kept):
+            kept.append(point)
+            if len(kept) == 3:
+                return True
+    return False
+
+
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """``np.linspace(start, stop, num).tolist()`` bit for bit (``num >= 2``): point
+    ``k`` is ``k * step + start``, or ``k / (num-1) * delta + start`` when the
+    step ``delta / (num-1)`` rounds to zero, and the last point is ``stop``."""
+    div, delta = num - 1, stop - start
+    step = delta / div
+    if step == 0.0:
+        return [k / div * delta + start for k in range(div)] + [stop]
+    return [k * step + start for k in range(div)] + [stop]
 
 
 @dataclass(frozen=True, eq=False)
 class ScanResult:
     """Grid of a control parameter vs measured values, with sinusoid fits.
 
-    ``series`` maps column name to the measured values; ``fits`` holds one
-    fit per series.  ``contrast`` is defined by the producing scan (twice the
-    fitted amplitude for probability scans, the amplitude itself for parity
-    scans) and is recorded here so downstream bounds do not re-derive it.
+    ``series`` maps column name to the values (lists or arrays, as is
+    ``control``); ``fits`` holds one fit per series.  ``contrast`` is defined
+    by the producing scan (twice the fitted amplitude for probability scans,
+    the amplitude itself for parity scans) and is recorded here so
+    downstream bounds do not re-derive it.
     """
 
-    control: np.ndarray
-    series: Mapping[str, np.ndarray]
+    control: Sequence[float]
+    series: Mapping[str, Sequence[float]]
     fits: Mapping[str, SinusoidFit]
     angular_frequency: float
     contrast: float
@@ -119,4 +102,4 @@ class ScanResult:
     def table(self) -> tuple[list[str], zip]:
         """``(columns, rows)``: per control value, the value then each series."""
         return (["control_value", *self.series],
-                zip(self.control.tolist(), *(v.tolist() for v in self.series.values())))
+                zip(map(float, self.control), *(map(float, v) for v in self.series.values())))

@@ -1,34 +1,27 @@
 """Ion-photon entangled pair generation and its characterization scans.
 
 The heralded pair lives on the register ``(ion, photon)`` with the ideal state
-``(|H>|down> + e^{i phase}|V>|up>)/sqrt(2)``.  The imperfection modeled here
-is polarization mixing in the imaging path, as depolarizing of configurable
-strength on the photon qubit; the dephasing error model is
-``config.dephasing_infidelity``.
+``|psi> = (|H>|down> + e^{i phase}|V>|up>)/sqrt(2)``.  Polarization mixing
+in the imaging path depolarizes the photon with strength ``w``, so the pair
+is the Werner-type state ``(1-w)|psi><psi| + w I/4`` (Werner, PRA 40, 4277
+(1989)), and so is its heralded ion; the dephasing error model is
+``config.dephasing_infidelity``.  This layer represents only such states:
+each scan is a trigonometric polynomial that reports its exact coefficients
+as its fit, and numpy loads only when a state's ``matrix`` is read.  The
+general layer (waveplate and Raman unitaries, stacked scans of any state) is
+the reference in ``tests/qutil.py``.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import TWO_PI, HardwareConfig
-from .fitting import ScanResult, fit_sinusoid
-from .quantum import DensityMatrix, cache_by_value, rotated_populations
+from .fitting import ScanResult, SinusoidFit, determines_sinusoid, linspace, wrap_phase
 
-PAIR_DIMS = (2, 2)  # (ion, photon)
-
-# photon basis values (H = 0, V = 1) and the ion's up value (down = 0)
-H, V = 0, 1
-UP = 1
-
-# basis-population selectors of correlation_scan over the pair's basis index
-# ion + 2 * photon: ion up, photon V and photon H
-_SELECTORS = np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]])
-_SELECTORS.setflags(write=False)
-_ION_UP = _SELECTORS[0]
-_PHOTON_POL = (("p_up_given_V", _SELECTORS[1]), ("p_up_given_H", _SELECTORS[2]))
+PAIR_DIMS, ION_DIMS = (2, 2), (2,)  # (ion, photon) and the ion alone
 
 
 @dataclass(frozen=True)
@@ -45,136 +38,105 @@ class SourceParams:
             raise ValueError("superposition_phase must be in [0, 2*pi)")
 
 
-def _pair_amplitudes(phase: float) -> np.ndarray:
-    # |H,down> and |V,up> are the basis indices 0 and 3 (ion + 2 * photon)
-    return np.array([1.0, 0.0, 0.0, np.exp(1j * phase)]) / np.sqrt(2.0)
+@dataclass(frozen=True)
+class WernerState:
+    """``(1-w)|psi><psi| + w I/d``, ``|psi> = (|0> + e^{i phase}|d-1>)/sqrt(2)``, on
+    the ion-photon pair (``PAIR_DIMS``, basis index ion + 2 photon: ``|0>`` is
+    ``|H,down>`` and ``|3>`` is ``|V,up>``) or the heralded ion (``ION_DIMS``)."""
+
+    mixing: float
+    phase: float
+    dims: tuple[int, ...]
+
+    @property
+    def amplitude(self) -> float:
+        """``A = (1-w)/2``, the magnitude of the coherence ``<d-1|rho|0>``."""
+        return 0.5 * (1.0 - self.mixing)
+
+    @property
+    def matrix(self):
+        """The read-only density matrix, built and validated on each read."""
+        import numpy as np
+
+        from .quantum import DensityMatrix
+        d, c = math.prod(self.dims), cmath.exp(1j * self.phase)
+        mat = self.mixing / d * np.eye(d, dtype=complex)
+        # |0><0|, |d-1><d-1| and the coherences between them, each times A
+        mat[::d - 1, ::d - 1] += self.amplitude * np.array([[1.0, c.conjugate()], [c, 1.0]])
+        return DensityMatrix(mat, self.dims).matrix
 
 
-def emit_ion_photon_state(params: SourceParams) -> DensityMatrix:
-    """Heralded ion-photon state of one source, photon detected.
-
-    Polarization mixing of strength ``p`` depolarizes the photon,
-    ``(1-p) rho + p (I/2 (x) Tr_photon rho)``; the ideal pair's ion marginal
-    is ``I/2``, so this is ``(1-p) |psi><psi| + p I/4``.  Under sigma+
-    excitation a pumping or excitation failure emits no photon, so it lowers
-    the attempt success probability but does not enter the heralded state.
-    """
-    amps = _pair_amplitudes(params.superposition_phase)
-    p = params.pol_mixing
-    return DensityMatrix((1.0 - p) * np.outer(amps, amps.conj()) + 0.25 * p * np.eye(4),
-                         PAIR_DIMS)
+def emit_ion_photon_state(params: SourceParams) -> WernerState:
+    """Heralded ion-photon state of one source, photon detected: polarization
+    mixing depolarizes the photon, ``(1-w) rho + w (I/2 (x) Tr_photon rho)``.
+    Under sigma+ excitation a pumping or excitation failure emits no photon,
+    so it lowers the attempt success probability but does not enter the
+    heralded state."""
+    return WernerState(params.pol_mixing, params.superposition_phase, PAIR_DIMS)
 
 
-def waveplate_unitary(angle) -> np.ndarray:
-    """Jones matrix of a half-wave plate with its fast axis rotated by
-    ``angle``: ``R(angle) @ diag(1, -1) @ R(-angle)`` up to global phase.
-    An array of angles gives the stack ``angle.shape + (2, 2)``.
-    """
-    c, s = np.cos(angle), np.sin(angle)
-    rot = np.stack([c, -s, s, c], axis=-1).reshape(np.shape(angle) + (2, 2)).astype(complex)
-    # exp(i pi) keeps its 1.2e-16 imaginary part: -1 would move scans at round-off
-    return rot @ np.diag([1.0, np.exp(1j * np.pi)]) @ rot.conj().swapaxes(-1, -2)
+def _checked(state: WernerState, dims: tuple[int, ...]) -> None:
+    if state.dims != dims:
+        raise ValueError(f"expects a state of dims {dims}, got {state.dims}")
 
 
-def raman_rotation(phase) -> np.ndarray:
-    """Qubit pi/2 rotation ``exp(-i pi/4 (cos(phase) sx + sin(phase) sy))``;
-    an array of phases gives the stack ``phase.shape + (2, 2)``."""
-    phase = np.asarray(phase)
-    out = np.empty(phase.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = out[..., 1, 1] = np.cos(np.pi / 4.0)
-    s = np.sin(np.pi / 4.0)
-    out[..., 0, 1] = -1j * np.exp(-1j * phase) * s
-    out[..., 1, 0] = -1j * np.exp(1j * phase) * s
-    return out
+def _scan(state: WernerState, dims, control, k: float, series: dict) -> ScanResult:
+    """The scan of ``state`` over ``control`` of each column ``(value, phase)``
+    of ``series``, with its exact fit ``1/2 + A sin(k x - phase)``: phase 0
+    and degenerate below an amplitude of 1e-14, and degenerate on a grid that
+    does not determine a sinusoid at ``k``."""
+    _checked(state, dims)
+    amplitude, grid = state.amplitude, [float(x) for x in control]
+    if not all(map(math.isfinite, grid)):
+        raise ValueError("scan control values must be finite")
+    flat = amplitude < 1e-14
+    degenerate = flat or not determines_sinusoid(grid, k)
+    fits = {name: SinusoidFit(amplitude, 0.0 if flat else phase, 0.5, 0.0, degenerate)
+            for name, (_, phase) in series.items()}
+    return ScanResult(grid, {name: [value(x) for x in grid]
+                             for name, (value, _) in series.items()},
+                      fits, k, 2.0 * amplitude, ("fit_degenerate",) if degenerate else ())
 
 
-# one stack per scan grid, 4 grids kept per cache: at cli.MAX_GRID_POINTS
-# points a plate stack holds 25.6 MB and a rotation stack 6.4 MB
-@cache_by_value(maxsize=4)
-def _half_wave_stack(angles) -> np.ndarray:
-    """Half-wave plate at each angle, acting on the photon of the pair."""
-    plates = waveplate_unitary(angles)
-    out = np.zeros(plates.shape[:-2] + (2, 2, 2, 2), dtype=complex)
-    for ion in (0, 1):  # out viewed as (photon, ion, photon, ion)
-        out[..., :, ion, :, ion] = plates
-    return out.reshape(plates.shape[:-2] + (4, 4))
+def correlation_scan(state: WernerState, hwp_angles) -> ScanResult:
+    """Conditional P(ion up | photon V) and (... | H) vs half-wave-plate angle:
+    the photon passes the plate and a H/V polarizer, its marginal stays 1/2,
+    and the conditionals are ``1/2 +- A cos 4 theta`` (fitted phases 3 pi/2
+    for V, pi/2 for H).  Contrast, the mean fitted peak-to-peak swing of the
+    two branches, is ``2A = 1 - w``."""
+    a = state.amplitude
+    return _scan(state, PAIR_DIMS, hwp_angles, 4.0,
+                 {"p_up_given_V": (lambda x: 0.5 + a * math.cos(4.0 * x), 1.5 * math.pi),
+                  "p_up_given_H": (lambda x: 0.5 - a * math.cos(4.0 * x), 0.5 * math.pi)})
 
 
-_raman_stack = cache_by_value(maxsize=4)(raman_rotation)
-
-
-def correlation_scan(state: DensityMatrix, hwp_angles) -> ScanResult:
-    """Conditional P(ion up | photon in V) and (... | H) vs half-wave-plate angle.
-
-    The photon passes a half-wave plate at each angle and is then split on a
-    H/V polarizer; both conditionals are fitted with period 90 degrees in the
-    plate angle.  Contrast is the mean fitted peak-to-peak swing of the two
-    branches, which for pure photon depolarizing of strength p equals 1 - p.
-    """
-    if state.dims != PAIR_DIMS:
-        raise ValueError("correlation_scan expects an (ion, photon) pair state")
-    angles = np.asarray(hwp_angles, dtype=float)
-    pops = rotated_populations(state, _half_wave_stack(angles))
-    series = {}
-    for label, pol in _PHOTON_POL:
-        marginal = pops @ pol
-        zero = marginal < 1e-12
-        joint = pops @ (_ION_UP * pol)
-        series[label] = np.where(zero, np.nan, joint / np.where(zero, 1.0, marginal))
-    flags = ["zero_marginal"] if any(np.isnan(v).any() for v in series.values()) else []
-    k = 4.0  # period pi/2 in plate angle
-    fits = {label: fit_sinusoid(angles, values, k) for label, values in series.items()}
-    if any(f.degenerate for f in fits.values()):
-        flags.append("fit_degenerate")
-    contrast = float(np.mean([2.0 * f.amplitude for f in fits.values()]))
-    return ScanResult(control=angles, series=series, fits=fits, angular_frequency=k,
-                      contrast=contrast, flags=tuple(flags))
-
-
-def heralded_ion_state(state: DensityMatrix, sign: int) -> DensityMatrix:
-    """Ion state heralded by detecting the photon in ``(|H> + sign |V>)/sqrt2``.
-
-    This is the diagonal-basis detection reached by a half-wave plate rotating
-    the polarization by 45 degrees; for the ideal pair it yields
-    ``(|down> + sign e^{i phase} |up>)/sqrt(2)``.  The ion block
-    ``<d| rho |d>`` of the photon state ``d`` is normalized by its trace, the
-    herald probability.
-    """
+def heralded_ion_state(state: WernerState, sign: int) -> WernerState:
+    """Ion state heralded by detecting the photon in ``(|H> + sign |V>)/sqrt2``
+    (a half-wave plate rotating the polarization by 45 degrees): the ion block
+    ``<d| rho |d>`` over its trace 1/2 has populations 1/2 and coherence
+    ``rho[1, 0] = sign A e^{i phase}``, so it is the ion state of the same
+    mixing at ``phase``, or ``phase + pi`` for sign -1."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    m = state.matrix.reshape(2, 2, 2, 2)  # (photon, ion, photon, ion)
-    block = 0.5 * (m[H, :, H] + m[V, :, V] + sign * (m[H, :, V] + m[V, :, H]))
-    w = float(np.real(np.trace(block)))
-    if w < 1e-15:
-        raise ValueError("herald outcome has zero probability")
-    return DensityMatrix(0.5 * (block + block.conj().T) / w, (2,))
+    _checked(state, PAIR_DIMS)
+    return WernerState(state.mixing, wrap_phase(state.phase + (sign < 0) * math.pi), ION_DIMS)
 
 
-def coherence_scan(state: DensityMatrix, analysis_phases) -> ScanResult:
-    """P(up) after a pi/2 rotation of variable phase, fitted with period 2 pi.
-
-    For the heralded superposition ``(|down> + e^{i phi}|up>)/sqrt(2)`` the
-    fitted phase equals phi and the contrast (twice the fitted amplitude)
-    equals the coherence magnitude, which bounds the pair fidelity from below.
-    """
-    if state.dims != (2,):
-        raise ValueError("coherence_scan expects a single-qubit ion state")
-    phases = np.asarray(analysis_phases, dtype=float)
-    p_up = rotated_populations(state, _raman_stack(phases))[:, UP]
-    fit = fit_sinusoid(phases, p_up, 1.0)
-    flags = ("fit_degenerate",) if fit.degenerate else ()
-    return ScanResult(control=phases, series={"p_up": p_up}, fits={"p_up": fit},
-                      angular_frequency=1.0, contrast=2.0 * fit.amplitude, flags=flags)
+def coherence_scan(state: WernerState, analysis_phases) -> ScanResult:
+    """P(up) after a pi/2 rotation of phase x, ``1/2 + A sin(x - phi)`` for the
+    ion heralded at ``phi``: the fitted phase is phi, and the contrast ``1 - w``
+    is the coherence magnitude, which bounds the pair fidelity from below."""
+    a, phi = state.amplitude, state.phase
+    # sin(x - phi) expanded, so that phi survives at any |x|
+    a_sin, a_cos = a * math.cos(phi), -a * math.sin(phi)
+    return _scan(state, ION_DIMS, analysis_phases, 1.0,
+                 {"p_up": (lambda x: 0.5 + a_sin * math.sin(x) + a_cos * math.cos(x), phi)})
 
 
-def correlated_populations(state: DensityMatrix) -> float:
-    """Population in the correlated branches ``|H,down>`` and ``|V,up>``."""
-    if state.dims != PAIR_DIMS:
-        raise ValueError("expects an (ion, photon) pair state")
-    m = state.matrix
-    i_hd = 0b00  # photon H, ion down
-    i_vu = 0b11
-    return float(np.real(m[i_hd, i_hd] + m[i_vu, i_vu]))
+def correlated_populations(state: WernerState) -> float:
+    """Population ``1 - w/2`` in the correlated branches ``|H,down>`` and ``|V,up>``."""
+    _checked(state, PAIR_DIMS)
+    return 1.0 - 0.5 * state.mixing
 
 
 def fidelity_upper_bound(correlation_contrast: float) -> float:
@@ -183,14 +145,11 @@ def fidelity_upper_bound(correlation_contrast: float) -> float:
 
 
 def fidelity_lower_bound_pair(correlated_pops: float, coherence_contrast: float) -> float:
-    """Lower bound ``(populations + coherence contrast)/2``.
-
-    Standard two-scan bound: the correlated populations cap the diagonal part
-    of the overlap and the coherence contrast caps the off-diagonal part.
-    The exact bound used in the modeled experiment's cited analysis is not
-    restated there; this convention is documented and checked against the
-    reference values as a consistency test only.
-    """
+    """Lower bound ``(populations + coherence contrast)/2``, the standard
+    two-scan bound: the correlated populations cap the diagonal part of the
+    overlap and the coherence contrast the off-diagonal part.  The modeled
+    experiment's cited analysis does not restate its exact bound, so this
+    documented convention is checked against the reference values only."""
     return min(1.0, max(0.0, 0.5 * (correlated_pops + coherence_contrast)))
 
 
@@ -200,8 +159,8 @@ def ion_photon_outputs(cfg: HardwareConfig, hwp_angles=None) -> dict:
     coherence scan of its ``+1`` herald over 41 phases, as CSV tables, and
     their fits with both fidelity bounds in ``ion_photon_fits.json``."""
     if hwp_angles is None:
-        hwp_angles = np.linspace(0.0, np.pi / 2.0, 37)
-    phases = np.linspace(0.0, TWO_PI, 41)
+        hwp_angles = linspace(0.0, math.pi / 2.0, 37)
+    phases = linspace(0.0, TWO_PI, 41)
     files, summary = {}, {}
     for label, source in (("A", cfg.source_a()), ("B", cfg.source_b())):
         pair = emit_ion_photon_state(source)

@@ -13,12 +13,11 @@ package:
 * Qubit basis labels: ion ``|down> = 0``, ``|up> = 1``; photon polarization
   ``|H> = 0``, ``|V> = 1``.
 * Stacks are shaped ``(..., d, d)``, one matrix per leading index, as
-  ``ion_photon.raman_rotation`` (a pi/2 pulse) and
-  ``ion_photon.waveplate_unitary`` (a half-wave plate) map an array of
-  phases or angles; :func:`rotated_populations` maps a stack of unitaries to
+  ``analysis.raman_rotation`` (a pi/2 pulse) maps an array of phases;
+  :func:`rotated_populations` maps a stack of unitaries to
   populations ``(..., d)``, and :func:`validate_density` checks a whole stack
-  in one call.  Operators lifted into a larger register, which only the
-  tests build, are in ``tests/qutil.py``.
+  in one call.  Operators lifted into a larger register and the half-wave
+  plate, which only the tests build, are in ``tests/qutil.py``.
 
 All operations are pure functions; states are treated as immutable (the
 wrapped arrays are marked read-only).  Classes that hold arrays, here and in

@@ -15,7 +15,10 @@ The references are what the tests compare the package against, kept out of
 ``src/`` because the command line runs none of them: basis kets, the ideal
 ion-photon pair and the Bell states as plain amplitude arrays, the density
 matrix of a pure state and its overlap with a density matrix, operators
-lifted into a register, the Bell-state phase, threshold classification of
+lifted into a register, the general ion-photon layer that the closed-form
+scans of ``ionlink.ion_photon`` replace (the half-wave plate, the cached
+plate and Raman stacks and the stacked scans of any pair or ion state), the
+Bell-state phase, threshold classification of
 single counts, a campaign's empirical first-success CDF, the continuous
 first-success density and CDF of the rate model with its expected attempts
 and mean success probability per cap, and the printed Yb-Ba-Ba displacement
@@ -28,13 +31,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ionlink.analysis import raman_rotation
 from ionlink.config import MAX_REQUEST_NS
-from ionlink.ion_photon import (
-    PAIR_DIMS,
-    _pair_amplitudes,
-    raman_rotation,
-    waveplate_unitary,
-)
+from ionlink.ion_photon import PAIR_DIMS
 from ionlink.protocol import _BLOCK, RateReport, _success_model
 from ionlink.quantum import (
     HERMITIAN_TOL,
@@ -43,6 +42,8 @@ from ionlink.quantum import (
     TRACE_TOL,
     DensityMatrix,
     apply_unitary,
+    cache_by_value,
+    rotated_populations,
     validate_density,
 )
 from ionlink.rate_model import DecayParams, _loop_sums, success_cdf_table
@@ -99,8 +100,9 @@ def fidelity_pure(rho: DensityMatrix, psi: np.ndarray) -> float:
 
 
 def ideal_pair_state(phase: float = 0.0) -> np.ndarray:
-    """``(|H,down> + e^{i phase} |V,up>)/sqrt(2)`` on (ion, photon)."""
-    return _pair_amplitudes(phase)
+    """``(|H,down> + e^{i phase} |V,up>)/sqrt(2)`` on (ion, photon): basis
+    indices 0 and 3 (ion + 2 * photon)."""
+    return np.array([1.0, 0.0, 0.0, np.exp(1j * phase)]) / np.sqrt(2.0)
 
 
 def bell_state(sign: int, phase: float = 0.0) -> np.ndarray:
@@ -337,6 +339,60 @@ def conjugate(rho: DensityMatrix, unitaries: np.ndarray) -> np.ndarray:
     validate_density(out)
     out.setflags(write=False)
     return out
+
+
+# --- the general ion-photon layer: stacked scans of any pair or ion state -------
+# The package computes its scans in closed form for the Werner-type states it
+# represents; these scans read any density matrix through stacks of unitaries.
+
+# basis-population selectors over the pair's basis index ion + 2 * photon:
+# ion up, photon V and photon H
+_SELECTORS = np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]])
+_SELECTORS.setflags(write=False)
+_ION_UP = _SELECTORS[0]
+_PHOTON_POL = (("p_up_given_V", _SELECTORS[1]), ("p_up_given_H", _SELECTORS[2]))
+
+
+def waveplate_unitary(angle) -> np.ndarray:
+    """Jones matrix of a half-wave plate with its fast axis rotated by
+    ``angle``: ``R(angle) @ diag(1, -1) @ R(-angle)`` up to global phase.
+    An array of angles gives the stack ``angle.shape + (2, 2)``."""
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.stack([c, -s, s, c], axis=-1).reshape(np.shape(angle) + (2, 2)).astype(complex)
+    # exp(i pi) keeps its 1.2e-16 imaginary part, as the stacks always had
+    return rot @ np.diag([1.0, np.exp(1j * np.pi)]) @ rot.conj().swapaxes(-1, -2)
+
+
+# one stack per scan grid, 4 grids kept per cache
+@cache_by_value(maxsize=4)
+def _half_wave_stack(angles) -> np.ndarray:
+    """Half-wave plate at each angle, acting on the photon of the pair."""
+    plates = waveplate_unitary(angles)
+    out = np.zeros(plates.shape[:-2] + (2, 2, 2, 2), dtype=complex)
+    for ion in (0, 1):  # out viewed as (photon, ion, photon, ion)
+        out[..., :, ion, :, ion] = plates
+    return out.reshape(plates.shape[:-2] + (4, 4))
+
+
+_raman_stack = cache_by_value(maxsize=4)(raman_rotation)
+
+
+def stacked_correlation_scan(state: DensityMatrix, angles) -> dict:
+    """``P(up | V)`` and ``P(up | H)`` of any pair state after a half-wave
+    plate at each angle, NaN where the photon branch is empty."""
+    pops = rotated_populations(state, _half_wave_stack(np.asarray(angles, dtype=float)))
+    series = {}
+    for label, pol in _PHOTON_POL:
+        marginal = pops @ pol
+        zero = marginal < 1e-12
+        series[label] = np.where(zero, np.nan, pops @ (_ION_UP * pol)
+                                 / np.where(zero, 1.0, marginal))
+    return series
+
+
+def stacked_coherence_scan(state: DensityMatrix, phases) -> np.ndarray:
+    """P(up) of any ion state after a pi/2 rotation of each phase."""
+    return rotated_populations(state, _raman_stack(np.asarray(phases, dtype=float)))[:, 1]
 
 
 # --- scans, one grid point at a time -------------------------------------------

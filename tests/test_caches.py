@@ -8,17 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ionlink import analysis, fitting, ion_photon
-from ionlink.analysis import apply_analysis_pulse, parity_scan
-from ionlink.ion_photon import (
-    PAIR_DIMS,
-    coherence_scan,
-    correlation_scan,
-    raman_rotation,
+from ionlink import analysis
+from ionlink.analysis import apply_analysis_pulse, parity_scan, raman_rotation
+from ionlink.ion_photon import PAIR_DIMS
+from ionlink.quantum import apply_unitary, cache_by_value
+from qutil import (
+    PHOTON,
+    _half_wave_stack,
+    _raman_stack,
+    bell_state,
+    density,
+    ideal_pair_state,
+    ket,
+    lift,
+    stacked_coherence_scan,
+    stacked_correlation_scan,
     waveplate_unitary,
 )
-from ionlink.quantum import apply_unitary, cache_by_value
-from qutil import PHOTON, bell_state, density, ideal_pair_state, ket, lift
 
 # fixed examples and no timing checks, so a loaded machine cannot fail a run
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -54,11 +60,11 @@ CACHES = {
                     lambda g, k: _pulse_stack(g)),
     "two_pulse_stack": (analysis._two_pulse_stack, lambda g, k: (g,),
                         lambda g, k: _pulse_stack(g) @ _kron_pulse(0.0)),
-    "half_wave_stack": (ion_photon._half_wave_stack, lambda g, k: (g,),
+    "half_wave_stack": (_half_wave_stack, lambda g, k: (g,),
                         lambda g, k: lift(waveplate_unitary(g), PHOTON, PAIR_DIMS)),
-    "raman_stack": (ion_photon._raman_stack, lambda g, k: (g,),
+    "raman_stack": (_raman_stack, lambda g, k: (g,),
                     lambda g, k: raman_rotation(g)),
-    "fit_solver": (fitting._solver, lambda g, k: (g, k), _solver),
+    "fit_solver": (analysis._solver, lambda g, k: (g, k), _solver),
 }
 # a pulse needs one phase and a fit solver the 3 points of a fit
 MIN_POINTS = {"pulse": 1, "fit_solver": 3}
@@ -135,9 +141,10 @@ NAN_CALLS = {
     "two_pulse_scan": lambda: parity_scan(density(bell_state(+1)), [0.0, np.nan, 1.0]),
     "one_pulse_scan": lambda: parity_scan(density(bell_state(+1)), [0.0, np.nan, 1.0],
                                           pulses="one"),
-    "correlation_scan": lambda: correlation_scan(density(ideal_pair_state()),
-                                                 [0.0, np.nan, 1.0]),
-    "coherence_scan": lambda: coherence_scan(density(ket([0])), [0.0, 1.0, np.nan]),
+    # the general scans of tests/qutil.py, the reference of the closed forms
+    "correlation_scan": lambda: stacked_correlation_scan(density(ideal_pair_state()),
+                                                         [0.0, np.nan, 1.0]),
+    "coherence_scan": lambda: stacked_coherence_scan(density(ket([0])), [0.0, 1.0, np.nan]),
 }
 
 

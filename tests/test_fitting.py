@@ -6,8 +6,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ionlink import fitting
-from ionlink.fitting import ScanResult, fit_sinusoid, wrap_phase
+from ionlink import analysis
+from ionlink.analysis import fit_sinusoid
+from ionlink.cli import MAX_GRID_END, MAX_GRID_POINTS
+from ionlink.fitting import ScanResult, determines_sinusoid, linspace, wrap_phase
 
 
 def test_exact_recovery_known_period():
@@ -103,6 +105,63 @@ def test_scan_result_fit_summary():
     summary = scan.fit_summary()
     assert summary["contrast"] == 0.2
     assert summary["fits"]["p"]["amplitude"] == pytest.approx(0.1, abs=1e-12)
+    # a table reads lists as it reads arrays, one Python float per cell
+    listed = ScanResult(control=x.tolist(), series={"p": y.tolist()}, fits={"p": fit},
+                        angular_frequency=2.0, contrast=0.2)
+    columns, rows = scan.table()
+    rows = list(rows)
+    assert (columns, rows) == (["control_value", "p"], list(listed.table()[1]))
+    assert all(type(cell) is float for row in rows for cell in row)
+
+
+# --- the numpy-free grid against np.linspace ------------------------------------
+
+grid_ends = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, MAX_GRID_END, -MAX_GRID_END]),
+    st.floats(-MAX_GRID_END, MAX_GRID_END))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(grid_ends, grid_ends, st.one_of(st.integers(3, 40), st.just(MAX_GRID_POINTS)))
+@example(0.0, 0.0, 3)
+@example(0.0, 5e-324, 3)            # the step underflows to zero
+@example(-5e-324, 1e-323, 40)
+@example(MAX_GRID_END, -MAX_GRID_END, MAX_GRID_POINTS)
+def test_linspace_is_np_linspace_bit_for_bit(start, stop, num):
+    got = linspace(start, stop, num)
+    assert type(got) is list and all(type(v) is float for v in got)
+    assert np.array(got).tobytes() == np.linspace(start, stop, num).tobytes()
+
+
+# --- which grids determine a sinusoid, against the SVD rank ----------------------
+
+DETERMINED = [  # grid, angular frequency
+    (np.linspace(0.0, np.pi / 2.0, 37), 4.0),
+    (np.linspace(0.0, 2.0 * np.pi, 41), 1.0),
+    (np.linspace(0.0, np.pi, 13), 2.0),
+    (np.linspace(0.0, 1.0, 7), 4.0),
+    (np.linspace(-MAX_GRID_END, MAX_GRID_END, 5), 4.0),
+    (1e-4 * np.arange(4.0), 1.0),    # condition number 1e9
+    (1e-6 * np.arange(3.0), 1.0),
+    (np.array([0.0, 0.0, np.pi, 1.0]), 1.0),
+]
+UNDETERMINED = [
+    (np.linspace(0.0, 0.0, 3), 4.0),
+    (np.linspace(0.0, np.pi, 3), 4.0),  # 4x lands on one point of the circle
+    (np.linspace(0.0, 2.0 * np.pi, 3), 1.0),
+    (np.pi * np.arange(4.0), 1.0),
+    (np.array([0.0, 1.0, 1.0, 0.0]), 2.0),
+    (1e-9 * np.arange(4.0), 1.0),
+    (1e-8 * np.arange(3.0), 1.0),
+    (np.linspace(0.0, 1.0, 5), 0.0),
+]
+
+
+@pytest.mark.parametrize("grid,k,determined", [(*case, True) for case in DETERMINED]
+                         + [(*case, False) for case in UNDETERMINED])
+def test_determines_sinusoid_is_full_svd_rank(grid, k, determined):
+    assert (analysis._solver(grid, k)[2] == 3) == determined
+    assert determines_sinusoid(grid.tolist(), k) == determined
 
 
 # --- the cached solver against np.linalg.lstsq ----------------------------------
@@ -149,7 +208,7 @@ def test_cached_solver_fit_equals_lstsq(inputs):
     # where the numerical rank is unambiguous, both solvers find it
     cutoff = np.finfo(float).eps * xf.size * sv[0]
     assume(sv[rank - 1] >= 10.0 * cutoff and np.all(sv[rank:] <= 0.1 * cutoff))
-    assert fitting._solver(xf, k)[2] == rank
+    assert analysis._solver(xf, k)[2] == rank
     # with a well-conditioned kept part, two SVD-based solvers agree to round-off
     if sv[rank - 1] < 1e-4 * sv[0]:
         return

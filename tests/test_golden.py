@@ -24,8 +24,6 @@ LAPACK_KEYS = {
         "axial_freq_ref_hz", "radial_freq_ref_hz", "axial_frequencies_hz",
         "radial_frequencies_hz", "equal_mass_axial_ratios",
         "radial_coolant_coupling"},
-    "ion_photon_fits.json": {
-        "correlation", "coherence", "fidelity_upper_bound", "fidelity_lower_bound"},
     "swap_summary.json": {
         "odd_populations", "two_pulse_contrast", "one_pulse_contrast",
         "fidelity_lower_bound", "bound_inputs", "spam_clipped_mass"},

@@ -257,12 +257,13 @@ LOAD_SETS = [  # argv, exit code, error category, ionlink submodules, third part
     (["modes"], 0, None, ["cli", "config", "modes"], ["numpy"]),
     (["rate", "--records", "--trials", "200"], 0, None,
      ["cli", "config", "protocol", "rate_model"], ["numpy"]),
-    (["ion-photon"], 0, None,
-     ["cli", "config", "fitting", "ion_photon", "quantum"], ["numpy"]),
+    (["ion-photon"], 0, None, ["cli", "config", "fitting", "ion_photon"], []),
+    (["ion-photon", "--grid", "0:1:7"], 0, None,
+     ["cli", "config", "fitting", "ion_photon"], []),
     # analysis reaches budget through the error_budget alias it keeps
     (["swap", "--trials", "200"], 0, None,
-     ["analysis", "budget", "cli", "config", "detection", "fitting",
-      "ion_photon", "quantum", "swap"], ["numpy"]),
+     ["analysis", "budget", "cli", "config", "detection", "fitting", "quantum",
+      "swap"], ["numpy"]),
 ]
 
 

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ionlink import ion_photon
+from ionlink.analysis import raman_rotation
 from ionlink.config import dephasing_infidelity
-from ionlink.fitting import fit_sinusoid
+from ionlink.fitting import linspace
 from ionlink.ion_photon import (
     PAIR_DIMS,
     SourceParams,
@@ -14,15 +18,15 @@ from ionlink.ion_photon import (
     fidelity_lower_bound_pair,
     fidelity_upper_bound,
     heralded_ion_state,
-    raman_rotation,
-    waveplate_unitary,
 )
-from ionlink.quantum import rotated_populations
+from ionlink.quantum import DensityMatrix, rotated_populations
 from qutil import (
     ION,
     PHOTON,
     SIGMA_X,
     SIGMA_Y,
+    _ION_UP,
+    _PHOTON_POL,
     apply_channel,
     density,
     dephasing_channel,
@@ -30,8 +34,9 @@ from qutil import (
     ideal_pair_state,
     ket,
     lift,
-    projected_ion_state,
     random_density,
+    stacked_correlation_scan,
+    waveplate_unitary,
 )
 
 HWP_GRID = np.linspace(0.0, np.pi / 2.0, 37)
@@ -60,7 +65,7 @@ def test_waveplate_trivial_settings():
 
 
 def test_hwp_at_225_gives_balanced_outcomes():
-    state = density(ideal_pair_state(0.0))
+    state = emit_ion_photon_state(SourceParams())
     scan = correlation_scan(state, np.array([0.0, np.pi / 8.0, np.pi / 4.0]))
     # at 22.5 degrees both conditionals are 1/2 by direct Born computation
     assert scan.series["p_up_given_V"][1] == pytest.approx(0.5, abs=1e-12)
@@ -68,11 +73,11 @@ def test_hwp_at_225_gives_balanced_outcomes():
 
 
 def test_correlation_scan_ideal_contrast():
-    state = density(ideal_pair_state(0.0))
+    state = emit_ion_photon_state(SourceParams())
     scan = correlation_scan(state, HWP_GRID)
     assert scan.contrast == pytest.approx(1.0, abs=1e-9)
-    assert scan.series["p_up_given_V"].max() == pytest.approx(1.0, abs=1e-12)
-    assert scan.series["p_up_given_V"].min() == pytest.approx(0.0, abs=1e-12)
+    assert max(scan.series["p_up_given_V"]) == pytest.approx(1.0, abs=1e-12)
+    assert min(scan.series["p_up_given_V"]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_correlation_contrast_equals_one_minus_mixing():
@@ -124,13 +129,16 @@ def test_coherence_contrast_bounds_fidelity():
 
 
 def test_dephased_ion_contrast_and_infidelity():
-    pair = emit_ion_photon_state(SourceParams(superposition_phase=0.0))
-    ion = heralded_ion_state(pair, +1)
+    # phase damping by gamma leaves a heralded ion of the Werner form, with
+    # the mixing 1 - gamma, so its coherence contrast is gamma
+    ion = heralded_ion_state(emit_ion_photon_state(SourceParams()), +1)
     t, t2 = 40e-6, 550e-6
     gamma = np.exp(-((t / t2) ** 2))
-    dephased = apply_channel(ion, dephasing_channel(gamma))
-    scan = coherence_scan(dephased, PHASE_GRID)
-    assert scan.contrast == pytest.approx(gamma, abs=1e-9)
+    dephased = apply_channel(DensityMatrix(ion.matrix, ion.dims), dephasing_channel(gamma))
+    werner = heralded_ion_state(emit_ion_photon_state(SourceParams(1.0 - gamma)), +1)
+    np.testing.assert_allclose(werner.matrix, dephased.matrix, rtol=0, atol=1e-12)
+    scan = coherence_scan(werner, PHASE_GRID)
+    assert scan.contrast == pytest.approx(gamma, abs=1e-12)
     # the matching infidelity is the reference 0.26% decoherence contribution
     assert dephasing_infidelity(t, t2) == pytest.approx(0.0026, abs=1e-4)
 
@@ -158,21 +166,53 @@ def test_dephasing_infidelity_at_huge_times():
 
 
 def test_correlated_populations_ideal():
-    state = density(ideal_pair_state(0.3))
-    assert correlated_populations(state) == pytest.approx(1.0, abs=1e-12)
+    state = emit_ion_photon_state(SourceParams(superposition_phase=0.3))
+    assert correlated_populations(state) == 1.0
+    m = state.matrix
+    assert np.real(m[0, 0] + m[3, 3]) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_correlation_scan_random_states_stay_bounded():
-    from qutil import apply_channel, dephasing_channel, random_density
-    rng = np.random.default_rng(19)
-    for _ in range(5):
-        state = random_density(rng, (2, 2))
-        scan = correlation_scan(state, HWP_GRID)
-        for series in scan.series.values():
-            finite = series[np.isfinite(series)]
-            assert np.all(finite >= -1e-12)
-            assert np.all(finite <= 1.0 + 1e-12)
-        assert scan.contrast <= 1.0 + 1e-9
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 2.0 * np.pi, exclude_max=True),
+       st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=30))
+def test_correlation_scan_random_states_stay_bounded(w, phase, angles):
+    scan = correlation_scan(emit_ion_photon_state(SourceParams(w, phase)), angles)
+    for series in scan.series.values():
+        assert all(-1e-12 <= v <= 1.0 + 1e-12 for v in series)
+    assert scan.contrast == 1.0 - w
+
+
+@pytest.mark.parametrize("grid", ["0:0:3", "0:3.141592653589793:3"])
+def test_grid_that_cannot_determine_a_sinusoid_reports_the_model(grid):
+    # 4 theta lands on one point of the circle at every angle: the fit is
+    # flagged, and the contrast is still the model's 1 - w
+    start, stop, num = grid.split(":")
+    pair = emit_ion_photon_state(SourceParams(pol_mixing=0.02))
+    scan = correlation_scan(pair, linspace(float(start), float(stop), int(num)))
+    assert scan.contrast == pytest.approx(0.98, abs=1e-15)
+    assert scan.flags == ("fit_degenerate",)
+    assert all(f.degenerate and f.amplitude == 0.49 for f in scan.fits.values())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_control_is_rejected(bad):
+    pair = emit_ion_photon_state(SourceParams())
+    with pytest.raises(ValueError, match="finite"):
+        correlation_scan(pair, [0.0, bad, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        coherence_scan(heralded_ion_state(pair, +1), [0.0, 1.0, bad])
+
+
+def test_scans_reject_the_other_register():
+    pair = emit_ion_photon_state(SourceParams())
+    ion = heralded_ion_state(pair, -1)
+    for call in (lambda: correlation_scan(ion, HWP_GRID),
+                 lambda: coherence_scan(pair, PHASE_GRID),
+                 lambda: heralded_ion_state(ion, +1),
+                 lambda: correlated_populations(ion),
+                 lambda: heralded_ion_state(pair, 0)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_source_params_validation():
@@ -182,43 +222,23 @@ def test_source_params_validation():
         SourceParams(superposition_phase=7.0)
 
 
-def _pair_states():
-    """20 seeded random pair states, and one whose photon is never V."""
-    states = [random_density(np.random.default_rng(seed), PAIR_DIMS) for seed in range(20)]
-    return states + [density(ket((0, 0)))]
-
-
-def test_herald_matches_inline_construction():
-    for state in _pair_states()[:20]:
-        for sign in (+1, -1):
-            # the ion block <d| rho |d> of the photon state d = (|H> + sign |V>)/sqrt2
-            m = state.matrix.reshape(2, 2, 2, 2)
-            block = 0.5 * (m[0, :, 0] + m[1, :, 1] + sign * (m[0, :, 1] + m[1, :, 0]))
-            expected = 0.5 * (block + block.conj().T) / float(np.real(np.trace(block)))
-            ion = heralded_ion_state(state, sign)
-            assert ion.dims == (2,)
-            assert np.array_equal(ion.matrix, expected)
-            assert not ion.matrix.flags.writeable
-            reference = projected_ion_state(state, sign).matrix
-            assert np.abs(ion.matrix - reference).max() < 1e-12
-
-
 def test_correlation_scan_selectors_match_inline_construction():
+    # the selectors of the general reference scan of tests/qutil.py
     up = np.real(np.diag(lift(P_UP, ION, PAIR_DIMS)))
-    assert np.array_equal(ion_photon._ION_UP, up)
-    assert not ion_photon._ION_UP.flags.writeable
-    for _, pol in ion_photon._PHOTON_POL:
+    assert np.array_equal(_ION_UP, up)
+    assert not _ION_UP.flags.writeable
+    for _, pol in _PHOTON_POL:
         assert not pol.flags.writeable
-    for state in _pair_states():
+    states = [random_density(np.random.default_rng(seed), PAIR_DIMS) for seed in range(20)]
+    for state in states + [density(ket((0, 0)))]:  # the last one's photon is never V
         pops = rotated_populations(state, lift(waveplate_unitary(HWP_GRID), PHOTON,
                                                PAIR_DIMS))
-        scan = correlation_scan(state, HWP_GRID)
-        assert list(scan.series) == ["p_up_given_V", "p_up_given_H"]
+        series = stacked_correlation_scan(state, HWP_GRID)
+        assert list(series) == ["p_up_given_V", "p_up_given_H"]
         for label, proj_pol in (("p_up_given_V", P_UP), ("p_up_given_H", P_DOWN)):
             pol = np.real(np.diag(lift(proj_pol, PHOTON, PAIR_DIMS)))
             marginal = pops @ pol
             zero = marginal < 1e-12
             expected = np.where(zero, np.nan,
                                 pops @ (up * pol) / np.where(zero, 1.0, marginal))
-            assert np.array_equal(scan.series[label], expected, equal_nan=True)
-            assert scan.fits[label] == fit_sinusoid(HWP_GRID, expected, 4.0)
+            assert np.array_equal(series[label], expected, equal_nan=True)

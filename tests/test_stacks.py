@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ionlink import analysis
-from ionlink.analysis import apply_analysis_pulse, parity_scan
+from ionlink.analysis import apply_analysis_pulse, fit_sinusoid, parity_scan
 from ionlink.config import HardwareConfig
 from ionlink.ion_photon import (
-    H,
     SourceParams,
     coherence_scan,
+    correlated_populations,
     correlation_scan,
     emit_ion_photon_state,
     heralded_ion_state,
@@ -41,6 +41,9 @@ from qutil import (
     loop_parity_scan,
     partial_trace,
     projected_ion_state,
+    reference_validate_density,
+    stacked_coherence_scan,
+    stacked_correlation_scan,
     tensor,
 )
 from ionlink.swap import swapped_state
@@ -99,33 +102,27 @@ def test_folded_two_pulse_stack_equals_pulse_then_stack(rho, phases):
 
 
 @PROPERTY
-@given(states((2, 2), floor=0.01), grids)
-def test_correlation_scan_matches_loop_oracle(state, angles):
-    scan = correlation_scan(state, angles)
-    want_v, want_h = loop_correlation_scan(state, angles)
-    np.testing.assert_allclose(scan.series["p_up_given_V"], want_v, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(scan.series["p_up_given_H"], want_h, rtol=0, atol=1e-12)
+@given(states((2, 2), floor=0.01), states((2,)), grids)
+def test_stacked_reference_scans_match_loop_oracles(pair, ion, phases):
+    want_v, want_h = loop_correlation_scan(pair, phases)
+    series = stacked_correlation_scan(pair, phases)
+    np.testing.assert_allclose(series["p_up_given_V"], want_v, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(series["p_up_given_H"], want_h, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(stacked_coherence_scan(ion, phases),
+                               loop_coherence_scan(ion, phases), rtol=0, atol=1e-12)
 
 
-@PROPERTY
-@given(states((2,)), grids)
-def test_coherence_scan_matches_loop_oracle(state, phases):
-    got = coherence_scan(state, phases).series["p_up"]
-    np.testing.assert_allclose(got, loop_coherence_scan(state, phases), rtol=0, atol=1e-12)
-
-
-def test_correlation_scan_zero_marginal_is_nan_and_flagged():
+def test_stacked_correlation_scan_zero_marginal_is_nan():
     # photon in H: the V branch is empty at plate angles 0 and pi/2, the H
     # branch at pi/4
-    state = density(ket((0, H)))  # ion down
+    state = density(ket((0, 0)))  # ion down, photon H
     angles = np.linspace(0.0, np.pi / 2.0, 7)
-    scan = correlation_scan(state, angles)
-    assert "zero_marginal" in scan.flags
-    assert np.flatnonzero(np.isnan(scan.series["p_up_given_V"])).tolist() == [0, 6]
-    assert np.flatnonzero(np.isnan(scan.series["p_up_given_H"])).tolist() == [3]
+    series = stacked_correlation_scan(state, angles)
+    assert np.flatnonzero(np.isnan(series["p_up_given_V"])).tolist() == [0, 6]
+    assert np.flatnonzero(np.isnan(series["p_up_given_H"])).tolist() == [3]
     want_v, want_h = loop_correlation_scan(state, angles)
-    np.testing.assert_allclose(scan.series["p_up_given_V"], want_v, atol=1e-12)
-    np.testing.assert_allclose(scan.series["p_up_given_H"], want_h, atol=1e-12)
+    np.testing.assert_allclose(series["p_up_given_V"], want_v, atol=1e-12)
+    np.testing.assert_allclose(series["p_up_given_H"], want_h, atol=1e-12)
 
 
 @PROPERTY
@@ -239,6 +236,15 @@ def test_rotated_populations_equal_diagonal_of_conjugated_states(dims, count, da
 # --- closed forms against the register-level Kraus reference ----------------------
 
 phases = st.floats(0.0, 2.0 * np.pi, exclude_max=True)
+signs = st.sampled_from([+1, -1])
+
+
+def pair_and_ion(w, phase, sign):
+    """A source's emitted pair and its herald of ``sign``, with each as the
+    ``DensityMatrix`` of its ``matrix``."""
+    pair = emit_ion_photon_state(SourceParams(pol_mixing=w, superposition_phase=phase))
+    ion = heralded_ion_state(pair, sign)
+    return pair, ion, DensityMatrix(pair.matrix, pair.dims), DensityMatrix(ion.matrix, ion.dims)
 
 
 @PROPERTY
@@ -250,10 +256,70 @@ def test_emission_matches_photon_depolarizing_channel(p, phase):
 
 
 @PROPERTY
-@given(states((2, 2), floor=0.01), st.sampled_from([+1, -1]))
-def test_herald_matches_projector_reference(pair, sign):
-    np.testing.assert_allclose(heralded_ion_state(pair, sign).matrix,
-                               projected_ion_state(pair, sign).matrix, rtol=0, atol=1e-12)
+@given(st.floats(0.0, 1.0), phases, signs)
+def test_herald_matches_projector_reference(w, phase, sign):
+    _, ion, pair_rho, _ = pair_and_ion(w, phase, sign)
+    np.testing.assert_allclose(ion.matrix, projected_ion_state(pair_rho, sign).matrix,
+                               rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(st.floats(0.0, 1.0), phases, signs)
+def test_every_state_matrix_is_a_density_matrix(w, phase, sign):
+    pair, ion, _, _ = pair_and_ion(w, phase, sign)
+    for state in (pair, ion):
+        m = state.matrix
+        assert m.shape == (math.prod(state.dims),) * 2 and not m.flags.writeable
+        reference_validate_density(m)  # trace, Hermiticity and PSD
+    assert correlated_populations(pair) == pytest.approx(
+        np.real(pair.matrix[0, 0] + pair.matrix[3, 3]), rel=0, abs=1e-12)
+
+
+@PROPERTY
+@given(st.floats(0.0, 1.0), phases, grids)
+def test_correlation_scan_matches_loop_oracle(w, phase, angles):
+    pair, _, pair_rho, _ = pair_and_ion(w, phase, +1)
+    scan = correlation_scan(pair, angles)
+    want_v, want_h = loop_correlation_scan(pair_rho, angles)
+    np.testing.assert_allclose(scan.series["p_up_given_V"], want_v, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(scan.series["p_up_given_H"], want_h, rtol=0, atol=1e-12)
+    assert scan.control == angles.tolist()
+
+
+@PROPERTY
+@given(st.floats(0.0, 1.0), phases, signs, grids)
+def test_coherence_scan_matches_loop_oracle(w, phase, sign, analysis_phases):
+    _, ion, _, ion_rho = pair_and_ion(w, phase, sign)
+    got = coherence_scan(ion, analysis_phases).series["p_up"]
+    np.testing.assert_allclose(got, loop_coherence_scan(ion_rho, analysis_phases),
+                               rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(st.floats(0.0, 1.0), phases, signs, grids)
+def test_closed_form_fits_equal_least_squares(w, phase, sign, grid):
+    pair, ion, _, _ = pair_and_ion(w, phase, sign)
+    for scan in (correlation_scan(pair, grid), coherence_scan(ion, grid)):
+        k = scan.angular_frequency
+        design = np.column_stack([np.sin(k * grid), np.cos(k * grid), np.ones_like(grid)])
+        sv = np.linalg.svd(design, compute_uv=False)
+        # full-rank grids whose least-squares coefficients are good to 1e-12
+        assume(sv[-1] >= 1e-3 * sv[0])
+        assert scan.flags == (("fit_degenerate",) if 0.5 * (1.0 - w) < 1e-14 else ())
+        assert scan.contrast == 1.0 - w
+        for name, values in scan.series.items():
+            want, got = fit_sinusoid(grid, np.array(values), k), scan.fits[name]
+            assert got.offset == 0.5 and got.residual_rms == 0.0
+            assert want.residual_rms < 1e-12
+            assert got.degenerate == want.degenerate
+            for value in ("amplitude", "offset"):
+                assert getattr(got, value) == pytest.approx(getattr(want, value),
+                                                            rel=0, abs=1e-12)
+            # the sin and cos coefficients, free of the phase's 1/amplitude error
+            np.testing.assert_allclose(
+                [got.amplitude * np.cos(got.phase), got.amplitude * np.sin(got.phase)],
+                [want.amplitude * np.cos(want.phase), want.amplitude * np.sin(want.phase)],
+                rtol=0, atol=1e-12)
 
 
 @st.composite
