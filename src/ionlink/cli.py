@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 # Each cmd_* imports the library module it runs, so that a fresh process
-# loads only those: budget and ion-photon load no numpy.
+# loads only those: budget, modes and ion-photon load no numpy.
 from . import __version__
 from .config import (
     MAX_LOOP_CAP,

@@ -20,15 +20,14 @@ frequency, radial modes descending.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-
-import numpy as np
 
 ECH = 1.602176634e-19       # elementary charge, C
 AMU = 1.66053906660e-27     # atomic mass unit, kg
 EPS0 = 8.8541878128e-12     # vacuum permittivity
-K_COUL = ECH**2 / (4.0 * np.pi * EPS0)
+K_COUL = ECH**2 / (4.0 * math.pi * EPS0)
 
 MASS_YB_171 = 170.936330    # amu
 MASS_BA_138 = 137.905247    # amu
@@ -82,37 +81,89 @@ class ChainSpec:
         return len(self.masses_amu)
 
     @property
-    def masses_kg(self) -> np.ndarray:
-        return np.asarray(self.masses_amu, dtype=float) * AMU
+    def masses_kg(self) -> tuple[float, ...]:
+        return tuple(m * AMU for m in self.masses_amu)
 
     @property
     def axial_spring(self) -> float:
         """Species-independent axial spring constant m_ref * w_z_ref^2."""
-        return self.reference_mass_amu * AMU * (2.0 * np.pi * self.axial_freq_ref) ** 2
+        return self.reference_mass_amu * AMU * (2.0 * math.pi * self.axial_freq_ref) ** 2
 
-    def radial_springs(self) -> np.ndarray:
+    def radial_springs(self) -> tuple[float, ...]:
         """Per-ion radial spring constants (m_ref * w_r_ref)^2 / m_i."""
         m_ref = self.reference_mass_amu * AMU
-        return (m_ref * 2.0 * np.pi * self.radial_freq_ref) ** 2 / self.masses_kg
+        k = (m_ref * 2.0 * math.pi * self.radial_freq_ref) ** 2
+        return tuple(k / m for m in self.masses_kg)
 
 
 _MAX_ITERATIONS = 500  # Newton steps of the equilibrium search
+_MAX_SWEEPS = 50       # Jacobi sweeps of the eigensolver
+_EPS = 2.0 ** -52      # double-precision machine epsilon
 
 
-def _curvatures(z: np.ndarray) -> np.ndarray:
+def _curvatures(z) -> list[list[float]]:
     """Pair curvatures ``1/|z_i - z_j|^3``, 0 on the diagonal."""
-    d = np.abs(np.subtract.outer(z, z))
-    np.fill_diagonal(d, np.inf)
-    return 1.0 / d**3
+    return [[0.0 if i == j else 1.0 / abs(zi - zj) ** 3 for j, zj in enumerate(z)]
+            for i, zi in enumerate(z)]
 
 
-def _trap_hessian(springs: float | np.ndarray, c: np.ndarray, weight: float) -> np.ndarray:
+def _trap_hessian(springs, c, weight: float) -> list[list[float]]:
     """``diag(springs) + weight * (diag(c 1) - c)``: the trap springs plus the
     pair curvatures ``c``, weighted 2 axially and -1 radially."""
-    return np.diag(springs + weight * c.sum(axis=1)) - weight * c
+    return [[s + weight * sum(row) if i == j else -weight * x for j, x in enumerate(row)]
+            for i, (s, row) in enumerate(zip(springs, c))]
 
 
-def equilibrium_positions(spec: ChainSpec) -> np.ndarray:
+def _solve(a, b) -> list[float]:
+    """``x`` with ``a x = b``, by Gaussian elimination with partial pivoting."""
+    n = len(b)
+    rows = [[*row, y] for row, y in zip(a, b)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        rows[k], rows[p] = rows[p], rows[k]
+        for row in rows[k + 1:]:
+            f = row[k] / rows[k][k]
+            row[k:] = [x - f * y for x, y in zip(row[k:], rows[k][k:])]
+    x = [0.0] * n
+    for k in reversed(range(n)):
+        x[k] = (rows[k][n] - sum(rows[k][j] * x[j] for j in range(k + 1, n))) / rows[k][k]
+    return x
+
+
+def _eigh(a) -> tuple[list[float], list[list[float]]]:
+    """Eigenvalues (ascending) and eigenvectors (columns) of the symmetric ``a``
+    by cyclic Jacobi sweeps, each rotating away every entry above ``_EPS *
+    sqrt(|a_pp a_qq|)``, until a sweep rotates none.  That threshold keeps high
+    relative accuracy on graded matrices such as the mass-weighted Hessians
+    (Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992))."""
+    n = len(a)
+    a = [list(row) for row in a]
+    v = [[float(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(_MAX_SWEEPS):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                if abs(apq) <= _EPS * math.sqrt(abs(a[p][p] * a[q][q])):
+                    continue
+                rotated = True
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                app, aqq = a[p][p] - t * apq, a[q][q] + t * apq
+                for row in (*a, *v):  # columns p and q
+                    row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+                a[p], a[q] = [row[p] for row in a], [row[q] for row in a]  # symmetry
+                a[p][p], a[q][q] = app, aqq
+                a[p][q] = a[q][p] = 0.0
+        if not rotated:
+            order = sorted(range(n), key=lambda k: a[k][k])
+            return [a[k][k] for k in order], [[row[k] for k in order] for row in v]
+    raise RuntimeError(f"Jacobi eigensolver did not converge in {_MAX_SWEEPS} sweeps")
+
+
+def equilibrium_positions(spec: ChainSpec) -> tuple[float, ...]:
     """Axial equilibrium positions (meters) by damped Newton iteration.
 
     Equal charges make the equilibria independent of the masses; the natural
@@ -121,53 +172,47 @@ def equilibrium_positions(spec: ChainSpec) -> np.ndarray:
     axial Hessian at unit spring (James, Appl. Phys. B 66, 181 (1998)).
 
     The result depends only on the ion count and the axial spring, and is
-    solved once per pair and returned read-only: the radial search of
-    ``calibrate_reference_frequencies`` keeps both fixed.
+    solved once per pair: the calibration's radial search keeps both fixed.
     """
     return _equilibrium(spec.n_ions, spec.axial_spring)
 
 
 @lru_cache(maxsize=8)
-def _equilibrium(n: int, axial_spring: float) -> np.ndarray:
-    z = np.zeros(1)
-    if n > 1:
-        ell = (K_COUL / axial_spring) ** (1.0 / 3.0)
-        u = np.linspace(-(n - 1) / 2.0, (n - 1) / 2.0, n)
-        for _ in range(_MAX_ITERATIONS):
-            c = _curvatures(u)
-            force = u - c.sum(axis=1) * u + c @ u
-            step = np.linalg.solve(_trap_hessian(1.0, c, 2.0), force)
-            # damping keeps the ordering when the initial guess is far off
-            scale = min(1.0, 0.5 * np.min(np.abs(np.diff(u))) / max(np.max(np.abs(step)), 1e-300))
-            u = u - scale * step
-            if np.linalg.norm(force) < 1e-14:
-                break
-        else:
-            raise RuntimeError(f"equilibrium search did not converge in "
-                               f"{_MAX_ITERATIONS} iterations")
-        z = u * ell
-    z.setflags(write=False)
-    return z
+def _equilibrium(n: int, axial_spring: float) -> tuple[float, ...]:
+    ell = (K_COUL / axial_spring) ** (1.0 / 3.0)
+    u = [k - (n - 1) / 2.0 for k in range(n)]
+    for _ in range(_MAX_ITERATIONS):
+        c = _curvatures(u)
+        force = [ui - sum(row) * ui + sum(x * uj for x, uj in zip(row, u))
+                 for ui, row in zip(u, c)]
+        step = _solve(_trap_hessian([1.0] * n, c, 2.0), force)
+        # damping keeps the ordering when the initial guess is far off
+        gap = min((abs(y - x) for x, y in zip(u, u[1:])), default=1.0)  # a lone ion
+        scale = min(1.0, 0.5 * gap / max(max(map(abs, step)), 1e-300))
+        u = [ui - scale * si for ui, si in zip(u, step)]
+        if math.hypot(*force) < 1e-14:
+            return tuple(ui * ell for ui in u)
+    raise RuntimeError(f"equilibrium search did not converge in {_MAX_ITERATIONS} iterations")
 
 
-def _hessian(spec: ChainSpec, z: np.ndarray, direction: str) -> np.ndarray:
-    c = K_COUL * _curvatures(z)
+def _hessian(spec: ChainSpec, z, direction: str) -> list[list[float]]:
+    c = [[K_COUL * x for x in row] for row in _curvatures(z)]
     if direction == "axial":
-        return _trap_hessian(spec.axial_spring, c, 2.0)
+        return _trap_hessian([spec.axial_spring] * spec.n_ions, c, 2.0)
     if direction == "radial":
         return _trap_hessian(spec.radial_springs(), c, -1.0)
     raise ValueError(f"direction must be axial or radial, got {direction!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ModeTable:
     """Normal-mode frequencies and participation of one trap direction."""
 
     direction: str
-    frequencies: np.ndarray          # Hz, per mode
-    participation: np.ndarray        # orthonormal b, [ion, mode]
-    displacement: np.ndarray         # unit-norm displacement patterns, [ion, mode]
-    residuals: np.ndarray            # relative residual of H u = w^2 M u, per mode
+    frequencies: tuple[float, ...]                # Hz, per mode
+    participation: tuple[tuple[float, ...], ...]  # orthonormal b, [ion][mode]
+    displacement: tuple[tuple[float, ...], ...]   # unit-norm patterns, [ion][mode]
+    residuals: tuple[float, ...]                  # relative, of H u = w^2 M u, per mode
     masses_amu: tuple[float, ...]
 
 
@@ -177,29 +222,34 @@ def normal_modes(spec: ChainSpec, direction: str) -> ModeTable:
     Raises ValueError with the offending mode named if a radial mode is
     unstable (nonpositive squared frequency).
     """
-    z = equilibrium_positions(spec)
-    h = _hessian(spec, z, direction)
+    h = _hessian(spec, equilibrium_positions(spec), direction)
     m = spec.masses_kg
-    w2, b = np.linalg.eigh(h / np.sqrt(np.outer(m, m)))  # ascending
+    w2, b = _eigh([[x / math.sqrt(mi * mj) for x, mj in zip(row, m)]
+                   for row, mi in zip(h, m)])  # ascending
+    modes = list(zip(w2, zip(*b)))  # (w^2, participation column) per mode
     if direction == "radial":
-        w2, b = w2[::-1], b[:, ::-1]  # printed convention: descending
-    if np.any(w2 <= 0):
-        k = int(np.argmax(w2 <= 0))  # the first unstable mode
-        raise ValueError(
-            f"unstable configuration: {direction} mode {k + 1} has "
-            f"omega^2 = {w2[k]:.3e} <= 0 (weaken the axial confinement)")
-    freqs = np.sqrt(w2) / (2.0 * np.pi)
-    # sign convention: largest-magnitude component positive per mode
-    peak = b[np.argmax(np.abs(b), axis=0), np.arange(b.shape[1])]
-    b = np.where(peak < 0, -b, b)
-    u = b / np.sqrt(m)[:, None]
-    hu = h @ u
-    residuals = (np.linalg.norm(hu - w2 * (m[:, None] * u), axis=0)
-                 / np.linalg.norm(hu, axis=0))
-    disp = u / np.linalg.norm(u, axis=0, keepdims=True)
-    return ModeTable(direction=direction, frequencies=freqs, participation=b,
-                     displacement=disp, residuals=residuals,
-                     masses_amu=tuple(spec.masses_amu))
+        modes.reverse()  # printed convention: descending
+    for k, (w, _) in enumerate(modes):
+        if w <= 0:  # the first unstable mode
+            raise ValueError(
+                f"unstable configuration: {direction} mode {k + 1} has "
+                f"omega^2 = {w:.3e} <= 0 (weaken the axial confinement)")
+    parts, disps, residuals = [], [], []
+    for w, col in modes:
+        # sign convention: largest-magnitude component positive per mode
+        if max(col, key=abs) < 0:
+            col = tuple(-x for x in col)
+        u = [x / math.sqrt(mi) for x, mi in zip(col, m)]
+        hu = [sum(x * y for x, y in zip(row, u)) for row in h]
+        residuals.append(math.hypot(*(y - w * (mi * ui) for y, mi, ui in zip(hu, m, u)))
+                         / math.hypot(*hu))
+        norm = math.hypot(*u)
+        parts.append(col)
+        disps.append([x / norm for x in u])
+    return ModeTable(direction=direction,
+                     frequencies=tuple(math.sqrt(w) / (2.0 * math.pi) for w, _ in modes),
+                     participation=tuple(zip(*parts)), displacement=tuple(zip(*disps)),
+                     residuals=tuple(residuals), masses_amu=tuple(spec.masses_amu))
 
 
 @dataclass(frozen=True)
@@ -219,9 +269,9 @@ def coolant_coupling_report(table: ModeTable, coolant_index: int,
     """
     if not 0 <= coolant_index < len(table.masses_amu):
         raise ValueError("coolant index out of range")
-    amps = np.abs(table.displacement[coolant_index]).tolist()
+    amps = [abs(x) for x in table.displacement[coolant_index]]
     return [CoolantCoupling(mode_index=k, frequency=f, participation=a, below_floor=a < floor)
-            for k, (f, a) in enumerate(zip(table.frequencies.tolist(), amps))]
+            for k, (f, a) in enumerate(zip(table.frequencies, amps))]
 
 
 def calibrate_reference_frequencies(
@@ -236,15 +286,15 @@ def calibrate_reference_frequencies(
     with the axial reference (closed-form fit); the radial reference is found
     by a golden-section search (Kiefer, Proc. AMS 4, 502 (1953)) on
     ``[0.5, 3.0] x max(radial targets)``, stopped once the bracket is
-    narrower than 1e-4 Hz (about 50 cost evaluations).
+    narrower than 1e-4 Hz (about 50 cost evaluations).  Its last steps sit at
+    the cost's round-off floor: two correct eigensolvers (LAPACK's and the
+    Jacobi solve here) returned radial references 2.9e-5 Hz apart.
     """
     probe = ChainSpec(masses_amu=tuple(masses_amu), axial_freq_ref=1e5,
                       radial_freq_ref=1e6, reference_mass_amu=reference_mass_amu)
-    ax = np.asarray(axial_targets_hz, dtype=float)
-    ratios = normal_modes(probe, "axial").frequencies / 1e5
-    axial_ref = float(ratios @ ax / (ratios @ ratios))
-
-    rad = np.asarray(radial_targets_hz, dtype=float)
+    ratios = [f / 1e5 for f in normal_modes(probe, "axial").frequencies]
+    axial_ref = sum(r * f for r, f in zip(ratios, axial_targets_hz)) / sum(r * r for r in ratios)
+    rad = [float(f) for f in radial_targets_hz]
 
     def cost(fr: float) -> float:
         spec = replace(probe, axial_freq_ref=axial_ref, radial_freq_ref=fr)
@@ -252,12 +302,12 @@ def calibrate_reference_frequencies(
             freqs = normal_modes(spec, "radial").frequencies
         except ValueError:
             return 1e30
-        return float(np.sum((freqs - rad) ** 2))
+        return sum((f - r) ** 2 for f, r in zip(freqs, rad))
 
     # golden-section search: each step keeps the sub-bracket holding the
     # lower interior point and reuses that point's cost
     shrink = (5.0 ** 0.5 - 1.0) / 2.0
-    guess = float(np.max(rad))
+    guess = max(rad)
     lo, hi = 0.5 * guess, 3.0 * guess
     c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
     fc, fd = cost(c), cost(d)
@@ -302,19 +352,19 @@ def modes_outputs(spec: ChainSpec) -> dict:
                    "frequency_khz"]
         files[f"modes_{d}.csv"] = (columns, [
             [f"{d}_{k + 1}", *(f"{x:.3f}" for x in u), f"{f / 1e3:.1f}"]
-            for k, (u, f) in enumerate(zip(t.displacement.T, t.frequencies))])
+            for k, (u, f) in enumerate(zip(zip(*t.displacement), t.frequencies))])
     eq = normal_modes(replace(spec, masses_amu=(MASS_BA_138,) * 3), "axial").frequencies
     files["modes_summary.json"] = {
         "axial_freq_ref_hz": spec.axial_freq_ref,
         "radial_freq_ref_hz": spec.radial_freq_ref,
-        "axial_frequencies_hz": tables["axial"].frequencies.tolist(),
-        "radial_frequencies_hz": tables["radial"].frequencies.tolist(),
-        "equal_mass_axial_ratios": (eq / eq[0]).tolist(),
+        "axial_frequencies_hz": list(tables["axial"].frequencies),
+        "radial_frequencies_hz": list(tables["radial"].frequencies),
+        "equal_mass_axial_ratios": [f / eq[0] for f in eq],
         "equal_mass_expected": [1.0, 3.0 ** 0.5, (29.0 / 5.0) ** 0.5],
         "radial_coolant_coupling": [
             {"mode": c.mode_index + 1, "frequency_hz": c.frequency,
              "participation": c.participation, "below_floor": c.below_floor}
             for c in coolant_coupling_report(tables["radial"], coolant_index=0)],
-        "max_eigen_residual": {d: float(np.max(t.residuals)) for d, t in tables.items()},
+        "max_eigen_residual": {d: max(t.residuals) for d, t in tables.items()},
     }
     return files

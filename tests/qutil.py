@@ -21,8 +21,10 @@ plate and Raman stacks and the stacked scans of any pair or ion state), the
 Bell-state phase, threshold classification of
 single counts, a campaign's empirical first-success CDF, the continuous
 first-success density and CDF of the rate model with its expected attempts
-and mean success probability per cap, and the printed Yb-Ba-Ba displacement
-tables.
+and mean success probability per cap, the printed Yb-Ba-Ba displacement
+tables, and the numpy formulation of the chain's equilibrium and normal modes
+(``np.linalg.solve`` and ``np.linalg.eigh``) that the pure-Python solves of
+``ionlink.modes`` replace.
 """
 
 import math
@@ -34,6 +36,7 @@ import numpy as np
 from ionlink.analysis import raman_rotation
 from ionlink.config import MAX_REQUEST_NS
 from ionlink.ion_photon import PAIR_DIMS
+from ionlink.modes import K_COUL, ChainSpec, ModeTable
 from ionlink.protocol import _BLOCK, RateReport, _success_model
 from ionlink.quantum import (
     HERMITIAN_TOL,
@@ -181,6 +184,61 @@ YB_BA_BA_RADIAL_DISPLACEMENT = (
     (0.587, 0.672, -0.512),
     (0.790, -0.615, 0.144),
 )
+
+
+def _curvatures(z: np.ndarray) -> np.ndarray:
+    """Pair curvatures ``1/|z_i - z_j|^3``, 0 on the diagonal."""
+    d = np.abs(np.subtract.outer(z, z))
+    np.fill_diagonal(d, np.inf)
+    return 1.0 / d**3
+
+
+def _trap_hessian(springs, c: np.ndarray, weight: float) -> np.ndarray:
+    """``diag(springs) + weight * (diag(c 1) - c)``."""
+    return np.diag(springs + weight * c.sum(axis=1)) - weight * c
+
+
+def reference_equilibrium(n: int, axial_spring: float) -> np.ndarray:
+    """Axial equilibrium positions (meters) of ``n`` ions: the damped Newton
+    iteration of ``ionlink.modes`` on arrays, each step by ``np.linalg.solve``."""
+    if n == 1:
+        return np.zeros(1)
+    ell = (K_COUL / axial_spring) ** (1.0 / 3.0)
+    u = np.linspace(-(n - 1) / 2.0, (n - 1) / 2.0, n)
+    for _ in range(500):
+        c = _curvatures(u)
+        force = u - c.sum(axis=1) * u + c @ u
+        step = np.linalg.solve(_trap_hessian(1.0, c, 2.0), force)
+        scale = min(1.0, 0.5 * np.min(np.abs(np.diff(u))) / max(np.max(np.abs(step)), 1e-300))
+        u = u - scale * step
+        if np.linalg.norm(force) < 1e-14:
+            return u * ell
+    raise RuntimeError("equilibrium search did not converge")
+
+
+def reference_normal_modes(spec: ChainSpec, direction: str) -> ModeTable:
+    """``ionlink.modes.normal_modes`` on arrays, with ``np.linalg.eigh`` for the
+    mass-weighted eigenproblem: the same conventions (radial modes descending,
+    largest component of each mode positive), array fields.  An unstable mode
+    raises ValueError."""
+    c = K_COUL * _curvatures(reference_equilibrium(spec.n_ions, spec.axial_spring))
+    h = (_trap_hessian(spec.axial_spring, c, 2.0) if direction == "axial"
+         else _trap_hessian(np.asarray(spec.radial_springs()), c, -1.0))
+    m = np.asarray(spec.masses_kg)
+    w2, b = np.linalg.eigh(h / np.sqrt(np.outer(m, m)))  # ascending
+    if direction == "radial":
+        w2, b = w2[::-1], b[:, ::-1]
+    if np.any(w2 <= 0):
+        raise ValueError(f"unstable configuration: {direction} omega^2 = {w2}")
+    peak = b[np.argmax(np.abs(b), axis=0), np.arange(b.shape[1])]
+    b = np.where(peak < 0, -b, b)
+    u = b / np.sqrt(m)[:, None]
+    hu = h @ u
+    residuals = (np.linalg.norm(hu - w2 * (m[:, None] * u), axis=0)
+                 / np.linalg.norm(hu, axis=0))
+    return ModeTable(direction=direction, frequencies=np.sqrt(w2) / (2.0 * np.pi),
+                     participation=b, displacement=u / np.linalg.norm(u, axis=0),
+                     residuals=residuals, masses_amu=tuple(spec.masses_amu))
 
 
 def random_unitary(rng, dim):

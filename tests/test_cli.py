@@ -274,6 +274,33 @@ def test_modes_single_ion(tmp_path):
     assert payload["radial_frequencies_hz"] == [pytest.approx(890000.0)]
 
 
+@pytest.mark.parametrize("refs", [["--axial-ref", "1", "--radial-ref", "10"],
+                                  ["--axial-ref", "1e11", "--radial-ref", "1e12"]])
+def test_modes_solves_at_the_reference_range_ends(tmp_path, refs):
+    # the solve runs on floats, which raise OverflowError or ZeroDivisionError
+    # where numpy warned, and main reports neither as a JSON error
+    out = tmp_path / "m"
+    assert run(["modes", "--out", str(out)] + refs) == 0
+    payload = json.loads((out / "modes_summary.json").read_text())
+    values = [*payload["axial_frequencies_hz"], *payload["radial_frequencies_hz"],
+              *payload["equal_mass_axial_ratios"], *payload["max_eigen_residual"].values(),
+              *(c["participation"] for c in payload["radial_coolant_coupling"])]
+    assert np.all(np.isfinite(values)) and min(values) >= 0.0
+    for name in ("modes_axial.csv", "modes_radial.csv"):
+        rows = [line.split(",")[1:] for line in (out / name).read_text().splitlines()
+                if not line.startswith(("#", "mode"))]
+        assert len(rows) == 3 and np.all(np.isfinite(np.asarray(rows, dtype=float)))
+
+
+def test_modes_unstable_chain_is_a_runtime_error(tmp_path, capsys):
+    out = tmp_path / "m"
+    assert run(["modes", "--out", str(out), "--axial-ref", "9e5", "--radial-ref", "3e5"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "runtime"
+    assert "unstable configuration: radial mode" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,extra", [
     (["budget"], []),
     (["ion-photon"], []),

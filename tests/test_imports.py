@@ -254,7 +254,8 @@ LOAD_SETS = [  # argv, exit code, error category, ionlink submodules, third part
     (["budget", "--config", "bad.yaml"], 2, "config_invalid", NUMPY_FREE, ["yaml"]),
     (["budget"], 0, None, ["budget", "cli", "config"], []),
     (["budget", "--config", "good.yaml"], 0, None, ["budget", "cli", "config"], ["yaml"]),
-    (["modes"], 0, None, ["cli", "config", "modes"], ["numpy"]),
+    (["modes"], 0, None, ["cli", "config", "modes"], []),
+    (["modes", "--single-ion"], 0, None, ["cli", "config", "modes"], []),
     (["rate", "--records", "--trials", "200"], 0, None,
      ["cli", "config", "protocol", "rate_model"], ["numpy"]),
     (["ion-photon"], 0, None, ["cli", "config", "fitting", "ion_photon"], []),

@@ -397,12 +397,9 @@ def _array_holders():
     from ionlink.analysis import parity_scan, swap_experiment
     from ionlink.config import HardwareConfig, ideal_config
     from ionlink.detection import spam_correct
-    from ionlink.modes import MASS_BA_138, ChainSpec, normal_modes
     from ionlink.protocol import simulate_campaign
     from ionlink.rate_model import DecayParams, ScheduleParams, rate_curve
 
-    spec = ChainSpec(masses_amu=(MASS_BA_138,) * 2, axial_freq_ref=1e5,
-                     radial_freq_ref=1e6)
     rho = density(ket([0, 1]))
     builders = {
         "DensityMatrix": lambda: density(ket([0, 1])),
@@ -415,7 +412,6 @@ def _array_holders():
         "RateReport": lambda: simulate_campaign(HardwareConfig(), 10, 1),
         "RateCurve": lambda: rate_curve([1, 2], DecayParams(1e-3, 0.0, 1e-3),
                                         ScheduleParams(1e-6, 100e-6), False),
-        "ModeTable": lambda: normal_modes(spec, "axial"),
     }
     return {name: (build(), build()) for name, build in builders.items()}
 
