@@ -16,6 +16,14 @@ Parity-scan structure for a two-ion state rho under global pi/2 pulses:
 
 The fidelity lower bound combines odd populations, two-pulse contrast and the
 single-pulse contrast as ``F >= (pops + C2 - C1)/2``.
+
+The model's heralded state is the X state of ``swap.XState``, which has no
+even coherence, so its readout class probabilities after the pulses are
+closed forms (``bright_classes``): the exact scans (``parity_scan``) and the
+sampled swap experiment read them with ``math`` and floats, and a ``swap``
+run loads no numpy.  The stacked scans of any two-ion density matrix are the
+reference in ``tests/qutil.py``; ``apply_analysis_pulse`` builds the rotated
+state as a matrix, and loads numpy.
 """
 
 from __future__ import annotations
@@ -24,8 +32,6 @@ import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Mapping
-
-import numpy as np
 
 from . import budget, swap
 from .config import HardwareConfig
@@ -38,136 +44,162 @@ from .detection import (
     simulate_histogram,
     spam_correct,
 )
-from .fitting import ScanResult, SinusoidFit, wrap_phase
-from .quantum import DensityMatrix, apply_unitary, cache_by_value, rotated_populations
-
-# little-endian basis order of the two-ion register (ion A is bit 0):
-# index 0 = down,down ; 1 = up,down ; 2 = down,up ; 3 = up,up
-IDX_DD, IDX_UD, IDX_DU, IDX_UU = 0, 1, 2, 3
-PARITY_DIAG = np.array([1.0, -1.0, -1.0, 1.0])
-BRIGHT_PARITY = np.array([1.0, -1.0, 1.0])  # parity of 0, 1 and 2 bright ions
-
-
-def raman_rotation(phase) -> np.ndarray:
-    """Qubit pi/2 rotation ``exp(-i pi/4 (cos(phase) sx + sin(phase) sy))``;
-    an array of phases gives the stack ``phase.shape + (2, 2)``."""
-    phase = np.asarray(phase)
-    out = np.empty(phase.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = out[..., 1, 1] = np.cos(np.pi / 4.0)
-    s = np.sin(np.pi / 4.0)
-    out[..., 0, 1] = -1j * np.exp(-1j * phase) * s
-    out[..., 1, 0] = -1j * np.exp(1j * phase) * s
-    return out
-
-
-def _global_rotation(phase) -> np.ndarray:
-    r = raman_rotation(phase)  # one r (x) r per phase of an array
-    both = r[..., :, None, :, None] * r[..., None, :, None, :]
-    return both.reshape(r.shape[:-2] + (4, 4))
+from .fitting import ScanResult, SinusoidFit, determines_sinusoid, linspace, wrap_phase
+from .rng import Generator
 
 
 @lru_cache(maxsize=32)
-def _pulse(phase: float) -> np.ndarray:
-    """Read-only global pi/2 pulse of one phase.  ``-0.0`` shares the entry
-    of ``0.0``, whose pulse is bitwise the same."""
-    u = _global_rotation(phase)
+def _pulse(phase: float):
+    """Read-only global pi/2 pulse of one phase, ``r (x) r`` with the qubit
+    rotation ``r = exp(-i pi/4 (cos(phase) sx + sin(phase) sy))``.  ``-0.0``
+    shares the entry of ``0.0``, whose pulse is bitwise the same."""
+    import numpy as np
+    c, s = np.cos(np.pi / 4.0), np.sin(np.pi / 4.0)
+    r = np.array([[c, -1j * np.exp(-1j * phase) * s], [-1j * np.exp(1j * phase) * s, c]])
+    u = np.kron(r, r)
     u.setflags(write=False)
     return u
 
 
-# one stack per scan grid, 4 grids kept per cache: at cli.MAX_GRID_POINTS
-# phases a stack holds 25.6 MB
-_pulse_stack = cache_by_value(maxsize=4)(_global_rotation)
+@lru_cache(maxsize=1)
+def _quantum():
+    """The density-matrix module, imported (with numpy) on the first pulse."""
+    from . import quantum
+    return quantum
 
 
-@cache_by_value(maxsize=4)
-def _two_pulse_stack(phases) -> np.ndarray:
-    """The fixed phase-0 pulse, then one pulse at each phase: ``U(phi) U(0)``."""
-    return _global_rotation(phases) @ _pulse(0.0)
-
-
-def apply_analysis_pulse(rho: DensityMatrix, phase: float) -> DensityMatrix:
-    """Global pi/2 pulse of the given phase on both ions."""
+def apply_analysis_pulse(rho, phase: float):
+    """Global pi/2 pulse of the given phase on both ions of an ``XState`` or
+    a two-ion ``DensityMatrix``, as a ``DensityMatrix``."""
     if rho.dims != swap.TWO_ION_DIMS:
         raise ValueError("expects a two-ion state")
-    return apply_unitary(rho, _pulse(float(phase)))
+    quantum = _quantum()
+    return quantum.apply_unitary(rho, _pulse(float(phase)))
 
 
-def _analysis_sequence(rho: DensityMatrix, phases, pulses: str) -> np.ndarray:
-    """Populations ``(phase, 4)`` of the states after the analysis pulses:
-    for ``"two"`` a fixed phase-0 pulse first (converting the odd Bell state
-    to the even one), then one pulse at each phase."""
-    if pulses not in ("one", "two"):
-        raise ValueError("pulses must be 'one' or 'two'")
-    stack = _pulse_stack(phases) if pulses == "one" else _two_pulse_stack(phases)
-    return rotated_populations(rho, stack)
+def bright_classes(rho: swap.XState, pulses: str, phase: float = 0.0) -> tuple[float, ...]:
+    """Probabilities ``(p0, p1, p2)`` of 0, 1 and 2 bright ions in a z-basis
+    readout of the X state ``(w, c)``: with ``pulses="none"`` as it is,
+    ``(w/4, 1 - w/2, w/4)``; after ``"one"`` global pi/2 pulse at ``phase``,
+    ``p0 = p2 = 1/4 + Re(c)/2`` at any phase; after ``"two"``, the phase-0
+    pulse and then one at ``phase``, ``p0 = p2 = w/4 + (1/2 - w/2 + Re c)
+    sin^2(phase) / 2``.  In each case ``p1 = 1 - 2 p0``."""
+    w, re_c = rho.mixing, rho.coherence.real
+    if pulses == "none":
+        p0 = 0.25 * w
+    elif pulses == "one":
+        p0 = 0.25 + 0.5 * re_c
+    elif pulses == "two":
+        p0 = 0.25 * w + 0.5 * (0.5 - 0.5 * w + re_c) * math.sin(phase) ** 2
+    else:
+        raise ValueError("pulses must be 'none', 'one' or 'two'")
+    return p0, 1.0 - 2.0 * p0, p0
 
 
-@cache_by_value(maxsize=8)
-def _solver(x, angular_frequency) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(sin, cos, 1)`` regressors with their pseudo-inverse and rank, built
-    once per grid and frequency (8 kept).  Singular values up to ``eps * n``
-    times the largest count as zero, the cutoff of ``np.linalg.lstsq``, so
-    the product with ``y`` is its minimum-norm solution."""
-    design = np.column_stack([np.sin(angular_frequency * x),
-                              np.cos(angular_frequency * x),
-                              np.ones_like(x)])
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
-    rank = int(np.count_nonzero(s > np.finfo(float).eps * max(design.shape) * s[0]))
-    return design, (vt[:rank].T / s[:rank]) @ u[:, :rank].T, rank
+_EPS = math.ulp(1.0)  # machine epsilon
+
+
+def _dot(a, b) -> float:
+    return math.fsum(u * v for u, v in zip(a, b))
+
+
+@lru_cache(maxsize=8)
+def _solver(x: tuple[float, ...], angular_frequency: float):
+    """The minimum-norm least-squares solve on the grid ``x`` of the
+    ``(sin, cos, 1)`` regressors at ``k``, as the rows that map data to the
+    three coefficients, and its rank; built once per grid and frequency (8
+    kept).  One-sided Jacobi rotations (Hestenes) orthogonalize the regressor
+    columns ``A V = U S``; singular values up to ``eps * n`` times the largest
+    count as zero, the cutoff of ``np.linalg.lstsq``."""
+    cols = [[math.sin(angular_frequency * v) for v in x],
+            [math.cos(angular_frequency * v) for v in x], [1.0] * len(x)]
+    basis = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]  # columns of V
+    for _ in range(30):  # 3 columns settle in a handful of sweeps
+        rotated = False
+        for p, q in ((0, 1), (0, 2), (1, 2)):
+            alpha, beta, gamma = _dot(cols[p], cols[p]), _dot(cols[q], cols[q]), \
+                _dot(cols[p], cols[q])
+            if abs(gamma) <= _EPS * math.sqrt(alpha * beta):
+                continue
+            rotated = True
+            zeta = (beta - alpha) / (2.0 * gamma)
+            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+            c = 1.0 / math.hypot(1.0, t)
+            s = c * t
+            for m in (cols, basis):
+                m[p], m[q] = ([c * a - s * b for a, b in zip(m[p], m[q])],
+                              [s * a + c * b for a, b in zip(m[p], m[q])])
+        if not rotated:
+            break
+    sq = [_dot(col, col) for col in cols]  # squared singular values
+    kept = [i for i in range(3) if sq[i] > (_EPS * len(x)) ** 2 * max(sq)]
+    return tuple(tuple(sum(basis[i][r] * cols[i][j] / sq[i] for i in kept)
+                       for j in range(len(x))) for r in range(3)), len(kept)
+
+
+def _sinusoid(a_sin: float, a_cos: float, offset: float, residual_rms: float,
+              degenerate: bool) -> SinusoidFit:
+    """``offset + a_sin sin(kx) + a_cos cos(kx)`` as ``offset + A sin(kx -
+    phase)``: phase 0 and degenerate below an amplitude of 1e-14."""
+    amplitude = math.hypot(a_sin, a_cos)
+    if amplitude < 1e-14:
+        return SinusoidFit(amplitude, 0.0, offset, residual_rms, True)
+    # the sin coefficient is A cos(phase), the cos coefficient -A sin(phase)
+    return SinusoidFit(amplitude, wrap_phase(math.atan2(-a_cos, a_sin)), offset,
+                       residual_rms, degenerate)
 
 
 def fit_sinusoid(x, y, angular_frequency: float) -> SinusoidFit:
-    """Least-squares fit of ``offset + A sin(k x - phase)`` at known ``k``."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be matching 1-d arrays")
-    finite = np.isfinite(y)
-    if not finite.all():
-        x, y = x[finite], y[finite]
-    if x.size < 3:
+    """Least-squares fit of ``offset + A sin(k x - phase)`` at known ``k``
+    over the points of finite ``y``."""
+    x, y = [float(v) for v in x], [float(v) for v in y]
+    if len(x) != len(y):
+        raise ValueError("x and y must be matching 1-d sequences")
+    finite = [i for i, v in enumerate(y) if math.isfinite(v)]
+    if len(finite) < 3:
         raise ValueError("need at least 3 finite points to fit a sinusoid")
-    # a product of Python floats overflows to inf without a warning
-    reach = float(np.abs(x).max())
-    if not math.isfinite(abs(angular_frequency) * reach):
+    x, y = [x[i] for i in finite], [y[i] for i in finite]
+    if not all(math.isfinite(angular_frequency * v) for v in x):
         raise ValueError(f"k * x must be finite, got k = {angular_frequency!r} "
-                         f"and |x| up to {reach!r}")
-    design, pinv, rank = _solver(x, angular_frequency)
-    coef = pinv @ y
-    a_sin, a_cos, offset = coef
-    amplitude = float(np.hypot(a_sin, a_cos))
-    degenerate = rank < 3
-    if amplitude < 1e-14:
-        phase = 0.0
-        degenerate = True
-    else:
-        # y = A sin(kx - phase): coeff of sin is A cos(phase), of cos is -A sin(phase)
-        phase = wrap_phase(np.arctan2(-a_cos, a_sin))
-    resid = y - design @ coef
-    rms = float(np.sqrt(resid @ resid / resid.size))
-    return SinusoidFit(amplitude=amplitude, phase=phase, offset=float(offset),
-                       residual_rms=rms, degenerate=degenerate)
+                         f"and |x| up to {max(map(abs, x))!r}")
+    rows, rank = _solver(tuple(x), angular_frequency)
+    a_sin, a_cos, offset = (_dot(row, y) for row in rows)
+    resid = [v - (a_sin * math.sin(angular_frequency * u)
+                  + a_cos * math.cos(angular_frequency * u) + offset)
+             for u, v in zip(x, y)]
+    return _sinusoid(a_sin, a_cos, offset, math.sqrt(_dot(resid, resid) / len(resid)),
+                     rank < 3)
 
 
-def _parity_result(grid: np.ndarray, values: np.ndarray) -> ScanResult:
-    fit = fit_sinusoid(grid, values, 2.0)
+def _parity_result(grid, values, fit: SinusoidFit) -> ScanResult:
     flags = ("fit_degenerate",) if fit.degenerate else ()
     return ScanResult(control=grid, series={"parity": values}, fits={"parity": fit},
                       angular_frequency=2.0, contrast=fit.amplitude, flags=flags)
 
 
-def parity_scan(rho: DensityMatrix, phases, pulses: str = "two") -> ScanResult:
-    """Parity vs analysis phase under global pi/2 pulses, fitted at period pi.
+def parity_scan(rho: swap.XState, phases, pulses: str = "two") -> ScanResult:
+    """Parity vs analysis phase of the X state under global pi/2 pulses, the
+    ``bright_classes`` parity ``p0 - p1 + p2 = 4 p0 - 1``, with its exact fit
+    at period pi, whose amplitude is the contrast.
 
-    ``pulses="one"`` scans the phase of a single pulse; ``"two"`` applies a
-    fixed phase-0 pulse first and scans the second pulse's phase.  Contrast
-    is the fitted amplitude.
+    ``pulses="one"`` scans the phase of a single pulse, a flat ``2 Re c``;
+    ``"two"`` applies a fixed phase-0 pulse first and scans the second
+    pulse's phase, ``offset - a cos(2x)`` with the offset and ``a`` from the
+    parities at 0 and pi/2.  The fit is degenerate below an amplitude of 1e-14
+    and on a grid that does not determine a sinusoid at period pi.
     """
-    if rho.dims != swap.TWO_ION_DIMS:
-        raise ValueError("parity_scan expects a two-ion state")
-    grid = np.asarray(phases, dtype=float)
-    return _parity_result(grid, _analysis_sequence(rho, grid, pulses) @ PARITY_DIAG)
+    if rho.dims != swap.TWO_ION_DIMS or pulses not in ("one", "two"):
+        raise ValueError("parity_scan expects a two-ion state and pulses 'one' or 'two'")
+    grid = [float(x) for x in phases]
+    if not all(map(math.isfinite, grid)):
+        raise ValueError("scan control values must be finite")
+    def parity(x):
+        return 4.0 * bright_classes(rho, pulses, x)[0] - 1.0
+
+    at_0, at_90 = parity(0.0), parity(math.pi / 2.0)
+    fit = _sinusoid(0.0, 0.5 * (at_0 - at_90), 0.5 * (at_0 + at_90), 0.0,
+                    not determines_sinusoid(grid, 2.0))
+    return _parity_result(grid, [parity(x) for x in grid], fit)
 
 
 _ROUND_OFF = 1e-12  # excess past [0, 1] absorbed by FidelityBoundInputs
@@ -208,19 +240,14 @@ MIN_SWAP_TRIALS = 100
 CALIBRATION_SHOTS = 20000
 
 
-def _sample_readout(pops: np.ndarray, shots, cm: ConfusionMatrix,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Observed bright-count frequencies of z-basis readouts of each state of
-    the populations ``pops`` (..., 4), ``shots`` readouts of each (an array
-    that broadcasts against them).  A thresholded shot of a state with 0 (dd),
-    1 (ud or du) or 2 (uu) bright ions falls in each class with that row of
-    ``cm``, so one multinomial over ``bright @ cm.matrix`` draws them all."""
-    diag = np.clip(pops, 0.0, None)
-    bright = np.stack([diag[..., IDX_DD], diag[..., IDX_UD] + diag[..., IDX_DU],
-                       diag[..., IDX_UU]], axis=-1)
-    probs = np.clip(bright / bright.sum(axis=-1, keepdims=True) @ cm.matrix, 0.0, None)
-    shots = np.asarray(shots)
-    return rng.multinomial(shots, probs) / shots[..., None]
+def _sample_readout(bright, shots: int, cm: ConfusionMatrix, rng: Generator) -> list[float]:
+    """Observed bright-count frequencies of ``shots`` z-basis readouts of a
+    state whose bright-class probabilities are ``bright`` (0, 1 and 2 bright
+    ions): a thresholded shot of class j falls in each observed class with
+    that row of ``cm``, so one multinomial over ``bright @ cm.matrix`` draws
+    them all."""
+    probs = [max(0.0, sum(b * m for b, m in zip(bright, column))) for column in zip(*cm.matrix)]
+    return [k / shots for k in rng.multinomial(shots, probs)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,9 +255,9 @@ class SwapExperiment:
     """Sampled readout calibration, populations and parity scans of the
     heralded two-ion state, with the fidelity lower bound they give."""
 
-    histograms: tuple[np.ndarray, ...]   # counts for 0, 1, 2 prepared bright ions
+    histograms: tuple[tuple[int, ...], ...]  # counts for 0, 1, 2 prepared bright ions
     thresholds: ThresholdResult
-    raw_populations: np.ndarray          # observed bright-count frequencies
+    raw_populations: list[float]         # observed bright-count frequencies
     populations: SpamCorrection          # SPAM-corrected bright-count populations
     scans: Mapping[str, ScanResult]      # parity scans keyed "two" and "one"
     bound_inputs: FidelityBoundInputs    # the clipped values the bound uses
@@ -238,26 +265,26 @@ class SwapExperiment:
 
     @property
     def odd_populations(self) -> float:
-        return float(self.populations.populations[1])
+        return self.populations.populations[1]
 
     @property
     def bound(self) -> float:
         return fidelity_lower_bound(self.bound_inputs)
 
 
-def swap_experiment(cfg: HardwareConfig, trials: int,
-                    rng: np.random.Generator) -> SwapExperiment:
+def swap_experiment(cfg: HardwareConfig, trials: int, rng: Generator) -> SwapExperiment:
     """Monte Carlo of the measurements behind the two-ion fidelity bound.
 
     The random draws come in this order: the calibration histograms for 0, 1
-    and 2 bright ions; the herald signs (equally likely); then one readout
-    draw per stage, each over both signs, sign +1 first: the populations, from
-    half of each sign's heralds, then the ``"two"`` scan and the ``"one"``
-    scan, each sharing a quarter of each sign's heralds over its 13 phases.
+    and 2 bright ions; the herald signs (equally likely); then the readouts of
+    each stage, sign +1 first: the populations, from half of each sign's
+    heralds, then the ``"two"`` scan and the ``"one"`` scan, each sharing a
+    quarter of each sign's heralds over its 13 phases, in phase order.
     Readouts are drawn from the confusion matrix of ``cfg``'s count pmf at
     the chosen thresholds, the one that ``spam_correct`` inverts at every
-    point.  Each sign is analyzed after its own phase-alignment wait, which
-    maps both onto the plus Bell state.
+    point, and from ``bright_classes`` of each sign's state.  Each sign is
+    analyzed after its own phase-alignment wait, which maps both onto the
+    plus Bell state.
     """
     if trials < MIN_SWAP_TRIALS:
         raise ValueError(f"swap needs at least {MIN_SWAP_TRIALS} trials")
@@ -269,26 +296,31 @@ def swap_experiment(cfg: HardwareConfig, trials: int,
 
     sign_counts = {+1: int(rng.binomial(trials, 0.5))}
     sign_counts[-1] = trials - sign_counts[+1]
-    heralds = np.array(list(sign_counts.values()))
+    heralds = list(sign_counts.values())
     states = [swap.aligned_state_from_config(cfg, sign=s) for s in sign_counts]
 
     # pooled over the signs: all counts over all shots
-    shots = heralds // 2
-    freq = _sample_readout(np.real([np.diag(st.matrix) for st in states]), shots, cm, rng)
-    pop_freq = shots @ freq / shots.sum()
+    shots = [n // 2 for n in heralds]
+    freqs = [_sample_readout(bright_classes(st, "none"), k, cm, rng)
+             for st, k in zip(states, shots)]
+    pop_freq = [(shots[0] * a + shots[1] * b) / sum(shots) for a, b in zip(*freqs)]
     pop_corr = spam_correct(pop_freq, cm)
 
-    grid = np.linspace(0.0, np.pi, 13)
-    shots = np.maximum(1, (heralds // 4) // grid.size)[:, None]
+    grid = linspace(0.0, math.pi, 13)
+    weights = [n / trials for n in heralds]
     scans = {}
     for pulses in ("two", "one"):
-        pops = np.stack([_analysis_sequence(st, grid, pulses) for st in states])
-        freq = _sample_readout(pops, shots, cm, rng)  # (sign, phase, class)
-        parity = spam_correct(freq, cm).populations @ BRIGHT_PARITY
-        scans[pulses] = _parity_result(grid, heralds / trials @ parity)
+        parity = []  # per sign, per phase
+        for st, n in zip(states, heralds):
+            k = max(1, (n // 4) // len(grid))
+            freqs = [_sample_readout(bright_classes(st, pulses, x), k, cm, rng) for x in grid]
+            parity.append([p0 - p1 + p2 for p0, p1, p2 in
+                           (spam_correct(f, cm).populations for f in freqs)])
+        values = [weights[0] * a + weights[1] * b for a, b in zip(*parity)]
+        scans[pulses] = _parity_result(grid, values, fit_sinusoid(grid, values, 2.0))
 
     bound_inputs = FidelityBoundInputs(
-        odd_populations=float(pop_corr.populations[1]),
+        odd_populations=pop_corr.populations[1],
         two_pulse_contrast=min(1.0, scans["two"].contrast),
         one_pulse_contrast=min(1.0, scans["one"].contrast))
     return SwapExperiment(histograms=hists, thresholds=thresholds,
@@ -302,21 +334,19 @@ def swap_outputs(cfg: HardwareConfig, trials: int, seed: int, profile: str) -> d
     calibration histograms (frequencies, zero-padded to the widest),
     thresholds, parity scans and populations, and a summary of the bound that
     records ``trials`` and ``profile``, the name of the error profile of ``cfg``."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    res = swap_experiment(cfg, trials, rng)
-    width = max(h.size for h in res.histograms)
-    freqs = np.stack([np.pad(h / h.sum(), (0, width - h.size))
-                      for h in res.histograms], axis=1)
+    res = swap_experiment(cfg, trials, Generator(seed))
+    width = max(map(len, res.histograms))
+    freqs = [[c / t for c in h] + [0.0] * (width - len(h))
+             for h, t in zip(res.histograms, map(sum, res.histograms))]
     return {
         "readout_histograms.csv": (
             ("count", "freq_0bright", "freq_1bright", "freq_2bright"),
-            [(c, *row) for c, row in enumerate(freqs.tolist())]),
+            [(c, *row) for c, row in enumerate(zip(*freqs))]),
         "readout_thresholds.json": asdict(res.thresholds),
         **{f"parity_{pulses}_pulse.csv": scan.table() for pulses, scan in res.scans.items()},
         "populations.csv": (
             ("bright_ions", "raw_frequency", "corrected_population"),
-            zip(range(3), res.raw_populations.tolist(),
-                res.populations.populations.tolist())),
+            zip(range(3), res.raw_populations, res.populations.populations)),
         "swap_summary.json": {
             "trials": trials,
             "profile": profile,

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 # Each cmd_* imports the library module it runs, so that a fresh process
-# loads only those: budget, modes and ion-photon load no numpy.
+# loads only those: budget, modes, ion-photon and swap load no numpy.
 from . import __version__
 from .config import (
     MAX_LOOP_CAP,
@@ -36,8 +36,8 @@ MAX_GRID_POINTS = 100_000
 # finite for each fitted frequency k <= 4.
 MAX_GRID_END = 1e300
 # Memory grows with --trials for rate only: a campaign holds about 48 bytes
-# per request.  Swap draws its readout in batches, so its RSS stays about
-# 38 MB at any trial count.
+# per request.  Swap draws one readout per state and phase, so its RSS stays
+# about 20 MB at any trial count.
 MAX_TRIALS = 10_000_000
 # rate --records writes at most this many requests per schedule
 MAX_RECORDS = 100_000

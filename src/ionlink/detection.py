@@ -14,45 +14,48 @@ Poisson mixture over the flip branches (Myerson et al., PRL 100, 200502
 (2008)).  The calibration histograms are multinomial draws from it, and the
 confusion matrix is read off its cumulative sums.  No scipy is loaded: each
 Poisson row is the ratio recurrence ``mu/k`` run outward from its mode, where
-every factor is at most 1, then normalized.
+every factor is at most 1, then normalized.  The module loads no numpy: the
+pmf, histograms and matrices are tuples of floats and ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, sqrt
+from itertools import accumulate
+from math import comb, fsum, sqrt
+from operator import mul
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 if TYPE_CHECKING:  # annotations only: loading the readout needs no config module
     from .config import HardwareConfig
+    from .rng import Generator
 
 
 def _binom_pmf(k: int, n: int, p: float) -> float:
     return comb(n, k) * p ** k * (1.0 - p) ** (n - k)
 
 
-def count_pmf(cfg: HardwareConfig) -> np.ndarray:
-    """Read-only (3, N): row k is P(counts = n | k prepared bright ions) under
-    the readout fields of ``cfg``.  N = two-bright mean + 12 sd + 40 drops a
-    tail below 1e-33 up to the config bound of 1e4 mean counts."""
+def count_pmf(cfg: HardwareConfig) -> tuple[tuple[float, ...], ...]:
+    """Three rows: row k is P(counts = n | k prepared bright ions) under the
+    readout fields of ``cfg``.  N = two-bright mean + 12 sd + 40 drops a tail
+    below 1e-33 up to the config bound of 1e4 mean counts; each Poisson row
+    is normalized by its ``math.fsum``."""
     dark_mean = cfg.dark_rate * cfg.readout_duration
     bright_mean = cfg.bright_rate * cfg.readout_duration
     mu_max = dark_mean + 2.0 * bright_mean
-    k = np.arange(int(mu_max + 12.0 * sqrt(mu_max)) + 40, dtype=float)
-    poisson = np.ones((3, k.size))
-    for row, mu in zip(poisson, dark_mean + np.arange(3) * bright_mean):
+    size = int(mu_max + 12.0 * sqrt(mu_max)) + 40
+    poisson = []
+    for mu in (dark_mean + j * bright_mean for j in range(3)):
         mode = int(mu)
-        row[mode + 1:] = np.cumprod(mu / k[mode + 1:])
-        row[:mode] = np.cumprod(k[mode:0:-1] / mu)[::-1]
-    flips = np.array([effective_bright_probs(j, cfg) for j in range(3)])
-    pmf = flips @ (poisson / poisson.sum(axis=1, keepdims=True))
-    pmf.setflags(write=False)
-    return pmf
+        row = [*accumulate((k / mu for k in range(mode, 0, -1)), mul)][::-1]
+        row += accumulate((mu / k for k in range(mode + 1, size)), mul, initial=1.0)
+        total = fsum(filter(None, row))  # the far tails are zeros
+        poisson.append([v / total for v in row])
+    return tuple(tuple(a * x + b * y + c * z for x, y, z in zip(*poisson))
+                 for a, b, c in (effective_bright_probs(j, cfg) for j in range(3)))
 
 
-def effective_bright_probs(true_bright: int, cfg: HardwareConfig) -> np.ndarray:
+def effective_bright_probs(true_bright: int, cfg: HardwareConfig) -> list[float]:
     """P(effective bright count = k) of the two ions after both flip branches:
     per ion, a shelved ion fluoresces with ``1 - sqrt(shelving_fidelity)`` and
     a bright ion reads dark with ``1 - sqrt(bright_detect_fidelity)``."""
@@ -60,7 +63,7 @@ def effective_bright_probs(true_bright: int, cfg: HardwareConfig) -> np.ndarray:
         raise ValueError("true_bright must be in [0, 2]")
     dark_to_bright = 1.0 - sqrt(cfg.shelving_fidelity)
     bright_to_dark = 1.0 - sqrt(cfg.bright_detect_fidelity)
-    probs = np.zeros(3)
+    probs = [0.0, 0.0, 0.0]
     for lost in range(true_bright + 1):
         p_lost = _binom_pmf(lost, true_bright, bright_to_dark)
         for gained in range(3 - true_bright):
@@ -69,15 +72,18 @@ def effective_bright_probs(true_bright: int, cfg: HardwareConfig) -> np.ndarray:
     return probs
 
 
-def simulate_histogram(true_bright: int, pmf: np.ndarray, shots: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Photon-count histogram (bincount array) of ``shots`` readouts of a
-    prepared bright count: one multinomial draw over the class's row of
-    ``pmf`` (from ``count_pmf``), which is the bincount of ``shots``
-    independent single-shot draws."""
+def simulate_histogram(true_bright: int, pmf, shots: int, rng: Generator) -> tuple[int, ...]:
+    """Photon-count histogram (counts per count value, trailing zeros
+    dropped) of ``shots`` readouts of a prepared bright count: one
+    multinomial draw over the class's row of ``pmf`` (from ``count_pmf``),
+    which is the bincount of ``shots`` independent single-shot draws."""
     if not (0 <= true_bright <= 2 and shots >= 1):
         raise ValueError("need true_bright in [0, 2] and at least 1 shot")
-    return np.trim_zeros(rng.multinomial(shots, pmf[true_bright]), "b")
+    counts = rng.multinomial(shots, pmf[true_bright])
+    end = len(counts)
+    while not counts[end - 1]:
+        end -= 1
+    return tuple(counts[:end])
 
 
 @dataclass(frozen=True)
@@ -91,95 +97,101 @@ class ThresholdResult:
 def choose_thresholds(histograms) -> ThresholdResult:
     """Threshold pair ``t1 <= t2`` minimizing the mean per-class error.
 
-    ``histograms`` are three bincount arrays for 0, 1 and 2 prepared bright
-    ions.  The error separates as ``[f(t1) + g(t2)] / 3``, so the best ``t2``
-    for each ``t1`` is the minimum of ``g`` over ``t2 >= t1``, and one
-    suffix-minimum pass finds the pair in O(width).  Ties, within 1e-15,
-    break toward the lower thresholds.  A best-case error above 20% sets the
-    degenerate flag (overlapping distributions).
+    ``histograms`` are three count sequences (bincounts) for 0, 1 and 2
+    prepared bright ions.  The error separates as ``[f(t1) + g(t2)] / 3``,
+    so the best ``t2`` for each ``t1`` is the minimum of ``g`` over
+    ``t2 >= t1``, and one suffix-minimum pass finds the pair in O(width).
+    Ties, within 1e-15, break toward the lower thresholds.  A best-case error
+    above 20% sets the degenerate flag (overlapping distributions).
     """
-    hists = [np.asarray(h, dtype=float) for h in histograms]
-    if len(hists) != 3 or any(h.sum() <= 0 for h in hists):
+    hists = [list(map(float, h)) for h in histograms]
+    totals = [sum(h) for h in hists]
+    if len(hists) != 3 or not all(t > 0 for t in totals):
         raise ValueError("need three nonempty histograms (0, 1, 2 bright)")
-    width = max(h.size for h in hists)
-    padded = np.zeros((3, width))
-    for k, h in enumerate(hists):
-        padded[k, :h.size] = h / h.sum()
-    c0, c1, c2 = np.cumsum(padded, axis=1)  # P(counts <= t | class)
-    f = 1.0 - c0 + c1   # class 0 read as 1 or 2, class 1 read as 0
-    g = 1.0 - c1 + c2   # class 1 read as 2, class 2 read as 0 or 1
-    tail = np.minimum.accumulate(g[::-1])[::-1]   # min of g over t2 >= t1
-    by_t1 = f + tail    # 3x the least error of each t1
-    t1 = int(np.argmax(by_t1 <= by_t1.min() + 1e-15))
-    t2 = t1 + int(np.argmax(g[t1:] <= tail[t1] + 1e-15))
+    width = max(map(len, hists))
+    # P(counts <= t | class), each padded to the widest
+    c0, c1, c2 = (list(accumulate([v / t for v in h] + [0.0] * (width - len(h))))
+                  for h, t in zip(hists, totals))
+    f = [1.0 - a + b for a, b in zip(c0, c1)]   # class 0 read as 1 or 2, class 1 read as 0
+    g = [1.0 - b + c for b, c in zip(c1, c2)]   # class 1 read as 2, class 2 read as 0 or 1
+    tail = list(accumulate(reversed(g), min))[::-1]   # min of g over t2 >= t1
+    by_t1 = [a + b for a, b in zip(f, tail)]   # 3x the least error of each t1
+    low = min(by_t1) + 1e-15
+    t1 = next(t for t, v in enumerate(by_t1) if v <= low)
+    t2 = next(t for t in range(t1, width) if g[t] <= tail[t1] + 1e-15)
     # the pair's error summed as in a direct pair loop, not as f + g: the
     # two round differently, and the reported value keeps its last digits
     err = ((1.0 - c0[t1]) + (1.0 - (c1[t2] - c1[t1])) + c2[t2]) / 3.0
-    return ThresholdResult(t1=t1, t2=t2, misclassification=float(err),
-                           degenerate=bool(err > 0.20))
+    return ThresholdResult(t1=t1, t2=t2, misclassification=err, degenerate=err > 0.20)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ConfusionMatrix:
-    """Row-stochastic map M[true][observed] of the bright-count readout."""
+    """Row-stochastic map M[true][observed] of the bright-count readout,
+    as row tuples."""
 
-    matrix: np.ndarray
-    inverse: np.ndarray   # of matrix, for spam_correct
+    matrix: tuple[tuple[float, ...], ...]
+    inverse: tuple[tuple[float, ...], ...]   # of matrix, for spam_correct
 
     def __init__(self, matrix):
-        m = np.array(matrix, dtype=float)
-        if m.shape != (3, 3):
+        m = tuple(tuple(float(v) for v in row) for row in matrix)
+        if len(m) != 3 or any(len(row) != 3 for row in m):
             raise ValueError("confusion matrix must be 3x3")
-        if not np.all((m >= -1e-12) & (m <= 1.0 + 1e-12)):
+        if not all(-1e-12 <= v <= 1.0 + 1e-12 for row in m for v in row):
             raise ValueError("entries must be finite probabilities")
-        rows = m.sum(axis=1)
-        if np.max(np.abs(rows - 1.0)) > 1e-12:
+        rows = [sum(row) for row in m]
+        if max(abs(r - 1.0) for r in rows) > 1e-12:
             raise ValueError(f"rows must sum to 1, got {rows}")
-        if abs(np.linalg.det(m)) < 1e-12:
+        # adjugate: cofactor (j, i) of m, each a 2x2 minor of the rows and
+        # columns cyclically after j and i
+        adj = [[m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
+                - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
+                for i in range(3)] for j in range(3)]
+        det = fsum(m[0][k] * adj[k][0] for k in range(3))
+        if abs(det) < 1e-12:
             raise ValueError("confusion matrix is singular")
-        m.setflags(write=False)
-        inv = np.linalg.inv(m)
-        inv.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "inverse", inv)
+        object.__setattr__(self, "inverse", tuple(tuple(v / det for v in row) for row in adj))
 
     @property
     def condition_number(self) -> float:
+        import numpy as np
         return float(np.linalg.cond(self.matrix))
 
     @classmethod
-    def from_pmf(cls, pmf: np.ndarray, t1: int, t2: int) -> "ConfusionMatrix":
+    def from_pmf(cls, pmf, t1: int, t2: int) -> "ConfusionMatrix":
         """Confusion matrix of a ``count_pmf`` at the given thresholds."""
         if not 0 <= t1 <= t2:
             raise ValueError(f"thresholds must satisfy 0 <= t1 <= t2, got {t1}, {t2}")
-        cdf = np.cumsum(pmf, axis=1)
-        c1, c2 = cdf[:, np.minimum([t1, t2], cdf.shape[1] - 1)].T
-        return cls(np.stack([c1, c2 - c1, 1.0 - c2], axis=1))
+        rows = []
+        for row in pmf:
+            cdf = list(accumulate(row))
+            c1, c2 = cdf[min(t1, len(cdf) - 1)], cdf[min(t2, len(cdf) - 1)]
+            rows.append((c1, c2 - c1, 1.0 - c2))
+        return cls(rows)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SpamCorrection:
-    populations: np.ndarray
-    clipped_mass: float | np.ndarray   # one value per row of a stack
+    populations: tuple[float, float, float]
+    clipped_mass: float
 
 
 def spam_correct(observed, cm: ConfusionMatrix) -> SpamCorrection:
-    """Invert the observation map: observed = true @ M, so true = observed @ M^-1,
-    of a 3-vector or of each row of a stack ``(..., 3)``, in one product.
+    """Invert the observation map of a 3-vector: observed = true @ M, so
+    true = observed @ M^-1.
 
     The inverse can leave the probability simplex at finite statistics;
     negative components are clipped to zero and the clipped magnitude is
-    reported, then each row is renormalized.
+    reported, then the populations are renormalized.
     """
-    obs = np.asarray(observed, dtype=float)
-    if obs.shape[-1:] != (3,):
-        raise ValueError("observed must be a 3-vector or a stack of them")
-    sums = obs.sum(axis=-1)
-    if (abs(sums - 1.0) > 1e-9).any():
-        worst = np.ravel(sums)[abs(np.ravel(sums) - 1.0).argmax()]
-        raise ValueError(f"observed frequencies must sum to 1, got {worst!r}")
-    raw = obs @ cm.inverse
-    corrected = np.clip(raw, 0.0, None)
-    corrected = corrected / corrected.sum(axis=-1, keepdims=True)
-    corrected.setflags(write=False)
-    return SpamCorrection(corrected, clipped_mass=np.clip(-raw, 0.0, None).sum(axis=-1))
+    obs = [float(v) for v in observed]
+    if len(obs) != 3:
+        raise ValueError("observed must be a 3-vector")
+    if not abs(sum(obs) - 1.0) <= 1e-9:
+        raise ValueError(f"observed frequencies must sum to 1, got {sum(obs)!r}")
+    raw = [obs[0] * a + obs[1] * b + obs[2] * c for a, b, c in zip(*cm.inverse)]
+    corrected = [max(0.0, v) for v in raw]
+    total = sum(corrected)
+    return SpamCorrection(tuple(v / total for v in corrected),
+                          clipped_mass=sum(max(0.0, -v) for v in raw))

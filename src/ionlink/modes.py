@@ -351,7 +351,7 @@ def modes_outputs(spec: ChainSpec) -> dict:
         columns = ["mode", *(f"ion{i}_mass{m:g}" for i, m in enumerate(t.masses_amu)),
                    "frequency_khz"]
         files[f"modes_{d}.csv"] = (columns, [
-            [f"{d}_{k + 1}", *(f"{x:.3f}" for x in u), f"{f / 1e3:.1f}"]
+            [f"{d}_{k + 1}", *(f"{x:.3f}" for x in u), f / 1e3]
             for k, (u, f) in enumerate(zip(zip(*t.displacement), t.frequencies))])
     eq = normal_modes(replace(spec, masses_amu=(MASS_BA_138,) * 3), "axial").frequencies
     files["modes_summary.json"] = {

@@ -12,23 +12,19 @@ package:
   register ``(a, b)`` of two factors is ``np.kron(b, a)``.
 * Qubit basis labels: ion ``|down> = 0``, ``|up> = 1``; photon polarization
   ``|H> = 0``, ``|V> = 1``.
-* Stacks are shaped ``(..., d, d)``, one matrix per leading index, as
-  ``analysis.raman_rotation`` (a pi/2 pulse) maps an array of phases;
-  :func:`rotated_populations` maps a stack of unitaries to
-  populations ``(..., d)``, and :func:`validate_density` checks a whole stack
-  in one call.  Operators lifted into a larger register and the half-wave
-  plate, which only the tests build, are in ``tests/qutil.py``.
+* Stacks are shaped ``(..., d, d)``, one matrix per leading index, and
+  :func:`validate_density` checks a whole stack in one call.  Operators
+  lifted into a larger register, the half-wave plate, the Raman rotation of
+  an array of phases and the stacked scans, which only the tests build, are
+  in ``tests/qutil.py``.
 
 All operations are pure functions; states are treated as immutable (the
 wrapped arrays are marked read-only).  Classes that hold arrays, here and in
 the other modules, are declared ``eq=False``: they compare and hash by
 identity, because a generated field-wise ``==`` would compare arrays and
-raise.  Randomness always enters through an explicit
-:class:`numpy.random.Generator`.
-
-An operator that depends only on control values (a pulse phase, a scan grid,
-a fit frequency) is built once per value and shared read-only through
-:func:`cache_by_value`, a cache bounded by entry count.
+raise.  The package's own states (``ion_photon.WernerState``,
+``swap.XState``) are a few numbers each; they build a ``DensityMatrix`` only
+when their ``matrix`` is read, which is where this module and numpy load.
 
 Every state built anywhere in the package passes :func:`validate_density`,
 so its cost is paid per state.  Its PSD check calls numpy's Cholesky gufunc
@@ -45,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -71,37 +67,6 @@ def _psd_shift(d: int) -> np.ndarray:
     shift = PSD_TOL * np.eye(d)
     shift.setflags(write=False)
     return shift
-
-
-def cache_by_value(maxsize: int):
-    """Decorator that builds ``build(*values)`` once per set of values and
-    returns it read-only.
-
-    Each argument is converted to a float array and keyed by its shape and
-    bytes, so ``-0.0`` and ``0.0`` are distinct keys and a repeated NaN finds
-    its entry; ``build`` receives read-only float arrays equal to the
-    converted arguments.  A result that is a tuple is returned with each of
-    its arrays read-only.  At most ``maxsize`` results are kept, least
-    recently used dropped first; ``cache_info`` and ``cache_clear`` are those
-    of the underlying ``lru_cache``.
-    """
-    def decorate(build):
-        @lru_cache(maxsize=maxsize)
-        def cached(*keys):
-            out = build(*(np.frombuffer(raw).reshape(shape) for shape, raw in keys))
-            for part in out if isinstance(out, tuple) else (out,):
-                if isinstance(part, np.ndarray):
-                    part.setflags(write=False)
-            return out
-
-        @wraps(build)
-        def lookup(*values):
-            arrays = [np.asarray(v, dtype=float) for v in values]
-            return cached(*((a.shape, a.tobytes()) for a in arrays))
-
-        lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
-        return lookup
-    return decorate
 
 
 def _normalize_dims(dim: int, dims: Sequence[int] | None) -> tuple[int, ...]:
@@ -162,14 +127,3 @@ def validate_density(mats: np.ndarray) -> None:
 def apply_unitary(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
     u = np.asarray(u, dtype=complex)
     return DensityMatrix(u @ rho.matrix @ u.conj().T, rho.dims)
-
-
-def rotated_populations(rho: DensityMatrix, unitaries: np.ndarray) -> np.ndarray:
-    """Populations ``(..., d)``: the real diagonal of ``U rho U^dag`` for each
-    unitary of ``(..., d, d)``, without the states.  A non-finite population (a
-    NaN control value) sends the full stack of states to :func:`validate_density`."""
-    u = np.asarray(unitaries, dtype=complex)
-    pops = ((u @ rho.matrix) * u.conj()).sum(axis=-1).real
-    if not np.isfinite(pops).all():
-        validate_density(u @ rho.matrix @ u.conj().swapaxes(-1, -2))
-    return pops

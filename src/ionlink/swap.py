@@ -11,10 +11,11 @@ campaign Monte Carlo (``protocol``) samples the heralds and their signs.  The
 absolute sign assignment (same side -> +1) is a documented convention; the
 experiment fixes only the relative rule.  Each
 source emits ``(1-p) |psi><psi| + p I/4``, so the heralded two-ion state is a
-Werner-type X matrix (Werner, PRA 40, 4277 (1989)) and is written down in
-closed form; the four-qubit register (ion A, photon A, ion B, photon B), its
-projection and partial trace live in ``tests/qutil.py`` as the reference the
-tests compare against.
+Werner-type X matrix (Werner, PRA 40, 4277 (1989)), held as its two numbers
+in an ``XState``; numpy loads only when its ``matrix`` is read.  The
+four-qubit register (ion A, photon A, ion B, photon B), its projection and
+partial trace live in ``tests/qutil.py`` as the reference the tests compare
+against.
 
 Phase bookkeeping: projecting two ideal pairs onto the photon Bell states
 leaves the ions in ``(|down,up> + sign e^{i phi}|up,down>)/sqrt(2)``, where
@@ -28,12 +29,39 @@ unstated reference choices, so the model takes the reference form, and
 
 from __future__ import annotations
 
-import numpy as np
+import cmath
+import math
+from dataclasses import dataclass
+from functools import cached_property
+from typing import ClassVar
 
 from .config import TWO_PI, HardwareConfig
-from .quantum import DensityMatrix
 
 TWO_ION_DIMS = (2, 2)
+
+
+@dataclass(frozen=True)
+class XState:
+    """The two-ion X state ``(1-w) rho_Bell + w I/4`` of a herald: in the
+    register basis (index ion A + 2 * ion B) ``rho00 = rho33 = w/4``,
+    ``rho11 = rho22 = 1/2 - w/4`` and ``rho12 = c``, ``rho21 = c*``, with
+    ``mixing`` w and ``coherence`` c."""
+
+    mixing: float
+    coherence: complex
+    dims: ClassVar[tuple[int, ...]] = TWO_ION_DIMS
+
+    @cached_property
+    def matrix(self):
+        """The read-only density matrix, built and validated on the first
+        read; numpy loads only here."""
+        import numpy as np
+
+        from .quantum import DensityMatrix
+        w, c = self.mixing, self.coherence
+        mat = np.diag([0.25 * w, 0.5 - 0.25 * w, 0.5 - 0.25 * w, 0.25 * w]).astype(complex)
+        mat[1, 2], mat[2, 1] = c, c.conjugate()
+        return DensityMatrix(mat, TWO_ION_DIMS).matrix
 
 
 def phase_alignment_delay(delta: float, phase: float, target: float = 0.0) -> float:
@@ -52,13 +80,13 @@ def phase_alignment_delay(delta: float, phase: float, target: float = 0.0) -> fl
         raise ValueError("delta is zero and phase is not already aligned")
     if delta < 0.0:
         residual = residual - TWO_PI
-    t = float(residual / delta)
-    if np.isinf(t):
+    t = residual / delta
+    if math.isinf(t):
         raise ValueError(f"delta {delta!r} rad/s is too small to align the phases")
     return t
 
 
-def swapped_state(cfg: HardwareConfig, sign: int, t: float) -> DensityMatrix:
+def swapped_state(cfg: HardwareConfig, sign: int, t: float) -> XState:
     """Two-ion state heralded by an H+V coincidence, ``t`` seconds afterwards.
 
     Each source emits ``(1-p) |psi><psi| + p I/4``, so the photon-Bell
@@ -75,12 +103,9 @@ def swapped_state(cfg: HardwareConfig, sign: int, t: float) -> DensityMatrix:
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     w = 1.0 - (1.0 - cfg.polarization_weight()) * (1.0 - cfg.mixed_herald_weight())
-    rho = np.diag([0.25 * w, 0.5 - 0.25 * w, 0.5 - 0.25 * w, 0.25 * w]).astype(complex)
-    # |up,down><down,up| and its conjugate (register index ion A + 2 * ion B)
-    rho[1, 2] = (0.5 * (1.0 - w) * sign * cfg.herald_coherence(t)
-                 * np.exp(1j * (cfg.swap_phase() + cfg.delta * t)))
-    rho[2, 1] = np.conj(rho[1, 2])
-    return DensityMatrix(rho, TWO_ION_DIMS)
+    # |up,down><down,up| (register index ion A + 2 * ion B)
+    return XState(w, 0.5 * (1.0 - w) * sign * cfg.herald_coherence(t)
+                  * cmath.exp(1j * (cfg.swap_phase() + cfg.delta * t)))
 
 
 def alignment_wait(cfg: HardwareConfig, sign: int) -> float:
@@ -92,10 +117,10 @@ def alignment_wait(cfg: HardwareConfig, sign: int) -> float:
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    target = 0.0 if sign == +1 else np.pi
+    target = 0.0 if sign == +1 else math.pi
     return phase_alignment_delay(cfg.delta, cfg.swap_phase(), target=target)
 
 
-def aligned_state_from_config(cfg: HardwareConfig, sign: int = +1) -> DensityMatrix:
+def aligned_state_from_config(cfg: HardwareConfig, sign: int = +1) -> XState:
     """Heralded state analyzed after ``alignment_wait`` for its sign."""
     return swapped_state(cfg, sign, alignment_wait(cfg, sign))

@@ -18,7 +18,10 @@ matrix of a pure state and its overlap with a density matrix, operators
 lifted into a register, the general ion-photon layer that the closed-form
 scans of ``ionlink.ion_photon`` replace (the half-wave plate, the cached
 plate and Raman stacks and the stacked scans of any pair or ion state), the
-Bell-state phase, threshold classification of
+general two-ion analysis that the closed forms of ``ionlink.analysis``
+replace (the value-keyed operator cache, the stacked analysis pulses, their
+populations and parities of any two-ion state, and the SVD solve of the
+sinusoid fit), the Bell-state phase, threshold classification of
 single counts, a campaign's empirical first-success CDF, the continuous
 first-success density and CDF of the rate model with its expected attempts
 and mean success probability per cap, the printed Yb-Ba-Ba displacement
@@ -29,11 +32,12 @@ tables, and the numpy formulation of the chain's equilibrium and normal modes
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, wraps
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ionlink.analysis import raman_rotation
+from ionlink.analysis import _pulse
 from ionlink.config import MAX_REQUEST_NS
 from ionlink.ion_photon import PAIR_DIMS
 from ionlink.modes import K_COUL, ChainSpec, ModeTable
@@ -45,10 +49,9 @@ from ionlink.quantum import (
     TRACE_TOL,
     DensityMatrix,
     apply_unitary,
-    cache_by_value,
-    rotated_populations,
     validate_density,
 )
+from ionlink.swap import XState
 from ionlink.rate_model import DecayParams, _loop_sums, success_cdf_table
 
 CHANNEL_TOL = 1e-10
@@ -60,6 +63,18 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 # --- references that no command-line run needs ---------------------------------
+
+def raman_rotation(phase) -> np.ndarray:
+    """Qubit pi/2 rotation ``exp(-i pi/4 (cos(phase) sx + sin(phase) sy))``;
+    an array of phases gives the stack ``phase.shape + (2, 2)``."""
+    phase = np.asarray(phase)
+    out = np.empty(phase.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = np.cos(np.pi / 4.0)
+    s = np.sin(np.pi / 4.0)
+    out[..., 0, 1] = -1j * np.exp(-1j * phase) * s
+    out[..., 1, 0] = -1j * np.exp(1j * phase) * s
+    return out
+
 
 # subsystem indices of the (ion, photon) pair register
 ION, PHOTON = 0, 1
@@ -388,6 +403,48 @@ def reference_validate_density(mats):
         raise ValueError(f"matrix not positive semidefinite: min eigenvalue {lo:.3e}") from None
 
 
+def cache_by_value(maxsize: int):
+    """Decorator that builds ``build(*values)`` once per set of values and
+    returns it read-only.
+
+    Each argument is converted to a float array and keyed by its shape and
+    bytes, so ``-0.0`` and ``0.0`` are distinct keys and a repeated NaN finds
+    its entry; ``build`` receives read-only float arrays equal to the
+    converted arguments.  A result that is a tuple is returned with each of
+    its arrays read-only.  At most ``maxsize`` results are kept, least
+    recently used dropped first; ``cache_info`` and ``cache_clear`` are those
+    of the underlying ``lru_cache``.
+    """
+    def decorate(build):
+        @lru_cache(maxsize=maxsize)
+        def cached(*keys):
+            out = build(*(np.frombuffer(raw).reshape(shape) for shape, raw in keys))
+            for part in out if isinstance(out, tuple) else (out,):
+                if isinstance(part, np.ndarray):
+                    part.setflags(write=False)
+            return out
+
+        @wraps(build)
+        def lookup(*values):
+            arrays = [np.asarray(v, dtype=float) for v in values]
+            return cached(*((a.shape, a.tobytes()) for a in arrays))
+
+        lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
+        return lookup
+    return decorate
+
+
+def rotated_populations(rho: DensityMatrix, unitaries: np.ndarray) -> np.ndarray:
+    """Populations ``(..., d)``: the real diagonal of ``U rho U^dag`` for each
+    unitary of ``(..., d, d)``, without the states.  A non-finite population (a
+    NaN control value) sends the full stack of states to ``validate_density``."""
+    u = np.asarray(unitaries, dtype=complex)
+    pops = ((u @ rho.matrix) * u.conj()).sum(axis=-1).real
+    if not np.isfinite(pops).all():
+        validate_density(u @ rho.matrix @ u.conj().swapaxes(-1, -2))
+    return pops
+
+
 def conjugate(rho: DensityMatrix, unitaries: np.ndarray) -> np.ndarray:
     """Read-only stack of ``U rho U^dag``, one per unitary of ``(..., d, d)``,
     validated as density matrices in one call: the full states whose
@@ -451,6 +508,74 @@ def stacked_correlation_scan(state: DensityMatrix, angles) -> dict:
 def stacked_coherence_scan(state: DensityMatrix, phases) -> np.ndarray:
     """P(up) of any ion state after a pi/2 rotation of each phase."""
     return rotated_populations(state, _raman_stack(np.asarray(phases, dtype=float)))[:, 1]
+
+
+# --- the general two-ion analysis: stacked pulses of any two-ion state ---------
+# The package reads the readout classes of its X states in closed form
+# (analysis.bright_classes); these stacks read any two-ion density matrix.
+
+PARITY_DIAG = np.array([1.0, -1.0, -1.0, 1.0])
+
+
+def x_state(rho: DensityMatrix) -> XState:
+    """The ``XState`` of a two-ion density matrix of that form: ``w = 4
+    rho00`` and ``c = rho12``, checked to 1e-15."""
+    m = rho.matrix
+    w = 4.0 * float(np.real(m[0, 0]))
+    want = np.diag([0.25 * w, 0.5 - 0.25 * w, 0.5 - 0.25 * w, 0.25 * w]).astype(complex)
+    want[1, 2], want[2, 1] = m[1, 2], m[2, 1]
+    np.testing.assert_allclose(m, want, rtol=0, atol=1e-15)
+    return XState(w, complex(m[1, 2]))
+
+
+def bright_populations(pops: np.ndarray) -> np.ndarray:
+    """Bright-class probabilities ``(..., 3)`` of z-basis populations
+    ``(..., 4)``: dd, then ud and du together, then uu."""
+    pops = np.asarray(pops)
+    return np.stack([pops[..., 0], pops[..., 1] + pops[..., 2], pops[..., 3]], axis=-1)
+
+
+def _global_rotation(phase) -> np.ndarray:
+    r = raman_rotation(phase)  # one r (x) r per phase of an array
+    both = r[..., :, None, :, None] * r[..., None, :, None, :]
+    return both.reshape(r.shape[:-2] + (4, 4))
+
+
+# one stack per scan grid, 4 grids kept per cache
+_pulse_stack = cache_by_value(maxsize=4)(_global_rotation)
+
+
+@cache_by_value(maxsize=4)
+def _two_pulse_stack(phases) -> np.ndarray:
+    """The fixed phase-0 pulse, then one pulse at each phase: ``U(phi) U(0)``."""
+    return _global_rotation(phases) @ _pulse(0.0)
+
+
+def analysis_sequence(rho: DensityMatrix, phases, pulses: str) -> np.ndarray:
+    """Populations ``(phase, 4)`` of any two-ion state after the analysis
+    pulses: for ``"two"`` a fixed phase-0 pulse first, then one pulse at
+    each phase."""
+    stack = _pulse_stack if pulses == "one" else _two_pulse_stack
+    return rotated_populations(rho, stack(np.asarray(phases, dtype=float)))
+
+
+def stacked_parity_scan(rho: DensityMatrix, phases, pulses: str) -> np.ndarray:
+    """Parity of any two-ion state at each analysis phase."""
+    return analysis_sequence(rho, phases, pulses) @ PARITY_DIAG
+
+
+@cache_by_value(maxsize=8)
+def _solver(x, angular_frequency) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(sin, cos, 1)`` regressors with their pseudo-inverse and rank through
+    ``np.linalg.svd``, the reference of the pure-Python solve of
+    ``analysis._solver``.  Singular values up to ``eps * n`` times the
+    largest count as zero, the cutoff of ``np.linalg.lstsq``."""
+    design = np.column_stack([np.sin(angular_frequency * x),
+                              np.cos(angular_frequency * x),
+                              np.ones_like(x)])
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    rank = int(np.count_nonzero(s > np.finfo(float).eps * max(design.shape) * s[0]))
+    return design, (vt[:rank].T / s[:rank]) @ u[:, :rank].T, rank
 
 
 # --- scans, one grid point at a time -------------------------------------------

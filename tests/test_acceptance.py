@@ -30,6 +30,7 @@ from qutil import (
     fidelity_pure,
     ideal_pair_state,
     pdf,
+    x_state,
 )
 
 
@@ -193,7 +194,7 @@ def test_criterion_09_ideal_physics():
                              ideal_pair_state(cfg.phi_a))
     ion_fids = [fidelity_pure(swap.aligned_state_from_config(cfg, s),
                               bell_state(+1, 0.0)) for s in (+1, -1)]
-    scan = analysis.parity_scan(density(bell_state(+1, 0.0)),
+    scan = analysis.parity_scan(x_state(density(bell_state(+1, 0.0))),
                                 np.linspace(0, np.pi, 25), pulses="two")
     ok = (abs(pair_fid - 1.0) < 1e-9
           and all(abs(f - 1.0) < 1e-9 for f in ion_fids)
@@ -209,7 +210,7 @@ def test_criterion_10_spam_and_thresholds():
     hists = [simulate_histogram(k, pmf, 50_000, rng) for k in range(3)]
     thr = choose_thresholds(hists)
     cm = ConfusionMatrix.from_pmf(pmf, thr.t1, thr.t2)
-    ok_fid = all(cm.matrix[k, k] >= 0.98 for k in range(3))
+    ok_fid = all(cm.matrix[k][k] >= 0.98 for k in range(3))
     ok_round = True
     for _ in range(10):
         p = rng.dirichlet(np.ones(3))

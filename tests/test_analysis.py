@@ -7,6 +7,7 @@ from ionlink.analysis import (
     FidelityBoundInputs,
     apply_analysis_pulse,
     fidelity_lower_bound,
+    fit_sinusoid,
     parity_scan,
     swap_experiment,
 )
@@ -19,6 +20,7 @@ from ionlink.budget import (
 from ionlink.config import HardwareConfig, ideal_config, measured_swap_config
 from ionlink.detection import ConfusionMatrix, count_pmf
 from ionlink.quantum import DensityMatrix
+from ionlink.rng import Generator
 from ionlink.swap import (
     aligned_state_from_config,
     phase_alignment_delay,
@@ -31,13 +33,15 @@ from qutil import (
     fidelity_pure,
     ket,
     literal_swapped_state,
+    stacked_parity_scan,
+    x_state,
 )
 
 PHASES = np.linspace(0.0, np.pi, 25)
 
 
 def test_two_pulse_scan_ideal_state():
-    scan = parity_scan(density(bell_state(+1, 0.0)), PHASES, pulses="two")
+    scan = parity_scan(x_state(density(bell_state(+1, 0.0))), PHASES, pulses="two")
     assert scan.contrast == pytest.approx(1.0, abs=1e-10)
 
 
@@ -50,25 +54,26 @@ def test_two_pulse_scan_after_alignment_pipeline():
 
 def test_zero_coherence_states():
     # fully mixed: no coherence and no population imbalance, flat either way
-    mixed = DensityMatrix(np.eye(4) / 4, (2, 2))
+    mixed = x_state(DensityMatrix(np.eye(4) / 4, (2, 2)))
     assert parity_scan(mixed, PHASES, pulses="two").contrast < 1e-12
     assert parity_scan(mixed, PHASES, pulses="one").contrast < 1e-12
     # a classical odd mixture has no coherence but full population imbalance:
     # its one-pulse scan is flat while the two-pulse scan still swings by
     # (P_odd - P_even)/2 - parity amplitude alone does not certify coherence
-    odd_mix = DensityMatrix(np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex), (2, 2))
+    odd_mix = x_state(DensityMatrix(np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex), (2, 2)))
     assert parity_scan(odd_mix, PHASES, pulses="one").contrast < 1e-12
     assert parity_scan(odd_mix, PHASES, pulses="two").contrast == \
         pytest.approx(0.5, abs=1e-12)
 
 
 def test_one_pulse_scan_measures_even_coherence():
-    # state with a pure even coherence: (|dd> + |uu>)/sqrt(2)
+    # state with a pure even coherence: (|dd> + |uu>)/sqrt(2), which the
+    # package's X states never hold, read through the stacked reference
     phi_plus = density(np.sqrt(0.5) * (ket((0, 0)) + ket((1, 1))))
-    scan = parity_scan(phi_plus, PHASES, pulses="one")
-    assert scan.contrast == pytest.approx(1.0, abs=1e-10)
+    fit = fit_sinusoid(PHASES, stacked_parity_scan(phi_plus, PHASES, "one"), 2.0)
+    assert fit.amplitude == pytest.approx(1.0, abs=1e-10)
     # while the ideal odd state shows none: its one-pulse parity is constant
-    scan_odd = parity_scan(density(bell_state(+1, 0.0)), PHASES, pulses="one")
+    scan_odd = parity_scan(x_state(density(bell_state(+1, 0.0))), PHASES, pulses="one")
     assert scan_odd.contrast < 1e-12
     assert np.allclose(scan_odd.series["parity"], 1.0, atol=1e-12)
 
@@ -245,7 +250,7 @@ def test_apply_analysis_pulse_dim_check():
 
 def _check_swap_against_closed_form(cfg, seed):
     trials = 2_000_000
-    res = swap_experiment(cfg, trials, np.random.default_rng(seed))
+    res = swap_experiment(cfg, trials, Generator(seed))
     states = {s: aligned_state_from_config(cfg, sign=s) for s in (+1, -1)}
     assert sum(res.sign_counts.values()) == trials
     cm = ConfusionMatrix.from_pmf(count_pmf(cfg), res.thresholds.t1,
@@ -273,8 +278,8 @@ def _check_swap_against_closed_form(cfg, seed):
 
     # parity scans: one corrected parity per phase, signs weighted by heralds
     for pulses in ("two", "one"):
-        grid = res.scans[pulses].control
-        sampled = res.scans[pulses].series["parity"]
+        grid = np.asarray(res.scans[pulses].control)
+        sampled = np.asarray(res.scans[pulses].series["parity"])
         mean = np.zeros_like(grid)
         var = np.zeros_like(grid)
         for s, n in res.sign_counts.items():
@@ -303,26 +308,41 @@ def test_swap_raw_populations_pool_counts_over_shots():
     # two population readouts hold one shot fewer than trials // 2
     cfg = measured_swap_config(HardwareConfig())
     for seed in range(100):
-        res = swap_experiment(cfg, 100_000, np.random.default_rng(seed))
+        res = swap_experiment(cfg, 100_000, Generator(seed))
         if all(n % 2 for n in res.sign_counts.values()):
             break
     assert all(n % 2 for n in res.sign_counts.values())
-    assert res.raw_populations.sum() == pytest.approx(1.0, abs=1e-12)
+    assert sum(res.raw_populations) == pytest.approx(1.0, abs=1e-12)
 
 
 class _RecordingRng:
-    """A Generator that records the name of each method looked up on it."""
+    """A Generator that records each draw's method and arguments."""
 
     def __init__(self, rng):
         self._rng, self.calls = rng, []
 
     def __getattr__(self, name):
-        self.calls.append(name)
-        return getattr(self._rng, name)
+        def draw(*args):
+            self.calls.append((name, *args))
+            return getattr(self._rng, name)(*args)
+        return draw
 
 
-def test_swap_experiment_draws_each_readout_stage_at_once():
-    rng = _RecordingRng(np.random.default_rng(0))
-    swap_experiment(measured_swap_config(HardwareConfig()), 1000, rng)
-    after_signs = rng.calls[rng.calls.index("binomial"):]
-    assert after_signs == ["binomial"] + ["multinomial"] * 3
+def test_swap_experiment_draws_readout_rows_in_c_order():
+    """After the signs, one readout per state in the order in which numpy
+    consumes a broadcast draw: the populations of sign +1 then -1 on half
+    of their heralds, then each scan, sign +1 first, phase by phase on a
+    quarter of the heralds over 13 phases; and the whole run draws the
+    stream of np.random.default_rng at the same seed."""
+    cfg = measured_swap_config(HardwareConfig())
+    rng = _RecordingRng(Generator(0))
+    res = swap_experiment(cfg, 1000, rng)
+    after_signs = rng.calls[[c[0] for c in rng.calls].index("binomial"):]
+    n = res.sign_counts[+1], res.sign_counts[-1]
+    shots = [n[0] // 2, n[1] // 2] + [m // 4 // 13 for m in n for _ in range(13)] * 2
+    assert after_signs[0] == ("binomial", 1000, 0.5)
+    assert [(c[0], c[1]) for c in after_signs[1:]] == [("multinomial", k) for k in shots]
+    stream = swap_experiment(cfg, 1000, _RecordingRng(np.random.default_rng(0)))
+    assert stream.sign_counts == res.sign_counts and stream.histograms == res.histograms
+    assert [s.series["parity"] for s in stream.scans.values()] == \
+        [s.series["parity"] for s in res.scans.values()]

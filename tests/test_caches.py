@@ -1,6 +1,7 @@
 """Operators built once per control value: each cached operator equals its
 inline construction bit for bit, is read-only, and each cache stays within
-its bound; a NaN control value still fails validation."""
+its bound; a NaN control value still fails validation in the stacked
+references and is rejected by the closed-form scans."""
 
 import numpy as np
 import pytest
@@ -9,21 +10,28 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ionlink import analysis
-from ionlink.analysis import apply_analysis_pulse, parity_scan, raman_rotation
+from ionlink.analysis import apply_analysis_pulse, parity_scan
 from ionlink.ion_photon import PAIR_DIMS
-from ionlink.quantum import apply_unitary, cache_by_value
+from ionlink.quantum import apply_unitary
 from qutil import (
     PHOTON,
     _half_wave_stack,
+    _pulse_stack,
     _raman_stack,
+    _solver,
+    _two_pulse_stack,
     bell_state,
+    cache_by_value,
     density,
     ideal_pair_state,
     ket,
     lift,
+    raman_rotation,
     stacked_coherence_scan,
     stacked_correlation_scan,
+    stacked_parity_scan,
     waveplate_unitary,
+    x_state,
 )
 
 # fixed examples and no timing checks, so a loaded machine cannot fail a run
@@ -41,30 +49,32 @@ def _kron_pulse(phase):
     return np.kron(r, r)
 
 
-def _pulse_stack(grid):
+def _inline_pulse_stack(grid):
     return np.array([_kron_pulse(p) for p in grid], dtype=complex).reshape(grid.shape + (4, 4))
 
 
-def _solver(x, k):
+def _inline_solver(x, k):
     design = np.column_stack([np.sin(k * x), np.cos(k * x), np.ones_like(x)])
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     rank = int(np.count_nonzero(s > np.finfo(float).eps * max(design.shape) * s[0]))
     return design, (vt[:rank].T / s[:rank]) @ u[:, :rank].T, rank
 
 
-# (cache, arguments from one drawn grid and frequency, inline construction)
+# (cache, arguments from one drawn grid and frequency, inline construction):
+# the pulse of analysis, and the stacks and SVD solve of the tests/qutil.py
+# references
 CACHES = {
     "pulse": (analysis._pulse, lambda g, k: (float(g[0]),),
               lambda g, k: _kron_pulse(g[0])),
-    "pulse_stack": (analysis._pulse_stack, lambda g, k: (g,),
-                    lambda g, k: _pulse_stack(g)),
-    "two_pulse_stack": (analysis._two_pulse_stack, lambda g, k: (g,),
-                        lambda g, k: _pulse_stack(g) @ _kron_pulse(0.0)),
+    "pulse_stack": (_pulse_stack, lambda g, k: (g,),
+                    lambda g, k: _inline_pulse_stack(g)),
+    "two_pulse_stack": (_two_pulse_stack, lambda g, k: (g,),
+                        lambda g, k: _inline_pulse_stack(g) @ _kron_pulse(0.0)),
     "half_wave_stack": (_half_wave_stack, lambda g, k: (g,),
                         lambda g, k: lift(waveplate_unitary(g), PHOTON, PAIR_DIMS)),
     "raman_stack": (_raman_stack, lambda g, k: (g,),
                     lambda g, k: raman_rotation(g)),
-    "fit_solver": (analysis._solver, lambda g, k: (g, k), _solver),
+    "fit_solver": (_solver, lambda g, k: (g, k), _inline_solver),
 }
 # a pulse needs one phase and a fit solver the 3 points of a fit
 MIN_POINTS = {"pulse": 1, "fit_solver": 3}
@@ -113,11 +123,12 @@ def test_negative_zero_keys_its_own_entry():
 
 def test_hit_returns_the_built_array_and_scans_repeat():
     grid = np.linspace(0.0, np.pi, 13)
-    assert analysis._pulse_stack(grid) is analysis._pulse_stack(grid.copy())
+    assert _pulse_stack(grid) is _pulse_stack(grid.copy())
     assert analysis._pulse(0.25) is analysis._pulse(0.25)
-    rho = density(bell_state(+1, 0.4))
+    assert analysis._solver(tuple(grid), 2.0) is analysis._solver(tuple(grid.tolist()), 2.0)
+    rho = x_state(density(bell_state(+1, 0.4)))
     first, again = parity_scan(rho, grid), parity_scan(rho, list(grid))
-    assert first.series["parity"].tobytes() == again.series["parity"].tobytes()
+    assert first.series["parity"] == again.series["parity"]
     assert first.fits == again.fits
 
 
@@ -138,10 +149,11 @@ def test_each_cache_stays_within_its_bound():
 
 NAN_CALLS = {
     "pulse": lambda: apply_analysis_pulse(density(bell_state(+1)), np.nan),
-    "two_pulse_scan": lambda: parity_scan(density(bell_state(+1)), [0.0, np.nan, 1.0]),
-    "one_pulse_scan": lambda: parity_scan(density(bell_state(+1)), [0.0, np.nan, 1.0],
-                                          pulses="one"),
     # the general scans of tests/qutil.py, the reference of the closed forms
+    "two_pulse_scan": lambda: stacked_parity_scan(density(bell_state(+1)),
+                                                  [0.0, np.nan, 1.0], "two"),
+    "one_pulse_scan": lambda: stacked_parity_scan(density(bell_state(+1)),
+                                                  [0.0, np.nan, 1.0], "one"),
     "correlation_scan": lambda: stacked_correlation_scan(density(ideal_pair_state()),
                                                          [0.0, np.nan, 1.0]),
     "coherence_scan": lambda: stacked_coherence_scan(density(ket([0])), [0.0, 1.0, np.nan]),
@@ -154,6 +166,13 @@ def test_nan_control_still_fails_validation(name):
         with pytest.raises(ValueError,
                            match=r"^matrix not Hermitian: max \|rho - rho\^dag\| = nan$"):
             NAN_CALLS[name]()
+
+
+@pytest.mark.parametrize("pulses", ["one", "two"])
+def test_closed_form_parity_scan_rejects_a_nan_control(pulses):
+    rho = x_state(density(bell_state(+1)))
+    with pytest.raises(ValueError, match="control values must be finite"):
+        parity_scan(rho, [0.0, np.nan, 1.0], pulses=pulses)
 
 
 def test_cached_pulse_matches_uncached_application():

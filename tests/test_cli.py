@@ -177,7 +177,7 @@ def test_csv_column_rows(outputs):
     assert modes[0].startswith("mode,ion0_mass170.936")
     assert modes[0].endswith("frequency_khz")
     assert len(modes) == 1 + 3
-    assert modes[1].split(",")[-1] == "352.7"
+    assert modes[1].split(",")[-1] == "352.717751425"
 
 
 def test_rate_records_list_every_request(outputs):
@@ -290,6 +290,19 @@ def test_modes_solves_at_the_reference_range_ends(tmp_path, refs):
         rows = [line.split(",")[1:] for line in (out / name).read_text().splitlines()
                 if not line.startswith(("#", "mode"))]
         assert len(rows) == 3 and np.all(np.isfinite(np.asarray(rows, dtype=float)))
+
+
+def test_modes_csv_keeps_frequencies_below_a_kilohertz(tmp_path):
+    # the table's kHz cells carry 12 significant digits, as the summary's Hz
+    out = tmp_path / "m"
+    assert run(["modes", "--out", str(out), "--axial-ref", "1", "--radial-ref", "10"]) == 0
+    payload = json.loads((out / "modes_summary.json").read_text())
+    for d in ("axial", "radial"):
+        lines = (out / f"modes_{d}.csv").read_text().splitlines()[4:]
+        khz = [float(line.split(",")[-1]) for line in lines]
+        assert min(khz) > 0.0
+        np.testing.assert_allclose(khz, np.asarray(payload[f"{d}_frequencies_hz"]) / 1e3,
+                                   rtol=1e-11, atol=0)
 
 
 def test_modes_unstable_chain_is_a_runtime_error(tmp_path, capsys):

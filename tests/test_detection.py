@@ -14,6 +14,7 @@ from ionlink.detection import (
     simulate_histogram,
     spam_correct,
 )
+from ionlink.rng import Generator
 from qutil import classify_counts
 
 DEFAULT = HardwareConfig()
@@ -21,6 +22,7 @@ DEFAULT_PMF = count_pmf(DEFAULT)
 
 
 def hist_mean(hist):
+    hist = np.asarray(hist)
     counts = np.arange(hist.size)
     return float((hist * counts).sum() / hist.sum())
 
@@ -28,20 +30,20 @@ def hist_mean(hist):
 def test_pure_dark_histogram():
     cfg = HardwareConfig(bright_rate=0.0, dark_rate=2000.0, readout_duration=1e-3,
                          shelving_fidelity=1.0, bright_detect_fidelity=1.0)
-    hist = simulate_histogram(0, count_pmf(cfg), 200_000, np.random.default_rng(1))
+    hist = simulate_histogram(0, count_pmf(cfg), 200_000, Generator(1))
     mu = cfg.dark_rate * cfg.readout_duration
     assert hist_mean(hist) == pytest.approx(mu, abs=3 * np.sqrt(mu / 200_000))
 
 
 def test_two_bright_mean_is_additive():
     cfg = HardwareConfig(shelving_fidelity=1.0, bright_detect_fidelity=1.0)
-    hist = simulate_histogram(2, count_pmf(cfg), 200_000, np.random.default_rng(2))
+    hist = simulate_histogram(2, count_pmf(cfg), 200_000, Generator(2))
     mu = (cfg.dark_rate + 2 * cfg.bright_rate) * cfg.readout_duration
     assert hist_mean(hist) == pytest.approx(mu, abs=3 * np.sqrt(mu / 200_000))
 
 
 def test_histogram_means_scale_with_duration():
-    rng = np.random.default_rng(3)
+    rng = Generator(3)
     m1 = count_pmf(HardwareConfig(readout_duration=1e-3, shelving_fidelity=1.0,
                                   bright_detect_fidelity=1.0))
     m2 = count_pmf(HardwareConfig(readout_duration=2e-3, shelving_fidelity=1.0,
@@ -59,14 +61,14 @@ def test_flip_probabilities_reproduce_aggregate_fidelities():
 
 
 def test_default_model_misclassification_levels():
-    hists = [simulate_histogram(k, DEFAULT_PMF, 50_000, np.random.default_rng(10 + k))
+    hists = [simulate_histogram(k, DEFAULT_PMF, 50_000, Generator(10 + k))
              for k in range(3)]
     thr = choose_thresholds(hists)
     cm = ConfusionMatrix.from_pmf(DEFAULT_PMF, thr.t1, thr.t2)
     # ~1.3% no-bright and ~1.9% two-bright error, dominated by the flips
-    assert 1.0 - cm.matrix[0, 0] == pytest.approx(0.013, abs=2e-3)
-    assert 1.0 - cm.matrix[2, 2] == pytest.approx(0.019, abs=2e-3)
-    assert cm.matrix[0, 0] >= 0.98 and cm.matrix[1, 1] >= 0.98 and cm.matrix[2, 2] >= 0.98
+    assert 1.0 - cm.matrix[0][0] == pytest.approx(0.013, abs=2e-3)
+    assert 1.0 - cm.matrix[2][2] == pytest.approx(0.019, abs=2e-3)
+    assert cm.matrix[0][0] >= 0.98 and cm.matrix[1][1] >= 0.98 and cm.matrix[2][2] >= 0.98
 
 
 def test_choose_thresholds_separated_poissons():
@@ -211,35 +213,46 @@ def test_spam_correct_clips_and_reports():
     cm = ConfusionMatrix(m)
     out = spam_correct(np.array([0.99, 0.01, 0.0]), cm)
     assert out.clipped_mass > 0.0
-    assert np.all(out.populations >= 0.0)
-    assert out.populations.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(np.asarray(out.populations) >= 0.0)
+    assert sum(out.populations) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_spam_correct_stack_corrects_each_row_alone():
+def test_spam_correct_takes_one_readout_and_checks_it():
+    """Each readout is corrected alone: the 3-vector of one state's observed
+    frequencies, as a tuple of Python floats; a vector that does not sum to
+    1 or has another length is rejected."""
     cm = ConfusionMatrix(np.array([[0.9, 0.1, 0.0],
                                    [0.1, 0.8, 0.1],
                                    [0.0, 0.1, 0.9]]))
     observed = np.random.default_rng(8).dirichlet(np.ones(3), size=(2, 13))
     observed[0, 3] = [0.99, 0.01, 0.0]  # a row that clips
-    out = spam_correct(observed, cm)
-    assert out.populations.shape == (2, 13, 3) and out.clipped_mass.shape == (2, 13)
-    assert not out.populations.flags.writeable
     for idx in np.ndindex(2, 13):
         row = spam_correct(observed[idx], cm)
-        np.testing.assert_allclose(out.populations[idx], row.populations, rtol=0, atol=1e-15)
-        assert out.clipped_mass[idx] == pytest.approx(row.clipped_mass, rel=0, abs=1e-15)
-    assert out.clipped_mass[0, 3] > 0.0
-    observed[1, 4] = [0.5, 0.5, 0.5]
+        assert type(row.populations) is tuple and len(row.populations) == 3
+        assert all(type(v) is float for v in (*row.populations, row.clipped_mass))
+        raw = observed[idx] @ np.linalg.inv(cm.matrix)
+        want = np.clip(raw, 0.0, None)
+        np.testing.assert_allclose(row.populations, want / want.sum(), rtol=0, atol=1e-15)
+        assert row.clipped_mass == pytest.approx(np.clip(-raw, 0.0, None).sum(), rel=0,
+                                                 abs=1e-15)
+    assert spam_correct(observed[0, 3], cm).clipped_mass > 0.0
     with pytest.raises(ValueError, match=r"must sum to 1, got .*1\.5"):
-        spam_correct(observed, cm)
+        spam_correct([0.5, 0.5, 0.5], cm)
     with pytest.raises(ValueError, match="3-vector"):
-        spam_correct(observed[..., :2], cm)
+        spam_correct(observed[0, 0, :2], cm)
+    with pytest.raises(ValueError, match="3-vector"):
+        spam_correct([0.25] * 4, cm)
 
 
 def test_confusion_inverse_stored_read_only():
     cm = ConfusionMatrix.from_pmf(DEFAULT_PMF, 20, 150)
-    assert np.array_equal(cm.inverse, np.linalg.inv(cm.matrix))
-    assert not cm.inverse.flags.writeable
+    # the closed-form adjugate over the determinant, at numpy's round-off
+    np.testing.assert_allclose(cm.inverse, np.linalg.inv(cm.matrix), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(np.asarray(cm.inverse) @ cm.matrix, np.eye(3), rtol=0,
+                               atol=1e-15)
+    assert type(cm.inverse) is tuple and all(type(row) is tuple for row in cm.inverse)
+    with pytest.raises(TypeError):
+        cm.inverse[0][0] = 0.0
 
 
 def test_singular_confusion_rejected():
@@ -267,21 +280,21 @@ def test_count_pmf_matches_scipy(mu):
     # pure Poisson rows: no flips and no bright counts
     pure = count_pmf(HardwareConfig(bright_rate=0.0, dark_rate=mu, readout_duration=1.0,
                                     shelving_fidelity=1.0, bright_detect_fidelity=1.0))
-    assert pure.shape[1] == int(mu + 12.0 * np.sqrt(mu)) + 40
+    assert len(pure[0]) == int(mu + 12.0 * np.sqrt(mu)) + 40
     for row in pure:
-        np.testing.assert_allclose(np.cumsum(row), poisson.cdf(np.arange(row.size), mu),
+        np.testing.assert_allclose(np.cumsum(row), poisson.cdf(np.arange(len(row)), mu),
                                    rtol=0.0, atol=1e-12)
     # the flip mixture, with the two-bright mean at mu
     cfg = HardwareConfig(bright_rate=0.45 * mu, dark_rate=0.1 * mu, readout_duration=1.0)
     mixed = count_pmf(cfg)
-    counts = np.arange(mixed.shape[1])
+    counts = np.arange(len(mixed[0]))
     for true, row in enumerate(mixed):
         ref = sum(p * poisson.cdf(counts, cfg.dark_rate + eff * cfg.bright_rate)
                   for eff, p in enumerate(effective_bright_probs(true, cfg)))
         np.testing.assert_allclose(np.cumsum(row), ref, rtol=0.0, atol=1e-12)
     for pmf in (pure, mixed):
-        np.testing.assert_allclose(pmf.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
-        assert not pmf.flags.writeable
+        np.testing.assert_allclose(np.sum(pmf, axis=1), 1.0, rtol=0.0, atol=1e-12)
+        assert type(pmf) is tuple and all(type(row) is tuple for row in pmf)
 
 
 @pytest.mark.parametrize("field", ["bright_rate", "dark_rate", "readout_duration"])
@@ -314,22 +327,22 @@ def test_confusion_matrix_long_readout_is_finite():
     cm = ConfusionMatrix.from_pmf(count_pmf(cfg), 500, 1500)
     assert np.all(np.isfinite(cm.matrix))
     # counts above 1500 come only from two effective bright ions
-    assert cm.matrix[2, 2] == pytest.approx(effective_bright_probs(2, cfg)[2],
+    assert cm.matrix[2][2] == pytest.approx(effective_bright_probs(2, cfg)[2],
                                             rel=1e-9)
 
 
 def test_thresholded_samples_follow_confusion_matrix_rows():
     # the row of M that spam_correct inverts is the class distribution of a
     # sampled shot: checked at the thresholds the default model chooses
-    rng = np.random.default_rng(31)
+    rng = Generator(31)
     thr = choose_thresholds([simulate_histogram(k, DEFAULT_PMF, 20_000, rng)
                              for k in range(3)])
     cm = ConfusionMatrix.from_pmf(DEFAULT_PMF, thr.t1, thr.t2)
     shots = 2_000_000
     for true in range(3):
         hist = simulate_histogram(true, DEFAULT_PMF, shots, rng)
-        cls = classify_counts(np.arange(hist.size), thr.t1, thr.t2)
+        cls = classify_counts(np.arange(len(hist)), thr.t1, thr.t2)
         observed = np.bincount(cls, weights=hist, minlength=3) / shots
-        row = cm.matrix[true]
+        row = np.asarray(cm.matrix[true])
         sigma = np.sqrt(row * (1.0 - row) / shots)
         assert np.all(np.abs(observed - row) <= 3.0 * sigma), (true, observed, row)

@@ -17,11 +17,12 @@ golden = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(golden)
 
 # JSON keys whose floats are written in full repr and may move in their last
-# digits on another machine: the swap keys come out of LAPACK (svd, inv), whose
-# builds differ; the modes_summary.json keys come out of the pure-Python
-# Jacobi solve and the calibration's search, whose '**(1/3)' and 'math'
-# calls may still differ by libm.  When they differ they are compared at
-# '%.12g', the precision of a CSV cell.
+# digits on another machine: the swap keys come out of the pure-Python
+# least-squares fit and the count pmf's Poisson rows, and the
+# modes_summary.json keys out of the pure-Python Jacobi solve and the
+# calibration's search, whose 'math' calls ('sin', 'exp', '**(1/3)') may
+# differ by libm.  When they differ they are compared at '%.12g', the
+# precision of a CSV cell.
 LAPACK_KEYS = {
     "modes_summary.json": {
         "axial_freq_ref_hz", "radial_freq_ref_hz", "axial_frequencies_hz",

@@ -261,16 +261,21 @@ LOAD_SETS = [  # argv, exit code, error category, ionlink submodules, third part
     (["ion-photon"], 0, None, ["cli", "config", "fitting", "ion_photon"], []),
     (["ion-photon", "--grid", "0:1:7"], 0, None,
      ["cli", "config", "fitting", "ion_photon"], []),
-    # analysis reaches budget through the error_budget alias it keeps
-    (["swap", "--trials", "200"], 0, None,
-     ["analysis", "budget", "cli", "config", "detection", "fitting", "quantum",
-      "swap"], ["numpy"]),
+    # analysis reaches budget through the error_budget alias it keeps; the
+    # bound config puts the count pmf at MAX_READOUT_COUNTS
+    *((["swap", "--trials", "200", *extra], 0, None,
+       ["analysis", "budget", "cli", "config", "detection", "fitting", "rng", "swap"],
+       third_party)
+      for extra, third_party in (([], []), (["--profile", "predicted"], []),
+                                 (["--config", "bound.yaml"], ["yaml"]))),
 ]
 
 
 def test_each_cli_run_loads_exactly_its_modules(tmp_path):
     (tmp_path / "bad.yaml").write_text("eta_a: 2.0\n")
     (tmp_path / "good.yaml").write_text("t2_star_bell: 0.02\n")
+    (tmp_path / "bound.yaml").write_text("dark_rate: 1.0e+6\nbright_rate: 4.5e+6\n"
+                                         "readout_duration: 1.0e-3\n")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
 
     def loaded(argv):

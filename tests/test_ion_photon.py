@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionlink.analysis import raman_rotation
 from ionlink.config import dephasing_infidelity
 from ionlink.fitting import linspace
 from ionlink.ion_photon import (
@@ -19,7 +18,7 @@ from ionlink.ion_photon import (
     fidelity_upper_bound,
     heralded_ion_state,
 )
-from ionlink.quantum import DensityMatrix, rotated_populations
+from ionlink.quantum import DensityMatrix
 from qutil import (
     ION,
     PHOTON,
@@ -35,6 +34,8 @@ from qutil import (
     ket,
     lift,
     random_density,
+    raman_rotation,
+    rotated_populations,
     stacked_correlation_scan,
     waveplate_unitary,
 )

@@ -14,14 +14,16 @@ from ionlink.quantum import (
     apply_unitary,
     validate_density,
 )
-from ionlink.analysis import _sample_readout
+from ionlink.analysis import _sample_readout, fit_sinusoid
 from ionlink.config import HardwareConfig
 from ionlink.detection import ConfusionMatrix, count_pmf
+from ionlink.rng import Generator
 from qutil import (
     CHANNEL_TOL,
     SIGMA_X,
     KrausChannel,
     apply_channel,
+    bright_populations,
     dephasing_channel,
     density,
     depolarizing_channel,
@@ -33,6 +35,7 @@ from qutil import (
     random_density,
     random_unitary,
     reference_validate_density,
+    stacked_parity_scan,
     tensor,
 )
 
@@ -170,22 +173,24 @@ def test_fidelity_trivial_cases():
 
 def test_measure_deterministic_outcome():
     # z-basis readout of |dd> and |uu> gives 0 and 2 bright ions every shot
-    rng = np.random.default_rng(0)
+    rng = Generator(0)
     for values, expected in (((0, 0), [1.0, 0.0, 0.0]), ((1, 1), [0.0, 0.0, 1.0])):
         rho = density(ket(values))
-        freq = _sample_readout(np.real(np.diag(rho.matrix)), 1000, IDEAL_CM, rng)
-        assert freq.tolist() == expected
+        freq = _sample_readout(bright_populations(np.real(np.diag(rho.matrix))), 1000,
+                               IDEAL_CM, rng)
+        assert freq == expected
 
 
 def test_measure_mixed_is_fair():
     # the maximally mixed pair reads one bright ion with probability 1/2
-    rng = np.random.default_rng(21)
+    rng = Generator(21)
     rho = DensityMatrix(np.eye(4) / 4, (2, 2))
     shots = 100_000
-    freq = _sample_readout(np.real(np.diag(rho.matrix)), shots, IDEAL_CM, rng)
+    freq = _sample_readout(bright_populations(np.real(np.diag(rho.matrix))), shots,
+                           IDEAL_CM, rng)
     sigma = np.sqrt(shots * 0.25)
     assert abs(freq[1] * shots - shots / 2) < 3 * sigma
-    assert freq.sum() == pytest.approx(1.0, abs=1e-12)
+    assert sum(freq) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_pair_state_only_correlated_outcomes():
@@ -197,8 +202,9 @@ def test_measure_pair_state_only_correlated_outcomes():
     assert probs == pytest.approx([0.5, 0.0, 0.0, 0.5], abs=1e-12)
     assert sum(probs) == pytest.approx(1.0, abs=1e-10)
     # read as two ions, the same state never shows exactly one bright ion
-    rng = np.random.default_rng(2)
-    freq = _sample_readout(np.real(np.diag(state.matrix)), 200, IDEAL_CM, rng)
+    rng = Generator(2)
+    freq = _sample_readout(bright_populations(np.real(np.diag(state.matrix))), 200,
+                           IDEAL_CM, rng)
     assert freq[1] == 0.0
     assert freq[0] > 0.0 and freq[2] > 0.0
 
@@ -330,14 +336,15 @@ def test_validation_matches_the_public_cholesky_reference(case):
 
 
 def test_validation_accepts_an_empty_stack():
-    from ionlink.analysis import parity_scan
-
     validate_density(np.zeros((0, 4, 4)))
     validate_density(np.zeros((2, 0, 4, 4), dtype=complex))
     with pytest.raises(ValueError, match="trace"):
         validate_density(np.zeros((3, 0, 0)))
+    # an empty grid passes the stacked scan and fails at the fit
+    parity = stacked_parity_scan(density(ket([0, 1])), [], "two")
+    assert parity.shape == (0,)
     with pytest.raises(ValueError, match="need at least 3 finite points"):
-        parity_scan(density(ket([0, 1])), [])
+        fit_sinusoid([], parity, 2.0)
 
 
 def test_private_cholesky_gufunc_fails_where_numpy_cholesky_does():
@@ -393,27 +400,36 @@ def test_cached_identity_is_read_only():
 
 def _array_holders():
     """Two equal-valued instances, built apart, of each class that holds an
-    array field."""
+    array field, or a dict, which no hash can read."""
     from ionlink.analysis import parity_scan, swap_experiment
     from ionlink.config import HardwareConfig, ideal_config
-    from ionlink.detection import spam_correct
     from ionlink.protocol import simulate_campaign
     from ionlink.rate_model import DecayParams, ScheduleParams, rate_curve
+    from ionlink.swap import XState
 
-    rho = density(ket([0, 1]))
     builders = {
         "DensityMatrix": lambda: density(ket([0, 1])),
         "KrausChannel": lambda: depolarizing_channel(0.1),
-        "ScanResult": lambda: parity_scan(rho, np.linspace(0.0, np.pi, 5)),
-        "ConfusionMatrix": lambda: ConfusionMatrix.from_pmf(IDEAL_READOUT, 500, 1500),
-        "SpamCorrection": lambda: spam_correct([0.2, 0.5, 0.3], IDEAL_CM),
-        "SwapExperiment": lambda: swap_experiment(ideal_config(), 100,
-                                                  np.random.default_rng(1)),
+        "ScanResult": lambda: parity_scan(XState(0.0, 0.5), np.linspace(0.0, np.pi, 5)),
+        "SwapExperiment": lambda: swap_experiment(ideal_config(), 100, Generator(1)),
         "RateReport": lambda: simulate_campaign(HardwareConfig(), 10, 1),
         "RateCurve": lambda: rate_curve([1, 2], DecayParams(1e-3, 0.0, 1e-3),
                                         ScheduleParams(1e-6, 100e-6), False),
     }
     return {name: (build(), build()) for name, build in builders.items()}
+
+
+def test_readout_values_compare_and_hash_by_value():
+    """The readout's confusion matrix and SPAM correction hold tuples of
+    floats, and the two-ion state two numbers: equal values are equal."""
+    from ionlink.detection import spam_correct
+    from ionlink.swap import XState
+
+    for build in (lambda: ConfusionMatrix.from_pmf(IDEAL_READOUT, 500, 1500),
+                  lambda: spam_correct([0.2, 0.5, 0.3], IDEAL_CM),
+                  lambda: XState(0.1, 0.3 - 0.2j)):
+        a, b = build(), build()
+        assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
 
 
 def test_array_holders_compare_and_hash_by_identity():

@@ -1,0 +1,101 @@
+"""The pure-Python generator draws the stream of ``np.random.default_rng``
+bit for bit, for every draw ``swap`` makes."""
+
+import numpy as np
+import pytest
+
+from ionlink.config import MAX_READOUT_COUNTS, HardwareConfig
+from ionlink.detection import count_pmf
+from ionlink.rng import Generator, _seed_words
+
+SEEDS = [0, 1, 2**31 - 1, 2**64 + 1, 2**200]
+# the readout at its default and with the two-bright mean at the config bound
+BOUND = HardwareConfig(dark_rate=1.0e6, bright_rate=4.5e6, readout_duration=1.0e-3)
+
+
+def _pair(seed):
+    return Generator(seed), np.random.default_rng(seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS + [2**32, 2**128 - 1, 12345])
+def test_seed_words_and_doubles_equal_numpy(seed):
+    assert _seed_words(seed) == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+    ours, theirs = _pair(seed)
+    assert [ours.random() for _ in range(200)] == theirs.random(200).tolist()
+
+
+# (n, p): the early returns, inversion (min(p, 1-p) n <= 30) and BTPE, each
+# side of p = 1/2
+BINOMIAL_CASES = [(0, 0.3), (0, 1.0), (10, 0.0), (10, 1.0), (1, 0.5), (7, 0.5),
+                  (60, 0.5), (61, 0.5), (100, 0.3), (100, 0.7), (1000, 0.01), (1000, 0.99),
+                  (1000, 0.0301), (20000, 0.4), (20000, 0.6), (10**7, 0.5),
+                  (10**7, 1e-9), (10**7, 1.0 - 1e-9), (2000, 0.25), (2000, 0.75)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_binomial_equals_numpy(seed):
+    ours, theirs = _pair(seed)
+    for n, p in BINOMIAL_CASES * 20:
+        assert ours.binomial(n, p) == theirs.binomial(n, p), (n, p)
+    # the two streams stay in step
+    assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_binomial_equals_numpy_across_p(seed):
+    ours, theirs = _pair(seed)
+    for p in np.linspace(0.01, 0.99, 99):
+        for n in (5, 50, 500, 5000, 500_000):
+            assert ours.binomial(n, float(p)) == theirs.binomial(n, p), (n, p)
+
+
+MULTINOMIAL_CASES = [
+    (100, [0.2, 0.0, 0.5, 0.0, 0.3]),      # zero entries
+    (5, [0.9, 0.1, 0.0, 0.0, 0.0, 0.0]),   # early stop before the trailing zeros
+    (0, [0.5, 0.5]),
+    (20000, [1.0, 0.0, 0.0]),
+    (20000, [0.0, 0.0, 1.0]),
+    (10**6, [0.25, 0.5, 0.25]),
+    (7, [1.0 / 3.0] * 3),
+]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_multinomial_equals_numpy(seed):
+    ours, theirs = _pair(seed)
+    for n, pvals in MULTINOMIAL_CASES:
+        assert ours.multinomial(n, pvals) == theirs.multinomial(n, pvals).tolist(), (n, pvals)
+    assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("cfg", [HardwareConfig(), BOUND], ids=["default", "bound"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_multinomial_of_each_count_pmf_row_equals_numpy(cfg, seed):
+    pmf = count_pmf(cfg)
+    ours, theirs = _pair(seed)
+    for row in pmf:
+        assert ours.multinomial(20000, row) == theirs.multinomial(20000, row).tolist()
+    assert ours.random() == theirs.random()
+
+
+def test_bound_config_reaches_max_readout_counts():
+    assert (BOUND.dark_rate + 2.0 * BOUND.bright_rate) * BOUND.readout_duration \
+        == MAX_READOUT_COUNTS
+    assert len(count_pmf(BOUND)[0]) > 11000
+
+
+def test_multinomial_rejects_what_numpy_rejects():
+    pvals = [0.5, 0.5 + 2e-12, 0.0]  # pvals[:-1] sums past 1 + 1e-12
+    with pytest.raises(ValueError, match="sum"):
+        np.random.default_rng(0).multinomial(10, pvals)
+    with pytest.raises(ValueError, match="sum"):
+        Generator(0).multinomial(10, pvals)
+    # inside the tolerance both draw
+    within = [0.5, 0.5 + 5e-13, 0.0]
+    assert Generator(0).multinomial(10, within) == \
+        np.random.default_rng(0).multinomial(10, within).tolist()
+    for bad in ([0.5, -0.1, 0.6], [0.5, float("nan"), 0.5], [1.5, 0.0, 0.0]):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).multinomial(10, bad)
+        with pytest.raises(ValueError):
+            Generator(0).multinomial(10, bad)

@@ -9,8 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ionlink import analysis
-from ionlink.analysis import apply_analysis_pulse, fit_sinusoid, parity_scan
+from ionlink.analysis import apply_analysis_pulse, bright_classes, fit_sinusoid, parity_scan
 from ionlink.config import HardwareConfig
 from ionlink.ion_photon import (
     SourceParams,
@@ -20,14 +19,12 @@ from ionlink.ion_photon import (
     emit_ion_photon_state,
     heralded_ion_state,
 )
-from ionlink.quantum import (
-    DensityMatrix,
-    apply_unitary,
-    rotated_populations,
-    validate_density,
-)
+from ionlink.quantum import DensityMatrix, apply_unitary, validate_density
 from qutil import (
+    _pulse_stack,
+    analysis_sequence,
     apply_channel,
+    bright_populations,
     channel_emitted_pair,
     conjugate,
     density,
@@ -42,11 +39,13 @@ from qutil import (
     partial_trace,
     projected_ion_state,
     reference_validate_density,
+    rotated_populations,
     stacked_coherence_scan,
     stacked_correlation_scan,
+    stacked_parity_scan,
     tensor,
 )
-from ionlink.swap import swapped_state
+from ionlink.swap import XState, swapped_state
 
 # fixed examples and no timing checks, so a loaded machine cannot fail a run
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
@@ -82,34 +81,78 @@ def assert_valid(rho: DensityMatrix) -> None:
     validate_density(rho.matrix)
 
 
+@st.composite
+def x_states(draw):
+    """An X state ``(w, c)``: ``|c|`` up to its PSD limit ``1/2 - w/4``, at any
+    phase, with the limit and the edges of ``w`` drawn often."""
+    w = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    scale = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    phase = draw(st.floats(0.0, 2.0 * np.pi))
+    return XState(w, scale * (0.5 - 0.25 * w) * complex(np.cos(phase), np.sin(phase)))
+
+
 # --- stacked scans against one apply_unitary per grid point ---------------------
 
 @PROPERTY
-@given(states((2, 2)), grids, st.sampled_from(["one", "two"]))
+@given(x_states(), grids, st.sampled_from(["one", "two"]))
 def test_parity_scan_matches_loop_oracle(rho, phases, pulses):
     got = parity_scan(rho, phases, pulses=pulses).series["parity"]
-    np.testing.assert_allclose(got, loop_parity_scan(rho, phases, pulses),
+    np.testing.assert_allclose(got, loop_parity_scan(DensityMatrix(rho.matrix, rho.dims),
+                                                     phases, pulses),
                                rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(x_states(), grids, st.sampled_from(["none", "one", "two"]))
+def test_bright_classes_equal_the_stacked_reference(rho, phases, pulses):
+    """The closed-form readout classes of an X state against the classes of
+    its matrix after the stacked pulses (no pulse: the matrix diagonal)."""
+    got = [bright_classes(rho, pulses, x) for x in phases]
+    pops = (np.tile(np.real(np.diag(rho.matrix)), (len(phases), 1)) if pulses == "none"
+            else analysis_sequence(DensityMatrix(rho.matrix, rho.dims), phases, pulses))
+    np.testing.assert_allclose(got, bright_populations(pops), rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(x_states(), grids, st.sampled_from(["one", "two"]))
+def test_parity_scan_fit_is_exact(rho, phases, pulses):
+    """The exact fit reproduces the scan's series, and equals the least
+    squares fit of it on well-conditioned grids."""
+    scan = parity_scan(rho, phases, pulses=pulses)
+    fit = scan.fits["parity"]
+    model = fit.offset + fit.amplitude * np.sin(2.0 * phases - fit.phase)
+    np.testing.assert_allclose(scan.series["parity"], model, rtol=0, atol=1e-12)
+    assert fit.residual_rms == 0.0 and scan.contrast == fit.amplitude
+    design = np.column_stack([np.sin(2.0 * phases), np.cos(2.0 * phases), np.ones_like(phases)])
+    sv = np.linalg.svd(design, compute_uv=False)
+    if sv[-1] >= 1e-3 * sv[0]:
+        want = fit_sinusoid(phases, scan.series["parity"], 2.0)
+        assert fit.amplitude == pytest.approx(want.amplitude, rel=0, abs=1e-12)
+        assert fit.offset == pytest.approx(want.offset, rel=0, abs=1e-12)
+        assert scan.flags == (("fit_degenerate",) if fit.amplitude < 1e-14 else ())
 
 
 @PROPERTY
 @given(states((2, 2)), grids)
 def test_folded_two_pulse_stack_equals_pulse_then_stack(rho, phases):
-    stepwise = conjugate(apply_analysis_pulse(rho, 0.0), analysis._pulse_stack(phases))
-    np.testing.assert_allclose(analysis._analysis_sequence(rho, phases, "two"),
+    stepwise = conjugate(apply_analysis_pulse(rho, 0.0), _pulse_stack(phases))
+    np.testing.assert_allclose(analysis_sequence(rho, phases, "two"),
                                np.real(np.diagonal(stepwise, axis1=-2, axis2=-1)),
                                rtol=0, atol=1e-12)
 
 
 @PROPERTY
-@given(states((2, 2), floor=0.01), states((2,)), grids)
-def test_stacked_reference_scans_match_loop_oracles(pair, ion, phases):
+@given(states((2, 2), floor=0.01), states((2,)), grids, st.sampled_from(["one", "two"]))
+def test_stacked_reference_scans_match_loop_oracles(pair, ion, phases, pulses):
     want_v, want_h = loop_correlation_scan(pair, phases)
     series = stacked_correlation_scan(pair, phases)
     np.testing.assert_allclose(series["p_up_given_V"], want_v, rtol=0, atol=1e-12)
     np.testing.assert_allclose(series["p_up_given_H"], want_h, rtol=0, atol=1e-12)
     np.testing.assert_allclose(stacked_coherence_scan(ion, phases),
                                loop_coherence_scan(ion, phases), rtol=0, atol=1e-12)
+    two_ions = DensityMatrix(pair.matrix, (2, 2))
+    np.testing.assert_allclose(stacked_parity_scan(two_ions, phases, pulses),
+                               loop_parity_scan(two_ions, phases, pulses), rtol=0, atol=1e-12)
 
 
 def test_stacked_correlation_scan_zero_marginal_is_nan():
