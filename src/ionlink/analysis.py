@@ -17,13 +17,11 @@ Parity-scan structure for a two-ion state rho under global pi/2 pulses:
 The fidelity lower bound combines odd populations, two-pulse contrast and the
 single-pulse contrast as ``F >= (pops + C2 - C1)/2``.
 
-The model's heralded state is the X state of ``swap.XState``, which has no
-even coherence, so its readout class probabilities after the pulses are
-closed forms (``bright_classes``): the exact scans (``parity_scan``) and the
-sampled swap experiment read them with ``math`` and floats, and a ``swap``
-run loads no numpy.  The stacked scans of any two-ion density matrix are the
-reference in ``tests/qutil.py``; ``apply_analysis_pulse`` builds the rotated
-state as a matrix, and loads numpy.
+The heralded ``swap.XState`` has no even coherence, so its readout class
+probabilities after the pulses are closed forms (``bright_classes``), which
+the exact scans and the sampled swap experiment read with ``math``; only
+``apply_analysis_pulse`` loads numpy.  The scans of any two-ion density matrix
+are the reference in ``tests/qutil.py``.
 """
 
 from __future__ import annotations
@@ -39,6 +37,7 @@ from .detection import (
     ConfusionMatrix,
     SpamCorrection,
     ThresholdResult,
+    adjugate,
     choose_thresholds,
     count_pmf,
     simulate_histogram,
@@ -50,9 +49,8 @@ from .rng import Generator
 
 @lru_cache(maxsize=32)
 def _pulse(phase: float):
-    """Read-only global pi/2 pulse of one phase, ``r (x) r`` with the qubit
-    rotation ``r = exp(-i pi/4 (cos(phase) sx + sin(phase) sy))``.  ``-0.0``
-    shares the entry of ``0.0``, whose pulse is bitwise the same."""
+    """Read-only global pi/2 pulse ``r (x) r`` of one phase (``-0.0`` shares the
+    bitwise-equal entry of ``0.0``): ``r = exp(-i pi/4 (cos(phase) sx + sin(phase) sy))``."""
     import numpy as np
     c, s = np.cos(np.pi / 4.0), np.sin(np.pi / 4.0)
     r = np.array([[c, -1j * np.exp(-1j * phase) * s], [-1j * np.exp(1j * phase) * s, c]])
@@ -96,45 +94,16 @@ def bright_classes(rho: swap.XState, pulses: str, phase: float = 0.0) -> tuple[f
     return p0, 1.0 - 2.0 * p0, p0
 
 
-_EPS = math.ulp(1.0)  # machine epsilon
-
-
-def _dot(a, b) -> float:
-    return math.fsum(u * v for u, v in zip(a, b))
-
-
-@lru_cache(maxsize=8)
-def _solver(x: tuple[float, ...], angular_frequency: float):
-    """The minimum-norm least-squares solve on the grid ``x`` of the
-    ``(sin, cos, 1)`` regressors at ``k``, as the rows that map data to the
-    three coefficients, and its rank; built once per grid and frequency (8
-    kept).  One-sided Jacobi rotations (Hestenes) orthogonalize the regressor
-    columns ``A V = U S``; singular values up to ``eps * n`` times the largest
-    count as zero, the cutoff of ``np.linalg.lstsq``."""
-    cols = [[math.sin(angular_frequency * v) for v in x],
-            [math.cos(angular_frequency * v) for v in x], [1.0] * len(x)]
-    basis = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]  # columns of V
-    for _ in range(30):  # 3 columns settle in a handful of sweeps
-        rotated = False
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            alpha, beta, gamma = _dot(cols[p], cols[p]), _dot(cols[q], cols[q]), \
-                _dot(cols[p], cols[q])
-            if abs(gamma) <= _EPS * math.sqrt(alpha * beta):
-                continue
-            rotated = True
-            zeta = (beta - alpha) / (2.0 * gamma)
-            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-            c = 1.0 / math.hypot(1.0, t)
-            s = c * t
-            for m in (cols, basis):
-                m[p], m[q] = ([c * a - s * b for a, b in zip(m[p], m[q])],
-                              [s * a + c * b for a, b in zip(m[p], m[q])])
-        if not rotated:
-            break
-    sq = [_dot(col, col) for col in cols]  # squared singular values
-    kept = [i for i in range(3) if sq[i] > (_EPS * len(x)) ** 2 * max(sq)]
-    return tuple(tuple(sum(basis[i][r] * cols[i][j] / sq[i] for i in kept)
-                       for j in range(len(x))) for r in range(3)), len(kept)
+# swap's parity scans, fitted at period pi.  The first 12 of the 13 phases span
+# one period, so the Gram matrix G = A^T A of the (sin, cos, 1) regressors is
+# near [[6, 0, 0], [0, 7, 1], [0, 1, 13]] (A's condition number is 1.5), and the
+# normal-equation rows G^-1 A^T lose only a few ulps to an SVD solve.
+PARITY_PHASES = linspace(0.0, math.pi, 13)
+_REGRESSORS = [(math.sin(2.0 * x), math.cos(2.0 * x), 1.0) for x in PARITY_PHASES]
+_GRAM_ADJ, _GRAM_DET = adjugate([[math.fsum(a[i] * a[j] for a in _REGRESSORS)
+                                  for j in range(3)] for i in range(3)])
+_PARITY_FIT = [[math.fsum(_GRAM_ADJ[r][i] * a[i] for i in range(3)) / _GRAM_DET
+                for a in _REGRESSORS] for r in range(3)]
 
 
 def _sinusoid(a_sin: float, a_cos: float, offset: float, residual_rms: float,
@@ -149,26 +118,19 @@ def _sinusoid(a_sin: float, a_cos: float, offset: float, residual_rms: float,
                        residual_rms, degenerate)
 
 
-def fit_sinusoid(x, y, angular_frequency: float) -> SinusoidFit:
-    """Least-squares fit of ``offset + A sin(k x - phase)`` at known ``k``
-    over the points of finite ``y``."""
-    x, y = [float(v) for v in x], [float(v) for v in y]
-    if len(x) != len(y):
-        raise ValueError("x and y must be matching 1-d sequences")
-    finite = [i for i, v in enumerate(y) if math.isfinite(v)]
-    if len(finite) < 3:
-        raise ValueError("need at least 3 finite points to fit a sinusoid")
-    x, y = [x[i] for i in finite], [y[i] for i in finite]
-    if not all(math.isfinite(angular_frequency * v) for v in x):
-        raise ValueError(f"k * x must be finite, got k = {angular_frequency!r} "
-                         f"and |x| up to {max(map(abs, x))!r}")
-    rows, rank = _solver(tuple(x), angular_frequency)
-    a_sin, a_cos, offset = (_dot(row, y) for row in rows)
-    resid = [v - (a_sin * math.sin(angular_frequency * u)
-                  + a_cos * math.cos(angular_frequency * u) + offset)
-             for u, v in zip(x, y)]
-    return _sinusoid(a_sin, a_cos, offset, math.sqrt(_dot(resid, resid) / len(resid)),
-                     rank < 3)
+def fit_parity_scan(values) -> SinusoidFit:
+    """Least-squares fit of ``offset + A sin(2x - phase)`` to parities at
+    ``PARITY_PHASES``: the normal-equation solve, refined once by the solve of
+    its residuals, which are summed exactly."""
+    if len(values) != len(PARITY_PHASES):
+        raise ValueError(f"expects one parity per phase of PARITY_PHASES, got {len(values)}")
+    coef, resid = [0.0, 0.0, 0.0], values
+    for _ in range(2):  # the solve, then the refinement; each ends with the residuals
+        coef = [a + math.fsum(r * e for r, e in zip(row, resid))
+                for a, row in zip(coef, _PARITY_FIT)]
+        resid = [math.fsum((v, -coef[0] * s, -coef[1] * c, -coef[2]))
+                 for v, (s, c, _) in zip(values, _REGRESSORS)]
+    return _sinusoid(*coef, math.sqrt(math.fsum(r * r for r in resid) / 13), False)
 
 
 def _parity_result(grid, values, fit: SinusoidFit) -> ScanResult:
@@ -306,7 +268,7 @@ def swap_experiment(cfg: HardwareConfig, trials: int, rng: Generator) -> SwapExp
     pop_freq = [(shots[0] * a + shots[1] * b) / sum(shots) for a, b in zip(*freqs)]
     pop_corr = spam_correct(pop_freq, cm)
 
-    grid = linspace(0.0, math.pi, 13)
+    grid = PARITY_PHASES
     weights = [n / trials for n in heralds]
     scans = {}
     for pulses in ("two", "one"):
@@ -317,7 +279,7 @@ def swap_experiment(cfg: HardwareConfig, trials: int, rng: Generator) -> SwapExp
             parity.append([p0 - p1 + p2 for p0, p1, p2 in
                            (spam_correct(f, cm).populations for f in freqs)])
         values = [weights[0] * a + weights[1] * b for a, b in zip(*parity)]
-        scans[pulses] = _parity_result(grid, values, fit_sinusoid(grid, values, 2.0))
+        scans[pulses] = _parity_result(grid, values, fit_parity_scan(values))
 
     bound_inputs = FidelityBoundInputs(
         odd_populations=pop_corr.populations[1],

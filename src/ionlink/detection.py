@@ -14,8 +14,8 @@ Poisson mixture over the flip branches (Myerson et al., PRL 100, 200502
 (2008)).  The calibration histograms are multinomial draws from it, and the
 confusion matrix is read off its cumulative sums.  No scipy is loaded: each
 Poisson row is the ratio recurrence ``mu/k`` run outward from its mode, where
-every factor is at most 1, then normalized.  The module loads no numpy: the
-pmf, histograms and matrices are tuples of floats and ints.
+every factor is at most 1, then normalized.  The pmf, histograms and
+matrices are tuples of floats and ints: no numpy loads.
 """
 
 from __future__ import annotations
@@ -80,10 +80,7 @@ def simulate_histogram(true_bright: int, pmf, shots: int, rng: Generator) -> tup
     if not (0 <= true_bright <= 2 and shots >= 1):
         raise ValueError("need true_bright in [0, 2] and at least 1 shot")
     counts = rng.multinomial(shots, pmf[true_bright])
-    end = len(counts)
-    while not counts[end - 1]:
-        end -= 1
-    return tuple(counts[:end])
+    return tuple(counts[:len(counts) - next(k for k, c in enumerate(reversed(counts)) if c)])
 
 
 @dataclass(frozen=True)
@@ -125,10 +122,18 @@ def choose_thresholds(histograms) -> ThresholdResult:
     return ThresholdResult(t1=t1, t2=t2, misclassification=err, degenerate=err > 0.20)
 
 
+def adjugate(m) -> tuple[list[list[float]], float]:
+    """Adjugate and determinant of the 3x3 ``m`` (``m^-1 = adj / det``): entry
+    (i, j) is the 2x2 minor of the rows and columns cyclically after j and i."""
+    adj = [[m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
+            - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3]
+            for j in range(3)] for i in range(3)]
+    return adj, fsum(m[0][k] * adj[k][0] for k in range(3))
+
+
 @dataclass(frozen=True)
 class ConfusionMatrix:
-    """Row-stochastic map M[true][observed] of the bright-count readout,
-    as row tuples."""
+    """Row-stochastic map M[true][observed] of the bright-count readout (rows)."""
 
     matrix: tuple[tuple[float, ...], ...]
     inverse: tuple[tuple[float, ...], ...]   # of matrix, for spam_correct
@@ -142,12 +147,7 @@ class ConfusionMatrix:
         rows = [sum(row) for row in m]
         if max(abs(r - 1.0) for r in rows) > 1e-12:
             raise ValueError(f"rows must sum to 1, got {rows}")
-        # adjugate: cofactor (j, i) of m, each a 2x2 minor of the rows and
-        # columns cyclically after j and i
-        adj = [[m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
-                - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
-                for i in range(3)] for j in range(3)]
-        det = fsum(m[0][k] * adj[k][0] for k in range(3))
+        adj, det = adjugate(m)
         if abs(det) < 1e-12:
             raise ValueError("confusion matrix is singular")
         object.__setattr__(self, "matrix", m)

@@ -3,8 +3,8 @@
 All scans in this package oscillate with a period that is known a priori
 (waveplate scans at four times the plate angle, analysis-phase scans at the
 phase itself, parity scans at twice the phase), so a fit is linear in
-``(sin, cos, 1)``: ``analysis.fit_sinusoid`` fits sampled series by least
-squares, and the closed-form scans of ``ion_photon`` report their exact
+``(sin, cos, 1)``: ``analysis.fit_parity_scan`` fits swap's sampled parity
+scans by least squares, and the closed-form scans report their exact
 coefficients.  This module loads no numpy.
 
 Fit model: ``y = offset + amplitude * sin(k * x - phase)`` with

@@ -26,8 +26,9 @@ raise.  The package's own states (``ion_photon.WernerState``,
 ``swap.XState``) are a few numbers each; they build a ``DensityMatrix`` only
 when their ``matrix`` is read, which is where this module and numpy load.
 
-Every state built anywhere in the package passes :func:`validate_density`,
-so its cost is paid per state.  Its PSD check calls numpy's Cholesky gufunc
+Every ``DensityMatrix`` passes :func:`validate_density`, so its cost is paid
+per matrix; an ``XState`` checks its two numbers when built and its matrix
+when that is read.  The PSD check calls numpy's Cholesky gufunc
 ``numpy.linalg._umath_linalg.cholesky_lo`` directly: ``np.linalg.cholesky``
 wraps that same gufunc in array wrapping, dtype resolution and a callback
 ``errstate``, which on a 4x4 state cost more than the factorization.  The

@@ -1,13 +1,12 @@
 """numpy's default random stream in pure Python, for the draws ``swap`` makes.
 
 ``Generator(seed)`` draws what ``np.random.default_rng(seed)`` draws with
-``random``, ``binomial`` and ``multinomial``, bit for bit: SeedSequence's
-hashmix and mix steps seed PCG64, the 128-bit LCG with the XSL-RR output
-(O'Neill, HMC-CS-2014-0905 (2014)); a double is ``(next64 >> 11) * 2**-53``;
-and the samplers follow numpy's C ``random_binomial`` (inversion when
-``min(p, 1-p) * n <= 30``, else BTPE: Kachitvichyanukul and Schmeiser,
-Commun. ACM 31, 216 (1988)) and ``random_multinomial`` step for step.  A draw
-that numpy broadcasts over rows is a loop over the rows in C order.
+``random``, ``binomial`` and ``multinomial``, bit for bit: SeedSequence seeds
+PCG64, the 128-bit LCG with the XSL-RR output (O'Neill, HMC-CS-2014-0905
+(2014)), and the samplers follow numpy's C ``random_binomial`` (inversion, or
+BTPE: Kachitvichyanukul and Schmeiser, Commun. ACM 31, 216 (1988)) and
+``random_multinomial`` step for step.  A draw that numpy broadcasts over rows
+is a loop over the rows in C order.
 """
 
 from __future__ import annotations
@@ -37,10 +36,8 @@ def _seed_words(seed: int) -> list[int]:
     entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
     hashmix = _hasher(0x43B0D7E5, 0x931E8875)
     pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if dst != src:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src, dst in ((s, d) for s in range(4) for d in range(4) if s != d):
+        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
     for value in entropy[4:]:
         for dst in range(4):
             pool[dst] = _mix(pool[dst], hashmix(value))
@@ -79,8 +76,7 @@ class Generator:
         qn, u = math.exp(n * math.log(q)), self.random()
         if u <= qn:  # most draws of a small p, before the bound is needed
             return 0
-        np_ = n * p
-        bound = int(min(n, np_ + 10.0 * math.sqrt(np_ * q + 1)))
+        bound = int(min(n, n * p + 10.0 * math.sqrt(n * p * q + 1)))
         x, px = 0, qn
         while u > px:
             x += 1
@@ -93,15 +89,13 @@ class Generator:
 
     def _btpe(self, n: int, r: float) -> int:
         q, fm = 1.0 - r, n * r + r
-        m, nrq = math.floor(fm), n * r * q
-        p1 = math.floor(2.195 * math.sqrt(nrq) - 4.6 * q) + 0.5
-        xm = m + 0.5
+        m, nrq, s = math.floor(fm), n * r * q, r / q
+        p1, xm, a = math.floor(2.195 * math.sqrt(nrq) - 4.6 * q) + 0.5, m + 0.5, s * (n + 1)
         xl, xr, c = xm - p1, xm + p1, 0.134 + 20.5 / (15.3 + m)
         al, ar = (fm - xl) / (fm - xl * r), (xr - fm) / (xr * q)
         laml, lamr = al * (1.0 + al / 2.0), ar * (1.0 + ar / 2.0)
         p2 = p1 * (1.0 + 2.0 * c)
-        p3 = p2 + c / laml
-        p4 = p3 + c / lamr
+        p3, p4 = p2 + c / laml, p2 + c / laml + c / lamr
         while True:
             u, v = self.random() * p4, self.random()
             if u <= p1:
@@ -122,8 +116,7 @@ class Generator:
                 v = v * (u - p3) * lamr
             k = abs(y - m)
             if not 20 < k < nrq / 2.0 - 1:
-                s = r / q
-                a, f = s * (n + 1), 1.0
+                f = 1.0
                 for i in range(m + 1, y + 1):
                     f *= a / i - s
                 for i in range(y + 1, m + 1):
@@ -146,10 +139,9 @@ class Generator:
                 return y
 
     def multinomial(self, n: int, pvals) -> list[int]:
-        """Counts of ``n`` draws over the classes of ``pvals``: a binomial
-        draw per class given the classes before it, stopping once nothing
-        remains.  Like numpy, rejects a Kahan sum of ``pvals[:-1]`` past
-        ``1 + 1e-12`` and a probability outside [0, 1]."""
+        """Counts of ``n`` draws over ``pvals``: a binomial per class given the
+        ones before it, until nothing remains.  Like numpy, rejects a Kahan sum
+        of ``pvals[:-1]`` past ``1 + 1e-12`` and a probability outside [0, 1]."""
         pvals = [float(p) for p in pvals]
         total, comp = pvals[0], 0.0
         for p in pvals[1:-1]:

@@ -9,13 +9,12 @@ herald nothing, so an attempt heralds with probability ``eta_A eta_B / 2``
 (``HardwareConfig.herald_probability``), either sign equally likely; the
 campaign Monte Carlo (``protocol``) samples the heralds and their signs.  The
 absolute sign assignment (same side -> +1) is a documented convention; the
-experiment fixes only the relative rule.  Each
-source emits ``(1-p) |psi><psi| + p I/4``, so the heralded two-ion state is a
-Werner-type X matrix (Werner, PRA 40, 4277 (1989)), held as its two numbers
-in an ``XState``; numpy loads only when its ``matrix`` is read.  The
-four-qubit register (ion A, photon A, ion B, photon B), its projection and
-partial trace live in ``tests/qutil.py`` as the reference the tests compare
-against.
+experiment fixes only the relative rule.  Each source emits
+``(1-p) |psi><psi| + p I/4``, so the heralded two-ion state is a Werner-type X
+matrix (Werner, PRA 40, 4277 (1989)), held as its two numbers in an
+``XState``; numpy loads only when its ``matrix`` is read.  The four-qubit
+register (ion A, photon A, ion B, photon B), its projection and partial trace
+live in ``tests/qutil.py`` as the reference the tests compare against.
 
 Phase bookkeeping: projecting two ideal pairs onto the photon Bell states
 leaves the ions in ``(|down,up> + sign e^{i phi}|up,down>)/sqrt(2)``, where
@@ -51,10 +50,14 @@ class XState:
     coherence: complex
     dims: ClassVar[tuple[int, ...]] = TWO_ION_DIMS
 
+    def __post_init__(self):  # PSD iff 0 <= w <= 1 and |c| <= rho11 = 1/2 - w/4
+        if not (0.0 <= self.mixing <= 1.0
+                and abs(self.coherence) <= 0.5 - 0.25 * self.mixing + 1e-12):
+            raise ValueError(f"not a density matrix: w = {self.mixing!r}, c = {self.coherence!r}")
+
     @cached_property
     def matrix(self):
-        """The read-only density matrix, built and validated on the first
-        read; numpy loads only here."""
+        """The read-only, validated density matrix, built (loading numpy) on first read."""
         import numpy as np
 
         from .quantum import DensityMatrix

@@ -20,8 +20,8 @@ scans of ``ionlink.ion_photon`` replace (the half-wave plate, the cached
 plate and Raman stacks and the stacked scans of any pair or ion state), the
 general two-ion analysis that the closed forms of ``ionlink.analysis``
 replace (the value-keyed operator cache, the stacked analysis pulses, their
-populations and parities of any two-ion state, and the SVD solve of the
-sinusoid fit), the Bell-state phase, threshold classification of
+populations and parities of any two-ion state, and the sinusoid fit of any
+grid through an SVD solve), the Bell-state phase, threshold classification of
 single counts, a campaign's empirical first-success CDF, the continuous
 first-success density and CDF of the rate model with its expected attempts
 and mean success probability per cap, the printed Yb-Ba-Ba displacement
@@ -39,6 +39,7 @@ import numpy as np
 
 from ionlink.analysis import _pulse
 from ionlink.config import MAX_REQUEST_NS
+from ionlink.fitting import SinusoidFit, wrap_phase
 from ionlink.ion_photon import PAIR_DIMS
 from ionlink.modes import K_COUL, ChainSpec, ModeTable
 from ionlink.protocol import _BLOCK, RateReport, _success_model
@@ -566,16 +567,51 @@ def stacked_parity_scan(rho: DensityMatrix, phases, pulses: str) -> np.ndarray:
 
 @cache_by_value(maxsize=8)
 def _solver(x, angular_frequency) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(sin, cos, 1)`` regressors with their pseudo-inverse and rank through
-    ``np.linalg.svd``, the reference of the pure-Python solve of
-    ``analysis._solver``.  Singular values up to ``eps * n`` times the
-    largest count as zero, the cutoff of ``np.linalg.lstsq``."""
+    """``(sin, cos, 1)`` regressors with their pseudo-inverse and rank, built
+    once per grid and frequency (8 kept).  Singular values up to ``eps * n``
+    times the largest count as zero, the cutoff of ``np.linalg.lstsq``, so
+    the product with ``y`` is its minimum-norm solution."""
     design = np.column_stack([np.sin(angular_frequency * x),
                               np.cos(angular_frequency * x),
                               np.ones_like(x)])
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     rank = int(np.count_nonzero(s > np.finfo(float).eps * max(design.shape) * s[0]))
     return design, (vt[:rank].T / s[:rank]) @ u[:, :rank].T, rank
+
+
+def fit_sinusoid(x, y, angular_frequency: float) -> SinusoidFit:
+    """Least-squares fit of ``offset + A sin(k x - phase)`` at known ``k`` on
+    any grid, over the points of finite ``y``: the reference of the package's
+    closed-form fits and of ``analysis.fit_parity_scan``."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("x and y must be matching 1-d arrays")
+    finite = np.isfinite(y)
+    if not finite.all():
+        x, y = x[finite], y[finite]
+    if x.size < 3:
+        raise ValueError("need at least 3 finite points to fit a sinusoid")
+    # a product of Python floats overflows to inf without a warning
+    reach = float(np.abs(x).max())
+    if not math.isfinite(abs(angular_frequency) * reach):
+        raise ValueError(f"k * x must be finite, got k = {angular_frequency!r} "
+                         f"and |x| up to {reach!r}")
+    design, pinv, rank = _solver(x, angular_frequency)
+    coef = pinv @ y
+    a_sin, a_cos, offset = coef
+    amplitude = float(np.hypot(a_sin, a_cos))
+    degenerate = rank < 3
+    if amplitude < 1e-14:
+        phase = 0.0
+        degenerate = True
+    else:
+        # y = A sin(kx - phase): coeff of sin is A cos(phase), of cos is -A sin(phase)
+        phase = wrap_phase(np.arctan2(-a_cos, a_sin))
+    resid = y - design @ coef
+    rms = float(np.sqrt(resid @ resid / resid.size))
+    return SinusoidFit(amplitude=amplitude, phase=phase, offset=float(offset),
+                       residual_rms=rms, degenerate=degenerate)
 
 
 # --- scans, one grid point at a time -------------------------------------------

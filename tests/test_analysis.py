@@ -7,7 +7,6 @@ from ionlink.analysis import (
     FidelityBoundInputs,
     apply_analysis_pulse,
     fidelity_lower_bound,
-    fit_sinusoid,
     parity_scan,
     swap_experiment,
 )
@@ -31,6 +30,7 @@ from qutil import (
     bell_state,
     density,
     fidelity_pure,
+    fit_sinusoid,
     ket,
     literal_swapped_state,
     stacked_parity_scan,

@@ -125,7 +125,6 @@ def test_hit_returns_the_built_array_and_scans_repeat():
     grid = np.linspace(0.0, np.pi, 13)
     assert _pulse_stack(grid) is _pulse_stack(grid.copy())
     assert analysis._pulse(0.25) is analysis._pulse(0.25)
-    assert analysis._solver(tuple(grid), 2.0) is analysis._solver(tuple(grid.tolist()), 2.0)
     rho = x_state(density(bell_state(+1, 0.4)))
     first, again = parity_scan(rho, grid), parity_scan(rho, list(grid))
     assert first.series["parity"] == again.series["parity"]

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ionlink import analysis
-from ionlink.analysis import fit_sinusoid
 from ionlink.cli import MAX_GRID_END, MAX_GRID_POINTS
 from ionlink.fitting import ScanResult, determines_sinusoid, linspace, wrap_phase
-from qutil import _solver
+from qutil import _solver, fit_sinusoid
 
 
 def test_exact_recovery_known_period():
@@ -162,11 +161,10 @@ UNDETERMINED = [
                          + [(*case, False) for case in UNDETERMINED])
 def test_determines_sinusoid_is_full_svd_rank(grid, k, determined):
     assert (_solver(grid, k)[2] == 3) == determined
-    assert (analysis._solver(tuple(grid.tolist()), k)[1] == 3) == determined
     assert determines_sinusoid(grid.tolist(), k) == determined
 
 
-# --- the cached pure-Python solver against np.linalg.lstsq -----------------------
+# --- the cached solver of the reference fit against np.linalg.lstsq -------------
 
 sizes = st.one_of(st.just(3), st.integers(3, 40))
 frequencies = st.one_of(st.sampled_from([1.0, 2.0, 4.0]), st.floats(0.05, 8.0))
@@ -196,75 +194,61 @@ def fit_inputs(draw):
     return x, y, k
 
 
-def _lstsq(x, y, k):
-    """The finite points, their regressors, ``np.linalg.lstsq``'s solution,
-    rank and singular values, and whether that rank is unambiguous."""
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(fit_inputs())
+@example((np.pi * np.arange(4.0), np.array([0.1, -0.2, 0.3, 0.5]), 1.0))  # rank 2
+@example((np.linspace(0.0, 1.0, 4), np.array([0.1, np.nan, 0.3, 0.2]), 2.0))  # 3 finite
+@example((1e-4 * np.arange(4.0), np.array([0.1, -0.2, 0.3, 0.5]), 1.0))  # rank 3, cond 1e9
+def test_cached_solver_fit_equals_lstsq(inputs):
+    x, y, k = inputs
     finite = np.isfinite(y)
     xf, yf = x[finite], y[finite]
     design = np.column_stack([np.sin(k * xf), np.cos(k * xf), np.ones_like(xf)])
     coef, _, rank, sv = np.linalg.lstsq(design, yf, rcond=None)
-    cutoff = np.finfo(float).eps * xf.size * sv[0]
-    clear = sv[rank - 1] >= 10.0 * cutoff and np.all(sv[rank:] <= 0.1 * cutoff)
-    return xf, yf, design, coef, rank, sv, clear
-
-
-FIT_EXAMPLES = [
-    (np.pi * np.arange(4.0), np.array([0.1, -0.2, 0.3, 0.5]), 1.0),  # rank 2
-    (np.linspace(0.0, 1.0, 4), np.array([0.1, np.nan, 0.3, 0.2]), 2.0),  # 3 finite
-    (1e-4 * np.arange(4.0), np.array([0.1, -0.2, 0.3, 0.5]), 1.0),  # rank 3, cond 1e9
-]
-
-
-def _with_fit_examples(test):
-    for case in FIT_EXAMPLES:
-        test = example(case)(test)
-    return settings(max_examples=200, deadline=None, derandomize=True)(
-        given(fit_inputs())(test))
-
-
-@_with_fit_examples
-def test_cached_solver_fit_equals_lstsq(inputs):
-    # the cached numpy SVD solve of tests/qutil.py, the reference of the
-    # package's pure-Python solve
-    x, y, k = inputs
-    xf, yf, design, coef, rank, sv, clear = _lstsq(x, y, k)
     # where the numerical rank is unambiguous, both solvers find it
-    assume(clear)
+    cutoff = np.finfo(float).eps * xf.size * sv[0]
+    assume(sv[rank - 1] >= 10.0 * cutoff and np.all(sv[rank:] <= 0.1 * cutoff))
     assert _solver(xf, k)[2] == rank
     # with a well-conditioned kept part, two SVD-based solvers agree to round-off
     if sv[rank - 1] < 1e-4 * sv[0]:
         return
-    np.testing.assert_allclose(_solver(xf, k)[1] @ yf, coef, rtol=0, atol=1e-12)
-
-
-@_with_fit_examples
-def test_jacobi_fit_equals_lstsq_within_its_conditioning(inputs):
-    """The package's one-sided Jacobi solve finds lstsq's rank where it is
-    unambiguous, and its fit lies within 64 eps (kappa max(1, |coef|) +
-    kappa^2 |r| / s_max) of lstsq's: a small multiple of the forward-error
-    bound of a backward-stable least-squares solve: over 1812 drawn inputs
-    that reach the comparison the largest was 10.8 bounds.  Two different
-    SVD algorithms part
-    by that much: at x = (1, 2, 3) pi/64, y = (0, 1, 1) and k = 1 the
-    coefficients near 414 sit 3e-11 (lstsq) and 2e-11 (Jacobi) from the
-    50-digit solution."""
-    x, y, k = inputs
-    xf, yf, design, coef, rank, sv, clear = _lstsq(x, y, k)
-    assume(clear)
-    assert analysis._solver(tuple(xf.tolist()), k)[1] == rank
-    if sv[rank - 1] < 1e-4 * sv[0]:
-        return
     fit = fit_sinusoid(x, y, k)
+    _assert_fit_is_lstsq(fit, design, yf, coef)
+    assert fit.degenerate == bool(rank < 3 or np.hypot(coef[0], coef[1]) < 1e-14)
+
+
+def _assert_fit_is_lstsq(fit, design, y, coef):
     amplitude = np.hypot(coef[0], coef[1])
-    resid = yf - design @ coef
-    kappa = sv[0] / sv[rank - 1]
-    tol = 64.0 * np.finfo(float).eps * (kappa * max(1.0, np.abs(coef).max())
-                                        + kappa ** 2 * np.linalg.norm(resid) / sv[0])
-    assert fit.amplitude == pytest.approx(amplitude, rel=0, abs=tol)
-    assert fit.offset == pytest.approx(coef[2], rel=0, abs=tol)
-    assert fit.residual_rms == pytest.approx(np.sqrt(np.mean(resid ** 2)), rel=0, abs=tol)
+    resid = y - design @ coef
+    assert fit.amplitude == pytest.approx(amplitude, rel=0, abs=1e-12)
+    assert fit.offset == pytest.approx(coef[2], rel=0, abs=1e-12)
+    assert fit.residual_rms == pytest.approx(np.sqrt(np.mean(resid ** 2)), rel=0, abs=1e-12)
     # y = offset + A sin(kx - phase): sin coefficient A cos(phase), cos coefficient -A sin(phase)
     np.testing.assert_allclose([fit.amplitude * np.cos(fit.phase),
                                 -fit.amplitude * np.sin(fit.phase)],
-                               coef[:2], rtol=0, atol=tol)
-    assert fit.degenerate == bool(rank < 3 or amplitude < 1e-14)
+                               coef[:2], rtol=0, atol=1e-12)
+
+
+# --- swap's parity-scan fit against np.linalg.lstsq ------------------------------
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(-1.0, 1.0), st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+       st.floats(0.0, 2.0 * np.pi), st.sampled_from([0.0, 1e-3, 1.0]),
+       arrays(float, 13, elements=st.floats(-1.0, 1.0)))
+def test_parity_scan_fit_equals_lstsq(offset, amplitude, phase, noise, drawn):
+    """``fit_parity_scan`` on swap's grid agrees with lstsq at 1e-12: noisy
+    parity scans, exact ones and flat ones."""
+    x = np.array(analysis.PARITY_PHASES)
+    assert x.tobytes() == np.linspace(0.0, np.pi, 13).tobytes()
+    y = offset + amplitude * np.sin(2.0 * x - phase) + noise * drawn
+    design = np.column_stack([np.sin(2.0 * x), np.cos(2.0 * x), np.ones_like(x)])
+    coef = np.linalg.lstsq(design, y, rcond=None)[0]
+    fit = analysis.fit_parity_scan(y.tolist())
+    _assert_fit_is_lstsq(fit, design, y, coef)
+    assert fit.degenerate == bool(np.hypot(coef[0], coef[1]) < 1e-14)
+
+
+def test_parity_scan_fit_needs_one_value_per_phase():
+    for n in (12, 14):
+        with pytest.raises(ValueError, match="one parity per phase"):
+            analysis.fit_parity_scan([0.0] * n)

@@ -14,7 +14,7 @@ from ionlink.quantum import (
     apply_unitary,
     validate_density,
 )
-from ionlink.analysis import _sample_readout, fit_sinusoid
+from ionlink.analysis import _sample_readout
 from ionlink.config import HardwareConfig
 from ionlink.detection import ConfusionMatrix, count_pmf
 from ionlink.rng import Generator
@@ -28,6 +28,7 @@ from qutil import (
     density,
     depolarizing_channel,
     fidelity_pure,
+    fit_sinusoid,
     ket,
     lift,
     loop_partial_trace,

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ionlink.analysis import apply_analysis_pulse, bright_classes, fit_sinusoid, parity_scan
+from ionlink.analysis import apply_analysis_pulse, bright_classes, parity_scan
 from ionlink.config import HardwareConfig
 from ionlink.ion_photon import (
     SourceParams,
@@ -30,6 +30,7 @@ from qutil import (
     density,
     dephasing_channel,
     depolarizing_channel,
+    fit_sinusoid,
     ket,
     lift,
     literal_swapped_state,
