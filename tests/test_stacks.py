@@ -92,6 +92,20 @@ def x_states(draw):
     return XState(w, scale * (0.5 - 0.25 * w) * complex(np.cos(phase), np.sin(phase)))
 
 
+@PROPERTY
+@given(x_states())
+def test_x_state_within_its_limits_is_a_density_matrix(rho):
+    validate_density(rho.matrix)
+
+
+@pytest.mark.parametrize("w,c", [(-1e-9, 0.0), (1.0 + 1e-9, 0.0), (np.nan, 0.0),
+                                 (0.0, complex(np.nan, 0.0)), (0.0, 0.5 + 1e-9),
+                                 (1.0, 0.25j * (1.0 + 1e-9)), (0.4, -0.41)])
+def test_x_state_past_its_limits_is_rejected_when_built(w, c):
+    with pytest.raises(ValueError, match="not a density matrix"):
+        XState(w, c)
+
+
 # --- stacked scans against one apply_unitary per grid point ---------------------
 
 @PROPERTY
