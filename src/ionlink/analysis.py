@@ -241,10 +241,11 @@ def swap_experiment(cfg: HardwareConfig, trials: int, rng: Generator) -> SwapExp
     and 2 bright ions; the herald signs (equally likely); then the readouts of
     each stage, sign +1 first: the populations, from half of each sign's
     heralds, then the ``"two"`` scan and the ``"one"`` scan, each sharing a
-    quarter of each sign's heralds over its 13 phases, in phase order.
-    Readouts are drawn from the confusion matrix of ``cfg``'s count pmf at
-    the chosen thresholds, the one that ``spam_correct`` inverts at every
-    point, and from ``bright_classes`` of each sign's state.  Each sign is
+    quarter of each sign's heralds over its 13 phases, in phase order.  The
+    histograms set only the thresholds: readouts are drawn from the
+    confusion matrix of ``cfg``'s count pmf at those thresholds, the one
+    that ``spam_correct`` inverts at every point, and from
+    ``bright_classes`` of each sign's state.  Each sign is
     analyzed after its own phase-alignment wait, which maps both onto the
     plus Bell state.
     """
@@ -292,7 +293,7 @@ def swap_experiment(cfg: HardwareConfig, trials: int, rng: Generator) -> SwapExp
 
 
 def swap_outputs(cfg: HardwareConfig, trials: int, seed: int, profile: str) -> dict:
-    """The ``swap`` run: ``swap_experiment`` seeded with ``seed``, as its
+    """The ``swap`` run: ``swap_experiment`` on ``Generator(seed)``, as its
     calibration histograms (frequencies, zero-padded to the widest),
     thresholds, parity scans and populations, and a summary of the bound that
     records ``trials`` and ``profile``, the name of the error profile of ``cfg``."""

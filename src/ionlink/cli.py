@@ -198,8 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     trials.add_argument("--trials", type=int, default=100_000,
                         help="Monte Carlo sample count")
     grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--grid", type=str, default=None,
-                      help="grid spec start:stop:num for the scanned variable")
+    grid.add_argument("--grid", type=str, default=None, metavar="START:STOP:NUM",
+                      help="grid of the scanned variable; write --grid=START:STOP:NUM "
+                           "when START is negative")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("ion-photon", parents=[common, grid],

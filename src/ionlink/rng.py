@@ -1,49 +1,19 @@
-"""numpy's default random stream in pure Python, for the draws ``swap`` makes.
+"""The random stream of ``swap``: the standard library's generator with
+numpy's binomial and multinomial samplers.
 
-``Generator(seed)`` draws what ``np.random.default_rng(seed)`` draws with
-``random``, ``binomial`` and ``multinomial``, bit for bit: SeedSequence seeds
-PCG64, the 128-bit LCG with the XSL-RR output (O'Neill, HMC-CS-2014-0905
-(2014)), and the samplers follow numpy's C ``random_binomial`` (inversion, or
-BTPE: Kachitvichyanukul and Schmeiser, Commun. ACM 31, 216 (1988)) and
-``random_multinomial`` step for step.  A draw that numpy broadcasts over rows
-is a loop over the rows in C order.
+``Generator(seed)`` is ``random.Random(seed)``, MT19937 (Matsumoto and
+Nishimura, ACM TOMACS 8, 3 (1998)), whose ``random()`` sequence Python keeps
+the same across versions for an integer seed.  ``binomial`` and
+``multinomial`` follow numpy's C ``random_binomial`` (inversion, or BTPE:
+Kachitvichyanukul and Schmeiser, Commun. ACM 31, 216 (1988)) and
+``random_multinomial`` step for step on the uniforms of ``random()``, so fed
+numpy's doubles they draw numpy's counts (``tests/test_rng.py``).
 """
 
 from __future__ import annotations
 
 import math
-
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's hash of 32-bit words, whose constant steps per word."""
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value = (value ^ const) * (const := const * mult & _M32) & _M32
-        return value ^ value >> 16
-    return hashmix
-
-
-def _mix(x: int, y: int) -> int:
-    r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-    return r ^ r >> 16
-
-
-def _seed_words(seed: int) -> list[int]:
-    """``SeedSequence(seed).generate_state(4, np.uint64)`` of a seed >= 0."""
-    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src, dst in ((s, d) for s in range(4) for d in range(4) if s != d):
-        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for value in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(value))
-    out = _hasher(0x8B51F9DD, 0x58F38DED)
-    words = [out(pool[i % 4]) for i in range(8)]
-    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+import random
 
 
 def _stirling(x: float) -> float:
@@ -51,18 +21,15 @@ def _stirling(x: float) -> float:
     return (13680. - (462. - (132. - (99. - 140. / x2) / x2) / x2) / x2) / x / 166320.
 
 
-class Generator:
-    """The stream of ``np.random.default_rng(seed)``."""
+class Generator(random.Random):
+    """``random.Random(seed)`` of a non-negative integer seed, with numpy's
+    ``binomial`` and ``multinomial``.  A negative, bool or non-integer seed is
+    a ValueError: ``random.seed`` would take a negative seed's absolute value."""
 
     def __init__(self, seed: int):
-        s0, s1, i0, i1 = _seed_words(seed)
-        self._inc = (i0 << 65 | i1 << 1 | 1) & _M128
-        self._state = ((self._inc + (s0 << 64 | s1)) * _PCG_MULT + self._inc) & _M128
-
-    def random(self) -> float:
-        self._state = s = (self._state * _PCG_MULT + self._inc) & _M128
-        value, rot = (s >> 64 ^ s) & _M64, s >> 122
-        return (((value >> rot | value << (64 - rot)) & _M64) >> 11) * 2.0 ** -53
+        if type(seed) is not int or seed < 0:  # bool is an int subclass
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        super().__init__(seed)
 
     def binomial(self, n: int, p: float) -> int:
         if n == 0 or p == 0.0:

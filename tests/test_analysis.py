@@ -332,10 +332,12 @@ def test_swap_experiment_draws_readout_rows_in_c_order():
     """After the signs, one readout per state in the order in which numpy
     consumes a broadcast draw: the populations of sign +1 then -1 on half
     of their heralds, then each scan, sign +1 first, phase by phase on a
-    quarter of the heralds over 13 phases; and the whole run draws the
-    stream of np.random.default_rng at the same seed."""
+    quarter of the heralds over 13 phases; and, fed numpy's doubles, the
+    whole run draws what np.random.default_rng draws at the same seed."""
     cfg = measured_swap_config(HardwareConfig())
-    rng = _RecordingRng(Generator(0))
+    fed = Generator(0)
+    fed.random = np.random.default_rng(0).random
+    rng = _RecordingRng(fed)
     res = swap_experiment(cfg, 1000, rng)
     after_signs = rng.calls[[c[0] for c in rng.calls].index("binomial"):]
     n = res.sign_counts[+1], res.sign_counts[-1]

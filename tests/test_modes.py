@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,6 +240,19 @@ def test_calibration_matches_bounded_brent():
     ref = minimize_scalar(cost, bounds=(0.5 * targets.max(), 3.0 * targets.max()),
                           method="bounded", options={"xatol": 1e-4})
     assert abs(spec.radial_freq_ref - ref.x) < 0.05
+
+
+def test_calibration_stops_at_the_cost_round_off_floor():
+    # the minimum of the quadratic fitted to the cost over +-3 mHz lies
+    # inside the search's last bracket, 3e-4 Hz wide, around its result
+    spec = calibrate_reference_frequencies()
+    targets = np.asarray(YB_BA_BA_RADIAL_HZ)
+    offsets = np.linspace(-3e-3, 3e-3, 61)
+    costs = [np.sum((np.asarray(normal_modes(
+        replace(spec, radial_freq_ref=spec.radial_freq_ref + x), "radial").frequencies)
+        - targets) ** 2) for x in offsets]
+    a, b, _ = np.polyfit(offsets, np.asarray(costs) - costs[30], 2)
+    assert abs(b / (2.0 * a)) < 1.5e-4
 
 
 def test_coolant_coupling_equal_mass_com():

@@ -1,27 +1,38 @@
-"""The pure-Python generator draws the stream of ``np.random.default_rng``
-bit for bit, for every draw ``swap`` makes."""
+"""The generator of ``swap``: its uniforms are ``random.Random``'s, and its
+binomial and multinomial samplers, fed numpy's doubles, draw what
+``np.random.default_rng`` draws, bit for bit."""
+
+import random
 
 import numpy as np
 import pytest
+from scipy.stats import binom, chisquare
 
 from ionlink.config import MAX_READOUT_COUNTS, HardwareConfig
 from ionlink.detection import count_pmf
-from ionlink.rng import Generator, _seed_words
+from ionlink.rng import Generator
 
 SEEDS = [0, 1, 2**31 - 1, 2**64 + 1, 2**200]
 # the readout at its default and with the two-bright mean at the config bound
 BOUND = HardwareConfig(dark_rate=1.0e6, bright_rate=4.5e6, readout_duration=1.0e-3)
 
 
+def _fed_numpy(seed):
+    """A Generator whose uniforms are ``np.random.default_rng(seed)``'s doubles."""
+    g = Generator(seed)
+    g.random = np.random.default_rng(seed).random
+    return g
+
+
 def _pair(seed):
-    return Generator(seed), np.random.default_rng(seed)
+    return _fed_numpy(seed), np.random.default_rng(seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS + [2**32, 2**128 - 1, 12345])
-def test_seed_words_and_doubles_equal_numpy(seed):
-    assert _seed_words(seed) == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
-    ours, theirs = _pair(seed)
-    assert [ours.random() for _ in range(200)] == theirs.random(200).tolist()
+def test_stdlib_doubles(seed):
+    # the uniforms are random.Random(seed)'s
+    ours, theirs = Generator(seed), random.Random(seed)
+    assert [ours.random() for _ in range(200)] == [theirs.random() for _ in range(200)]
 
 
 # (n, p): the early returns, inversion (min(p, 1-p) n <= 30) and BTPE, each
@@ -92,10 +103,59 @@ def test_multinomial_rejects_what_numpy_rejects():
         Generator(0).multinomial(10, pvals)
     # inside the tolerance both draw
     within = [0.5, 0.5 + 5e-13, 0.0]
-    assert Generator(0).multinomial(10, within) == \
+    assert _fed_numpy(0).multinomial(10, within) == \
         np.random.default_rng(0).multinomial(10, within).tolist()
     for bad in ([0.5, -0.1, 0.6], [0.5, float("nan"), 0.5], [1.5, 0.0, 0.0]):
         with pytest.raises(ValueError):
             np.random.default_rng(0).multinomial(10, bad)
         with pytest.raises(ValueError):
             Generator(0).multinomial(10, bad)
+
+
+def test_uniforms_are_the_c_method():
+    assert Generator.random is random.Random.random
+
+
+@pytest.mark.parametrize("seed", [-5, -1, True, False, 5.0, "5", None])
+def test_rejects_a_negative_bool_or_non_integer_seed(seed):
+    # random.seed would draw seed 5's stream for -5, and seed 1's for True
+    with pytest.raises(ValueError, match="non-negative integer"):
+        Generator(seed)
+
+
+# Chi-square tests of the production stream, seeds and pass band fixed in
+# advance: bins of fewer than 5 expected draws are pooled with their
+# neighbours, and each test passes at p > 1e-3.
+P_MIN = 1e-3
+
+
+def _chi2_p(observed, expected) -> float:
+    obs, exp, pooled = [], [], [0.0, 0.0]
+    for o, e in zip(observed, expected):
+        pooled = [pooled[0] + o, pooled[1] + e]
+        if pooled[1] >= 5.0:
+            obs.append(pooled[0])
+            exp.append(pooled[1])
+            pooled = [0.0, 0.0]
+    obs[-1] += pooled[0]
+    exp[-1] += pooled[1]
+    return chisquare(obs, exp).pvalue
+
+
+# (seed, n, p): inversion (min(p, 1-p) n <= 30) and BTPE, each also reflected
+@pytest.mark.parametrize("seed, n, p", [(101, 40, 0.3), (102, 50, 0.8),
+                                        (103, 1000, 0.4), (104, 5000, 0.93)])
+def test_binomial_draws_the_binomial_distribution(seed, n, p):
+    g, draws = Generator(seed), 20000
+    counts = [0] * (n + 1)
+    for _ in range(draws):
+        counts[g.binomial(n, p)] += 1
+    assert _chi2_p(counts, draws * binom.pmf(np.arange(n + 1), n, p)) > P_MIN
+
+
+@pytest.mark.parametrize("cfg", [HardwareConfig(), BOUND], ids=["default", "bound"])
+def test_multinomial_draws_each_count_pmf_row(cfg):
+    g = Generator(105)
+    for row in count_pmf(cfg):
+        counts = g.multinomial(20000, row)
+        assert _chi2_p(counts, [20000 * q for q in row]) > P_MIN
