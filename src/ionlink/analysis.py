@@ -59,19 +59,12 @@ def _pulse(phase: float):
     return u
 
 
-@lru_cache(maxsize=1)
-def _quantum():
-    """The density-matrix module, imported (with numpy) on the first pulse."""
-    from . import quantum
-    return quantum
-
-
 def apply_analysis_pulse(rho, phase: float):
     """Global pi/2 pulse of the given phase on both ions of an ``XState`` or
     a two-ion ``DensityMatrix``, as a ``DensityMatrix``."""
     if rho.dims != swap.TWO_ION_DIMS:
         raise ValueError("expects a two-ion state")
-    quantum = _quantum()
+    from . import quantum  # with numpy, on the first pulse
     return quantum.apply_unitary(rho, _pulse(float(phase)))
 
 

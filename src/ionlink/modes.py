@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 ECH = 1.602176634e-19       # elementary charge, C
 AMU = 1.66053906660e-27     # atomic mass unit, kg
@@ -96,7 +95,7 @@ class ChainSpec:
         return tuple(k / m for m in self.masses_kg)
 
 
-_MAX_ITERATIONS = 500  # Newton steps of the equilibrium search
+_MAX_ITERATIONS = 500  # Newton steps of the equilibrium and calibration
 _MAX_SWEEPS = 50       # Jacobi sweeps of the eigensolver
 _EPS = 2.0 ** -52      # double-precision machine epsilon
 
@@ -167,19 +166,15 @@ def equilibrium_positions(spec: ChainSpec) -> tuple[float, ...]:
     """Axial equilibrium positions (meters) by damped Newton iteration.
 
     Equal charges make the equilibria independent of the masses; the natural
-    length scale is ``(K_COUL / axial_spring)^(1/3)``.  In those units the net
-    force on ion i is ``u_i - sum_j (u_i - u_j) c_ij``, whose Jacobian is the
-    axial Hessian at unit spring (James, Appl. Phys. B 66, 181 (1998)).
-
-    The result depends only on the ion count and the axial spring, and is
-    solved once per pair: the calibration's radial search keeps both fixed.
+    length scale is ``ell = (K_COUL / axial_spring)^(1/3)``.  In those units
+    the net force on ion i is ``u_i - sum_j (u_i - u_j) c_ij``, whose Jacobian
+    is the axial Hessian at unit spring (James, Appl. Phys. B 66, 181 (1998)).
+    The iteration stops once the force is within its round-off floor,
+    ``4 n eps max(1, |u|)``, which grows with the chain (1.1e-14 at 14 ions,
+    2.5e-14 at 20), so that chains of 15 ions or more converge.
     """
-    return _equilibrium(spec.n_ions, spec.axial_spring)
-
-
-@lru_cache(maxsize=8)
-def _equilibrium(n: int, axial_spring: float) -> tuple[float, ...]:
-    ell = (K_COUL / axial_spring) ** (1.0 / 3.0)
+    n = spec.n_ions
+    ell = (K_COUL / spec.axial_spring) ** (1.0 / 3.0)
     u = [k - (n - 1) / 2.0 for k in range(n)]
     for _ in range(_MAX_ITERATIONS):
         c = _curvatures(u)
@@ -190,7 +185,7 @@ def _equilibrium(n: int, axial_spring: float) -> tuple[float, ...]:
         gap = min((abs(y - x) for x, y in zip(u, u[1:])), default=1.0)  # a lone ion
         scale = min(1.0, 0.5 * gap / max(max(map(abs, step)), 1e-300))
         u = [ui - scale * si for ui, si in zip(u, step)]
-        if math.hypot(*force) < 1e-14:
+        if math.hypot(*force) <= 4.0 * n * _EPS * max(1.0, *map(abs, u)):
             return tuple(ui * ell for ui in u)
     raise RuntimeError(f"equilibrium search did not converge in {_MAX_ITERATIONS} iterations")
 
@@ -283,45 +278,46 @@ def calibrate_reference_frequencies(
 
     The single-ion frequencies behind a published table are often not printed;
     this least-squares fit recovers them.  Axial frequencies scale linearly
-    with the axial reference (closed-form fit); the radial reference is found
-    by a golden-section search (Kiefer, Proc. AMS 4, 502 (1953)) on
-    ``[0.5, 3.0] x max(radial targets)``, stopped once the bracket is
-    narrower than 3e-4 Hz (50 cost evaluations), the cost's round-off floor
-    on the Yb-Ba-Ba table: there the cost's noise (sd 5.5e-8 Hz^2 about its
-    quadratic fit, curvature 3.45) matches its rise 1.3e-4 Hz from the
-    minimum, so a narrower bracket's comparisons pick at random.
+    with the axial reference (closed-form fit).  The radial Hessian is linear
+    in ``s = (2 pi f_r)^2`` (James, Appl. Phys. B 66, 181 (1998)), so each
+    solve's participations give its slopes (Feynman, Phys. Rev. 56, 340
+    (1939)), ``d f_j / d f_r = (f_r / f_j) sum_i b_ij^2 (m_ref / m_i)^2``, and
+    Gauss-Newton steps fit the radial reference.  They start at the top of
+    ``[0.5, 3.0] x max(radial targets)``, stable if any point is, since every
+    radial eigenvalue grows with ``s``.  Each solve shrinks that bracket to
+    its downhill side; a step out of it bisects it instead (undamped steps
+    can overshoot ever further on large residuals), and a step to an unstable
+    point is halved.  A step below ``1e-12`` relative stops the iteration (6
+    radial solves on the Yb-Ba-Ba table).
     """
     probe = ChainSpec(masses_amu=tuple(masses_amu), axial_freq_ref=1e5,
                       radial_freq_ref=1e6, reference_mass_amu=reference_mass_amu)
     ratios = [f / 1e5 for f in normal_modes(probe, "axial").frequencies]
     axial_ref = sum(r * f for r, f in zip(ratios, axial_targets_hz)) / sum(r * r for r in ratios)
     rad = [float(f) for f in radial_targets_hz]
-
-    def cost(fr: float) -> float:
-        spec = replace(probe, axial_freq_ref=axial_ref, radial_freq_ref=fr)
-        try:
-            freqs = normal_modes(spec, "radial").frequencies
-        except ValueError:
-            return 1e30
-        return sum((f - r) ** 2 for f, r in zip(freqs, rad))
-
-    # golden-section search: each step keeps the sub-bracket holding the
-    # lower interior point and reuses that point's cost
-    shrink = (5.0 ** 0.5 - 1.0) / 2.0
-    guess = max(rad)
-    lo, hi = 0.5 * guess, 3.0 * guess
-    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-    fc, fd = cost(c), cost(d)
-    while hi - lo > 3e-4:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - shrink * (hi - lo)
-            fc = cost(c)
+    weights = [(reference_mass_amu / m) ** 2 for m in probe.masses_amu]
+    lo, hi = 0.5 * max(rad), 3.0 * max(rad)
+    spec = replace(probe, axial_freq_ref=axial_ref, radial_freq_ref=hi)
+    table = normal_modes(spec, "radial")
+    for _ in range(_MAX_ITERATIONS):
+        fr = spec.radial_freq_ref
+        slopes = [fr / f * sum(w * x * x for w, x in zip(weights, col))
+                  for f, col in zip(table.frequencies, zip(*table.participation))]
+        grad = sum(g * (f - r) for g, f, r in zip(slopes, table.frequencies, rad))
+        lo, hi = (lo, fr) if grad > 0 else (fr, hi)  # the minimum lies downhill
+        trial = fr - grad / sum(g * g for g in slopes)
+        if not lo <= trial <= hi:  # an overshoot: bisect the bracket instead
+            trial = 0.5 * (lo + hi)
+        while abs(trial - fr) > 1e-12 * fr:
+            try:
+                table = normal_modes(replace(spec, radial_freq_ref=trial), "radial")
+                break
+            except ValueError:  # unstable, as is every point below: halve the step
+                lo, trial = trial, 0.5 * (fr + trial)
         else:
-            lo, c, fc = c, d, fd
-            d = lo + shrink * (hi - lo)
-            fd = cost(d)
-    return replace(probe, axial_freq_ref=axial_ref, radial_freq_ref=0.5 * (lo + hi))
+            return spec
+        spec = replace(spec, radial_freq_ref=trial)
+    raise RuntimeError(f"radial calibration did not converge in {_MAX_ITERATIONS} steps")
 
 
 def chain_spec(axial_ref=None, radial_ref=None, single_ion: bool = False) -> ChainSpec:
@@ -345,7 +341,9 @@ def modes_outputs(spec: ChainSpec) -> dict:
     row per mode (each ion's displacement, then the frequency in kHz), and a
     summary with the references, the frequencies, three equal-mass axial
     ratios beside their closed form, the coolant (ion 0) coupling of each
-    radial mode and the largest eigenproblem residual of each direction."""
+    radial mode and the largest eigenproblem residual of each direction.  A
+    Yb-Ba-Ba chain's summary also gives each mode's frequency minus the
+    measured ``YB_BA_BA_*_HZ`` table, the calibration's residuals."""
     tables = {d: normal_modes(spec, d) for d in ("axial", "radial")}
     files = {}
     for d, t in tables.items():
@@ -368,4 +366,8 @@ def modes_outputs(spec: ChainSpec) -> dict:
             for c in coolant_coupling_report(tables["radial"], coolant_index=0)],
         "max_eigen_residual": {d: max(t.residuals) for d, t in tables.items()},
     }
+    if spec.masses_amu == YB_BA_BA_MASSES:
+        files["modes_summary.json"]["table_residuals_hz"] = {
+            d: [f - r for f, r in zip(tables[d].frequencies, table)]
+            for d, table in (("axial", YB_BA_BA_AXIAL_HZ), ("radial", YB_BA_BA_RADIAL_HZ))}
     return files

@@ -70,7 +70,10 @@ _BLOCK = 4096
 
 
 def effective_attempt_rate(cfg: HardwareConfig) -> float:
-    """Attempts per second of wall time, including recooling overhead."""
+    """The schedule's nominal attempts per second.  A campaign's attempts per
+    wall second differ: with the coolant it also spends each request's initial
+    cooling (975k against 1e6 /s at the defaults); without it no recooling
+    follows the last loop, which ends at its herald (334.7k against 333.3k /s)."""
     if cfg.coolant_present:
         return 1.0 / cfg.attempt_duration
     cap = _loop_cap(cfg)

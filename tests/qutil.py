@@ -227,7 +227,7 @@ def reference_equilibrium(n: int, axial_spring: float) -> np.ndarray:
         step = np.linalg.solve(_trap_hessian(1.0, c, 2.0), force)
         scale = min(1.0, 0.5 * np.min(np.abs(np.diff(u))) / max(np.max(np.abs(step)), 1e-300))
         u = u - scale * step
-        if np.linalg.norm(force) < 1e-14:
+        if np.linalg.norm(force) <= 4.0 * n * np.finfo(float).eps * max(1.0, np.max(np.abs(u))):
             return u * ell
     raise RuntimeError("equilibrium search did not converge")
 

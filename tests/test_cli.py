@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from ionlink import __version__
 from ionlink.cli import main
 from ionlink.config import MAX_READOUT_COUNTS, HardwareConfig, load_config
+from ionlink.modes import YB_BA_BA_AXIAL_HZ, YB_BA_BA_RADIAL_HZ
 
 
 def read_all_bytes(root: Path) -> dict:
@@ -270,6 +271,9 @@ def test_modes_outputs(tmp_path):
     residuals = payload["max_eigen_residual"]
     assert set(residuals) == {"axial", "radial"}
     assert all(0.0 <= r < 1e-10 for r in residuals.values())
+    assert payload["table_residuals_hz"] == {
+        "axial": [f - t for f, t in zip(payload["axial_frequencies_hz"], YB_BA_BA_AXIAL_HZ)],
+        "radial": [f - t for f, t in zip(payload["radial_frequencies_hz"], YB_BA_BA_RADIAL_HZ)]}
 
 
 def test_modes_single_ion(tmp_path):
@@ -279,6 +283,7 @@ def test_modes_single_ion(tmp_path):
     payload = json.loads((out / "modes_summary.json").read_text())
     assert payload["axial_frequencies_hz"] == [pytest.approx(367000.0)]
     assert payload["radial_frequencies_hz"] == [pytest.approx(890000.0)]
+    assert "table_residuals_hz" not in payload  # no measured table
 
 
 @pytest.mark.parametrize("refs", [["--axial-ref", "1", "--radial-ref", "10"],

@@ -20,14 +20,14 @@ _SPEC.loader.exec_module(golden)
 # digits on another machine: the swap keys come out of the pure-Python
 # least-squares fit and the count pmf's Poisson rows, and the
 # modes_summary.json keys out of the pure-Python Jacobi solve and the
-# calibration's search, whose 'math' calls ('sin', 'exp', '**(1/3)') may
-# differ by libm.  When they differ they are compared at '%.12g', the
-# precision of a CSV cell.
+# calibration's Gauss-Newton steps, whose 'math' calls ('sin', 'exp',
+# '**(1/3)') may differ by libm.  When they differ they are compared at
+# '%.12g', the precision of a CSV cell.
 LAPACK_KEYS = {
     "modes_summary.json": {
         "axial_freq_ref_hz", "radial_freq_ref_hz", "axial_frequencies_hz",
         "radial_frequencies_hz", "equal_mass_axial_ratios",
-        "radial_coolant_coupling"},
+        "radial_coolant_coupling", "table_residuals_hz"},
     "swap_summary.json": {
         "odd_populations", "two_pulse_contrast", "one_pulse_contrast",
         "fidelity_lower_bound", "bound_inputs", "spam_clipped_mass"},

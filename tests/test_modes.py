@@ -173,21 +173,22 @@ def test_jacobi_solve_matches_the_numpy_reference(masses, log_axial, log_ratio):
                            np.max(np.abs(disp[:, k] + want))) < 1e-9
 
 
-def test_cached_equilibrium_equals_a_fresh_solve_and_is_read_only():
-    # the cache key is (ion count, axial spring): other masses and radial
-    # references of the same chain share one solve
+def test_equilibrium_is_a_read_only_tuple_of_floats():
     for n in (1, 2, 5):
-        spec = spec_equal(n=n, fz=2.3e5)
-        z = equilibrium_positions(spec)
-        fresh = modes._equilibrium.__wrapped__(n, spec.axial_spring)
-        assert z == fresh and all(type(x) is float for x in z)
-        other = ChainSpec(masses_amu=(MASS_YB_171,) * n, axial_freq_ref=2.3e5,
-                          radial_freq_ref=3e6)
-        assert equilibrium_positions(other) is z
-        assert isinstance(z, tuple)
+        z = equilibrium_positions(spec_equal(n=n, fz=2.3e5))
+        assert isinstance(z, tuple) and all(type(x) is float for x in z)
         with pytest.raises(TypeError, match="does not support item assignment"):
             z[0] = 1.0
-    assert modes._equilibrium.cache_info().maxsize == 8
+
+
+def test_long_equal_mass_chains_reach_equilibrium():
+    # the force's round-off floor grows with the chain (1.1e-14 at 14 ions,
+    # 2.5e-14 at 20), so a fixed 1e-14 stop never came at 15 ions or more
+    for n in range(1, 31):
+        spec = spec_equal(n=n, fz=2.3e5)
+        ell = (K_COUL / spec.axial_spring) ** (1.0 / 3.0)
+        z = reference_equilibrium(n, spec.axial_spring)
+        assert np.max(np.abs(np.asarray(equilibrium_positions(spec)) - z)) < 1e-12 * ell
 
 
 def test_mode_tables_compare_and_hash_by_value():
@@ -223,28 +224,49 @@ def test_calibration_round_trip():
     assert abs(spec.radial_freq_ref - 890e3) < 1e-3
 
 
+# radial tables, Hz: the measured one, three off it, and one where undamped
+# Gauss-Newton steps overshoot further each time, so the bracket must bisect
+BRENT_TABLES = (YB_BA_BA_RADIAL_HZ, (300e3, 250e3, 200e3), (600e3, 500e3, 400e3),
+                (700e3, 600e3, 500e3), (212e3, 196e3, 165e3))
+
+
 def test_calibration_matches_bounded_brent():
-    spec = calibrate_reference_frequencies()
-    targets = np.asarray(YB_BA_BA_RADIAL_HZ)
+    for table in BRENT_TABLES:
+        spec = calibrate_reference_frequencies(radial_targets_hz=table)
+        targets = np.asarray(table)
 
-    def cost(fr):
-        trial = ChainSpec(masses_amu=YB_BA_BA_MASSES,
-                          axial_freq_ref=spec.axial_freq_ref, radial_freq_ref=fr)
-        try:
-            freqs = normal_modes(trial, "radial").frequencies
-        except ValueError:
-            return 1e30
-        return float(np.sum((freqs - targets) ** 2))
+        def cost(fr):
+            trial = ChainSpec(masses_amu=YB_BA_BA_MASSES,
+                              axial_freq_ref=spec.axial_freq_ref, radial_freq_ref=fr)
+            try:
+                freqs = normal_modes(trial, "radial").frequencies
+            except ValueError:
+                return 1e30
+            return float(np.sum((freqs - targets) ** 2))
 
-    # Brent's stopping width here is 1e-4 + sqrt(eps) * x, about 0.013 Hz
-    ref = minimize_scalar(cost, bounds=(0.5 * targets.max(), 3.0 * targets.max()),
-                          method="bounded", options={"xatol": 1e-4})
-    assert abs(spec.radial_freq_ref - ref.x) < 0.05
+        # Brent's stopping width here is 1e-4 + sqrt(eps) * x, about 0.013 Hz
+        ref = minimize_scalar(cost, bounds=(0.5 * targets.max(), 3.0 * targets.max()),
+                              method="bounded", options={"xatol": 1e-4})
+        assert abs(spec.radial_freq_ref - ref.x) < 0.05
+
+
+def test_calibration_takes_few_radial_solves(monkeypatch):
+    solved = []
+    solve = modes.normal_modes
+
+    def counted(spec, direction):
+        solved.append(direction)
+        return solve(spec, direction)
+
+    monkeypatch.setattr(modes, "normal_modes", counted)
+    calibrate_reference_frequencies()
+    assert 1 <= solved.count("radial") <= 8
 
 
 def test_calibration_stops_at_the_cost_round_off_floor():
     # the minimum of the quadratic fitted to the cost over +-3 mHz lies
-    # inside the search's last bracket, 3e-4 Hz wide, around its result
+    # within 1.5e-4 Hz of the result, about where the cost's round-off noise
+    # (sd 5.5e-8 Hz^2) matches its quadratic rise (curvature 3.45)
     spec = calibrate_reference_frequencies()
     targets = np.asarray(YB_BA_BA_RADIAL_HZ)
     offsets = np.linspace(-3e-3, 3e-3, 61)
