@@ -22,24 +22,31 @@ therefore depends only on ``(master_seed, request index)``: the first ``n``
 rows of a longer campaign equal an ``n``-request campaign (prefix stability).
 
 The loop count of the no-coolant schedule is geometric and is sampled by
-inverse transform with ``log1p``; the in-loop position is sampled by inverse
+inverse transform with ``log1p``.  The in-loop position is sampled by inverse
 transform over the exact discrete first-success distribution: the table of
 ``rate_model.success_cdf_table``, which the closed forms also sum over.
-Keys are found through a guide table (Chen & Asau, AIIE Trans. 6, 163
-(1974)) of up to 2**17 equal buckets over ``[0, q]``, built over all but the
-last table entry, and searched in a copy of the table whose last entry is
-``+inf``: the sentinel keeps every answer at or below the last index, where
-a key of ``q`` belongs (``u * q`` may round up to ``q``).  Bucketing is
-monotone in floating point, so each key gets exactly the index a binary
-search gives.  Both samplers are distribution-identical to drawing every
-Bernoulli attempt individually.
+With the coolant every attempt heralds with the same ``p``, so the position
+is a truncated geometric, found in closed form (Devroye, *Non-Uniform Random
+Variate Generation*, 1986): ``floor(log1p(-x) / log1p(-p))`` for the key
+``x``, at most the table's last index.  Without it the success probability
+decays, and keys are found through a guide table (Chen & Asau, AIIE Trans.
+6, 163 (1974)) of up to 2**17 equal buckets over ``[0, q]``, built over all
+but the last table entry, and searched in a copy of the table whose last
+entry is ``+inf``: the sentinel keeps every answer at or below the last
+index, where a key of ``q`` belongs (``u * q`` may round up to ``q``).
+Bucketing is monotone in floating point, so each key gets exactly the index
+a binary search gives.  Both samplers are distribution-identical to drawing
+every Bernoulli attempt individually.
 
 Everything but the random stream is set up once per config and cached
-(``_sampler``, 8 entries): the sentinel table (8 bytes per table entry; a
-table holds at most ``cap`` entries, and only those whose survival is above
-1e-18), the int32 guide (at most 0.5 MB), ``q``, ``log1p(-q)``, the loop
-cap, the durations in ns and whether a request can exceed
-``MAX_REQUEST_NS``, which every call checks.
+(``_sampler``, 8 entries): ``q``, the log of the failure probability that
+the kernel inverts (``log1p(-q)`` of a loop without the coolant,
+``log1p(-p)`` of an attempt with it), the last table index, the loop cap,
+the durations in ns and whether a request can exceed ``MAX_REQUEST_NS``,
+which every call checks.  Without the coolant it also holds the sentinel
+table (8 bytes per table entry; a table holds at most ``cap`` entries, and
+only those whose survival is above 1e-18) and the int32 guide (at most
+0.5 MB); a coolant sampler holds neither.
 """
 
 from __future__ import annotations
@@ -165,11 +172,12 @@ class _Sampler(NamedTuple):
     """What ``simulate_campaign`` needs of one config beyond its random
     stream; see the module docstring."""
 
-    bounded: np.ndarray  # success_cdf_table with its last entry +inf
-    guide: np.ndarray    # int32: entries of bounded[:-1] in buckets below j
+    bounded: np.ndarray | None  # success_cdf_table with its last entry +inf
+    guide: np.ndarray | None    # int32: entries of bounded[:-1] in buckets below j
     scale: float         # key x lies in bucket int(x * scale)
     q: float             # success probability of one loop
-    log_q: float         # log1p(-q); -inf at q = 1
+    log_fail: float      # log1p(-q), or log1p(-p) with the coolant; -inf at 1
+    last: int            # the last table index
     cap: int
     attempt_ns: int
     cooling_ns: int
@@ -181,12 +189,19 @@ def _sampler(cfg: HardwareConfig) -> _Sampler:
     cap = _loop_cap(cfg)
     attempt_ns = round(cfg.attempt_duration * 1e9)
     cooling_ns = round(cfg.cooling_duration * 1e9)
-    table = success_cdf_table(_success_model(cfg), cap)
+    model = _success_model(cfg)
+    table = success_cdf_table(model, cap)
     q = float(table[-1])
     # the largest loop count a uniform below 1 - 2**-53 can produce; a loop
     # that never heralds (q rounds to 0) never ends
     max_loops = (1 if cfg.coolant_present or q >= 1.0 else math.inf if q == 0.0
                  else math.ceil(53 * math.log(2.0) / -math.log1p(-q)))
+    fail = model.c if cfg.coolant_present else q
+    overlong = max_loops * (cap * attempt_ns + cooling_ns) > MAX_REQUEST_NS
+    common = (q, math.log1p(-fail) if fail < 1.0 else -math.inf, table.size - 1,
+              cap, attempt_ns, cooling_ns, overlong)
+    if cfg.coolant_present:
+        return _Sampler(None, None, 0.0, *common)
     buckets = min(2 * table.size, 2**17)
     scale = buckets / q if q else 0.0  # q = 0 or >= 2**-53
     counts = np.bincount((table[:-1] * scale).astype(np.intp),
@@ -196,10 +211,20 @@ def _sampler(cfg: HardwareConfig) -> _Sampler:
     bounded[-1] = np.inf
     guide.setflags(write=False)
     bounded.setflags(write=False)
-    return _Sampler(bounded, guide, scale, q,
-                    math.log1p(-q) if q < 1.0 else -math.inf, cap, attempt_ns,
-                    cooling_ns, max_loops * (cap * attempt_ns + cooling_ns)
-                    > MAX_REQUEST_NS)
+    return _Sampler(bounded, guide, scale, *common)
+
+
+def _first_success(s: _Sampler, keys: np.ndarray) -> np.ndarray:
+    """In-loop index of the first success for keys ``x < 1`` in ``[0, q]`` of a
+    loop at the constant attempt probability ``p``, computed in place in
+    ``keys``: ``floor(log1p(-x) / log1p(-p))``, at most the last table
+    index.  It is the index ``np.searchsorted(table, x, side="right")``
+    gives, up to the table's own rounding."""
+    np.negative(keys, out=keys)
+    np.log1p(keys, out=keys)
+    keys /= s.log_fail
+    np.floor(keys, out=keys)
+    return np.minimum(keys, s.last, out=keys)
 
 
 def _search(s: _Sampler, keys: np.ndarray) -> np.ndarray:
@@ -241,7 +266,9 @@ def simulate_campaign(cfg: HardwareConfig, requests: int,
         u = np.random.Generator(np.random.PCG64(ss)).random((stop - start, 3))
         att, sign = attempts[start:stop], signs[start:stop]
         # in-loop position given success in the loop
-        np.add(_search(s, u[:, 1] * s.q), 1, out=att)
+        key = u[:, 1] * s.q
+        pos = _first_success(s, key) if coolant else _search(s, key)
+        np.add(pos, 1, out=att, casting="unsafe")
         sign[...] = u[:, 2] < 0.5
         sign += sign
         sign -= 1
@@ -253,7 +280,7 @@ def simulate_campaign(cfg: HardwareConfig, requests: int,
         else:  # geometric loop count by inverse transform
             loops = np.negative(u[:, 0])
             np.log1p(loops, out=loops)
-            loops /= s.log_q
+            loops /= s.log_fail
             np.ceil(loops, out=loops)
             n_cool = loop_index[start:stop]
             n_cool[...] = np.maximum(loops, 1.0, out=loops)

@@ -3,6 +3,7 @@ import json
 import math
 import re
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ionlink.config import DECAY_COOLANT_RECONSTRUCTION, HardwareConfig, coolant
 from ionlink.protocol import (
     _BLOCK,
     RECORD_COLUMNS,
+    _first_success,
     _loop_cap,
     _record_rows,
     _sampler,
@@ -238,7 +240,9 @@ def _schedule(name):
     a, b, c = DECAY_COOLANT_RECONSTRUCTION
     return {"no_coolant": HardwareConfig(), "coolant": coolant_config(),
             "long_cap": replace(HardwareConfig(), decay_a=a, decay_b=b, decay_c=c,
-                                loop_cap_no_coolant=80_000)}[name]
+                                loop_cap_no_coolant=80_000),
+            # the coolant's constant model, searched without the coolant
+            "constant": _no_coolant(DecayParams(0.0, 0.0, 2.5e-4), 20_000)}[name]
 
 
 @pytest.mark.parametrize("name,seed", sorted(CAMPAIGN_DIGESTS))
@@ -269,7 +273,7 @@ def _assert_search(s, table, keys):
                                           table.size - 1))
 
 
-@pytest.mark.parametrize("name", ["no_coolant", "coolant", "long_cap"])
+@pytest.mark.parametrize("name", ["no_coolant", "constant", "long_cap"])
 def test_bucket_search_matches_plain_searchsorted(name):
     cfg = _schedule(name)
     s = _sampler(cfg)
@@ -329,7 +333,7 @@ def test_bucket_search_equals_searchsorted(inputs):
 
 
 def test_bucket_index_is_read_only_and_bounded():
-    cfg = coolant_config()
+    cfg = _schedule("constant")
     s = _sampler(cfg)
     assert _sampler(cfg) is s
     assert s.guide.dtype == np.int32 and s.guide.size == 2 * 20_000 + 1
@@ -337,10 +341,47 @@ def test_bucket_index_is_read_only_and_bounded():
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
     for cap in range(1, 12):  # past 2**17 buckets
-        s = _sampler(replace(cfg, loop_cap_with_coolant=300_000 + cap))
+        s = _sampler(replace(cfg, loop_cap_no_coolant=300_000 + cap))
         assert s.guide.size == 2**17 + 1
+    # a coolant loop finds its first success in closed form, with no table
+    s = _sampler(coolant_config())
+    assert s.guide is None and s.bounded is None
     info = _sampler.cache_info()
     assert info.maxsize == 8 and info.currsize == 8
+
+
+def _coolant(p, cap):
+    """A coolant config whose every attempt heralds with ``p``."""
+    return replace(coolant_config(), decay_c=p, loop_cap_with_coolant=cap)
+
+
+@pytest.mark.parametrize("p,cap", [(2.5e-4, 20_000), (0.37, 200), (1e-5, 100_000)])
+def test_closed_form_position_equals_the_table_search(p, cap):
+    # uniform keys only: cumprod's rounding can put an exact table entry on
+    # either side of a boundary
+    cfg = _coolant(p, cap)
+    s = _sampler(cfg)
+    table = success_cdf_table(_success_model(cfg), cap)
+    assert s.q == table[-1] and s.last == table.size - 1
+    bounded = np.append(table[:-1], np.inf)
+    keys = np.append(np.random.default_rng(0).random(10**6) * s.q, [0.0, s.q])
+    with np.errstate(divide="ignore"):  # log1p(-1) at the key q = 1 (p = 0.37)
+        got = _first_success(s, keys.copy())
+    assert np.array_equal(got, np.searchsorted(bounded, keys, side="right"))
+
+
+def test_closed_form_position_is_exact_where_the_table_drifts():
+    # the table multiplies fl(1 - p) = (1 - p)(1 + 4.6e-17) 84632 times, so
+    # its entry 84631 lies 1.7e-12 below 1 - (1 - p)**84632, and this key
+    # (draw 677144 of seed 2 in the test above) falls between the two
+    p, cap, x = 1e-5, 100_000, 0.5710110987613112
+    table = success_cdf_table(DecayParams(0.0, 0.0, p), cap)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = (1 - Decimal(x)).ln() / (1 - Decimal(p)).ln()
+    assert math.floor(exact) == 84631
+    assert _first_success(_sampler(_coolant(p, cap)), np.array([x]))[0] == 84631
+    assert np.searchsorted(table, x, side="right") == 84632
 
 
 @st.composite
