@@ -336,12 +336,36 @@ def _record_rows(report: RateReport, limit: int):
             for k, (a, w, s, g, i) in enumerate(cols))
 
 
+def _model_check(cfg: HardwareConfig, summary: dict) -> dict:
+    """The closed-form ``rate_hz``, ``success_fraction`` and ``mean_attempts``
+    of ``cfg``'s schedule at its configured cap (``model``), and the z-score
+    of the campaign ``summary``'s ``rate_hz`` and ``mean_attempts`` against
+    them (``z``; ``None`` where the standard error is ``None`` or 0).
+
+    A coolant request succeeds with ``q(N)`` and uses ``E(N)`` attempts on
+    average; without the coolant every request succeeds, after ``E(N) /
+    q(N)`` attempts.  Either way successes per attempt is ``q(N) / E(N)``."""
+    coolant = cfg.coolant_present
+    curve = rate_curve([_loop_cap(cfg)], _success_model(cfg),
+                       ScheduleParams(cfg.attempt_duration, cfg.cooling_duration),
+                       coolant)
+    fraction = float(curve.cdf[0]) if coolant else 1.0
+    model = {"rate_hz": float(curve.rate_hz[0]), "success_fraction": fraction,
+             "mean_attempts": fraction / float(curve.mean_success_prob[0])}
+    z = {}
+    for key in ("rate_hz", "mean_attempts"):
+        err = summary[f"{key}_stderr"]
+        z[key] = (summary[key] - model[key]) / err if err else None
+    return {"model": model, "z": z}
+
+
 def rate_outputs(cfg: HardwareConfig, grid, requests: int, master_seed: int,
                  records: int) -> dict:
     """The ``rate`` run: ``rate_experiment`` at the caps of ``grid`` (each point
     rounded down to an integer of at least 1; ``DEFAULT_CAPS`` for ``None``), as
     each schedule's analytic curve, the first ``records`` rows of its campaign
-    and ``rate_mc.json``: the campaign summaries and effective attempt rates."""
+    and ``rate_mc.json``: the campaign summaries, effective attempt rates and
+    each summary's check against the closed form (``_model_check``)."""
     caps = DEFAULT_CAPS if grid is None else np.unique(np.maximum(1.0, grid).astype(int))
     files, mc = {}, {}
     for name, (run_cfg, curve, report) in rate_experiment(
@@ -350,7 +374,8 @@ def rate_outputs(cfg: HardwareConfig, grid, requests: int, master_seed: int,
             ("cap", "cdf", "mean_success_prob", "rate_hz", "rate_no_cooling_hz"),
             zip(curve.caps.tolist(), curve.cdf.tolist(), curve.mean_success_prob.tolist(),
                 curve.rate_hz.tolist(), curve.rate_no_cooling_hz.tolist()))
-        mc[name] = report.summary() | {
+        summary = report.summary()
+        mc[name] = summary | _model_check(run_cfg, summary) | {
             "effective_attempt_rate_hz": effective_attempt_rate(run_cfg)}
         if records:
             files[f"herald_records_{name}.csv"] = (RECORD_COLUMNS,

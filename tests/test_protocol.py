@@ -18,6 +18,7 @@ from ionlink.protocol import (
     RECORD_COLUMNS,
     _first_success,
     _loop_cap,
+    _model_check,
     _record_rows,
     _sampler,
     _search,
@@ -454,3 +455,39 @@ def test_rate_experiment_campaigns_agree_with_their_curves():
         expected = curve.rate_hz[caps.index(cap)]
         stderr = report.summary()["rate_hz_stderr"]
         assert abs(report.rate_hz - expected) <= 3 * stderr, name
+
+
+def test_model_check_reads_the_closed_form_at_the_configured_cap():
+    for cfg, fraction, attempts in ((HardwareConfig(), 1.0, 4202.0),
+                                    (coolant_config(), 0.99327, 3973.1)):
+        summary = simulate_campaign(cfg, 2000, 5).summary()
+        out = _model_check(cfg, summary)
+        model = out["model"]
+        assert model["success_fraction"] == pytest.approx(fraction, abs=1e-5)
+        assert model["mean_attempts"] == pytest.approx(attempts, abs=0.05)
+        assert model["rate_hz"] == rate_experiment(
+            cfg, [_loop_cap(cfg)], 1, 0)["no_coolant" if fraction == 1.0
+                                         else "coolant"][1].rate_hz[0]
+        for key, z in out["z"].items():
+            assert z == (summary[key] - model[key]) / summary[f"{key}_stderr"]
+    # no standard error below two requests; a zero one when every request
+    # takes the same single attempt
+    assert _model_check(HardwareConfig(), simulate_campaign(
+        HardwareConfig(), 1, 0).summary())["z"] == {"rate_hz": None,
+                                                     "mean_attempts": None}
+    sure = replace(coolant_config(), decay_c=1.0)
+    assert _model_check(sure, simulate_campaign(sure, 50, 0).summary())["z"][
+        "mean_attempts"] is None
+
+
+def test_model_check_z_scores_are_standard_normal():
+    # each campaign estimate against its closed form, over 300 seeds: the
+    # mean z lies within 3 standard errors of 0 and its sd in [0.8, 1.25]
+    seeds = range(300)
+    for cfg in (HardwareConfig(), coolant_config()):
+        zs = np.array([list(_model_check(cfg, simulate_campaign(cfg, 2000, seed)
+                                         .summary())["z"].values())
+                       for seed in seeds])
+        mean, sd = zs.mean(axis=0), zs.std(axis=0, ddof=1)
+        assert np.all(np.abs(mean) <= 3 * sd / math.sqrt(len(seeds))), mean
+        assert np.all((sd >= 0.8) & (sd <= 1.25)), sd
