@@ -43,7 +43,7 @@ from .detection import (
     simulate_histogram,
     spam_correct,
 )
-from .fitting import ScanResult, SinusoidFit, determines_sinusoid, linspace, wrap_phase
+from .fitting import ScanResult, SinusoidFit, exact_scan, linspace, sinusoid_fit
 from .rng import Generator
 
 
@@ -99,18 +99,6 @@ _PARITY_FIT = [[math.fsum(_GRAM_ADJ[r][i] * a[i] for i in range(3)) / _GRAM_DET
                 for a in _REGRESSORS] for r in range(3)]
 
 
-def _sinusoid(a_sin: float, a_cos: float, offset: float, residual_rms: float,
-              degenerate: bool) -> SinusoidFit:
-    """``offset + a_sin sin(kx) + a_cos cos(kx)`` as ``offset + A sin(kx -
-    phase)``: phase 0 and degenerate below an amplitude of 1e-14."""
-    amplitude = math.hypot(a_sin, a_cos)
-    if amplitude < 1e-14:
-        return SinusoidFit(amplitude, 0.0, offset, residual_rms, True)
-    # the sin coefficient is A cos(phase), the cos coefficient -A sin(phase)
-    return SinusoidFit(amplitude, wrap_phase(math.atan2(-a_cos, a_sin)), offset,
-                       residual_rms, degenerate)
-
-
 def fit_parity_scan(values) -> SinusoidFit:
     """Least-squares fit of ``offset + A sin(2x - phase)`` to parities at
     ``PARITY_PHASES``: the normal-equation solve, refined once by the solve of
@@ -123,13 +111,10 @@ def fit_parity_scan(values) -> SinusoidFit:
                 for a, row in zip(coef, _PARITY_FIT)]
         resid = [math.fsum((v, -coef[0] * s, -coef[1] * c, -coef[2]))
                  for v, (s, c, _) in zip(values, _REGRESSORS)]
-    return _sinusoid(*coef, math.sqrt(math.fsum(r * r for r in resid) / 13), False)
-
-
-def _parity_result(grid, values, fit: SinusoidFit) -> ScanResult:
-    flags = ("fit_degenerate",) if fit.degenerate else ()
-    return ScanResult(control=grid, series={"parity": values}, fits={"parity": fit},
-                      angular_frequency=2.0, contrast=fit.amplitude, flags=flags)
+    a_sin, a_cos, offset = coef
+    # the sin coefficient is A cos(phase), the cos coefficient -A sin(phase)
+    return sinusoid_fit(math.hypot(a_sin, a_cos), math.atan2(-a_cos, a_sin), offset,
+                        math.sqrt(math.fsum(r * r for r in resid) / 13))
 
 
 def parity_scan(rho: swap.XState, phases, pulses: str = "two") -> ScanResult:
@@ -139,22 +124,16 @@ def parity_scan(rho: swap.XState, phases, pulses: str = "two") -> ScanResult:
 
     ``pulses="one"`` scans the phase of a single pulse, a flat ``2 Re c``;
     ``"two"`` applies a fixed phase-0 pulse first and scans the second
-    pulse's phase, ``offset - a cos(2x)`` with the offset and ``a`` from the
-    parities at 0 and pi/2.  The fit is degenerate below an amplitude of 1e-14
-    and on a grid that does not determine a sinusoid at period pi.
+    pulse's phase, ``offset + a_cos cos(2x)`` with the offset and ``a_cos``
+    from the parities at 0 and pi/2, built by ``fitting.exact_scan``.
     """
     if rho.dims != swap.TWO_ION_DIMS or pulses not in ("one", "two"):
         raise ValueError("parity_scan expects a two-ion state and pulses 'one' or 'two'")
-    grid = [float(x) for x in phases]
-    if not all(map(math.isfinite, grid)):
-        raise ValueError("scan control values must be finite")
-    def parity(x):
-        return 4.0 * bright_classes(rho, pulses, x)[0] - 1.0
-
-    at_0, at_90 = parity(0.0), parity(math.pi / 2.0)
-    fit = _sinusoid(0.0, 0.5 * (at_0 - at_90), 0.5 * (at_0 + at_90), 0.0,
-                    not determines_sinusoid(grid, 2.0))
-    return _parity_result(grid, [parity(x) for x in grid], fit)
+    at_0, at_90 = (4.0 * bright_classes(rho, pulses, x)[0] - 1.0 for x in (0.0, math.pi / 2.0))
+    a_cos = 0.5 * (at_0 - at_90)  # -A sin(phase), so the phase is -pi/2 or pi/2
+    amplitude, phase = abs(a_cos), math.copysign(0.5 * math.pi, -a_cos)
+    return exact_scan(phases, 2.0, {"parity": (0.5 * (at_0 + at_90), amplitude, phase)},
+                      amplitude)
 
 
 _ROUND_OFF = 1e-12  # excess past [0, 1] absorbed by FidelityBoundInputs
@@ -273,7 +252,9 @@ def swap_experiment(cfg: HardwareConfig, trials: int, rng: Generator) -> SwapExp
             parity.append([p0 - p1 + p2 for p0, p1, p2 in
                            (spam_correct(f, cm).populations for f in freqs)])
         values = [weights[0] * a + weights[1] * b for a, b in zip(*parity)]
-        scans[pulses] = _parity_result(grid, values, fit_parity_scan(values))
+        fit = fit_parity_scan(values)
+        scans[pulses] = ScanResult(grid, {"parity": values}, {"parity": fit}, 2.0, fit.amplitude,
+                                   ("fit_degenerate",) if fit.degenerate else ())
 
     bound_inputs = FidelityBoundInputs(
         odd_populations=pop_corr.populations[1],

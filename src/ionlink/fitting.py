@@ -4,13 +4,15 @@ All scans in this package oscillate with a period that is known a priori
 (waveplate scans at four times the plate angle, analysis-phase scans at the
 phase itself, parity scans at twice the phase), so a fit is linear in
 ``(sin, cos, 1)``: ``analysis.fit_parity_scan`` fits swap's sampled parity
-scans by least squares, and the closed-form scans report their exact
-coefficients.  This module loads no numpy.
+scans by least squares, and every closed-form scan is built by
+``exact_scan`` from its exact coefficients.  This module loads no numpy.
 
 Fit model: ``y = offset + amplitude * sin(k * x - phase)`` with
 ``amplitude >= 0`` and ``phase`` in ``[0, 2*pi)``.  With this convention a
 scan of an ion heralded into ``(|down> + e^{i phi}|up>)/sqrt(2)`` fits to
-``phase == phi``.
+``phase == phi``.  ``sinusoid_fit`` builds every fit: below an amplitude of
+1e-14 the phase is round-off, so it is reported as 0 and the fit as
+degenerate.
 """
 
 from __future__ import annotations
@@ -40,6 +42,15 @@ def wrap_phase(phase: float) -> float:
         raise ValueError(f"phase must be finite, got {phase!r}")
     wrapped = phase % TWO_PI
     return wrapped if wrapped < TWO_PI else 0.0
+
+
+def sinusoid_fit(amplitude: float, phase: float, offset: float,
+                 residual_rms: float = 0.0, degenerate: bool = False) -> SinusoidFit:
+    """The fit ``offset + amplitude sin(kx - phase)``, its phase wrapped into
+    ``[0, 2*pi)``: phase 0 and degenerate below an amplitude of 1e-14."""
+    if amplitude < 1e-14:
+        return SinusoidFit(amplitude, 0.0, offset, residual_rms, True)
+    return SinusoidFit(amplitude, wrap_phase(phase), offset, residual_rms, degenerate)
 
 
 DISTINCT_TOL = 1e-7
@@ -103,3 +114,26 @@ class ScanResult:
         """``(columns, rows)``: per control value, the value then each series."""
         return (["control_value", *self.series],
                 zip(map(float, self.control), *(map(float, v) for v in self.series.values())))
+
+
+def exact_scan(control, k: float, columns: Mapping[str, tuple[float, float, float]],
+               contrast: float) -> ScanResult:
+    """The closed-form scan over ``control`` of each column ``name: (offset,
+    amplitude, phase)``, ``offset + amplitude sin(k x - phase)``, with that
+    exact fit (``sinusoid_fit``).  Every fit is degenerate on a grid that does
+    not determine a sinusoid at ``k``, and the scan is flagged
+    ``fit_degenerate`` when any fit is.  A non-finite control value raises
+    ValueError."""
+    grid = [float(x) for x in control]
+    if not all(map(math.isfinite, grid)):
+        raise ValueError("scan control values must be finite")
+    undetermined = not determines_sinusoid(grid, k)
+    series, fits = {}, {}
+    for name, (offset, amplitude, phase) in columns.items():
+        # sin(kx - phase) expanded, so that the phase survives at any |kx|
+        a_sin, a_cos = amplitude * math.cos(phase), -amplitude * math.sin(phase)
+        series[name] = [offset + a_sin * math.sin(k * x) + a_cos * math.cos(k * x)
+                        for x in grid]
+        fits[name] = sinusoid_fit(amplitude, phase, offset, 0.0, undetermined)
+    flags = ("fit_degenerate",) if any(f.degenerate for f in fits.values()) else ()
+    return ScanResult(grid, series, fits, k, contrast, flags)

@@ -6,8 +6,9 @@ in the imaging path depolarizes the photon with strength ``w``, so the pair
 is the Werner-type state ``(1-w)|psi><psi| + w I/4`` (Werner, PRA 40, 4277
 (1989)), and so is its heralded ion; the dephasing error model is
 ``config.dephasing_infidelity``.  This layer represents only such states:
-each scan is a trigonometric polynomial that reports its exact coefficients
-as its fit, and numpy loads only when a state's ``matrix`` is read.  The
+each scan is a sinusoid whose exact coefficients ``fitting.exact_scan``
+turns into its series and fit, and numpy loads only when a state's
+``matrix`` is read.  The
 general layer (waveplate and Raman unitaries, stacked scans of any state) is
 the reference in ``tests/qutil.py``.
 """
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .config import TWO_PI, HardwareConfig
-from .fitting import ScanResult, SinusoidFit, determines_sinusoid, linspace, wrap_phase
+from .fitting import ScanResult, exact_scan, linspace, wrap_phase
 
 PAIR_DIMS, ION_DIMS = (2, 2), (2,)  # (ion, photon) and the ion alone
 
@@ -80,34 +81,16 @@ def _checked(state: WernerState, dims: tuple[int, ...]) -> None:
         raise ValueError(f"expects a state of dims {dims}, got {state.dims}")
 
 
-def _scan(state: WernerState, dims, control, k: float, series: dict) -> ScanResult:
-    """The scan of ``state`` over ``control`` of each column ``(value, phase)``
-    of ``series``, with its exact fit ``1/2 + A sin(k x - phase)``: phase 0
-    and degenerate below an amplitude of 1e-14, and degenerate on a grid that
-    does not determine a sinusoid at ``k``."""
-    _checked(state, dims)
-    amplitude, grid = state.amplitude, [float(x) for x in control]
-    if not all(map(math.isfinite, grid)):
-        raise ValueError("scan control values must be finite")
-    flat = amplitude < 1e-14
-    degenerate = flat or not determines_sinusoid(grid, k)
-    fits = {name: SinusoidFit(amplitude, 0.0 if flat else phase, 0.5, 0.0, degenerate)
-            for name, (_, phase) in series.items()}
-    return ScanResult(grid, {name: [value(x) for x in grid]
-                             for name, (value, _) in series.items()},
-                      fits, k, 2.0 * amplitude, ("fit_degenerate",) if degenerate else ())
-
-
 def correlation_scan(state: WernerState, hwp_angles) -> ScanResult:
     """Conditional P(ion up | photon V) and (... | H) vs half-wave-plate angle:
     the photon passes the plate and a H/V polarizer, its marginal stays 1/2,
     and the conditionals are ``1/2 +- A cos 4 theta`` (fitted phases 3 pi/2
     for V, pi/2 for H).  Contrast, the mean fitted peak-to-peak swing of the
     two branches, is ``2A = 1 - w``."""
+    _checked(state, PAIR_DIMS)
     a = state.amplitude
-    return _scan(state, PAIR_DIMS, hwp_angles, 4.0,
-                 {"p_up_given_V": (lambda x: 0.5 + a * math.cos(4.0 * x), 1.5 * math.pi),
-                  "p_up_given_H": (lambda x: 0.5 - a * math.cos(4.0 * x), 0.5 * math.pi)})
+    return exact_scan(hwp_angles, 4.0, {"p_up_given_V": (0.5, a, 1.5 * math.pi),
+                                        "p_up_given_H": (0.5, a, 0.5 * math.pi)}, 2.0 * a)
 
 
 def heralded_ion_state(state: WernerState, sign: int) -> WernerState:
@@ -126,11 +109,9 @@ def coherence_scan(state: WernerState, analysis_phases) -> ScanResult:
     """P(up) after a pi/2 rotation of phase x, ``1/2 + A sin(x - phi)`` for the
     ion heralded at ``phi``: the fitted phase is phi, and the contrast ``1 - w``
     is the coherence magnitude, which bounds the pair fidelity from below."""
-    a, phi = state.amplitude, state.phase
-    # sin(x - phi) expanded, so that phi survives at any |x|
-    a_sin, a_cos = a * math.cos(phi), -a * math.sin(phi)
-    return _scan(state, ION_DIMS, analysis_phases, 1.0,
-                 {"p_up": (lambda x: 0.5 + a_sin * math.sin(x) + a_cos * math.cos(x), phi)})
+    _checked(state, ION_DIMS)
+    a = state.amplitude
+    return exact_scan(analysis_phases, 1.0, {"p_up": (0.5, a, state.phase)}, 2.0 * a)
 
 
 def correlated_populations(state: WernerState) -> float:

@@ -8,7 +8,15 @@ from hypothesis.extra.numpy import arrays
 
 from ionlink import analysis
 from ionlink.cli import MAX_GRID_END, MAX_GRID_POINTS
-from ionlink.fitting import ScanResult, determines_sinusoid, linspace, wrap_phase
+from ionlink.fitting import (
+    ScanResult,
+    SinusoidFit,
+    determines_sinusoid,
+    exact_scan,
+    linspace,
+    sinusoid_fit,
+    wrap_phase,
+)
 from qutil import _solver, fit_sinusoid
 
 
@@ -252,3 +260,30 @@ def test_parity_scan_fit_needs_one_value_per_phase():
     for n in (12, 14):
         with pytest.raises(ValueError, match="one parity per phase"):
             analysis.fit_parity_scan([0.0] * n)
+
+
+# --- the fit and scan builders of the closed-form scans ----------------------------
+
+def test_sinusoid_fit_wraps_the_phase_and_flags_a_flat_fit():
+    assert sinusoid_fit(0.25, -0.5 * np.pi, 0.5) == SinusoidFit(0.25, 1.5 * np.pi, 0.5, 0.0)
+    assert sinusoid_fit(0.25, 1.0, 0.5, degenerate=True).degenerate
+    # below an amplitude of 1e-14 the phase is round-off: 0, and the fit degenerate
+    assert sinusoid_fit(9e-15, 1.0, 0.5, 0.1) == SinusoidFit(9e-15, 0.0, 0.5, 0.1, True)
+
+
+def test_exact_scan_builds_series_fits_and_flag():
+    x = np.linspace(0.0, np.pi, 9)
+    wave = {"wave": (0.5, 0.3, 1.2)}
+    scan = exact_scan(x, 2.0, wave | {"flat": (0.25, 0.0, 2.0)}, 0.3)
+    np.testing.assert_allclose(scan.series["wave"], 0.5 + 0.3 * np.sin(2.0 * x - 1.2),
+                               rtol=0, atol=1e-15)
+    assert scan.series["flat"] == [0.25] * 9
+    assert scan.fits == {"wave": SinusoidFit(0.3, 1.2, 0.5, 0.0),
+                         "flat": SinusoidFit(0.0, 0.0, 0.25, 0.0, True)}
+    assert (scan.angular_frequency, scan.contrast, scan.flags) == (2.0, 0.3, ("fit_degenerate",))
+    assert exact_scan(x, 2.0, wave, 0.3).flags == ()
+    # a grid that does not determine a sinusoid at k makes every fit degenerate
+    short = exact_scan([0.0, 1.0], 2.0, wave, 0.3)
+    assert short.fits["wave"].degenerate and short.flags == ("fit_degenerate",)
+    with pytest.raises(ValueError, match="finite"):
+        exact_scan([0.0, np.inf, 1.0], 2.0, wave, 0.3)
