@@ -247,28 +247,6 @@ def normal_modes(spec: ChainSpec, direction: str) -> ModeTable:
                      residuals=tuple(residuals), masses_amu=tuple(spec.masses_amu))
 
 
-@dataclass(frozen=True)
-class CoolantCoupling:
-    mode_index: int
-    frequency: float
-    participation: float
-    below_floor: bool
-
-
-def coolant_coupling_report(table: ModeTable, coolant_index: int,
-                            floor: float = 0.1) -> list[CoolantCoupling]:
-    """Coolant participation magnitude per mode, flagging weakly coupled modes.
-
-    Participation here is the printed (displacement) convention, since the
-    flag is about how much the coolant actually moves in each mode.
-    """
-    if not 0 <= coolant_index < len(table.masses_amu):
-        raise ValueError("coolant index out of range")
-    amps = [abs(x) for x in table.displacement[coolant_index]]
-    return [CoolantCoupling(mode_index=k, frequency=f, participation=a, below_floor=a < floor)
-            for k, (f, a) in enumerate(zip(table.frequencies, amps))]
-
-
 def calibrate_reference_frequencies(
         masses_amu=YB_BA_BA_MASSES,
         axial_targets_hz=YB_BA_BA_AXIAL_HZ,
@@ -340,11 +318,13 @@ def modes_outputs(spec: ChainSpec) -> dict:
     """The ``modes`` run: each direction's mode table as a CSV table, one
     row per mode (each ion's displacement, then the frequency in kHz), and a
     summary with the references, the frequencies, three equal-mass axial
-    ratios beside their closed form, the coolant (ion 0) coupling of each
-    radial mode and the largest eigenproblem residual of each direction.  A
-    Yb-Ba-Ba chain's summary also gives each mode's frequency minus the
-    measured ``YB_BA_BA_*_HZ`` table, the calibration's residuals."""
+    ratios beside their closed form, the coolant's (ion 0) displacement in
+    each radial mode, flagged below 0.1, and the largest eigenproblem
+    residual of each direction.  A Yb-Ba-Ba chain's summary also gives each
+    mode's frequency minus the measured ``YB_BA_BA_*_HZ`` table, the
+    calibration's residuals."""
     tables = {d: normal_modes(spec, d) for d in ("axial", "radial")}
+    rad = tables["radial"]
     files = {}
     for d, t in tables.items():
         columns = ["mode", *(f"ion{i}_mass{m:g}" for i, m in enumerate(t.masses_amu)),
@@ -357,13 +337,13 @@ def modes_outputs(spec: ChainSpec) -> dict:
         "axial_freq_ref_hz": spec.axial_freq_ref,
         "radial_freq_ref_hz": spec.radial_freq_ref,
         "axial_frequencies_hz": list(tables["axial"].frequencies),
-        "radial_frequencies_hz": list(tables["radial"].frequencies),
+        "radial_frequencies_hz": list(rad.frequencies),
         "equal_mass_axial_ratios": [f / eq[0] for f in eq],
         "equal_mass_expected": [1.0, 3.0 ** 0.5, (29.0 / 5.0) ** 0.5],
         "radial_coolant_coupling": [
-            {"mode": c.mode_index + 1, "frequency_hz": c.frequency,
-             "participation": c.participation, "below_floor": c.below_floor}
-            for c in coolant_coupling_report(tables["radial"], coolant_index=0)],
+            {"mode": k + 1, "frequency_hz": f, "participation": abs(x),
+             "below_floor": abs(x) < 0.1}
+            for k, (f, x) in enumerate(zip(rad.frequencies, rad.displacement[0]))],
         "max_eigen_residual": {d: max(t.residuals) for d, t in tables.items()},
     }
     if spec.masses_amu == YB_BA_BA_MASSES:

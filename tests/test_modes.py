@@ -19,7 +19,6 @@ from ionlink.modes import (
     YB_BA_BA_MASSES,
     YB_BA_BA_RADIAL_HZ,
     calibrate_reference_frequencies,
-    coolant_coupling_report,
     equilibrium_positions,
     normal_modes,
 )
@@ -279,22 +278,16 @@ def test_calibration_stops_at_the_cost_round_off_floor():
 
 def test_coolant_coupling_equal_mass_com():
     table = normal_modes(spec_equal(n=3), "axial")
-    report = coolant_coupling_report(table, coolant_index=0)
-    com = [r for r in report if r.frequency == pytest.approx(table.frequencies[0])][0]
-    assert com.participation == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-10)
+    # the coolant (ion 0) moves by 1/sqrt(3) in the centre-of-mass mode
+    assert abs(table.displacement[0][0]) == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-10)
 
 
 def test_coolant_coupling_reference_chain():
-    spec = calibrate_reference_frequencies()
-    rad = normal_modes(spec, "radial")
-    report = coolant_coupling_report(rad, coolant_index=0, floor=0.2)
-    participations = [r.participation for r in report]
+    summary = modes.modes_outputs(calibrate_reference_frequencies())["modes_summary.json"]
+    participations = [c["participation"] for c in summary["radial_coolant_coupling"]]
     # weakest coolant participation sits in the highest radial mode, ~0.178
     assert min(participations) == pytest.approx(0.178, abs=2e-3)
     assert np.argmin(participations) == 0
-    flagged = [r for r in report if r.below_floor]
-    assert len(flagged) == 1
-    assert flagged[0].mode_index == 0
 
 
 def test_radial_instability_reported_by_mode():
