@@ -143,7 +143,8 @@ class RateReport:
 
         Requests are i.i.d., so the error of the ratio estimator ``rate_hz``
         follows from the delta method on the per-request success and wall
-        time columns.
+        time columns.  An error below one ulp of ``rate_hz`` is the round-off
+        of identical requests, and reads 0.
         """
         n = self.requests
         rate_err = attempts_err = None
@@ -152,6 +153,7 @@ class RateReport:
             resid = self.success_mask - self.rate_hz * wall_s
             rate_err = float(math.sqrt(np.dot(resid, resid) / (n * (n - 1)))
                              / (self.total_wall_ns * 1e-9 / n))
+            rate_err = 0.0 if rate_err < math.ulp(self.rate_hz) else rate_err
             attempts_err = float(np.std(self.attempts_used, ddof=1) / math.sqrt(n))
         return {
             "requests": n,

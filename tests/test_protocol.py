@@ -480,6 +480,17 @@ def test_model_check_reads_the_closed_form_at_the_configured_cap():
         "mean_attempts"] is None
 
 
+def test_identical_requests_have_a_zero_rate_error():
+    # at p = 1 every request takes one attempt and the same wall time, so the
+    # delta-method error is round-off (1.6e-13 /s with the coolant and 3.2e-11
+    # /s without it, at 50 requests), below one ulp of rate_hz
+    for cfg in (replace(coolant_config(), decay_c=1.0),
+                replace(HardwareConfig(), decay_a=0.0, decay_b=0.0, decay_c=1.0)):
+        summary = simulate_campaign(cfg, 50, 0).summary()
+        assert summary["rate_hz_stderr"] == 0.0
+        assert _model_check(cfg, summary)["z"] == {"rate_hz": None, "mean_attempts": None}
+
+
 def test_model_check_z_scores_are_standard_normal():
     # each campaign estimate against its closed form, over 300 seeds: the
     # mean z lies within 3 standard errors of 0 and its sd in [0.8, 1.25]
