@@ -23,7 +23,7 @@ _SPEC.loader.exec_module(golden)
 # calibration's Gauss-Newton steps, whose 'math' calls ('sin', 'exp',
 # '**(1/3)') may differ by libm.  When they differ they are compared at
 # '%.12g', the precision of a CSV cell.
-LAPACK_KEYS = {
+LIBM_KEYS = {
     "modes_summary.json": {
         "axial_freq_ref_hz", "radial_freq_ref_hz", "axial_frequencies_hz",
         "radial_frequencies_hz", "equal_mass_axial_ratios",
@@ -35,7 +35,7 @@ LAPACK_KEYS = {
 
 
 # JSON keys whose floats are round-off of a solve, near 1e-16, where '%.12g'
-# absorbs no LAPACK difference: any value below the key's bound stands for
+# absorbs no libm difference: any value below the key's bound stands for
 # any other, the bound that tests/test_cli.py::test_modes_outputs enforces.
 BOUNDED_KEYS = {"modes_summary.json": {"max_eigen_residual": 1e-10}}
 
@@ -94,7 +94,7 @@ def difference(name: str, want: str, got: str) -> str | None:
     if a != b:
         bounds = BOUNDED_KEYS.get(name, {})
         a, b = _bounded(a, bounds), _bounded(b, bounds)
-        keys = LAPACK_KEYS.get(name, set())
+        keys = LIBM_KEYS.get(name, set())
         if a == b or (keys and _rounded(a, keys) == _rounded(b, keys)):
             return None
     return f"{name}: {_json_difference(a, b) or 'same values, different bytes'}"
@@ -118,7 +118,7 @@ def test_difference_names_the_first_differing_key_and_cell():
     doc = json.dumps({"a": [1.0, 2.0], "b": 3.0})
     assert difference("x.json", doc, json.dumps({"a": [1.0, 2.5], "b": 3.0})) == (
         "x.json: /a/1: 2.0 != 2.5")
-    # last-digit LAPACK noise passes only under a LAPACK key
+    # last-digit libm noise passes only under a LIBM key
     want = json.dumps({"odd_populations": 0.1, "trials": 0.1})
     noisy = json.dumps({"odd_populations": 0.10000000000000002, "trials": 0.1})
     assert difference("swap_summary.json", want, noisy) is None
