@@ -46,8 +46,7 @@ def wrap_phase(phase: float) -> float:
 
 def sinusoid_fit(amplitude: float, phase: float, offset: float,
                  residual_rms: float = 0.0, degenerate: bool = False) -> SinusoidFit:
-    """The fit ``offset + amplitude sin(kx - phase)``, its phase wrapped into
-    ``[0, 2*pi)``: phase 0 and degenerate below an amplitude of 1e-14."""
+    """The fit, its phase wrapped, or 0 and degenerate below an amplitude of 1e-14."""
     if amplitude < 1e-14:
         return SinusoidFit(amplitude, 0.0, offset, residual_rms, True)
     return SinusoidFit(amplitude, wrap_phase(phase), offset, residual_rms, degenerate)
@@ -118,12 +117,10 @@ class ScanResult:
 
 def exact_scan(control, k: float, columns: Mapping[str, tuple[float, float, float]],
                contrast: float) -> ScanResult:
-    """The closed-form scan over ``control`` of each column ``name: (offset,
-    amplitude, phase)``, ``offset + amplitude sin(k x - phase)``, with that
-    exact fit (``sinusoid_fit``).  Every fit is degenerate on a grid that does
+    """The scan over ``control`` of each column ``name: (offset, amplitude,
+    phase)``, with its exact fit: every fit is degenerate on a grid that does
     not determine a sinusoid at ``k``, and the scan is flagged
-    ``fit_degenerate`` when any fit is.  A non-finite control value raises
-    ValueError."""
+    ``fit_degenerate`` if any fit is.  A non-finite control raises ValueError."""
     grid = [float(x) for x in control]
     if not all(map(math.isfinite, grid)):
         raise ValueError("scan control values must be finite")
