@@ -101,10 +101,10 @@ def _run_header(cfg: HardwareConfig, seed: int) -> dict:
     return {"ionlink": __version__, "config_hash": cfg.config_hash(), "seed": seed}
 
 
-def _csv(cfg: HardwareConfig, seed: int, columns, rows) -> str:
+def _csv(header: dict, columns, rows) -> str:
     """The run header as '# key=value' lines, the column row, then one line
     per row: a float cell as '%.12g', any other cell with str()."""
-    lines = [f"# {k}={v}" for k, v in _run_header(cfg, seed).items()]
+    lines = [f"# {k}={v}" for k, v in header.items()]
     lines.append(",".join(columns))
     lines.extend(",".join(["%.12g" % v if isinstance(v, float) else str(v)
                            for v in row]) for row in rows)
@@ -114,14 +114,14 @@ def _csv(cfg: HardwareConfig, seed: int, columns, rows) -> str:
 def _write(out: Path, cfg: HardwareConfig, seed: int, files: dict) -> None:
     """Write each output of ``files`` into ``out``: a ``(columns, rows)``
     body with ``_csv``, a dict as JSON with the run header's keys."""
-    path = out / next(iter(files))
+    path, header = out / next(iter(files)), _run_header(cfg, seed)
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name, body in files.items():
             path = out / name
             path.write_text(
-                json.dumps(_run_header(cfg, seed) | body, sort_keys=True, indent=2)
-                if isinstance(body, dict) else _csv(cfg, seed, *body))
+                json.dumps(header | body, sort_keys=True, indent=2)
+                if isinstance(body, dict) else _csv(header, *body))
     except OSError as exc:  # e.g. --out names an existing file
         raise CliError("bad_out", f"cannot write {path}: {exc}", 2) from None
 

@@ -35,8 +35,11 @@ but the last table entry, and searched in a copy of the table whose last
 entry is ``+inf``: the sentinel keeps every answer at or below the last
 index, where a key of ``q`` belongs (``u * q`` may round up to ``q``).
 Bucketing is monotone in floating point, so each key gets exactly the index
-a binary search gives.  Both samplers are distribution-identical to drawing
-every Bernoulli attempt individually.
+a binary search gives.  Where no bucket holds two entries (the default
+50-entry table), the guide's first step is that index and the search ends
+there; elsewhere the keys still short after it are searched in full.  Both
+samplers are distribution-identical to drawing every Bernoulli attempt
+individually.
 
 Everything but the random stream is set up once per config and cached
 (``_sampler``, 8 entries): ``q``, the log of the failure probability that
@@ -45,8 +48,8 @@ the kernel inverts (``log1p(-q)`` of a loop without the coolant,
 the durations in ns and whether a request can exceed ``MAX_REQUEST_NS``,
 which every call checks.  Without the coolant it also holds the sentinel
 table (8 bytes per table entry; a table holds at most ``cap`` entries, and
-only those whose survival is above 1e-18) and the int32 guide (at most
-0.5 MB); a coolant sampler holds neither.
+only those whose survival is above 1e-18), the int32 guide (at most
+0.5 MB) and whether one step is exact; a coolant sampler holds neither.
 """
 
 from __future__ import annotations
@@ -172,10 +175,12 @@ class RateReport:
 
 class _Sampler(NamedTuple):
     """What ``simulate_campaign`` needs of one config beyond its random
-    stream; see the module docstring."""
+    stream; see the module docstring.  ``one_step`` holds where no bucket,
+    the last one included, holds two entries of ``bounded[:-1]``."""
 
     bounded: np.ndarray | None  # success_cdf_table with its last entry +inf
     guide: np.ndarray | None    # int32: entries of bounded[:-1] in buckets below j
+    one_step: bool       # the guide's first step is the whole search
     scale: float         # key x lies in bucket int(x * scale)
     q: float             # success probability of one loop
     log_fail: float      # log1p(-q), or log1p(-p) with the coolant; -inf at 1
@@ -203,7 +208,7 @@ def _sampler(cfg: HardwareConfig) -> _Sampler:
     common = (q, math.log1p(-fail) if fail < 1.0 else -math.inf, table.size - 1,
               cap, attempt_ns, cooling_ns, overlong)
     if cfg.coolant_present:
-        return _Sampler(None, None, 0.0, *common)
+        return _Sampler(None, None, False, 0.0, *common)
     buckets = min(2 * table.size, 2**17)
     scale = buckets / q if q else 0.0  # q = 0 or >= 2**-53
     counts = np.bincount((table[:-1] * scale).astype(np.intp),
@@ -213,7 +218,7 @@ def _sampler(cfg: HardwareConfig) -> _Sampler:
     bounded[-1] = np.inf
     guide.setflags(write=False)
     bounded.setflags(write=False)
-    return _Sampler(bounded, guide, scale, *common)
+    return _Sampler(bounded, guide, bool(counts.max() <= 1), scale, *common)
 
 
 def _first_success(s: _Sampler, keys: np.ndarray) -> np.ndarray:
@@ -233,10 +238,13 @@ def _search(s: _Sampler, keys: np.ndarray) -> np.ndarray:
     """``np.searchsorted(s.bounded, keys, side="right")`` for keys in
     ``[0, q]``, in ``[0, size - 1]``.  ``int(x * scale)`` is monotone, so
     the answer is the key's guide entry plus the entries of its bucket up to
-    the key: one step takes the first of them, and the keys still short are
-    searched in full."""
+    the key: one step takes the first of them, which is the whole answer
+    where ``s.one_step`` holds; otherwise the keys still short are searched
+    in full."""
     pos = s.guide.take((keys * s.scale).astype(np.intp))
     pos += s.bounded.take(pos) <= keys
+    if s.one_step:
+        return pos
     short = s.bounded.take(pos) <= keys
     if short.any():
         pos[short] = np.searchsorted(s.bounded, keys[short], side="right")

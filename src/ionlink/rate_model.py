@@ -79,14 +79,15 @@ class ScheduleParams:
             raise ValueError("cooling_duration must be nonnegative")
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=8)
 def success_cdf_table(p: DecayParams, cap: int) -> np.ndarray:
     """Discrete first-success CDF within one loop: F[k] = 1 - S_{k+1}.
 
     The table is truncated where the survival drops below the tail
     threshold; the truncation error is below 1e-18 per request.  Since
     ``p(n) >= c``, ``S_k <= (1 - c)^k``, so only the prefix that can lie
-    above the tail is built.
+    above the tail is built.  A table can hold 10^7 entries (80 MB), and
+    callers reuse only a handful of ``(p, cap)``, so few are kept.
     """
     if not 1 <= cap <= MAX_LOOP_CAP:
         raise ValueError(f"loop cap must be in [1, {MAX_LOOP_CAP}], got {cap!r}")
@@ -104,10 +105,8 @@ def success_cdf_table(p: DecayParams, cap: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _expected_attempts_table(p: DecayParams, cap: int) -> np.ndarray:
     """``E(k+1) = S_0 + ... + S_k`` beside ``success_cdf_table(p, cap)``;
-    past a truncated table the survival is below the tail.
-
-    Kept for fewer keys than the tables themselves: a table can hold 10^7
-    entries (80 MB), and callers reuse only a handful of ``(p, cap)``."""
+    past a truncated table the survival is below the tail.  Kept for as
+    few keys as the tables themselves."""
     table = success_cdf_table(p, cap)
     attempts = np.cumsum(np.concatenate(([1.0], 1.0 - table[:-1])))
     attempts.setflags(write=False)

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency, chisquare
 
-from ionlink.cli import _csv
+from ionlink.cli import _csv, _run_header
 from ionlink.config import DECAY_COOLANT_RECONSTRUCTION, HardwareConfig, coolant_config
 from ionlink.protocol import (
     _BLOCK,
@@ -252,7 +252,8 @@ def test_campaign_outputs_pinned(name, seed):
     assert requests > 2 * _BLOCK
     cfg = _schedule(name)
     rep = simulate_campaign(cfg, requests, seed)
-    records = _csv(cfg, seed, RECORD_COLUMNS, _record_rows(rep, requests))
+    records = _csv(_run_header(cfg, seed), RECORD_COLUMNS,
+                   _record_rows(rep, requests))
     blob = records.split("\n", 3)[3] + json.dumps(rep.summary(), sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == CAMPAIGN_DIGESTS[name, seed]
 
@@ -281,6 +282,9 @@ def test_bucket_search_matches_plain_searchsorted(name):
     table = success_cdf_table(_success_model(cfg), _loop_cap(cfg))
     q = float(table[-1])
     assert s.q == q and np.array_equal(s.bounded[:-1], table[:-1])
+    # no bucket of the default 50-entry table holds two entries, so its
+    # search ends after the first step; the other two verify that step
+    assert s.one_step == (name == "no_coolant")
     rng = np.random.default_rng(31)
     keys = np.concatenate([
         rng.random(3000) * q,

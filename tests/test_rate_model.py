@@ -14,6 +14,7 @@ from ionlink.rate_model import (
     optimal_cap,
     rate_curve,
     request_rate,
+    success_cdf_table,
 )
 from qutil import cdf, expected_attempts, mean_success_prob, pdf
 
@@ -260,3 +261,9 @@ def test_expected_attempts_table_is_cached_and_read_only():
     with pytest.raises(ValueError, match="read-only"):
         sums[0] = 2.0
     assert expected_attempts(20000, RECON) == sums[-1]
+
+
+def test_table_caches_keep_a_handful_of_tables():
+    # a table can hold 10^7 entries (80 MB): 64 of them would keep 5 GB
+    for cache in (success_cdf_table, _expected_attempts_table):
+        assert cache.cache_info().maxsize == 8
