@@ -48,8 +48,9 @@ the kernel inverts (``log1p(-q)`` of a loop without the coolant,
 the durations in ns and whether a request can exceed ``MAX_REQUEST_NS``,
 which every call checks.  Without the coolant it also holds the sentinel
 table (8 bytes per table entry; a table holds at most ``cap`` entries, and
-only those whose survival is above 1e-18), the int32 guide (at most
-0.5 MB) and whether one step is exact; a coolant sampler holds neither.
+only those whose survival is above 1e-18), the intp guide (at most
+1 MB, so that no index is cast) and whether one step is exact; a coolant
+sampler holds neither.
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ class _Sampler(NamedTuple):
     the last one included, holds two entries of ``bounded[:-1]``."""
 
     bounded: np.ndarray | None  # success_cdf_table with its last entry +inf
-    guide: np.ndarray | None    # int32: entries of bounded[:-1] in buckets below j
+    guide: np.ndarray | None    # intp: entries of bounded[:-1] in buckets below j
     one_step: bool       # the guide's first step is the whole search
     scale: float         # key x lies in bucket int(x * scale)
     q: float             # success probability of one loop
@@ -213,7 +214,7 @@ def _sampler(cfg: HardwareConfig) -> _Sampler:
     scale = buckets / q if q else 0.0  # q = 0 or >= 2**-53
     counts = np.bincount((table[:-1] * scale).astype(np.intp),
                          minlength=buckets + 1)
-    guide = np.concatenate(([0], np.cumsum(counts[:-1]))).astype(np.int32)
+    guide = np.concatenate(([0], np.cumsum(counts[:-1]))).astype(np.intp)
     bounded = table.copy()
     bounded[-1] = np.inf
     guide.setflags(write=False)

@@ -341,7 +341,7 @@ def test_bucket_index_is_read_only_and_bounded():
     cfg = _schedule("constant")
     s = _sampler(cfg)
     assert _sampler(cfg) is s
-    assert s.guide.dtype == np.int32 and s.guide.size == 2 * 20_000 + 1
+    assert s.guide.dtype == np.intp and s.guide.size == 2 * 20_000 + 1
     for arr in (s.guide, s.bounded):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
