@@ -273,17 +273,15 @@ def swap_outputs(cfg: HardwareConfig, trials: int, seed: int, profile: str) -> d
     records ``trials`` and ``profile``, the name of the error profile of ``cfg``."""
     res = swap_experiment(cfg, trials, Generator(seed))
     width = max(map(len, res.histograms))
-    freqs = [[c / t for c in h] + [0.0] * (width - len(h))
-             for h, t in zip(res.histograms, map(sum, res.histograms))]
+    freqs = {f"freq_{b}bright": [c / t for c in h] + [0.0] * (width - len(h))
+             for b, (h, t) in enumerate(zip(res.histograms, map(sum, res.histograms)))}
     return {
-        "readout_histograms.csv": (
-            ("count", "freq_0bright", "freq_1bright", "freq_2bright"),
-            [(c, *row) for c, row in enumerate(zip(*freqs))]),
+        "readout_histograms.csv": {"count": range(width), **freqs},
         "readout_thresholds.json": asdict(res.thresholds),
         **{f"parity_{pulses}_pulse.csv": scan.table() for pulses, scan in res.scans.items()},
-        "populations.csv": (
-            ("bright_ions", "raw_frequency", "corrected_population"),
-            zip(range(3), res.raw_populations, res.populations.populations)),
+        "populations.csv": {"bright_ions": range(3),
+                            "raw_frequency": res.raw_populations,
+                            "corrected_population": res.populations.populations},
         "swap_summary.json": {
             "trials": trials,
             "profile": profile,

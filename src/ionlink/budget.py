@@ -118,9 +118,10 @@ def budget_outputs(cfg: HardwareConfig) -> tuple[dict, str]:
     ``budget.json``, and the text it prints."""
     err, eff = error_budget(cfg), efficiency_budget()
     return {
-        "error_budget.csv": (("contribution", "fraction"),
-                             [*err.entries, ("total", err.total)]),
-        "efficiency_budget.csv": (("stage", "factor", "running_product"), eff.stages),
+        "error_budget.csv": dict(zip(("contribution", "fraction"),
+                                     zip(*err.as_dict().items()))),
+        "efficiency_budget.csv": dict(zip(("stage", "factor", "running_product"),
+                                          zip(*eff.stages))),
         "budget.json": {"error_budget": err.as_dict(), "efficiency_chain": eff.as_dict()},
     }, (f"error budget\n{err.to_text()}\n\n"
         f"photon collection chain\n{eff.to_text()}\n")

@@ -1,13 +1,14 @@
 """Command-line front end: each subcommand checks its arguments, runs one
 library pipeline (``<module>.<subcommand>_outputs``) and writes what it returns.
 
-``_write`` writes each output: a ``(columns, rows)`` body as CSV with
-``_csv``, a dict as JSON.  Both carry the package version, config hash and
-master seed, as '#'-prefixed header lines (CSV) or top-level keys (JSON), so
-a rerun with the same config and seed is byte-identical.  Exit code 0 means
-every requested output was written; config and usage problems exit with
-code 2, runtime failures with code 1, both after printing a machine-parsable
-JSON error object to stderr.
+``_write`` writes each output by its suffix: a ``.csv`` body of named,
+equal-length columns with ``_csv``, the only code that lays columns out as
+rows, and a ``.json`` dict as JSON.  Both carry the package version, config
+hash and master seed, as '#'-prefixed header lines (CSV) or top-level keys
+(JSON), so a rerun with the same config and seed is byte-identical.  Exit
+code 0 means every requested output was written; config and usage problems
+exit with code 2, runtime failures with code 1, both after printing a
+machine-parsable JSON error object to stderr.
 """
 
 from __future__ import annotations
@@ -101,27 +102,29 @@ def _run_header(cfg: HardwareConfig, seed: int) -> dict:
     return {"ionlink": __version__, "config_hash": cfg.config_hash(), "seed": seed}
 
 
-def _csv(header: dict, columns, rows) -> str:
-    """The run header as '# key=value' lines, the column row, then one line
-    per row: a float cell as '%.12g', any other cell with str()."""
+def _csv(header: dict, table: dict) -> str:
+    """The run header as '# key=value' lines, the column names, then the rows
+    of ``table``'s columns, formatted once per column: '%.12g' if its first
+    cell is a float, else str().  Unequal columns raise ValueError."""
+    cells = [map("%.12g".__mod__, col) if col and isinstance(col[0], float)
+             else map(str, col) for col in table.values()]
     lines = [f"# {k}={v}" for k, v in header.items()]
-    lines.append(",".join(columns))
-    lines.extend(",".join(["%.12g" % v if isinstance(v, float) else str(v)
-                           for v in row]) for row in rows)
+    lines.append(",".join(table))
+    lines.extend(map(",".join, zip(*cells, strict=True)))
     return "\n".join(lines) + "\n"
 
 
 def _write(out: Path, cfg: HardwareConfig, seed: int, files: dict) -> None:
-    """Write each output of ``files`` into ``out``: a ``(columns, rows)``
-    body with ``_csv``, a dict as JSON with the run header's keys."""
+    """Write each output of ``files`` into ``out``: a ``.csv`` table with
+    ``_csv``, a ``.json`` dict as JSON with the run header's keys."""
     path, header = out / next(iter(files)), _run_header(cfg, seed)
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name, body in files.items():
             path = out / name
             path.write_text(
-                json.dumps(header | body, sort_keys=True, indent=2)
-                if isinstance(body, dict) else _csv(header, *body))
+                _csv(header, body) if path.suffix == ".csv"
+                else json.dumps(header | body, sort_keys=True, indent=2))
     except OSError as exc:  # e.g. --out names an existing file
         raise CliError("bad_out", f"cannot write {path}: {exc}", 2) from None
 

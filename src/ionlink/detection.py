@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import comb, fsum, sqrt
+from math import comb, fsum, prod, sqrt
 from operator import mul
 from typing import TYPE_CHECKING
 
@@ -155,8 +155,9 @@ class ConfusionMatrix:
 
     @property
     def condition_number(self) -> float:
-        import numpy as np
-        return float(np.linalg.cond(self.matrix))
+        """The inf-norm condition number ``||M||_inf ||M^-1||_inf``, each norm
+        the largest absolute row sum."""
+        return prod(max(sum(map(abs, row)) for row in m) for m in (self.matrix, self.inverse))
 
     @classmethod
     def from_pmf(cls, pmf, t1: int, t2: int) -> "ConfusionMatrix":

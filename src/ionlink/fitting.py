@@ -109,10 +109,10 @@ class ScanResult:
             "fits": {name: asdict(f) for name, f in self.fits.items()},
         }
 
-    def table(self) -> tuple[list[str], zip]:
-        """``(columns, rows)``: per control value, the value then each series."""
-        return (["control_value", *self.series],
-                zip(map(float, self.control), *(map(float, v) for v in self.series.values())))
+    def table(self) -> dict[str, list[float]]:
+        """Columns of Python floats: ``control_value``, then each series."""
+        return {"control_value": list(map(float, self.control)),
+                **{name: list(map(float, v)) for name, v in self.series.items()}}
 
 
 def exact_scan(control, k: float, columns: Mapping[str, tuple[float, float, float]],

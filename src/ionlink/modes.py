@@ -327,11 +327,11 @@ def modes_outputs(spec: ChainSpec) -> dict:
     rad = tables["radial"]
     files = {}
     for d, t in tables.items():
-        columns = ["mode", *(f"ion{i}_mass{m:g}" for i, m in enumerate(t.masses_amu)),
-                   "frequency_khz"]
-        files[f"modes_{d}.csv"] = (columns, [
-            [f"{d}_{k + 1}", *(f"{x:.3f}" for x in u), f / 1e3]
-            for k, (u, f) in enumerate(zip(zip(*t.displacement), t.frequencies))])
+        files[f"modes_{d}.csv"] = {
+            "mode": [f"{d}_{k}" for k in range(1, len(t.frequencies) + 1)],
+            **{f"ion{i}_mass{m:g}": [f"{x:.3f}" for x in u]
+               for i, (m, u) in enumerate(zip(t.masses_amu, t.displacement))},
+            "frequency_khz": [f / 1e3 for f in t.frequencies]}
     eq = normal_modes(replace(spec, masses_amu=(MASS_BA_138,) * 3), "axial").frequencies
     files["modes_summary.json"] = {
         "axial_freq_ref_hz": spec.axial_freq_ref,

@@ -73,8 +73,6 @@ from .rate_model import (
 
 # the caps of a rate run's analytic curves when no grid is given
 DEFAULT_CAPS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000, 20000)
-RECORD_COLUMNS = ("request_index", "attempts_used", "wall_time_ns", "success",
-                  "sign", "loop_index")
 # Requests per substream.  It fixes the random-stream layout, so changing it
 # changes every campaign's outcome.
 _BLOCK = 4096
@@ -336,15 +334,15 @@ def rate_experiment(cfg: HardwareConfig, caps, requests: int, master_seed: int
     return out
 
 
-def _record_rows(report: RateReport, limit: int):
-    """Rows of the first ``limit`` requests of a campaign; a failed request
-    has an empty sign cell."""
+def _record_columns(report: RateReport, limit: int) -> dict:
+    """The first ``limit`` requests as columns; a failed request's sign, 0, is empty."""
     n = min(limit, report.requests)
-    cols = zip(report.attempts_used[:n].tolist(), report.wall_ns[:n].tolist(),
-               report.success_mask[:n].tolist(), report.signs[:n].tolist(),
-               report.loop_index[:n].tolist())
-    return ((k, a, w, int(s), g if s else "", i)
-            for k, (a, w, s, g, i) in enumerate(cols))
+    return {"request_index": range(n),
+            "attempts_used": report.attempts_used[:n].tolist(),
+            "wall_time_ns": report.wall_ns[:n].tolist(),
+            "success": report.success_mask[:n].view(np.uint8).tolist(),
+            "sign": [g or "" for g in report.signs[:n].tolist()],
+            "loop_index": report.loop_index[:n].tolist()}
 
 
 def _model_check(cfg: HardwareConfig, summary: dict) -> dict:
@@ -381,15 +379,13 @@ def rate_outputs(cfg: HardwareConfig, grid, requests: int, master_seed: int,
     files, mc = {}, {}
     for name, (run_cfg, curve, report) in rate_experiment(
             cfg, caps, requests, master_seed).items():
-        files[f"rate_analytic_{name}.csv"] = (
-            ("cap", "cdf", "mean_success_prob", "rate_hz", "rate_no_cooling_hz"),
-            zip(curve.caps.tolist(), curve.cdf.tolist(), curve.mean_success_prob.tolist(),
-                curve.rate_hz.tolist(), curve.rate_no_cooling_hz.tolist()))
+        files[f"rate_analytic_{name}.csv"] = {"cap": curve.caps.tolist(), **{
+            k: getattr(curve, k).tolist()
+            for k in ("cdf", "mean_success_prob", "rate_hz", "rate_no_cooling_hz")}}
         summary = report.summary()
         mc[name] = summary | _model_check(run_cfg, summary) | {
             "effective_attempt_rate_hz": effective_attempt_rate(run_cfg)}
         if records:
-            files[f"herald_records_{name}.csv"] = (RECORD_COLUMNS,
-                                                   _record_rows(report, records))
+            files[f"herald_records_{name}.csv"] = _record_columns(report, records)
     files["rate_mc.json"] = mc
     return files

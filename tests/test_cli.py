@@ -188,6 +188,23 @@ def test_csv_column_rows(outputs):
     assert modes[1].split(",")[-1] == "352.717751425"
 
 
+def test_csv_lays_named_columns_out_as_rows():
+    from ionlink.cli import _csv
+    header = {"ionlink": "v", "config_hash": "h", "seed": 3}
+    head = ["# ionlink=v", "# config_hash=h", "# seed=3"]
+    # a float column as '%.12g'; int, range and str columns with str();
+    # key order is column order
+    text = _csv(header, {"s": ["a", ""], "x": [0.1 + 0.2, 1e-5], "n": [7, -1],
+                         "k": range(2)})
+    assert text.splitlines() == [*head, "s,x,n,k", "a,0.3,7,0", ",1e-05,-1,1"]
+    assert text.endswith("\n")
+    # columns that are all empty leave the header lines and the name row
+    assert _csv(header, {"a": [], "b": range(0)}).splitlines() == [*head, "a,b"]
+    # a short column raises instead of being cut
+    with pytest.raises(ValueError):
+        _csv(header, {"a": [1.0, 2.0], "b": [1]})
+
+
 def test_rate_records_list_every_request(outputs):
     from ionlink.config import coolant_config
     from ionlink.protocol import simulate_campaign

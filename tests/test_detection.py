@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom, poisson
 
-from ionlink.config import HardwareConfig
+from ionlink.config import HardwareConfig, measured_swap_config
 from ionlink.detection import (
     ConfusionMatrix,
     _binom_pmf,
@@ -265,6 +265,11 @@ def test_singular_confusion_rejected():
 def test_condition_number_reported():
     cm = ConfusionMatrix.from_pmf(DEFAULT_PMF, 20, 150)
     assert 1.0 <= cm.condition_number < 1.2
+    # the golden swap-overlap readout: measured profile, thresholds 4 and 10
+    overlap = measured_swap_config(HardwareConfig(bright_rate=6000.0, dark_rate=2000.0))
+    for cm in (cm, ConfusionMatrix.from_pmf(count_pmf(overlap), 4, 10)):
+        assert cm.condition_number == pytest.approx(
+            np.linalg.cond(np.array(cm.matrix), np.inf), rel=1e-12, abs=0.0)
 
 
 def test_binom_pmf_matches_scipy():

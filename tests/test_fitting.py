@@ -116,10 +116,11 @@ def test_scan_result_fit_summary():
     # a table reads lists as it reads arrays, one Python float per cell
     listed = ScanResult(control=x.tolist(), series={"p": y.tolist()}, fits={"p": fit},
                         angular_frequency=2.0, contrast=0.2)
-    columns, rows = scan.table()
-    rows = list(rows)
-    assert (columns, rows) == (["control_value", "p"], list(listed.table()[1]))
-    assert all(type(cell) is float for row in rows for cell in row)
+    table = scan.table()
+    assert table == listed.table()
+    assert list(table) == ["control_value", "p"]
+    assert all(type(col) is list and len(col) == 5 for col in table.values())
+    assert all(type(cell) is float for col in table.values() for cell in col)
 
 
 # --- the numpy-free grid against np.linspace ------------------------------------

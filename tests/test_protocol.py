@@ -15,11 +15,10 @@ from ionlink.cli import _csv, _run_header
 from ionlink.config import DECAY_COOLANT_RECONSTRUCTION, HardwareConfig, coolant_config
 from ionlink.protocol import (
     _BLOCK,
-    RECORD_COLUMNS,
     _first_success,
     _loop_cap,
     _model_check,
-    _record_rows,
+    _record_columns,
     _sampler,
     _search,
     _success_model,
@@ -252,8 +251,7 @@ def test_campaign_outputs_pinned(name, seed):
     assert requests > 2 * _BLOCK
     cfg = _schedule(name)
     rep = simulate_campaign(cfg, requests, seed)
-    records = _csv(_run_header(cfg, seed), RECORD_COLUMNS,
-                   _record_rows(rep, requests))
+    records = _csv(_run_header(cfg, seed), _record_columns(rep, requests))
     blob = records.split("\n", 3)[3] + json.dumps(rep.summary(), sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == CAMPAIGN_DIGESTS[name, seed]
 
